@@ -11,8 +11,10 @@ runs of the same config produce byte-identical structured reports.
 Subcommands: ``static-trk``, ``floquet``, ``qed``, ``converge``, ``sweep``,
 each taking ``--config <path>``, ``--out <dir>``, ``--threads <n>`` (0 =
 library default; the FLOQTRK_THREADS environment variable supplies a
-default) and ``--verbose``. Exit codes: 0 success, 2 configuration or
-input error, 3 numeric or zone failure, 4 I/O error.
+default; applied through threadpoolctl, with a warning when it is missing)
+and ``--verbose``. Exit codes: 0 success, 2 configuration or input error,
+3 numeric or zone failure (a broken closure identity included), 4 I/O
+error.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -38,6 +41,7 @@ import yaml
 
 from .errors import ConfigError, InputError, NumericError, ZoneError
 from .floquet import (
+    EigenSystem,
     assemble_floquet_matrix,
     diagonalize_hermitian,
     fold_and_select_ffbz,
@@ -59,8 +63,8 @@ from .qed import FockSpec, build_joint_hamiltonian, joint_dipole, photon_cutoff_
 from .sumrule import (
     SpectralDensity,
     SumRuleReport,
+    density_from_ledger,
     select_reference,
-    spectral_density,
     static_trk,
     sumrule_ffbz,
     sumrule_sambe,
@@ -96,6 +100,11 @@ _SECTIONS: dict[str, tuple[frozenset, frozenset]] = {
         ),
     ),
 }
+
+#: Report kinds summed over a complete spectrum, whose value must meet the
+#: double-commutator oracle to CLOSURE_RTOL x max(1, |oracle value|).
+_CLOSURE_KINDS = ("static_trk", "sambe", "qed")
+CLOSURE_RTOL = 1e-8
 
 _LEDGER_HEADER = ("lambda", "n", "quasienergy_diff", "dipole_fourier_abs2", "contribution")
 _STICKS_HEADER = ("omega", "weight", "lambda", "n")
@@ -182,7 +191,20 @@ def _require_mapping(value: Any, where: str) -> dict:
     return value
 
 
+#: A YAML 1.2 float written without a dot or without an exponent sign
+#: (``1e-3``, ``1.0e308``), which PyYAML's YAML 1.1 resolver leaves a string.
+_YAML12_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?")
+
+
+def _as_number(value: Any) -> Any:
+    """``value`` as a number when it is one in YAML 1.2 float syntax."""
+    if isinstance(value, str) and _YAML12_FLOAT.fullmatch(value):
+        return float(value)
+    return value
+
+
 def _as_float(value: Any, key: str, where: str) -> float:
+    value = _as_number(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(
             f"key {key!r} in {where} must be a number, got {type(value).__name__}"
@@ -569,7 +591,7 @@ def _resolve_sweep(section: dict) -> dict:
     if not isinstance(values, list) or not values:
         raise ConfigError(f"key 'values' in {where} must be a non-empty list")
     cleaned = []
-    for v in values:
+    for v in map(_as_number, values):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"key 'values' in {where} must contain numbers only")
         cleaned.append(v)
@@ -749,9 +771,10 @@ class _Stage:
         try:
             yield
         finally:
-            self.timings[name] = self.timings.get(name, 0.0) + (
-                time.perf_counter() - start
-            )
+            elapsed = time.perf_counter() - start
+            self.timings[name] = self.timings.get(name, 0.0) + elapsed
+            if self.verbose:
+                print(f"[floqtrk] {name} done in {elapsed:.3f} s", file=sys.stderr)
 
 
 def run_job(config: JobConfig, verbose: bool = False) -> RunReport:
@@ -774,6 +797,8 @@ def run_job(config: JobConfig, verbose: bool = False) -> RunReport:
         pieces = _run_converge(config, stage)
     else:
         pieces = _run_sweep(config, stage, verbose)
+    for tag, report in pieces["reports"]:
+        _check_closure(tag, report)
     timings["total"] = time.perf_counter() - start
     return RunReport(
         config=config.resolved,
@@ -797,15 +822,44 @@ def _empty_pieces() -> dict:
     }
 
 
+def _check_closure(tag: str, report: SumRuleReport) -> None:
+    """Enforce the closure identity of a complete-spectrum report.
+
+    Over a complete spectrum the value equals the double-commutator oracle
+    up to rounding, whatever the truncation; a larger residual means the
+    eigensolve or the ledger is wrong, so no report is written.
+    """
+    if report.kind not in _CLOSURE_KINDS:
+        return
+    bound = CLOSURE_RTOL * max(1.0, abs(report.oracle_value))
+    if not abs(report.oracle_residual) <= bound:
+        raise NumericError(
+            f"{tag} report breaks the closure identity: oracle residual "
+            f"{report.oracle_residual:.3e} exceeds {bound:.3e}"
+        )
+
+
 def _static_reference(config: JobConfig) -> int:
     return 0 if config.reference == "auto" else int(config.reference)
 
 
-def _run_static(config: JobConfig, stage: _Stage) -> dict:
+def _matter_stack(
+    config: JobConfig, stage: _Stage
+) -> tuple[MatterOperator, MatterOperator, int, EigenSystem]:
+    """Build the matter operators and diagonalize H_M, once per job."""
     with stage("matter_build"):
         h, d, n_e = config.matter()
+    with stage("matter_eigensolve"):
+        matter_system = diagonalize_hermitian(h.matrix)
+    return h, d, n_e, matter_system
+
+
+def _run_static(config: JobConfig, stage: _Stage) -> dict:
+    h, d, n_e, matter_system = _matter_stack(config, stage)
     with stage("sumrule"):
-        report = static_trk(h, d, _static_reference(config), n_electrons=n_e)
+        report = static_trk(
+            h, d, _static_reference(config), n_electrons=n_e, system=matter_system
+        )
     pieces = _empty_pieces()
     pieces["reports"] = (("static_trk", report),)
     pieces["primary"] = "static_trk"
@@ -813,39 +867,63 @@ def _run_static(config: JobConfig, stage: _Stage) -> dict:
     return pieces
 
 
-def _floquet_stack(config: JobConfig, stage: _Stage, harmonic_cutoff: int):
-    """Shared assemble/diagonalize/fold pipeline for floquet-family jobs."""
-    with stage("matter_build"):
-        h, d, n_e = config.matter()
-        drive = config.drive()
-        matter_system = diagonalize_hermitian(h.matrix)
+def _resolvable_drive(config: JobConfig, matter_system: EigenSystem) -> DriveSpec:
+    """The configured drive, if its Omega resolves the matter spectrum.
+
+    Below span x machine epsilon no quasienergy can be folded into the
+    first zone, so such an Omega is a configuration error.
+    """
+    drive = config.drive()
+    span = float(matter_system.values[-1] - matter_system.values[0])
+    floor = span * float(np.finfo(np.float64).eps)
+    if drive.omega < floor:
+        raise ConfigError(
+            f"key 'omega' in section 'drive' must be >= {floor:.3e} (matter "
+            f"spectral span {span:.6g} x machine epsilon), got {drive.omega!r}"
+        )
+    return drive
+
+
+def _floquet_stack(
+    config: JobConfig,
+    stage: _Stage,
+    h: MatterOperator,
+    d: MatterOperator,
+    drive: DriveSpec,
+    matter_system: EigenSystem,
+    harmonic_cutoff: int,
+):
+    """Assemble/diagonalize/fold pipeline of one harmonic cutoff."""
     with stage("sambe_assemble"):
         blocks = fourier_blocks_of_hamiltonian(h, d, drive)
         fm = assemble_floquet_matrix(blocks, drive.omega, harmonic_cutoff)
     with stage("eigensolve"):
         system = diagonalize_hermitian(fm.matrix)
-    edge_tol = config.resolved["sambe"]["edge_tol"]
-    selection = fold_and_select_ffbz(system, drive.omega, fm.spec, edge_tol=edge_tol)
-    ground = matter_system.vectors[:, 0]
-    if config.reference == "auto":
-        ffbz_ref = select_reference(selection.representatives, ground)
-    else:
-        ffbz_ref = int(config.reference)
-        if ffbz_ref >= len(selection.representatives):
-            raise InputError(
-                f"reference {ffbz_ref} outside the "
-                f"{len(selection.representatives)} first-zone representatives"
-            )
-    return h, d, n_e, drive, fm, system, selection, ffbz_ref
+    with stage("fold_select"):
+        edge_tol = config.resolved["sambe"]["edge_tol"]
+        selection = fold_and_select_ffbz(system, drive.omega, fm.spec, edge_tol=edge_tol)
+        ground = matter_system.vectors[:, 0]
+        if config.reference == "auto":
+            ffbz_ref = select_reference(selection.representatives, ground)
+        else:
+            ffbz_ref = int(config.reference)
+            if ffbz_ref >= len(selection.representatives):
+                raise InputError(
+                    f"reference {ffbz_ref} outside the "
+                    f"{len(selection.representatives)} first-zone representatives"
+                )
+    return fm, system, selection, ffbz_ref
 
 
 def _run_floquet(config: JobConfig, stage: _Stage) -> dict:
     sambe_cfg = config.resolved["sambe"]
-    h, d, n_e, drive, fm, system, selection, ffbz_ref = _floquet_stack(
-        config, stage, sambe_cfg["harmonic_cutoff"]
+    h, d, n_e, matter_system = _matter_stack(config, stage)
+    drive = _resolvable_drive(config, matter_system)
+    fm, system, selection, ffbz_ref = _floquet_stack(
+        config, stage, h, d, drive, matter_system, sambe_cfg["harmonic_cutoff"]
     )
     with stage("sumrule"):
-        static_report = static_trk(h, d, 0, n_electrons=n_e)
+        static_report = static_trk(h, d, 0, n_electrons=n_e, system=matter_system)
         sambe_report = sumrule_sambe(
             fm, system, d, selection.source_indices[ffbz_ref], n_electrons=n_e
         )
@@ -860,9 +938,7 @@ def _run_floquet(config: JobConfig, stage: _Stage) -> dict:
             n_electrons=n_e,
             extra_flags=selection.warnings,
         )
-        density = spectral_density(
-            selection.representatives, d, drive.omega, ffbz_ref, sambe_cfg["n_max"]
-        )
+        density = density_from_ledger(ffbz_report)
     pieces = _empty_pieces()
     pieces["reports"] = (
         ("static_trk", static_report),
@@ -881,33 +957,32 @@ def _run_floquet(config: JobConfig, stage: _Stage) -> dict:
 
 
 def _run_qed(config: JobConfig, stage: _Stage) -> dict:
-    with stage("matter_build"):
-        h, d, n_e = config.matter()
+    h, d, n_e, matter_system = _matter_stack(config, stage)
     fock = config.fock()
-    with stage("eigensolve"):
-        h_joint = build_joint_hamiltonian(h, d, fock)
-        system = diagonalize_hermitian(h_joint)
     reference = _static_reference(config)
+    with stage("joint_assemble"):
+        h_joint = build_joint_hamiltonian(h, d, fock)
+        d_joint = joint_dipole(d, fock)
+    with stage("eigensolve"):
+        system = diagonalize_hermitian(h_joint)
     with stage("sumrule"):
-        static_report = static_trk(h, d, 0, n_electrons=n_e)
+        static_report = static_trk(h, d, 0, n_electrons=n_e, system=matter_system)
         qed_report = sumrule_qed(
-            system, joint_dipole(d, fock), reference, h_joint=h_joint, n_electrons=n_e
+            system, d_joint, reference, h_joint=h_joint, n_electrons=n_e
         )
-        reports = [("static_trk", static_report), ("qed", qed_report)]
-        if config.resolved["qed"]["h0_diagnostic"]:
-            fock0 = FockSpec(n_max=fock.n_max, omega_c=fock.omega_c, g=0.0)
+    reports = [("static_trk", static_report), ("qed", qed_report)]
+    if config.resolved["qed"]["h0_diagnostic"]:
+        # same photon cutoff, so d (x) I is shared with the coupled report
+        fock0 = FockSpec(n_max=fock.n_max, omega_c=fock.omega_c, g=0.0)
+        with stage("joint_assemble"):
             h0 = build_joint_hamiltonian(h, d, fock0)
+        with stage("eigensolve"):
             system0 = diagonalize_hermitian(h0)
+        with stage("sumrule"):
             reports.append(
                 (
                     "qed_h0",
-                    sumrule_qed(
-                        system0,
-                        joint_dipole(d, fock0),
-                        reference,
-                        h_joint=h0,
-                        n_electrons=n_e,
-                    ),
+                    sumrule_qed(system0, d_joint, reference, h_joint=h0, n_electrons=n_e),
                 )
             )
     pieces = _empty_pieces()
@@ -926,13 +1001,15 @@ def _run_converge(config: JobConfig, stage: _Stage) -> dict:
     values = config.resolved["converge"]["values"]
     pieces = _empty_pieces()
     if axis == "harmonic_cutoff":
+        h, d, n_e, matter_system = _matter_stack(config, stage)
+        drive = _resolvable_drive(config, matter_system)
         rows: list[dict] = []
         previous = None
         final_report = None
         final_warnings: tuple[str, ...] = ()
         for cutoff in values:
-            h, d, n_e, drive, fm, system, selection, ffbz_ref = _floquet_stack(
-                config, stage, cutoff
+            _, _, selection, ffbz_ref = _floquet_stack(
+                config, stage, h, d, drive, matter_system, cutoff
             )
             with stage("sumrule"):
                 report = sumrule_ffbz(
@@ -976,18 +1053,9 @@ def _run_converge(config: JobConfig, stage: _Stage) -> dict:
         qed_rows = photon_cutoff_convergence(
             h, d, focks, reference, n_electrons=n_e
         )
-    with stage("sumrule"):
-        final_fock = focks[-1]
-        h_joint = build_joint_hamiltonian(h, d, final_fock)
-        system = diagonalize_hermitian(h_joint)
-        final_report = sumrule_qed(
-            system,
-            joint_dipole(d, final_fock),
-            reference,
-            h_joint=h_joint,
-            n_electrons=n_e,
-        )
-    pieces["reports"] = (("qed", final_report),)
+    for row in qed_rows:
+        _check_closure(f"n_max={row.n_max}", row.report)
+    pieces["reports"] = (("qed", qed_rows[-1].report),)
     pieces["primary"] = "qed"
     pieces["convergence"] = tuple(
         {
@@ -1120,14 +1188,20 @@ def _convergence_csv(rows: tuple[dict, ...]) -> str:
 
 
 def write_report(
-    report: RunReport, directory: str | Path, formats: Sequence[str]
+    report: RunReport,
+    directory: str | Path,
+    formats: Sequence[str],
+    *,
+    threads_applied: int | None = None,
 ) -> list[Path]:
     """Serialize a run to disk; all content is built before the first write.
 
     ``report.json`` carries the complete deterministic payload,
-    ``timings.json`` the quarantined wall-clock data; CSV tables cover the
-    primary ledger, representative spectra, spectral-density sticks,
-    convergence rows, and per-point sweep ledgers with an index.
+    ``timings.json`` the quarantined wall-clock data plus
+    ``threads_applied``, the BLAS thread cap the run was held to (None: the
+    library default); CSV tables cover the primary ledger, representative
+    spectra, spectral-density sticks, convergence rows, and per-point sweep
+    ledgers with an index.
     """
     files: dict[str, str] = {}
     if "json" in formats:
@@ -1135,7 +1209,12 @@ def write_report(
             json.dumps(report_payload(report), sort_keys=True, indent=2) + "\n"
         )
         files["timings.json"] = (
-            json.dumps({"timings": report.timings}, sort_keys=True, indent=2) + "\n"
+            json.dumps(
+                {"timings": report.timings, "threads_applied": threads_applied},
+                sort_keys=True,
+                indent=2,
+            )
+            + "\n"
         )
     if "csv" in formats:
         primary = report.primary_report()
@@ -1178,14 +1257,24 @@ def write_report(
 # entry point
 
 
+@contextlib.contextmanager
 def _thread_limit(threads: int):
+    """Cap BLAS threads; yields the cap in force, None when none was applied."""
     if threads <= 0:
-        return contextlib.nullcontext()
+        yield None
+        return
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
-        return contextlib.nullcontext()
-    return threadpool_limits(limits=threads)
+        print(
+            f"warning: thread cap {threads} (--threads / FLOQTRK_THREADS) not "
+            f"applied: threadpoolctl is not installed",
+            file=sys.stderr,
+        )
+        yield None
+        return
+    with threadpool_limits(limits=threads):
+        yield threads
 
 
 def _resolve_threads(cli_value: int | None) -> int:
@@ -1243,10 +1332,15 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"config declares job {config.job_kind!r} but subcommand expects "
                 f"{args.job_kind!r}"
             )
-        with _thread_limit(threads):
+        with _thread_limit(threads) as threads_applied:
             report = run_job(config, verbose=args.verbose)
         out_dir = args.out if args.out else config.resolved["output"]["directory"]
-        written = write_report(report, out_dir, config.resolved["output"]["formats"])
+        written = write_report(
+            report,
+            out_dir,
+            config.resolved["output"]["formats"],
+            threads_applied=threads_applied,
+        )
         if args.verbose:
             for path in written:
                 print(f"[floqtrk] wrote {path}", file=sys.stderr)

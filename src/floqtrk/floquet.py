@@ -32,6 +32,9 @@ MAX_SAMBE_DIM = 6000
 #: Degenerate in-zone eigenvalues are grouped within this fraction of Omega.
 DEGENERACY_RTOL = 1e-9
 
+#: Half-open corrections :func:`fold_label` tries before giving up.
+_FOLD_CORRECTIONS = 4
+
 
 @dataclass(frozen=True)
 class SambeSpec:
@@ -284,18 +287,31 @@ def fold_label(epsilon: float, omega: float) -> FoldedLabel:
 
     n_shift = floor(eps/Omega + 1/2) maps the boundary +Omega/2 to -Omega/2,
     so the (epsilon_folded, n_shift) pair is unique for every input.
+
+    Raises NumericError when Omega is below the floating-point resolution of
+    eps, where no shift by whole multiples of Omega lands in the zone.
     """
     if omega <= 0:
         raise InputError(f"omega must be > 0, got {omega}")
     n = math.floor(epsilon / omega + 0.5)
     folded = epsilon - n * omega
-    # guard the half-open convention against floating-point edge cases
-    while folded >= omega / 2.0:
+    # guard the half-open convention against floating-point edge cases; a
+    # resolvable Omega needs a step or two, and n*Omega stops moving when
+    # Omega is not resolvable, so the walk is bounded
+    steps = 0
+    while folded >= omega / 2.0 and steps <= _FOLD_CORRECTIONS:
         n += 1
         folded = epsilon - n * omega
-    while folded < -omega / 2.0:
+        steps += 1
+    while folded < -omega / 2.0 and steps <= _FOLD_CORRECTIONS:
         n -= 1
         folded = epsilon - n * omega
+        steps += 1
+    if steps > _FOLD_CORRECTIONS:
+        raise NumericError(
+            f"cannot fold {epsilon!r} into a zone of width {omega!r}: Omega is "
+            f"below the floating-point resolution of the quasienergy"
+        )
     return FoldedLabel(epsilon_folded=folded, n_shift=n)
 
 

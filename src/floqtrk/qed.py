@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,17 +76,6 @@ class PolaritonState:
         return np.sum(np.abs(table) ** 2, axis=0)
 
 
-def fock_number_operator(n_max: int) -> np.ndarray:
-    """a^dag a on the truncated photon basis."""
-    return np.diag(np.arange(n_max + 1, dtype=np.float64))
-
-
-def fock_displacement_operator(n_max: int) -> np.ndarray:
-    """a + a^dag on the truncated photon basis."""
-    ladder = np.sqrt(np.arange(1, n_max + 1, dtype=np.float64))
-    return np.diag(ladder, k=1) + np.diag(ladder, k=-1)
-
-
 def _single_mode(fock: FockSpec | Sequence[FockSpec]) -> FockSpec:
     if isinstance(fock, FockSpec):
         return fock
@@ -115,24 +104,37 @@ def build_joint_hamiltonian(
         raise InputError(
             f"matter Hamiltonian dim {h_matter.dim} != dipole dim {d.dim}"
         )
-    joint_dim = h_matter.dim * mode.dim
-    if joint_dim > MAX_JOINT_DIM:
+    n_m, n_f = h_matter.dim, mode.dim
+    if n_m * n_f > MAX_JOINT_DIM:
         raise SizeError(
-            f"joint dimension {joint_dim} exceeds the dense guard {MAX_JOINT_DIM}"
+            f"joint dimension {n_m * n_f} exceeds the dense guard {MAX_JOINT_DIM}"
         )
-    eye_fock = np.eye(mode.dim)
-    eye_matter = np.eye(h_matter.dim)
-    h = np.kron(h_matter.matrix, eye_fock)
-    h += mode.omega_c * np.kron(eye_matter, fock_number_operator(mode.n_max))
+    # written block by block in place of the Kronecker sum, with the same
+    # float operations, so the matrix is bit-equal to the Kronecker build
+    dtype = np.result_type(h_matter.matrix, d.matrix, np.float64)
+    h = np.zeros((n_m, n_f, n_m, n_f), dtype=dtype)
+    photons = np.arange(n_f)
+    # "+ 0.0" maps -0.0 to +0.0, as the Kronecker sum's "+ omega_c * 0.0" does
+    h[:, photons, :, photons] = h_matter.matrix + 0.0
+    matter = np.arange(n_m)[:, None]
+    h[matter, photons, matter, photons] += mode.omega_c * photons
     if mode.g != 0.0:
-        h -= mode.g * np.kron(d.matrix, fock_displacement_operator(mode.n_max))
-    return h
+        coupling = mode.g * (d.matrix[:, :, None] * np.sqrt(photons[1:]))
+        h[:, photons[:-1], :, photons[1:]] -= np.moveaxis(coupling, 2, 0)
+        h[:, photons[1:], :, photons[:-1]] -= np.moveaxis(coupling, 2, 0)
+    return h.reshape(n_m * n_f, n_m * n_f)
 
 
 def joint_dipole(d: MatterOperator, fock: FockSpec | Sequence[FockSpec]) -> np.ndarray:
     """The matter dipole lifted to the product space: d (x) I."""
     mode = _single_mode(fock)
-    return np.kron(d.matrix, np.eye(mode.dim))
+    n_m, n_f = d.dim, mode.dim
+    lifted = np.empty((n_m, n_f, n_m, n_f), dtype=np.result_type(d.matrix, np.float64))
+    # off-diagonal photon entries are d * 0.0, signed like d, as in np.kron
+    lifted[...] = (d.matrix * 0.0)[:, None, :, None]
+    photons = np.arange(n_f)
+    lifted[:, photons, :, photons] = d.matrix
+    return lifted.reshape(n_m * n_f, n_m * n_f)
 
 
 def select_reference_joint(
@@ -190,6 +192,7 @@ class ConvergenceRow:
     delta: float | None  # value - previous row's value; None on the first row
     edge_population: float  # reference population in the top two Fock levels
     converged: bool
+    report: SumRuleReport = field(repr=False)  # the member's full sum-rule report
 
 
 def photon_cutoff_convergence(
@@ -205,6 +208,10 @@ def photon_cutoff_convergence(
     A row is converged when |delta| from the previous row is below 1e-8 and
     the reference state's population in the top two Fock levels is below
     1e-10 (so the truncation edge is unoccupied, not merely stationary).
+
+    Each row keeps its member's complete :class:`SumRuleReport`, so a caller
+    that needs the final member's ledger reads ``rows[-1].report`` instead
+    of building and diagonalizing that joint Hamiltonian again.
 
     Parameters
     ----------
@@ -259,6 +266,7 @@ def photon_cutoff_convergence(
                 delta=delta,
                 edge_population=edge,
                 converged=converged,
+                report=report,
             )
         )
         previous_value = report.value

@@ -208,6 +208,8 @@ def static_trk(
     d: MatterOperator,
     reference: int = 0,
     n_electrons: int | None = None,
+    *,
+    system: EigenSystem | None = None,
 ) -> SumRuleReport:
     """Static energy-weighted dipole sum from one eigenstate.
 
@@ -215,10 +217,20 @@ def static_trk(
     the dense spectrum of ``h``; the oracle is the double-commutator
     expectation in the reference eigenvector, which the value matches to
     1e-8 relative by the finite-dimensional closure identity.
+
+    ``system`` is the complete spectrum of ``h`` when the caller already has
+    it (``diagonalize_hermitian(h.matrix)``); without it ``h`` is
+    diagonalized here.
     """
     if h.dim != d.dim:
         raise InputError(f"Hamiltonian dim {h.dim} != dipole dim {d.dim}")
-    system = diagonalize_hermitian(h.matrix)
+    if system is None:
+        system = diagonalize_hermitian(h.matrix)
+    elif system.dim != h.dim:
+        raise InputError(
+            f"spectrum has {system.dim} eigenpairs, expected the complete "
+            f"matter dimension {h.dim}"
+        )
     return _closure_report(
         kind="static_trk",
         system=system,
@@ -366,30 +378,41 @@ def _ffbz_ledger(
     omega: float,
     reference: int,
     n_max: int,
-) -> tuple[list[Contribution], list[Stick]]:
-    """Shared per-(lambda, n) ledger behind the zone-resolved sum rule and
-    the spectral density; both views reuse the identical float products."""
+) -> tuple[Contribution, ...]:
+    """Per-(lambda, n) ledger behind the zone-resolved sum rule; the spectral
+    density is a view of the same rows (:func:`density_from_ledger`)."""
     ref_mode = representatives[reference]
     contributions: list[Contribution] = []
-    sticks: list[Stick] = []
     for lam, mode in enumerate(representatives):
         harmonics = dipole_fourier_components(ref_mode, mode, d, pair=(reference, lam))
         diff = mode.quasienergy - ref_mode.quasienergy
         for n in range(-n_max, n_max + 1):
             abs2 = abs(harmonics.entries.get(n, 0.0)) ** 2
-            line = diff + n * omega
             contributions.append(
                 Contribution(
                     lam=lam,
                     n=n,
                     quasienergy_diff=diff,
                     abs2=abs2,
-                    weight=2.0 * line * abs2,
+                    weight=2.0 * (diff + n * omega) * abs2,
                 )
             )
-            if abs2 != 0.0:
-                sticks.append(Stick(omega=line, weight=abs2, lam=lam, n=n))
-    return contributions, sticks
+    return tuple(contributions)
+
+
+def _sticks(contributions: tuple[Contribution, ...], omega: float) -> tuple[Stick, ...]:
+    """Nonzero ledger rows on the frequency axis; each line is recomputed with
+    the ledger's own float operations, so the first moment matches it bitwise."""
+    return tuple(
+        Stick(
+            omega=row.quasienergy_diff + row.n * omega,
+            weight=row.abs2,
+            lam=row.lam,
+            n=row.n,
+        )
+        for row in contributions
+        if row.abs2 != 0.0
+    )
 
 
 def _check_ffbz_inputs(
@@ -450,7 +473,7 @@ def sumrule_ffbz(
     """
     n_max = _check_ffbz_inputs(representatives, d, omega, reference, n_max)
     ref_mode = representatives[reference]
-    contributions, _ = _ffbz_ledger(representatives, d, omega, reference, n_max)
+    contributions = _ffbz_ledger(representatives, d, omega, reference, n_max)
     value = math.fsum(row.weight for row in contributions)
 
     commutator = _matter_double_commutator(h_matter, d)
@@ -483,7 +506,7 @@ def sumrule_ffbz(
         residual=value - target,
         oracle_value=oracle,
         oracle_residual=value - oracle,
-        contributions=tuple(contributions),
+        contributions=contributions,
         truncation_flags=tuple(flags),
         reference=reference,
         omega=omega,
@@ -514,8 +537,21 @@ def spectral_density(
     holds to the last bit.
     """
     n_max = _check_ffbz_inputs(representatives, d, omega, reference, n_max)
-    _, sticks = _ffbz_ledger(representatives, d, omega, reference, n_max)
-    return SpectralDensity(sticks=tuple(sticks), reference=reference)
+    contributions = _ffbz_ledger(representatives, d, omega, reference, n_max)
+    return SpectralDensity(sticks=_sticks(contributions, omega), reference=reference)
+
+
+def density_from_ledger(report: SumRuleReport) -> SpectralDensity:
+    """The stick spectrum of a zone-resolved report, read off its ledger.
+
+    Equal to :func:`spectral_density` with the report's own inputs, without
+    evaluating the dipole harmonics a second time.
+    """
+    if report.kind != "ffbz":
+        raise InputError(f"a stick spectrum needs an ffbz report, got {report.kind!r}")
+    return SpectralDensity(
+        sticks=_sticks(report.contributions, report.omega), reference=report.reference
+    )
 
 
 def first_moment(density: SpectralDensity) -> float:

@@ -1,0 +1,35 @@
+"""Shared fixtures."""
+
+import contextlib
+import signal
+
+import pytest
+
+
+class DeadlineExceeded(BaseException):
+    """Raised into a guarded block that ran past its deadline.
+
+    A BaseException, so handlers that catch Exception (the CLI's exit-code
+    mapping among them) cannot swallow it.
+    """
+
+
+@pytest.fixture
+def deadline():
+    """``with deadline(seconds):`` fails the test if the block is still
+    running after ``seconds`` of wall-clock time (SIGALRM, main thread)."""
+
+    @contextlib.contextmanager
+    def guard(seconds):
+        def expire(signum, frame):
+            raise DeadlineExceeded(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return guard

@@ -58,3 +58,32 @@ def two_level_elastic_sideband(delta, mu, e0, omega):
     (e0*mu^2/2) * [1/(delta - omega) + 1/(delta + omega)].
     """
     return (e0 * mu**2 / 2.0) * (1.0 / (delta - omega) + 1.0 / (delta + omega))
+
+
+def fock_number_operator(n_max):
+    """a^dag a on the truncated photon basis |0> .. |n_max>."""
+    return np.diag(np.arange(n_max + 1, dtype=np.float64))
+
+
+def fock_displacement_operator(n_max):
+    """a + a^dag on the truncated photon basis |0> .. |n_max>."""
+    ladder = np.sqrt(np.arange(1, n_max + 1, dtype=np.float64))
+    return np.diag(ladder, k=1) + np.diag(ladder, k=-1)
+
+
+def kron_joint_hamiltonian(h, d, n_max, omega_c, g):
+    """H (x) I + omega_c I (x) a^dag a - g d (x) (a + a^dag) by np.kron.
+
+    The term-by-term Kronecker build, kept as the reference for the
+    direct-write assembly in the package.
+    """
+    joint = np.kron(h, np.eye(n_max + 1))
+    joint += omega_c * np.kron(np.eye(h.shape[0]), fock_number_operator(n_max))
+    if g != 0.0:
+        joint -= g * np.kron(d, fock_displacement_operator(n_max))
+    return joint
+
+
+def kron_joint_dipole(d, n_max):
+    """d (x) I on the matter (x) Fock product basis by np.kron."""
+    return np.kron(d, np.eye(n_max + 1))

@@ -1,13 +1,29 @@
 """Config loading, job execution, serialization, and exit codes."""
 
+import contextlib
 import json
 import math
+import sys
 import textwrap
+import types
 
 import pytest
 import yaml
 
-from floqtrk import ConfigError, __version__, first_moment
+from floqtrk import (
+    ConfigError,
+    EigenSystem,
+    FockSpec,
+    __version__,
+    build_joint_hamiltonian,
+    cli,
+    first_moment,
+    floquet,
+    joint_dipole,
+    qed,
+    sumrule,
+    sumrule_qed,
+)
 from floqtrk.cli import (
     JobConfig,
     load_config,
@@ -488,3 +504,266 @@ def test_thread_environment_handling(tmp_path, monkeypatch):
     assert main(["static-trk", "--config", str(path)]) == 0
     monkeypatch.delenv("FLOQTRK_THREADS")
     assert main(["static-trk", "--config", str(path), "--threads", "-1"]) == 2
+
+
+FLOQUET_JOB = (
+    "job: floquet\n"
+    + THREE_LEVEL_MODEL
+    + "drive:\n  omega: 0.35\n  components: [{harmonic: 1, amplitude: 0.05}]\n"
+    + "sambe:\n  harmonic_cutoff: 4\n"
+)
+QED_JOB = "job: qed\n" + TWO_LEVEL_MODEL + "fock: {n_max: 6, omega_c: 0.9, g: 0.3}\n"
+HARMONIC_CONVERGE_JOB = (
+    "job: converge\nconverge: {axis: harmonic_cutoff, values: [2, 4, 6, 8]}\n"
+    + THREE_LEVEL_MODEL
+    + "drive:\n  omega: 0.35\n  components: [{harmonic: 1, amplitude: 0.05}]\n"
+)
+FOCK_CONVERGE_JOB = (
+    "job: converge\nconverge: {axis: fock_n_max, values: [4, 6, 8, 10]}\n"
+    + TWO_LEVEL_MODEL
+    + "fock: {omega_c: 0.9, g: 0.3}\n"
+)
+
+
+def record_eigensolves(monkeypatch, perturb=None):
+    """Route every eigensolve of the package through a recorder.
+
+    Returns the list the dimension of each solve is appended to; ``perturb``
+    (EigenSystem -> EigenSystem), if given, rewrites each result.
+    """
+    original = floquet.diagonalize_hermitian
+    dims = []
+
+    def recorder(matrix):
+        dims.append(matrix.shape[0])
+        system = original(matrix)
+        return system if perturb is None else perturb(system)
+
+    for module in (cli, floquet, qed, sumrule):
+        monkeypatch.setattr(module, "diagonalize_hermitian", recorder)
+    return dims
+
+
+@pytest.mark.parametrize(
+    "text, dims",
+    [
+        ("job: static_trk\n" + TWO_LEVEL_MODEL, [2]),
+        # matter once, Sambe once: static_trk reuses the matter spectrum
+        (FLOQUET_JOB, [3, 27]),
+        (QED_JOB, [2, 14]),
+        (QED_JOB + "qed: {h0_diagnostic: true}\n", [2, 14, 14]),
+        # matter once per job, not once per cutoff
+        (HARMONIC_CONVERGE_JOB, [3, 15, 27, 39, 51]),
+        # one solve per cutoff; the final report is the last row's
+        (FOCK_CONVERGE_JOB, [10, 14, 18, 22]),
+    ],
+    ids=["static", "floquet", "qed", "qed_h0", "converge_harmonic", "converge_fock"],
+)
+def test_each_spectrum_is_computed_once(tmp_path, monkeypatch, text, dims):
+    """Every distinct operator of a job is diagonalized exactly once."""
+    config = load_config(config_file(tmp_path, text))
+    solved = record_eigensolves(monkeypatch)
+    run_job(config)
+    assert solved == dims
+
+
+def test_converge_final_report_is_the_last_row(tmp_path):
+    """The qed report of a photon-cutoff scan is the last member's report,
+    equal to a fresh build and solve of that member."""
+    config = load_config(config_file(tmp_path, FOCK_CONVERGE_JOB))
+    payload = report_payload(run_job(config))
+    final = payload["reports"]["qed"]
+    assert final["value"] == payload["convergence"][-1]["value"]
+    assert final["oracle_residual"] == payload["convergence"][-1]["oracle_residual"]
+    h, d, _ = config.matter()
+    fock = FockSpec(n_max=10, omega_c=0.9, g=0.3)
+    h_joint = build_joint_hamiltonian(h, d, fock)
+    fresh = sumrule_qed(
+        floquet.diagonalize_hermitian(h_joint),
+        joint_dipole(d, fock),
+        0,
+        h_joint=h_joint,
+    )
+    assert final == cli._sumrule_payload(fresh)
+
+
+@pytest.mark.parametrize(
+    "text, stages",
+    [
+        (
+            "job: static_trk\n" + TWO_LEVEL_MODEL,
+            {"matter_build", "matter_eigensolve", "sumrule"},
+        ),
+        (
+            FLOQUET_JOB,
+            {
+                "matter_build",
+                "matter_eigensolve",
+                "sambe_assemble",
+                "eigensolve",
+                "fold_select",
+                "sumrule",
+            },
+        ),
+        (
+            QED_JOB,
+            {"matter_build", "matter_eigensolve", "joint_assemble", "eigensolve", "sumrule"},
+        ),
+        (
+            HARMONIC_CONVERGE_JOB,
+            {
+                "matter_build",
+                "matter_eigensolve",
+                "sambe_assemble",
+                "eigensolve",
+                "fold_select",
+                "sumrule",
+            },
+        ),
+        (FOCK_CONVERGE_JOB, {"matter_build", "convergence"}),
+    ],
+    ids=["static", "floquet", "qed", "converge_harmonic", "converge_fock"],
+)
+def test_stage_keys_name_the_work_done(tmp_path, text, stages):
+    """timings.json has one key per stage that ran, plus the total."""
+    report = run_job(load_config(config_file(tmp_path, text)))
+    assert set(report.timings) == stages | {"total"}
+
+
+def test_verbose_prints_stage_durations(tmp_path, capsys):
+    """--verbose reports each stage's duration when it ends."""
+    path = config_file(tmp_path, FLOQUET_JOB)
+    out = tmp_path / "v"
+    assert main(["floquet", "--config", str(path), "--out", str(out), "--verbose"]) == 0
+    err = capsys.readouterr().err
+    timings = json.loads((out / "timings.json").read_text())["timings"]
+    for stage in set(timings) - {"total"}:
+        assert f"[floqtrk] {stage} done in " in err
+
+
+def test_thread_cap_is_reported(tmp_path, monkeypatch, capsys):
+    """A requested cap that cannot be applied warns on stderr; timings.json
+    records the cap actually in force."""
+    monkeypatch.delenv("FLOQTRK_THREADS", raising=False)
+    path = static_job_file(tmp_path, tmp_path / "t")
+
+    def applied():
+        timings = json.loads((tmp_path / "t" / "timings.json").read_text())
+        return timings["threads_applied"]
+
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    assert main(["static-trk", "--config", str(path), "--threads", "2"]) == 0
+    assert "threadpoolctl is not installed" in capsys.readouterr().err
+    assert applied() is None
+
+    caps = []
+    stand_in = types.ModuleType("threadpoolctl")
+    stand_in.threadpool_limits = lambda limits: caps.append(limits) or contextlib.nullcontext()
+    monkeypatch.setitem(sys.modules, "threadpoolctl", stand_in)
+    monkeypatch.setenv("FLOQTRK_THREADS", "3")
+    assert main(["static-trk", "--config", str(path)]) == 0
+    assert "warning" not in capsys.readouterr().err
+    assert caps == [3] and applied() == 3
+
+    monkeypatch.delenv("FLOQTRK_THREADS")
+    assert main(["static-trk", "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert applied() is None
+
+
+@pytest.mark.parametrize(
+    "command, text, min_dim, tag",
+    [
+        ("static-trk", "job: static_trk\n" + TWO_LEVEL_MODEL, 0, "static_trk"),
+        ("floquet", FLOQUET_JOB, 27, "sambe"),
+        ("qed", QED_JOB, 14, "qed"),
+        ("converge", FOCK_CONVERGE_JOB, 0, "n_max=4"),
+    ],
+    ids=["static", "floquet", "qed", "converge_fock"],
+)
+def test_broken_closure_exits_numeric(
+    tmp_path, monkeypatch, capsys, command, text, min_dim, tag
+):
+    """A spectrum that is not the operator's (eigenvalues scaled by 1%) breaks
+    the closure identity: exit 3 and no report written."""
+
+    def perturb(system):
+        if system.dim < min_dim:
+            return system
+        return EigenSystem(values=system.values * 1.01, vectors=system.vectors)
+
+    record_eigensolves(monkeypatch, perturb)
+    path = config_file(tmp_path, text)
+    out = tmp_path / "broken"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 3
+    assert f"{tag} report breaks the closure identity" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_unresolvable_drive_frequency_fails_fast(tmp_path, deadline, capsys):
+    """An Omega below the matter span x machine epsilon is a configuration
+    error; one the span admits but the level offset does not resolve is a
+    numeric error. Neither hangs."""
+    tiny = FLOQUET_JOB.replace("omega: 0.35", "omega: 1.0e-300")
+    path = config_file(tmp_path, tiny, name="tiny.yaml")
+    with deadline(30):
+        code = main(["floquet", "--config", str(path), "--out", str(tmp_path / "a")])
+    assert code == 2
+    assert "spectral span" in capsys.readouterr().err
+    far = textwrap.dedent(
+        """\
+        job: floquet
+        model:
+          kind: few_level
+          energies: [1000000.1234, 1000001.3]
+          dipole: [[0.0, 1.0], [1.0, 0.0]]
+        drive:
+          omega: 1.0e-12
+          components: [{harmonic: 1, amplitude: 0.01}]
+        """
+    )
+    path = config_file(tmp_path, far, name="far.yaml")
+    with deadline(30):
+        code = main(["floquet", "--config", str(path), "--out", str(tmp_path / "b")])
+    assert code == 3
+    assert "resolution" in capsys.readouterr().err
+
+
+def test_yaml_12_floats_load_as_numbers(tmp_path):
+    """Floats without a dot or without an exponent sign are numbers, and
+    configs that loaded before keep their run_hash."""
+    classic = textwrap.dedent(
+        """\
+        job: floquet
+        model:
+          kind: few_level
+          energies: [0.0, 0.3, 1.1]
+          dipole: [[0.2, 0.5, 0.1], [0.5, -0.1, 0.4], [0.1, 0.4, 0.3]]
+        drive:
+          omega: .35
+          components: [{harmonic: 1, amplitude: 5.0e-2, phase: -0.}]
+        sambe: {harmonic_cutoff: 4, edge_tol: 1.0e-6}
+        """
+    )
+    before = load_config(config_file(tmp_path, classic, name="classic.yaml"))
+    # the digest this config had before YAML 1.2 floats were accepted
+    assert run_hash_of(before.resolved) == (
+        "89ba55a3107e7c49e605468b4aac11f40ecee284800066b702ea2ed28ca039ee"
+    )
+    modern = classic.replace("5.0e-2", "5e-2").replace("1.0e-6", "1e-6")
+    modern = modern.replace("omega: .35", "omega: 35e-2")
+    after = load_config(config_file(tmp_path, modern, name="modern.yaml"))
+    assert after.resolved == before.resolved
+    assert run_hash_of(after.resolved) == run_hash_of(before.resolved)
+    sweep = load_config(
+        config_file(
+            tmp_path,
+            "job: sweep\n"
+            + "sweep: {job: static_trk, path: model.energies.1, values: [1e0, 2E+0]}\n"
+            + TWO_LEVEL_MODEL,
+            name="sweep.yaml",
+        )
+    )
+    assert sweep.resolved["sweep"]["values"] == [1.0, 2.0]
+    with pytest.raises(ConfigError, match="must be a number, got str"):
+        load_config(config_file(tmp_path, classic.replace(".35", "fast"), name="bad.yaml"))

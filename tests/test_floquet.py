@@ -12,6 +12,7 @@ from floqtrk import (
     FourierBlockSet,
     InputError,
     MatterOperator,
+    NumericError,
     SambeSpec,
     SizeError,
     assemble_floquet_matrix,
@@ -212,6 +213,16 @@ def test_fold_rejects_bad_omega():
     """Non-positive frequency is refused."""
     with pytest.raises(InputError):
         fold_label(0.3, 0.0)
+
+
+def test_fold_gives_up_below_float_resolution(deadline):
+    """An Omega below the floating-point resolution of epsilon raises at
+    once instead of stepping n forever."""
+    with deadline(10):
+        with pytest.raises(NumericError, match="resolution"):
+            fold_label(0.7123456789, 1e-300)
+        with pytest.raises(NumericError, match="resolution"):
+            fold_label(1000000.1234, 1e-12)
 
 
 def test_zero_drive_selection_is_pure_static():

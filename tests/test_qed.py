@@ -22,11 +22,7 @@ from floqtrk import (
     static_trk,
     sumrule_qed,
 )
-from floqtrk.qed import (
-    fock_displacement_operator,
-    fock_number_operator,
-    select_reference_joint,
-)
+from floqtrk.qed import select_reference_joint
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 TWO_H = MatterOperator(np.diag([0.0, 1.0]), basis_tag="levels:2")
@@ -54,10 +50,11 @@ def test_fock_spec_validation():
 
 
 def test_fock_operator_entries():
-    """Number and displacement operators have the textbook entries."""
-    number = fock_number_operator(3)
+    """Number and displacement operators of the Kronecker reference build
+    have the textbook entries."""
+    number = oracles.fock_number_operator(3)
     assert np.array_equal(number, np.diag([0.0, 1.0, 2.0, 3.0]))
-    disp = fock_displacement_operator(3)
+    disp = oracles.fock_displacement_operator(3)
     assert abs(disp[0, 1] - 1.0) < 1e-15
     assert abs(disp[1, 2] - np.sqrt(2.0)) < 1e-15
     assert abs(disp[2, 3] - np.sqrt(3.0)) < 1e-15
@@ -263,3 +260,42 @@ def test_polariton_state_checks_and_populations():
     populations = state.fock_populations(2)
     assert abs(populations[0] - 0.36) < 1e-14
     assert abs(populations[1] - 0.64) < 1e-14
+
+
+@pytest.mark.parametrize("g", [0.3, -0.07, 0.0])
+def test_joint_operators_bit_equal_to_kron_reference(g):
+    """The direct-write builds reproduce the Kronecker build bit for bit,
+    signed zeros included, on matrices with negative and zero entries."""
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((5, 5))
+    a[rng.random((5, 5)) < 0.3] = 0.0
+    h_mat = (a + a.T) / 2.0
+    h_mat[0, 3] = h_mat[3, 0] = -0.0
+    b = rng.standard_normal((5, 5))
+    b[rng.random((5, 5)) < 0.3] = 0.0
+    d_mat = (b + b.T) / 2.0
+    h = MatterOperator(h_mat, basis_tag="levels:5")
+    d = MatterOperator(d_mat, basis_tag="levels:5")
+    for n_max in (0, 1, 6):
+        fock = FockSpec(n_max=n_max, omega_c=0.9, g=g)
+        joint = build_joint_hamiltonian(h, d, fock)
+        reference = oracles.kron_joint_hamiltonian(h_mat, d_mat, n_max, 0.9, g)
+        assert joint.dtype == reference.dtype and joint.shape == reference.shape
+        assert joint.tobytes() == reference.tobytes()
+        lifted = joint_dipole(d, fock)
+        reference_d = oracles.kron_joint_dipole(d_mat, n_max)
+        assert lifted.dtype == reference_d.dtype and lifted.shape == reference_d.shape
+        assert lifted.tobytes() == reference_d.tobytes()
+
+
+def test_cutoff_rows_keep_their_reports():
+    """Each convergence row carries its member's full report, whose numbers
+    are the row's own."""
+    family = [FockSpec(n_max=n, omega_c=0.9, g=0.3) for n in (2, 4, 6)]
+    rows = photon_cutoff_convergence(TWO_H, TWO_D, family)
+    for row, fock in zip(rows, family):
+        assert row.report.kind == "qed"
+        assert row.report.value == row.value
+        assert row.report.oracle_residual == row.oracle_residual
+        assert len(row.report.contributions) == 2 * fock.dim
+    assert rows[-1].report == qed_report(TWO_H, TWO_D, family[-1])[0]

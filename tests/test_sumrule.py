@@ -22,6 +22,7 @@ from floqtrk import (
     build_dipole,
     build_grid_hamiltonian,
     build_two_electron_hamiltonian,
+    density_from_ledger,
     diagonalize_hermitian,
     dipole_fourier_components,
     first_moment,
@@ -446,6 +447,33 @@ def test_first_moment_reproduces_ffbz_value():
     report = sumrule_ffbz(modes, d, 0.4, reference, h_matter=h)
     density = spectral_density(modes, d, 0.4, reference)
     assert abs(first_moment(density) - report.value) <= 1e-12
+
+
+def test_density_from_ledger_is_the_spectral_density():
+    """The stick view of an ffbz report equals the separately evaluated
+    density, and its first moment is the report value bit for bit."""
+    h, d, _, _, selection = driven_two_level(0.4, 0.05, 8)
+    modes = selection.representatives
+    reference = select_reference(modes, np.array([1.0, 0.0]))
+    for n_max in (None, 3):
+        report = sumrule_ffbz(modes, d, 0.4, reference, n_max, h_matter=h)
+        density = density_from_ledger(report)
+        assert density == spectral_density(modes, d, 0.4, reference, n_max)
+        assert first_moment(density) == report.value
+    with pytest.raises(InputError, match="ffbz"):
+        density_from_ledger(static_trk(h, d))
+
+
+def test_static_trk_reuses_a_given_spectrum():
+    """A precomputed spectrum gives the same report as solving inside; one
+    of the wrong size is refused."""
+    system = diagonalize_hermitian(THREE_H.matrix)
+    for reference in (0, 2):
+        assert static_trk(THREE_H, THREE_D, reference, system=system) == static_trk(
+            THREE_H, THREE_D, reference
+        )
+    with pytest.raises(InputError, match="eigenpairs"):
+        static_trk(THREE_H, THREE_D, system=diagonalize_hermitian(np.eye(2)))
 
 
 def test_aggregated_contributions_merge_degeneracies():
