@@ -767,3 +767,308 @@ def test_yaml_12_floats_load_as_numbers(tmp_path):
     assert sweep.resolved["sweep"]["values"] == [1.0, 2.0]
     with pytest.raises(ConfigError, match="must be a number, got str"):
         load_config(config_file(tmp_path, classic.replace(".35", "fast"), name="bad.yaml"))
+
+
+# One config per way the loader can refuse a config: each holds one fault
+# on top of a config that loads.
+
+FEW_MODEL = "model: {kind: few_level, energies: [0.0, 1.0], dipole: [[0.0, 1.0], [1.0, 0.0]]}\n"
+STATIC_HEAD = "job: static_trk\n"
+FLOQUET_HEAD = "job: floquet\n" + FEW_MODEL
+DRIVE_SECTION = "drive: {omega: 0.5, components: [{harmonic: 1, amplitude: 0.1}]}\n"
+QED_HEAD = "job: qed\n" + FEW_MODEL
+FOCK_SECTION = "fock: {omega_c: 0.9, g: 0.1}\n"
+HARMONIC_SCAN = "job: converge\n" + FEW_MODEL + "converge: {axis: harmonic_cutoff, values: [2, 4]}\n"
+FOCK_SCAN = "job: converge\n" + FEW_MODEL + "converge: {axis: fock_n_max, values: [2, 4, 6]}\n"
+SWEEP_HEAD = "job: sweep\n" + FEW_MODEL + DRIVE_SECTION
+
+
+def sweep_section(path, values="[0.1, 0.2]"):
+    return SWEEP_HEAD + f"sweep: {{job: floquet, path: {path}, values: {values}}}\n"
+
+
+CONFIG_ERRORS = [
+    ("parse_error", "job: [static_trk\n",
+     'could not parse <path>: while parsing a flow sequence\n  in "<unicode string>", line 1, column 6:\n    job: [static_trk\n         ^\nexpected \',\' or \']\', but got \'<stream end>\'\n  in "<unicode string>", line 2, column 1:\n    \n    ^'),
+    ("top_level_not_mapping", "- 1\n",
+     'top level of <path> must be a mapping of sections'),
+    ("job_missing", FEW_MODEL,
+     "missing required key 'job' (or run through a subcommand)"),
+    ("job_unknown", "job: floquett\n" + FEW_MODEL,
+     "key 'job' must be one of ['static_trk', 'floquet', 'qed', 'converge', 'sweep'], got 'floquett' (did you mean 'floquet'?)"),
+    ("job_not_string", "job: [1]\n" + FEW_MODEL,
+     "key 'job' must be one of ['static_trk', 'floquet', 'qed', 'converge', 'sweep'], got [1]"),
+    ("section_unused_first_pass", STATIC_HEAD + FEW_MODEL + DRIVE_SECTION,
+     "section 'drive' is not used by job kind 'static_trk'"),
+    ("section_unused_converge", "job: static_trk\n" + FEW_MODEL + "converge: {}\n",
+     "section 'converge' is not used by job kind 'static_trk'"),
+    ("top_level_unknown", STATIC_HEAD + FEW_MODEL + "outptu: {}\n",
+     "unknown key 'outptu' at top level (did you mean 'output'?)"),
+    ("top_level_unknown_no_match", STATIC_HEAD + FEW_MODEL + "zzz: 1\n",
+     "unknown key 'zzz' at top level"),
+    ("section_unused_by_axis", HARMONIC_SCAN + DRIVE_SECTION + FOCK_SECTION,
+     "section 'fock' is not used by job kind 'converge'"),
+    ("section_unused_by_fock_axis", FOCK_SCAN + FOCK_SECTION + DRIVE_SECTION,
+     "section 'drive' is not used by job kind 'converge'"),
+    ("section_unused_by_sweep_base", "job: sweep\n" + FEW_MODEL + DRIVE_SECTION + "sweep: {job: static_trk, path: model.energies.1, values: [1.0]}\n",
+     "section 'drive' is not used by job kind 'sweep'"),
+    ("qed_section_unused_by_converge", FOCK_SCAN + FOCK_SECTION + "qed: {}\n",
+     "section 'qed' is not used by job kind 'converge'"),
+    ("requires_drive", FLOQUET_HEAD,
+     "job kind 'floquet' requires section 'drive'"),
+    ("requires_fock", QED_HEAD,
+     "job kind 'qed' requires section 'fock'"),
+    ("requires_model", STATIC_HEAD,
+     "job kind 'static_trk' requires section 'model'"),
+    ("requires_model_before_drive", "job: floquet\n",
+     "job kind 'floquet' requires section 'drive'"),
+    ("converge_requires_drive", HARMONIC_SCAN,
+     "job kind 'converge' requires section 'drive'"),
+    ("converge_requires_fock", FOCK_SCAN,
+     "job kind 'converge' requires section 'fock'"),
+    ("sweep_requires_fock", "job: sweep\n" + FEW_MODEL + "sweep: {job: qed, path: fock.g, values: [0.1]}\n",
+     "job kind 'sweep' requires section 'fock'"),
+    ("converge_section_missing", "job: converge\n" + FEW_MODEL,
+     "missing required key 'converge' in top level"),
+    ("sweep_section_missing", "job: sweep\n" + FEW_MODEL,
+     "missing required key 'sweep' in top level"),
+    # mappings
+    ("model_not_mapping", STATIC_HEAD + "model: [1]\n",
+     "section 'model' must be a mapping, got list"),
+    ("grid_not_mapping", STATIC_HEAD + "model: {grid: 3}\n",
+     "section 'model.grid' must be a mapping, got int"),
+    ("potential_not_mapping", STATIC_HEAD + "model: {potential: harmonic}\n",
+     "section 'model.potential' must be a mapping, got str"),
+    ("interaction_not_mapping", STATIC_HEAD + "model: {n_electrons: 2, interaction: [1]}\n",
+     "section 'model.interaction' must be a mapping, got list"),
+    ("drive_not_mapping", FLOQUET_HEAD + "drive: [1]\n",
+     "section 'drive' must be a mapping, got list"),
+    ("component_not_mapping", FLOQUET_HEAD + "drive: {omega: 1.0, components: [1]}\n",
+     "section 'drive.components.0' must be a mapping, got int"),
+    ("sambe_not_mapping", FLOQUET_HEAD + DRIVE_SECTION + "sambe: 8\n",
+     "section 'sambe' must be a mapping, got int"),
+    ("fock_not_mapping", QED_HEAD + "fock: 8\n",
+     "section 'fock' must be a mapping, got int"),
+    ("qed_not_mapping", QED_HEAD + FOCK_SECTION + "qed: true\n",
+     "section 'qed' must be a mapping, got bool"),
+    ("converge_not_mapping", "job: converge\n" + FEW_MODEL + "converge: [1]\n",
+     "section 'converge' must be a mapping, got list"),
+    ("sweep_not_mapping", "job: sweep\n" + FEW_MODEL + "sweep: fast\n",
+     "section 'sweep' must be a mapping, got str"),
+    ("output_not_mapping", STATIC_HEAD + FEW_MODEL + "output: out\n",
+     "section 'output' must be a mapping, got str"),
+    # unknown keys, one per key set
+    ("unknown_few_level", STATIC_HEAD + "model: {kind: few_level, energies: [0.0], dipole: [[0.0]], enrgies: 1}\n",
+     "unknown key 'enrgies' in section 'model' (did you mean 'energies'?)"),
+    ("unknown_grid_model", STATIC_HEAD + "model: {kinetik: sinc_dvr}\n",
+     "unknown key 'kinetik' in section 'model' (did you mean 'kinetic'?)"),
+    ("interaction_needs_two_electrons", STATIC_HEAD + "model: {interaction: {}}\n",
+     "unknown key 'interaction' in section 'model'"),
+    ("unknown_grid_model_two", STATIC_HEAD + "model: {n_electrons: 2, interactoin: {}}\n",
+     "unknown key 'interactoin' in section 'model' (did you mean 'interaction'?)"),
+    ("unknown_grid", STATIC_HEAD + "model: {grid: {n_point: 11}}\n",
+     "unknown key 'n_point' in section 'model.grid' (did you mean 'n_points'?)"),
+    ("unknown_harmonic", STATIC_HEAD + "model: {potential: {omeag: 2.0}}\n",
+     "unknown key 'omeag' in section 'model.potential' (did you mean 'omega'?)"),
+    ("unknown_soft_coulomb", STATIC_HEAD + "model: {potential: {kind: soft_coulomb, softness: 2.0}}\n",
+     "unknown key 'softness' in section 'model.potential'"),
+    ("unknown_box", STATIC_HEAD + "model: {potential: {kind: box, omega: 1.0}}\n",
+     "unknown key 'omega' in section 'model.potential'"),
+    ("unknown_double_well", STATIC_HEAD + "model: {potential: {kind: double_well, barier: 1.0}}\n",
+     "unknown key 'barier' in section 'model.potential' (did you mean 'barrier'?)"),
+    ("unknown_tabulated", STATIC_HEAD + "model: {potential: {kind: tabulated, value: [1.0]}}\n",
+     "unknown key 'value' in section 'model.potential' (did you mean 'values'?)"),
+    ("unknown_interaction_none", STATIC_HEAD + "model: {n_electrons: 2, interaction: {strength: 1.0}}\n",
+     "unknown key 'strength' in section 'model.interaction'"),
+    ("unknown_interaction_soft", STATIC_HEAD + "model: {n_electrons: 2, interaction: {kind: soft_coulomb, strenght: 1.0}}\n",
+     "unknown key 'strenght' in section 'model.interaction' (did you mean 'strength'?)"),
+    ("unknown_drive", FLOQUET_HEAD + "drive: {omega: 1.0, component: []}\n",
+     "unknown key 'component' in section 'drive' (did you mean 'components'?)"),
+    ("unknown_component", FLOQUET_HEAD + "drive: {omega: 1.0, components: [{amplitude: 0.1, phse: 0.0}]}\n",
+     "unknown key 'phse' in section 'drive.components.0' (did you mean 'phase'?)"),
+    ("unknown_sambe", FLOQUET_HEAD + DRIVE_SECTION + "sambe: {harmonic_cutof: 4}\n",
+     "unknown key 'harmonic_cutof' in section 'sambe' (did you mean 'harmonic_cutoff'?)"),
+    ("unknown_fock", QED_HEAD + "fock: {omega_c: 0.9, g: 0.1, nmax: 4}\n",
+     "unknown key 'nmax' in section 'fock' (did you mean 'n_max'?)"),
+    ("unknown_qed", QED_HEAD + FOCK_SECTION + "qed: {h0: true}\n",
+     "unknown key 'h0' in section 'qed'"),
+    ("unknown_converge", HARMONIC_SCAN.replace("values: [2, 4]}", "values: [2, 4], step: 2}") + DRIVE_SECTION,
+     "unknown key 'step' in section 'converge'"),
+    ("unknown_sweep", sweep_section("drive.omega").replace("values: [0.1, 0.2]}", "values: [0.1, 0.2], pth: x}"),
+     "unknown key 'pth' in section 'sweep' (did you mean 'path'?)"),
+    ("unknown_output", STATIC_HEAD + FEW_MODEL + "output: {dir: out}\n",
+     "unknown key 'dir' in section 'output'"),
+    # missing required keys
+    ("missing_energies", STATIC_HEAD + "model: {kind: few_level, dipole: [[0.0]]}\n",
+     "missing required key 'energies' in section 'model'"),
+    ("missing_dipole", STATIC_HEAD + "model: {kind: few_level, energies: [0.0]}\n",
+     "missing required key 'dipole' in section 'model'"),
+    ("missing_tabulated_values", STATIC_HEAD + "model: {potential: {kind: tabulated}}\n",
+     "missing required key 'values' in section 'model.potential'"),
+    ("missing_omega", FLOQUET_HEAD + "drive: {components: []}\n",
+     "missing required key 'omega' in section 'drive'"),
+    ("missing_omega_null_drive", FLOQUET_HEAD + "drive:\n",
+     "missing required key 'omega' in section 'drive'"),
+    ("missing_amplitude", FLOQUET_HEAD + "drive: {omega: 1.0, components: [{harmonic: 1}]}\n",
+     "missing required key 'amplitude' in section 'drive.components.0'"),
+    ("missing_amplitude_null_component", FLOQUET_HEAD + "drive: {omega: 1.0, components: [null]}\n",
+     "missing required key 'amplitude' in section 'drive.components.0'"),
+    ("missing_omega_c", QED_HEAD + "fock: {g: 0.1}\n",
+     "missing required key 'omega_c' in section 'fock'"),
+    ("missing_g", QED_HEAD + "fock: {omega_c: 0.9}\n",
+     "missing required key 'g' in section 'fock'"),
+    ("missing_axis", "job: converge\n" + FEW_MODEL + "converge: {values: [2, 4]}\n" + DRIVE_SECTION,
+     "missing required key 'axis' in section 'converge'"),
+    ("missing_converge_values", "job: converge\n" + FEW_MODEL + "converge: {axis: harmonic_cutoff}\n" + DRIVE_SECTION,
+     "missing required key 'values' in section 'converge'"),
+    ("missing_path", SWEEP_HEAD + "sweep: {values: [0.1]}\n",
+     "missing required key 'path' in section 'sweep'"),
+    ("missing_sweep_values", SWEEP_HEAD + "sweep: {path: drive.omega}\n",
+     "missing required key 'values' in section 'sweep'"),
+    # types
+    ("not_a_number", FLOQUET_HEAD + "drive: {omega: fast}\n",
+     "key 'omega' in section 'drive' must be a number, got str"),
+    ("null_number", FLOQUET_HEAD + "drive: {omega: null}\n",
+     "key 'omega' in section 'drive' must be a number, got NoneType"),
+    ("bool_number", FLOQUET_HEAD + "drive: {omega: true}\n",
+     "key 'omega' in section 'drive' must be a number, got bool"),
+    ("not_finite", FLOQUET_HEAD + "drive: {omega: .inf}\n",
+     "key 'omega' in section 'drive' must be finite, got inf"),
+    ("not_finite_nan", STATIC_HEAD + "model: {grid: {x_min: .nan}}\n",
+     "key 'x_min' in section 'model.grid' must be finite, got nan"),
+    ("energy_not_a_number", STATIC_HEAD + "model: {kind: few_level, energies: [0.0, x], dipole: [[0, 1], [1, 0]]}\n",
+     "key 'energies' in section 'model' must be a number, got str"),
+    ("dipole_entry_not_a_number", STATIC_HEAD + "model: {kind: few_level, energies: [0.0, 1.0], dipole: [[0, 1], [1, x]]}\n",
+     "key 'dipole' in section 'model' must be a number, got str"),
+    ("tabulated_not_a_number", STATIC_HEAD + "model: {potential: {kind: tabulated, values: [1.0, x]}}\n",
+     "key 'values' in section 'model.potential' must be a number, got str"),
+    ("not_an_integer", FLOQUET_HEAD + DRIVE_SECTION + "sambe: {harmonic_cutoff: 2.5}\n",
+     "key 'harmonic_cutoff' in section 'sambe' must be an integer, got float"),
+    ("n_points_not_an_integer", STATIC_HEAD + "model: {grid: {n_points: 11.0}}\n",
+     "key 'n_points' in section 'model.grid' must be an integer, got float"),
+    ("harmonic_not_an_integer", FLOQUET_HEAD + "drive: {omega: 1.0, components: [{harmonic: x, amplitude: 0.1}]}\n",
+     "key 'harmonic' in section 'drive.components.0' must be an integer, got str"),
+    ("grid_electrons_not_an_integer", STATIC_HEAD + "model: {n_electrons: two}\n",
+     "key 'n_electrons' in section 'model' must be an integer, got str"),
+    ("few_level_electrons_not_an_integer", STATIC_HEAD + "model: {kind: few_level, energies: [0.0], dipole: [[0.0]], n_electrons: true}\n",
+     "key 'n_electrons' in section 'model' must be an integer, got bool"),
+    ("converge_value_not_an_integer", HARMONIC_SCAN.replace("[2, 4]", "[2, 4.5]") + DRIVE_SECTION,
+     "key 'values' in section 'converge' must be an integer, got float"),
+    ("not_a_boolean", QED_HEAD + FOCK_SECTION + "qed: {h0_diagnostic: 1}\n",
+     "key 'h0_diagnostic' in section 'qed' must be a boolean, got int"),
+    ("model_kind_choice", STATIC_HEAD + "model: {kind: few_levels}\n",
+     "key 'kind' in section 'model' must be one of ['grid', 'few_level'], got 'few_levels' (did you mean 'few_level'?)"),
+    ("model_kind_not_string", STATIC_HEAD + "model: {kind: 3}\n",
+     "key 'kind' in section 'model' must be one of ['grid', 'few_level'], got 3"),
+    ("kinetic_choice", STATIC_HEAD + "model: {kinetic: five_point}\n",
+     "key 'kinetic' in section 'model' must be one of ['three_point', 'sinc_dvr'], got 'five_point' (did you mean 'three_point'?)"),
+    ("potential_kind_choice", STATIC_HEAD + "model: {potential: {kind: harmonik}}\n",
+     "key 'kind' in section 'model.potential' must be one of ['harmonic', 'soft_coulomb', 'box', 'double_well', 'tabulated'], got 'harmonik' (did you mean 'harmonic'?)"),
+    ("interaction_kind_choice", STATIC_HEAD + "model: {n_electrons: 2, interaction: {kind: coulomb}}\n",
+     "key 'kind' in section 'model.interaction' must be one of ['none', 'soft_coulomb'], got 'coulomb' (did you mean 'soft_coulomb'?)"),
+    ("axis_choice", "job: converge\n" + FEW_MODEL + "converge: {axis: photons, values: [2, 4]}\n" + DRIVE_SECTION,
+     "key 'axis' in section 'converge' must be one of ['harmonic_cutoff', 'fock_n_max'], got 'photons'"),
+    ("sweep_job_choice", SWEEP_HEAD + "sweep: {job: converge, path: drive.omega, values: [1.0]}\n",
+     "key 'job' in section 'sweep' must be one of ['static_trk', 'floquet', 'qed'], got 'converge'"),
+    ("format_choice", STATIC_HEAD + FEW_MODEL + "output: {formats: [json, xml]}\n",
+     "key 'formats' in section 'output' must be one of ['json', 'csv'], got 'xml'"),
+    # bounds
+    ("few_level_electrons_bound", STATIC_HEAD + "model: {kind: few_level, energies: [0.0], dipole: [[0.0]], n_electrons: 0}\n",
+     "key 'n_electrons' in section 'model' must be >= 1, got 0"),
+    ("grid_electrons_bound", STATIC_HEAD + "model: {n_electrons: 3}\n",
+     "key 'n_electrons' in section 'model' must be 1 or 2 for grid models, got 3"),
+    ("omega_bound", FLOQUET_HEAD + "drive: {omega: 0}\n",
+     "key 'omega' in section 'drive' must be > 0, got 0.0"),
+    ("omega_bound_negative", FLOQUET_HEAD + "drive: {omega: -1.5}\n",
+     "key 'omega' in section 'drive' must be > 0, got -1.5"),
+    ("harmonic_bound", FLOQUET_HEAD + "drive: {omega: 1.0, components: [{harmonic: 0, amplitude: 0.1}]}\n",
+     "key 'harmonic' in section 'drive.components.0' must be >= 1, got 0"),
+    ("harmonic_cutoff_bound", FLOQUET_HEAD + DRIVE_SECTION + "sambe: {harmonic_cutoff: -1}\n",
+     "key 'harmonic_cutoff' in section 'sambe' must be >= 0, got -1"),
+    ("edge_tol_bound", FLOQUET_HEAD + DRIVE_SECTION + "sambe: {edge_tol: 0}\n",
+     "key 'edge_tol' in section 'sambe' must be > 0, got 0.0"),
+    ("sambe_n_max_bound", FLOQUET_HEAD + DRIVE_SECTION + "sambe: {n_max: -1}\n",
+     "key 'n_max' in section 'sambe' must be >= 0, got -1"),
+    ("fock_n_max_bound", QED_HEAD + "fock: {n_max: -1, omega_c: 0.9, g: 0.1}\n",
+     "key 'n_max' in section 'fock' must be >= 0, got -1"),
+    ("omega_c_bound", QED_HEAD + "fock: {omega_c: 0, g: 0.1}\n",
+     "key 'omega_c' in section 'fock' must be > 0, got 0.0"),
+    ("reference_negative", STATIC_HEAD + FEW_MODEL + "reference: -1\n",
+     "key 'reference' must be 'auto' or a non-negative integer, got -1"),
+    ("reference_string", STATIC_HEAD + FEW_MODEL + "reference: ground\n",
+     "key 'reference' must be 'auto' or a non-negative integer, got 'ground'"),
+    ("reference_bool", STATIC_HEAD + FEW_MODEL + "reference: true\n",
+     "key 'reference' must be 'auto' or a non-negative integer, got True"),
+    # lists
+    ("energies_empty", STATIC_HEAD + "model: {kind: few_level, energies: [], dipole: []}\n",
+     "key 'energies' in section 'model' must be a non-empty list"),
+    ("energies_not_list", STATIC_HEAD + "model: {kind: few_level, energies: 1.0, dipole: []}\n",
+     "key 'energies' in section 'model' must be a non-empty list"),
+    ("dipole_shape", STATIC_HEAD + "model: {kind: few_level, energies: [0.0, 1.0], dipole: [[0.0]]}\n",
+     "key 'dipole' in section 'model' must be a 2x2 matrix matching 'energies'"),
+    ("dipole_row_shape", STATIC_HEAD + "model: {kind: few_level, energies: [0.0, 1.0], dipole: [[0.0, 1.0], [1.0]]}\n",
+     "key 'dipole' in section 'model' must be a 2x2 matrix matching 'energies'"),
+    ("tabulated_empty", STATIC_HEAD + "model: {potential: {kind: tabulated, values: []}}\n",
+     "key 'values' in section 'model.potential' must be a non-empty list"),
+    ("components_not_list", FLOQUET_HEAD + "drive: {omega: 1.0, components: 5}\n",
+     "key 'components' in section 'drive' must be a list"),
+    ("converge_values_short", HARMONIC_SCAN.replace("[2, 4]", "[4]") + DRIVE_SECTION,
+     "key 'values' in section 'converge' must list at least 2 entries"),
+    ("converge_values_not_list", HARMONIC_SCAN.replace("[2, 4]", "4") + DRIVE_SECTION,
+     "key 'values' in section 'converge' must list at least 2 entries"),
+    ("converge_values_decreasing", HARMONIC_SCAN.replace("[2, 4]", "[6, 4]") + DRIVE_SECTION,
+     "key 'values' in section 'converge' must be strictly increasing"),
+    ("converge_values_repeated", HARMONIC_SCAN.replace("[2, 4]", "[4, 4]") + DRIVE_SECTION,
+     "key 'values' in section 'converge' must be strictly increasing"),
+    ("converge_values_negative", HARMONIC_SCAN.replace("[2, 4]", "[-2, 4]") + DRIVE_SECTION,
+     "key 'values' in section 'converge' must be non-negative"),
+    ("sweep_path_empty", sweep_section("''"),
+     "key 'path' in section 'sweep' must be a non-empty string"),
+    ("sweep_path_not_string", sweep_section("3"),
+     "key 'path' in section 'sweep' must be a non-empty string"),
+    ("sweep_values_empty", sweep_section("drive.omega", values="[]"),
+     "key 'values' in section 'sweep' must be a non-empty list"),
+    ("sweep_values_not_numbers", sweep_section("drive.omega", values="[1.0, x]"),
+     "key 'values' in section 'sweep' must contain numbers only"),
+    ("sweep_values_bool", sweep_section("drive.omega", values="[true]"),
+     "key 'values' in section 'sweep' must contain numbers only"),
+    ("output_directory_empty", STATIC_HEAD + FEW_MODEL + "output: {directory: ''}\n",
+     "key 'directory' in section 'output' must be a non-empty string"),
+    ("output_directory_number", STATIC_HEAD + FEW_MODEL + "output: {directory: 3}\n",
+     "key 'directory' in section 'output' must be a non-empty string"),
+    ("formats_empty", STATIC_HEAD + FEW_MODEL + "output: {formats: []}\n",
+     "key 'formats' in section 'output' must be a non-empty list"),
+    ("formats_twice", STATIC_HEAD + FEW_MODEL + "output: {formats: [json, csv, json]}\n",
+     "key 'formats' in section 'output' lists 'json' twice"),
+    # sweep paths
+    ("sweep_path_index", sweep_section("drive.components.x.amplitude"),
+     "sweep path 'drive.components.x.amplitude': segment 'x' must be a list index"),
+    ("sweep_path_range", sweep_section("drive.components.3.amplitude"),
+     "sweep path 'drive.components.3.amplitude': index 3 out of range"),
+    ("sweep_path_key", sweep_section("drive.omeag"),
+     "sweep path 'drive.omeag': key 'omeag' not found (did you mean 'omega'?)"),
+    ("sweep_path_descend", sweep_section("drive.omega.x"),
+     "sweep path 'drive.omega.x': cannot descend into float"),
+    ("sweep_path_root", sweep_section("output.directory"),
+     "sweep path 'output.directory' must target a model/drive/sambe/fock/qed/reference parameter"),
+    ("sweep_path_job", sweep_section("job"),
+     "sweep path 'job' must target a model/drive/sambe/fock/qed/reference parameter"),
+    ("sweep_path_not_numeric", sweep_section("model.kind"),
+     "sweep path 'model.kind' must target a numeric parameter"),
+    ("sweep_path_reference_auto", sweep_section("reference", values="[0, 1]"),
+     "sweep path 'reference' must target a numeric parameter"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [case[1:] for case in CONFIG_ERRORS],
+    ids=[case[0] for case in CONFIG_ERRORS],
+)
+def test_config_error_messages(tmp_path, text, message):
+    """Every way a single-fault config fails at load, with its exact message
+    (``<path>`` stands for the config file)."""
+    path = config_file(tmp_path, text)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == message.replace("<path>", str(path))
