@@ -1,10 +1,13 @@
 """Configuration-driven runner and serialization layer.
 
 Jobs are described by a YAML file with sections mirroring the library
-modules (``model``, ``drive``, ``sambe``, ``fock``, ...). The loader is
-strict: unknown keys are rejected with a suggestion, every default is made
-explicit in the echoed configuration, and the echo re-loads to an equal
-configuration. Numerical payloads are a pure function of the resolved
+modules (``model``, ``drive``, ``sambe``, ``fock``, ...). The schema is
+declared once, in ``_JOBS`` (the sections of each job kind) and ``_SCHEMA``
+(each key's parser, default and bound); one walker, ``_walk``, checks a
+section against it. The loader is strict: a key given twice in one mapping
+and unknown keys are rejected (the latter with a suggestion), every default
+is made explicit in the echoed configuration, and the echo re-loads to an
+equal configuration. Numerical payloads are a pure function of the resolved
 config; wall-clock timings are quarantined in a separate file so that two
 runs of the same config produce byte-identical structured reports.
 
@@ -24,14 +27,17 @@ import contextlib
 import copy
 import csv
 import difflib
+import functools
 import hashlib
 import io
 import json
 import math
+import operator
 import os
 import re
 import sys
 import time
+from collections.abc import Hashable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -59,7 +65,14 @@ from .model import (
     build_grid_hamiltonian,
     build_two_electron_hamiltonian,
 )
-from .qed import FockSpec, build_joint_hamiltonian, joint_dipole, photon_cutoff_convergence, sumrule_qed
+from .qed import (
+    MIN_CUTOFF_FAMILY,
+    FockSpec,
+    build_joint_hamiltonian,
+    joint_dipole,
+    photon_cutoff_convergence,
+    sumrule_qed,
+)
 from .sumrule import (
     SpectralDensity,
     SumRuleReport,
@@ -70,36 +83,6 @@ from .sumrule import (
     sumrule_sambe,
 )
 from .version import __version__
-
-_JOB_KINDS = ("static_trk", "floquet", "qed", "converge", "sweep")
-
-#: Per job kind: (required sections, all accepted sections).
-_SECTIONS: dict[str, tuple[frozenset, frozenset]] = {
-    "static_trk": (
-        frozenset({"model"}),
-        frozenset({"job", "model", "reference", "output"}),
-    ),
-    "floquet": (
-        frozenset({"model", "drive"}),
-        frozenset({"job", "model", "drive", "sambe", "reference", "output"}),
-    ),
-    "qed": (
-        frozenset({"model", "fock"}),
-        frozenset({"job", "model", "fock", "qed", "reference", "output"}),
-    ),
-    "converge": (
-        frozenset({"model", "converge"}),
-        frozenset(
-            {"job", "model", "converge", "drive", "sambe", "fock", "reference", "output"}
-        ),
-    ),
-    "sweep": (
-        frozenset({"model", "sweep"}),
-        frozenset(
-            {"job", "model", "sweep", "drive", "sambe", "fock", "qed", "reference", "output"}
-        ),
-    ),
-}
 
 #: Report kinds summed over a complete spectrum, whose value must meet the
 #: double-commutator oracle to CLOSURE_RTOL x max(1, |oracle value|).
@@ -134,23 +117,54 @@ class JobConfig:
 
     def matter(self) -> tuple[MatterOperator, MatterOperator, int]:
         """(Hamiltonian, dipole, electron count) of the model section."""
-        return _build_matter(self.resolved["model"])
-
-    def drive(self) -> DriveSpec:
-        section = self.resolved["drive"]
-        components = tuple(
-            DriveComponent(
-                harmonic=c["harmonic"], amplitude=c["amplitude"], phase=c["phase"]
+        model = self.resolved["model"]
+        n_e = model["n_electrons"]
+        if model["kind"] == "few_level":
+            few = FewLevelModel(
+                energies=tuple(model["energies"]),
+                dipole=np.array(model["dipole"], dtype=np.float64),
             )
-            for c in section["components"]
-        )
-        return DriveSpec(omega=section["omega"], components=components)
+            return few.hamiltonian(), few.dipole_operator(), n_e
+        grid = GridBasis(**model["grid"])
+        potential = _spec_of(PotentialSpec, model["potential"])
+        if n_e == 1:
+            h = build_grid_hamiltonian(grid, potential, kinetic_scheme=model["kinetic"])
+        else:
+            h = build_two_electron_hamiltonian(
+                grid,
+                potential,
+                interaction=_spec_of(InteractionSpec, model["interaction"]),
+                kinetic_scheme=model["kinetic"],
+            )
+        return h, build_dipole(grid, n_electrons=n_e), n_e
 
-    def fock(self) -> FockSpec:
-        section = self.resolved["fock"]
-        return FockSpec(
-            n_max=section["n_max"], omega_c=section["omega_c"], g=section["g"]
-        )
+
+def _spec_of(cls, section: dict):
+    """``cls.<kind>(**keys)`` of a resolved tagged section."""
+    keys = dict(section)
+    return getattr(cls, keys.pop("kind"))(**keys)
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """The safe loader, refusing a mapping that repeats a key."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if not isinstance(key, Hashable):
+                continue  # refused by the base class
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping",
+                    node.start_mark,
+                    f"found duplicate key {key!r}",
+                    key_node.start_mark,
+                )
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
 
 
 def load_config(path: str | Path, default_job: str | None = None) -> JobConfig:
@@ -158,11 +172,15 @@ def load_config(path: str | Path, default_job: str | None = None) -> JobConfig:
 
     Every default is filled in, so the returned config's ``resolved``
     mapping is the canonical echo; dumping it back to YAML and re-loading
-    yields an equal JobConfig.
+    yields an equal JobConfig. A sweep's points are resolved here too, so a
+    value its base job refuses fails before any point runs.
     """
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = yaml.safe_load(text)
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"could not read {path} as UTF-8 text: {exc}") from exc
+    try:
+        raw = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"could not parse {path}: {exc}") from exc
     if raw is None:
@@ -177,23 +195,27 @@ def _suggest(key: str, allowed) -> str:
     return f" (did you mean {close[0]!r}?)" if close else ""
 
 
-def _check_keys(section: dict, allowed, where: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {where}{_suggest(key, allowed)}")
+_MISSING = object()
 
 
-def _require_mapping(value: Any, where: str) -> dict:
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a mapping, got {type(value).__name__}")
-    return value
+def _pick(section: dict, key: str, where: str, default: Any = _MISSING) -> Any:
+    if key in section:
+        return section[key]
+    if default is _MISSING:
+        raise ConfigError(f"missing required key {key!r} in {where}")
+    return default
+
+
+# ---------------------------------------------------------------------------
+# key parsers: each takes (value, key, where, **options) and returns the
+# resolved value or raises ConfigError
 
 
 #: A YAML 1.2 float written without a dot or without an exponent sign
 #: (``1e-3``, ``1.0e308``), which PyYAML's YAML 1.1 resolver leaves a string.
 _YAML12_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?")
+
+_COMPARISONS = {">": operator.gt, ">=": operator.ge}
 
 
 def _as_number(value: Any) -> Any:
@@ -203,7 +225,16 @@ def _as_number(value: Any) -> Any:
     return value
 
 
-def _as_float(value: Any, key: str, where: str) -> float:
+def _within(value: float, bound: str | None, key: str, where: str):
+    """``value`` if it meets ``bound`` (such as ``"> 0"``)."""
+    if bound is not None:
+        comparison, limit = bound.split()
+        if not _COMPARISONS[comparison](value, float(limit)):
+            raise ConfigError(f"key {key!r} in {where} must be {bound}, got {value}")
+    return value
+
+
+def _as_float(value: Any, key: str, where: str, bound: str | None = None) -> float:
     value = _as_number(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(
@@ -212,15 +243,15 @@ def _as_float(value: Any, key: str, where: str) -> float:
     result = float(value)
     if not math.isfinite(result):
         raise ConfigError(f"key {key!r} in {where} must be finite, got {value!r}")
-    return result
+    return _within(result, bound, key, where)
 
 
-def _as_int(value: Any, key: str, where: str) -> int:
+def _as_int(value: Any, key: str, where: str, bound: str | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(
             f"key {key!r} in {where} must be an integer, got {type(value).__name__}"
         )
-    return int(value)
+    return _within(int(value), bound, key, where)
 
 
 def _as_bool(value: Any, key: str, where: str) -> bool:
@@ -240,314 +271,80 @@ def _as_choice(value: Any, key: str, where: str, choices: tuple[str, ...]) -> st
     return value
 
 
-_MISSING = object()
-
-
-def _pick(section: dict, key: str, where: str, default: Any = _MISSING) -> Any:
-    if key in section:
-        return section[key]
-    if default is _MISSING:
-        raise ConfigError(f"missing required key {key!r} in {where}")
-    return default
-
-
-def _resolve(raw: dict, default_job: str | None = None) -> dict:
-    job = raw.get("job", default_job)
-    if job is None:
-        raise ConfigError("missing required key 'job' (or run through a subcommand)")
-    if job not in _JOB_KINDS:
+def _as_grid_electrons(value: Any, key: str, where: str, choices: tuple[int, ...]) -> int:
+    count = _as_int(value, key, where)
+    if count not in choices:
         raise ConfigError(
-            f"key 'job' must be one of {list(_JOB_KINDS)}, got {job!r}"
-            f"{_suggest(job, _JOB_KINDS) if isinstance(job, str) else ''}"
+            f"key {key!r} in {where} must be {' or '.join(map(str, choices))} "
+            f"for grid models, got {count}"
         )
-    required, allowed = _SECTIONS[job]
-    for key in raw:
-        if key in allowed:
-            continue
-        if key in _SECTIONS["sweep"][1] | {"converge"}:
-            raise ConfigError(f"section {key!r} is not used by job kind {job!r}")
-        raise ConfigError(f"unknown key {key!r} at top level{_suggest(key, allowed)}")
-
-    # self-contained sections first, so conditional requirements are known
-    resolved: dict[str, Any] = {"job": job}
-    if job == "converge":
-        resolved["converge"] = _resolve_converge(
-            _require_mapping(_pick(raw, "converge", "top level"), "section 'converge'")
-        )
-        axis = resolved["converge"]["axis"]
-        required = required | (
-            frozenset({"drive"}) if axis == "harmonic_cutoff" else frozenset({"fock"})
-        )
-        allowed = allowed - (
-            frozenset({"fock"}) if axis == "harmonic_cutoff" else frozenset({"drive", "sambe"})
-        )
-    if job == "sweep":
-        resolved["sweep"] = _resolve_sweep(
-            _require_mapping(_pick(raw, "sweep", "top level"), "section 'sweep'")
-        )
-        base = resolved["sweep"]["job"]
-        base_required, base_allowed = _SECTIONS[base]
-        required = required | (base_required - frozenset({"model"}))
-        allowed = frozenset({"job", "model", "sweep", "reference", "output"}) | base_allowed
-    for key in raw:
-        if key not in allowed:
-            raise ConfigError(f"section {key!r} is not used by job kind {job!r}")
-    for name in sorted(required):
-        if name not in raw and name not in ("model",) and name != "converge" and name != "sweep":
-            raise ConfigError(f"job kind {job!r} requires section {name!r}")
-    if "model" not in raw:
-        raise ConfigError(f"job kind {job!r} requires section 'model'")
-
-    resolved["model"] = _resolve_model(
-        _require_mapping(raw["model"], "section 'model'")
-    )
-    if "drive" in allowed and (job != "qed"):
-        if "drive" in raw or "drive" in required:
-            resolved["drive"] = _resolve_drive(
-                _require_mapping(_pick(raw, "drive", "top level"), "section 'drive'")
-            )
-    if "sambe" in allowed and "drive" in resolved:
-        resolved["sambe"] = _resolve_sambe(
-            _require_mapping(raw.get("sambe"), "section 'sambe'")
-        )
-    if "fock" in allowed:
-        if "fock" in raw or "fock" in required:
-            resolved["fock"] = _resolve_fock(
-                _require_mapping(_pick(raw, "fock", "top level"), "section 'fock'")
-            )
-    if "qed" in allowed and "fock" in resolved:
-        resolved["qed"] = _resolve_qed(_require_mapping(raw.get("qed"), "section 'qed'"))
-    resolved["reference"] = _resolve_reference(raw.get("reference", "auto"))
-    resolved["output"] = _resolve_output(
-        _require_mapping(raw.get("output"), "section 'output'")
-    )
-    if job == "sweep":
-        _validate_sweep_path(resolved)
-    return resolved
+    return count
 
 
-def _resolve_model(section: dict) -> dict:
-    where = "section 'model'"
-    kind = _as_choice(
-        _pick(section, "kind", where, "grid"), "kind", where, ("grid", "few_level")
-    )
-    if kind == "few_level":
-        _check_keys(section, {"kind", "n_electrons", "energies", "dipole"}, where)
-        energies = _pick(section, "energies", where)
-        if not isinstance(energies, list) or not energies:
-            raise ConfigError(f"key 'energies' in {where} must be a non-empty list")
-        energies = [_as_float(e, "energies", where) for e in energies]
-        dipole = _pick(section, "dipole", where)
-        n = len(energies)
-        if (
-            not isinstance(dipole, list)
-            or len(dipole) != n
-            or any(not isinstance(row, list) or len(row) != n for row in dipole)
-        ):
-            raise ConfigError(
-                f"key 'dipole' in {where} must be a {n}x{n} matrix matching 'energies'"
-            )
-        dipole = [[_as_float(v, "dipole", where) for v in row] for row in dipole]
-        n_e = _as_int(_pick(section, "n_electrons", where, 1), "n_electrons", where)
-        if n_e < 1:
-            raise ConfigError(f"key 'n_electrons' in {where} must be >= 1, got {n_e}")
-        return {"kind": kind, "n_electrons": n_e, "energies": energies, "dipole": dipole}
+def _as_text(value: Any, key: str, where: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"key {key!r} in {where} must be a non-empty string")
+    return value
 
-    n_e = _as_int(_pick(section, "n_electrons", where, 1), "n_electrons", where)
-    if n_e not in (1, 2):
+
+def _as_real(value: Any, key: str, where: str) -> int | float:
+    """A number kept as written (an int stays an int)."""
+    value = _as_number(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"key {key!r} in {where} must contain numbers only")
+    return value
+
+
+def _as_list(
+    value: Any,
+    key: str,
+    where: str,
+    item: Callable[..., Any] | None = None,
+    min_len: int = 1,
+    unique: bool = False,
+) -> list:
+    """A list of at least ``min_len`` entries, each parsed by ``item``."""
+    if not isinstance(value, list) or len(value) < min_len:
+        need = {0: "be a list", 1: "be a non-empty list"}.get(
+            min_len, f"list at least {min_len} entries"
+        )
+        raise ConfigError(f"key {key!r} in {where} must {need}")
+    if item is None:
+        return value
+    items: list = []
+    for entry in value:
+        entry = item(entry, key, where)
+        if unique and entry in items:
+            raise ConfigError(f"key {key!r} in {where} lists {entry!r} twice")
+        items.append(entry)
+    return items
+
+
+def _as_matrix(value: Any, key: str, where: str, energies: list) -> list:
+    """A square matrix of numbers with one row per level energy."""
+    n = len(energies)
+    if (
+        not isinstance(value, list)
+        or len(value) != n
+        or any(not isinstance(row, list) or len(row) != n for row in value)
+    ):
         raise ConfigError(
-            f"key 'n_electrons' in {where} must be 1 or 2 for grid models, got {n_e}"
+            f"key {key!r} in {where} must be a {n}x{n} matrix matching 'energies'"
         )
-    allowed = {"kind", "n_electrons", "grid", "potential", "kinetic"}
-    if n_e == 2:
-        allowed.add("interaction")
-    _check_keys(section, allowed, where)
-    grid_sec = _require_mapping(section.get("grid"), "section 'model.grid'")
-    _check_keys(grid_sec, {"n_points", "x_min", "x_max"}, "section 'model.grid'")
-    grid = {
-        "n_points": _as_int(
-            _pick(grid_sec, "n_points", "section 'model.grid'", 201),
-            "n_points",
-            "section 'model.grid'",
-        ),
-        "x_min": _as_float(
-            _pick(grid_sec, "x_min", "section 'model.grid'", -10.0),
-            "x_min",
-            "section 'model.grid'",
-        ),
-        "x_max": _as_float(
-            _pick(grid_sec, "x_max", "section 'model.grid'", 10.0),
-            "x_max",
-            "section 'model.grid'",
-        ),
-    }
-    potential = _resolve_potential(
-        _require_mapping(section.get("potential"), "section 'model.potential'")
-    )
-    kinetic_default = "three_point" if n_e == 1 else "sinc_dvr"
-    kinetic = _as_choice(
-        _pick(section, "kinetic", where, kinetic_default),
-        "kinetic",
-        where,
-        ("three_point", "sinc_dvr"),
-    )
-    resolved = {
-        "kind": kind,
-        "n_electrons": n_e,
-        "grid": grid,
-        "potential": potential,
-        "kinetic": kinetic,
-    }
-    if n_e == 2:
-        resolved["interaction"] = _resolve_interaction(
-            _require_mapping(section.get("interaction"), "section 'model.interaction'")
-        )
-    return resolved
+    return [[_as_float(v, key, where) for v in row] for row in value]
 
 
-def _resolve_potential(section: dict) -> dict:
-    where = "section 'model.potential'"
-    kind = _as_choice(
-        _pick(section, "kind", where, "harmonic"),
-        "kind",
-        where,
-        ("harmonic", "soft_coulomb", "box", "double_well", "tabulated"),
-    )
-    if kind == "harmonic":
-        _check_keys(section, {"kind", "omega"}, where)
-        return {
-            "kind": kind,
-            "omega": _as_float(_pick(section, "omega", where, 1.0), "omega", where),
-        }
-    if kind == "soft_coulomb":
-        _check_keys(section, {"kind", "charge", "softening"}, where)
-        return {
-            "kind": kind,
-            "charge": _as_float(_pick(section, "charge", where, 1.0), "charge", where),
-            "softening": _as_float(
-                _pick(section, "softening", where, 1.0), "softening", where
-            ),
-        }
-    if kind == "box":
-        _check_keys(section, {"kind"}, where)
-        return {"kind": kind}
-    if kind == "double_well":
-        _check_keys(section, {"kind", "barrier", "separation"}, where)
-        return {
-            "kind": kind,
-            "barrier": _as_float(
-                _pick(section, "barrier", where, 1.0), "barrier", where
-            ),
-            "separation": _as_float(
-                _pick(section, "separation", where, 2.0), "separation", where
-            ),
-        }
-    _check_keys(section, {"kind", "values"}, where)
-    values = _pick(section, "values", where)
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"key 'values' in {where} must be a non-empty list")
-    return {"kind": kind, "values": [_as_float(v, "values", where) for v in values]}
+def _as_cutoffs(value: Any, key: str, where: str, min_len: int) -> list[int]:
+    """Strictly increasing non-negative cutoffs, at least ``min_len`` of them."""
+    values = _as_list(value, key, where, _as_int, min_len)
+    if any(nxt <= prev for prev, nxt in zip(values, values[1:])):
+        raise ConfigError(f"key {key!r} in {where} must be strictly increasing")
+    if min(values) < 0:
+        raise ConfigError(f"key {key!r} in {where} must be non-negative")
+    return values
 
 
-def _resolve_interaction(section: dict) -> dict:
-    where = "section 'model.interaction'"
-    kind = _as_choice(
-        _pick(section, "kind", where, "none"), "kind", where, ("none", "soft_coulomb")
-    )
-    if kind == "none":
-        _check_keys(section, {"kind"}, where)
-        return {"kind": kind}
-    _check_keys(section, {"kind", "strength", "softening"}, where)
-    return {
-        "kind": kind,
-        "strength": _as_float(
-            _pick(section, "strength", where, 1.0), "strength", where
-        ),
-        "softening": _as_float(
-            _pick(section, "softening", where, 1.0), "softening", where
-        ),
-    }
-
-
-def _resolve_drive(section: dict) -> dict:
-    where = "section 'drive'"
-    _check_keys(section, {"omega", "components"}, where)
-    omega = _as_float(_pick(section, "omega", where), "omega", where)
-    if omega <= 0:
-        raise ConfigError(f"key 'omega' in {where} must be > 0, got {omega}")
-    raw_components = _pick(section, "components", where, [])
-    if not isinstance(raw_components, list):
-        raise ConfigError(f"key 'components' in {where} must be a list")
-    components = []
-    for i, comp in enumerate(raw_components):
-        comp_where = f"section 'drive.components.{i}'"
-        comp = _require_mapping(comp, comp_where)
-        _check_keys(comp, {"harmonic", "amplitude", "phase"}, comp_where)
-        harmonic = _as_int(_pick(comp, "harmonic", comp_where, 1), "harmonic", comp_where)
-        if harmonic < 1:
-            raise ConfigError(
-                f"key 'harmonic' in {comp_where} must be >= 1, got {harmonic}"
-            )
-        components.append(
-            {
-                "harmonic": harmonic,
-                "amplitude": _as_float(
-                    _pick(comp, "amplitude", comp_where), "amplitude", comp_where
-                ),
-                "phase": _as_float(
-                    _pick(comp, "phase", comp_where, 0.0), "phase", comp_where
-                ),
-            }
-        )
-    return {"omega": omega, "components": components}
-
-
-def _resolve_sambe(section: dict) -> dict:
-    where = "section 'sambe'"
-    _check_keys(section, {"harmonic_cutoff", "edge_tol", "n_max"}, where)
-    cutoff = _as_int(
-        _pick(section, "harmonic_cutoff", where, 8), "harmonic_cutoff", where
-    )
-    if cutoff < 0:
-        raise ConfigError(f"key 'harmonic_cutoff' in {where} must be >= 0, got {cutoff}")
-    edge_tol = _as_float(_pick(section, "edge_tol", where, 1e-6), "edge_tol", where)
-    if edge_tol <= 0:
-        raise ConfigError(f"key 'edge_tol' in {where} must be > 0, got {edge_tol}")
-    n_max = section.get("n_max")
-    if n_max is not None:
-        n_max = _as_int(n_max, "n_max", where)
-        if n_max < 0:
-            raise ConfigError(f"key 'n_max' in {where} must be >= 0, got {n_max}")
-    return {"harmonic_cutoff": cutoff, "edge_tol": edge_tol, "n_max": n_max}
-
-
-def _resolve_fock(section: dict) -> dict:
-    where = "section 'fock'"
-    _check_keys(section, {"n_max", "omega_c", "g"}, where)
-    n_max = _as_int(_pick(section, "n_max", where, 8), "n_max", where)
-    if n_max < 0:
-        raise ConfigError(f"key 'n_max' in {where} must be >= 0, got {n_max}")
-    omega_c = _as_float(_pick(section, "omega_c", where), "omega_c", where)
-    if omega_c <= 0:
-        raise ConfigError(f"key 'omega_c' in {where} must be > 0, got {omega_c}")
-    return {
-        "n_max": n_max,
-        "omega_c": omega_c,
-        "g": _as_float(_pick(section, "g", where), "g", where),
-    }
-
-
-def _resolve_qed(section: dict) -> dict:
-    where = "section 'qed'"
-    _check_keys(section, {"h0_diagnostic"}, where)
-    return {
-        "h0_diagnostic": _as_bool(
-            _pick(section, "h0_diagnostic", where, False), "h0_diagnostic", where
-        )
-    }
-
-
-def _resolve_reference(value: Any) -> int | str:
+def _as_reference(value: Any) -> int | str:
     if value == "auto":
         return "auto"
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
@@ -557,67 +354,254 @@ def _resolve_reference(value: Any) -> int | str:
     return value
 
 
-def _resolve_converge(section: dict) -> dict:
-    where = "section 'converge'"
-    _check_keys(section, {"axis", "values"}, where)
-    axis = _as_choice(
-        _pick(section, "axis", where), "axis", where, ("harmonic_cutoff", "fock_n_max")
-    )
-    values = _pick(section, "values", where)
-    if not isinstance(values, list) or len(values) < 2:
-        raise ConfigError(f"key 'values' in {where} must list at least 2 entries")
-    values = [_as_int(v, "values", where) for v in values]
-    for prev, nxt in zip(values, values[1:]):
-        if nxt <= prev:
-            raise ConfigError(f"key 'values' in {where} must be strictly increasing")
-    if min(values) < 0:
-        raise ConfigError(f"key 'values' in {where} must be non-negative")
-    return {"axis": axis, "values": values}
+# ---------------------------------------------------------------------------
+# the schema: every section's keys, parsers, defaults and bounds
 
 
-def _resolve_sweep(section: dict) -> dict:
-    where = "section 'sweep'"
-    _check_keys(section, {"job", "path", "values"}, where)
-    base = _as_choice(
-        _pick(section, "job", where, "floquet"),
-        "job",
-        where,
-        ("static_trk", "floquet", "qed"),
-    )
-    path = _pick(section, "path", where)
-    if not isinstance(path, str) or not path:
-        raise ConfigError(f"key 'path' in {where} must be a non-empty string")
-    values = _pick(section, "values", where)
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"key 'values' in {where} must be a non-empty list")
-    cleaned = []
-    for v in map(_as_number, values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"key 'values' in {where} must contain numbers only")
-        cleaned.append(v)
-    return {"job": base, "path": path, "values": cleaned}
+def _key(parse: Callable[..., Any], default: Any = _MISSING, **options):
+    """A plain key: its parser, the parser's options, and its default
+    (``_MISSING``: the key is required; ``None``: it may be left out or
+    null, and stays None)."""
+    return parse, default, options
 
 
-def _resolve_output(section: dict) -> dict:
-    where = "section 'output'"
-    _check_keys(section, {"directory", "formats"}, where)
-    directory = _pick(section, "directory", where, "out")
-    if not isinstance(directory, str) or not directory:
-        raise ConfigError(f"key 'directory' in {where} must be a non-empty string")
-    formats = _pick(section, "formats", where, ["json", "csv"])
-    if not isinstance(formats, list) or not formats:
-        raise ConfigError(f"key 'formats' in {where} must be a non-empty list")
-    seen = []
-    for fmt in formats:
-        _as_choice(fmt, "formats", where, ("json", "csv"))
-        if fmt in seen:
-            raise ConfigError(f"key 'formats' in {where} lists {fmt!r} twice")
-        seen.append(fmt)
-    return {"directory": directory, "formats": seen}
+#: As a parser option: the value already resolved for the key of that name
+#: in the same section.
+_SIBLING = object()
 
 
-def _walk_path(tree: Any, path: str):
-    """Yield (container, key) pairs along a dotted path; int segments index lists."""
+@dataclass(frozen=True)
+class _Tagged:
+    """A section whose keys depend on the value of one of them, its tag.
+
+    ``variants`` maps each accepted tag value to the section's other keys,
+    which may hold a further ``_Tagged``; ``parse`` reads the tag and is
+    given the accepted values.
+    """
+
+    tag: str
+    default: Any
+    variants: dict
+    parse: Callable[..., Any] = _as_choice
+
+
+#: Per job kind: the sections it requires and the sections it may have,
+#: besides ``model``, ``reference`` and ``output``.
+_JOBS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "static_trk": ((), ()),
+    "floquet": (("drive",), ("sambe",)),
+    "qed": (("fock",), ("qed",)),
+    "converge": (("converge",), ()),
+    "sweep": (("sweep",), ()),
+}
+_EVERY_JOB = ("job", "model", "reference", "output")
+
+#: A converge or sweep job also takes the sections named by one key of its
+#: own section: the scanned axis, or the job kind swept.
+_ADDED_SECTIONS = {
+    "converge": (
+        "axis",
+        {"harmonic_cutoff": _JOBS["floquet"], "fock_n_max": (("fock",), ())},
+    ),
+    "sweep": ("job", {kind: _JOBS[kind] for kind in ("static_trk", "floquet", "qed")}),
+}
+
+#: In a section's keys, a ``_key(...)`` is a plain key, a dict or
+#: ``_Tagged`` a nested section (all defaults when left out or null), and
+#: ``[section]`` a list of such sections (default empty).
+_GRID = {
+    "n_points": _key(_as_int, 201),
+    "x_min": _key(_as_float, -10.0),
+    "x_max": _key(_as_float, 10.0),
+}
+_POTENTIAL = _Tagged("kind", "harmonic", {
+    "harmonic": {"omega": _key(_as_float, 1.0)},
+    "soft_coulomb": {"charge": _key(_as_float, 1.0), "softening": _key(_as_float, 1.0)},
+    "box": {},
+    "double_well": {"barrier": _key(_as_float, 1.0), "separation": _key(_as_float, 2.0)},
+    "tabulated": {"values": _key(_as_list, item=_as_float)},
+})
+_INTERACTION = _Tagged("kind", "none", {
+    "none": {},
+    "soft_coulomb": {"strength": _key(_as_float, 1.0), "softening": _key(_as_float, 1.0)},
+})
+_KINETIC = ("three_point", "sinc_dvr")
+
+_SCHEMA = {
+    "model": _Tagged("kind", "grid", {
+        "grid": _Tagged("n_electrons", 1, {
+            1: {
+                "grid": _GRID,
+                "potential": _POTENTIAL,
+                "kinetic": _key(_as_choice, "three_point", choices=_KINETIC),
+            },
+            2: {
+                "grid": _GRID,
+                "potential": _POTENTIAL,
+                "kinetic": _key(_as_choice, "sinc_dvr", choices=_KINETIC),
+                "interaction": _INTERACTION,
+            },
+        }, parse=_as_grid_electrons),
+        "few_level": {
+            "energies": _key(_as_list, item=_as_float),
+            "dipole": _key(_as_matrix, energies=_SIBLING),
+            "n_electrons": _key(_as_int, 1, bound=">= 1"),
+        },
+    }),
+    "drive": {
+        "omega": _key(_as_float, bound="> 0"),
+        "components": [{
+            "harmonic": _key(_as_int, 1, bound=">= 1"),
+            "amplitude": _key(_as_float),
+            "phase": _key(_as_float, 0.0),
+        }],
+    },
+    "sambe": {
+        "harmonic_cutoff": _key(_as_int, 8, bound=">= 0"),
+        "edge_tol": _key(_as_float, 1e-6, bound="> 0"),
+        "n_max": _key(_as_int, None, bound=">= 0"),
+    },
+    "fock": {
+        "n_max": _key(_as_int, 8, bound=">= 0"),
+        "omega_c": _key(_as_float, bound="> 0"),
+        "g": _key(_as_float),
+    },
+    "qed": {"h0_diagnostic": _key(_as_bool, False)},
+    "converge": _Tagged("axis", _MISSING, {
+        "harmonic_cutoff": {"values": _key(_as_cutoffs, min_len=2)},
+        "fock_n_max": {"values": _key(_as_cutoffs, min_len=MIN_CUTOFF_FAMILY)},
+    }),
+    "sweep": {
+        "job": _key(_as_choice, "floquet", choices=tuple(_ADDED_SECTIONS["sweep"][1])),
+        "path": _key(_as_text),
+        "values": _key(_as_list, item=_as_real),
+    },
+    "output": {
+        "directory": _key(_as_text, "out"),
+        "formats": _key(
+            _as_list,
+            ["json", "csv"],
+            item=functools.partial(_as_choice, choices=("json", "csv")),
+            unique=True,
+        ),
+    },
+}
+
+
+def _walk(schema: dict | _Tagged, value: Any, path: str) -> dict:
+    """Validate the section at ``path`` against ``schema``, defaults filled in.
+
+    Tags are read first, then unknown keys are refused, then the other keys
+    are parsed in the order the schema declares them.
+    """
+    where = f"section {path!r}"
+    section = {} if value is None else value
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a mapping, got {type(section).__name__}")
+    resolved: dict[str, Any] = {}
+    while isinstance(schema, _Tagged):
+        tag = _pick(section, schema.tag, where, schema.default)
+        resolved[schema.tag] = schema.parse(tag, schema.tag, where, tuple(schema.variants))
+        schema = schema.variants[resolved[schema.tag]]
+    allowed = [*resolved, *schema]
+    for key in section:
+        if key not in allowed:
+            raise ConfigError(f"unknown key {key!r} in {where}{_suggest(key, allowed)}")
+    for key, spec in schema.items():
+        if isinstance(spec, (dict, _Tagged)):
+            resolved[key] = _walk(spec, section.get(key), f"{path}.{key}")
+        elif isinstance(spec, list):
+            items = _as_list(_pick(section, key, where, []), key, where, min_len=0)
+            resolved[key] = [
+                _walk(spec[0], item, f"{path}.{key}.{i}") for i, item in enumerate(items)
+            ]
+        else:
+            parse, default, options = spec
+            given = _pick(section, key, where, default)
+            if given is None and default is None:
+                resolved[key] = None
+                continue
+            options = {k: resolved[k] if v is _SIBLING else v for k, v in options.items()}
+            resolved[key] = parse(given, key, where, **options)
+    return resolved
+
+
+def _resolve(raw: dict, default_job: str | None = None) -> dict:
+    """The resolved mapping of a whole job description."""
+    job = raw.get("job", default_job)
+    if job is None:
+        raise ConfigError("missing required key 'job' (or run through a subcommand)")
+    if not isinstance(job, str) or job not in _JOBS:
+        raise ConfigError(
+            f"key 'job' must be one of {list(_JOBS)}, got {job!r}"
+            f"{_suggest(job, _JOBS) if isinstance(job, str) else ''}"
+        )
+    required, optional = _JOBS[job]
+    tag, added = _ADDED_SECTIONS.get(job, (None, {}))
+    may_use = {*_EVERY_JOB, *required, *optional}
+    for more_required, more_optional in added.values():
+        may_use.update(more_required + more_optional)
+    for key in raw:
+        if key in may_use:
+            continue
+        if key in _SCHEMA:
+            raise ConfigError(f"section {key!r} is not used by job kind {job!r}")
+        raise ConfigError(f"unknown key {key!r} at top level{_suggest(key, may_use)}")
+
+    resolved: dict[str, Any] = {"job": job}
+    if added:
+        # the job's own section first: it names the sections the job adds
+        resolved[job] = _walk(_SCHEMA[job], _pick(raw, job, "top level"), job)
+        more_required, more_optional = added[resolved[job][tag]]
+        required, optional = required + more_required, optional + more_optional
+    used = {*_EVERY_JOB, *required, *optional}
+    for key in raw:
+        if key not in used:
+            raise ConfigError(f"section {key!r} is not used by job kind {job!r}")
+    for name in sorted({"model", *required}):
+        if name not in raw:
+            raise ConfigError(f"job kind {job!r} requires section {name!r}")
+    for name in ("model", "drive", "sambe", "fock", "qed"):
+        if name in used:
+            resolved[name] = _walk(_SCHEMA[name], raw.get(name), name)
+    resolved["reference"] = _as_reference(raw.get("reference", "auto"))
+    resolved["output"] = _walk(_SCHEMA["output"], raw.get("output"), "output")
+    if job == "sweep":
+        _sweep_points(resolved)
+    return resolved
+
+
+# ---------------------------------------------------------------------------
+# sweeps
+
+
+def _sweep_points(resolved: dict) -> list[tuple[int | float, dict]]:
+    """(value, resolved base job) of every point of a resolved sweep."""
+    sweep = resolved["sweep"]
+    path = sweep["path"]
+    if path.split(".", 1)[0] in ("sweep", "job", "output", "converge"):
+        raise ConfigError(
+            f"sweep path {path!r} must target a model/drive/sambe/fock/qed/reference parameter"
+        )
+    current = _step(*_path_parent(resolved, path), path)
+    if isinstance(current, bool) or not isinstance(current, (int, float)):
+        raise ConfigError(f"sweep path {path!r} must target a numeric parameter")
+    points = []
+    for value in sweep["values"]:
+        raw = copy.deepcopy(resolved)
+        raw.pop("sweep")
+        raw["job"] = sweep["job"]
+        parent, leaf = _path_parent(raw, path)
+        if isinstance(parent, list):
+            parent[int(leaf)] = value
+        else:
+            parent[leaf] = value
+        points.append((value, _resolve(raw)))
+    return points
+
+
+def _path_parent(tree: Any, path: str) -> tuple[Any, str]:
+    """(container, last segment) of a dotted path; int segments index lists."""
     segments = path.split(".")
     node = tree
     for seg in segments[:-1]:
@@ -644,70 +628,6 @@ def _step(node: Any, seg: str, path: str):
         return node[seg]
     raise ConfigError(f"sweep path {path!r}: cannot descend into {type(node).__name__}")
 
-
-def _validate_sweep_path(resolved: dict) -> None:
-    path = resolved["sweep"]["path"]
-    root = path.split(".", 1)[0]
-    if root in ("sweep", "job", "output", "converge"):
-        raise ConfigError(
-            f"sweep path {path!r} must target a model/drive/sambe/fock/qed/reference parameter"
-        )
-    parent, leaf = _walk_path(resolved, path)
-    current = _step(parent, leaf, path)
-    if isinstance(current, bool) or not isinstance(current, (int, float)):
-        raise ConfigError(f"sweep path {path!r} must target a numeric parameter")
-
-
-def _set_path(tree: dict, path: str, value: Any) -> None:
-    parent, leaf = _walk_path(tree, path)
-    _step(parent, leaf, path)  # existence check
-    if isinstance(parent, list):
-        parent[int(leaf)] = value
-    else:
-        parent[leaf] = value
-
-
-# ---------------------------------------------------------------------------
-# model construction from resolved sections
-
-
-def _build_matter(model: dict) -> tuple[MatterOperator, MatterOperator, int]:
-    n_e = model["n_electrons"]
-    if model["kind"] == "few_level":
-        few = FewLevelModel(
-            energies=tuple(model["energies"]),
-            dipole=np.array(model["dipole"], dtype=np.float64),
-        )
-        return few.hamiltonian(), few.dipole_operator(), n_e
-    grid = GridBasis(**model["grid"])
-    potential = _build_potential(model["potential"])
-    if n_e == 1:
-        h = build_grid_hamiltonian(grid, potential, kinetic_scheme=model["kinetic"])
-        return h, build_dipole(grid), 1
-    interaction = _build_interaction(model["interaction"])
-    h = build_two_electron_hamiltonian(
-        grid, potential, interaction=interaction, kinetic_scheme=model["kinetic"]
-    )
-    return h, build_dipole(grid, n_electrons=2), 2
-
-
-def _build_potential(cfg: dict) -> PotentialSpec:
-    kind = cfg["kind"]
-    if kind == "harmonic":
-        return PotentialSpec.harmonic(cfg["omega"])
-    if kind == "soft_coulomb":
-        return PotentialSpec.soft_coulomb(cfg["charge"], cfg["softening"])
-    if kind == "box":
-        return PotentialSpec.box()
-    if kind == "double_well":
-        return PotentialSpec.double_well(cfg["barrier"], cfg["separation"])
-    return PotentialSpec.tabulated(cfg["values"])
-
-
-def _build_interaction(cfg: dict) -> InteractionSpec:
-    if cfg["kind"] == "none":
-        return InteractionSpec.none()
-    return InteractionSpec.soft_coulomb(cfg["strength"], cfg["softening"])
 
 
 # ---------------------------------------------------------------------------
@@ -873,7 +793,11 @@ def _resolvable_drive(config: JobConfig, matter_system: EigenSystem) -> DriveSpe
     Below span x machine epsilon no quasienergy can be folded into the
     first zone, so such an Omega is a configuration error.
     """
-    drive = config.drive()
+    section = config.resolved["drive"]
+    drive = DriveSpec(
+        omega=section["omega"],
+        components=tuple(DriveComponent(**c) for c in section["components"]),
+    )
     span = float(matter_system.values[-1] - matter_system.values[0])
     floor = span * float(np.finfo(np.float64).eps)
     if drive.omega < floor:
@@ -958,7 +882,7 @@ def _run_floquet(config: JobConfig, stage: _Stage) -> dict:
 
 def _run_qed(config: JobConfig, stage: _Stage) -> dict:
     h, d, n_e, matter_system = _matter_stack(config, stage)
-    fock = config.fock()
+    fock = FockSpec(**config.resolved["fock"])
     reference = _static_reference(config)
     with stage("joint_assemble"):
         h_joint = build_joint_hamiltonian(h, d, fock)
@@ -1044,10 +968,7 @@ def _run_converge(config: JobConfig, stage: _Stage) -> dict:
 
     with stage("matter_build"):
         h, d, n_e = config.matter()
-    fock_cfg = config.resolved["fock"]
-    focks = [
-        FockSpec(n_max=v, omega_c=fock_cfg["omega_c"], g=fock_cfg["g"]) for v in values
-    ]
+    focks = [FockSpec(**{**config.resolved["fock"], "n_max": v}) for v in values]
     reference = _static_reference(config)
     with stage("convergence"):
         qed_rows = photon_cutoff_convergence(
@@ -1072,16 +993,10 @@ def _run_converge(config: JobConfig, stage: _Stage) -> dict:
 
 
 def _run_sweep(config: JobConfig, stage: _Stage, verbose: bool) -> dict:
-    sweep = config.resolved["sweep"]
     points: list[SweepPoint] = []
-    for i, value in enumerate(sweep["values"]):
-        raw = copy.deepcopy(config.resolved)
-        raw.pop("sweep")
-        raw["job"] = sweep["job"]
-        _set_path(raw, sweep["path"], value)
-        point_config = JobConfig(resolved=_resolve(raw))
+    for i, (value, resolved) in enumerate(_sweep_points(config.resolved)):
         with stage(f"point_{i}"):
-            report = run_job(point_config, verbose=verbose)
+            report = run_job(JobConfig(resolved=resolved), verbose=verbose)
         points.append(SweepPoint(parameter_value=float(value), report=report))
     pieces = _empty_pieces()
     pieces["sweep_points"] = tuple(points)

@@ -11,9 +11,6 @@ enlarged space. Because d (x) I commutes with every photon-only operator
 and with the bilinear coupling, the double-commutator oracle again reduces
 to the bare matter commutator - evaluated here by direct matrix algebra on
 the full joint operator, so the reduction is checked rather than assumed.
-
-The API accepts a list of mode specifications for forward compatibility,
-but only a single mode is implemented.
 """
 
 from __future__ import annotations
@@ -31,6 +28,8 @@ from .sumrule import SumRuleReport, _closure_report
 
 #: Dense-eigensolve guard for the matter (x) Fock product dimension.
 MAX_JOINT_DIM = 6000
+#: Fewest photon cutoffs a convergence family may have.
+MIN_CUTOFF_FAMILY = 3
 
 
 @dataclass(frozen=True)
@@ -76,22 +75,10 @@ class PolaritonState:
         return np.sum(np.abs(table) ** 2, axis=0)
 
 
-def _single_mode(fock: FockSpec | Sequence[FockSpec]) -> FockSpec:
-    if isinstance(fock, FockSpec):
-        return fock
-    modes = tuple(fock)
-    if len(modes) != 1:
-        raise InputError(
-            f"multimode coupling is not implemented; supply exactly one mode, "
-            f"got {len(modes)}"
-        )
-    return modes[0]
-
-
 def build_joint_hamiltonian(
     h_matter: MatterOperator,
     d: MatterOperator,
-    fock: FockSpec | Sequence[FockSpec],
+    fock: FockSpec,
 ) -> np.ndarray:
     """Dense joint Hamiltonian on the matter (x) Fock product basis.
 
@@ -99,12 +86,11 @@ def build_joint_hamiltonian(
     dipole self-energy term and no zero-point constant. The product basis
     is matter-major: index = matter_index * fock_dim + photon_index.
     """
-    mode = _single_mode(fock)
     if h_matter.dim != d.dim:
         raise InputError(
             f"matter Hamiltonian dim {h_matter.dim} != dipole dim {d.dim}"
         )
-    n_m, n_f = h_matter.dim, mode.dim
+    n_m, n_f = h_matter.dim, fock.dim
     if n_m * n_f > MAX_JOINT_DIM:
         raise SizeError(
             f"joint dimension {n_m * n_f} exceeds the dense guard {MAX_JOINT_DIM}"
@@ -117,18 +103,17 @@ def build_joint_hamiltonian(
     # "+ 0.0" maps -0.0 to +0.0, as the Kronecker sum's "+ omega_c * 0.0" does
     h[:, photons, :, photons] = h_matter.matrix + 0.0
     matter = np.arange(n_m)[:, None]
-    h[matter, photons, matter, photons] += mode.omega_c * photons
-    if mode.g != 0.0:
-        coupling = mode.g * (d.matrix[:, :, None] * np.sqrt(photons[1:]))
+    h[matter, photons, matter, photons] += fock.omega_c * photons
+    if fock.g != 0.0:
+        coupling = fock.g * (d.matrix[:, :, None] * np.sqrt(photons[1:]))
         h[:, photons[:-1], :, photons[1:]] -= np.moveaxis(coupling, 2, 0)
         h[:, photons[1:], :, photons[:-1]] -= np.moveaxis(coupling, 2, 0)
     return h.reshape(n_m * n_f, n_m * n_f)
 
 
-def joint_dipole(d: MatterOperator, fock: FockSpec | Sequence[FockSpec]) -> np.ndarray:
+def joint_dipole(d: MatterOperator, fock: FockSpec) -> np.ndarray:
     """The matter dipole lifted to the product space: d (x) I."""
-    mode = _single_mode(fock)
-    n_m, n_f = d.dim, mode.dim
+    n_m, n_f = d.dim, fock.dim
     lifted = np.empty((n_m, n_f, n_m, n_f), dtype=np.result_type(d.matrix, np.float64))
     # off-diagonal photon entries are d * 0.0, signed like d, as in np.kron
     lifted[...] = (d.matrix * 0.0)[:, None, :, None]
@@ -216,15 +201,16 @@ def photon_cutoff_convergence(
     Parameters
     ----------
     focks:
-        At least three specifications with strictly increasing ``n_max``
-        and identical ``omega_c`` and ``g``.
+        At least ``MIN_CUTOFF_FAMILY`` specifications with strictly
+        increasing ``n_max`` and identical ``omega_c`` and ``g``.
     reference:
         Eigenpair index within each family member's ascending spectrum.
     """
     modes = tuple(focks)
-    if len(modes) < 3:
+    if len(modes) < MIN_CUTOFF_FAMILY:
         raise InputError(
-            f"cutoff convergence needs at least 3 family members, got {len(modes)}"
+            f"cutoff convergence needs at least {MIN_CUTOFF_FAMILY} family members, "
+            f"got {len(modes)}"
         )
     for prev, nxt in zip(modes, modes[1:]):
         if nxt.n_max <= prev.n_max:

@@ -1,6 +1,8 @@
 """Config loading, job execution, serialization, and exit codes."""
 
 import contextlib
+import copy
+import io
 import json
 import math
 import sys
@@ -9,6 +11,8 @@ import types
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from floqtrk import (
     ConfigError,
@@ -74,6 +78,58 @@ def test_static_defaults_are_echoed(tmp_path):
         "reference": "auto",
         "output": {"directory": "out", "formats": ["json", "csv"]},
     }
+
+
+@pytest.mark.parametrize(
+    "potential, expected",
+    [
+        ("harmonic", {"omega": 1.0}),
+        ("soft_coulomb", {"charge": 1.0, "softening": 1.0}),
+        ("box", {}),
+        ("double_well", {"barrier": 1.0, "separation": 2.0}),
+    ],
+)
+def test_two_electron_defaults_are_echoed(tmp_path, potential, expected):
+    """Two-electron grids default to the sinc-DVR kinetic scheme; each
+    potential and interaction kind echoes its own defaults."""
+    path = config_file(
+        tmp_path,
+        f"job: static_trk\nmodel: {{n_electrons: 2, potential: {{kind: {potential}}},"
+        " interaction: {kind: soft_coulomb}}\n",
+    )
+    model = load_config(path).resolved["model"]
+    assert model == {
+        "kind": "grid",
+        "n_electrons": 2,
+        "grid": {"n_points": 201, "x_min": -10.0, "x_max": 10.0},
+        "potential": {"kind": potential, **expected},
+        "kinetic": "sinc_dvr",
+        "interaction": {"kind": "soft_coulomb", "strength": 1.0, "softening": 1.0},
+    }
+
+
+def test_section_defaults_are_echoed(tmp_path):
+    """The drive, sambe, fock, qed and sweep sections echo their defaults."""
+    floquet_job = load_config(
+        config_file(
+            tmp_path,
+            "job: floquet\n" + TWO_LEVEL_MODEL + "drive: {omega: 0.5, components: [{amplitude: 0.1}]}\n",
+        )
+    )
+    assert floquet_job.resolved["model"]["n_electrons"] == 1
+    assert floquet_job.resolved["drive"]["components"] == [
+        {"harmonic": 1, "amplitude": 0.1, "phase": 0.0}
+    ]
+    assert floquet_job.resolved["sambe"] == {"harmonic_cutoff": 8, "edge_tol": 1e-6, "n_max": None}
+    qed_job = load_config(
+        config_file(tmp_path, "job: qed\n" + TWO_LEVEL_MODEL + "fock: {omega_c: 0.9, g: 0.1}\n")
+    )
+    assert qed_job.resolved["fock"] == {"n_max": 8, "omega_c": 0.9, "g": 0.1}
+    assert qed_job.resolved["qed"] == {"h0_diagnostic": False}
+    sweep_job = load_config(
+        config_file(tmp_path, SWEEP_JOB.replace("  job: floquet\n", ""))
+    )
+    assert sweep_job.resolved["sweep"]["job"] == "floquet"
 
 
 def test_unknown_key_suggests_correction(tmp_path):
@@ -1072,3 +1128,165 @@ def test_config_error_messages(tmp_path, text, message):
     with pytest.raises(ConfigError) as info:
         load_config(path)
     assert str(info.value) == message.replace("<path>", str(path))
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    """A config file that is not UTF-8 text exits 2 with a message."""
+    path = tmp_path / "job.yaml"
+    path.write_bytes(b"job: static_trk\nmodel: {}\n# \xff\xfe\n")
+    assert main(["static-trk", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: could not read {path} as UTF-8 text")
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("static-trk", "job: static_trk\n" + TWO_LEVEL_MODEL + "model: {}\n", "'model'"),
+        ("qed", QED_JOB.replace("g: 0.3}", "g: 0.3, g: 0.4}"), "'g'"),
+        (
+            "floquet",
+            FLOQUET_JOB.replace("amplitude: 0.05}", "amplitude: 0.05, harmonic: 2}"),
+            "'harmonic'",
+        ),
+    ],
+    ids=["top_level", "nested", "in_list"],
+)
+def test_duplicate_keys_are_refused(tmp_path, capsys, command, text, key):
+    """A key given twice in one mapping is an error naming the key, at any
+    depth, not a silent choice of the last value."""
+    path = config_file(tmp_path, text)
+    with pytest.raises(ConfigError, match=f"found duplicate key {key}"):
+        load_config(path)
+    assert main([command, "--config", str(path)]) == 2
+    assert f"found duplicate key {key}" in capsys.readouterr().err
+
+
+def test_merge_keys_may_be_overridden(tmp_path):
+    """A YAML merge key and a key that overrides it are not duplicates."""
+    text = FLOQUET_JOB.replace(
+        "components: [{harmonic: 1, amplitude: 0.05}]",
+        "components: [&first {harmonic: 1, amplitude: 0.05}, {<<: *first, amplitude: 0.02}]",
+    )
+    components = load_config(config_file(tmp_path, text)).resolved["drive"]["components"]
+    assert [c["amplitude"] for c in components] == [0.05, 0.02]
+    assert [c["harmonic"] for c in components] == [1, 1]
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (
+            "sweep",
+            "job: sweep\nsweep: {path: sambe.harmonic_cutoff, values: [4, 4.5]}\n"
+            + FLOQUET_JOB.split("\n", 1)[1],
+            "key 'harmonic_cutoff' in section 'sambe' must be an integer, got float",
+        ),
+        (
+            "converge",
+            FOCK_CONVERGE_JOB.replace("[4, 6, 8, 10]", "[4, 6]"),
+            "key 'values' in section 'converge' must list at least {fewest} entries",
+        ),
+    ],
+    ids=["sweep_point", "photon_cutoff_family"],
+)
+def test_refused_at_load_before_any_eigensolve(
+    tmp_path, monkeypatch, capsys, command, text, message
+):
+    """A config the run would refuse is refused while loading, before the
+    first eigensolve."""
+    solved = record_eigensolves(monkeypatch)
+    path = config_file(tmp_path, text)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    message = message.format(fewest=qed.MIN_CUTOFF_FAMILY)
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert solved == []
+
+
+#: Small valid jobs of every kind, the seeds of the fuzzed configs below.
+FUZZ_BASES = [
+    yaml.safe_load(text)
+    for text in (
+        "job: static_trk\n" + TWO_LEVEL_MODEL + "reference: 1\n",
+        "job: static_trk\nmodel: {grid: {n_points: 21}, potential: {kind: double_well}}\n",
+        "job: static_trk\nmodel: {n_electrons: 2, grid: {n_points: 8},"
+        " interaction: {kind: soft_coulomb}}\n",
+        FLOQUET_JOB.replace("harmonic_cutoff: 4", "harmonic_cutoff: 2\n  n_max: 1"),
+        QED_JOB.replace("n_max: 6", "n_max: 3") + "qed: {h0_diagnostic: true}\n",
+        HARMONIC_CONVERGE_JOB.replace("[2, 4, 6, 8]", "[1, 2]"),
+        FOCK_CONVERGE_JOB.replace("[4, 6, 8, 10]", "[1, 2, 3]"),
+        "job: sweep\nsweep: {job: qed, path: fock.g, values: [0.1, 0.2]}\n"
+        + QED_JOB.split("\n", 1)[1].replace("n_max: 6", "n_max: 2"),
+        "job: sweep\nsweep: {job: static_trk, path: model.energies.1, values: [2, 3.5]}\n"
+        + THREE_LEVEL_MODEL,
+    )
+]
+#: Key names a renamed key may take: typos and names valid elsewhere.
+FUZZ_NAMES = ["omeag", "model", "drive", "fock", "qed", "sambe", "n_max", "kind", "values"]
+#: Values a retyped key may take: wrong types, out of range, or valid
+#: elsewhere (every integer small enough to keep models tiny).
+FUZZ_VALUES = [None, True, "text", "sinc_dvr", [], [1.0], {}, -1, 0, 1, 2, 5, 0.5, -0.5, 1e-9]
+FUZZ_COMMANDS = {
+    "static_trk": "static-trk",
+    "floquet": "floquet",
+    "qed": "qed",
+    "converge": "converge",
+    "sweep": "sweep",
+}
+
+
+def tree_paths(node, prefix=()):
+    """Every (key or index) path into a config tree, parents first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from tree_paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A small valid job with one to three keys dropped, renamed, retyped or
+    set out of range, or its job kind swapped."""
+    config = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(tree_paths(config))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        leaf = path[-1]
+        action = draw(st.sampled_from(["drop", "rename", "retype", "swap_job"]))
+        if action == "drop":
+            del parent[leaf]
+        elif action == "rename" and isinstance(parent, dict):
+            parent[draw(st.sampled_from(FUZZ_NAMES))] = parent.pop(leaf)
+        elif action == "swap_job":
+            config["job"] = draw(st.sampled_from([*FUZZ_COMMANDS, "sweeps"]))
+        else:
+            parent[leaf] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+    return config
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    # tmp_path is rewritten by each example and deadline is a stateless guard
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(config=mutated_configs())
+def test_mutated_configs_keep_the_exit_code_contract(tmp_path, deadline, config):
+    """Any mutation of a valid config ends in a documented exit code, with a
+    message instead of a traceback, and does not hang."""
+    path = tmp_path / "fuzz.yaml"
+    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    command = FUZZ_COMMANDS.get(str(config.get("job")), "static-trk")
+    err = io.StringIO()
+    with deadline(20), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()

@@ -103,15 +103,6 @@ def test_dipole_commutes_with_field_terms():
     assert np.max(np.abs(comm)) <= 1e-12
 
 
-def test_multimode_list_handling():
-    """A one-element mode list works; two modes are not implemented."""
-    fock = FockSpec(n_max=2, omega_c=1.0, g=0.1)
-    single = build_joint_hamiltonian(TWO_H, TWO_D, [fock])
-    assert single.shape == (6, 6)
-    with pytest.raises(InputError):
-        build_joint_hamiltonian(TWO_H, TWO_D, [fock, fock])
-
-
 def test_uncoupled_sum_equals_static():
     """At g = 0 the joint sum collapses to the static matter sum."""
     fock = FockSpec(n_max=6, omega_c=0.7, g=0.0)
