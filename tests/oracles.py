@@ -7,6 +7,8 @@ comparing against these helpers checks two genuinely independent routes to
 the same number.
 """
 
+import math
+
 import numpy as np
 
 
@@ -87,3 +89,40 @@ def kron_joint_hamiltonian(h, d, n_max, omega_c, g):
 def kron_joint_dipole(d, n_max):
     """d (x) I on the matter (x) Fock product basis by np.kron."""
     return np.kron(d, np.eye(n_max + 1))
+
+
+def aggregated_rows(rows, tol):
+    """Degenerate-merged ledger rows, built one row at a time.
+
+    ``rows`` are ``[lam, n, quasienergy_diff, abs2, weight]``. Within each
+    n, rows sorted by quasienergy_diff join the current group while their
+    difference lies within ``tol`` of the group's first (lowest) one; a
+    group keeps lam and quasienergy_diff of its lowest-lam row and sums
+    abs2 and weight with math.fsum. Groups come out by ascending n, then
+    ascending difference.
+    """
+    by_n = {}
+    for row in rows:
+        by_n.setdefault(row[1], []).append(row)
+    merged = []
+    for n in sorted(by_n):
+        group = []
+        for row in sorted(by_n[n], key=lambda r: r[2]):
+            if group and row[2] - group[0][2] > tol:
+                merged.append(_merged_row(group))
+                group = []
+            group.append(row)
+        if group:
+            merged.append(_merged_row(group))
+    return merged
+
+
+def _merged_row(group):
+    lead = min(group, key=lambda r: r[0])
+    return [
+        lead[0],
+        lead[1],
+        lead[2],
+        math.fsum(r[3] for r in group),
+        math.fsum(r[4] for r in group),
+    ]

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -444,6 +445,47 @@ def test_csv_headers_and_shapes(tmp_path):
     assert len(spectrum) == 4
     count = len(report.primary_report().contributions)
     assert len(ledger) == count + 1
+
+
+def csv_numbers(path):
+    """The body rows of a written CSV table, every cell parsed as a number."""
+    with path.open(newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    return [[json.loads(cell) for cell in row] for row in rows[1:]]
+
+
+VIEW_JOBS = {
+    "floquet": "job: floquet\n"
+    + THREE_LEVEL_MODEL
+    + "drive: {omega: 0.35, components: [{harmonic: 1, amplitude: 0.05}]}\n"
+    + "sambe: {harmonic_cutoff: 4}\n",
+    "sweep": SWEEP_JOB,
+    "qed": "job: qed\n" + TWO_LEVEL_MODEL + "fock: {n_max: 6, omega_c: 0.9, g: 0.1}\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VIEW_JOBS))
+def test_csv_tables_are_the_report_rows(tmp_path, kind):
+    """ledger.csv and sticks.csv hold exactly the rows report.json gives
+    the primary ledger and the stick spectrum, for every sweep point too."""
+    config = load_config(config_file(tmp_path, VIEW_JOBS[kind]))
+    out = tmp_path / "out"
+    write_report(run_job(config), out, ["json", "csv"])
+    payload = json.loads((out / "report.json").read_text())
+    if kind == "sweep":
+        views = [(p["report"], f"_{i:03d}") for i, p in enumerate(payload["sweep"])]
+    else:
+        views = [(payload, "")]
+    for report, suffix in views:
+        ledger = report["reports"][report["primary"]]["contributions"]
+        assert ledger
+        assert csv_numbers(out / f"ledger{suffix}.csv") == ledger
+        sticks = out / f"sticks{suffix}.csv"
+        if kind == "qed":
+            assert "spectral_density" not in report and not sticks.exists()
+        else:
+            assert report["spectral_density"]["sticks"]
+            assert csv_numbers(sticks) == report["spectral_density"]["sticks"]
 
 
 def test_convergence_csv_blank_delta(tmp_path):

@@ -1,5 +1,6 @@
 """Static, extended-space, and zone-resolved sum rules with their oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from floqtrk import (
     build_dipole,
     build_grid_hamiltonian,
     build_two_electron_hamiltonian,
+    cli,
     density_from_ledger,
     diagonalize_hermitian,
     dipole_fourier_components,
@@ -493,6 +495,52 @@ def test_aggregated_contributions_merge_degeneracies():
     partner = next(row for row in other if row.lam == 1)
     assert abs(top.abs2 - partner.abs2) <= 1e-12
     assert abs(top.weight - partner.weight) <= 1e-12
+
+
+def planted_levels(rng, tol, count):
+    """Random levels with exact ties and chains of steps just under ``tol``
+    that run longer than ``tol``, in random order."""
+    levels = list(rng.uniform(-0.4, 0.4, size=count // 2))
+    for _ in range(2):
+        levels.append(levels[int(rng.integers(len(levels)))])
+    while len(levels) < count:
+        start = float(rng.uniform(-0.4, 0.4))
+        steps = rng.uniform(0.3, 0.9, size=int(rng.integers(2, 5))) * tol
+        levels.extend(start + np.concatenate(([0.0], np.cumsum(steps))))
+    levels = np.array(levels[:count])
+    rng.shuffle(levels)
+    return levels
+
+
+def serialized_rows(report, view):
+    """``contributions`` or ``aggregated_contributions`` as report rows."""
+    return cli._sumrule_payload(report)[view]
+
+
+def test_aggregation_is_the_row_by_row_merge():
+    """The aggregated ledger equals the row-at-a-time merge exactly, on
+    ledgers with ties, chains longer than the tolerance and many n."""
+    rng = np.random.default_rng(41)
+    for trial in range(6):
+        energies = np.sort(planted_levels(rng, 1e-9, 16))
+        h = MatterOperator(np.diag(energies), basis_tag="levels:16")
+        d = MatterOperator(oracles.random_hermitian(rng, 16).real, basis_tag="levels:16")
+        report = static_trk(h, d, reference=int(rng.integers(16)))
+        expected = oracles.aggregated_rows(serialized_rows(report, "contributions"), 1e-9)
+        assert serialized_rows(report, "aggregated_contributions") == expected
+        assert len(expected) < 16
+
+        omega = 0.7
+        modes = tuple(
+            dataclasses.replace(random_mode(rng, 2, 3, omega), quasienergy=float(q))
+            for q in planted_levels(rng, 1e-9 * omega, 14)
+        )
+        report = sumrule_ffbz(modes, THREE_D, omega, trial, h_matter=THREE_H)
+        rows = serialized_rows(report, "contributions")
+        assert {row[1] for row in rows} == set(range(-4, 5))
+        expected = oracles.aggregated_rows(rows, 1e-9 * omega)
+        assert serialized_rows(report, "aggregated_contributions") == expected
+        assert len(expected) < len(rows)
 
 
 def test_select_reference_picks_ground_character():
