@@ -30,7 +30,6 @@ from .floquet import (
     fold_and_select_ffbz,
     fold_label,
     fourier_blocks_of_hamiltonian,
-    shift_replica,
 )
 from .model import (
     DriveComponent,
@@ -44,29 +43,25 @@ from .model import (
     build_grid_hamiltonian,
     build_two_electron_hamiltonian,
     double_commutator_expectation,
-    evaluate_drive,
     kinetic_matrix,
 )
 from .qed import (
     ConvergenceRow,
     FockSpec,
-    PolaritonState,
     build_joint_hamiltonian,
     joint_dipole,
     photon_cutoff_convergence,
     sumrule_qed,
 )
 from .sumrule import (
-    Contribution,
     DipoleFourierSet,
+    Ledger,
     SpectralDensity,
-    Stick,
     SumRuleReport,
     density_from_ledger,
     dipole_fourier_components,
     first_moment,
     select_reference,
-    select_reference_sambe,
     spectral_density,
     static_trk,
     sumrule_ffbz,
@@ -77,7 +72,6 @@ from .version import __version__
 __all__ = [
     "__version__",
     "ConfigError",
-    "Contribution",
     "ConvergenceRow",
     "DipoleFourierSet",
     "DriveComponent",
@@ -94,14 +88,13 @@ __all__ = [
     "GridBasis",
     "InputError",
     "InteractionSpec",
+    "Ledger",
     "MatterOperator",
     "NumericError",
-    "PolaritonState",
     "PotentialSpec",
     "SambeSpec",
     "SizeError",
     "SpectralDensity",
-    "Stick",
     "SumRuleReport",
     "ZoneError",
     "assemble_floquet_matrix",
@@ -113,7 +106,6 @@ __all__ = [
     "diagonalize_hermitian",
     "dipole_fourier_components",
     "double_commutator_expectation",
-    "evaluate_drive",
     "first_moment",
     "fold_and_select_ffbz",
     "fold_label",
@@ -122,8 +114,6 @@ __all__ = [
     "kinetic_matrix",
     "photon_cutoff_convergence",
     "select_reference",
-    "select_reference_sambe",
-    "shift_replica",
     "spectral_density",
     "static_trk",
     "sumrule_ffbz",

@@ -74,6 +74,7 @@ from .qed import (
     sumrule_qed,
 )
 from .sumrule import (
+    Ledger,
     SpectralDensity,
     SumRuleReport,
     density_from_ledger,
@@ -88,9 +89,6 @@ from .version import __version__
 #: double-commutator oracle to CLOSURE_RTOL x max(1, |oracle value|).
 _CLOSURE_KINDS = ("static_trk", "sambe", "qed")
 CLOSURE_RTOL = 1e-8
-
-_LEDGER_HEADER = ("lambda", "n", "quasienergy_diff", "dipole_fourier_abs2", "contribution")
-_STICKS_HEADER = ("omega", "weight", "lambda", "n")
 
 
 # ---------------------------------------------------------------------------
@@ -410,20 +408,29 @@ _ADDED_SECTIONS = {
 #: ``_Tagged`` a nested section (all defaults when left out or null), and
 #: ``[section]`` a list of such sections (default empty).
 _GRID = {
-    "n_points": _key(_as_int, 201),
+    "n_points": _key(_as_int, 201, bound=">= 3"),
     "x_min": _key(_as_float, -10.0),
     "x_max": _key(_as_float, 10.0),
 }
 _POTENTIAL = _Tagged("kind", "harmonic", {
-    "harmonic": {"omega": _key(_as_float, 1.0)},
-    "soft_coulomb": {"charge": _key(_as_float, 1.0), "softening": _key(_as_float, 1.0)},
+    "harmonic": {"omega": _key(_as_float, 1.0, bound="> 0")},
+    "soft_coulomb": {
+        "charge": _key(_as_float, 1.0),
+        "softening": _key(_as_float, 1.0, bound="> 0"),
+    },
     "box": {},
-    "double_well": {"barrier": _key(_as_float, 1.0), "separation": _key(_as_float, 2.0)},
+    "double_well": {
+        "barrier": _key(_as_float, 1.0, bound="> 0"),
+        "separation": _key(_as_float, 2.0, bound="> 0"),
+    },
     "tabulated": {"values": _key(_as_list, item=_as_float)},
 })
 _INTERACTION = _Tagged("kind", "none", {
     "none": {},
-    "soft_coulomb": {"strength": _key(_as_float, 1.0), "softening": _key(_as_float, 1.0)},
+    "soft_coulomb": {
+        "strength": _key(_as_float, 1.0),
+        "softening": _key(_as_float, 1.0, bound="> 0"),
+    },
 })
 _KINETIC = ("three_point", "sinc_dvr")
 
@@ -1021,14 +1028,8 @@ def _sumrule_payload(report: SumRuleReport) -> dict:
         "reference": report.reference,
         "omega": report.omega,
         "truncation_flags": list(report.truncation_flags),
-        "contributions": [
-            [c.lam, c.n, c.quasienergy_diff, c.abs2, c.weight]
-            for c in report.contributions
-        ],
-        "aggregated_contributions": [
-            [c.lam, c.n, c.quasienergy_diff, c.abs2, c.weight]
-            for c in report.aggregated_contributions()
-        ],
+        "contributions": report.contributions.rows(),
+        "aggregated_contributions": report.aggregated_contributions().rows(),
     }
 
 
@@ -1046,9 +1047,7 @@ def report_payload(report: RunReport) -> dict:
     if report.density is not None:
         payload["spectral_density"] = {
             "reference": report.density.reference,
-            "sticks": [
-                [s.omega, s.weight, s.lam, s.n] for s in report.density.sticks
-            ],
+            "sticks": report.density.rows(),
         }
     if report.spectrum_rows is not None:
         payload["spectrum"] = {
@@ -1077,21 +1076,8 @@ def _csv_text(header: Sequence[str], rows) -> str:
     return buffer.getvalue()
 
 
-def _ledger_csv(report: SumRuleReport) -> str:
-    return _csv_text(
-        _LEDGER_HEADER,
-        (
-            [c.lam, c.n, c.quasienergy_diff, c.abs2, c.weight]
-            for c in report.contributions
-        ),
-    )
-
-
-def _sticks_csv(density: SpectralDensity) -> str:
-    return _csv_text(
-        _STICKS_HEADER,
-        ([s.omega, s.weight, s.lam, s.n] for s in density.sticks),
-    )
+def _table_csv(table: Ledger | SpectralDensity) -> str:
+    return _csv_text(table.HEADER, table.rows())
 
 
 def _convergence_csv(rows: tuple[dict, ...]) -> str:
@@ -1134,9 +1120,9 @@ def write_report(
     if "csv" in formats:
         primary = report.primary_report()
         if primary is not None:
-            files["ledger.csv"] = _ledger_csv(primary)
+            files["ledger.csv"] = _table_csv(primary.contributions)
         if report.density is not None:
-            files["sticks.csv"] = _sticks_csv(report.density)
+            files["sticks.csv"] = _table_csv(report.density)
         if report.spectrum_rows is not None:
             files["spectrum.csv"] = _csv_text(report.spectrum_header, report.spectrum_rows)
         if report.convergence:
@@ -1148,10 +1134,10 @@ def write_report(
                 sticks_name = ""
                 child = point.report.primary_report()
                 if child is not None:
-                    files[ledger_name] = _ledger_csv(child)
+                    files[ledger_name] = _table_csv(child.contributions)
                 if point.report.density is not None:
                     sticks_name = f"sticks_{i:03d}.csv"
-                    files[sticks_name] = _sticks_csv(point.report.density)
+                    files[sticks_name] = _table_csv(point.report.density)
                 index_rows.append([i, point.parameter_value, ledger_name, sticks_name])
             files["index.csv"] = _csv_text(
                 ("point", "parameter_value", "ledger_file", "sticks_file"), index_rows

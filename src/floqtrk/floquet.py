@@ -114,15 +114,13 @@ class FloquetMode:
 
     ``blocks[m + N_h]`` is the coefficient vector c_m of the harmonic
     exp(+i m Omega t). ``edge_weight`` is the norm fraction in the two
-    outermost blocks (the truncation-quality gauge); ``dropped_weight``
-    accumulates norm lost to window shifts (see :func:`shift_replica`).
+    outermost blocks (the truncation-quality gauge).
     """
 
     quasienergy: float
     blocks: np.ndarray  # (2 N_h + 1, N_b) complex or real
     omega: float
     edge_weight: float
-    dropped_weight: float = 0.0
 
     def __post_init__(self) -> None:
         blocks = np.atleast_2d(np.asarray(self.blocks))
@@ -416,39 +414,3 @@ def fold_and_select_ffbz(
         source_indices=tuple(ordered),
     )
 
-
-def shift_replica(mode: FloquetMode, n: int) -> FloquetMode:
-    """Replica of a mode with quasienergy shifted by n*Omega.
-
-    Coefficient blocks are reindexed c'_m = c_(m-n); content shifted beyond
-    the truncation window is dropped, accounted in ``dropped_weight``, and
-    the remainder renormalized. The shift is lossless for interior modes
-    (edge_weight ~ 0) and |n| small compared to the window.
-    """
-    n_h = mode.harmonic_cutoff
-    if abs(n) > n_h:
-        raise InputError(f"replica shift |n|={abs(n)} exceeds the window cutoff {n_h}")
-    if n == 0:
-        return mode
-    blocks = mode.blocks
-    shifted = np.zeros_like(blocks)
-    if n > 0:
-        shifted[n:] = blocks[:-n]
-        dropped = float(np.sum(np.abs(blocks[-n:]) ** 2))
-    else:
-        shifted[:n] = blocks[-n:]
-        dropped = float(np.sum(np.abs(blocks[:-n]) ** 2))
-    remaining = 1.0 - dropped
-    if remaining <= 0.0:
-        raise NumericError(
-            f"replica shift n={n} dropped the entire mode content"
-        )
-    shifted = shifted / math.sqrt(remaining)
-    edge = float(np.sum(np.abs(shifted[0]) ** 2) + np.sum(np.abs(shifted[-1]) ** 2))
-    return FloquetMode(
-        quasienergy=mode.quasienergy + n * mode.omega,
-        blocks=shifted,
-        omega=mode.omega,
-        edge_weight=edge,
-        dropped_weight=mode.dropped_weight + dropped,
-    )

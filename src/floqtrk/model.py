@@ -237,25 +237,6 @@ class DriveSpec:
             raise InputError(f"drive harmonic indices must be distinct, got {harmonics}")
         object.__setattr__(self, "components", comps)
 
-    @property
-    def period(self) -> float:
-        return 2.0 * np.pi / self.omega
-
-    @property
-    def max_harmonic(self) -> int:
-        return max((c.harmonic for c in self.components), default=0)
-
-
-def evaluate_drive(drive: DriveSpec, t) -> float | np.ndarray:
-    """Field value E(t) = sum_k E_k cos(k*Omega*t + phi_k) at time(s) ``t``."""
-    time = np.asarray(t, dtype=float)
-    field = np.zeros_like(time)
-    for comp in drive.components:
-        field = field + comp.amplitude * np.cos(
-            comp.harmonic * drive.omega * time + comp.phase
-        )
-    return float(field) if np.isscalar(t) or time.ndim == 0 else field
-
 
 def kinetic_matrix(grid: GridBasis, scheme: str = "three_point") -> np.ndarray:
     """Dense matrix of -(1/2) d^2/dx^2 on the grid.

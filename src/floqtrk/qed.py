@@ -57,24 +57,6 @@ class FockSpec:
         return self.n_max + 1
 
 
-@dataclass(frozen=True, eq=False)
-class PolaritonState:
-    """One eigenstate of the joint light-matter Hamiltonian."""
-
-    energy: float
-    coefficients: np.ndarray  # matter (x) Fock product basis, matter-major
-
-    def __post_init__(self) -> None:
-        norm2 = float(np.sum(np.abs(self.coefficients) ** 2))
-        if abs(norm2 - 1.0) > 1e-10:
-            raise InputError(f"state norm^2 = {norm2!r}, expected 1 within 1e-10")
-
-    def fock_populations(self, fock_dim: int) -> np.ndarray:
-        """Photon-number distribution, traced over the matter index."""
-        table = self.coefficients.reshape(-1, fock_dim)
-        return np.sum(np.abs(table) ** 2, axis=0)
-
-
 def build_joint_hamiltonian(
     h_matter: MatterOperator,
     d: MatterOperator,
@@ -120,15 +102,6 @@ def joint_dipole(d: MatterOperator, fock: FockSpec) -> np.ndarray:
     photons = np.arange(n_f)
     lifted[:, photons, :, photons] = d.matrix
     return lifted.reshape(n_m * n_f, n_m * n_f)
-
-
-def select_reference_joint(
-    system: EigenSystem, matter_ground: np.ndarray, fock_dim: int
-) -> int:
-    """Joint eigenpair with the largest (matter ground) (x) |0> weight."""
-    target = np.kron(matter_ground, np.eye(fock_dim)[0])
-    overlaps = np.abs(target.conj() @ system.vectors) ** 2
-    return int(np.argmax(overlaps))
 
 
 def sumrule_qed(
@@ -234,11 +207,9 @@ def photon_cutoff_convergence(
             h_joint=h_joint,
             n_electrons=n_electrons,
         )
-        state = PolaritonState(
-            energy=float(system.values[reference]),
-            coefficients=system.vectors[:, reference],
-        )
-        populations = state.fock_populations(mode.dim)
+        # photon-number distribution of the reference, traced over matter
+        table = system.vectors[:, reference].reshape(-1, mode.dim)
+        populations = np.sum(np.abs(table) ** 2, axis=0)
         edge = float(math.fsum(populations[-2:]))
         delta = None if previous_value is None else report.value - previous_value
         converged = (

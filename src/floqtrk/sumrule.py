@@ -19,14 +19,16 @@ error by construction.
 Ledger exactness: report values are math.fsum over the stored contribution
 weights, and the spectral-density first moment reuses the same per-(lambda,
 n) products, so the self-consistency requirements hold to the last bit
-rather than to a tolerance.
+rather than to a tolerance. A report's ledger is one :class:`Ledger` of
+numpy columns; its written rows, the aggregated view and the stick spectrum
+are all read off those columns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,25 +38,57 @@ from .floquet import (
     EigenSystem,
     FloquetMatrix,
     FloquetMode,
-    SambeSpec,
     diagonalize_hermitian,
 )
 from .model import MatterOperator, double_commutator_expectation
 
 
-@dataclass(frozen=True)
-class Contribution:
-    """One ledger row of an energy-weighted sum.
+@dataclass(frozen=True, eq=False)
+class _Table:
+    """Equal-length numpy columns, read as one row per index.
+
+    The first ``len(HEADER)`` fields are the columns, in row order, and
+    ``HEADER`` names them as they are written out.
+    """
+
+    HEADER: ClassVar[tuple[str, ...]] = ()
+
+    def _columns(self) -> list[np.ndarray]:
+        return [getattr(self, f.name) for f in fields(self)[: len(self.HEADER)]]
+
+    def __len__(self) -> int:
+        return len(self._columns()[0])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+        )
+
+    def rows(self) -> list[list]:
+        """One list of Python numbers per row, columns in ``HEADER`` order."""
+        return [list(row) for row in zip(*(c.tolist() for c in self._columns()))]
+
+
+@dataclass(frozen=True, eq=False)
+class Ledger(_Table):
+    """The rows of an energy-weighted sum, one per (final state, sideband).
 
     ``weight = 2 * (quasienergy_diff + n*Omega) * abs2``; static and Sambe
     ledgers use n = 0 with the bare eigenvalue difference.
     """
 
-    lam: int  # final-state identifier (index into the summed spectrum)
-    n: int  # sideband index
-    quasienergy_diff: float  # eps_lambda - eps_reference, without n*Omega
-    abs2: float  # |d^(n)|^2
-    weight: float
+    HEADER: ClassVar[tuple[str, ...]] = (
+        "lambda", "n", "quasienergy_diff", "dipole_fourier_abs2", "contribution"
+    )
+
+    lam: np.ndarray  # final-state identifier (index into the summed spectrum)
+    n: np.ndarray  # sideband index
+    quasienergy_diff: np.ndarray  # eps_lambda - eps_reference, without n*Omega
+    abs2: np.ndarray  # |d^(n)|^2
+    weight: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -69,14 +103,6 @@ class DipoleFourierSet:
     entries: dict[int, complex]
     pair: tuple[int, int]  # (bra identifier, ket identifier)
 
-    @property
-    def n_range(self) -> int:
-        return max(abs(n) for n in self.entries)
-
-    def total(self) -> complex:
-        """sum_n d^(n): the full extended-space matrix element."""
-        return complex(sum(self.entries.values()))
-
 
 @dataclass(frozen=True)
 class SumRuleReport:
@@ -88,66 +114,63 @@ class SumRuleReport:
     residual: float  # value - target
     oracle_value: float  # double-commutator expectation in the reference state
     oracle_residual: float  # value - oracle_value
-    contributions: tuple[Contribution, ...]
+    contributions: Ledger
     truncation_flags: tuple[str, ...]
     reference: int
     omega: float | None = None
 
-    def aggregated_contributions(
-        self, tol: float | None = None
-    ) -> tuple[Contribution, ...]:
+    def aggregated_contributions(self, tol: float | None = None) -> Ledger:
         """Ledger with degenerate final states merged.
 
         Individual |d^(n)|^2 are basis-dependent inside a degenerate
-        subspace; the aggregate over the subspace is not. Rows with the same
-        n whose energy differences agree within ``tol`` (default
-        1e-9 * Omega, or 1e-9 for static reports) are summed, keeping the
-        lowest lambda as the group identifier.
+        subspace; the aggregate over the subspace is not. Within each n,
+        rows taken in ascending energy difference join a group while they
+        lie within ``tol`` (default 1e-9 * Omega, or 1e-9 for static
+        reports) of the group's first difference. A group keeps the lambda
+        and difference of its lowest-lambda row and sums abs2 and weight.
         """
         if tol is None:
             tol = DEGENERACY_RTOL * (self.omega if self.omega else 1.0)
-        by_n: dict[int, list[Contribution]] = {}
-        for row in self.contributions:
-            by_n.setdefault(row.n, []).append(row)
-        merged: list[Contribution] = []
-        for n in sorted(by_n):
-            rows = sorted(by_n[n], key=lambda r: r.quasienergy_diff)
-            group: list[Contribution] = []
-            for row in rows:
-                if group and row.quasienergy_diff - group[0].quasienergy_diff > tol:
-                    merged.append(_merge_group(group))
-                    group = []
-                group.append(row)
-            if group:
-                merged.append(_merge_group(group))
-        return tuple(merged)
+        ledger = self.contributions
+        if not len(ledger):
+            return ledger
+        # a stable sort: rows with equal (n, difference) keep ledger order
+        order = np.lexsort((ledger.quasienergy_diff, ledger.n))
+        lam, n, diff, abs2, weight = (c[order].tolist() for c in ledger._columns())
+        merged: list[tuple] = []
+        start = 0
+        for end in range(1, len(order) + 1):
+            if (
+                end < len(order)
+                and n[end] == n[start]
+                and not diff[end] - diff[start] > tol
+            ):
+                continue
+            lead = min(range(start, end), key=lam.__getitem__)
+            merged.append(
+                (
+                    lam[lead],
+                    n[lead],
+                    diff[lead],
+                    math.fsum(abs2[start:end]),
+                    math.fsum(weight[start:end]),
+                )
+            )
+            start = end
+        return Ledger(*map(np.array, zip(*merged)))
 
 
-def _merge_group(group: list[Contribution]) -> Contribution:
-    lead = min(group, key=lambda r: r.lam)
-    return Contribution(
-        lam=lead.lam,
-        n=lead.n,
-        quasienergy_diff=lead.quasienergy_diff,
-        abs2=math.fsum(r.abs2 for r in group),
-        weight=math.fsum(r.weight for r in group),
-    )
+@dataclass(frozen=True, eq=False)
+class SpectralDensity(_Table):
+    """The sideband-resolved stick spectrum, one delta-function line per
+    nonzero ledger row; its first moment reproduces the driven sum rule."""
 
+    HEADER: ClassVar[tuple[str, ...]] = ("omega", "weight", "lambda", "n")
 
-class Stick(NamedTuple):
-    """One delta-function line of the sideband-resolved spectral density."""
-
-    omega: float  # eps_lambda - eps_reference + n*Omega
-    weight: float  # |d^(n)|^2
-    lam: int
-    n: int
-
-
-@dataclass(frozen=True)
-class SpectralDensity:
-    """Stick spectrum whose first moment reproduces the driven sum rule."""
-
-    sticks: tuple[Stick, ...]
+    omega: np.ndarray  # eps_lambda - eps_reference + n*Omega
+    weight: np.ndarray  # |d^(n)|^2
+    lam: np.ndarray
+    n: np.ndarray
     reference: int
 
 
@@ -268,17 +291,14 @@ def _closure_report(
     abs2 = np.abs(amps) ** 2
     diffs = system.values - system.values[reference]
     weights = 2.0 * diffs * abs2
-    contributions = tuple(
-        Contribution(
-            lam=int(b),
-            n=0,
-            quasienergy_diff=float(diffs[b]),
-            abs2=float(abs2[b]),
-            weight=float(weights[b]),
-        )
-        for b in range(system.dim)
+    contributions = Ledger(
+        lam=np.arange(system.dim),
+        n=np.zeros(system.dim, dtype=np.int64),
+        quasienergy_diff=diffs,
+        abs2=abs2,
+        weight=weights,
     )
-    value = math.fsum(row.weight for row in contributions)
+    value = math.fsum(weights.tolist())
     if apply_d is not None:
         oracle = _double_commutator_matvec(h_full, apply_d, psi)
     else:
@@ -305,16 +325,6 @@ def _double_commutator_matvec(h: np.ndarray, apply_d, psi: np.ndarray) -> float:
     d_u = apply_d(u)
     value = 2.0 * np.vdot(u, h_u) - np.vdot(d_u, h_psi) - np.vdot(h_psi, d_u)
     return float(np.real(value))
-
-
-def select_reference_sambe(
-    system: EigenSystem, spec: SambeSpec, ground: np.ndarray
-) -> int:
-    """Sambe eigenpair with the largest ground-state weight in its m=0 block."""
-    n_b = spec.matter_dim
-    m0 = slice(spec.harmonic_cutoff * n_b, (spec.harmonic_cutoff + 1) * n_b)
-    overlaps = np.abs(ground.conj() @ system.vectors[m0, :]) ** 2
-    return int(np.argmax(overlaps))
 
 
 def select_reference(
@@ -378,40 +388,40 @@ def _ffbz_ledger(
     omega: float,
     reference: int,
     n_max: int,
-) -> tuple[Contribution, ...]:
+) -> Ledger:
     """Per-(lambda, n) ledger behind the zone-resolved sum rule; the spectral
     density is a view of the same rows (:func:`density_from_ledger`)."""
     ref_mode = representatives[reference]
-    contributions: list[Contribution] = []
+    sidebands = range(-n_max, n_max + 1)
+    abs2 = []
     for lam, mode in enumerate(representatives):
         harmonics = dipole_fourier_components(ref_mode, mode, d, pair=(reference, lam))
-        diff = mode.quasienergy - ref_mode.quasienergy
-        for n in range(-n_max, n_max + 1):
-            abs2 = abs(harmonics.entries.get(n, 0.0)) ** 2
-            contributions.append(
-                Contribution(
-                    lam=lam,
-                    n=n,
-                    quasienergy_diff=diff,
-                    abs2=abs2,
-                    weight=2.0 * (diff + n * omega) * abs2,
-                )
-            )
-    return tuple(contributions)
+        # Python's complex abs, not np.abs: the two differ in the last bit
+        abs2.extend(abs(harmonics.entries.get(n, 0.0)) ** 2 for n in sidebands)
+    quasienergies = np.array([mode.quasienergy for mode in representatives])
+    diffs = np.repeat(quasienergies - ref_mode.quasienergy, len(sidebands))
+    n = np.tile(np.array(sidebands), len(representatives))
+    abs2 = np.array(abs2)
+    return Ledger(
+        lam=np.repeat(np.arange(len(representatives)), len(sidebands)),
+        n=n,
+        quasienergy_diff=diffs,
+        abs2=abs2,
+        weight=2.0 * (diffs + n * omega) * abs2,
+    )
 
 
-def _sticks(contributions: tuple[Contribution, ...], omega: float) -> tuple[Stick, ...]:
+def _density(ledger: Ledger, omega: float, reference: int) -> SpectralDensity:
     """Nonzero ledger rows on the frequency axis; each line is recomputed with
     the ledger's own float operations, so the first moment matches it bitwise."""
-    return tuple(
-        Stick(
-            omega=row.quasienergy_diff + row.n * omega,
-            weight=row.abs2,
-            lam=row.lam,
-            n=row.n,
-        )
-        for row in contributions
-        if row.abs2 != 0.0
+    keep = ledger.abs2 != 0.0
+    n = ledger.n[keep]
+    return SpectralDensity(
+        omega=ledger.quasienergy_diff[keep] + n * omega,
+        weight=ledger.abs2[keep],
+        lam=ledger.lam[keep],
+        n=n,
+        reference=reference,
     )
 
 
@@ -474,7 +484,7 @@ def sumrule_ffbz(
     n_max = _check_ffbz_inputs(representatives, d, omega, reference, n_max)
     ref_mode = representatives[reference]
     contributions = _ffbz_ledger(representatives, d, omega, reference, n_max)
-    value = math.fsum(row.weight for row in contributions)
+    value = math.fsum(contributions.weight.tolist())
 
     commutator = _matter_double_commutator(h_matter, d)
     oracle = float(
@@ -537,8 +547,9 @@ def spectral_density(
     holds to the last bit.
     """
     n_max = _check_ffbz_inputs(representatives, d, omega, reference, n_max)
-    contributions = _ffbz_ledger(representatives, d, omega, reference, n_max)
-    return SpectralDensity(sticks=_sticks(contributions, omega), reference=reference)
+    return _density(
+        _ffbz_ledger(representatives, d, omega, reference, n_max), omega, reference
+    )
 
 
 def density_from_ledger(report: SumRuleReport) -> SpectralDensity:
@@ -549,9 +560,7 @@ def density_from_ledger(report: SumRuleReport) -> SpectralDensity:
     """
     if report.kind != "ffbz":
         raise InputError(f"a stick spectrum needs an ffbz report, got {report.kind!r}")
-    return SpectralDensity(
-        sticks=_sticks(report.contributions, report.omega), reference=report.reference
-    )
+    return _density(report.contributions, report.omega, report.reference)
 
 
 def first_moment(density: SpectralDensity) -> float:
@@ -560,4 +569,4 @@ def first_moment(density: SpectralDensity) -> float:
     The factor 2 matches the sum-rule normalization, so the zero-drive value
     reproduces the static sum.
     """
-    return 2.0 * math.fsum(stick.omega * stick.weight for stick in density.sticks)
+    return 2.0 * math.fsum((density.omega * density.weight).tolist())

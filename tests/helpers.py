@@ -1,0 +1,62 @@
+"""Package-level helpers that only the tests use.
+
+These build on package objects (modes, spectra) rather than computing
+independent reference values, which live in ``oracles``.
+"""
+
+import math
+
+import numpy as np
+
+from floqtrk import FloquetMode, InputError, NumericError
+
+
+def shift_replica(mode, n):
+    """Replica of a mode with quasienergy shifted by n*Omega, and the weight
+    the shift dropped.
+
+    Coefficient blocks are reindexed c'_m = c_(m-n); content shifted beyond
+    the truncation window is dropped and the remainder renormalized. The
+    shift is lossless for interior modes (edge_weight ~ 0) and |n| small
+    compared to the window.
+    """
+    n_h = mode.harmonic_cutoff
+    if abs(n) > n_h:
+        raise InputError(f"replica shift |n|={abs(n)} exceeds the window cutoff {n_h}")
+    if n == 0:
+        return mode, 0.0
+    blocks = mode.blocks
+    shifted = np.zeros_like(blocks)
+    if n > 0:
+        shifted[n:] = blocks[:-n]
+        dropped = float(np.sum(np.abs(blocks[-n:]) ** 2))
+    else:
+        shifted[:n] = blocks[-n:]
+        dropped = float(np.sum(np.abs(blocks[:-n]) ** 2))
+    remaining = 1.0 - dropped
+    if remaining <= 0.0:
+        raise NumericError(f"replica shift n={n} dropped the entire mode content")
+    shifted = shifted / math.sqrt(remaining)
+    edge = float(np.sum(np.abs(shifted[0]) ** 2) + np.sum(np.abs(shifted[-1]) ** 2))
+    replica = FloquetMode(
+        quasienergy=mode.quasienergy + n * mode.omega,
+        blocks=shifted,
+        omega=mode.omega,
+        edge_weight=edge,
+    )
+    return replica, dropped
+
+
+def select_reference_sambe(system, spec, ground):
+    """Sambe eigenpair with the largest ground-state weight in its m=0 block."""
+    n_b = spec.matter_dim
+    m0 = slice(spec.harmonic_cutoff * n_b, (spec.harmonic_cutoff + 1) * n_b)
+    overlaps = np.abs(ground.conj() @ system.vectors[m0, :]) ** 2
+    return int(np.argmax(overlaps))
+
+
+def select_reference_joint(system, matter_ground, fock_dim):
+    """Joint eigenpair with the largest (matter ground) (x) |0> weight."""
+    target = np.kron(matter_ground, np.eye(fock_dim)[0])
+    overlaps = np.abs(target.conj() @ system.vectors) ** 2
+    return int(np.argmax(overlaps))

@@ -10,6 +10,7 @@ import sys
 import textwrap
 import types
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
@@ -240,9 +241,8 @@ def test_zero_drive_floquet_job(tmp_path):
     static_value = by_tag["static_trk"].value
     assert abs(by_tag["sambe"].value - static_value) <= 1e-10
     assert abs(by_tag["ffbz"].value - static_value) <= 1e-10
-    for row in by_tag["ffbz"].contributions:
-        if row.n != 0:
-            assert abs(row.weight) <= 1e-12
+    ledger = by_tag["ffbz"].contributions
+    assert np.all(np.abs(ledger.weight[ledger.n != 0]) <= 1e-12)
     assert abs(first_moment(report.density) - by_tag["ffbz"].value) <= 1e-12
     assert report.spectrum_header == ("index", "quasienergy", "edge_weight")
     assert len(report.spectrum_rows) == 3
@@ -1091,6 +1091,18 @@ CONFIG_ERRORS = [
      "key 'n_max' in section 'fock' must be >= 0, got -1"),
     ("omega_c_bound", QED_HEAD + "fock: {omega_c: 0, g: 0.1}\n",
      "key 'omega_c' in section 'fock' must be > 0, got 0.0"),
+    ("n_points_bound", STATIC_HEAD + "model: {grid: {n_points: 2}}\n",
+     "key 'n_points' in section 'model.grid' must be >= 3, got 2"),
+    ("harmonic_omega_bound", STATIC_HEAD + "model: {potential: {kind: harmonic, omega: 0}}\n",
+     "key 'omega' in section 'model.potential' must be > 0, got 0.0"),
+    ("soft_coulomb_softening_bound", STATIC_HEAD + "model: {potential: {kind: soft_coulomb, softening: -1.0}}\n",
+     "key 'softening' in section 'model.potential' must be > 0, got -1.0"),
+    ("double_well_barrier_bound", STATIC_HEAD + "model: {potential: {kind: double_well, barrier: 0.0}}\n",
+     "key 'barrier' in section 'model.potential' must be > 0, got 0.0"),
+    ("double_well_separation_bound", STATIC_HEAD + "model: {potential: {kind: double_well, separation: -2}}\n",
+     "key 'separation' in section 'model.potential' must be > 0, got -2.0"),
+    ("interaction_softening_bound", STATIC_HEAD + "model: {n_electrons: 2, interaction: {kind: soft_coulomb, softening: 0}}\n",
+     "key 'softening' in section 'model.interaction' must be > 0, got 0.0"),
     ("reference_negative", STATIC_HEAD + FEW_MODEL + "reference: -1\n",
      "key 'reference' must be 'auto' or a non-negative integer, got -1"),
     ("reference_string", STATIC_HEAD + FEW_MODEL + "reference: ground\n",

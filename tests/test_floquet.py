@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from helpers import shift_replica
 from floqtrk import (
     ConfigError,
     DriveComponent,
@@ -20,7 +21,6 @@ from floqtrk import (
     fold_and_select_ffbz,
     fold_label,
     fourier_blocks_of_hamiltonian,
-    shift_replica,
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -308,15 +308,16 @@ def driven_ground_mode(omega=2.5, amplitude=0.1, cutoff=6):
 def test_replica_shift_identity():
     """A zero shift returns the mode unchanged."""
     mode, _, _ = driven_ground_mode()
-    assert shift_replica(mode, 0) is mode
+    replica, dropped = shift_replica(mode, 0)
+    assert replica is mode and dropped == 0.0
 
 
 def test_replica_shift_reindexes_blocks():
     """Shifting by n moves c_m to c_(m+n) and adds n w to the quasienergy."""
     mode, floquet, system = driven_ground_mode()
-    replica = shift_replica(mode, 1)
+    replica, dropped = shift_replica(mode, 1)
     assert abs(replica.quasienergy - (mode.quasienergy + 2.5)) < 1e-15
-    scale = 1.0 / np.sqrt(1.0 - replica.dropped_weight)
+    scale = 1.0 / np.sqrt(1.0 - dropped)
     for m in range(-5, 7):
         assert np.allclose(replica.block(m), scale * mode.block(m - 1), atol=1e-14)
     norm = float(np.max(np.abs(system.values)))
@@ -329,7 +330,7 @@ def test_replica_rayleigh_quotients():
     """Interior replicas keep Rayleigh quotients at eps + n w to 1e-6."""
     mode, floquet, _ = driven_ground_mode()
     for n in (-2, -1, 1, 2):
-        replica = shift_replica(mode, n)
+        replica, _ = shift_replica(mode, n)
         vector = replica.vector()
         rq = float(np.real(np.vdot(vector, floquet.matrix @ vector)))
         expected = mode.quasienergy + n * 2.5
@@ -347,8 +348,8 @@ def test_replica_shift_accounts_dropped_weight():
     """Content shifted out of the window is recorded and renormalized."""
     blocks = np.array([[0.0], [np.sqrt(0.8)], [np.sqrt(0.2)]])
     mode = FloquetMode(quasienergy=0.1, blocks=blocks, omega=1.0, edge_weight=0.2)
-    replica = shift_replica(mode, 1)
-    assert abs(replica.dropped_weight - 0.2) < 1e-14
+    replica, dropped = shift_replica(mode, 1)
+    assert abs(dropped - 0.2) < 1e-14
     assert abs(replica.quasienergy - 1.1) < 1e-15
     assert abs(float(np.sum(np.abs(replica.blocks) ** 2)) - 1.0) < 1e-12
     assert abs(replica.block(1)[0] - 1.0) < 1e-14

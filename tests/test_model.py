@@ -18,7 +18,6 @@ from floqtrk import (
     build_grid_hamiltonian,
     build_two_electron_hamiltonian,
     double_commutator_expectation,
-    evaluate_drive,
     kinetic_matrix,
 )
 
@@ -218,43 +217,6 @@ def test_few_level_model_validation():
         FewLevelModel(energies=(0.0, 1.0, 2.0), dipole=sx)
     with pytest.raises(InputError):
         FewLevelModel(energies=(0.0, 1.0), dipole=np.array([[0.0, 1.0], [2.0, 0.0]]))
-
-
-def test_drive_evaluation_at_reference_times():
-    """Single-harmonic field gives E0 at t = 0 and after one full period."""
-    drive = DriveSpec(omega=0.8, components=(DriveComponent(1, 0.1),))
-    assert abs(evaluate_drive(drive, 0.0) - 0.1) < 1e-15
-    assert abs(evaluate_drive(drive, 2.0 * np.pi / 0.8) - 0.1) < 1e-12
-
-
-def test_drive_two_component_evaluation():
-    """A quarter-phase second harmonic contributes nothing at t = 0."""
-    drive = DriveSpec(
-        omega=0.8,
-        components=(DriveComponent(1, 0.1), DriveComponent(2, 0.05, np.pi / 2.0)),
-    )
-    assert abs(evaluate_drive(drive, 0.0) - 0.1) < 1e-12
-
-
-def test_drive_periodicity():
-    """The field repeats after 2*pi/omega at 100 random times."""
-    rng = np.random.default_rng(7)
-    drive = DriveSpec(
-        omega=1.3,
-        components=(DriveComponent(1, 0.2, 0.3), DriveComponent(3, 0.05, -1.1)),
-    )
-    period = 2.0 * np.pi / 1.3
-    for t in rng.uniform(-50.0, 50.0, size=100):
-        assert abs(evaluate_drive(drive, t) - evaluate_drive(drive, t + period)) < 1e-12
-
-
-def test_drive_accepts_time_arrays():
-    """Vectorized evaluation matches scalar evaluation pointwise."""
-    drive = DriveSpec(omega=0.5, components=(DriveComponent(2, 0.3, 0.2),))
-    times = np.linspace(0.0, 10.0, 17)
-    field = evaluate_drive(drive, times)
-    assert field.shape == times.shape
-    assert all(abs(field[i] - evaluate_drive(drive, t)) < 1e-15 for i, t in enumerate(times))
 
 
 def test_drive_validation():

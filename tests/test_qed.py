@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
+from helpers import select_reference_joint
 from floqtrk import (
     EigenSystem,
     FockSpec,
     GridBasis,
     InputError,
     MatterOperator,
-    PolaritonState,
     PotentialSpec,
     SizeError,
     build_dipole,
@@ -22,7 +22,6 @@ from floqtrk import (
     static_trk,
     sumrule_qed,
 )
-from floqtrk.qed import select_reference_joint
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 TWO_H = MatterOperator(np.diag([0.0, 1.0]), basis_tag="levels:2")
@@ -241,16 +240,18 @@ def test_cutoff_convergence_depends_on_coupling():
     assert not strong[1].converged
 
 
-def test_polariton_state_checks_and_populations():
-    """States must be normalized; populations trace out the matter index."""
-    with pytest.raises(InputError):
-        PolaritonState(energy=0.0, coefficients=np.array([1.0, 1.0]))
-    state = PolaritonState(
-        energy=0.3, coefficients=np.array([0.6, 0.0, 0.0, 0.8])
-    )
-    populations = state.fock_populations(2)
-    assert abs(populations[0] - 0.36) < 1e-14
-    assert abs(populations[1] - 0.64) < 1e-14
+def test_edge_population_is_the_top_two_fock_levels():
+    """A row's edge population is the reference state's weight in the two
+    highest photon levels, read off a reshape of its eigenvector."""
+    family = [FockSpec(n_max=n, omega_c=0.9, g=0.3) for n in (2, 4, 6)]
+    for reference in (0, 1):
+        rows = photon_cutoff_convergence(TWO_H, TWO_D, family, reference)
+        for row, fock in zip(rows, family):
+            _, system, _ = qed_report(TWO_H, TWO_D, fock)
+            state = system.vectors[:, reference].reshape(TWO_H.dim, fock.dim)
+            expected = float(np.sum(np.abs(state[:, -2:]) ** 2))
+            assert abs(row.edge_population - expected) <= 1e-15
+            assert expected > 1e-10
 
 
 @pytest.mark.parametrize("g", [0.3, -0.07, 0.0])

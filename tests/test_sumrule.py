@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from helpers import select_reference_sambe, shift_replica
 from floqtrk import (
     DriveComponent,
     DriveSpec,
@@ -17,7 +18,6 @@ from floqtrk import (
     MatterOperator,
     PotentialSpec,
     SpectralDensity,
-    Stick,
     ZoneError,
     assemble_floquet_matrix,
     build_dipole,
@@ -31,8 +31,6 @@ from floqtrk import (
     fold_and_select_ffbz,
     fourier_blocks_of_hamiltonian,
     select_reference,
-    select_reference_sambe,
-    shift_replica,
     spectral_density,
     static_trk,
     sumrule_ffbz,
@@ -173,7 +171,7 @@ def test_ledger_weights_reproduce_value():
     """The report value is the fsum of its own ledger weights."""
     h, d = ladder(0.8, 5)
     report = static_trk(h, d)
-    assert report.value == math.fsum(row.weight for row in report.contributions)
+    assert report.value == math.fsum(report.contributions.weight.tolist())
 
 
 def zero_drive_modes(omega=5.0, cutoff=2):
@@ -210,7 +208,7 @@ def test_dipole_fourier_completeness():
         ket = random_mode(rng, 2, 3)
         fset = dipole_fourier_components(bra, ket, d)
         whole = np.vdot(bra.blocks.sum(axis=0), d.matrix @ ket.blocks.sum(axis=0))
-        assert abs(fset.total() - whole) <= 1e-12
+        assert abs(sum(fset.entries.values()) - whole) <= 1e-12
         direct = np.vdot(bra.vector(), big_d @ ket.vector())
         assert abs(fset.entries[0] - direct) <= 1e-12
 
@@ -331,11 +329,10 @@ def test_ffbz_zero_drive_equals_static():
     report = sumrule_ffbz(modes, THREE_D, 5.0, reference, h_matter=THREE_H)
     static = static_trk(THREE_H, THREE_D)
     assert abs(report.value - static.value) <= 1e-10
-    for row in report.contributions:
-        if row.n != 0:
-            assert abs(row.weight) <= 1e-12
+    ledger = report.contributions
+    assert np.all(np.abs(ledger.weight[ledger.n != 0]) <= 1e-12)
     assert report.truncation_flags == ()
-    assert report.value == math.fsum(row.weight for row in report.contributions)
+    assert report.value == math.fsum(ledger.weight.tolist())
 
 
 def test_ffbz_high_frequency_sidebands_are_negligible():
@@ -344,8 +341,9 @@ def test_ffbz_high_frequency_sidebands_are_negligible():
     modes = selection.representatives
     reference = select_reference(modes, np.array([1.0, 0.0]))
     report = sumrule_ffbz(modes, d, 10.0, reference, h_matter=h)
-    total = math.fsum(abs(row.weight) for row in report.contributions)
-    off = math.fsum(abs(row.weight) for row in report.contributions if row.n != 0)
+    weights = np.abs(report.contributions.weight)
+    total = math.fsum(weights.tolist())
+    off = math.fsum(weights[report.contributions.n != 0].tolist())
     assert off <= 1e-6 * total
 
 
@@ -388,20 +386,22 @@ def test_ffbz_reference_replica_invariance():
     modes = list(selection.representatives)
     reference = select_reference(tuple(modes), np.array([1.0, 0.0]))
     base = sumrule_ffbz(tuple(modes), d, 0.4, reference, h_matter=h)
-    base_rows = {
-        (row.lam, row.n): row for row in base.contributions if row.lam != reference
+    base_abs2 = {
+        (lam, n): abs2
+        for lam, n, _, abs2, _ in base.contributions.rows()
+        if lam != reference
     }
     for shift in (1, 2, -1):
         shifted = list(modes)
-        shifted[reference] = shift_replica(modes[reference], shift)
+        shifted[reference], _ = shift_replica(modes[reference], shift)
         report = sumrule_ffbz(tuple(shifted), d, 0.4, reference, h_matter=h)
         assert abs(report.value - base.value) <= 1e-10 * max(1.0, abs(base.value))
-        for row in report.contributions:
-            if row.lam == reference:
+        for lam, n, _, abs2, _ in report.contributions.rows():
+            if lam == reference:
                 continue
-            partner = base_rows.get((row.lam, row.n - shift))
+            partner = base_abs2.get((lam, n - shift))
             if partner is not None:
-                assert abs(row.abs2 - partner.abs2) <= 1e-12
+                assert abs(abs2 - partner) <= 1e-12
 
 
 def test_spectral_density_zero_drive_sticks():
@@ -411,13 +411,13 @@ def test_spectral_density_zero_drive_sticks():
     reference = select_reference(modes, np.array([1.0, 0.0, 0.0]))
     density = spectral_density(modes, THREE_D, 5.0, reference)
     assert density.reference == reference
-    assert len(density.sticks) == 3
-    for stick in density.sticks:
-        assert stick.n == 0
-        bare = abs(THREE_D.matrix[0, stick.lam]) ** 2
-        assert abs(stick.weight - bare) <= 1e-12
-        diff = THREE_H.matrix[stick.lam, stick.lam] - THREE_H.matrix[0, 0]
-        assert abs(stick.omega - diff) <= 1e-10
+    assert len(density) == 3
+    for omega, weight, lam, n in density.rows():
+        assert n == 0
+        bare = abs(THREE_D.matrix[0, lam]) ** 2
+        assert abs(weight - bare) <= 1e-12
+        diff = THREE_H.matrix[lam, lam] - THREE_H.matrix[0, 0]
+        assert abs(omega - diff) <= 1e-10
 
 
 def test_spectral_density_driven_sideband_weight():
@@ -426,18 +426,23 @@ def test_spectral_density_driven_sideband_weight():
     modes = selection.representatives
     reference = select_reference(modes, np.array([1.0, 0.0]))
     density = spectral_density(modes, d, 0.4, reference)
-    stick = next(
-        s for s in density.sticks if s.lam == reference and s.n == 1
+    omega, weight = next(
+        (omega, weight)
+        for omega, weight, lam, n in density.rows()
+        if lam == reference and n == 1
     )
     expected = oracles.two_level_elastic_sideband(1.0, 1.0, 0.01, 0.4) ** 2
-    assert abs(stick.weight - expected) <= 0.1 * expected
-    assert abs(stick.omega - 0.4) <= 1e-10
+    assert abs(weight - expected) <= 0.1 * expected
+    assert abs(omega - 0.4) <= 1e-10
 
 
 def test_first_moment_trivial_cases():
     """The first moment of nothing is zero; one stick counts twice its area."""
-    assert first_moment(SpectralDensity(sticks=(), reference=0)) == 0.0
-    single = SpectralDensity(sticks=(Stick(0.5, 1.0, 0, 0),), reference=0)
+    empty = np.array([])
+    assert first_moment(SpectralDensity(empty, empty, empty, empty, reference=0)) == 0.0
+    single = SpectralDensity(
+        np.array([0.5]), np.array([1.0]), np.array([0]), np.array([0]), reference=0
+    )
     assert first_moment(single) == 1.0
 
 
@@ -466,6 +471,24 @@ def test_density_from_ledger_is_the_spectral_density():
         density_from_ledger(static_trk(h, d))
 
 
+def test_ffbz_columns_follow_the_row_formula():
+    """Every ffbz ledger row and stick is its formula evaluated one row at a
+    time in Python floats, bit for bit; |d^(n)|^2 is Python's complex abs
+    squared."""
+    rng = np.random.default_rng(5)
+    modes = tuple(random_mode(rng, 2, 3, omega=0.7) for _ in range(6))
+    report = sumrule_ffbz(modes, THREE_D, 0.7, 2, 3, h_matter=THREE_H)
+    rows = report.contributions.rows()
+    assert len(rows) == len(modes) * 7
+    for lam, n, diff, abs2, weight in rows:
+        harmonics = dipole_fourier_components(modes[2], modes[lam], THREE_D)
+        assert abs2 == abs(harmonics.entries[n]) ** 2
+        assert diff == modes[lam].quasienergy - modes[2].quasienergy
+        assert weight == 2.0 * (diff + n * 0.7) * abs2
+    sticks = [[diff + n * 0.7, abs2, lam, n] for lam, n, diff, abs2, _ in rows if abs2]
+    assert density_from_ledger(report).rows() == sticks
+
+
 def test_static_trk_reuses_a_given_spectrum():
     """A precomputed spectrum gives the same report as solving inside; one
     of the wrong size is refused."""
@@ -484,17 +507,17 @@ def test_aggregated_contributions_merge_degeneracies():
     report = static_trk(h, THREE_D)
     merged = report.aggregated_contributions()
     assert len(merged) == 2
-    group = [row for row in report.contributions if row.lam in (1, 2)]
-    top = next(row for row in merged if row.lam == 1)
-    assert top.weight == math.fsum(row.weight for row in group)
+    group = report.contributions.weight[np.isin(report.contributions.lam, (1, 2))]
+    top = merged.lam == 1
+    assert merged.weight[top].item() == math.fsum(group.tolist())
     theta = 0.3
     c, s = np.cos(theta), np.sin(theta)
     u = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
     rotated = MatterOperator(u.T @ THREE_D.matrix @ u, basis_tag="levels:3")
     other = static_trk(h, rotated).aggregated_contributions()
-    partner = next(row for row in other if row.lam == 1)
-    assert abs(top.abs2 - partner.abs2) <= 1e-12
-    assert abs(top.weight - partner.weight) <= 1e-12
+    partner = other.lam == 1
+    assert abs(merged.abs2[top].item() - other.abs2[partner].item()) <= 1e-12
+    assert abs(merged.weight[top].item() - other.weight[partner].item()) <= 1e-12
 
 
 def planted_levels(rng, tol, count):
