@@ -48,12 +48,16 @@ import yaml
 from .errors import ConfigError, InputError, NumericError, ZoneError
 from .floquet import (
     EigenSystem,
+    Reflection,
     assemble_floquet_matrix,
+    basis_reversal,
     diagonalize_hermitian,
     fold_and_select_ffbz,
     fourier_blocks_of_hamiltonian,
+    sambe_reflection,
 )
 from .model import (
+    HERMITICITY_TOL,
     DriveComponent,
     DriveSpec,
     FewLevelModel,
@@ -64,12 +68,14 @@ from .model import (
     build_dipole,
     build_grid_hamiltonian,
     build_two_electron_hamiltonian,
+    hermiticity_defect,
 )
 from .qed import (
     MIN_CUTOFF_FAMILY,
     FockSpec,
     build_joint_hamiltonian,
     joint_dipole,
+    joint_reflection,
     photon_cutoff_convergence,
     sumrule_qed,
 )
@@ -244,6 +250,14 @@ def _as_float(value: Any, key: str, where: str, bound: str | None = None) -> flo
     return _within(result, bound, key, where)
 
 
+def _as_upper_end(value: Any, key: str, where: str, x_min: float) -> float:
+    """A number above the section's ``x_min``."""
+    upper = _as_float(value, key, where)
+    if not upper > x_min:
+        raise ConfigError(f"key {key!r} in {where} must be > 'x_min' ({x_min}), got {upper}")
+    return upper
+
+
 def _as_int(value: Any, key: str, where: str, bound: str | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(
@@ -318,8 +332,16 @@ def _as_list(
     return items
 
 
+def _as_levels(value: Any, key: str, where: str) -> list[float]:
+    """A non-empty list of numbers in ascending order (ties allowed)."""
+    levels = _as_list(value, key, where, _as_float)
+    if any(a > b for a, b in zip(levels, levels[1:])):
+        raise ConfigError(f"key {key!r} in {where} must be in ascending order, got {levels}")
+    return levels
+
+
 def _as_matrix(value: Any, key: str, where: str, energies: list) -> list:
-    """A square matrix of numbers with one row per level energy."""
+    """A real symmetric (so Hermitian) matrix with one row per level energy."""
     n = len(energies)
     if (
         not isinstance(value, list)
@@ -329,7 +351,13 @@ def _as_matrix(value: Any, key: str, where: str, energies: list) -> list:
         raise ConfigError(
             f"key {key!r} in {where} must be a {n}x{n} matrix matching 'energies'"
         )
-    return [[_as_float(v, key, where) for v in row] for row in value]
+    matrix = [[_as_float(v, key, where) for v in row] for row in value]
+    defect = hermiticity_defect(np.array(matrix, dtype=np.float64))
+    if defect > HERMITICITY_TOL:
+        raise ConfigError(
+            f"key {key!r} in {where} must be symmetric, got max |d - d^T| = {defect:.3e}"
+        )
+    return matrix
 
 
 def _as_cutoffs(value: Any, key: str, where: str, min_len: int) -> list[int]:
@@ -410,7 +438,7 @@ _ADDED_SECTIONS = {
 _GRID = {
     "n_points": _key(_as_int, 201, bound=">= 3"),
     "x_min": _key(_as_float, -10.0),
-    "x_max": _key(_as_float, 10.0),
+    "x_max": _key(_as_upper_end, 10.0, x_min=_SIBLING),
 }
 _POTENTIAL = _Tagged("kind", "harmonic", {
     "harmonic": {"omega": _key(_as_float, 1.0, bound="> 0")},
@@ -450,7 +478,7 @@ _SCHEMA = {
             },
         }, parse=_as_grid_electrons),
         "few_level": {
-            "energies": _key(_as_list, item=_as_float),
+            "energies": _key(_as_levels),
             "dipole": _key(_as_matrix, energies=_SIBLING),
             "n_electrons": _key(_as_int, 1, bound=">= 1"),
         },
@@ -770,19 +798,27 @@ def _static_reference(config: JobConfig) -> int:
     return 0 if config.reference == "auto" else int(config.reference)
 
 
+def _matter_reflection(config: JobConfig, h: MatterOperator) -> Reflection | None:
+    """The reflection the eigensolves try: basis reversal (x -> -x) for grid
+    models, none for few-level models. On an asymmetric grid or potential
+    it does not commute, and each eigensolve falls back to the dense path."""
+    return basis_reversal(h.dim) if config.resolved["model"]["kind"] == "grid" else None
+
+
 def _matter_stack(
     config: JobConfig, stage: _Stage
-) -> tuple[MatterOperator, MatterOperator, int, EigenSystem]:
+) -> tuple[MatterOperator, MatterOperator, int, EigenSystem, Reflection | None]:
     """Build the matter operators and diagonalize H_M, once per job."""
     with stage("matter_build"):
         h, d, n_e = config.matter()
+    reflection = _matter_reflection(config, h)
     with stage("matter_eigensolve"):
-        matter_system = diagonalize_hermitian(h.matrix)
-    return h, d, n_e, matter_system
+        matter_system = diagonalize_hermitian(h.matrix, reflection=reflection)
+    return h, d, n_e, matter_system, reflection
 
 
 def _run_static(config: JobConfig, stage: _Stage) -> dict:
-    h, d, n_e, matter_system = _matter_stack(config, stage)
+    h, d, n_e, matter_system, _ = _matter_stack(config, stage)
     with stage("sumrule"):
         report = static_trk(
             h, d, _static_reference(config), n_electrons=n_e, system=matter_system
@@ -822,6 +858,7 @@ def _floquet_stack(
     d: MatterOperator,
     drive: DriveSpec,
     matter_system: EigenSystem,
+    reflection: Reflection | None,
     harmonic_cutoff: int,
 ):
     """Assemble/diagonalize/fold pipeline of one harmonic cutoff."""
@@ -829,7 +866,9 @@ def _floquet_stack(
         blocks = fourier_blocks_of_hamiltonian(h, d, drive)
         fm = assemble_floquet_matrix(blocks, drive.omega, harmonic_cutoff)
     with stage("eigensolve"):
-        system = diagonalize_hermitian(fm.matrix)
+        system = diagonalize_hermitian(
+            fm.matrix, reflection=sambe_reflection(reflection, fm.spec)
+        )
     with stage("fold_select"):
         edge_tol = config.resolved["sambe"]["edge_tol"]
         selection = fold_and_select_ffbz(system, drive.omega, fm.spec, edge_tol=edge_tol)
@@ -848,10 +887,17 @@ def _floquet_stack(
 
 def _run_floquet(config: JobConfig, stage: _Stage) -> dict:
     sambe_cfg = config.resolved["sambe"]
-    h, d, n_e, matter_system = _matter_stack(config, stage)
+    h, d, n_e, matter_system, reflection = _matter_stack(config, stage)
     drive = _resolvable_drive(config, matter_system)
     fm, system, selection, ffbz_ref = _floquet_stack(
-        config, stage, h, d, drive, matter_system, sambe_cfg["harmonic_cutoff"]
+        config,
+        stage,
+        h,
+        d,
+        drive,
+        matter_system,
+        reflection,
+        sambe_cfg["harmonic_cutoff"],
     )
     with stage("sumrule"):
         static_report = static_trk(h, d, 0, n_electrons=n_e, system=matter_system)
@@ -888,14 +934,16 @@ def _run_floquet(config: JobConfig, stage: _Stage) -> dict:
 
 
 def _run_qed(config: JobConfig, stage: _Stage) -> dict:
-    h, d, n_e, matter_system = _matter_stack(config, stage)
+    h, d, n_e, matter_system, reflection = _matter_stack(config, stage)
     fock = FockSpec(**config.resolved["fock"])
     reference = _static_reference(config)
+    # the g = 0 diagnostic has the same cutoff, so it shares this lift
+    reflection = joint_reflection(reflection, fock)
     with stage("joint_assemble"):
         h_joint = build_joint_hamiltonian(h, d, fock)
         d_joint = joint_dipole(d, fock)
     with stage("eigensolve"):
-        system = diagonalize_hermitian(h_joint)
+        system = diagonalize_hermitian(h_joint, reflection=reflection)
     with stage("sumrule"):
         static_report = static_trk(h, d, 0, n_electrons=n_e, system=matter_system)
         qed_report = sumrule_qed(
@@ -908,7 +956,7 @@ def _run_qed(config: JobConfig, stage: _Stage) -> dict:
         with stage("joint_assemble"):
             h0 = build_joint_hamiltonian(h, d, fock0)
         with stage("eigensolve"):
-            system0 = diagonalize_hermitian(h0)
+            system0 = diagonalize_hermitian(h0, reflection=reflection)
         with stage("sumrule"):
             reports.append(
                 (
@@ -932,7 +980,7 @@ def _run_converge(config: JobConfig, stage: _Stage) -> dict:
     values = config.resolved["converge"]["values"]
     pieces = _empty_pieces()
     if axis == "harmonic_cutoff":
-        h, d, n_e, matter_system = _matter_stack(config, stage)
+        h, d, n_e, matter_system, reflection = _matter_stack(config, stage)
         drive = _resolvable_drive(config, matter_system)
         rows: list[dict] = []
         previous = None
@@ -940,7 +988,7 @@ def _run_converge(config: JobConfig, stage: _Stage) -> dict:
         final_warnings: tuple[str, ...] = ()
         for cutoff in values:
             _, _, selection, ffbz_ref = _floquet_stack(
-                config, stage, h, d, drive, matter_system, cutoff
+                config, stage, h, d, drive, matter_system, reflection, cutoff
             )
             with stage("sumrule"):
                 report = sumrule_ffbz(
@@ -979,7 +1027,12 @@ def _run_converge(config: JobConfig, stage: _Stage) -> dict:
     reference = _static_reference(config)
     with stage("convergence"):
         qed_rows = photon_cutoff_convergence(
-            h, d, focks, reference, n_electrons=n_e
+            h,
+            d,
+            focks,
+            reference,
+            n_electrons=n_e,
+            reflection=_matter_reflection(config, h),
         )
     for row in qed_rows:
         _check_closure(f"n_max={row.n_max}", row.report)

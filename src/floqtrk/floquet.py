@@ -254,17 +254,83 @@ def assemble_floquet_matrix(
     return FloquetMatrix(matrix=matrix, spec=spec, omega=omega)
 
 
-def diagonalize_hermitian(matrix: np.ndarray) -> EigenSystem:
+class Reflection(NamedTuple):
+    """A signed-permutation involution S: S e_i = signs[i] e_perm[i].
+
+    A Hermitian matrix that commutes with S splits into its S = +1 and
+    S = -1 sectors, which :func:`diagonalize_hermitian` solves separately.
+    """
+
+    perm: np.ndarray  # integer, perm[perm[i]] == i
+    signs: np.ndarray  # +1.0 or -1.0, signs[perm[i]] == signs[i]
+
+    @classmethod
+    def alternating(cls, labels: np.ndarray) -> Reflection:
+        """The diagonal involution e_k -> (-1)^labels[k] e_k."""
+        return cls(np.arange(labels.size), np.where(labels % 2 == 0, 1.0, -1.0))
+
+    def kron(self, inner: Reflection) -> Reflection:
+        """S (x) S' on the product basis indexed outer * dim(S') + inner."""
+        dim = inner.perm.size
+        return Reflection(
+            (self.perm[:, None] * dim + inner.perm).ravel(),
+            (self.signs[:, None] * inner.signs).ravel(),
+        )
+
+
+def basis_reversal(dim: int) -> Reflection:
+    """e_i -> e_(dim-1-i): x -> -x on a grid symmetric about x = 0.
+
+    On the two-electron tensor grid (flat index a * n + b), reversing the
+    flat index reverses a and b together, so it reflects both electrons.
+    """
+    return Reflection(np.arange(dim)[::-1].copy(), np.ones(dim))
+
+
+def sambe_reflection(matter: Reflection | None, spec: SambeSpec) -> Reflection | None:
+    """Lift a matter reflection P to P (x) (-1)^m on the Sambe index.
+
+    This is x -> -x together with t -> t + T/2. It commutes with the Sambe
+    matrix when P commutes with H_M, anticommutes with d, and every drive
+    harmonic is odd; otherwise the eigensolve falls back to the dense path.
+    """
+    if matter is None:
+        return None
+    harmonics = np.arange(-spec.harmonic_cutoff, spec.harmonic_cutoff + 1)
+    return Reflection.alternating(harmonics).kron(matter)
+
+
+#: A sector split is taken when the block coupling the two sectors is at
+#: most this many machine epsilons times max |M|: rounding level, the order
+#: of LAPACK's own backward error.
+SECTOR_COUPLING_EPS = 16
+
+
+def diagonalize_hermitian(
+    matrix: np.ndarray, *, reflection: Reflection | None = None
+) -> EigenSystem:
     """Full spectrum of a dense Hermitian matrix, eigenvalues ascending.
 
     Exactly real-valued input is routed to the real-symmetric LAPACK driver,
     which is several times faster than the complex one at the dimensions the
     dense guards allow.
+
+    With a ``reflection`` S that commutes with the matrix, the S = +1 and
+    S = -1 sectors are solved separately (two half-size solves, about a
+    quarter of the flops of one full-size solve), and the spectra merged by
+    a stable sort. The split is taken only when the block coupling the
+    sectors is at rounding level (:data:`SECTOR_COUPLING_EPS`); otherwise,
+    and when S leaves a sector empty, the dense path runs unchanged.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"expected a square matrix, got shape {m.shape}")
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
+    if not m.size:
+        scale = 0.0
+    elif np.iscomplexobj(m):
+        scale = float(np.max(np.abs(m)))
+    else:
+        scale = float(max(m.max(), -m.min()))  # max |M| without a temporary
     defect = hermiticity_defect(m)
     if defect > 1e-10 * max(1.0, scale):
         raise InputError(f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e}")
@@ -274,10 +340,154 @@ def diagonalize_hermitian(matrix: np.ndarray) -> EigenSystem:
         else:
             m = (m + m.conj().T) / 2.0
     try:
+        if reflection is not None:
+            split = _sector_split(m, reflection, scale)
+            if split is not None:
+                return _solve_sectors(*split)
         values, vectors = scipy.linalg.eigh(m, driver="evd", check_finite=False)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise NumericError(f"eigensolver failed: {exc}") from exc
     return EigenSystem(values=values, vectors=vectors)
+
+
+class _Sector(NamedTuple):
+    """One sector block of M and the basis it is written in.
+
+    Sector coordinate k has weight ``scale[k]`` on the original index
+    ``coords[k]`` and ``scale[k] * flips[k]`` on ``partners[k]``: a
+    normalized pair combination, or a fixed point of the reflection when the
+    two indices coincide. ``coords`` ascend, so a block structure of M
+    (harmonic blocks, Fock levels) stays contiguous in the sector block and
+    the exact zeros LAPACK keeps for it survive the split.
+    """
+
+    block: np.ndarray
+    coords: np.ndarray
+    partners: np.ndarray
+    scale: np.ndarray
+    flips: np.ndarray
+
+
+def _sector_split(
+    m: np.ndarray, reflection: Reflection, scale: float
+) -> tuple[_Sector, _Sector] | None:
+    """The S = +1 and S = -1 sectors of ``m``, or None when the block
+    coupling them exceeds the tolerance or one of them is empty.
+
+    M is gathered once into the staged order [pair leaders | S = +1 fixed
+    points | S = -1 fixed points | partners of the leaders], with the
+    partner rows and columns multiplied by their signs; each block in the
+    pair basis (e_i +- s_i e_perm(i)) / sqrt(2) is then a sum of contiguous
+    slices.
+    """
+    n = m.shape[0]
+    perm = np.asarray(reflection.perm)
+    signs = np.asarray(reflection.signs, dtype=np.float64)
+    if perm.shape != (n,) or signs.shape != (n,):
+        raise InputError(
+            f"reflection has {perm.size} indices and {signs.size} signs, "
+            f"expected {n} of each"
+        )
+    index = np.arange(n)
+    if (
+        not np.issubdtype(perm.dtype, np.integer)
+        or np.any((perm < 0) | (perm >= n))
+        or np.any(perm[perm] != index)
+        or np.any(np.abs(signs) != 1.0)
+        or np.any(signs[perm] != signs)
+    ):
+        raise InputError(
+            "reflection must be a signed-permutation involution: perm[perm] == "
+            "identity, signs of +-1 with signs[perm] == signs"
+        )
+    leaders = index[perm > index]
+    fixed = index[perm == index]
+    fixed_even, fixed_odd = fixed[signs[fixed] > 0], fixed[signs[fixed] < 0]
+    p, fe, fo = leaders.size, fixed_even.size, fixed_odd.size
+    if p + fe == 0 or p + fo == 0:
+        return None
+    order = np.concatenate([leaders, fixed_even, fixed_odd, perm[leaders]])
+    sigma = signs[leaders]
+    g = m[np.ix_(order, order)]
+    g[n - p :] *= sigma[:, None]
+    g[:, n - p :] *= sigma
+    pair, even_fixed = slice(0, p), slice(p, p + fe)
+    odd_fixed, partner = slice(p + fe, p + fe + fo), slice(n - p, n)
+    root_half = math.sqrt(0.5)
+
+    # the block with S = +1 rows and S = -1 columns
+    a, b, c, d = g[pair, pair], g[pair, partner], g[partner, pair], g[partner, partner]
+    coupling = a - d
+    coupling += c
+    coupling -= b
+    largest = 0.5 * float(np.max(np.abs(coupling), initial=0.0))
+    del coupling
+    for piece in (
+        root_half * (g[pair, odd_fixed] + g[partner, odd_fixed]),
+        root_half * (g[even_fixed, pair] - g[even_fixed, partner]),
+        g[even_fixed, odd_fixed],
+    ):
+        largest = max(largest, float(np.max(np.abs(piece), initial=0.0)))
+    if largest > SECTOR_COUPLING_EPS * np.finfo(np.float64).eps * scale:
+        return None
+
+    even = np.empty((p + fe, p + fe), dtype=g.dtype)
+    odd = np.empty((p + fo, p + fo), dtype=g.dtype)
+    diagonal, cross = a + d, b + c
+    np.add(diagonal, cross, out=even[:p, :p])
+    np.subtract(diagonal, cross, out=odd[:p, :p])
+    del diagonal, cross
+    even[:p, :p] *= 0.5
+    odd[:p, :p] *= 0.5
+    even[:p, p:] = root_half * (g[pair, even_fixed] + g[partner, even_fixed])
+    even[p:, :p] = root_half * (g[even_fixed, pair] + g[even_fixed, partner])
+    even[p:, p:] = g[even_fixed, even_fixed]
+    odd[:p, p:] = root_half * (g[pair, odd_fixed] - g[partner, odd_fixed])
+    odd[p:, :p] = root_half * (g[odd_fixed, pair] - g[odd_fixed, partner])
+    odd[p:, p:] = g[odd_fixed, odd_fixed]
+    del g, a, b, c, d
+
+    sectors = []
+    for block, fixed_points, parity in ((even, fixed_even, 1.0), (odd, fixed_odd, -1.0)):
+        staged = np.concatenate([leaders, fixed_points])
+        ascending = np.argsort(staged)
+        coords = staged[ascending]
+        is_pair = ascending < p
+        sectors.append(
+            _Sector(
+                block=block[np.ix_(ascending, ascending)],
+                coords=coords,
+                partners=perm[coords],
+                scale=np.where(is_pair, root_half, 1.0),
+                flips=np.where(is_pair, parity * signs[coords], 1.0),
+            )
+        )
+    return sectors[0], sectors[1]
+
+
+def _solve_sectors(even: _Sector, odd: _Sector) -> EigenSystem:
+    """Solve both sector blocks and merge them into one ascending spectrum
+    with eigenvectors in the original basis."""
+    solved = [
+        scipy.linalg.eigh(sector.block, driver="evd", overwrite_a=True, check_finite=False)
+        for sector in (even, odd)
+    ]
+    values = np.concatenate([solved[0][0], solved[1][0]])
+    n = values.size
+    ranking = np.argsort(values, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[ranking] = np.arange(n)
+    ranks = (rank[: even.coords.size], rank[even.coords.size :])
+    # row r of `rows` is eigenvector r in the original basis
+    rows = np.zeros((n, n), dtype=np.result_type(solved[0][1], solved[1][1]))
+    for sector, (_, vectors), sector_rank in zip((even, odd), solved, ranks):
+        weights = vectors.T * sector.scale
+        rows[np.ix_(sector_rank, sector.coords)] = weights
+        weights *= sector.flips
+        rows[np.ix_(sector_rank, sector.partners)] = weights
+    del solved, vectors, weights
+    # column j is eigenvector j, Fortran-ordered like LAPACK's own output
+    return EigenSystem(values=values[ranking], vectors=rows.T)
 
 
 def fold_label(epsilon: float, omega: float) -> FoldedLabel:

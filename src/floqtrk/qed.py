@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, SizeError
-from .floquet import EigenSystem, diagonalize_hermitian
+from .floquet import EigenSystem, Reflection, diagonalize_hermitian
 from .model import MatterOperator
 from .sumrule import SumRuleReport, _closure_report
 
@@ -93,6 +93,18 @@ def build_joint_hamiltonian(
     return h.reshape(n_m * n_f, n_m * n_f)
 
 
+def joint_reflection(matter: Reflection | None, fock: FockSpec) -> Reflection | None:
+    """Lift a matter reflection P to P (x) (-1)^n on the matter-major index.
+
+    It commutes with the joint Hamiltonian when P commutes with H_M and
+    anticommutes with d, because (-1)^n anticommutes with a + a^dag;
+    otherwise the eigensolve falls back to the dense path.
+    """
+    if matter is None:
+        return None
+    return matter.kron(Reflection.alternating(np.arange(fock.dim)))
+
+
 def joint_dipole(d: MatterOperator, fock: FockSpec) -> np.ndarray:
     """The matter dipole lifted to the product space: d (x) I."""
     n_m, n_f = d.dim, fock.dim
@@ -160,6 +172,7 @@ def photon_cutoff_convergence(
     reference: int = 0,
     *,
     n_electrons: int = 1,
+    reflection: Reflection | None = None,
 ) -> tuple[ConvergenceRow, ...]:
     """Sum-rule value across a family of increasing photon cutoffs.
 
@@ -178,6 +191,9 @@ def photon_cutoff_convergence(
         increasing ``n_max`` and identical ``omega_c`` and ``g``.
     reference:
         Eigenpair index within each family member's ascending spectrum.
+    reflection:
+        A matter reflection, lifted to each member by
+        :func:`joint_reflection` for the eigensolve.
     """
     modes = tuple(focks)
     if len(modes) < MIN_CUTOFF_FAMILY:
@@ -199,7 +215,9 @@ def photon_cutoff_convergence(
     previous_value: float | None = None
     for mode in modes:
         h_joint = build_joint_hamiltonian(h_matter, d, mode)
-        system = diagonalize_hermitian(h_joint)
+        system = diagonalize_hermitian(
+            h_joint, reflection=joint_reflection(reflection, mode)
+        )
         report = sumrule_qed(
             system,
             joint_dipole(d, mode),

@@ -101,7 +101,6 @@ class DipoleFourierSet:
     """
 
     entries: dict[int, complex]
-    pair: tuple[int, int]  # (bra identifier, ket identifier)
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,6 @@ def dipole_fourier_components(
     bra: FloquetMode,
     ket: FloquetMode,
     d: MatterOperator,
-    pair: tuple[int, int] = (0, 0),
 ) -> DipoleFourierSet:
     """All harmonics of the transition dipole between two Floquet modes.
 
@@ -192,8 +190,6 @@ def dipole_fourier_components(
         Modes with identical matter dimension, harmonic cutoff and Omega.
     d:
         Matter-space dipole operator.
-    pair:
-        Identifiers recorded in the result (bookkeeping only).
     """
     if bra.matter_dim != ket.matter_dim or bra.matter_dim != d.dim:
         raise InputError(
@@ -217,7 +213,7 @@ def dipole_fourier_components(
             sum(np.vdot(bra.blocks[r], d_ket[r - n]) for r in range(lo, hi))
         )
         entries[n] = amp
-    return DipoleFourierSet(entries=entries, pair=pair)
+    return DipoleFourierSet(entries=entries)
 
 
 def _infer_electrons(d: MatterOperator, n_electrons: int | None) -> int:
@@ -330,14 +326,24 @@ def _double_commutator_matvec(h: np.ndarray, apply_d, psi: np.ndarray) -> float:
 def select_reference(
     representatives: tuple[FloquetMode, ...], ground: np.ndarray
 ) -> int:
-    """Representative with the largest ground-state weight in its m=0 block."""
+    """Representative with the largest ground-state weight in its m=0 block.
+
+    A weight below (N_b eps)^2, the rounding level of an overlap between
+    unit vectors, counts as zero: a selection rule (the ground state and an
+    m=0 block of opposite parity) makes it exactly zero, and its computed
+    value is noise. When every weight is zero, the representative with the
+    largest m=0 block norm is taken.
+    """
     if not representatives:
         raise ZoneError("no representatives to select a reference from")
-    overlaps = [
-        float(np.abs(np.vdot(ground, mode.block(0))) ** 2)
-        for mode in representatives
-    ]
-    return int(np.argmax(overlaps))
+    floor = (ground.size * np.finfo(np.float64).eps) ** 2
+    overlaps, norms = [], []
+    for mode in representatives:
+        block = mode.block(0)
+        overlap = float(np.abs(np.vdot(ground, block)) ** 2)
+        overlaps.append(overlap if overlap > floor else 0.0)
+        norms.append(float(np.sum(np.abs(block) ** 2)))
+    return int(np.argmax(overlaps if max(overlaps) > 0.0 else norms))
 
 
 def sumrule_sambe(
@@ -395,7 +401,7 @@ def _ffbz_ledger(
     sidebands = range(-n_max, n_max + 1)
     abs2 = []
     for lam, mode in enumerate(representatives):
-        harmonics = dipole_fourier_components(ref_mode, mode, d, pair=(reference, lam))
+        harmonics = dipole_fourier_components(ref_mode, mode, d)
         # Python's complex abs, not np.abs: the two differ in the last bit
         abs2.extend(abs(harmonics.entries.get(n, 0.0)) ** 2 for n in sidebands)
     quasienergies = np.array([mode.quasienergy for mode in representatives])

@@ -7,6 +7,7 @@ independent reference values, which live in ``oracles``.
 import math
 
 import numpy as np
+import scipy.linalg
 
 from floqtrk import FloquetMode, InputError, NumericError
 
@@ -60,3 +61,30 @@ def select_reference_joint(system, matter_ground, fock_dim):
     target = np.kron(matter_ground, np.eye(fock_dim)[0])
     overlaps = np.abs(target.conj() @ system.vectors) ** 2
     return int(np.argmax(overlaps))
+
+
+def record_lapack_solves(monkeypatch):
+    """Route ``scipy.linalg.eigh`` through a recorder; returns the list the
+    dimension of each call is appended to."""
+    original = scipy.linalg.eigh
+    dims = []
+
+    def recorder(a, *args, **kwargs):
+        dims.append(a.shape[0])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", recorder)
+    return dims
+
+
+def assert_same_spectrum(matrix, system, dense):
+    """``system`` is a complete eigensystem of ``matrix``: eigenvalues within
+    1e-12 max|M| of the dense ones, residual and orthonormality at rounding
+    level."""
+    scale = float(np.max(np.abs(matrix)))
+    n = matrix.shape[0]
+    rounding = 64 * n * np.finfo(np.float64).eps
+    assert np.max(np.abs(system.values - dense.values)) <= 1e-12 * scale
+    v = system.vectors
+    assert np.linalg.norm(matrix @ v - v * system.values) <= rounding * scale
+    assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= rounding

@@ -16,6 +16,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import record_lapack_solves
 from floqtrk import (
     ConfigError,
     EigenSystem,
@@ -632,9 +633,9 @@ def record_eigensolves(monkeypatch, perturb=None):
     original = floquet.diagonalize_hermitian
     dims = []
 
-    def recorder(matrix):
+    def recorder(matrix, *, reflection=None):
         dims.append(matrix.shape[0])
-        system = original(matrix)
+        system = original(matrix, reflection=reflection)
         return system if perturb is None else perturb(system)
 
     for module in (cli, floquet, qed, sumrule):
@@ -661,6 +662,37 @@ def test_each_spectrum_is_computed_once(tmp_path, monkeypatch, text, dims):
     """Every distinct operator of a job is diagonalized exactly once."""
     config = load_config(config_file(tmp_path, text))
     solved = record_eigensolves(monkeypatch)
+    run_job(config)
+    assert solved == dims
+
+
+GRID_21 = "model: {grid: {n_points: 21}}\n"
+
+
+@pytest.mark.parametrize(
+    "text, dims",
+    [
+        # matter: 10 mirror pairs + the centre (even); Sambe m = -2..2: 50
+        # pairs + the centres, whose sign (-1)^m gives 3 even and 2 odd
+        (
+            "job: floquet\n" + GRID_21 + "sambe: {harmonic_cutoff: 2}\n"
+            + "drive: {omega: 0.35, components: [{harmonic: 1, amplitude: 0.05}]}\n",
+            [11, 10, 53, 52],
+        ),
+        # n_max 2, 3, 4: 10 pairs per photon level + the centre with (-1)^n
+        (
+            "job: converge\nconverge: {axis: fock_n_max, values: [2, 3, 4]}\n"
+            + GRID_21 + "fock: {omega_c: 0.9, g: 0.05}\n",
+            [32, 31, 42, 42, 53, 52],
+        ),
+    ],
+    ids=["floquet", "converge_fock"],
+)
+def test_symmetric_grid_jobs_solve_only_parity_sectors(tmp_path, monkeypatch, text, dims):
+    """On a symmetric grid every eigensolve reaches LAPACK as two sector
+    solves, never as one full-size solve."""
+    config = load_config(config_file(tmp_path, text))
+    solved = record_lapack_solves(monkeypatch)
     run_job(config)
     assert solved == dims
 
@@ -1103,6 +1135,15 @@ CONFIG_ERRORS = [
      "key 'separation' in section 'model.potential' must be > 0, got -2.0"),
     ("interaction_softening_bound", STATIC_HEAD + "model: {n_electrons: 2, interaction: {kind: soft_coulomb, softening: 0}}\n",
      "key 'softening' in section 'model.interaction' must be > 0, got 0.0"),
+    # cross-key model checks
+    ("grid_x_max_below_x_min", STATIC_HEAD + "model: {grid: {x_min: 5.0, x_max: -5.0}}\n",
+     "key 'x_max' in section 'model.grid' must be > 'x_min' (5.0), got -5.0"),
+    ("grid_x_max_at_x_min", STATIC_HEAD + "model: {n_electrons: 2, grid: {x_min: 1, x_max: 1}}\n",
+     "key 'x_max' in section 'model.grid' must be > 'x_min' (1.0), got 1.0"),
+    ("energies_descending", STATIC_HEAD + "model: {kind: few_level, energies: [0.0, 1.0, 0.5], dipole: [[0, 1, 0], [1, 0, 1], [0, 1, 0]]}\n",
+     "key 'energies' in section 'model' must be in ascending order, got [0.0, 1.0, 0.5]"),
+    ("dipole_not_hermitian", STATIC_HEAD + "model: {kind: few_level, energies: [0.0, 1.0], dipole: [[0.0, 1.0], [0.5, 0.0]]}\n",
+     "key 'dipole' in section 'model' must be symmetric, got max |d - d^T| = 5.000e-01"),
     ("reference_negative", STATIC_HEAD + FEW_MODEL + "reference: -1\n",
      "key 'reference' must be 'auto' or a non-negative integer, got -1"),
     ("reference_string", STATIC_HEAD + FEW_MODEL + "reference: ground\n",
@@ -1237,12 +1278,18 @@ def test_merge_keys_may_be_overridden(tmp_path):
             "key 'harmonic_cutoff' in section 'sambe' must be an integer, got float",
         ),
         (
+            "sweep",
+            "job: sweep\nsweep: {job: static_trk, path: model.grid.x_max, values: [10.0, -20.0]}\n"
+            + "model: {grid: {n_points: 21}}\n",
+            "key 'x_max' in section 'model.grid' must be > 'x_min' (-10.0), got -20.0",
+        ),
+        (
             "converge",
             FOCK_CONVERGE_JOB.replace("[4, 6, 8, 10]", "[4, 6]"),
             "key 'values' in section 'converge' must list at least {fewest} entries",
         ),
     ],
-    ids=["sweep_point", "photon_cutoff_family"],
+    ids=["sweep_point", "sweep_grid_end", "photon_cutoff_family"],
 )
 def test_refused_at_load_before_any_eigensolve(
     tmp_path, monkeypatch, capsys, command, text, message

@@ -4,23 +4,32 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import shift_replica
+from helpers import assert_same_spectrum, record_lapack_solves, shift_replica
 from floqtrk import (
     ConfigError,
     DriveComponent,
     DriveSpec,
     FloquetMode,
     FourierBlockSet,
+    GridBasis,
     InputError,
+    InteractionSpec,
     MatterOperator,
     NumericError,
+    PotentialSpec,
+    Reflection,
     SambeSpec,
     SizeError,
     assemble_floquet_matrix,
+    basis_reversal,
+    build_dipole,
+    build_grid_hamiltonian,
+    build_two_electron_hamiltonian,
     diagonalize_hermitian,
     fold_and_select_ffbz,
     fold_label,
     fourier_blocks_of_hamiltonian,
+    sambe_reflection,
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -380,3 +389,134 @@ def test_sambe_spec_validation():
         SambeSpec(harmonic_cutoff=-1, matter_dim=2)
     with pytest.raises(InputError):
         SambeSpec(harmonic_cutoff=2, matter_dim=0)
+
+
+# Parity-sector eigensolves: a symmetric grid with an odd-harmonic drive
+# commutes with x -> -x, t -> t + T/2, so the Sambe matrix splits in two.
+
+
+def grid_sambe(drive, x_max=5.0, cutoff=3, n_points=21):
+    """Sambe matrix of a harmonic grid on [-5, x_max] and its lifted
+    reflection."""
+    grid = GridBasis(x_min=-5.0, x_max=x_max, n_points=n_points)
+    h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
+    fm = assemble_floquet_matrix(
+        fourier_blocks_of_hamiltonian(h, build_dipole(grid), drive), drive.omega, cutoff
+    )
+    return fm.matrix, sambe_reflection(basis_reversal(n_points), fm.spec)
+
+
+REAL_DRIVE = DriveSpec(omega=0.7, components=(DriveComponent(1, 0.3),))
+COMPLEX_DRIVE = DriveSpec(
+    omega=0.7, components=(DriveComponent(1, 0.3, 0.7), DriveComponent(3, 0.1, -1.2))
+)
+
+
+@pytest.mark.parametrize("drive", [REAL_DRIVE, COMPLEX_DRIVE], ids=["real", "complex"])
+def test_sambe_matrix_is_solved_in_two_sectors(monkeypatch, drive):
+    """21 points give 10 mirror pairs and a centre point per harmonic block;
+    the centre's sign is (-1)^m, so m = -3..3 puts 70 + 3 states in the
+    even sector and 70 + 4 in the odd one."""
+    matrix, reflection = grid_sambe(drive)
+    assert np.iscomplexobj(matrix) == (drive is COMPLEX_DRIVE)
+    dense = diagonalize_hermitian(matrix)
+    solved = record_lapack_solves(monkeypatch)
+    system = diagonalize_hermitian(matrix, reflection=reflection)
+    assert solved == [73, 74]
+    assert system.vectors.dtype == matrix.dtype
+    assert_same_spectrum(matrix, system, dense)
+
+
+def test_two_electron_matter_is_solved_in_two_sectors(monkeypatch):
+    """Reversing the flat tensor index reflects both electrons: 81 points
+    are 40 pairs and the centre (4, 4)."""
+    grid = GridBasis(x_min=-4.0, x_max=4.0, n_points=9)
+    h = build_two_electron_hamiltonian(
+        grid, PotentialSpec.soft_coulomb(), InteractionSpec.soft_coulomb()
+    ).matrix
+    dense = diagonalize_hermitian(h)
+    solved = record_lapack_solves(monkeypatch)
+    system = diagonalize_hermitian(h, reflection=basis_reversal(81))
+    assert solved == [41, 40]
+    assert_same_spectrum(h, system, dense)
+
+
+def sector_coupled(excess):
+    """The real grid Sambe matrix with one coupling between the sectors, of
+    ``excess`` times the split tolerance 16 eps max|M|.
+
+    The matrix is first made exactly symmetric, (M + S M S) / 2, then entry
+    (0, 2 N_b) - zero, like its mirror image, for a first-harmonic drive -
+    gets value 2 * tol * excess, which is the pair-block coupling times 2.
+    """
+    matrix, reflection = grid_sambe(REAL_DRIVE)
+    perm, signs = reflection
+    mirrored = signs[:, None] * matrix[np.ix_(perm, perm)] * signs
+    matrix = (matrix + mirrored) / 2.0
+    tol = 16 * np.finfo(np.float64).eps * np.max(np.abs(matrix))
+    far = 2 * 21
+    assert matrix[0, far] == matrix[perm[0], perm[far]] == matrix[0, perm[far]] == 0.0
+    matrix[0, far] = matrix[far, 0] = 2.0 * tol * excess
+    return matrix, reflection
+
+
+@pytest.mark.parametrize(
+    "matrix, reflection",
+    [
+        grid_sambe(REAL_DRIVE, x_max=6.0),
+        grid_sambe(DriveSpec(omega=0.7, components=(DriveComponent(2, 0.3),))),
+        sector_coupled(1.0 + 1e-6),
+    ],
+    ids=["asymmetric_grid", "even_harmonic", "coupling_above_tolerance"],
+)
+def test_dense_fallback_is_the_unsplit_solve(monkeypatch, matrix, reflection):
+    """A reflection that does not commute costs one full-size solve, bit-equal
+    to the solve without a reflection."""
+    plain = diagonalize_hermitian(matrix)
+    solved = record_lapack_solves(monkeypatch)
+    system = diagonalize_hermitian(matrix, reflection=reflection)
+    assert solved == [147]
+    assert np.array_equal(system.values, plain.values)
+    assert np.array_equal(system.vectors, plain.vectors)
+
+
+def test_coupling_just_below_tolerance_is_split(monkeypatch):
+    """The tolerance is the boundary: just below it the split is taken."""
+    matrix, reflection = sector_coupled(1.0 - 1e-6)
+    solved = record_lapack_solves(monkeypatch)
+    system = diagonalize_hermitian(matrix, reflection=reflection)
+    assert solved == [73, 74]
+    dense = np.linalg.eigvalsh(matrix)
+    assert np.max(np.abs(system.values - dense)) <= 1e-12 * np.max(np.abs(matrix))
+
+
+@pytest.mark.parametrize(
+    "perm, signs, message",
+    [
+        (np.roll(np.arange(4), 1), np.ones(4), "involution"),
+        (np.arange(3)[::-1], np.ones(3), "3 indices and 3 signs, expected 4"),
+        (np.arange(4)[::-1], np.ones(5), "4 indices and 5 signs, expected 4"),
+        (np.arange(4)[::-1], np.array([1.0, -1.0, 1.0, -1.0]), "involution"),
+        (np.arange(4), np.array([1.0, 2.0, 1.0, 1.0]), "involution"),
+    ],
+    ids=["not_involution", "short", "signs_length", "signs_not_paired", "not_signs"],
+)
+def test_bad_reflection_is_refused(perm, signs, message):
+    """A reflection of the wrong length, or one that is not a signed
+    involution, is an input error."""
+    matrix = np.diag([1.0, 2.0, 2.0, 1.0])
+    with pytest.raises(InputError, match=message):
+        diagonalize_hermitian(matrix, reflection=Reflection(perm, signs))
+
+
+def test_split_keeps_harmonic_blocks_exact():
+    """Undriven, the Sambe matrix is block diagonal and every dense
+    eigenvector lies in one harmonic block with exact zeros elsewhere; the
+    sector solves keep those zeros, so no sideband picks up rounding noise."""
+    matrix, reflection = grid_sambe(DriveSpec(omega=0.7))
+    for system in (
+        diagonalize_hermitian(matrix),
+        diagonalize_hermitian(matrix, reflection=reflection),
+    ):
+        occupied = np.abs(system.vectors.reshape(7, 21, 147)).max(axis=1) > 0.0
+        assert np.array_equal(occupied.sum(axis=0), np.ones(147, dtype=int))

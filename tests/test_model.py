@@ -20,6 +20,7 @@ from floqtrk import (
     double_commutator_expectation,
     kinetic_matrix,
 )
+from floqtrk.model import hermiticity_defect
 
 
 def test_grid_points_and_spacing():
@@ -296,3 +297,15 @@ def test_interaction_validation():
         InteractionSpec(kind="dipolar")
     with pytest.raises(InputError):
         InteractionSpec.soft_coulomb(1.0, 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 600])
+def test_tiled_hermiticity_defect_is_the_full_transpose(n):
+    """The tile-by-tile defect equals max |M - M^dagger| of the whole matrix,
+    bit for bit, real and complex, across tile edges."""
+    rng = np.random.default_rng(n)
+    real = rng.standard_normal((n, n))
+    complex_ = real + 1j * rng.standard_normal((n, n))
+    for matrix in (real, complex_, real + real.T):
+        full = float(np.max(np.abs(matrix - matrix.conj().T)))
+        assert hermiticity_defect(matrix) == full

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import select_reference_joint
+from helpers import assert_same_spectrum, record_lapack_solves, select_reference_joint
 from floqtrk import (
     EigenSystem,
     FockSpec,
@@ -13,11 +13,13 @@ from floqtrk import (
     MatterOperator,
     PotentialSpec,
     SizeError,
+    basis_reversal,
     build_dipole,
     build_grid_hamiltonian,
     build_joint_hamiltonian,
     diagonalize_hermitian,
     joint_dipole,
+    joint_reflection,
     photon_cutoff_convergence,
     static_trk,
     sumrule_qed,
@@ -291,3 +293,36 @@ def test_cutoff_rows_keep_their_reports():
         assert row.report.oracle_residual == row.oracle_residual
         assert len(row.report.contributions) == 2 * fock.dim
     assert rows[-1].report == qed_report(TWO_H, TWO_D, family[-1])[0]
+
+
+def test_joint_matrix_is_solved_in_two_sectors(monkeypatch):
+    """On a symmetric grid, x -> -x together with (-1)^n commutes with the
+    joint Hamiltonian: 11 points x 5 photon levels are 25 mirror pairs plus
+    the centre point with n = 0, 2, 4 (even) and n = 1, 3 (odd)."""
+    grid = GridBasis(-5.0, 5.0, 11)
+    h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
+    fock = FockSpec(n_max=4, omega_c=0.9, g=0.2)
+    h_joint = build_joint_hamiltonian(h, build_dipole(grid), fock)
+    dense = diagonalize_hermitian(h_joint)
+    solved = record_lapack_solves(monkeypatch)
+    system = diagonalize_hermitian(
+        h_joint, reflection=joint_reflection(basis_reversal(11), fock)
+    )
+    assert solved == [28, 27]
+    assert_same_spectrum(h_joint, system, dense)
+
+
+def test_cutoff_family_lifts_the_matter_reflection(monkeypatch):
+    """photon_cutoff_convergence solves every member in its two sectors,
+    with the values of the unsplit solve."""
+    grid = GridBasis(-5.0, 5.0, 11)
+    h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
+    d = build_dipole(grid)
+    family = [FockSpec(n_max=n, omega_c=0.9, g=0.2) for n in (2, 3, 4)]
+    dense = photon_cutoff_convergence(h, d, family)
+    solved = record_lapack_solves(monkeypatch)
+    rows = photon_cutoff_convergence(h, d, family, reflection=basis_reversal(11))
+    assert solved == [17, 16, 22, 22, 28, 27]
+    for row, reference in zip(rows, dense):
+        assert abs(row.value - reference.value) <= 1e-12 * abs(reference.value)
+        assert abs(row.oracle_residual) <= 1e-12

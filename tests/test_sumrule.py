@@ -190,7 +190,7 @@ def test_dipole_fourier_zero_drive_is_bare():
     assert len(modes) == 3
     for a in range(3):
         for b in range(3):
-            fset = dipole_fourier_components(modes[a], modes[b], THREE_D, pair=(a, b))
+            fset = dipole_fourier_components(modes[a], modes[b], THREE_D)
             assert abs(fset.entries[0] - THREE_D.matrix[a, b]) < 1e-12
             for n, amp in fset.entries.items():
                 if n != 0:
@@ -262,6 +262,27 @@ def test_first_order_elastic_sideband():
     expected = oracles.two_level_elastic_sideband(1.0, 1.0, 0.01, 0.4)
     for n in (-1, 1):
         assert abs(fset.entries[n] - expected) <= 5e-2 * abs(expected)
+
+
+def m0_mode(m0_block):
+    """A mode on two levels and harmonics -1..1 with the given m=0 block;
+    the rest of its norm sits in the m=+1 block."""
+    m0_block = np.asarray(m0_block, dtype=float)
+    rest = math.sqrt(1.0 - float(np.sum(m0_block**2)))
+    blocks = np.array([[0.0, 0.0], m0_block, [0.0, rest]])
+    return FloquetMode(quasienergy=0.0, blocks=blocks, omega=1.0, edge_weight=rest**2)
+
+
+def test_reference_ignores_overlaps_at_rounding_level():
+    """Ground-state weights below (N_b eps)^2 are noise: with no other weight
+    the largest m=0 block wins; a resolved weight still wins over it."""
+    ground = np.array([1.0, 0.0])
+    forbidden = m0_mode([0.0, 0.1])  # opposite parity: overlap exactly 0
+    noise = m0_mode([1e-17, 1e-3])  # overlap 1e-34, below the floor
+    assert select_reference((noise, forbidden), ground) == 1
+    assert select_reference((forbidden, noise), ground) == 0
+    resolved = m0_mode([1e-3, 0.0])
+    assert select_reference((forbidden, noise, resolved), ground) == 2
 
 
 def test_parity_selection_rule():
