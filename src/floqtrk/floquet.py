@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, InputError, NumericError, SizeError
 from .model import DriveSpec, MatterOperator, hermiticity_defect
@@ -311,9 +310,11 @@ def diagonalize_hermitian(
 ) -> EigenSystem:
     """Full spectrum of a dense Hermitian matrix, eigenvalues ascending.
 
-    Exactly real-valued input is routed to the real-symmetric LAPACK driver,
-    which is several times faster than the complex one at the dimensions the
-    dense guards allow.
+    Every solve, dense or per sector, is numpy's ``eigh`` (LAPACK's
+    divide-and-conquer ``?syevd`` / ``?heevd``). Exactly real-valued input
+    is routed to the real-symmetric driver, which is several times faster
+    than the complex one at the dimensions the dense guards allow. NaN or
+    infinite entries raise NumericError before any solve.
 
     With a ``reflection`` S that commutes with the matrix, the S = +1 and
     S = -1 sectors are solved separately (two half-size solves, about a
@@ -331,6 +332,8 @@ def diagonalize_hermitian(
         scale = float(np.max(np.abs(m)))
     else:
         scale = float(max(m.max(), -m.min()))  # max |M| without a temporary
+    if not math.isfinite(scale):
+        raise NumericError("matrix has a non-finite entry (NaN or inf)")
     defect = hermiticity_defect(m)
     if defect > 1e-10 * max(1.0, scale):
         raise InputError(f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e}")
@@ -344,10 +347,11 @@ def diagonalize_hermitian(
             split = _sector_split(m, reflection, scale)
             if split is not None:
                 return _solve_sectors(*split)
-        values, vectors = scipy.linalg.eigh(m, driver="evd", check_finite=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        values, vectors = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed: {exc}") from exc
-    return EigenSystem(values=values, vectors=vectors)
+    # numpy returns C order; keep LAPACK's Fortran order, like the sector path
+    return EigenSystem(values=values, vectors=np.asfortranarray(vectors))
 
 
 class _Sector(NamedTuple):
@@ -468,10 +472,7 @@ def _sector_split(
 def _solve_sectors(even: _Sector, odd: _Sector) -> EigenSystem:
     """Solve both sector blocks and merge them into one ascending spectrum
     with eigenvectors in the original basis."""
-    solved = [
-        scipy.linalg.eigh(sector.block, driver="evd", overwrite_a=True, check_finite=False)
-        for sector in (even, odd)
-    ]
+    solved = [np.linalg.eigh(sector.block) for sector in (even, odd)]
     values = np.concatenate([solved[0][0], solved[1][0]])
     n = values.size
     ranking = np.argsort(values, kind="stable")

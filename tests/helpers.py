@@ -7,7 +7,6 @@ independent reference values, which live in ``oracles``.
 import math
 
 import numpy as np
-import scipy.linalg
 
 from floqtrk import FloquetMode, InputError, NumericError
 
@@ -64,16 +63,17 @@ def select_reference_joint(system, matter_ground, fock_dim):
 
 
 def record_lapack_solves(monkeypatch):
-    """Route ``scipy.linalg.eigh`` through a recorder; returns the list the
-    dimension of each call is appended to."""
-    original = scipy.linalg.eigh
+    """Patch ``numpy.linalg.eigh``, the one eigensolver the package calls,
+    with a recorder; returns the list the dimension of each call is
+    appended to."""
+    original = np.linalg.eigh
     dims = []
 
     def recorder(a, *args, **kwargs):
         dims.append(a.shape[0])
         return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", recorder)
+    monkeypatch.setattr(np.linalg, "eigh", recorder)
     return dims
 
 

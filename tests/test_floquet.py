@@ -193,6 +193,42 @@ def test_diagonalize_rejects_non_hermitian():
         diagonalize_hermitian(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [np.nan, np.inf, -np.inf, complex(np.nan, 1.0)],
+    ids=["nan", "inf", "-inf", "complex_nan"],
+)
+@pytest.mark.parametrize("split", [False, True], ids=["dense", "sectors"])
+def test_diagonalize_rejects_non_finite(monkeypatch, entry, split):
+    """A NaN or infinite entry is a numeric error before any solve, with or
+    without a reflection that commutes with the finite part."""
+    matrix = np.diag([1.0, 2.0, 2.0, 1.0]).astype(np.result_type(entry, 1.0))
+    matrix[0, 3] = matrix[3, 0] = entry
+    solved = record_lapack_solves(monkeypatch)
+    with pytest.raises(NumericError, match="non-finite"):
+        diagonalize_hermitian(matrix, reflection=basis_reversal(4) if split else None)
+    assert solved == []
+
+
+@pytest.mark.parametrize("split, dims", [(False, [4]), (True, [2])], ids=["dense", "sectors"])
+def test_lapack_failure_is_a_numeric_error(monkeypatch, split, dims):
+    """A LinAlgError from the eigensolver surfaces as NumericError, on the
+    dense path and on the sector path."""
+    solved = []
+
+    def failing(a, *args, **kwargs):
+        solved.append(a.shape[0])
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    message = "^eigensolver failed: Eigenvalues did not converge$"
+    with pytest.raises(NumericError, match=message):
+        diagonalize_hermitian(
+            np.diag([1.0, 2.0, 2.0, 1.0]), reflection=basis_reversal(4) if split else None
+        )
+    assert solved == dims
+
+
 def test_fold_reference_points():
     """Folding lands 0.7 w at (-0.3 w, 1) and keeps -w/2 in place."""
     label = fold_label(0.7, 1.0)

@@ -1,6 +1,13 @@
-"""The package's public namespace."""
+"""The package's public namespace and what importing it loads."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import floqtrk
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_public_names_resolve():
@@ -11,3 +18,21 @@ def test_public_names_resolve():
     namespace = {}
     exec("from floqtrk import *", namespace)
     assert set(floqtrk.__all__) <= set(namespace)
+
+
+def test_package_loads_no_scipy():
+    """numpy is the one linear-algebra library: a fresh interpreter that
+    imports the package and its CLI has no scipy module loaded."""
+    probe = (
+        "import sys, floqtrk, floqtrk.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
