@@ -14,7 +14,8 @@ runs of the same config produce byte-identical structured reports.
 Subcommands: ``static-trk``, ``floquet``, ``qed``, ``converge``, ``sweep``,
 each taking ``--config <path>``, ``--out <dir>``, ``--threads <n>`` (0 =
 library default; the FLOQTRK_THREADS environment variable supplies a
-default; applied through threadpoolctl, with a warning when it is missing)
+default; applied through the thread control of numpy's bundled OpenBLAS,
+with a warning when that is missing)
 and ``--verbose``. Exit codes: 0 success, 2 configuration or input error,
 3 numeric or zone failure (a broken closure identity included), 4 I/O
 error.
@@ -26,6 +27,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import ctypes
 import difflib
 import functools
 import hashlib
@@ -49,12 +51,10 @@ from .errors import ConfigError, InputError, NumericError, ZoneError
 from .floquet import (
     EigenSystem,
     Reflection,
-    assemble_floquet_matrix,
+    assemble_sambe,
     basis_reversal,
     diagonalize_hermitian,
     fold_and_select_ffbz,
-    fourier_blocks_of_hamiltonian,
-    sambe_reflection,
 )
 from .model import (
     HERMITICITY_TOL,
@@ -73,9 +73,7 @@ from .model import (
 from .qed import (
     MIN_CUTOFF_FAMILY,
     FockSpec,
-    build_joint_hamiltonian,
-    joint_dipole,
-    joint_reflection,
+    joint_operators,
     photon_cutoff_convergence,
     sumrule_qed,
 )
@@ -863,16 +861,13 @@ def _floquet_stack(
 ):
     """Assemble/diagonalize/fold pipeline of one harmonic cutoff."""
     with stage("sambe_assemble"):
-        blocks = fourier_blocks_of_hamiltonian(h, d, drive)
-        fm = assemble_floquet_matrix(blocks, drive.omega, harmonic_cutoff)
+        fm = assemble_sambe(h, d, drive, harmonic_cutoff, reflection)
     with stage("eigensolve"):
-        system = diagonalize_hermitian(
-            fm.matrix, reflection=sambe_reflection(reflection, fm.spec)
-        )
+        system = diagonalize_hermitian(fm.matrix)
     with stage("fold_select"):
         edge_tol = config.resolved["sambe"]["edge_tol"]
         selection = fold_and_select_ffbz(system, drive.omega, fm.spec, edge_tol=edge_tol)
-        ground = matter_system.vectors[:, 0]
+        ground = matter_system.column(0)
         if config.reference == "auto":
             ffbz_ref = select_reference(selection.representatives, ground)
         else:
@@ -937,26 +932,25 @@ def _run_qed(config: JobConfig, stage: _Stage) -> dict:
     h, d, n_e, matter_system, reflection = _matter_stack(config, stage)
     fock = FockSpec(**config.resolved["fock"])
     reference = _static_reference(config)
-    # the g = 0 diagnostic has the same cutoff, so it shares this lift
-    reflection = joint_reflection(reflection, fock)
     with stage("joint_assemble"):
-        h_joint = build_joint_hamiltonian(h, d, fock)
-        d_joint = joint_dipole(d, fock)
+        h_joint, d_joint = joint_operators(h, d, fock, reflection)
     with stage("eigensolve"):
-        system = diagonalize_hermitian(h_joint, reflection=reflection)
+        system = diagonalize_hermitian(h_joint)
     with stage("sumrule"):
         static_report = static_trk(h, d, 0, n_electrons=n_e, system=matter_system)
         qed_report = sumrule_qed(
             system, d_joint, reference, h_joint=h_joint, n_electrons=n_e
         )
+    energies = system.values
+    del system  # its vectors are not needed while the g = 0 diagnostic solves
     reports = [("static_trk", static_report), ("qed", qed_report)]
     if config.resolved["qed"]["h0_diagnostic"]:
         # same photon cutoff, so d (x) I is shared with the coupled report
         fock0 = FockSpec(n_max=fock.n_max, omega_c=fock.omega_c, g=0.0)
         with stage("joint_assemble"):
-            h0 = build_joint_hamiltonian(h, d, fock0)
+            h0, _ = joint_operators(h, d, fock0, reflection)
         with stage("eigensolve"):
-            system0 = diagonalize_hermitian(h0, reflection=reflection)
+            system0 = diagonalize_hermitian(h0)
         with stage("sumrule"):
             reports.append(
                 (
@@ -969,7 +963,7 @@ def _run_qed(config: JobConfig, stage: _Stage) -> dict:
     pieces["primary"] = "qed"
     pieces["spectrum_header"] = ("index", "energy")
     pieces["spectrum_rows"] = tuple(
-        (i, float(e)) for i, e in enumerate(system.values)
+        (i, float(e)) for i, e in enumerate(energies)
     )
     pieces["warnings"] = qed_report.truncation_flags
     return pieces
@@ -987,9 +981,10 @@ def _run_converge(config: JobConfig, stage: _Stage) -> dict:
         final_report = None
         final_warnings: tuple[str, ...] = ()
         for cutoff in values:
-            _, _, selection, ffbz_ref = _floquet_stack(
+            # keep neither matrix nor spectrum into the next cutoff's solve
+            selection, ffbz_ref = _floquet_stack(
                 config, stage, h, d, drive, matter_system, reflection, cutoff
-            )
+            )[2:]
             with stage("sumrule"):
                 report = sumrule_ffbz(
                     selection.representatives,
@@ -1057,6 +1052,8 @@ def _run_sweep(config: JobConfig, stage: _Stage, verbose: bool) -> dict:
     for i, (value, resolved) in enumerate(_sweep_points(config.resolved)):
         with stage(f"point_{i}"):
             report = run_job(JobConfig(resolved=resolved), verbose=verbose)
+        # the point's own stage timings, its total included, replace its wall time
+        stage.timings[f"point_{i}"] = report.timings
         points.append(SweepPoint(parameter_value=float(value), report=report))
     pieces = _empty_pieces()
     pieces["sweep_points"] = tuple(points)
@@ -1211,24 +1208,45 @@ def write_report(
 # entry point
 
 
+def _openblas_thread_control() -> tuple[Callable, Callable] | None:
+    """The thread setter and getter of the OpenBLAS bundled with numpy (in
+    ``numpy.libs``), or None when that library or its symbols are absent."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            library = ctypes.CDLL(str(path))
+            return (
+                library.scipy_openblas_set_num_threads64_,
+                library.scipy_openblas_get_num_threads64_,
+            )
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
 @contextlib.contextmanager
 def _thread_limit(threads: int):
-    """Cap BLAS threads; yields the cap in force, None when none was applied."""
+    """Cap BLAS threads; yields the count in force, None when no cap was
+    applied. The previous count is restored on exit."""
     if threads <= 0:
         yield None
         return
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
+    control = _openblas_thread_control()
+    if control is None:
         print(
             f"warning: thread cap {threads} (--threads / FLOQTRK_THREADS) not "
-            f"applied: threadpoolctl is not installed",
+            f"applied: numpy's bundled OpenBLAS thread control was not found",
             file=sys.stderr,
         )
         yield None
         return
-    with threadpool_limits(limits=threads):
-        yield threads
+    set_threads, get_threads = control
+    previous = get_threads()
+    set_threads(threads)
+    try:
+        yield get_threads()
+    finally:
+        set_threads(previous)
 
 
 def _resolve_threads(cli_value: int | None) -> int:

@@ -16,7 +16,9 @@ real-symmetric path.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -96,9 +98,11 @@ class FourierBlockSet:
 
 @dataclass(frozen=True, eq=False)
 class FloquetMatrix:
-    """Assembled truncated quasienergy operator."""
+    """Assembled truncated quasienergy operator: a dense matrix, or the
+    structured :class:`ProductOperator` that :func:`assemble_sambe` keeps
+    when the operator splits into parity sectors."""
 
-    matrix: np.ndarray
+    matrix: np.ndarray | ProductOperator
     spec: SambeSpec
     omega: float
 
@@ -161,15 +165,127 @@ class FoldedLabel:
     n_shift: int
 
 
-class EigenSystem(NamedTuple):
-    """Full spectrum of one Hermitian matrix, eigenvalues ascending."""
+class SectorBasis(NamedTuple):
+    """An orthonormal basis of one reflection sector, in original coordinates.
 
-    values: np.ndarray
-    vectors: np.ndarray  # column j is the eigenvector of values[j]
+    Basis vector k is weights[k] * (e_coords[k] + flips[k] * e_partners[k]):
+    a normalized pair combination (weight 1/sqrt(2), flip +-1), or the unit
+    vector of a fixed point of the reflection (weight 1, flip 0, partner =
+    coord). ``coords`` ascend, so a block structure of the operator
+    (harmonic blocks, Fock levels) stays in order in the sector block.
+    """
+
+    coords: np.ndarray
+    partners: np.ndarray
+    weights: np.ndarray
+    flips: np.ndarray
+
+    def coordinates(self, x: np.ndarray) -> np.ndarray:
+        """Components of the original-basis vector ``x`` along this basis."""
+        return self.weights * (x[self.coords] + self.flips * x[self.partners])
+
+    def embed(self, y: np.ndarray, dim: int) -> np.ndarray:
+        """The original-basis vector with coordinates ``y`` in this basis."""
+        out = np.zeros(dim, dtype=y.dtype)
+        scaled = self.weights * y
+        out[self.coords] = scaled
+        out[self.partners] += scaled * self.flips
+        return out
+
+
+class Sector(NamedTuple):
+    """The eigenpairs of one reflection sector.
+
+    Column i of ``vectors`` (in ``basis`` coordinates) is eigenvector
+    ``ranks[i]`` of the merged ascending spectrum.
+    """
+
+    basis: SectorBasis
+    vectors: np.ndarray
+    ranks: np.ndarray
+
+
+class EigenSystem:
+    """Complete spectrum of one Hermitian matrix, eigenvalues ascending.
+
+    ``values[j]`` belongs to eigenvector j; :meth:`column` gives its
+    coefficients in the original basis and :meth:`amplitudes` the products
+    conj(x) . v_j for every j. A dense solve keeps its n x n eigenvector
+    matrix. A parity-sector solve keeps each sector's eigenvectors in that
+    sector's basis (:class:`Sector`), half the entries of the merged matrix,
+    and reads columns and amplitudes sector by sector. ``vectors``, the
+    merged matrix with column j the eigenvector of ``values[j]``, is built
+    only when a caller asks for it.
+    """
+
+    def __init__(
+        self,
+        values: np.ndarray,
+        vectors: np.ndarray | None = None,
+        *,
+        sectors: tuple[Sector, ...] = (),
+    ) -> None:
+        if (vectors is None) == (not sectors):
+            raise InputError("an eigensystem holds either dense vectors or sectors")
+        self.values = values
+        self.sectors = tuple(sectors)
+        self._dense = vectors
+
+    @classmethod
+    def from_sectors(
+        cls, solved: list[tuple[SectorBasis, np.ndarray, np.ndarray]]
+    ) -> EigenSystem:
+        """Merge (basis, values, vectors) sector solves by a stable sort."""
+        values = np.concatenate([sector_values for _, sector_values, _ in solved])
+        ranking = np.argsort(values, kind="stable")
+        rank = np.empty(values.size, dtype=np.intp)
+        rank[ranking] = np.arange(values.size)
+        sectors, start = [], 0
+        for basis, sector_values, vectors in solved:
+            stop = start + sector_values.size
+            sectors.append(Sector(basis, vectors, rank[start:stop]))
+            start = stop
+        return cls(values[ranking], sectors=tuple(sectors))
 
     @property
     def dim(self) -> int:
         return self.values.size
+
+    def column(self, j: int) -> np.ndarray:
+        """Eigenvector j in the original basis."""
+        if self._dense is not None:
+            return self._dense[:, j]
+        j = range(self.dim)[j]
+        for basis, vectors, ranks in self.sectors:
+            local = np.flatnonzero(ranks == j)
+            if local.size:
+                return basis.embed(vectors[:, local[0]], self.dim)
+        raise InputError(f"no sector holds eigenvector {j}")
+
+    def amplitudes(self, x: np.ndarray) -> np.ndarray:
+        """conj(x) . v_j for every eigenvector v_j, in ascending order."""
+        if self._dense is not None:
+            return x.conj() @ self._dense
+        dtype = np.result_type(x, *(sector.vectors for sector in self.sectors))
+        amps = np.empty(self.dim, dtype=dtype)
+        for sector in self.sectors:
+            amps[sector.ranks] = sector.basis.coordinates(x).conj() @ sector.vectors
+        return amps
+
+    @functools.cached_property
+    def vectors(self) -> np.ndarray:
+        """The n x n eigenvector matrix, Fortran-ordered like LAPACK's output;
+        merged from the sectors on first use."""
+        if self._dense is not None:
+            return self._dense
+        dtype = np.result_type(*(sector.vectors for sector in self.sectors))
+        rows = np.zeros((self.dim, self.dim), dtype=dtype)  # row r: eigenvector r
+        for basis, vectors, ranks in self.sectors:
+            weights = np.multiply(vectors.T, basis.weights, order="C")
+            rows[np.ix_(ranks, basis.coords)] = weights
+            weights *= basis.flips
+            rows[np.ix_(ranks, basis.partners)] += weights
+        return rows.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,6 +306,22 @@ class FfbzSelection:
     source_indices: tuple[int, ...]  # representative -> eigenpair column
 
 
+def _drive_factors(drive: DriveSpec) -> dict[int, float | complex]:
+    """Coefficient f_k of the dipole in each Fourier block H_k = f_k d of
+    -d * E(t); zero-amplitude components are dropped, real factors stay
+    real."""
+    factors: dict[int, float | complex] = {}
+    for comp in drive.components:
+        if comp.amplitude == 0.0:
+            continue
+        factor = -0.5 * comp.amplitude * np.exp(1j * comp.phase)
+        if factor.imag == 0.0:
+            factor = factor.real
+        factors[comp.harmonic] = factor
+        factors[-comp.harmonic] = np.conj(factor)
+    return factors
+
+
 def fourier_blocks_of_hamiltonian(
     h_matter: MatterOperator, dipole: MatterOperator, drive: DriveSpec
 ) -> FourierBlockSet:
@@ -205,38 +337,39 @@ def fourier_blocks_of_hamiltonian(
             f"matter Hamiltonian dim {h_matter.dim} != dipole dim {dipole.dim}"
         )
     blocks: dict[int, np.ndarray] = {0: h_matter.matrix}
-    for comp in drive.components:
-        if comp.amplitude == 0.0:
-            continue
-        factor = -0.5 * comp.amplitude * np.exp(1j * comp.phase)
-        if factor.imag == 0.0:
-            factor = factor.real
-        blocks[comp.harmonic] = factor * dipole.matrix
-        blocks[-comp.harmonic] = np.conj(factor) * dipole.matrix
+    for k, factor in _drive_factors(drive).items():
+        blocks[k] = factor * dipole.matrix
     return FourierBlockSet(blocks)
+
+
+def _sambe_spec(max_k: int, matter_dim: int, omega: float, harmonic_cutoff: int) -> SambeSpec:
+    """The truncation window, refused when it would drop a coupling or
+    exceed the dense guard."""
+    if omega <= 0:
+        raise InputError(f"omega must be > 0, got {omega}")
+    if harmonic_cutoff < max_k:
+        raise ConfigError(
+            f"harmonic cutoff {harmonic_cutoff} is below the highest drive "
+            f"harmonic {max_k}; raise the cutoff so no coupling is dropped"
+        )
+    spec = SambeSpec(harmonic_cutoff=harmonic_cutoff, matter_dim=matter_dim)
+    if spec.dim > MAX_SAMBE_DIM:
+        raise SizeError(
+            f"Sambe dimension {spec.dim} exceeds the dense guard {MAX_SAMBE_DIM}"
+        )
+    return spec
 
 
 def assemble_floquet_matrix(
     blocks: FourierBlockSet, omega: float, harmonic_cutoff: int
 ) -> FloquetMatrix:
-    """Assemble the truncated Sambe matrix from Fourier blocks.
+    """Assemble the dense truncated Sambe matrix from Fourier blocks.
 
     Block (m, m') = H_(m-m') + delta_(mm') * m*omega * I for
     m, m' in [-N_h, N_h]. Couplings are never dropped silently: the window
     must cover the highest stored harmonic.
     """
-    if omega <= 0:
-        raise InputError(f"omega must be > 0, got {omega}")
-    if harmonic_cutoff < blocks.max_k:
-        raise ConfigError(
-            f"harmonic cutoff {harmonic_cutoff} is below the highest drive "
-            f"harmonic {blocks.max_k}; raise the cutoff so no coupling is dropped"
-        )
-    spec = SambeSpec(harmonic_cutoff=harmonic_cutoff, matter_dim=blocks.matter_dim)
-    if spec.dim > MAX_SAMBE_DIM:
-        raise SizeError(
-            f"Sambe dimension {spec.dim} exceeds the dense guard {MAX_SAMBE_DIM}"
-        )
+    spec = _sambe_spec(blocks.max_k, blocks.matter_dim, omega, harmonic_cutoff)
     n_b = spec.matter_dim
     is_complex = any(np.iscomplexobj(b) for b in blocks.blocks.values())
     dtype = np.complex128 if is_complex else np.float64
@@ -251,6 +384,64 @@ def assemble_floquet_matrix(
                 matrix[r0 : r0 + n_b, c0 : c0 + n_b] = block
         matrix[r0 : r0 + n_b, r0 : r0 + n_b] += m * omega * eye
     return FloquetMatrix(matrix=matrix, spec=spec, omega=omega)
+
+
+def sambe_operator(
+    h_matter: MatterOperator,
+    dipole: MatterOperator,
+    drive: DriveSpec,
+    harmonic_cutoff: int,
+    reflection: Reflection | None = None,
+) -> ProductOperator:
+    """The truncated Sambe matrix of H(t) = H_M - d * E(t) as a
+    :class:`ProductOperator`.
+
+    H_M (x) 1 + 1 (x) diag(m Omega) + d (x) C on the harmonic-major index,
+    with C[m, m'] the Fourier factor f_(m-m') of
+    :func:`fourier_blocks_of_hamiltonian`. The matter reflection P is lifted
+    to P (x) (-1)^m: x -> -x together with t -> t + T/2. ``toarray()`` is
+    :func:`assemble_floquet_matrix`, bit for bit.
+    """
+    blocks = fourier_blocks_of_hamiltonian(h_matter, dipole, drive)
+    _sambe_spec(blocks.max_k, blocks.matter_dim, drive.omega, harmonic_cutoff)
+    factors = _drive_factors(drive)
+    n = 2 * harmonic_cutoff + 1
+    coupling = np.zeros((n, n), dtype=np.result_type(np.float64, *factors.values()))
+    for k, factor in factors.items():
+        rows = np.arange(max(k, 0), min(n, n + k))
+        coupling[rows, rows - k] = factor
+    return ProductOperator(
+        matter=h_matter.matrix,
+        labels=np.arange(-harmonic_cutoff, harmonic_cutoff + 1),
+        dense=lambda: assemble_floquet_matrix(blocks, drive.omega, harmonic_cutoff).matrix,
+        frequency=drive.omega,
+        dipole=dipole.matrix,
+        coupling=coupling,
+        outer_major=True,
+        reflection=reflection,
+    )
+
+
+def assemble_sambe(
+    h_matter: MatterOperator,
+    dipole: MatterOperator,
+    drive: DriveSpec,
+    harmonic_cutoff: int,
+    reflection: Reflection | None = None,
+) -> FloquetMatrix:
+    """The truncated Sambe matrix, kept structured when it splits.
+
+    ``matrix`` is the :func:`sambe_operator` when its lifted reflection
+    commutes with it (:attr:`ProductOperator.splits`), so no full-size array
+    is formed. Otherwise it is the dense matrix of
+    :func:`assemble_floquet_matrix`, bit for bit.
+    """
+    operator = sambe_operator(h_matter, dipole, drive, harmonic_cutoff, reflection)
+    return FloquetMatrix(
+        matrix=operator if operator.splits else operator.toarray(),
+        spec=SambeSpec(harmonic_cutoff=harmonic_cutoff, matter_dim=h_matter.dim),
+        omega=drive.omega,
+    )
 
 
 class Reflection(NamedTuple):
@@ -289,14 +480,61 @@ def basis_reversal(dim: int) -> Reflection:
 def sambe_reflection(matter: Reflection | None, spec: SambeSpec) -> Reflection | None:
     """Lift a matter reflection P to P (x) (-1)^m on the Sambe index.
 
-    This is x -> -x together with t -> t + T/2. It commutes with the Sambe
-    matrix when P commutes with H_M, anticommutes with d, and every drive
-    harmonic is odd; otherwise the eigensolve falls back to the dense path.
+    This is x -> -x together with t -> t + T/2, for a dense Sambe matrix
+    given to :func:`diagonalize_hermitian`; :func:`assemble_sambe` applies
+    the same lift to the matter operators instead.
     """
     if matter is None:
         return None
     harmonics = np.arange(-spec.harmonic_cutoff, spec.harmonic_cutoff + 1)
     return Reflection.alternating(harmonics).kron(matter)
+
+
+def _checked_reflection(reflection: Reflection, n: int) -> Reflection:
+    """``reflection`` as integer and float arrays, refused unless it is a
+    signed-permutation involution of ``n`` indices."""
+    perm = np.asarray(reflection.perm)
+    signs = np.asarray(reflection.signs, dtype=np.float64)
+    if perm.shape != (n,) or signs.shape != (n,):
+        raise InputError(
+            f"reflection has {perm.size} indices and {signs.size} signs, "
+            f"expected {n} of each"
+        )
+    if (
+        not np.issubdtype(perm.dtype, np.integer)
+        or np.any((perm < 0) | (perm >= n))
+        or np.any(perm[perm] != np.arange(n))
+        or np.any(np.abs(signs) != 1.0)
+        or np.any(signs[perm] != signs)
+    ):
+        raise InputError(
+            "reflection must be a signed-permutation involution: perm[perm] == "
+            "identity, signs of +-1 with signs[perm] == signs"
+        )
+    return Reflection(perm, signs)
+
+
+def _parity_basis(reflection: Reflection, parity: int) -> SectorBasis:
+    """Basis of the P = ``parity`` eigenspace of P = ``reflection``:
+    (e_i + parity * s_i e_perm(i)) / sqrt(2) for each pair i < perm(i), and
+    e_i for each fixed point with s_i = parity."""
+    perm, signs = reflection
+    index = np.arange(perm.size)
+    coords = index[(perm > index) | ((perm == index) & (signs == parity))]
+    is_pair = perm[coords] != coords
+    return SectorBasis(
+        coords=coords,
+        partners=perm[coords],
+        weights=np.where(is_pair, math.sqrt(0.5), 1.0),
+        flips=np.where(is_pair, parity * signs[coords], 0.0),
+    )
+
+
+def _project(a: np.ndarray, rows: SectorBasis, cols: SectorBasis) -> np.ndarray:
+    """U_rows^T a U_cols, for the real basis matrices U of two bases."""
+    left = a[rows.coords] + rows.flips[:, None] * a[rows.partners]
+    left *= rows.weights[:, None]
+    return (left[:, cols.coords] + left[:, cols.partners] * cols.flips) * cols.weights
 
 
 #: A sector split is taken when the block coupling the two sectors is at
@@ -305,10 +543,212 @@ def sambe_reflection(matter: Reflection | None, spec: SambeSpec) -> Reflection |
 SECTOR_COUPLING_EPS = 16
 
 
+@dataclass(frozen=True, eq=False)
+class ProductOperator:
+    """H = H_M (x) 1 + 1 (x) diag(shifts) + d (x) C on matter (x) outer space.
+
+    The outer factor is labelled by integers, with shift labels * frequency
+    and parity (-1)^label. The Sambe matrix is the case label = harmonic m,
+    shift m Omega and C[m, m'] = f_(m-m') (:func:`sambe_operator`), on the
+    harmonic-major index outer * N_M + matter (``outer_major``). The joint
+    matter-photon Hamiltonian is the case label = photon number n, shift
+    n omega_c and C = -g (a + a^dagger) (:func:`floqtrk.qed.joint_operator`),
+    on the matter-major index matter * N_O + outer. Without ``dipole`` and
+    ``frequency`` it is the lifted matter operator H_M (x) 1.
+
+    ``operator @ vector`` runs block by block on matter-size products. With
+    a matter reflection P, :attr:`splits` decides on the matter operators
+    whether P (x) (-1)^label commutes with H, and :meth:`sector` writes each
+    sector block straight from H_M and d projected onto P's pair bases.
+    :meth:`toarray` returns ``dense()``, the full-size assembler this
+    operator stands for; only the dense fallback calls it.
+    """
+
+    matter: np.ndarray  # H_M
+    labels: np.ndarray  # integer label of each outer index
+    dense: Callable[[], np.ndarray]
+    frequency: float = 0.0
+    dipole: np.ndarray | None = None  # d
+    coupling: np.ndarray | None = None  # C, Hermitian, outer x outer
+    outer_major: bool = False
+    reflection: Reflection | None = None
+
+    def __post_init__(self) -> None:
+        n_m = self.matter.shape[0]
+        if self.matter.shape != (n_m, n_m):
+            raise InputError(f"matter operator has shape {self.matter.shape}, expected square")
+        labels = np.asarray(self.labels)
+        n_o = labels.size
+        if self.dipole is not None and (
+            self.dipole.shape != (n_m, n_m)
+            or self.coupling is None
+            or self.coupling.shape != (n_o, n_o)
+        ):
+            raise InputError(
+                f"dipole and coupling must have shapes ({n_m}, {n_m}) and ({n_o}, {n_o})"
+            )
+        object.__setattr__(self, "labels", labels)
+        if self.reflection is not None:
+            object.__setattr__(
+                self, "reflection", _checked_reflection(self.reflection, n_m)
+            )
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.matter.shape[0] * self.labels.size
+        return (n, n)
+
+    @property
+    def shifts(self) -> np.ndarray:
+        return self.labels * self.frequency
+
+    def toarray(self) -> np.ndarray:
+        """The full-size dense matrix."""
+        return self.dense()
+
+    def __matmul__(self, vector: np.ndarray) -> np.ndarray:
+        x = np.asarray(vector)
+        n_m, n_o = self.matter.shape[0], self.labels.size
+        if x.shape != (n_m * n_o,):
+            raise InputError(f"expected a vector of length {n_m * n_o}, got shape {x.shape}")
+        # column j of `grid` is the matter vector at outer index j
+        grid = x.reshape(n_o, n_m).T if self.outer_major else x.reshape(n_m, n_o)
+        out = self.matter @ grid
+        if self.frequency:
+            out = out + grid * self.shifts
+        if self._couples:
+            out = out + self.dipole @ grid @ self.coupling.T
+        return (out.T if self.outer_major else out).ravel()
+
+    @functools.cached_property
+    def _couples(self) -> bool:
+        return self.dipole is not None and bool(np.any(self.coupling != 0))
+
+    @functools.cached_property
+    def _outer_signs(self) -> np.ndarray:
+        return np.where(self.labels % 2 == 0, 1, -1)
+
+    @functools.cached_property
+    def _bases(self) -> dict[int, SectorBasis]:
+        return {p: _parity_basis(self.reflection, p) for p in (1, -1)}
+
+    @functools.cached_property
+    def _projections(self) -> dict[tuple[str, int, int], np.ndarray]:
+        """H_pq and d_pq = U_p^T (H_M or d) U_q on P's eigenspaces p, q; the
+        dipole's only when it couples."""
+        bases = self._bases
+        pairs = [(1, 1), (-1, -1), (1, -1)]
+        blocks = {("h", p, q): _project(self.matter, bases[p], bases[q]) for p, q in pairs}
+        if self._couples:
+            for p, q in pairs:
+                blocks["d", p, q] = _project(self.dipole, bases[p], bases[q])
+            blocks["d", -1, 1] = blocks["d", 1, -1].conj().T
+        return blocks
+
+    def _sector_dim(self, parity: int) -> int:
+        return sum(self._bases[parity * s].coords.size for s in self._outer_signs)
+
+    @functools.cached_property
+    def splits(self) -> bool:
+        """Whether the lifted reflection P (x) (-1)^label commutes with H.
+
+        Decided on matter-size operators: P H_M P = H_M, P d P = -d and every
+        coupling C[j, j'] between outer indices of opposite parity, each to
+        within :data:`SECTOR_COUPLING_EPS` eps max|M|, with max|M| read off
+        the blocks. False without a reflection, when a sector is empty, or
+        when an operator is not finite or not Hermitian (the dense path then
+        reports it).
+        """
+        if self.reflection is None:
+            return False
+        diagonal = np.real(np.diagonal(self.matter))[:, None] + self.shifts
+        pieces = [np.max(np.abs(self.matter)), np.max(np.abs(diagonal))]
+        if self._couples:
+            pieces.append(np.max(np.abs(self.coupling)) * np.max(np.abs(self.dipole)))
+        scale = float(np.max(pieces))
+        if not math.isfinite(scale):
+            return False
+        defect = hermiticity_defect(self.matter)
+        if self._couples:
+            defect = max(
+                defect,
+                hermiticity_defect(self.dipole) * np.max(np.abs(self.coupling)),
+                hermiticity_defect(self.coupling) * np.max(np.abs(self.dipole)),
+            )
+        if defect > 1e-10 * max(1.0, scale) or not (self._sector_dim(1) and self._sector_dim(-1)):
+            return False
+        blocks = self._projections
+        largest = float(np.max(np.abs(blocks["h", 1, -1]), initial=0.0))
+        if self._couples:
+            coupling = np.abs(self.coupling)
+            odd = self._outer_signs[:, None] != self._outer_signs
+            same_parity = max(
+                np.max(np.abs(blocks["d", 1, 1]), initial=0.0),
+                np.max(np.abs(blocks["d", -1, -1]), initial=0.0),
+            )
+            largest = max(
+                largest,
+                np.max(coupling[odd], initial=0.0) * same_parity,
+                np.max(coupling[~odd], initial=0.0)
+                * np.max(np.abs(blocks["d", 1, -1]), initial=0.0),
+            )
+        return largest <= SECTOR_COUPLING_EPS * np.finfo(np.float64).eps * scale
+
+    def sector(self, parity: int) -> tuple[np.ndarray, SectorBasis]:
+        """The block of H in its P (x) (-1)^label = ``parity`` sector, and
+        that sector's basis.
+
+        Outer index j carries P's eigenspace p_j = parity * (-1)^label_j. Its
+        diagonal block is H_(p_j p_j) + shift_j, and its block towards each
+        outer index j' it couples to is C[j, j'] d_(p_j p_j').
+        """
+        n_m = self.matter.shape[0]
+        n_o = self.labels.size
+        matter_parity = parity * self._outer_signs
+        parts = [self._bases[p] for p in matter_parity]
+        sizes = [part.coords.size for part in parts]
+        outer = np.repeat(np.arange(n_o), sizes)
+
+        def flat(matter_index: np.ndarray) -> np.ndarray:
+            if self.outer_major:
+                return outer * n_m + matter_index
+            return matter_index * n_o + outer
+
+        coords = flat(np.concatenate([part.coords for part in parts]))
+        order = np.argsort(coords, kind="stable")
+        position = np.empty_like(order)  # sector index of each (j, k) coordinate
+        position[order] = np.arange(order.size)
+        starts = np.cumsum([0, *sizes])
+        blocks = self._projections
+        dtype = np.result_type(
+            self.matter,
+            np.float64,
+            *((self.dipole, self.coupling) if self._couples else ()),
+        )
+        block = np.zeros((order.size, order.size), dtype=dtype)
+        shifts = self.shifts
+        for j, p in enumerate(matter_parity):
+            rows = position[starts[j] : starts[j + 1]]
+            block[np.ix_(rows, rows)] = blocks["h", p, p]
+            block[rows, rows] += shifts[j]
+            if self._couples:
+                for k in np.flatnonzero(self.coupling[j]):
+                    cols = position[starts[k] : starts[k + 1]]
+                    factor = self.coupling[j, k]
+                    block[np.ix_(rows, cols)] = factor * blocks["d", p, matter_parity[k]]
+        basis = SectorBasis(
+            coords=coords[order],
+            partners=flat(np.concatenate([part.partners for part in parts]))[order],
+            weights=np.concatenate([part.weights for part in parts])[order],
+            flips=np.concatenate([part.flips for part in parts])[order],
+        )
+        return block, basis
+
+
 def diagonalize_hermitian(
-    matrix: np.ndarray, *, reflection: Reflection | None = None
+    matrix: np.ndarray | ProductOperator, *, reflection: Reflection | None = None
 ) -> EigenSystem:
-    """Full spectrum of a dense Hermitian matrix, eigenvalues ascending.
+    """Complete spectrum of a Hermitian matrix, eigenvalues ascending.
 
     Every solve, dense or per sector, is numpy's ``eigh`` (LAPACK's
     divide-and-conquer ``?syevd`` / ``?heevd``). Exactly real-valued input
@@ -316,13 +756,40 @@ def diagonalize_hermitian(
     than the complex one at the dimensions the dense guards allow. NaN or
     infinite entries raise NumericError before any solve.
 
-    With a ``reflection`` S that commutes with the matrix, the S = +1 and
-    S = -1 sectors are solved separately (two half-size solves, about a
-    quarter of the flops of one full-size solve), and the spectra merged by
-    a stable sort. The split is taken only when the block coupling the
-    sectors is at rounding level (:data:`SECTOR_COUPLING_EPS`); otherwise,
-    and when S leaves a sector empty, the dense path runs unchanged.
+    ``matrix`` is a dense array or a :class:`ProductOperator`. An operator
+    whose lifted reflection commutes with it (:attr:`ProductOperator.splits`)
+    is solved in its S = +1 and S = -1 sectors, one sector block at a time
+    (two half-size solves, about a quarter of the flops of one full-size
+    solve), and the result keeps its sectors (:class:`EigenSystem`). A dense
+    matrix with a ``reflection`` S is the operator with an outer space of
+    size one. Otherwise, and when S leaves a sector empty, the dense path
+    runs on the full matrix, with the bits of a solve without a reflection.
     """
+    if isinstance(matrix, ProductOperator):
+        if reflection is not None:
+            raise InputError("a ProductOperator carries its own reflection")
+        operator = matrix
+    else:
+        m = _checked_hermitian(matrix)
+        if reflection is None:
+            return _solve_dense(m)
+        operator = ProductOperator(
+            matter=m, labels=np.zeros(1, dtype=int), dense=lambda: m, reflection=reflection
+        )
+    if not operator.splits:
+        return _solve_dense(_checked_hermitian(operator.toarray()))
+    solved = []
+    for parity in (1, -1):
+        block, basis = operator.sector(parity)
+        values, vectors = _eigh(block)
+        del block
+        solved.append((basis, values, vectors))
+    return EigenSystem.from_sectors(solved)
+
+
+def _checked_hermitian(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` checked to be square, finite and Hermitian, made exactly
+    Hermitian when complex and real when its imaginary part is zero."""
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"expected a square matrix, got shape {m.shape}")
@@ -342,153 +809,20 @@ def diagonalize_hermitian(
             m = np.ascontiguousarray(m.real)
         else:
             m = (m + m.conj().T) / 2.0
+    return m
+
+
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
-        if reflection is not None:
-            split = _sector_split(m, reflection, scale)
-            if split is not None:
-                return _solve_sectors(*split)
-        values, vectors = np.linalg.eigh(m)
+        return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed: {exc}") from exc
-    # numpy returns C order; keep LAPACK's Fortran order, like the sector path
+
+
+def _solve_dense(m: np.ndarray) -> EigenSystem:
+    values, vectors = _eigh(m)
+    # numpy returns C order; keep LAPACK's Fortran order
     return EigenSystem(values=values, vectors=np.asfortranarray(vectors))
-
-
-class _Sector(NamedTuple):
-    """One sector block of M and the basis it is written in.
-
-    Sector coordinate k has weight ``scale[k]`` on the original index
-    ``coords[k]`` and ``scale[k] * flips[k]`` on ``partners[k]``: a
-    normalized pair combination, or a fixed point of the reflection when the
-    two indices coincide. ``coords`` ascend, so a block structure of M
-    (harmonic blocks, Fock levels) stays contiguous in the sector block and
-    the exact zeros LAPACK keeps for it survive the split.
-    """
-
-    block: np.ndarray
-    coords: np.ndarray
-    partners: np.ndarray
-    scale: np.ndarray
-    flips: np.ndarray
-
-
-def _sector_split(
-    m: np.ndarray, reflection: Reflection, scale: float
-) -> tuple[_Sector, _Sector] | None:
-    """The S = +1 and S = -1 sectors of ``m``, or None when the block
-    coupling them exceeds the tolerance or one of them is empty.
-
-    M is gathered once into the staged order [pair leaders | S = +1 fixed
-    points | S = -1 fixed points | partners of the leaders], with the
-    partner rows and columns multiplied by their signs; each block in the
-    pair basis (e_i +- s_i e_perm(i)) / sqrt(2) is then a sum of contiguous
-    slices.
-    """
-    n = m.shape[0]
-    perm = np.asarray(reflection.perm)
-    signs = np.asarray(reflection.signs, dtype=np.float64)
-    if perm.shape != (n,) or signs.shape != (n,):
-        raise InputError(
-            f"reflection has {perm.size} indices and {signs.size} signs, "
-            f"expected {n} of each"
-        )
-    index = np.arange(n)
-    if (
-        not np.issubdtype(perm.dtype, np.integer)
-        or np.any((perm < 0) | (perm >= n))
-        or np.any(perm[perm] != index)
-        or np.any(np.abs(signs) != 1.0)
-        or np.any(signs[perm] != signs)
-    ):
-        raise InputError(
-            "reflection must be a signed-permutation involution: perm[perm] == "
-            "identity, signs of +-1 with signs[perm] == signs"
-        )
-    leaders = index[perm > index]
-    fixed = index[perm == index]
-    fixed_even, fixed_odd = fixed[signs[fixed] > 0], fixed[signs[fixed] < 0]
-    p, fe, fo = leaders.size, fixed_even.size, fixed_odd.size
-    if p + fe == 0 or p + fo == 0:
-        return None
-    order = np.concatenate([leaders, fixed_even, fixed_odd, perm[leaders]])
-    sigma = signs[leaders]
-    g = m[np.ix_(order, order)]
-    g[n - p :] *= sigma[:, None]
-    g[:, n - p :] *= sigma
-    pair, even_fixed = slice(0, p), slice(p, p + fe)
-    odd_fixed, partner = slice(p + fe, p + fe + fo), slice(n - p, n)
-    root_half = math.sqrt(0.5)
-
-    # the block with S = +1 rows and S = -1 columns
-    a, b, c, d = g[pair, pair], g[pair, partner], g[partner, pair], g[partner, partner]
-    coupling = a - d
-    coupling += c
-    coupling -= b
-    largest = 0.5 * float(np.max(np.abs(coupling), initial=0.0))
-    del coupling
-    for piece in (
-        root_half * (g[pair, odd_fixed] + g[partner, odd_fixed]),
-        root_half * (g[even_fixed, pair] - g[even_fixed, partner]),
-        g[even_fixed, odd_fixed],
-    ):
-        largest = max(largest, float(np.max(np.abs(piece), initial=0.0)))
-    if largest > SECTOR_COUPLING_EPS * np.finfo(np.float64).eps * scale:
-        return None
-
-    even = np.empty((p + fe, p + fe), dtype=g.dtype)
-    odd = np.empty((p + fo, p + fo), dtype=g.dtype)
-    diagonal, cross = a + d, b + c
-    np.add(diagonal, cross, out=even[:p, :p])
-    np.subtract(diagonal, cross, out=odd[:p, :p])
-    del diagonal, cross
-    even[:p, :p] *= 0.5
-    odd[:p, :p] *= 0.5
-    even[:p, p:] = root_half * (g[pair, even_fixed] + g[partner, even_fixed])
-    even[p:, :p] = root_half * (g[even_fixed, pair] + g[even_fixed, partner])
-    even[p:, p:] = g[even_fixed, even_fixed]
-    odd[:p, p:] = root_half * (g[pair, odd_fixed] - g[partner, odd_fixed])
-    odd[p:, :p] = root_half * (g[odd_fixed, pair] - g[odd_fixed, partner])
-    odd[p:, p:] = g[odd_fixed, odd_fixed]
-    del g, a, b, c, d
-
-    sectors = []
-    for block, fixed_points, parity in ((even, fixed_even, 1.0), (odd, fixed_odd, -1.0)):
-        staged = np.concatenate([leaders, fixed_points])
-        ascending = np.argsort(staged)
-        coords = staged[ascending]
-        is_pair = ascending < p
-        sectors.append(
-            _Sector(
-                block=block[np.ix_(ascending, ascending)],
-                coords=coords,
-                partners=perm[coords],
-                scale=np.where(is_pair, root_half, 1.0),
-                flips=np.where(is_pair, parity * signs[coords], 1.0),
-            )
-        )
-    return sectors[0], sectors[1]
-
-
-def _solve_sectors(even: _Sector, odd: _Sector) -> EigenSystem:
-    """Solve both sector blocks and merge them into one ascending spectrum
-    with eigenvectors in the original basis."""
-    solved = [np.linalg.eigh(sector.block) for sector in (even, odd)]
-    values = np.concatenate([solved[0][0], solved[1][0]])
-    n = values.size
-    ranking = np.argsort(values, kind="stable")
-    rank = np.empty(n, dtype=np.intp)
-    rank[ranking] = np.arange(n)
-    ranks = (rank[: even.coords.size], rank[even.coords.size :])
-    # row r of `rows` is eigenvector r in the original basis
-    rows = np.zeros((n, n), dtype=np.result_type(solved[0][1], solved[1][1]))
-    for sector, (_, vectors), sector_rank in zip((even, odd), solved, ranks):
-        weights = vectors.T * sector.scale
-        rows[np.ix_(sector_rank, sector.coords)] = weights
-        weights *= sector.flips
-        rows[np.ix_(sector_rank, sector.partners)] = weights
-    del solved, vectors, weights
-    # column j is eigenvector j, Fortran-ordered like LAPACK's own output
-    return EigenSystem(values=values[ranking], vectors=rows.T)
 
 
 def fold_label(epsilon: float, omega: float) -> FoldedLabel:
@@ -560,7 +894,8 @@ def fold_and_select_ffbz(
 
     Representatives are exactly the eigenpairs whose raw truncated-matrix
     eigenvalue already lies in [-Omega/2, Omega/2): deterministic, and exact
-    eigenvectors of the truncated operator. Their truncation quality is gated
+    eigenvectors of the truncated operator. Only their eigenvectors are
+    mapped back to the original basis (:meth:`EigenSystem.column`). Their truncation quality is gated
     by ``edge_weight`` instead of re-projection. Degenerate in-zone
     eigenvalues (within 1e-9 * Omega) are ordered by descending m=0-block
     weight; each representative's global phase is fixed.
@@ -576,12 +911,14 @@ def fold_and_select_ffbz(
         )
     labels = tuple(fold_label(float(e), omega) for e in eigensystem.values)
     in_zone = [i for i, lab in enumerate(labels) if lab.n_shift == 0]
+    # only the in-zone eigenvectors are mapped back to the original basis
+    columns = {i: eigensystem.column(i) for i in in_zone}
 
     # ascending quasienergy; inside degenerate groups, descending m=0 weight
     n_h = spec.harmonic_cutoff
     m0 = slice(n_h * spec.matter_dim, (n_h + 1) * spec.matter_dim)
     def m0_weight(i: int) -> float:
-        return float(np.sum(np.abs(eigensystem.vectors[m0, i]) ** 2))
+        return float(np.sum(np.abs(columns[i][m0]) ** 2))
 
     in_zone.sort(key=lambda i: eigensystem.values[i])
     ordered: list[int] = []
@@ -597,10 +934,7 @@ def fold_and_select_ffbz(
     ordered.extend(group)
 
     representatives = tuple(
-        _mode_from_vector(
-            eigensystem.vectors[:, i], eigensystem.values[i], omega, spec
-        )
-        for i in ordered
+        _mode_from_vector(columns[i], eigensystem.values[i], omega, spec) for i in ordered
     )
     edge_flagged = tuple(
         idx for idx, mode in enumerate(representatives) if mode.edge_weight > edge_tol

@@ -451,7 +451,8 @@ def double_commutator_expectation(hamiltonian, dipole, state) -> float:
 
     Parameters
     ----------
-    hamiltonian, dipole : MatterOperator or numpy.ndarray
+    hamiltonian, dipole : MatterOperator, numpy.ndarray or an operator
+        with ``shape`` and ``@ vector`` (such as ``floquet.ProductOperator``)
     state : array_like
         Normalized vector (||state|| = 1 within 1e-10).
 
@@ -485,6 +486,8 @@ def double_commutator_expectation(hamiltonian, dipole, state) -> float:
 def _as_matrix(operator) -> np.ndarray:
     if isinstance(operator, MatterOperator):
         return operator.matrix
+    if hasattr(operator, "shape"):
+        return operator  # an array, or a structured operator that has `@`
     return np.asarray(operator)
 
 

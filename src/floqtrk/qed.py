@@ -10,11 +10,13 @@ over plain eigenstate differences, exactly as in the static case but in the
 enlarged space. Because d (x) I commutes with every photon-only operator
 and with the bilinear coupling, the double-commutator oracle again reduces
 to the bare matter commutator - evaluated here by direct matrix algebra on
-the full joint operator, so the reduction is checked rather than assumed.
+the joint operator itself (block by block when it is kept structured), so
+the reduction is checked rather than assumed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, SizeError
-from .floquet import EigenSystem, Reflection, diagonalize_hermitian
+from .floquet import EigenSystem, ProductOperator, Reflection, diagonalize_hermitian
 from .model import MatterOperator
 from .sumrule import SumRuleReport, _closure_report
 
@@ -57,6 +59,18 @@ class FockSpec:
         return self.n_max + 1
 
 
+def _check_joint(h_matter: MatterOperator, d: MatterOperator, fock: FockSpec) -> None:
+    if h_matter.dim != d.dim:
+        raise InputError(
+            f"matter Hamiltonian dim {h_matter.dim} != dipole dim {d.dim}"
+        )
+    if h_matter.dim * fock.dim > MAX_JOINT_DIM:
+        raise SizeError(
+            f"joint dimension {h_matter.dim * fock.dim} exceeds the dense guard "
+            f"{MAX_JOINT_DIM}"
+        )
+
+
 def build_joint_hamiltonian(
     h_matter: MatterOperator,
     d: MatterOperator,
@@ -68,15 +82,8 @@ def build_joint_hamiltonian(
     dipole self-energy term and no zero-point constant. The product basis
     is matter-major: index = matter_index * fock_dim + photon_index.
     """
-    if h_matter.dim != d.dim:
-        raise InputError(
-            f"matter Hamiltonian dim {h_matter.dim} != dipole dim {d.dim}"
-        )
+    _check_joint(h_matter, d, fock)
     n_m, n_f = h_matter.dim, fock.dim
-    if n_m * n_f > MAX_JOINT_DIM:
-        raise SizeError(
-            f"joint dimension {n_m * n_f} exceeds the dense guard {MAX_JOINT_DIM}"
-        )
     # written block by block in place of the Kronecker sum, with the same
     # float operations, so the matrix is bit-equal to the Kronecker build
     dtype = np.result_type(h_matter.matrix, d.matrix, np.float64)
@@ -93,12 +100,62 @@ def build_joint_hamiltonian(
     return h.reshape(n_m * n_f, n_m * n_f)
 
 
+def joint_operator(
+    h_matter: MatterOperator,
+    d: MatterOperator,
+    fock: FockSpec,
+    reflection: Reflection | None = None,
+) -> ProductOperator:
+    """The joint Hamiltonian as a :class:`ProductOperator`.
+
+    H_M (x) I + I (x) diag(n omega_c) + d (x) C with C = -g (a + a^dag), on
+    the matter-major index. The matter reflection P is lifted to
+    P (x) (-1)^n, which commutes with it when P H_M P = H_M and
+    P d P = -d, since (-1)^n anticommutes with a + a^dag. ``toarray()`` is
+    :func:`build_joint_hamiltonian`, bit for bit.
+    """
+    _check_joint(h_matter, d, fock)
+    ladder = np.sqrt(np.arange(1, fock.dim))
+    return ProductOperator(
+        matter=h_matter.matrix,
+        labels=np.arange(fock.dim),
+        dense=functools.partial(build_joint_hamiltonian, h_matter, d, fock),
+        frequency=fock.omega_c,
+        dipole=d.matrix,
+        coupling=-fock.g * (np.diag(ladder, 1) + np.diag(ladder, -1)),
+        reflection=reflection,
+    )
+
+
+def joint_operators(
+    h_matter: MatterOperator,
+    d: MatterOperator,
+    fock: FockSpec,
+    reflection: Reflection | None = None,
+) -> tuple[ProductOperator | np.ndarray, ProductOperator | np.ndarray]:
+    """The joint Hamiltonian and d (x) I, kept structured when they split.
+
+    When the :func:`joint_operator`'s lifted reflection commutes with it
+    (:attr:`ProductOperator.splits`), both are returned as operators and no
+    full-size array is formed. Otherwise they are the dense matrices of
+    :func:`build_joint_hamiltonian` and :func:`joint_dipole`, bit for bit.
+    """
+    h_joint = joint_operator(h_matter, d, fock, reflection)
+    d_joint = ProductOperator(
+        matter=d.matrix, labels=h_joint.labels, dense=functools.partial(joint_dipole, d, fock)
+    )
+    if h_joint.splits:
+        return h_joint, d_joint
+    return h_joint.toarray(), d_joint.toarray()
+
+
 def joint_reflection(matter: Reflection | None, fock: FockSpec) -> Reflection | None:
     """Lift a matter reflection P to P (x) (-1)^n on the matter-major index.
 
     It commutes with the joint Hamiltonian when P commutes with H_M and
-    anticommutes with d, because (-1)^n anticommutes with a + a^dag;
-    otherwise the eigensolve falls back to the dense path.
+    anticommutes with d, because (-1)^n anticommutes with a + a^dag. This
+    lift is for a dense joint matrix given to :func:`diagonalize_hermitian`;
+    :func:`joint_operators` applies it to the matter operators instead.
     """
     if matter is None:
         return None
@@ -118,10 +175,10 @@ def joint_dipole(d: MatterOperator, fock: FockSpec) -> np.ndarray:
 
 def sumrule_qed(
     spectrum: EigenSystem,
-    d_joint: np.ndarray,
+    d_joint: np.ndarray | ProductOperator,
     reference: int,
     *,
-    h_joint: np.ndarray,
+    h_joint: np.ndarray | ProductOperator,
     n_electrons: int = 1,
 ) -> SumRuleReport:
     """Energy-weighted dipole sum over the full joint spectrum.
@@ -130,7 +187,9 @@ def sumrule_qed(
     running over eigenstates of the interacting joint Hamiltonian. The
     oracle is the joint double-commutator expectation evaluated by direct
     matrix algebra; the closure identity keeps oracle_residual below 1e-8
-    relative for any reference, converged or not.
+    relative for any reference, converged or not. ``h_joint`` and
+    ``d_joint`` are both dense or both the operators of
+    :func:`joint_operators`, applied block by block.
     """
     if spectrum.dim != h_joint.shape[0]:
         raise InputError(
@@ -193,7 +252,7 @@ def photon_cutoff_convergence(
         Eigenpair index within each family member's ascending spectrum.
     reflection:
         A matter reflection, lifted to each member by
-        :func:`joint_reflection` for the eigensolve.
+        :func:`joint_operators` for the eigensolve.
     """
     modes = tuple(focks)
     if len(modes) < MIN_CUTOFF_FAMILY:
@@ -214,21 +273,7 @@ def photon_cutoff_convergence(
     rows: list[ConvergenceRow] = []
     previous_value: float | None = None
     for mode in modes:
-        h_joint = build_joint_hamiltonian(h_matter, d, mode)
-        system = diagonalize_hermitian(
-            h_joint, reflection=joint_reflection(reflection, mode)
-        )
-        report = sumrule_qed(
-            system,
-            joint_dipole(d, mode),
-            reference,
-            h_joint=h_joint,
-            n_electrons=n_electrons,
-        )
-        # photon-number distribution of the reference, traced over matter
-        table = system.vectors[:, reference].reshape(-1, mode.dim)
-        populations = np.sum(np.abs(table) ** 2, axis=0)
-        edge = float(math.fsum(populations[-2:]))
+        report, edge = _cutoff_member(h_matter, d, mode, reference, n_electrons, reflection)
         delta = None if previous_value is None else report.value - previous_value
         converged = (
             delta is not None and abs(delta) < 1e-8 and edge < 1e-10
@@ -246,3 +291,24 @@ def photon_cutoff_convergence(
         )
         previous_value = report.value
     return tuple(rows)
+
+
+def _cutoff_member(
+    h_matter: MatterOperator,
+    d: MatterOperator,
+    fock: FockSpec,
+    reference: int,
+    n_electrons: int,
+    reflection: Reflection | None,
+) -> tuple[SumRuleReport, float]:
+    """One family member's report and the reference population in its top
+    two Fock levels; the member's spectrum is freed on return."""
+    h_joint, d_joint = joint_operators(h_matter, d, fock, reflection)
+    system = diagonalize_hermitian(h_joint)
+    report = sumrule_qed(
+        system, d_joint, reference, h_joint=h_joint, n_electrons=n_electrons
+    )
+    # photon-number distribution of the reference, traced over matter
+    table = system.column(reference).reshape(-1, fock.dim)
+    populations = np.sum(np.abs(table) ** 2, axis=0)
+    return report, float(math.fsum(populations[-2:]))

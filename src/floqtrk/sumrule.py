@@ -274,16 +274,21 @@ def _closure_report(
 ) -> SumRuleReport:
     """Sum over a complete spectrum plus its double-commutator oracle.
 
-    ``apply_d`` (vector -> vector) overrides ``d_full`` for the operator
-    application, so extended-space callers avoid materializing d (x) identity.
+    Reads the reference eigenvector and the amplitudes <alpha|d|beta> off
+    ``system``, sector by sector for a parity-sector solve. ``h_full`` and
+    ``d_full`` are dense matrices or structured operators; the oracle
+    applies them to the reference vector in the original basis, so it does
+    not depend on the sector construction. ``apply_d`` (vector -> vector)
+    overrides ``d_full`` for the operator application, so extended-space
+    callers avoid materializing d (x) identity.
     """
     if not 0 <= reference < system.dim:
         raise InputError(
             f"reference index {reference} outside spectrum of size {system.dim}"
         )
-    psi = system.vectors[:, reference]
+    psi = system.column(reference)
     d_psi = apply_d(psi) if apply_d is not None else d_full @ psi
-    amps = d_psi.conj() @ system.vectors  # <alpha|d|beta> for every beta
+    amps = system.amplitudes(d_psi)  # <alpha|d|beta> for every beta
     abs2 = np.abs(amps) ** 2
     diffs = system.values - system.values[reference]
     weights = 2.0 * diffs * abs2
@@ -359,7 +364,8 @@ def sumrule_sambe(
     with the dipole acting identically in every harmonic block. The oracle
     is the extended-space double-commutator expectation, an exact identity
     in the truncated space, so oracle_residual stays below 1e-8 relative
-    regardless of physical convergence.
+    regardless of physical convergence. ``floquet_matrix.matrix`` may be
+    dense or the structured operator of :func:`assemble_sambe`.
     """
     spec = floquet_matrix.spec
     if eigenpairs.dim != floquet_matrix.dim:

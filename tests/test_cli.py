@@ -8,7 +8,7 @@ import json
 import math
 import sys
 import textwrap
-import types
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -697,6 +697,48 @@ def test_symmetric_grid_jobs_solve_only_parity_sectors(tmp_path, monkeypatch, te
     assert solved == dims
 
 
+@pytest.mark.parametrize(
+    "text, dim",
+    [
+        (
+            "job: floquet\nmodel: {grid: {n_points: 61}}\nsambe: {harmonic_cutoff: 8}\n"
+            "drive: {omega: 0.35, components: [{harmonic: 1, amplitude: 0.05}]}\n",
+            61 * 17,
+        ),
+        (
+            "job: converge\nconverge: {axis: fock_n_max, values: [4, 8, 12]}\n"
+            "model: {grid: {n_points: 81}}\nfock: {omega_c: 0.9, g: 0.05}\n",
+            81 * 13,
+        ),
+        (
+            "job: converge\nconverge: {axis: harmonic_cutoff, values: [4, 6, 8]}\n"
+            "model: {grid: {n_points: 61}}\n"
+            "drive: {omega: 0.35, components: [{harmonic: 1, amplitude: 0.05}]}\n",
+            61 * 17,
+        ),
+        (
+            "job: qed\nmodel: {grid: {n_points: 61}}\nqed: {h0_diagnostic: true}\n"
+            "fock: {n_max: 16, omega_c: 0.9, g: 0.05}\n",
+            61 * 17,
+        ),
+    ],
+    ids=["floquet", "converge_fock", "converge_harmonic", "qed_h0"],
+)
+def test_symmetric_grid_jobs_allocate_less_than_one_full_matrix(tmp_path, text, dim):
+    """A parity-split job never forms an n x n array, and drops each
+    spectrum's vectors before the next solve: the peak of memory traced
+    while it runs stays below the bytes of one full-size float matrix of its
+    largest solve (8.6 MB or 8.9 MB here)."""
+    config = load_config(config_file(tmp_path, text))
+    tracemalloc.start()
+    try:
+        run_job(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dim * dim * np.dtype(np.float64).itemsize
+
+
 def test_converge_final_report_is_the_last_row(tmp_path):
     """The qed report of a photon-cutoff scan is the last member's report,
     equal to a fresh build and solve of that member."""
@@ -760,6 +802,21 @@ def test_stage_keys_name_the_work_done(tmp_path, text, stages):
     assert set(report.timings) == stages | {"total"}
 
 
+def test_sweep_timings_nest_each_point(tmp_path):
+    """A sweep's timings.json holds each point's own stage timings, total
+    included, under point_<i>."""
+    out = tmp_path / "sweep_timings"
+    path = config_file(tmp_path, SWEEP_JOB)
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    timings = json.loads((out / "timings.json").read_text())["timings"]
+    assert set(timings) == {"point_0", "point_1", "point_2", "total"}
+    stages = {"matter_build", "matter_eigensolve", "sambe_assemble", "eigensolve"}
+    for i in range(3):
+        point = timings[f"point_{i}"]
+        assert stages | {"fold_select", "sumrule", "total"} == set(point)
+        assert all(seconds >= 0.0 for seconds in point.values())
+
+
 def test_verbose_prints_stage_durations(tmp_path, capsys):
     """--verbose reports each stage's duration when it ends."""
     path = config_file(tmp_path, FLOQUET_JOB)
@@ -772,8 +829,8 @@ def test_verbose_prints_stage_durations(tmp_path, capsys):
 
 
 def test_thread_cap_is_reported(tmp_path, monkeypatch, capsys):
-    """A requested cap that cannot be applied warns on stderr; timings.json
-    records the cap actually in force."""
+    """A requested cap that cannot be applied warns on stderr and
+    timings.json records None; without a cap nothing is printed."""
     monkeypatch.delenv("FLOQTRK_THREADS", raising=False)
     path = static_job_file(tmp_path, tmp_path / "t")
 
@@ -781,24 +838,43 @@ def test_thread_cap_is_reported(tmp_path, monkeypatch, capsys):
         timings = json.loads((tmp_path / "t" / "timings.json").read_text())
         return timings["threads_applied"]
 
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-    assert main(["static-trk", "--config", str(path), "--threads", "2"]) == 0
-    assert "threadpoolctl is not installed" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "_openblas_thread_control", lambda: None)  # symbol missing
+    assert main(["static-trk", "--config", str(path), "--threads", "1"]) == 0
+    assert "thread control was not found" in capsys.readouterr().err
     assert applied() is None
 
-    caps = []
-    stand_in = types.ModuleType("threadpoolctl")
-    stand_in.threadpool_limits = lambda limits: caps.append(limits) or contextlib.nullcontext()
-    monkeypatch.setitem(sys.modules, "threadpoolctl", stand_in)
-    monkeypatch.setenv("FLOQTRK_THREADS", "3")
-    assert main(["static-trk", "--config", str(path)]) == 0
-    assert "warning" not in capsys.readouterr().err
-    assert caps == [3] and applied() == 3
-
-    monkeypatch.delenv("FLOQTRK_THREADS")
     assert main(["static-trk", "--config", str(path)]) == 0
     assert capsys.readouterr().err == ""
     assert applied() is None
+
+
+def test_thread_cap_is_applied_and_restored(tmp_path, monkeypatch, capsys):
+    """--threads 1 and FLOQTRK_THREADS=1 hold numpy's OpenBLAS to one thread
+    during the run, timings.json records the count read back, and the
+    previous count is restored afterwards."""
+    control = cli._openblas_thread_control()
+    if control is None:
+        pytest.skip("numpy has no bundled OpenBLAS with thread control")
+    set_threads, get_threads = control
+    monkeypatch.delenv("FLOQTRK_THREADS", raising=False)
+    path = static_job_file(tmp_path, tmp_path / "t")
+    before = get_threads()
+    during = []
+    run_job = cli.run_job
+
+    def recording_run_job(*args, **kwargs):
+        during.append(get_threads())
+        return run_job(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_job", recording_run_job)
+    assert main(["static-trk", "--config", str(path), "--threads", "1"]) == 0
+    monkeypatch.setenv("FLOQTRK_THREADS", "1")
+    assert main(["static-trk", "--config", str(path)]) == 0
+    assert "warning" not in capsys.readouterr().err
+    timings = json.loads((tmp_path / "t" / "timings.json").read_text())
+    assert during == [1, 1] and timings["threads_applied"] == 1
+    assert get_threads() == before
+
 
 
 @pytest.mark.parametrize(

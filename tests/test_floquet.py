@@ -17,6 +17,7 @@ from floqtrk import (
     MatterOperator,
     NumericError,
     PotentialSpec,
+    ProductOperator,
     Reflection,
     SambeSpec,
     SizeError,
@@ -29,6 +30,7 @@ from floqtrk import (
     fold_and_select_ffbz,
     fold_label,
     fourier_blocks_of_hamiltonian,
+    sambe_operator,
     sambe_reflection,
 )
 
@@ -442,22 +444,48 @@ def grid_sambe(drive, x_max=5.0, cutoff=3, n_points=21):
     return fm.matrix, sambe_reflection(basis_reversal(n_points), fm.spec)
 
 
+def grid_operator(drive, x_max=5.0, cutoff=3, n_points=21, h=None):
+    """The same Sambe matrix as a structured operator with the matter
+    reflection; ``h`` replaces the grid Hamiltonian's matrix."""
+    grid = GridBasis(x_min=-5.0, x_max=x_max, n_points=n_points)
+    if h is None:
+        h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0)).matrix
+    h = MatterOperator(h, basis_tag=f"grid:{n_points}")
+    return sambe_operator(h, build_dipole(grid), drive, cutoff, basis_reversal(n_points))
+
+
 REAL_DRIVE = DriveSpec(omega=0.7, components=(DriveComponent(1, 0.3),))
 COMPLEX_DRIVE = DriveSpec(
     omega=0.7, components=(DriveComponent(1, 0.3, 0.7), DriveComponent(3, 0.1, -1.2))
 )
 
 
-@pytest.mark.parametrize("drive", [REAL_DRIVE, COMPLEX_DRIVE], ids=["real", "complex"])
-def test_sambe_matrix_is_solved_in_two_sectors(monkeypatch, drive):
+@pytest.mark.parametrize(
+    "drive, entry",
+    [
+        (REAL_DRIVE, "matrix"),
+        (COMPLEX_DRIVE, "matrix"),
+        (REAL_DRIVE, "operator"),
+        (COMPLEX_DRIVE, "operator"),
+    ],
+    ids=["real", "complex", "operator_real", "operator_complex"],
+)
+def test_sambe_matrix_is_solved_in_two_sectors(monkeypatch, drive, entry):
     """21 points give 10 mirror pairs and a centre point per harmonic block;
     the centre's sign is (-1)^m, so m = -3..3 puts 70 + 3 states in the
-    even sector and 70 + 4 in the odd one."""
+    even sector and 70 + 4 in the odd one. The dense matrix with the lifted
+    reflection and the structured operator, which decides the split on its
+    matter blocks, solve the same two sectors."""
     matrix, reflection = grid_sambe(drive)
     assert np.iscomplexobj(matrix) == (drive is COMPLEX_DRIVE)
     dense = diagonalize_hermitian(matrix)
+    operator = grid_operator(drive)
+    assert np.array_equal(operator.toarray(), matrix)
     solved = record_lapack_solves(monkeypatch)
-    system = diagonalize_hermitian(matrix, reflection=reflection)
+    if entry == "matrix":
+        system = diagonalize_hermitian(matrix, reflection=reflection)
+    else:
+        system = diagonalize_hermitian(operator)
     assert solved == [73, 74]
     assert system.vectors.dtype == matrix.dtype
     assert_same_spectrum(matrix, system, dense)
@@ -496,19 +524,48 @@ def sector_coupled(excess):
     return matrix, reflection
 
 
+def operator_coupled(excess):
+    """The real grid Sambe operator with one coupling between the sectors in
+    H_M, of ``excess`` times 16 eps max|M|, max|M| of its full matrix.
+
+    H_M is first made exactly mirror-symmetric, then entry (0, 2) - zero,
+    like its mirror image (20, 18) - gets value 2 * tol * excess, which is
+    the pair-basis coupling times 2.
+    """
+    h = grid_operator(REAL_DRIVE).matter
+    h = (h + h[::-1, ::-1]) / 2.0
+    tol = 16 * np.finfo(np.float64).eps * np.max(np.abs(grid_operator(REAL_DRIVE, h=h).toarray()))
+    assert h[0, 2] == h[20, 18] == 0.0
+    h[0, 2] = h[2, 0] = 2.0 * tol * excess
+    return grid_operator(REAL_DRIVE, h=h)
+
+
 @pytest.mark.parametrize(
     "matrix, reflection",
     [
         grid_sambe(REAL_DRIVE, x_max=6.0),
         grid_sambe(DriveSpec(omega=0.7, components=(DriveComponent(2, 0.3),))),
         sector_coupled(1.0 + 1e-6),
+        (grid_operator(REAL_DRIVE, x_max=6.0), None),
+        (grid_operator(DriveSpec(omega=0.7, components=(DriveComponent(2, 0.3),))), None),
+        (operator_coupled(1.0 + 1e-6), None),
     ],
-    ids=["asymmetric_grid", "even_harmonic", "coupling_above_tolerance"],
+    ids=[
+        "asymmetric_grid",
+        "even_harmonic",
+        "coupling_above_tolerance",
+        "operator_asymmetric_grid",
+        "operator_even_harmonic",
+        "operator_coupling_above_tolerance",
+    ],
 )
 def test_dense_fallback_is_the_unsplit_solve(monkeypatch, matrix, reflection):
     """A reflection that does not commute costs one full-size solve, bit-equal
-    to the solve without a reflection."""
-    plain = diagonalize_hermitian(matrix)
+    to the solve without a reflection; for an operator, to the solve of its
+    full matrix."""
+    operator = isinstance(matrix, ProductOperator)
+    assert not (operator and matrix.splits)
+    plain = diagonalize_hermitian(matrix.toarray() if operator else matrix)
     solved = record_lapack_solves(monkeypatch)
     system = diagonalize_hermitian(matrix, reflection=reflection)
     assert solved == [147]
@@ -517,13 +574,19 @@ def test_dense_fallback_is_the_unsplit_solve(monkeypatch, matrix, reflection):
 
 
 def test_coupling_just_below_tolerance_is_split(monkeypatch):
-    """The tolerance is the boundary: just below it the split is taken."""
+    """The tolerance is the boundary: just below it the split is taken, for
+    the dense matrix with its lifted reflection and for the operator."""
     matrix, reflection = sector_coupled(1.0 - 1e-6)
+    operator = operator_coupled(1.0 - 1e-6)
+    assert operator.splits
     solved = record_lapack_solves(monkeypatch)
-    system = diagonalize_hermitian(matrix, reflection=reflection)
-    assert solved == [73, 74]
-    dense = np.linalg.eigvalsh(matrix)
-    assert np.max(np.abs(system.values - dense)) <= 1e-12 * np.max(np.abs(matrix))
+    for system, full in (
+        (diagonalize_hermitian(matrix, reflection=reflection), matrix),
+        (diagonalize_hermitian(operator), operator.toarray()),
+    ):
+        dense = np.linalg.eigvalsh(full)
+        assert np.max(np.abs(system.values - dense)) <= 1e-12 * np.max(np.abs(full))
+    assert solved == [73, 74, 73, 74]
 
 
 @pytest.mark.parametrize(

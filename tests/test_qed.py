@@ -19,6 +19,7 @@ from floqtrk import (
     build_joint_hamiltonian,
     diagonalize_hermitian,
     joint_dipole,
+    joint_operator,
     joint_reflection,
     photon_cutoff_convergence,
     static_trk,
@@ -298,18 +299,45 @@ def test_cutoff_rows_keep_their_reports():
 def test_joint_matrix_is_solved_in_two_sectors(monkeypatch):
     """On a symmetric grid, x -> -x together with (-1)^n commutes with the
     joint Hamiltonian: 11 points x 5 photon levels are 25 mirror pairs plus
-    the centre point with n = 0, 2, 4 (even) and n = 1, 3 (odd)."""
+    the centre point with n = 0, 2, 4 (even) and n = 1, 3 (odd). The dense
+    matrix with the lifted reflection and the structured operator, which
+    decides the split on H_M and d, solve the same two sectors."""
     grid = GridBasis(-5.0, 5.0, 11)
     h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
     fock = FockSpec(n_max=4, omega_c=0.9, g=0.2)
     h_joint = build_joint_hamiltonian(h, build_dipole(grid), fock)
+    operator = joint_operator(h, build_dipole(grid), fock, basis_reversal(11))
+    assert np.array_equal(operator.toarray(), h_joint)
     dense = diagonalize_hermitian(h_joint)
     solved = record_lapack_solves(monkeypatch)
-    system = diagonalize_hermitian(
-        h_joint, reflection=joint_reflection(basis_reversal(11), fock)
+    for system in (
+        diagonalize_hermitian(h_joint, reflection=joint_reflection(basis_reversal(11), fock)),
+        diagonalize_hermitian(operator),
+    ):
+        assert_same_spectrum(h_joint, system, dense)
+    assert solved == [28, 27, 28, 27]
+
+
+@pytest.mark.parametrize(
+    "x_max, potential",
+    [(6.0, PotentialSpec.harmonic(1.0)), (5.0, PotentialSpec.tabulated(np.linspace(0.0, 1.0, 11)))],
+    ids=["asymmetric_grid", "ramp_potential"],
+)
+def test_joint_operator_fallback_is_the_unsplit_solve(monkeypatch, x_max, potential):
+    """A joint operator whose matter Hamiltonian is not mirror-symmetric takes
+    one full-size solve, bit-equal to the solve of its full matrix."""
+    grid = GridBasis(-5.0, x_max, 11)
+    h = build_grid_hamiltonian(grid, potential)
+    operator = joint_operator(
+        h, build_dipole(grid), FockSpec(n_max=4, omega_c=0.9, g=0.2), basis_reversal(11)
     )
-    assert solved == [28, 27]
-    assert_same_spectrum(h_joint, system, dense)
+    assert not operator.splits
+    plain = diagonalize_hermitian(operator.toarray())
+    solved = record_lapack_solves(monkeypatch)
+    system = diagonalize_hermitian(operator)
+    assert solved == [55]
+    assert np.array_equal(system.values, plain.values)
+    assert np.array_equal(system.vectors, plain.vectors)
 
 
 def test_cutoff_family_lifts_the_matter_reflection(monkeypatch):

@@ -12,14 +12,18 @@ from floqtrk import (
     DriveComponent,
     DriveSpec,
     FloquetMode,
+    FockSpec,
     GridBasis,
     InputError,
     InteractionSpec,
     MatterOperator,
     PotentialSpec,
+    ProductOperator,
     SpectralDensity,
     ZoneError,
     assemble_floquet_matrix,
+    assemble_sambe,
+    basis_reversal,
     build_dipole,
     build_grid_hamiltonian,
     build_two_electron_hamiltonian,
@@ -30,10 +34,12 @@ from floqtrk import (
     first_moment,
     fold_and_select_ffbz,
     fourier_blocks_of_hamiltonian,
+    joint_operators,
     select_reference,
     spectral_density,
     static_trk,
     sumrule_ffbz,
+    sumrule_qed,
     sumrule_sambe,
 )
 
@@ -596,3 +602,51 @@ def test_select_reference_picks_ground_character():
     weight_0 = float(np.abs(modes[0].block(0)[0]) ** 2)
     weight_1 = float(np.abs(modes[1].block(0)[0]) ** 2)
     assert weight_0 > weight_1
+
+
+def grid_reports(drive, reflection):
+    """Static, Sambe, ffbz and qed reports of a 21-point harmonic grid, each
+    solved in parity sectors when ``reflection`` is given."""
+    grid = GridBasis(-5.0, 5.0, 21)
+    h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
+    d = build_dipole(grid)
+    matter = diagonalize_hermitian(h.matrix, reflection=reflection)
+    fm = assemble_sambe(h, d, drive, 3, reflection)
+    system = diagonalize_hermitian(fm.matrix)
+    selection = fold_and_select_ffbz(system, drive.omega, fm.spec)
+    h_joint, d_joint = joint_operators(h, d, FockSpec(n_max=4, omega_c=0.9, g=0.2), reflection)
+    split = reflection is not None
+    assert isinstance(fm.matrix, ProductOperator) == isinstance(h_joint, ProductOperator) == split
+    assert bool(matter.sectors) == bool(system.sectors) == split
+    return {
+        "static": static_trk(h, d, 0, system=matter),
+        "sambe": sumrule_sambe(fm, system, d, selection.source_indices[0]),
+        "ffbz": sumrule_ffbz(selection.representatives, d, drive.omega, 0, h_matter=h),
+        "qed": sumrule_qed(diagonalize_hermitian(h_joint), d_joint, 0, h_joint=h_joint),
+    }
+
+
+@pytest.mark.parametrize(
+    "drive",
+    [
+        DriveSpec(omega=0.7, components=(DriveComponent(1, 0.3),)),
+        DriveSpec(omega=0.7, components=(DriveComponent(1, 0.3, 0.7), DriveComponent(3, 0.1))),
+    ],
+    ids=["real", "complex"],
+)
+def test_sector_ledgers_match_the_dense_solve(drive):
+    """Every report read off parity-sector spectra has the ledger of the
+    dense solve without a reflection, row by row within 1e-12 of the
+    column's scale, and its value and oracle value within 1e-12 relative."""
+    split = grid_reports(drive, basis_reversal(21))
+    dense = grid_reports(drive, None)
+    for kind, report in split.items():
+        reference = dense[kind]
+        for key in ("value", "oracle_value"):
+            want = getattr(reference, key)
+            assert abs(getattr(report, key) - want) <= 1e-12 * abs(want), (kind, key)
+        for column in ("lam", "n", "quasienergy_diff", "abs2", "weight"):
+            got = getattr(report.contributions, column)
+            want = getattr(reference.contributions, column)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale, (kind, column)
