@@ -183,7 +183,7 @@ def load_config(path: str | Path, default_job: str | None = None) -> JobConfig:
         raise ConfigError(f"could not read {path} as UTF-8 text: {exc}") from exc
     try:
         raw = yaml.load(text, Loader=_UniqueKeyLoader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a scalar YAML cannot convert
         raise ConfigError(f"could not parse {path}: {exc}") from exc
     if raw is None:
         raw = {}
@@ -242,7 +242,13 @@ def _as_float(value: Any, key: str, where: str, bound: str | None = None) -> flo
         raise ConfigError(
             f"key {key!r} in {where} must be a number, got {type(value).__name__}"
         )
-    result = float(value)
+    try:
+        result = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(
+            f"key {key!r} in {where} must be finite, got an integer of "
+            f"{len(str(abs(value)))} digits"
+        ) from None
     if not math.isfinite(result):
         raise ConfigError(f"key {key!r} in {where} must be finite, got {value!r}")
     return _within(result, bound, key, where)
@@ -599,9 +605,26 @@ def _resolve(raw: dict, default_job: str | None = None) -> dict:
             resolved[name] = _walk(_SCHEMA[name], raw.get(name), name)
     resolved["reference"] = _as_reference(raw.get("reference", "auto"))
     resolved["output"] = _walk(_SCHEMA["output"], raw.get("output"), "output")
-    if job == "sweep":
+    if job == "floquet":
+        cutoff = resolved["sambe"]["harmonic_cutoff"]
+        _check_harmonic_window(resolved, cutoff, "harmonic_cutoff", "sambe")
+    elif job == "converge" and resolved["converge"]["axis"] == "harmonic_cutoff":
+        # the values ascend, so the first is the smallest cutoff
+        _check_harmonic_window(resolved, resolved["converge"]["values"][0], "values", "converge")
+    elif job == "sweep":
         _sweep_points(resolved)
     return resolved
+
+
+def _check_harmonic_window(resolved: dict, cutoff: int, key: str, section: str) -> None:
+    """Refuse a harmonic cutoff below the highest drive harmonic with a
+    nonzero amplitude, which the Sambe assembly would refuse at run time."""
+    driven = [c["harmonic"] for c in resolved["drive"]["components"] if c["amplitude"] != 0.0]
+    if driven and cutoff < max(driven):
+        raise ConfigError(
+            f"key {key!r} in section {section!r} must be >= {max(driven)} (the highest "
+            f"drive harmonic with a nonzero amplitude), got {cutoff}"
+        )
 
 
 # ---------------------------------------------------------------------------

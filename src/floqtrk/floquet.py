@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -60,49 +59,10 @@ class SambeSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class FourierBlockSet:
-    """Fourier blocks H_k of a periodic Hamiltonian, keyed by integer k.
-
-    Hermiticity of H(t) requires H_(-k) = H_k^dagger for every stored k;
-    this is validated at construction.
-    """
-
-    blocks: dict[int, np.ndarray]
-
-    def __post_init__(self) -> None:
-        if 0 not in self.blocks:
-            raise InputError("Fourier block set must contain the static block k=0")
-        dim = self.blocks[0].shape[0]
-        for k, block in self.blocks.items():
-            if block.shape != (dim, dim):
-                raise InputError(
-                    f"block k={k} has shape {block.shape}, expected ({dim}, {dim})"
-                )
-            partner = self.blocks.get(-k)
-            if partner is None:
-                raise InputError(f"block k={k} present without its conjugate k={-k}")
-            defect = float(np.max(np.abs(partner - block.conj().T)))
-            if defect > 1e-12:
-                raise InputError(
-                    f"blocks k={k}/k={-k} violate H_(-k) = H_k^dagger by {defect:.3e}"
-                )
-
-    @property
-    def max_k(self) -> int:
-        return max(abs(k) for k in self.blocks)
-
-    @property
-    def matter_dim(self) -> int:
-        return self.blocks[0].shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class FloquetMatrix:
-    """Assembled truncated quasienergy operator: a dense matrix, or the
-    structured :class:`ProductOperator` that :func:`assemble_sambe` keeps
-    when the operator splits into parity sectors."""
+    """Truncated quasienergy operator (:func:`assemble_sambe`)."""
 
-    matrix: np.ndarray | ProductOperator
+    matrix: ProductOperator
     spec: SambeSpec
     omega: float
 
@@ -322,26 +282,6 @@ def _drive_factors(drive: DriveSpec) -> dict[int, float | complex]:
     return factors
 
 
-def fourier_blocks_of_hamiltonian(
-    h_matter: MatterOperator, dipole: MatterOperator, drive: DriveSpec
-) -> FourierBlockSet:
-    """Fourier blocks of H(t) = H_M - d * E(t) for a cosine-series drive.
-
-    Each drive component E_k cos(k Omega t + phi_k) contributes
-    H_(+k) = -(E_k/2) exp(+i phi_k) d and H_(-k) = -(E_k/2) exp(-i phi_k) d;
-    zero-amplitude components are dropped. Blocks stay real whenever the
-    phase factor is real.
-    """
-    if h_matter.dim != dipole.dim:
-        raise InputError(
-            f"matter Hamiltonian dim {h_matter.dim} != dipole dim {dipole.dim}"
-        )
-    blocks: dict[int, np.ndarray] = {0: h_matter.matrix}
-    for k, factor in _drive_factors(drive).items():
-        blocks[k] = factor * dipole.matrix
-    return FourierBlockSet(blocks)
-
-
 def _sambe_spec(max_k: int, matter_dim: int, omega: float, harmonic_cutoff: int) -> SambeSpec:
     """The truncation window, refused when it would drop a coupling or
     exceed the dense guard."""
@@ -360,32 +300,6 @@ def _sambe_spec(max_k: int, matter_dim: int, omega: float, harmonic_cutoff: int)
     return spec
 
 
-def assemble_floquet_matrix(
-    blocks: FourierBlockSet, omega: float, harmonic_cutoff: int
-) -> FloquetMatrix:
-    """Assemble the dense truncated Sambe matrix from Fourier blocks.
-
-    Block (m, m') = H_(m-m') + delta_(mm') * m*omega * I for
-    m, m' in [-N_h, N_h]. Couplings are never dropped silently: the window
-    must cover the highest stored harmonic.
-    """
-    spec = _sambe_spec(blocks.max_k, blocks.matter_dim, omega, harmonic_cutoff)
-    n_b = spec.matter_dim
-    is_complex = any(np.iscomplexobj(b) for b in blocks.blocks.values())
-    dtype = np.complex128 if is_complex else np.float64
-    matrix = np.zeros((spec.dim, spec.dim), dtype=dtype)
-    eye = np.eye(n_b, dtype=dtype)
-    for row, m in enumerate(range(-spec.harmonic_cutoff, spec.harmonic_cutoff + 1)):
-        r0 = row * n_b
-        for k, block in blocks.blocks.items():
-            col = row - k  # column block index: m' = m - k
-            if 0 <= col < spec.n_blocks:
-                c0 = col * n_b
-                matrix[r0 : r0 + n_b, c0 : c0 + n_b] = block
-        matrix[r0 : r0 + n_b, r0 : r0 + n_b] += m * omega * eye
-    return FloquetMatrix(matrix=matrix, spec=spec, omega=omega)
-
-
 def sambe_operator(
     h_matter: MatterOperator,
     dipole: MatterOperator,
@@ -397,14 +311,14 @@ def sambe_operator(
     :class:`ProductOperator`.
 
     H_M (x) 1 + 1 (x) diag(m Omega) + d (x) C on the harmonic-major index,
-    with C[m, m'] the Fourier factor f_(m-m') of
-    :func:`fourier_blocks_of_hamiltonian`. The matter reflection P is lifted
-    to P (x) (-1)^m: x -> -x together with t -> t + T/2. ``toarray()`` is
-    :func:`assemble_floquet_matrix`, bit for bit.
+    with C[m, m'] = f_(m-m'), the factor of the Fourier block
+    H_k = f_k d: f_(+k) = -(E_k/2) exp(+i phi_k) and f_(-k) = conj(f_(+k))
+    for each drive component with a nonzero amplitude. The matter
+    reflection P is lifted to P (x) (-1)^m: x -> -x together with
+    t -> t + T/2.
     """
-    blocks = fourier_blocks_of_hamiltonian(h_matter, dipole, drive)
-    _sambe_spec(blocks.max_k, blocks.matter_dim, drive.omega, harmonic_cutoff)
     factors = _drive_factors(drive)
+    _sambe_spec(max(factors, default=0), h_matter.dim, drive.omega, harmonic_cutoff)
     n = 2 * harmonic_cutoff + 1
     coupling = np.zeros((n, n), dtype=np.result_type(np.float64, *factors.values()))
     for k, factor in factors.items():
@@ -413,7 +327,6 @@ def sambe_operator(
     return ProductOperator(
         matter=h_matter.matrix,
         labels=np.arange(-harmonic_cutoff, harmonic_cutoff + 1),
-        dense=lambda: assemble_floquet_matrix(blocks, drive.omega, harmonic_cutoff).matrix,
         frequency=drive.omega,
         dipole=dipole.matrix,
         coupling=coupling,
@@ -429,16 +342,10 @@ def assemble_sambe(
     harmonic_cutoff: int,
     reflection: Reflection | None = None,
 ) -> FloquetMatrix:
-    """The truncated Sambe matrix, kept structured when it splits.
-
-    ``matrix`` is the :func:`sambe_operator` when its lifted reflection
-    commutes with it (:attr:`ProductOperator.splits`), so no full-size array
-    is formed. Otherwise it is the dense matrix of
-    :func:`assemble_floquet_matrix`, bit for bit.
-    """
-    operator = sambe_operator(h_matter, dipole, drive, harmonic_cutoff, reflection)
+    """The truncated Sambe matrix as the :func:`sambe_operator`, with its
+    truncation window."""
     return FloquetMatrix(
-        matrix=operator if operator.splits else operator.toarray(),
+        matrix=sambe_operator(h_matter, dipole, drive, harmonic_cutoff, reflection),
         spec=SambeSpec(harmonic_cutoff=harmonic_cutoff, matter_dim=h_matter.dim),
         omega=drive.omega,
     )
@@ -454,19 +361,6 @@ class Reflection(NamedTuple):
     perm: np.ndarray  # integer, perm[perm[i]] == i
     signs: np.ndarray  # +1.0 or -1.0, signs[perm[i]] == signs[i]
 
-    @classmethod
-    def alternating(cls, labels: np.ndarray) -> Reflection:
-        """The diagonal involution e_k -> (-1)^labels[k] e_k."""
-        return cls(np.arange(labels.size), np.where(labels % 2 == 0, 1.0, -1.0))
-
-    def kron(self, inner: Reflection) -> Reflection:
-        """S (x) S' on the product basis indexed outer * dim(S') + inner."""
-        dim = inner.perm.size
-        return Reflection(
-            (self.perm[:, None] * dim + inner.perm).ravel(),
-            (self.signs[:, None] * inner.signs).ravel(),
-        )
-
 
 def basis_reversal(dim: int) -> Reflection:
     """e_i -> e_(dim-1-i): x -> -x on a grid symmetric about x = 0.
@@ -475,19 +369,6 @@ def basis_reversal(dim: int) -> Reflection:
     flat index reverses a and b together, so it reflects both electrons.
     """
     return Reflection(np.arange(dim)[::-1].copy(), np.ones(dim))
-
-
-def sambe_reflection(matter: Reflection | None, spec: SambeSpec) -> Reflection | None:
-    """Lift a matter reflection P to P (x) (-1)^m on the Sambe index.
-
-    This is x -> -x together with t -> t + T/2, for a dense Sambe matrix
-    given to :func:`diagonalize_hermitian`; :func:`assemble_sambe` applies
-    the same lift to the matter operators instead.
-    """
-    if matter is None:
-        return None
-    harmonics = np.arange(-spec.harmonic_cutoff, spec.harmonic_cutoff + 1)
-    return Reflection.alternating(harmonics).kron(matter)
 
 
 def _checked_reflection(reflection: Reflection, n: int) -> Reflection:
@@ -548,28 +429,29 @@ class ProductOperator:
     """H = H_M (x) 1 + 1 (x) diag(shifts) + d (x) C on matter (x) outer space.
 
     The outer factor is labelled by integers, with shift labels * frequency
-    and parity (-1)^label. The Sambe matrix is the case label = harmonic m,
+    and parity (-1)^label. C is ``coupling``, or ``strength`` times it when
+    a strength is given. The Sambe matrix is the case label = harmonic m,
     shift m Omega and C[m, m'] = f_(m-m') (:func:`sambe_operator`), on the
     harmonic-major index outer * N_M + matter (``outer_major``). The joint
     matter-photon Hamiltonian is the case label = photon number n, shift
-    n omega_c and C = -g (a + a^dagger) (:func:`floqtrk.qed.joint_operator`),
-    on the matter-major index matter * N_O + outer. Without ``dipole`` and
-    ``frequency`` it is the lifted matter operator H_M (x) 1.
+    n omega_c, coupling a + a^dagger and strength -g
+    (:func:`floqtrk.qed.joint_operator`), on the matter-major index
+    matter * N_O + outer. Without ``dipole`` and ``frequency`` it is the
+    lifted matter operator H_M (x) 1.
 
     ``operator @ vector`` runs block by block on matter-size products. With
     a matter reflection P, :attr:`splits` decides on the matter operators
     whether P (x) (-1)^label commutes with H, and :meth:`sector` writes each
     sector block straight from H_M and d projected onto P's pair bases.
-    :meth:`toarray` returns ``dense()``, the full-size assembler this
-    operator stands for; only the dense fallback calls it.
+    :meth:`toarray` writes the full-size matrix from the same factors.
     """
 
     matter: np.ndarray  # H_M
     labels: np.ndarray  # integer label of each outer index
-    dense: Callable[[], np.ndarray]
     frequency: float = 0.0
     dipole: np.ndarray | None = None  # d
-    coupling: np.ndarray | None = None  # C, Hermitian, outer x outer
+    coupling: np.ndarray | None = None  # Hermitian, outer x outer
+    strength: float | None = None  # C = strength * coupling
     outer_major: bool = False
     reflection: Reflection | None = None
 
@@ -603,8 +485,36 @@ class ProductOperator:
         return self.labels * self.frequency
 
     def toarray(self) -> np.ndarray:
-        """The full-size dense matrix."""
-        return self.dense()
+        """The full-size dense matrix, written from the factors.
+
+        Matter-major, it is the Kronecker sum H_M (x) 1 + 1 (x) diag(shifts)
+        + strength (d (x) coupling), term by term as ``np.kron`` forms it.
+        Harmonic-major, it is written block by block: block (j, j) is
+        H_M + shift_j 1, and block (j, k) of a nonzero C[j, k] is C[j, k] d.
+        """
+        n_m, n_o = self.matter.shape[0], self.labels.size
+        if not self.outer_major:
+            full = np.kron(self.matter, np.eye(n_o)).astype(self._dtype, copy=False)
+            if self.frequency:
+                full += np.kron(np.eye(n_m), np.diag(self.shifts))
+            if self._couples:
+                lifted = np.kron(self.dipole, self.coupling)
+                if self.strength is not None:
+                    lifted *= self.strength
+                full += lifted
+            return full
+        full = np.zeros((n_o * n_m, n_o * n_m), dtype=self._dtype)
+        blocks = full.reshape(n_o, n_m, n_o, n_m)  # [j, :, k, :] is block (j, k)
+        eye = np.eye(n_m, dtype=self._dtype)
+        for j, shift in enumerate(self.shifts):
+            blocks[j, :, j, :] = self.matter
+            if self.frequency:
+                blocks[j, :, j, :] += shift * eye
+        if self._couples:
+            for j, k in zip(*np.nonzero(self._coupling)):
+                term = self._coupling[j, k] * self.dipole
+                blocks[j, :, k, :] = term if j != k else blocks[j, :, k, :] + term
+        return full
 
     def __matmul__(self, vector: np.ndarray) -> np.ndarray:
         x = np.asarray(vector)
@@ -617,12 +527,28 @@ class ProductOperator:
         if self.frequency:
             out = out + grid * self.shifts
         if self._couples:
-            out = out + self.dipole @ grid @ self.coupling.T
+            out = out + self.dipole @ grid @ self._coupling.T
         return (out.T if self.outer_major else out).ravel()
 
     @functools.cached_property
+    def _coupling(self) -> np.ndarray | None:
+        """C, the outer factor of the d (x) C term."""
+        if self.strength is None or self.coupling is None:
+            return self.coupling
+        return self.strength * self.coupling
+
+    @functools.cached_property
     def _couples(self) -> bool:
-        return self.dipole is not None and bool(np.any(self.coupling != 0))
+        return self.dipole is not None and bool(np.any(self._coupling != 0))
+
+    @functools.cached_property
+    def _dtype(self) -> np.dtype:
+        """The dtype of the full matrix and of its sector blocks."""
+        return np.result_type(
+            self.matter,
+            np.float64,
+            *((self.dipole, self._coupling) if self._couples else ()),
+        )
 
     @functools.cached_property
     def _outer_signs(self) -> np.ndarray:
@@ -664,7 +590,7 @@ class ProductOperator:
         diagonal = np.real(np.diagonal(self.matter))[:, None] + self.shifts
         pieces = [np.max(np.abs(self.matter)), np.max(np.abs(diagonal))]
         if self._couples:
-            pieces.append(np.max(np.abs(self.coupling)) * np.max(np.abs(self.dipole)))
+            pieces.append(np.max(np.abs(self._coupling)) * np.max(np.abs(self.dipole)))
         scale = float(np.max(pieces))
         if not math.isfinite(scale):
             return False
@@ -672,15 +598,15 @@ class ProductOperator:
         if self._couples:
             defect = max(
                 defect,
-                hermiticity_defect(self.dipole) * np.max(np.abs(self.coupling)),
-                hermiticity_defect(self.coupling) * np.max(np.abs(self.dipole)),
+                hermiticity_defect(self.dipole) * np.max(np.abs(self._coupling)),
+                hermiticity_defect(self._coupling) * np.max(np.abs(self.dipole)),
             )
         if defect > 1e-10 * max(1.0, scale) or not (self._sector_dim(1) and self._sector_dim(-1)):
             return False
         blocks = self._projections
         largest = float(np.max(np.abs(blocks["h", 1, -1]), initial=0.0))
         if self._couples:
-            coupling = np.abs(self.coupling)
+            coupling = np.abs(self._coupling)
             odd = self._outer_signs[:, None] != self._outer_signs
             same_parity = max(
                 np.max(np.abs(blocks["d", 1, 1]), initial=0.0),
@@ -720,21 +646,16 @@ class ProductOperator:
         position[order] = np.arange(order.size)
         starts = np.cumsum([0, *sizes])
         blocks = self._projections
-        dtype = np.result_type(
-            self.matter,
-            np.float64,
-            *((self.dipole, self.coupling) if self._couples else ()),
-        )
-        block = np.zeros((order.size, order.size), dtype=dtype)
+        block = np.zeros((order.size, order.size), dtype=self._dtype)
         shifts = self.shifts
         for j, p in enumerate(matter_parity):
             rows = position[starts[j] : starts[j + 1]]
             block[np.ix_(rows, rows)] = blocks["h", p, p]
             block[rows, rows] += shifts[j]
             if self._couples:
-                for k in np.flatnonzero(self.coupling[j]):
+                for k in np.flatnonzero(self._coupling[j]):
                     cols = position[starts[k] : starts[k + 1]]
-                    factor = self.coupling[j, k]
+                    factor = self._coupling[j, k]
                     block[np.ix_(rows, cols)] = factor * blocks["d", p, matter_parity[k]]
         basis = SectorBasis(
             coords=coords[order],
@@ -763,21 +684,23 @@ def diagonalize_hermitian(
     solve), and the result keeps its sectors (:class:`EigenSystem`). A dense
     matrix with a ``reflection`` S is the operator with an outer space of
     size one. Otherwise, and when S leaves a sector empty, the dense path
-    runs on the full matrix, with the bits of a solve without a reflection.
+    runs on the full matrix, with the bits of a solve without a reflection:
+    the given array itself, or the operator's :meth:`ProductOperator.toarray`,
+    which is freed when the solve returns.
     """
     if isinstance(matrix, ProductOperator):
         if reflection is not None:
             raise InputError("a ProductOperator carries its own reflection")
         operator = matrix
+        if not operator.splits:
+            return _solve_dense(_checked_hermitian(operator.toarray()))
     else:
         m = _checked_hermitian(matrix)
         if reflection is None:
             return _solve_dense(m)
-        operator = ProductOperator(
-            matter=m, labels=np.zeros(1, dtype=int), dense=lambda: m, reflection=reflection
-        )
-    if not operator.splits:
-        return _solve_dense(_checked_hermitian(operator.toarray()))
+        operator = ProductOperator(matter=m, labels=np.zeros(1, dtype=int), reflection=reflection)
+        if not operator.splits:
+            return _solve_dense(m)
     solved = []
     for parity in (1, -1):
         block, basis = operator.sector(parity)

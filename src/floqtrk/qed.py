@@ -9,14 +9,13 @@ here: the spectrum is bounded below and the energy-weighted dipole sum runs
 over plain eigenstate differences, exactly as in the static case but in the
 enlarged space. Because d (x) I commutes with every photon-only operator
 and with the bilinear coupling, the double-commutator oracle again reduces
-to the bare matter commutator - evaluated here by direct matrix algebra on
-the joint operator itself (block by block when it is kept structured), so
-the reduction is checked rather than assumed.
+to the bare matter commutator - evaluated here by applying the joint
+operators themselves, block by block, so the reduction is checked rather
+than assumed.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -71,35 +70,6 @@ def _check_joint(h_matter: MatterOperator, d: MatterOperator, fock: FockSpec) ->
         )
 
 
-def build_joint_hamiltonian(
-    h_matter: MatterOperator,
-    d: MatterOperator,
-    fock: FockSpec,
-) -> np.ndarray:
-    """Dense joint Hamiltonian on the matter (x) Fock product basis.
-
-    H = H_M (x) I + I (x) omega_c a^dag a - g * d (x) (a + a^dag); no
-    dipole self-energy term and no zero-point constant. The product basis
-    is matter-major: index = matter_index * fock_dim + photon_index.
-    """
-    _check_joint(h_matter, d, fock)
-    n_m, n_f = h_matter.dim, fock.dim
-    # written block by block in place of the Kronecker sum, with the same
-    # float operations, so the matrix is bit-equal to the Kronecker build
-    dtype = np.result_type(h_matter.matrix, d.matrix, np.float64)
-    h = np.zeros((n_m, n_f, n_m, n_f), dtype=dtype)
-    photons = np.arange(n_f)
-    # "+ 0.0" maps -0.0 to +0.0, as the Kronecker sum's "+ omega_c * 0.0" does
-    h[:, photons, :, photons] = h_matter.matrix + 0.0
-    matter = np.arange(n_m)[:, None]
-    h[matter, photons, matter, photons] += fock.omega_c * photons
-    if fock.g != 0.0:
-        coupling = fock.g * (d.matrix[:, :, None] * np.sqrt(photons[1:]))
-        h[:, photons[:-1], :, photons[1:]] -= np.moveaxis(coupling, 2, 0)
-        h[:, photons[1:], :, photons[:-1]] -= np.moveaxis(coupling, 2, 0)
-    return h.reshape(n_m * n_f, n_m * n_f)
-
-
 def joint_operator(
     h_matter: MatterOperator,
     d: MatterOperator,
@@ -109,20 +79,20 @@ def joint_operator(
     """The joint Hamiltonian as a :class:`ProductOperator`.
 
     H_M (x) I + I (x) diag(n omega_c) + d (x) C with C = -g (a + a^dag), on
-    the matter-major index. The matter reflection P is lifted to
-    P (x) (-1)^n, which commutes with it when P H_M P = H_M and
-    P d P = -d, since (-1)^n anticommutes with a + a^dag. ``toarray()`` is
-    :func:`build_joint_hamiltonian`, bit for bit.
+    the matter-major index matter_index * fock_dim + photon_index; no
+    dipole self-energy term and no zero-point constant. The matter
+    reflection P is lifted to P (x) (-1)^n, which commutes with it when
+    P H_M P = H_M and P d P = -d, since (-1)^n anticommutes with a + a^dag.
     """
     _check_joint(h_matter, d, fock)
     ladder = np.sqrt(np.arange(1, fock.dim))
     return ProductOperator(
         matter=h_matter.matrix,
         labels=np.arange(fock.dim),
-        dense=functools.partial(build_joint_hamiltonian, h_matter, d, fock),
         frequency=fock.omega_c,
         dipole=d.matrix,
-        coupling=-fock.g * (np.diag(ladder, 1) + np.diag(ladder, -1)),
+        coupling=np.diag(ladder, 1) + np.diag(ladder, -1),
+        strength=-fock.g,
         reflection=reflection,
     )
 
@@ -132,45 +102,10 @@ def joint_operators(
     d: MatterOperator,
     fock: FockSpec,
     reflection: Reflection | None = None,
-) -> tuple[ProductOperator | np.ndarray, ProductOperator | np.ndarray]:
-    """The joint Hamiltonian and d (x) I, kept structured when they split.
-
-    When the :func:`joint_operator`'s lifted reflection commutes with it
-    (:attr:`ProductOperator.splits`), both are returned as operators and no
-    full-size array is formed. Otherwise they are the dense matrices of
-    :func:`build_joint_hamiltonian` and :func:`joint_dipole`, bit for bit.
-    """
+) -> tuple[ProductOperator, ProductOperator]:
+    """The :func:`joint_operator` and the lifted dipole d (x) I."""
     h_joint = joint_operator(h_matter, d, fock, reflection)
-    d_joint = ProductOperator(
-        matter=d.matrix, labels=h_joint.labels, dense=functools.partial(joint_dipole, d, fock)
-    )
-    if h_joint.splits:
-        return h_joint, d_joint
-    return h_joint.toarray(), d_joint.toarray()
-
-
-def joint_reflection(matter: Reflection | None, fock: FockSpec) -> Reflection | None:
-    """Lift a matter reflection P to P (x) (-1)^n on the matter-major index.
-
-    It commutes with the joint Hamiltonian when P commutes with H_M and
-    anticommutes with d, because (-1)^n anticommutes with a + a^dag. This
-    lift is for a dense joint matrix given to :func:`diagonalize_hermitian`;
-    :func:`joint_operators` applies it to the matter operators instead.
-    """
-    if matter is None:
-        return None
-    return matter.kron(Reflection.alternating(np.arange(fock.dim)))
-
-
-def joint_dipole(d: MatterOperator, fock: FockSpec) -> np.ndarray:
-    """The matter dipole lifted to the product space: d (x) I."""
-    n_m, n_f = d.dim, fock.dim
-    lifted = np.empty((n_m, n_f, n_m, n_f), dtype=np.result_type(d.matrix, np.float64))
-    # off-diagonal photon entries are d * 0.0, signed like d, as in np.kron
-    lifted[...] = (d.matrix * 0.0)[:, None, :, None]
-    photons = np.arange(n_f)
-    lifted[:, photons, :, photons] = d.matrix
-    return lifted.reshape(n_m * n_f, n_m * n_f)
+    return h_joint, ProductOperator(matter=d.matrix, labels=h_joint.labels)
 
 
 def sumrule_qed(
@@ -185,11 +120,10 @@ def sumrule_qed(
 
     value = 2 sum_beta (E_beta - E_alpha) |<alpha| d(x)I |beta>|^2 with beta
     running over eigenstates of the interacting joint Hamiltonian. The
-    oracle is the joint double-commutator expectation evaluated by direct
-    matrix algebra; the closure identity keeps oracle_residual below 1e-8
-    relative for any reference, converged or not. ``h_joint`` and
-    ``d_joint`` are both dense or both the operators of
-    :func:`joint_operators`, applied block by block.
+    oracle is the joint double-commutator expectation, with ``h_joint`` and
+    ``d_joint`` (the operators of :func:`joint_operators`, or dense arrays)
+    applied to the reference vector; the closure identity keeps
+    oracle_residual below 1e-8 relative for any reference, converged or not.
     """
     if spectrum.dim != h_joint.shape[0]:
         raise InputError(

@@ -38,6 +38,7 @@ from .floquet import (
     EigenSystem,
     FloquetMatrix,
     FloquetMode,
+    ProductOperator,
     diagonalize_hermitian,
 )
 from .model import MatterOperator, double_commutator_expectation
@@ -264,31 +265,26 @@ def static_trk(
 def _closure_report(
     kind: str,
     system: EigenSystem,
-    h_full: np.ndarray,
-    d_full: np.ndarray | None,
+    h_full: np.ndarray | ProductOperator,
+    d_full: np.ndarray | ProductOperator,
     reference: int,
     target: float,
     omega: float | None,
-    apply_d=None,
-    truncation_flags: tuple[str, ...] = (),
 ) -> SumRuleReport:
     """Sum over a complete spectrum plus its double-commutator oracle.
 
     Reads the reference eigenvector and the amplitudes <alpha|d|beta> off
     ``system``, sector by sector for a parity-sector solve. ``h_full`` and
-    ``d_full`` are dense matrices or structured operators; the oracle
+    ``d_full`` are matrices or :class:`ProductOperator` s; the oracle
     applies them to the reference vector in the original basis, so it does
-    not depend on the sector construction. ``apply_d`` (vector -> vector)
-    overrides ``d_full`` for the operator application, so extended-space
-    callers avoid materializing d (x) identity.
+    not depend on the sector construction.
     """
     if not 0 <= reference < system.dim:
         raise InputError(
             f"reference index {reference} outside spectrum of size {system.dim}"
         )
     psi = system.column(reference)
-    d_psi = apply_d(psi) if apply_d is not None else d_full @ psi
-    amps = system.amplitudes(d_psi)  # <alpha|d|beta> for every beta
+    amps = system.amplitudes(d_full @ psi)  # <alpha|d|beta> for every beta
     abs2 = np.abs(amps) ** 2
     diffs = system.values - system.values[reference]
     weights = 2.0 * diffs * abs2
@@ -300,10 +296,7 @@ def _closure_report(
         weight=weights,
     )
     value = math.fsum(weights.tolist())
-    if apply_d is not None:
-        oracle = _double_commutator_matvec(h_full, apply_d, psi)
-    else:
-        oracle = double_commutator_expectation(h_full, d_full, psi)
+    oracle = double_commutator_expectation(h_full, d_full, psi)
     return SumRuleReport(
         kind=kind,
         value=value,
@@ -312,20 +305,10 @@ def _closure_report(
         oracle_value=oracle,
         oracle_residual=value - oracle,
         contributions=contributions,
-        truncation_flags=truncation_flags,
+        truncation_flags=(),
         reference=reference,
         omega=omega,
     )
-
-
-def _double_commutator_matvec(h: np.ndarray, apply_d, psi: np.ndarray) -> float:
-    """<psi|[d,[H,d]]|psi> evaluated with matrix-vector products only."""
-    u = apply_d(psi)
-    h_u = h @ u
-    h_psi = h @ psi
-    d_u = apply_d(u)
-    value = 2.0 * np.vdot(u, h_u) - np.vdot(d_u, h_psi) - np.vdot(h_psi, d_u)
-    return float(np.real(value))
 
 
 def select_reference(
@@ -364,8 +347,9 @@ def sumrule_sambe(
     with the dipole acting identically in every harmonic block. The oracle
     is the extended-space double-commutator expectation, an exact identity
     in the truncated space, so oracle_residual stays below 1e-8 relative
-    regardless of physical convergence. ``floquet_matrix.matrix`` may be
-    dense or the structured operator of :func:`assemble_sambe`.
+    regardless of physical convergence. The oracle applies
+    ``floquet_matrix.matrix`` and d (x) 1, the dipole lifted to the same
+    harmonic-major index, block by block.
     """
     spec = floquet_matrix.spec
     if eigenpairs.dim != floquet_matrix.dim:
@@ -377,20 +361,17 @@ def sumrule_sambe(
         raise InputError(
             f"dipole dim {d.dim} != matter dimension {spec.matter_dim}"
         )
-    d_matrix = d.matrix
-
-    def apply_d(vec: np.ndarray) -> np.ndarray:
-        return (vec.reshape(spec.n_blocks, spec.matter_dim) @ d_matrix.T).ravel()
-
+    lifted = ProductOperator(
+        matter=d.matrix, labels=floquet_matrix.matrix.labels, outer_major=True
+    )
     return _closure_report(
         kind="sambe",
         system=eigenpairs,
         h_full=floquet_matrix.matrix,
-        d_full=None,
+        d_full=lifted,
         reference=reference,
         target=float(_infer_electrons(d, n_electrons)),
         omega=floquet_matrix.omega,
-        apply_d=apply_d,
     )
 
 

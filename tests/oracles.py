@@ -73,11 +73,60 @@ def fock_displacement_operator(n_max):
     return np.diag(ladder, k=1) + np.diag(ladder, k=-1)
 
 
+def sambe_block_matrix(h, d, omega, cutoff, components):
+    """Truncated Sambe matrix of H(t) = h - d E(t), written block by block.
+
+    ``components`` are (k, E_k, phi_k) of E(t) = sum_k E_k cos(k omega t +
+    phi_k). The Fourier blocks are H_0 = h and H_(+-k) = f_(+-k) d, with
+    f_(+k) = -(E_k/2) exp(+i phi_k) (real when its imaginary part is zero)
+    and f_(-k) = conj(f_(+k)); a zero amplitude gives no block, and the
+    factors are taken in one common dtype. Block (m, m') is
+    H_(m-m') + delta_(mm') m omega 1 for m, m' in [-cutoff, cutoff], the
+    harmonic-major index m * dim(h) + matter.
+    """
+    keys, factors = [], []
+    for k, amplitude, phase in components:
+        if amplitude == 0.0:
+            continue
+        factor = -0.5 * amplitude * np.exp(1j * phase)
+        if factor.imag == 0.0:
+            factor = factor.real
+        keys += [k, -k]
+        factors += [factor, np.conj(factor)]
+    blocks = {0: h}
+    for k, factor in zip(keys, np.array(factors)):
+        blocks[k] = factor * d
+    is_complex = any(np.iscomplexobj(b) for b in blocks.values())
+    dtype = np.complex128 if is_complex else np.float64
+    n_b, n_blocks = h.shape[0], 2 * cutoff + 1
+    matrix = np.zeros((n_blocks * n_b, n_blocks * n_b), dtype=dtype)
+    eye = np.eye(n_b, dtype=dtype)
+    for row, m in enumerate(range(-cutoff, cutoff + 1)):
+        r0 = row * n_b
+        for k, block in blocks.items():
+            col = row - k
+            if 0 <= col < n_blocks:
+                matrix[r0 : r0 + n_b, col * n_b : (col + 1) * n_b] = block
+        matrix[r0 : r0 + n_b, r0 : r0 + n_b] += m * omega * eye
+    return matrix
+
+
+def lifted_reflection(perm, signs, labels, outer_major):
+    """(perm, signs) of the matter reflection (``perm``, ``signs``) lifted
+    to P (x) (-1)^label on a product index: outer * dim(P) + matter when
+    ``outer_major``, matter * len(labels) + outer otherwise."""
+    parity = np.where(np.asarray(labels) % 2 == 0, 1.0, -1.0)
+    outer = np.arange(parity.size)
+    if outer_major:
+        return (outer[:, None] * perm.size + perm).ravel(), (parity[:, None] * signs).ravel()
+    return (perm[:, None] * outer.size + outer).ravel(), (signs[:, None] * parity).ravel()
+
+
 def kron_joint_hamiltonian(h, d, n_max, omega_c, g):
     """H (x) I + omega_c I (x) a^dag a - g d (x) (a + a^dag) by np.kron.
 
     The term-by-term Kronecker build, kept as the reference for the
-    direct-write assembly in the package.
+    package's joint operator written out in full.
     """
     joint = np.kron(h, np.eye(n_max + 1))
     joint += omega_c * np.kron(np.eye(h.shape[0]), fock_number_operator(n_max))

@@ -21,18 +21,16 @@ from floqtrk import (
     InteractionSpec,
     MatterOperator,
     PotentialSpec,
-    assemble_floquet_matrix,
+    assemble_sambe,
     build_dipole,
     build_grid_hamiltonian,
-    build_joint_hamiltonian,
     build_two_electron_hamiltonian,
     diagonalize_hermitian,
     dipole_fourier_components,
     first_moment,
     fold_and_select_ffbz,
     fold_label,
-    fourier_blocks_of_hamiltonian,
-    joint_dipole,
+    joint_operators,
     photon_cutoff_convergence,
     select_reference,
     spectral_density,
@@ -60,8 +58,7 @@ def closure_ok(report, rtol: float = 1e-8) -> bool:
 def driven_run(h, d, drive, cutoff):
     """One driven configuration evaluated in both extended-space forms."""
     ground = diagonalize_hermitian(h.matrix).vectors[:, 0]
-    blocks = fourier_blocks_of_hamiltonian(h, d, drive)
-    floquet = assemble_floquet_matrix(blocks, drive.omega, cutoff)
+    floquet = assemble_sambe(h, d, drive, cutoff)
     system = diagonalize_hermitian(floquet.matrix)
     sambe = sumrule_sambe(
         floquet, system, d, select_reference_sambe(system, floquet.spec, ground)
@@ -214,23 +211,21 @@ def test_criterion_8_quantum_light_closure():
     model = FewLevelModel((0.0, 1.0), SX)
     h, d = model.hamiltonian(), model.dipole_operator()
     fock = FockSpec(n_max=20, omega_c=0.9, g=0.3)
-    h_joint = build_joint_hamiltonian(h, d, fock)
+    h_joint, d_joint = joint_operators(h, d, fock)
     system = diagonalize_hermitian(h_joint)
     ground = diagonalize_hermitian(h.matrix).vectors[:, 0]
     reference = select_reference_joint(system, ground, fock.dim)
-    rabi = sumrule_qed(system, joint_dipole(d, fock), reference, h_joint=h_joint)
+    rabi = sumrule_qed(system, d_joint, reference, h_joint=h_joint)
 
     grid = GridBasis(n_points=201, x_min=-10.0, x_max=10.0)
     hg = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
     dg = build_dipole(grid)
     fock_g = FockSpec(n_max=12, omega_c=1.2, g=0.05)
-    hg_joint = build_joint_hamiltonian(hg, dg, fock_g)
+    hg_joint, dg_joint = joint_operators(hg, dg, fock_g)
     grid_system = diagonalize_hermitian(hg_joint)
     grid_ground = diagonalize_hermitian(hg.matrix).vectors[:, 0]
     grid_ref = select_reference_joint(grid_system, grid_ground, fock_g.dim)
-    grid_report = sumrule_qed(
-        grid_system, joint_dipole(dg, fock_g), grid_ref, h_joint=hg_joint
-    )
+    grid_report = sumrule_qed(grid_system, dg_joint, grid_ref, h_joint=hg_joint)
 
     family = FewLevelModel((0.0, 0.5), np.array([[2.0, 1.0], [1.0, -2.0]]))
     rows = photon_cutoff_convergence(
@@ -310,10 +305,7 @@ def test_criterion_9_property_sweeps():
 
     model = FewLevelModel((0.0, 1.0), SX)
     drive = DriveSpec(omega=2.5, components=(DriveComponent(1, 0.1),))
-    blocks = fourier_blocks_of_hamiltonian(
-        model.hamiltonian(), model.dipole_operator(), drive
-    )
-    floquet = assemble_floquet_matrix(blocks, drive.omega, 6)
+    floquet = assemble_sambe(model.hamiltonian(), model.dipole_operator(), drive, 6)
     system = diagonalize_hermitian(floquet.matrix)
     selection = fold_and_select_ffbz(system, drive.omega, floquet.spec)
     replica_worst = 0.0

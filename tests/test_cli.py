@@ -22,11 +22,10 @@ from floqtrk import (
     EigenSystem,
     FockSpec,
     __version__,
-    build_joint_hamiltonian,
     cli,
     first_moment,
     floquet,
-    joint_dipole,
+    joint_operators,
     qed,
     sumrule,
     sumrule_qed,
@@ -749,12 +748,9 @@ def test_converge_final_report_is_the_last_row(tmp_path):
     assert final["oracle_residual"] == payload["convergence"][-1]["oracle_residual"]
     h, d, _ = config.matter()
     fock = FockSpec(n_max=10, omega_c=0.9, g=0.3)
-    h_joint = build_joint_hamiltonian(h, d, fock)
+    h_joint, d_joint = joint_operators(h, d, fock)
     fresh = sumrule_qed(
-        floquet.diagonalize_hermitian(h_joint),
-        joint_dipole(d, fock),
-        0,
-        h_joint=h_joint,
+        floquet.diagonalize_hermitian(h_joint), d_joint, 0, h_joint=h_joint
     )
     assert final == cli._sumrule_payload(fresh)
 
@@ -989,6 +985,12 @@ FOCK_SCAN = "job: converge\n" + FEW_MODEL + "converge: {axis: fock_n_max, values
 SWEEP_HEAD = "job: sweep\n" + FEW_MODEL + DRIVE_SECTION
 
 
+#: An integer literal beyond the float range.
+HUGE = "1" + "0" * 399
+THIRD_HARMONIC = "drive: {omega: 0.5, components: [{harmonic: 1, amplitude: 0.1}, {harmonic: 3, amplitude: 0.01}]}\n"
+DRIVEN = "(the highest drive harmonic with a nonzero amplitude)"
+
+
 def sweep_section(path, values="[0.1, 0.2]"):
     return SWEEP_HEAD + f"sweep: {{job: floquet, path: {path}, values: {values}}}\n"
 
@@ -1142,6 +1144,12 @@ CONFIG_ERRORS = [
      "key 'omega' in section 'drive' must be finite, got inf"),
     ("not_finite_nan", STATIC_HEAD + "model: {grid: {x_min: .nan}}\n",
      "key 'x_min' in section 'model.grid' must be finite, got nan"),
+    ("integer_beyond_float", FLOQUET_HEAD + f"drive: {{omega: {HUGE}}}\n",
+     "key 'omega' in section 'drive' must be finite, got an integer of 400 digits"),
+    ("energy_beyond_float", STATIC_HEAD + f"model: {{kind: few_level, energies: [0.0, {HUGE}], dipole: [[0, 1], [1, 0]]}}\n",
+     "key 'energies' in section 'model' must be finite, got an integer of 400 digits"),
+    ("sweep_value_beyond_float", sweep_section("drive.omega", values=f"[0.5, {HUGE}]"),
+     "key 'omega' in section 'drive' must be finite, got an integer of 400 digits"),
     ("energy_not_a_number", STATIC_HEAD + "model: {kind: few_level, energies: [0.0, x], dipole: [[0, 1], [1, 0]]}\n",
      "key 'energies' in section 'model' must be a number, got str"),
     ("dipole_entry_not_a_number", STATIC_HEAD + "model: {kind: few_level, energies: [0.0, 1.0], dipole: [[0, 1], [1, x]]}\n",
@@ -1195,6 +1203,15 @@ CONFIG_ERRORS = [
      "key 'edge_tol' in section 'sambe' must be > 0, got 0.0"),
     ("sambe_n_max_bound", FLOQUET_HEAD + DRIVE_SECTION + "sambe: {n_max: -1}\n",
      "key 'n_max' in section 'sambe' must be >= 0, got -1"),
+    ("harmonic_cutoff_below_harmonic", FLOQUET_HEAD + THIRD_HARMONIC + "sambe: {harmonic_cutoff: 2}\n",
+     f"key 'harmonic_cutoff' in section 'sambe' must be >= 3 {DRIVEN}, got 2"),
+    ("default_harmonic_cutoff_below_harmonic", FLOQUET_HEAD + THIRD_HARMONIC.replace("harmonic: 3", "harmonic: 9"),
+     f"key 'harmonic_cutoff' in section 'sambe' must be >= 9 {DRIVEN}, got 8"),
+    ("converge_cutoff_below_harmonic", HARMONIC_SCAN + THIRD_HARMONIC,
+     f"key 'values' in section 'converge' must be >= 3 {DRIVEN}, got 2"),
+    ("sweep_cutoff_below_harmonic", SWEEP_HEAD + "sambe: {harmonic_cutoff: 2}\n"
+     + "sweep: {job: floquet, path: drive.components.0.harmonic, values: [1, 3]}\n",
+     f"key 'harmonic_cutoff' in section 'sambe' must be >= 3 {DRIVEN}, got 2"),
     ("fock_n_max_bound", QED_HEAD + "fock: {n_max: -1, omega_c: 0.9, g: 0.1}\n",
      "key 'n_max' in section 'fock' must be >= 0, got -1"),
     ("omega_c_bound", QED_HEAD + "fock: {omega_c: 0, g: 0.1}\n",
@@ -1364,8 +1381,31 @@ def test_merge_keys_may_be_overridden(tmp_path):
             FOCK_CONVERGE_JOB.replace("[4, 6, 8, 10]", "[4, 6]"),
             "key 'values' in section 'converge' must list at least {fewest} entries",
         ),
+        (
+            "sweep",
+            SWEEP_HEAD + "sambe: {harmonic_cutoff: 2}\n"
+            + "sweep: {job: floquet, path: drive.components.0.harmonic, values: [1, 3]}\n",
+            "key 'harmonic_cutoff' in section 'sambe' must be >= 3 " + DRIVEN + ", got 2",
+        ),
+        (
+            "floquet",
+            FLOQUET_JOB.replace("harmonic: 1,", "harmonic: 5,"),
+            "key 'harmonic_cutoff' in section 'sambe' must be >= 5 " + DRIVEN + ", got 4",
+        ),
+        (
+            "converge",
+            HARMONIC_CONVERGE_JOB.replace("harmonic: 1,", "harmonic: 3,"),
+            "key 'values' in section 'converge' must be >= 3 " + DRIVEN + ", got 2",
+        ),
     ],
-    ids=["sweep_point", "sweep_grid_end", "photon_cutoff_family"],
+    ids=[
+        "sweep_point",
+        "sweep_grid_end",
+        "photon_cutoff_family",
+        "sweep_cutoff_below_harmonic",
+        "floquet_cutoff_below_harmonic",
+        "converge_cutoff_below_harmonic",
+    ],
 )
 def test_refused_at_load_before_any_eigensolve(
     tmp_path, monkeypatch, capsys, command, text, message
@@ -1378,6 +1418,37 @@ def test_refused_at_load_before_any_eigensolve(
     message = message.format(fewest=qed.MIN_CUTOFF_FAMILY)
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert solved == []
+
+
+def test_undriven_harmonic_above_the_cutoff_loads(tmp_path):
+    """A drive component with amplitude 0 couples nothing, so its harmonic
+    may lie above the cutoff, as in the README's grid sweep, whose first
+    point has the only component at amplitude 0."""
+    text = (
+        "job: sweep\n"
+        "sweep: {job: floquet, path: drive.components.0.amplitude, values: [0.0, 0.02]}\n"
+        "model: {kind: grid, grid: {n_points: 21}}\n"
+        "drive: {omega: 150.0, components: [{harmonic: 1, amplitude: 0.0}, {harmonic: 4, amplitude: 0.0}]}\n"
+        "sambe: {harmonic_cutoff: 2}\n"
+    )
+    config = load_config(config_file(tmp_path, text))
+    assert [c["harmonic"] for c in config.resolved["drive"]["components"]] == [1, 4]
+
+
+@pytest.mark.parametrize(
+    "scalar, message",
+    [("9" * 5000, "Exceeds the limit"), ("2001-13-01", "month must be in 1..12")],
+    ids=["integer_too_long", "bad_date"],
+)
+def test_unconvertible_scalar_is_a_config_error(tmp_path, capsys, scalar, message):
+    """A scalar that YAML recognizes but cannot convert (an integer past
+    Python's digit limit, an impossible date) exits 2 without a
+    traceback."""
+    path = config_file(tmp_path, f"job: static_trk\nmodel: {{grid: {{x_min: {scalar}}}}}\n")
+    assert main(["static-trk", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: could not parse {path}: ")
+    assert message in err and "Traceback" not in err
 
 
 #: Small valid jobs of every kind, the seeds of the fuzzed configs below.

@@ -1,4 +1,4 @@
-"""Fourier blocks, Sambe assembly, folding, and replica shifts."""
+"""Sambe operators, eigensolves, folding, and replica shifts."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from floqtrk import (
     DriveComponent,
     DriveSpec,
     FloquetMode,
-    FourierBlockSet,
+    FockSpec,
     GridBasis,
     InputError,
     InteractionSpec,
@@ -21,7 +21,7 @@ from floqtrk import (
     Reflection,
     SambeSpec,
     SizeError,
-    assemble_floquet_matrix,
+    assemble_sambe,
     basis_reversal,
     build_dipole,
     build_grid_hamiltonian,
@@ -29,9 +29,8 @@ from floqtrk import (
     diagonalize_hermitian,
     fold_and_select_ffbz,
     fold_label,
-    fourier_blocks_of_hamiltonian,
+    joint_operators,
     sambe_operator,
-    sambe_reflection,
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -44,24 +43,35 @@ def two_level(delta=1.0, mu=1.0):
     return h, d
 
 
+def fourier_factors(operator):
+    """{k: the factors f_k} read off a Sambe operator's coupling, whose
+    entry C[m, m - k] is the factor of H_k = f_k d."""
+    c = operator.coupling
+    n = c.shape[0]
+    return {k: np.diag(c, -k) for k in range(1 - n, n) if np.any(np.diag(c, -k))}
+
+
 def test_single_component_blocks():
     """One cosine component gives keys {-1, 0, 1} with H_(+1) = -(E/2) d."""
     h, d = two_level()
     drive = DriveSpec(omega=0.8, components=(DriveComponent(1, 0.2),))
-    blocks = fourier_blocks_of_hamiltonian(h, d, drive)
-    assert set(blocks.blocks) == {-1, 0, 1}
-    assert np.array_equal(blocks.blocks[0], h.matrix)
-    assert np.array_equal(blocks.blocks[1], -0.1 * SX)
-    assert np.array_equal(blocks.blocks[-1], -0.1 * SX)
-    assert not np.iscomplexobj(blocks.blocks[1])
+    operator = sambe_operator(h, d, drive, 1)
+    factors = fourier_factors(operator)
+    assert set(factors) == {-1, 1}
+    assert np.array_equal(factors[1], [-0.1, -0.1])
+    assert np.array_equal(factors[-1], [-0.1, -0.1])
+    full = operator.toarray()  # block (m, m') is H_(m-m'); row block m = 0
+    assert np.array_equal(full[2:4, 2:4], h.matrix)
+    assert np.array_equal(full[2:4, 0:2], -0.1 * SX)
+    assert np.array_equal(full[2:4, 4:6], -0.1 * SX)
+    assert not np.iscomplexobj(full)
 
 
 def test_zero_amplitude_component_dropped():
     """A zero-amplitude component contributes no coupling block."""
     h, d = two_level()
     drive = DriveSpec(omega=1.0, components=(DriveComponent(1, 0.0),))
-    blocks = fourier_blocks_of_hamiltonian(h, d, drive)
-    assert set(blocks.blocks) == {0}
+    assert fourier_factors(sambe_operator(h, d, drive, 1)) == {}
 
 
 def test_two_component_blocks():
@@ -71,17 +81,17 @@ def test_two_component_blocks():
         omega=0.8,
         components=(DriveComponent(1, 0.1), DriveComponent(2, 0.05, np.pi / 2.0)),
     )
-    blocks = fourier_blocks_of_hamiltonian(h, d, drive)
-    assert set(blocks.blocks) == {-2, -1, 0, 1, 2}
+    assert set(fourier_factors(sambe_operator(h, d, drive, 2))) == {-2, -1, 1, 2}
 
 
 def test_phase_enters_coupling_block():
     """A quarter phase makes H_(+1) = -(E/2) i d with Hermitian partner."""
     h, d = two_level()
     drive = DriveSpec(omega=0.8, components=(DriveComponent(1, 0.2, np.pi / 2.0),))
-    blocks = fourier_blocks_of_hamiltonian(h, d, drive)
-    assert np.max(np.abs(blocks.blocks[1] - (-0.1j) * SX)) < 1e-15
-    assert np.max(np.abs(blocks.blocks[-1] - blocks.blocks[1].conj().T)) == 0.0
+    full = sambe_operator(h, d, drive, 1).toarray()
+    plus, minus = full[2:4, 0:2], full[2:4, 4:6]
+    assert np.max(np.abs(plus - (-0.1j) * SX)) < 1e-15
+    assert np.max(np.abs(minus - plus.conj().T)) == 0.0
 
 
 def test_blocks_reject_dimension_mismatch():
@@ -90,28 +100,14 @@ def test_blocks_reject_dimension_mismatch():
     d = MatterOperator(np.zeros((3, 3)), basis_tag="levels:3")
     drive = DriveSpec(omega=1.0, components=(DriveComponent(1, 0.1),))
     with pytest.raises(InputError):
-        fourier_blocks_of_hamiltonian(h, d, drive)
-
-
-def test_block_set_validation():
-    """Block sets demand k=0, conjugate partners, and matching shapes."""
-    h = np.diag([0.0, 1.0])
-    with pytest.raises(InputError):
-        FourierBlockSet({1: SX, -1: SX})
-    with pytest.raises(InputError):
-        FourierBlockSet({0: h, 1: SX})
-    with pytest.raises(InputError):
-        FourierBlockSet({0: h, 1: SX, -1: 2.0 * SX})
-    with pytest.raises(InputError):
-        FourierBlockSet({0: h, 1: np.zeros((3, 3)), -1: np.zeros((3, 3))})
+        sambe_operator(h, d, drive, 1)
 
 
 def test_assembled_dimension():
     """Two matter levels and cutoff 1 give the 6-dimensional operator."""
     h, d = two_level()
     drive = DriveSpec(omega=0.8, components=(DriveComponent(1, 0.1),))
-    blocks = fourier_blocks_of_hamiltonian(h, d, drive)
-    floquet = assemble_floquet_matrix(blocks, 0.8, 1)
+    floquet = assemble_sambe(h, d, drive, 1)
     assert floquet.dim == 6
     assert floquet.spec.n_blocks == 3
 
@@ -119,48 +115,50 @@ def test_assembled_dimension():
 def test_zero_drive_assembly_is_block_diagonal():
     """Without drive the operator is exactly diag(H - w, H, H + w)."""
     h, d = two_level()
-    blocks = fourier_blocks_of_hamiltonian(h, d, DriveSpec(omega=0.8))
-    floquet = assemble_floquet_matrix(blocks, 0.8, 1)
+    floquet = assemble_sambe(h, d, DriveSpec(omega=0.8), 1)
     eye = np.eye(2)
     expected = np.zeros((6, 6))
     expected[0:2, 0:2] = h.matrix + (-1) * 0.8 * eye
     expected[2:4, 2:4] = h.matrix
     expected[4:6, 4:6] = h.matrix + 1 * 0.8 * eye
-    assert np.array_equal(floquet.matrix, expected)
+    assert np.array_equal(floquet.matrix.toarray(), expected)
 
 
 def test_assembly_is_hermitian_for_random_blocks():
-    """Random conjugate-paired blocks assemble to a Hermitian matrix."""
+    """Random Hermitian H_M and d under random three-harmonic drives
+    assemble to a Hermitian matrix."""
     rng = np.random.default_rng(3)
     for _ in range(5):
-        h0 = oracles.random_hermitian(rng, 3)
-        blocks = {0: h0}
-        for k in (1, 2, 3):
-            g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            blocks[k] = g
-            blocks[-k] = g.conj().T
-        floquet = assemble_floquet_matrix(FourierBlockSet(blocks), 0.7, 4)
-        defect = np.max(np.abs(floquet.matrix - floquet.matrix.conj().T))
+        h = MatterOperator(oracles.random_hermitian(rng, 3), basis_tag="t")
+        d = MatterOperator(oracles.random_hermitian(rng, 3), basis_tag="t")
+        drive = DriveSpec(
+            omega=0.7,
+            components=tuple(
+                DriveComponent(k, float(rng.standard_normal()), float(rng.uniform(-3, 3)))
+                for k in (1, 2, 3)
+            ),
+        )
+        full = sambe_operator(h, d, drive, 4).toarray()
+        defect = np.max(np.abs(full - full.conj().T))
         assert defect <= 1e-12
 
 
 def test_assembly_rejects_small_cutoff():
-    """A window below the highest stored harmonic is a configuration error."""
+    """A window below the highest driven harmonic is a configuration error."""
     h, d = two_level()
     drive = DriveSpec(
         omega=0.8,
         components=(DriveComponent(1, 0.1), DriveComponent(2, 0.05)),
     )
-    blocks = fourier_blocks_of_hamiltonian(h, d, drive)
     with pytest.raises(ConfigError):
-        assemble_floquet_matrix(blocks, 0.8, 1)
+        assemble_sambe(h, d, drive, 1)
 
 
 def test_assembly_size_guard():
     """Truncated dimensions beyond the dense guard are rejected."""
-    blocks = FourierBlockSet({0: np.zeros((100, 100))})
+    zero = MatterOperator(np.zeros((100, 100)), basis_tag="t")
     with pytest.raises(SizeError):
-        assemble_floquet_matrix(blocks, 1.0, 30)
+        sambe_operator(zero, zero, DriveSpec(omega=1.0), 30)
 
 
 def test_diagonalize_sorts_ascending():
@@ -276,8 +274,7 @@ def test_zero_drive_selection_is_pure_static():
     """Zero drive keeps every representative in the m = 0 block."""
     h = MatterOperator(np.diag([0.05, 0.1, -0.2, 0.15]), basis_tag="levels:4")
     d = MatterOperator(np.zeros((4, 4)), basis_tag="levels:4")
-    blocks = fourier_blocks_of_hamiltonian(h, d, DriveSpec(omega=1.0))
-    floquet = assemble_floquet_matrix(blocks, 1.0, 2)
+    floquet = assemble_sambe(h, d, DriveSpec(omega=1.0), 2)
     system = diagonalize_hermitian(floquet.matrix)
     selection = fold_and_select_ffbz(system, 1.0, floquet.spec)
     assert len(selection.representatives) == 4
@@ -295,8 +292,7 @@ def test_zero_drive_spectrum_is_shifted_copies():
     """Zero-drive eigenvalues are exactly {E_a + m w}."""
     h = MatterOperator(np.diag([0.1, 0.25]), basis_tag="levels:2")
     d = MatterOperator(np.zeros((2, 2)), basis_tag="levels:2")
-    blocks = fourier_blocks_of_hamiltonian(h, d, DriveSpec(omega=1.0))
-    floquet = assemble_floquet_matrix(blocks, 1.0, 2)
+    floquet = assemble_sambe(h, d, DriveSpec(omega=1.0), 2)
     system = diagonalize_hermitian(floquet.matrix)
     expected = np.sort([e + m for e in (0.1, 0.25) for m in range(-2, 3)])
     assert np.max(np.abs(system.values - expected)) < 1e-12
@@ -306,8 +302,7 @@ def test_incomplete_zone_is_warned_not_raised():
     """A level too far away to fold in-zone yields a warning and fewer modes."""
     h = MatterOperator(np.diag([0.0, 10.0]), basis_tag="levels:2")
     d = MatterOperator(np.zeros((2, 2)), basis_tag="levels:2")
-    blocks = fourier_blocks_of_hamiltonian(h, d, DriveSpec(omega=1.0))
-    floquet = assemble_floquet_matrix(blocks, 1.0, 2)
+    floquet = assemble_sambe(h, d, DriveSpec(omega=1.0), 2)
     system = diagonalize_hermitian(floquet.matrix)
     selection = fold_and_select_ffbz(system, 1.0, floquet.spec)
     assert len(selection.representatives) == 1
@@ -319,8 +314,7 @@ def test_selection_rejects_incomplete_spectrum():
     h = MatterOperator(np.diag([0.0, 1.0]), basis_tag="levels:2")
     d = MatterOperator(SX, basis_tag="levels:2")
     drive = DriveSpec(omega=0.8, components=(DriveComponent(1, 0.1),))
-    blocks = fourier_blocks_of_hamiltonian(h, d, drive)
-    floquet = assemble_floquet_matrix(blocks, 0.8, 2)
+    floquet = assemble_sambe(h, d, drive, 2)
     system = diagonalize_hermitian(floquet.matrix)
     from floqtrk import EigenSystem
 
@@ -333,8 +327,7 @@ def test_edge_flagging_is_reported():
     """With a vanishing tolerance every driven representative is flagged."""
     h, d = two_level()
     drive = DriveSpec(omega=2.5, components=(DriveComponent(1, 0.1),))
-    blocks = fourier_blocks_of_hamiltonian(h, d, drive)
-    floquet = assemble_floquet_matrix(blocks, 2.5, 6)
+    floquet = assemble_sambe(h, d, drive, 6)
     system = diagonalize_hermitian(floquet.matrix)
     selection = fold_and_select_ffbz(system, 2.5, floquet.spec, edge_tol=0.0)
     assert selection.edge_flagged == tuple(range(len(selection.representatives)))
@@ -345,8 +338,7 @@ def driven_ground_mode(omega=2.5, amplitude=0.1, cutoff=6):
     """Ground representative plus the assembled operator for replica tests."""
     h, d = two_level()
     drive = DriveSpec(omega=omega, components=(DriveComponent(1, amplitude),))
-    blocks = fourier_blocks_of_hamiltonian(h, d, drive)
-    floquet = assemble_floquet_matrix(blocks, omega, cutoff)
+    floquet = assemble_sambe(h, d, drive, cutoff)
     system = diagonalize_hermitian(floquet.matrix)
     selection = fold_and_select_ffbz(system, omega, floquet.spec)
     return selection.representatives[0], floquet, system
@@ -434,14 +426,18 @@ def test_sambe_spec_validation():
 
 
 def grid_sambe(drive, x_max=5.0, cutoff=3, n_points=21):
-    """Sambe matrix of a harmonic grid on [-5, x_max] and its lifted
-    reflection."""
+    """Sambe matrix of a harmonic grid on [-5, x_max], written by the
+    reference block assembler, and x -> -x lifted to P (x) (-1)^m."""
     grid = GridBasis(x_min=-5.0, x_max=x_max, n_points=n_points)
-    h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
-    fm = assemble_floquet_matrix(
-        fourier_blocks_of_hamiltonian(h, build_dipole(grid), drive), drive.omega, cutoff
+    h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0)).matrix
+    components = [(c.harmonic, c.amplitude, c.phase) for c in drive.components]
+    matrix = oracles.sambe_block_matrix(
+        h, build_dipole(grid).matrix, drive.omega, cutoff, components
     )
-    return fm.matrix, sambe_reflection(basis_reversal(n_points), fm.spec)
+    perm, signs = basis_reversal(n_points)
+    harmonics = np.arange(-cutoff, cutoff + 1)
+    lifted = oracles.lifted_reflection(perm, signs, harmonics, outer_major=True)
+    return matrix, Reflection(*lifted)
 
 
 def grid_operator(drive, x_max=5.0, cutoff=3, n_points=21, h=None):
@@ -480,7 +476,8 @@ def test_sambe_matrix_is_solved_in_two_sectors(monkeypatch, drive, entry):
     assert np.iscomplexobj(matrix) == (drive is COMPLEX_DRIVE)
     dense = diagonalize_hermitian(matrix)
     operator = grid_operator(drive)
-    assert np.array_equal(operator.toarray(), matrix)
+    full = operator.toarray()
+    assert full.dtype == matrix.dtype and full.tobytes() == matrix.tobytes()
     solved = record_lapack_solves(monkeypatch)
     if entry == "matrix":
         system = diagonalize_hermitian(matrix, reflection=reflection)
@@ -619,3 +616,45 @@ def test_split_keeps_harmonic_blocks_exact():
     ):
         occupied = np.abs(system.vectors.reshape(7, 21, 147)).max(axis=1) > 0.0
         assert np.array_equal(occupied.sum(axis=0), np.ones(147, dtype=int))
+
+
+def matvec_operators(x_max):
+    """The structured operators of a harmonic grid on [-5, x_max], each with
+    the matter reflection where the pipeline gives it one: the Sambe matrix
+    under a real and a complex drive (harmonic-major), the joint Hamiltonian
+    (matter-major), and both lifted dipoles."""
+    grid = GridBasis(x_min=-5.0, x_max=x_max, n_points=21)
+    h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
+    d = build_dipole(grid)
+    reflection = basis_reversal(21)
+    h_joint, d_joint = joint_operators(h, d, FockSpec(n_max=4, omega_c=0.9, g=0.2), reflection)
+    sambe = sambe_operator(h, d, REAL_DRIVE, 3, reflection)
+    d_sambe = ProductOperator(matter=d.matrix, labels=sambe.labels, outer_major=True)
+    return {
+        "sambe_real": sambe,
+        "sambe_complex": sambe_operator(h, d, COMPLEX_DRIVE, 3, reflection),
+        "joint": h_joint,
+        "sambe_dipole": d_sambe,
+        "joint_dipole": d_joint,
+    }
+
+
+@pytest.mark.parametrize("x_max, splits", [(5.0, True), (6.0, False)], ids=["split", "unsplit"])
+@pytest.mark.parametrize(
+    "kind", ["sambe_real", "sambe_complex", "joint", "sambe_dipole", "joint_dipole"]
+)
+def test_operator_matvec_matches_its_matrix(kind, x_max, splits):
+    """``operator @ x`` is ``operator.toarray() @ x`` to rounding, for real
+    and complex x: |error| <= 2 n eps (|M| @ |x|) entry by entry. On the
+    symmetric grid the Hamiltonians split, on the asymmetric one they do
+    not; the lifted dipoles are odd under the reflection and never split."""
+    operator = matvec_operators(x_max)[kind]
+    assert operator.splits == (splits and not kind.endswith("dipole"))
+    full = operator.toarray()
+    n = full.shape[0]
+    rng = np.random.default_rng(17)
+    for x in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+        got = operator @ x
+        assert got.shape == (n,)
+        bound = 2 * n * np.finfo(np.float64).eps * (np.abs(full) @ np.abs(x))
+        assert np.all(np.abs(got - full @ x) <= bound)

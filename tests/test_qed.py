@@ -12,15 +12,14 @@ from floqtrk import (
     InputError,
     MatterOperator,
     PotentialSpec,
+    Reflection,
     SizeError,
     basis_reversal,
     build_dipole,
     build_grid_hamiltonian,
-    build_joint_hamiltonian,
     diagonalize_hermitian,
-    joint_dipole,
     joint_operator,
-    joint_reflection,
+    joint_operators,
     photon_cutoff_convergence,
     static_trk,
     sumrule_qed,
@@ -33,11 +32,9 @@ TWO_D = MatterOperator(SX, basis_tag="levels:2")
 
 def qed_report(h, d, fock, reference=0):
     """Diagonalize the joint Hamiltonian and evaluate its sum rule."""
-    h_joint = build_joint_hamiltonian(h, d, fock)
+    h_joint, d_joint = joint_operators(h, d, fock)
     system = diagonalize_hermitian(h_joint)
-    report = sumrule_qed(
-        system, joint_dipole(d, fock), reference, h_joint=h_joint
-    )
+    report = sumrule_qed(system, d_joint, reference, h_joint=h_joint)
     return report, system, h_joint
 
 
@@ -67,16 +64,17 @@ def test_fock_operator_entries():
 def test_joint_dimension_and_hermiticity():
     """Two matter levels and four photon levels give an 8x8 Hermitian matrix."""
     fock = FockSpec(n_max=3, omega_c=1.0, g=0.1)
-    h_joint = build_joint_hamiltonian(TWO_H, TWO_D, fock)
-    assert h_joint.shape == (8, 8)
-    assert np.max(np.abs(h_joint - h_joint.conj().T)) <= 1e-12
-    assert joint_dipole(TWO_D, fock).shape == (8, 8)
+    h_joint, d_joint = joint_operators(TWO_H, TWO_D, fock)
+    full = h_joint.toarray()
+    assert h_joint.shape == full.shape == (8, 8)
+    assert np.max(np.abs(full - full.conj().T)) <= 1e-12
+    assert d_joint.shape == d_joint.toarray().shape == (8, 8)
 
 
 def test_joint_spectrum_separates_without_coupling():
     """At g = 0 the joint spectrum is every E_a + k * omega_c."""
     fock = FockSpec(n_max=3, omega_c=0.7, g=0.0)
-    h_joint = build_joint_hamiltonian(TWO_H, TWO_D, fock)
+    h_joint = joint_operator(TWO_H, TWO_D, fock).toarray()
     expected = np.sort([e + k * 0.7 for e in (0.0, 1.0) for k in range(4)])
     assert np.max(np.abs(np.linalg.eigvalsh(h_joint) - expected)) < 1e-12
 
@@ -85,22 +83,22 @@ def test_joint_size_guard():
     """Product dimensions beyond the dense guard are rejected."""
     big = MatterOperator(np.zeros((100, 100)), basis_tag="t")
     with pytest.raises(SizeError):
-        build_joint_hamiltonian(big, big, FockSpec(n_max=99, omega_c=1.0, g=0.1))
+        joint_operator(big, big, FockSpec(n_max=99, omega_c=1.0, g=0.1))
 
 
 def test_joint_dimension_mismatch():
     """Matter Hamiltonian and dipole dimensions must agree."""
     d3 = MatterOperator(np.zeros((3, 3)), basis_tag="t")
     with pytest.raises(InputError):
-        build_joint_hamiltonian(TWO_H, d3, FockSpec(n_max=2, omega_c=1.0, g=0.1))
+        joint_operator(TWO_H, d3, FockSpec(n_max=2, omega_c=1.0, g=0.1))
 
 
 def test_dipole_commutes_with_field_terms():
     """d (x) I commutes with every photon-only and coupling term."""
     fock = FockSpec(n_max=4, omega_c=0.9, g=0.3)
-    h_joint = build_joint_hamiltonian(TWO_H, TWO_D, fock)
-    dj = joint_dipole(TWO_D, fock)
-    field_part = h_joint - np.kron(TWO_H.matrix, np.eye(5))
+    h_joint, d_joint = joint_operators(TWO_H, TWO_D, fock)
+    dj = d_joint.toarray()
+    field_part = h_joint.toarray() - np.kron(TWO_H.matrix, np.eye(5))
     comm = dj @ field_part - field_part @ dj
     assert np.max(np.abs(comm)) <= 1e-12
 
@@ -147,14 +145,13 @@ def test_two_level_sum_is_not_saturated():
 def test_closure_identity_every_joint_reference():
     """The sum matches the double commutator from every joint eigenstate."""
     fock = FockSpec(n_max=5, omega_c=0.9, g=0.2)
-    h_joint = build_joint_hamiltonian(TWO_H, TWO_D, fock)
+    h_joint, dj = joint_operators(TWO_H, TWO_D, fock)
     system = diagonalize_hermitian(h_joint)
-    dj = joint_dipole(TWO_D, fock)
     for reference in range(12):
         report = sumrule_qed(system, dj, reference, h_joint=h_joint)
         assert abs(report.oracle_residual) <= 1e-10 * max(1.0, abs(report.value))
         direct = oracles.double_commutator_value(
-            h_joint, dj, system.vectors[:, reference]
+            h_joint.toarray(), dj.toarray(), system.vectors[:, reference]
         )
         assert abs(report.value - direct) <= 1e-10 * max(1.0, abs(report.value))
 
@@ -162,9 +159,8 @@ def test_closure_identity_every_joint_reference():
 def test_qed_sum_input_checks():
     """Incomplete spectra and mismatched dipole shapes are rejected."""
     fock = FockSpec(n_max=3, omega_c=0.9, g=0.1)
-    h_joint = build_joint_hamiltonian(TWO_H, TWO_D, fock)
+    h_joint, dj = joint_operators(TWO_H, TWO_D, fock)
     system = diagonalize_hermitian(h_joint)
-    dj = joint_dipole(TWO_D, fock)
     truncated = EigenSystem(system.values[:4], system.vectors[:, :4])
     with pytest.raises(InputError):
         sumrule_qed(truncated, dj, 0, h_joint=h_joint)
@@ -259,8 +255,9 @@ def test_edge_population_is_the_top_two_fock_levels():
 
 @pytest.mark.parametrize("g", [0.3, -0.07, 0.0])
 def test_joint_operators_bit_equal_to_kron_reference(g):
-    """The direct-write builds reproduce the Kronecker build bit for bit,
-    signed zeros included, on matrices with negative and zero entries."""
+    """The joint operators written out in full reproduce the Kronecker build
+    bit for bit, signed zeros included, on matrices with negative and zero
+    entries."""
     rng = np.random.default_rng(7)
     a = rng.standard_normal((5, 5))
     a[rng.random((5, 5)) < 0.3] = 0.0
@@ -273,11 +270,12 @@ def test_joint_operators_bit_equal_to_kron_reference(g):
     d = MatterOperator(d_mat, basis_tag="levels:5")
     for n_max in (0, 1, 6):
         fock = FockSpec(n_max=n_max, omega_c=0.9, g=g)
-        joint = build_joint_hamiltonian(h, d, fock)
+        h_joint, d_joint = joint_operators(h, d, fock)
+        joint = h_joint.toarray()
         reference = oracles.kron_joint_hamiltonian(h_mat, d_mat, n_max, 0.9, g)
         assert joint.dtype == reference.dtype and joint.shape == reference.shape
         assert joint.tobytes() == reference.tobytes()
-        lifted = joint_dipole(d, fock)
+        lifted = d_joint.toarray()
         reference_d = oracles.kron_joint_dipole(d_mat, n_max)
         assert lifted.dtype == reference_d.dtype and lifted.shape == reference_d.shape
         assert lifted.tobytes() == reference_d.tobytes()
@@ -304,14 +302,17 @@ def test_joint_matrix_is_solved_in_two_sectors(monkeypatch):
     decides the split on H_M and d, solve the same two sectors."""
     grid = GridBasis(-5.0, 5.0, 11)
     h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
+    d = build_dipole(grid)
     fock = FockSpec(n_max=4, omega_c=0.9, g=0.2)
-    h_joint = build_joint_hamiltonian(h, build_dipole(grid), fock)
-    operator = joint_operator(h, build_dipole(grid), fock, basis_reversal(11))
-    assert np.array_equal(operator.toarray(), h_joint)
+    h_joint = oracles.kron_joint_hamiltonian(h.matrix, d.matrix, 4, 0.9, 0.2)
+    operator = joint_operator(h, d, fock, basis_reversal(11))
+    assert operator.toarray().tobytes() == h_joint.tobytes()
+    perm, signs = basis_reversal(11)
+    lifted = oracles.lifted_reflection(perm, signs, np.arange(fock.dim), outer_major=False)
     dense = diagonalize_hermitian(h_joint)
     solved = record_lapack_solves(monkeypatch)
     for system in (
-        diagonalize_hermitian(h_joint, reflection=joint_reflection(basis_reversal(11), fock)),
+        diagonalize_hermitian(h_joint, reflection=Reflection(*lifted)),
         diagonalize_hermitian(operator),
     ):
         assert_same_spectrum(h_joint, system, dense)

@@ -18,10 +18,8 @@ from floqtrk import (
     InteractionSpec,
     MatterOperator,
     PotentialSpec,
-    ProductOperator,
     SpectralDensity,
     ZoneError,
-    assemble_floquet_matrix,
     assemble_sambe,
     basis_reversal,
     build_dipole,
@@ -33,7 +31,6 @@ from floqtrk import (
     dipole_fourier_components,
     first_moment,
     fold_and_select_ffbz,
-    fourier_blocks_of_hamiltonian,
     joint_operators,
     select_reference,
     spectral_density,
@@ -71,8 +68,7 @@ def driven_two_level(omega, amplitude, cutoff, delta=1.0, mu=1.0):
     h = MatterOperator(np.diag([0.0, delta]), basis_tag="levels:2")
     d = MatterOperator(mu * np.array([[0.0, 1.0], [1.0, 0.0]]), basis_tag="levels:2")
     drive = DriveSpec(omega=omega, components=(DriveComponent(1, amplitude),))
-    blocks = fourier_blocks_of_hamiltonian(h, d, drive)
-    floquet = assemble_floquet_matrix(blocks, omega, cutoff)
+    floquet = assemble_sambe(h, d, drive, cutoff)
     system = diagonalize_hermitian(floquet.matrix)
     selection = fold_and_select_ffbz(system, omega, floquet.spec)
     return h, d, floquet, system, selection
@@ -182,8 +178,7 @@ def test_ledger_weights_reproduce_value():
 
 def zero_drive_modes(omega=5.0, cutoff=2):
     """In-zone modes of the undriven three-level model."""
-    blocks = fourier_blocks_of_hamiltonian(THREE_H, THREE_D, DriveSpec(omega=omega))
-    floquet = assemble_floquet_matrix(blocks, omega, cutoff)
+    floquet = assemble_sambe(THREE_H, THREE_D, DriveSpec(omega=omega), cutoff)
     system = diagonalize_hermitian(floquet.matrix)
     selection = fold_and_select_ffbz(system, omega, floquet.spec)
     return floquet, system, selection
@@ -311,14 +306,13 @@ def test_parity_selection_rule():
 
 def test_sambe_sum_matches_extended_oracle():
     """The extended-space sum matches its double commutator for random
-    coupled blocks, from two different references."""
+    coupled blocks, from two different references: the drive couples
+    through a random Hermitian operator other than the summed dipole."""
     rng = np.random.default_rng(31)
-    from floqtrk import FourierBlockSet
-
-    h0 = oracles.random_hermitian(rng, 3)
-    g1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    blocks = FourierBlockSet({0: h0, 1: g1, -1: g1.conj().T})
-    floquet = assemble_floquet_matrix(blocks, 0.9, 3)
+    h0 = MatterOperator(oracles.random_hermitian(rng, 3), basis_tag="t")
+    coupled = MatterOperator(oracles.random_hermitian(rng, 3), basis_tag="t")
+    drive = DriveSpec(omega=0.9, components=(DriveComponent(1, 1.7, 0.6),))
+    floquet = assemble_sambe(h0, coupled, drive, 3)
     system = diagonalize_hermitian(floquet.matrix)
     d = MatterOperator(oracles.random_hermitian(rng, 3), basis_tag="t")
     for reference in (0, 7):
@@ -616,7 +610,7 @@ def grid_reports(drive, reflection):
     selection = fold_and_select_ffbz(system, drive.omega, fm.spec)
     h_joint, d_joint = joint_operators(h, d, FockSpec(n_max=4, omega_c=0.9, g=0.2), reflection)
     split = reflection is not None
-    assert isinstance(fm.matrix, ProductOperator) == isinstance(h_joint, ProductOperator) == split
+    assert fm.matrix.splits == h_joint.splits == split
     assert bool(matter.sectors) == bool(system.sectors) == split
     return {
         "static": static_trk(h, d, 0, system=matter),
