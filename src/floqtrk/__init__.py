@@ -20,13 +20,10 @@ from .errors import (
 from .floquet import (
     EigenSystem,
     FfbzSelection,
-    FloquetMatrix,
     FloquetMode,
     FoldedLabel,
     ProductOperator,
     Reflection,
-    SambeSpec,
-    assemble_sambe,
     basis_reversal,
     diagonalize_hermitian,
     fold_and_select_ffbz,
@@ -82,7 +79,6 @@ __all__ = [
     "FewLevelModel",
     "FfbzSelection",
     "FloqtrkError",
-    "FloquetMatrix",
     "FloquetMode",
     "FockSpec",
     "FoldedLabel",
@@ -95,12 +91,10 @@ __all__ = [
     "PotentialSpec",
     "ProductOperator",
     "Reflection",
-    "SambeSpec",
     "SizeError",
     "SpectralDensity",
     "SumRuleReport",
     "ZoneError",
-    "assemble_sambe",
     "basis_reversal",
     "build_dipole",
     "build_grid_hamiltonian",

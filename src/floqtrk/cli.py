@@ -51,10 +51,10 @@ from .errors import ConfigError, InputError, NumericError, ZoneError
 from .floquet import (
     EigenSystem,
     Reflection,
-    assemble_sambe,
     basis_reversal,
     diagonalize_hermitian,
     fold_and_select_ffbz,
+    sambe_operator,
 )
 from .model import (
     HERMITICITY_TOL,
@@ -618,12 +618,20 @@ def _resolve(raw: dict, default_job: str | None = None) -> dict:
 
 def _check_harmonic_window(resolved: dict, cutoff: int, key: str, section: str) -> None:
     """Refuse a harmonic cutoff below the highest drive harmonic with a
-    nonzero amplitude, which the Sambe assembly would refuse at run time."""
+    nonzero amplitude, which the Sambe assembly would refuse at run time,
+    and a ``sambe.n_max`` beyond the sideband range 2 x cutoff, which the
+    zone-resolved sum would refuse after every solve."""
     driven = [c["harmonic"] for c in resolved["drive"]["components"] if c["amplitude"] != 0.0]
     if driven and cutoff < max(driven):
         raise ConfigError(
             f"key {key!r} in section {section!r} must be >= {max(driven)} (the highest "
             f"drive harmonic with a nonzero amplitude), got {cutoff}"
+        )
+    n_max = resolved["sambe"]["n_max"]
+    if n_max is not None and n_max > 2 * cutoff:
+        raise ConfigError(
+            f"key 'n_max' in section 'sambe' must be <= {2 * cutoff} (the sideband "
+            f"range, 2 x the harmonic cutoff {cutoff} of section {section!r}), got {n_max}"
         )
 
 
@@ -884,12 +892,12 @@ def _floquet_stack(
 ):
     """Assemble/diagonalize/fold pipeline of one harmonic cutoff."""
     with stage("sambe_assemble"):
-        fm = assemble_sambe(h, d, drive, harmonic_cutoff, reflection)
+        operator = sambe_operator(h, d, drive, harmonic_cutoff, reflection)
     with stage("eigensolve"):
-        system = diagonalize_hermitian(fm.matrix)
+        system = diagonalize_hermitian(operator)
     with stage("fold_select"):
         edge_tol = config.resolved["sambe"]["edge_tol"]
-        selection = fold_and_select_ffbz(system, drive.omega, fm.spec, edge_tol=edge_tol)
+        selection = fold_and_select_ffbz(system, operator, edge_tol=edge_tol)
         ground = matter_system.column(0)
         if config.reference == "auto":
             ffbz_ref = select_reference(selection.representatives, ground)
@@ -900,14 +908,14 @@ def _floquet_stack(
                     f"reference {ffbz_ref} outside the "
                     f"{len(selection.representatives)} first-zone representatives"
                 )
-    return fm, system, selection, ffbz_ref
+    return operator, system, selection, ffbz_ref
 
 
 def _run_floquet(config: JobConfig, stage: _Stage) -> dict:
     sambe_cfg = config.resolved["sambe"]
     h, d, n_e, matter_system, reflection = _matter_stack(config, stage)
     drive = _resolvable_drive(config, matter_system)
-    fm, system, selection, ffbz_ref = _floquet_stack(
+    operator, system, selection, ffbz_ref = _floquet_stack(
         config,
         stage,
         h,
@@ -920,7 +928,7 @@ def _run_floquet(config: JobConfig, stage: _Stage) -> dict:
     with stage("sumrule"):
         static_report = static_trk(h, d, 0, n_electrons=n_e, system=matter_system)
         sambe_report = sumrule_sambe(
-            fm, system, d, selection.source_indices[ffbz_ref], n_electrons=n_e
+            operator, system, d, selection.source_indices[ffbz_ref], n_electrons=n_e
         )
         ffbz_report = sumrule_ffbz(
             selection.representatives,
@@ -968,7 +976,7 @@ def _run_qed(config: JobConfig, stage: _Stage) -> dict:
     del system  # its vectors are not needed while the g = 0 diagnostic solves
     reports = [("static_trk", static_report), ("qed", qed_report)]
     if config.resolved["qed"]["h0_diagnostic"]:
-        # same photon cutoff, so d (x) I is shared with the coupled report
+        # same photon cutoff, so I (x) d is shared with the coupled report
         fock0 = FockSpec(n_max=fock.n_max, omega_c=fock.omega_c, g=0.0)
         with stage("joint_assemble"):
             h0, _ = joint_operators(h, d, fock0, reflection)

@@ -36,41 +36,6 @@ DEGENERACY_RTOL = 1e-9
 _FOLD_CORRECTIONS = 4
 
 
-@dataclass(frozen=True)
-class SambeSpec:
-    """Truncation window of the extended space."""
-
-    harmonic_cutoff: int  # N_h >= 0, harmonic index m in [-N_h, N_h]
-    matter_dim: int
-
-    def __post_init__(self) -> None:
-        if self.harmonic_cutoff < 0:
-            raise InputError(f"harmonic cutoff must be >= 0, got {self.harmonic_cutoff}")
-        if self.matter_dim < 1:
-            raise InputError(f"matter dimension must be >= 1, got {self.matter_dim}")
-
-    @property
-    def n_blocks(self) -> int:
-        return 2 * self.harmonic_cutoff + 1
-
-    @property
-    def dim(self) -> int:
-        return self.n_blocks * self.matter_dim
-
-
-@dataclass(frozen=True, eq=False)
-class FloquetMatrix:
-    """Truncated quasienergy operator (:func:`assemble_sambe`)."""
-
-    matrix: ProductOperator
-    spec: SambeSpec
-    omega: float
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
 @dataclass(frozen=True, eq=False)
 class FloquetMode:
     """One eigenvector of the truncated Sambe matrix, stored blockwise.
@@ -282,24 +247,6 @@ def _drive_factors(drive: DriveSpec) -> dict[int, float | complex]:
     return factors
 
 
-def _sambe_spec(max_k: int, matter_dim: int, omega: float, harmonic_cutoff: int) -> SambeSpec:
-    """The truncation window, refused when it would drop a coupling or
-    exceed the dense guard."""
-    if omega <= 0:
-        raise InputError(f"omega must be > 0, got {omega}")
-    if harmonic_cutoff < max_k:
-        raise ConfigError(
-            f"harmonic cutoff {harmonic_cutoff} is below the highest drive "
-            f"harmonic {max_k}; raise the cutoff so no coupling is dropped"
-        )
-    spec = SambeSpec(harmonic_cutoff=harmonic_cutoff, matter_dim=matter_dim)
-    if spec.dim > MAX_SAMBE_DIM:
-        raise SizeError(
-            f"Sambe dimension {spec.dim} exceeds the dense guard {MAX_SAMBE_DIM}"
-        )
-    return spec
-
-
 def sambe_operator(
     h_matter: MatterOperator,
     dipole: MatterOperator,
@@ -310,16 +257,35 @@ def sambe_operator(
     """The truncated Sambe matrix of H(t) = H_M - d * E(t) as a
     :class:`ProductOperator`.
 
-    H_M (x) 1 + 1 (x) diag(m Omega) + d (x) C on the harmonic-major index,
-    with C[m, m'] = f_(m-m'), the factor of the Fourier block
-    H_k = f_k d: f_(+k) = -(E_k/2) exp(+i phi_k) and f_(-k) = conj(f_(+k))
-    for each drive component with a nonzero amplitude. The matter
-    reflection P is lifted to P (x) (-1)^m: x -> -x together with
+    1 (x) H_M + diag(m Omega) (x) 1 + C (x) d on the harmonic-major index
+    (m + N_h) * N_M + matter for m in [-N_h, N_h], with C[m, m'] = f_(m-m'),
+    the factor of the Fourier block H_k = f_k d: f_(+k) = -(E_k/2)
+    exp(+i phi_k) and f_(-k) = conj(f_(+k)) for each drive component with a
+    nonzero amplitude. The operator holds its own truncation window
+    (``labels`` = m), matter dimension and Omega (``frequency``). The matter
+    reflection P is lifted to (-1)^m (x) P: x -> -x together with
     t -> t + T/2.
+
+    Refused: a cutoff below 0 or below the highest driven harmonic (it
+    would drop a coupling), an empty matter space, and a dimension above
+    :data:`MAX_SAMBE_DIM`.
     """
     factors = _drive_factors(drive)
-    _sambe_spec(max(factors, default=0), h_matter.dim, drive.omega, harmonic_cutoff)
+    if harmonic_cutoff < 0:
+        raise InputError(f"harmonic cutoff must be >= 0, got {harmonic_cutoff}")
+    if h_matter.dim < 1:
+        raise InputError(f"matter dimension must be >= 1, got {h_matter.dim}")
+    max_k = max(factors, default=0)
+    if harmonic_cutoff < max_k:
+        raise ConfigError(
+            f"harmonic cutoff {harmonic_cutoff} is below the highest drive "
+            f"harmonic {max_k}; raise the cutoff so no coupling is dropped"
+        )
     n = 2 * harmonic_cutoff + 1
+    if n * h_matter.dim > MAX_SAMBE_DIM:
+        raise SizeError(
+            f"Sambe dimension {n * h_matter.dim} exceeds the dense guard {MAX_SAMBE_DIM}"
+        )
     coupling = np.zeros((n, n), dtype=np.result_type(np.float64, *factors.values()))
     for k, factor in factors.items():
         rows = np.arange(max(k, 0), min(n, n + k))
@@ -330,24 +296,7 @@ def sambe_operator(
         frequency=drive.omega,
         dipole=dipole.matrix,
         coupling=coupling,
-        outer_major=True,
         reflection=reflection,
-    )
-
-
-def assemble_sambe(
-    h_matter: MatterOperator,
-    dipole: MatterOperator,
-    drive: DriveSpec,
-    harmonic_cutoff: int,
-    reflection: Reflection | None = None,
-) -> FloquetMatrix:
-    """The truncated Sambe matrix as the :func:`sambe_operator`, with its
-    truncation window."""
-    return FloquetMatrix(
-        matrix=sambe_operator(h_matter, dipole, drive, harmonic_cutoff, reflection),
-        spec=SambeSpec(harmonic_cutoff=harmonic_cutoff, matter_dim=h_matter.dim),
-        omega=drive.omega,
     )
 
 
@@ -426,22 +375,21 @@ SECTOR_COUPLING_EPS = 16
 
 @dataclass(frozen=True, eq=False)
 class ProductOperator:
-    """H = H_M (x) 1 + 1 (x) diag(shifts) + d (x) C on matter (x) outer space.
+    """H = 1 (x) H_M + diag(shifts) (x) 1 + C (x) d on outer (x) matter space.
 
-    The outer factor is labelled by integers, with shift labels * frequency
-    and parity (-1)^label. C is ``coupling``, or ``strength`` times it when
-    a strength is given. The Sambe matrix is the case label = harmonic m,
-    shift m Omega and C[m, m'] = f_(m-m') (:func:`sambe_operator`), on the
-    harmonic-major index outer * N_M + matter (``outer_major``). The joint
-    matter-photon Hamiltonian is the case label = photon number n, shift
-    n omega_c, coupling a + a^dagger and strength -g
-    (:func:`floqtrk.qed.joint_operator`), on the matter-major index
-    matter * N_O + outer. Without ``dipole`` and ``frequency`` it is the
-    lifted matter operator H_M (x) 1.
+    The index is outer-major, outer * N_M + matter, for every operator:
+    block (j, k) of the full matrix is delta_jk (H_M + shift_j 1) +
+    C[j, k] d. The outer factor is labelled by integers, with shift
+    labels * frequency and parity (-1)^label, and C is ``coupling``. The
+    Sambe matrix is the case label = harmonic m, shift m Omega and
+    C[m, m'] = f_(m-m') (:func:`sambe_operator`). The joint matter-photon
+    Hamiltonian is the case label = photon number n, shift n omega_c and
+    C = -g (a + a^dagger) (:func:`floqtrk.qed.joint_operator`). Without
+    ``dipole`` and ``frequency`` it is the lifted matter operator 1 (x) H_M.
 
     ``operator @ vector`` runs block by block on matter-size products. With
     a matter reflection P, :attr:`splits` decides on the matter operators
-    whether P (x) (-1)^label commutes with H, and :meth:`sector` writes each
+    whether (-1)^label (x) P commutes with H, and :meth:`sector` writes each
     sector block straight from H_M and d projected onto P's pair bases.
     :meth:`toarray` writes the full-size matrix from the same factors.
     """
@@ -450,9 +398,7 @@ class ProductOperator:
     labels: np.ndarray  # integer label of each outer index
     frequency: float = 0.0
     dipole: np.ndarray | None = None  # d
-    coupling: np.ndarray | None = None  # Hermitian, outer x outer
-    strength: float | None = None  # C = strength * coupling
-    outer_major: bool = False
+    coupling: np.ndarray | None = None  # C, Hermitian, outer x outer
     reflection: Reflection | None = None
 
     def __post_init__(self) -> None:
@@ -485,35 +431,19 @@ class ProductOperator:
         return self.labels * self.frequency
 
     def toarray(self) -> np.ndarray:
-        """The full-size dense matrix, written from the factors.
-
-        Matter-major, it is the Kronecker sum H_M (x) 1 + 1 (x) diag(shifts)
-        + strength (d (x) coupling), term by term as ``np.kron`` forms it.
-        Harmonic-major, it is written block by block: block (j, j) is
-        H_M + shift_j 1, and block (j, k) of a nonzero C[j, k] is C[j, k] d.
-        """
+        """The full-size dense matrix, written block by block from the
+        factors: H_M + shift_j 1 added onto block (j, j) and C[j, k] d onto
+        block (j, k) for each nonzero C[j, k], all onto a zero matrix, so
+        every exact zero is +0.0."""
         n_m, n_o = self.matter.shape[0], self.labels.size
-        if not self.outer_major:
-            full = np.kron(self.matter, np.eye(n_o)).astype(self._dtype, copy=False)
-            if self.frequency:
-                full += np.kron(np.eye(n_m), np.diag(self.shifts))
-            if self._couples:
-                lifted = np.kron(self.dipole, self.coupling)
-                if self.strength is not None:
-                    lifted *= self.strength
-                full += lifted
-            return full
         full = np.zeros((n_o * n_m, n_o * n_m), dtype=self._dtype)
         blocks = full.reshape(n_o, n_m, n_o, n_m)  # [j, :, k, :] is block (j, k)
         eye = np.eye(n_m, dtype=self._dtype)
         for j, shift in enumerate(self.shifts):
-            blocks[j, :, j, :] = self.matter
-            if self.frequency:
-                blocks[j, :, j, :] += shift * eye
+            blocks[j, :, j, :] += self.matter + shift * eye
         if self._couples:
-            for j, k in zip(*np.nonzero(self._coupling)):
-                term = self._coupling[j, k] * self.dipole
-                blocks[j, :, k, :] = term if j != k else blocks[j, :, k, :] + term
+            for j, k in zip(*np.nonzero(self.coupling)):
+                blocks[j, :, k, :] += self.coupling[j, k] * self.dipole
         return full
 
     def __matmul__(self, vector: np.ndarray) -> np.ndarray:
@@ -521,25 +451,17 @@ class ProductOperator:
         n_m, n_o = self.matter.shape[0], self.labels.size
         if x.shape != (n_m * n_o,):
             raise InputError(f"expected a vector of length {n_m * n_o}, got shape {x.shape}")
-        # column j of `grid` is the matter vector at outer index j
-        grid = x.reshape(n_o, n_m).T if self.outer_major else x.reshape(n_m, n_o)
+        grid = x.reshape(n_o, n_m).T  # column j is the matter vector at outer index j
         out = self.matter @ grid
         if self.frequency:
             out = out + grid * self.shifts
         if self._couples:
-            out = out + self.dipole @ grid @ self._coupling.T
-        return (out.T if self.outer_major else out).ravel()
-
-    @functools.cached_property
-    def _coupling(self) -> np.ndarray | None:
-        """C, the outer factor of the d (x) C term."""
-        if self.strength is None or self.coupling is None:
-            return self.coupling
-        return self.strength * self.coupling
+            out = out + self.dipole @ grid @ self.coupling.T
+        return out.T.ravel()
 
     @functools.cached_property
     def _couples(self) -> bool:
-        return self.dipole is not None and bool(np.any(self._coupling != 0))
+        return self.dipole is not None and bool(np.any(self.coupling != 0))
 
     @functools.cached_property
     def _dtype(self) -> np.dtype:
@@ -547,7 +469,7 @@ class ProductOperator:
         return np.result_type(
             self.matter,
             np.float64,
-            *((self.dipole, self._coupling) if self._couples else ()),
+            *((self.dipole, self.coupling) if self._couples else ()),
         )
 
     @functools.cached_property
@@ -576,7 +498,7 @@ class ProductOperator:
 
     @functools.cached_property
     def splits(self) -> bool:
-        """Whether the lifted reflection P (x) (-1)^label commutes with H.
+        """Whether the lifted reflection (-1)^label (x) P commutes with H.
 
         Decided on matter-size operators: P H_M P = H_M, P d P = -d and every
         coupling C[j, j'] between outer indices of opposite parity, each to
@@ -590,7 +512,7 @@ class ProductOperator:
         diagonal = np.real(np.diagonal(self.matter))[:, None] + self.shifts
         pieces = [np.max(np.abs(self.matter)), np.max(np.abs(diagonal))]
         if self._couples:
-            pieces.append(np.max(np.abs(self._coupling)) * np.max(np.abs(self.dipole)))
+            pieces.append(np.max(np.abs(self.coupling)) * np.max(np.abs(self.dipole)))
         scale = float(np.max(pieces))
         if not math.isfinite(scale):
             return False
@@ -598,15 +520,15 @@ class ProductOperator:
         if self._couples:
             defect = max(
                 defect,
-                hermiticity_defect(self.dipole) * np.max(np.abs(self._coupling)),
-                hermiticity_defect(self._coupling) * np.max(np.abs(self.dipole)),
+                hermiticity_defect(self.dipole) * np.max(np.abs(self.coupling)),
+                hermiticity_defect(self.coupling) * np.max(np.abs(self.dipole)),
             )
         if defect > 1e-10 * max(1.0, scale) or not (self._sector_dim(1) and self._sector_dim(-1)):
             return False
         blocks = self._projections
         largest = float(np.max(np.abs(blocks["h", 1, -1]), initial=0.0))
         if self._couples:
-            coupling = np.abs(self._coupling)
+            coupling = np.abs(self.coupling)
             odd = self._outer_signs[:, None] != self._outer_signs
             same_parity = max(
                 np.max(np.abs(blocks["d", 1, 1]), initial=0.0),
@@ -621,47 +543,36 @@ class ProductOperator:
         return largest <= SECTOR_COUPLING_EPS * np.finfo(np.float64).eps * scale
 
     def sector(self, parity: int) -> tuple[np.ndarray, SectorBasis]:
-        """The block of H in its P (x) (-1)^label = ``parity`` sector, and
+        """The block of H in its (-1)^label (x) P = ``parity`` sector, and
         that sector's basis.
 
-        Outer index j carries P's eigenspace p_j = parity * (-1)^label_j. Its
-        diagonal block is H_(p_j p_j) + shift_j, and its block towards each
-        outer index j' it couples to is C[j, j'] d_(p_j p_j').
+        Outer index j carries P's eigenspace p_j = parity * (-1)^label_j, and
+        its basis vectors form the j-th run of sector coordinates, so the
+        sector basis ascends in the outer-major index. The diagonal block of
+        run j is H_(p_j p_j) + shift_j, and its block towards each run j' it
+        couples to is C[j, j'] d_(p_j p_j').
         """
         n_m = self.matter.shape[0]
-        n_o = self.labels.size
         matter_parity = parity * self._outer_signs
         parts = [self._bases[p] for p in matter_parity]
-        sizes = [part.coords.size for part in parts]
-        outer = np.repeat(np.arange(n_o), sizes)
-
-        def flat(matter_index: np.ndarray) -> np.ndarray:
-            if self.outer_major:
-                return outer * n_m + matter_index
-            return matter_index * n_o + outer
-
-        coords = flat(np.concatenate([part.coords for part in parts]))
-        order = np.argsort(coords, kind="stable")
-        position = np.empty_like(order)  # sector index of each (j, k) coordinate
-        position[order] = np.arange(order.size)
-        starts = np.cumsum([0, *sizes])
+        starts = np.cumsum([0, *(part.coords.size for part in parts)])
         blocks = self._projections
-        block = np.zeros((order.size, order.size), dtype=self._dtype)
-        shifts = self.shifts
-        for j, p in enumerate(matter_parity):
-            rows = position[starts[j] : starts[j + 1]]
-            block[np.ix_(rows, rows)] = blocks["h", p, p]
-            block[rows, rows] += shifts[j]
+        block = np.zeros((starts[-1], starts[-1]), dtype=self._dtype)
+        for j, (p, shift) in enumerate(zip(matter_parity, self.shifts)):
+            rows = slice(starts[j], starts[j + 1])
+            block[rows, rows] = blocks["h", p, p]
+            diagonal = np.arange(starts[j], starts[j + 1])
+            block[diagonal, diagonal] += shift
             if self._couples:
-                for k in np.flatnonzero(self._coupling[j]):
-                    cols = position[starts[k] : starts[k + 1]]
-                    factor = self._coupling[j, k]
-                    block[np.ix_(rows, cols)] = factor * blocks["d", p, matter_parity[k]]
+                for k in np.flatnonzero(self.coupling[j]):
+                    cols = slice(starts[k], starts[k + 1])
+                    block[rows, cols] += self.coupling[j, k] * blocks["d", p, matter_parity[k]]
+        offsets = np.repeat(np.arange(self.labels.size) * n_m, starts[1:] - starts[:-1])
         basis = SectorBasis(
-            coords=coords[order],
-            partners=flat(np.concatenate([part.partners for part in parts]))[order],
-            weights=np.concatenate([part.weights for part in parts])[order],
-            flips=np.concatenate([part.flips for part in parts])[order],
+            coords=offsets + np.concatenate([part.coords for part in parts]),
+            partners=offsets + np.concatenate([part.partners for part in parts]),
+            weights=np.concatenate([part.weights for part in parts]),
+            flips=np.concatenate([part.flips for part in parts]),
         )
         return block, basis
 
@@ -796,24 +707,28 @@ def _fix_phase(blocks: np.ndarray) -> np.ndarray:
 
 
 def _mode_from_vector(
-    vector: np.ndarray, quasienergy: float, omega: float, spec: SambeSpec
+    vector: np.ndarray, quasienergy: float, operator: ProductOperator
 ) -> FloquetMode:
-    blocks = _fix_phase(vector.reshape(spec.n_blocks, spec.matter_dim))
+    blocks = _fix_phase(vector.reshape(operator.labels.size, operator.matter.shape[0]))
     edge = float(np.sum(np.abs(blocks[0]) ** 2) + np.sum(np.abs(blocks[-1]) ** 2))
-    if spec.harmonic_cutoff == 0:
+    if operator.labels.size == 1:
         edge = float(np.sum(np.abs(blocks[0]) ** 2))
     return FloquetMode(
-        quasienergy=float(quasienergy), blocks=blocks, omega=omega, edge_weight=edge
+        quasienergy=float(quasienergy),
+        blocks=blocks,
+        omega=operator.frequency,
+        edge_weight=edge,
     )
 
 
 def fold_and_select_ffbz(
     eigensystem: EigenSystem,
-    omega: float,
-    spec: SambeSpec,
+    operator: ProductOperator,
     edge_tol: float = 1e-6,
 ) -> FfbzSelection:
-    """Fold every eigenvalue and select the in-zone representatives.
+    """Fold every eigenvalue of the :func:`sambe_operator` ``operator`` and
+    select the in-zone representatives; the harmonic window, the matter
+    dimension and Omega are read off the operator.
 
     Representatives are exactly the eigenpairs whose raw truncated-matrix
     eigenvalue already lies in [-Omega/2, Omega/2): deterministic, and exact
@@ -827,19 +742,21 @@ def fold_and_select_ffbz(
     incomplete at this cutoff, or zone-edge degeneracy) is reported as a
     warning string, never silently dropped and never raised.
     """
-    if eigensystem.dim != spec.dim:
+    if eigensystem.dim != operator.shape[0]:
         raise InputError(
             f"spectrum has {eigensystem.dim} eigenpairs, expected the complete "
-            f"truncated dimension {spec.dim}"
+            f"truncated dimension {operator.shape[0]}"
         )
+    omega = operator.frequency
+    n_b = operator.matter.shape[0]
+    n_h = operator.labels.size // 2
     labels = tuple(fold_label(float(e), omega) for e in eigensystem.values)
     in_zone = [i for i, lab in enumerate(labels) if lab.n_shift == 0]
     # only the in-zone eigenvectors are mapped back to the original basis
     columns = {i: eigensystem.column(i) for i in in_zone}
 
     # ascending quasienergy; inside degenerate groups, descending m=0 weight
-    n_h = spec.harmonic_cutoff
-    m0 = slice(n_h * spec.matter_dim, (n_h + 1) * spec.matter_dim)
+    m0 = slice(n_h * n_b, (n_h + 1) * n_b)
     def m0_weight(i: int) -> float:
         return float(np.sum(np.abs(columns[i][m0]) ** 2))
 
@@ -857,17 +774,17 @@ def fold_and_select_ffbz(
     ordered.extend(group)
 
     representatives = tuple(
-        _mode_from_vector(columns[i], eigensystem.values[i], omega, spec) for i in ordered
+        _mode_from_vector(columns[i], eigensystem.values[i], operator) for i in ordered
     )
     edge_flagged = tuple(
         idx for idx, mode in enumerate(representatives) if mode.edge_weight > edge_tol
     )
     warnings: list[str] = []
-    if len(representatives) != spec.matter_dim:
+    if len(representatives) != n_b:
         warnings.append(
             f"in-zone representative count {len(representatives)} != matter "
-            f"dimension {spec.matter_dim} (zone coverage incomplete at "
-            f"harmonic cutoff {spec.harmonic_cutoff} or zone-edge degeneracy)"
+            f"dimension {n_b} (zone coverage incomplete at "
+            f"harmonic cutoff {n_h} or zone-edge degeneracy)"
         )
     if edge_flagged:
         warnings.append(

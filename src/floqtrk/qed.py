@@ -1,13 +1,15 @@
 """Joint matter-photon models: quantized single-mode light instead of a
 classical drive.
 
-The joint Hamiltonian on the matter (x) Fock product space is
-H = H_M (x) I + I (x) omega_c a^dag a - g * d (x) (a + a^dag), with the
+The joint Hamiltonian on the Fock (x) matter product space is
+H = I (x) H_M + omega_c a^dag a (x) I - g (a + a^dag) (x) d, with the
 field operator at the matter E = g (a + a^dag) and the zero-point constant
-omitted (it drops out of every energy difference). There is no folding
+omitted (it drops out of every energy difference). Its index is
+photon-major, photon_index * N_M + matter_index, the index order of every
+:class:`~floqtrk.floquet.ProductOperator`. There is no folding
 here: the spectrum is bounded below and the energy-weighted dipole sum runs
 over plain eigenstate differences, exactly as in the static case but in the
-enlarged space. Because d (x) I commutes with every photon-only operator
+enlarged space. Because I (x) d commutes with every photon-only operator
 and with the bilinear coupling, the double-commutator oracle again reduces
 to the bare matter commutator - evaluated here by applying the joint
 operators themselves, block by block, so the reduction is checked rather
@@ -78,11 +80,11 @@ def joint_operator(
 ) -> ProductOperator:
     """The joint Hamiltonian as a :class:`ProductOperator`.
 
-    H_M (x) I + I (x) diag(n omega_c) + d (x) C with C = -g (a + a^dag), on
-    the matter-major index matter_index * fock_dim + photon_index; no
-    dipole self-energy term and no zero-point constant. The matter
-    reflection P is lifted to P (x) (-1)^n, which commutes with it when
-    P H_M P = H_M and P d P = -d, since (-1)^n anticommutes with a + a^dag.
+    I (x) H_M + diag(n omega_c) (x) I + C (x) d with C = -g (a + a^dag), on
+    the photon-major index photon_index * N_M + matter_index; no dipole
+    self-energy term and no zero-point constant. The matter reflection P is
+    lifted to (-1)^n (x) P, which commutes with it when P H_M P = H_M and
+    P d P = -d, since (-1)^n anticommutes with a + a^dag.
     """
     _check_joint(h_matter, d, fock)
     ladder = np.sqrt(np.arange(1, fock.dim))
@@ -91,8 +93,7 @@ def joint_operator(
         labels=np.arange(fock.dim),
         frequency=fock.omega_c,
         dipole=d.matrix,
-        coupling=np.diag(ladder, 1) + np.diag(ladder, -1),
-        strength=-fock.g,
+        coupling=-fock.g * (np.diag(ladder, 1) + np.diag(ladder, -1)),
         reflection=reflection,
     )
 
@@ -103,7 +104,7 @@ def joint_operators(
     fock: FockSpec,
     reflection: Reflection | None = None,
 ) -> tuple[ProductOperator, ProductOperator]:
-    """The :func:`joint_operator` and the lifted dipole d (x) I."""
+    """The :func:`joint_operator` and the lifted dipole I (x) d."""
     h_joint = joint_operator(h_matter, d, fock, reflection)
     return h_joint, ProductOperator(matter=d.matrix, labels=h_joint.labels)
 
@@ -118,7 +119,7 @@ def sumrule_qed(
 ) -> SumRuleReport:
     """Energy-weighted dipole sum over the full joint spectrum.
 
-    value = 2 sum_beta (E_beta - E_alpha) |<alpha| d(x)I |beta>|^2 with beta
+    value = 2 sum_beta (E_beta - E_alpha) |<alpha| I(x)d |beta>|^2 with beta
     running over eigenstates of the interacting joint Hamiltonian. The
     oracle is the joint double-commutator expectation, with ``h_joint`` and
     ``d_joint`` (the operators of :func:`joint_operators`, or dense arrays)
@@ -243,6 +244,6 @@ def _cutoff_member(
         system, d_joint, reference, h_joint=h_joint, n_electrons=n_electrons
     )
     # photon-number distribution of the reference, traced over matter
-    table = system.column(reference).reshape(-1, fock.dim)
-    populations = np.sum(np.abs(table) ** 2, axis=0)
+    table = system.column(reference).reshape(fock.dim, -1)
+    populations = np.sum(np.abs(table) ** 2, axis=1)
     return report, float(math.fsum(populations[-2:]))

@@ -36,7 +36,6 @@ from .errors import InputError, ZoneError
 from .floquet import (
     DEGENERACY_RTOL,
     EigenSystem,
-    FloquetMatrix,
     FloquetMode,
     ProductOperator,
     diagonalize_hermitian,
@@ -335,7 +334,7 @@ def select_reference(
 
 
 def sumrule_sambe(
-    floquet_matrix: FloquetMatrix,
+    operator: ProductOperator,
     eigenpairs: EigenSystem,
     d: MatterOperator,
     reference: int,
@@ -347,31 +346,28 @@ def sumrule_sambe(
     with the dipole acting identically in every harmonic block. The oracle
     is the extended-space double-commutator expectation, an exact identity
     in the truncated space, so oracle_residual stays below 1e-8 relative
-    regardless of physical convergence. The oracle applies
-    ``floquet_matrix.matrix`` and d (x) 1, the dipole lifted to the same
-    harmonic-major index, block by block.
+    regardless of physical convergence. ``operator`` is the
+    :func:`~floqtrk.floquet.sambe_operator`, whose window, matter dimension
+    and Omega are read off it; the oracle applies it and 1 (x) d, the
+    dipole lifted to the same harmonic-major index, block by block.
     """
-    spec = floquet_matrix.spec
-    if eigenpairs.dim != floquet_matrix.dim:
+    if eigenpairs.dim != operator.shape[0]:
         raise InputError(
             f"spectrum has {eigenpairs.dim} eigenpairs, expected the complete "
-            f"truncated dimension {floquet_matrix.dim}"
+            f"truncated dimension {operator.shape[0]}"
         )
-    if d.dim != spec.matter_dim:
+    if d.dim != operator.matter.shape[0]:
         raise InputError(
-            f"dipole dim {d.dim} != matter dimension {spec.matter_dim}"
+            f"dipole dim {d.dim} != matter dimension {operator.matter.shape[0]}"
         )
-    lifted = ProductOperator(
-        matter=d.matrix, labels=floquet_matrix.matrix.labels, outer_major=True
-    )
     return _closure_report(
         kind="sambe",
         system=eigenpairs,
-        h_full=floquet_matrix.matrix,
-        d_full=lifted,
+        h_full=operator,
+        d_full=ProductOperator(matter=d.matrix, labels=operator.labels),
         reference=reference,
         target=float(_infer_electrons(d, n_electrons)),
-        omega=floquet_matrix.omega,
+        omega=operator.frequency,
     )
 
 

@@ -47,17 +47,18 @@ def shift_replica(mode, n):
     return replica, dropped
 
 
-def select_reference_sambe(system, spec, ground):
-    """Sambe eigenpair with the largest ground-state weight in its m=0 block."""
-    n_b = spec.matter_dim
-    m0 = slice(spec.harmonic_cutoff * n_b, (spec.harmonic_cutoff + 1) * n_b)
+def select_reference_sambe(system, operator, ground):
+    """Eigenpair of the Sambe ``operator`` with the largest ground-state
+    weight in its m=0 block."""
+    n_b = operator.matter.shape[0]
+    m0 = slice(operator.labels.size // 2 * n_b, (operator.labels.size // 2 + 1) * n_b)
     overlaps = np.abs(ground.conj() @ system.vectors[m0, :]) ** 2
     return int(np.argmax(overlaps))
 
 
 def select_reference_joint(system, matter_ground, fock_dim):
-    """Joint eigenpair with the largest (matter ground) (x) |0> weight."""
-    target = np.kron(matter_ground, np.eye(fock_dim)[0])
+    """Joint eigenpair with the largest |0> (x) (matter ground) weight."""
+    target = np.kron(np.eye(fock_dim)[0], matter_ground)
     overlaps = np.abs(target.conj() @ system.vectors) ** 2
     return int(np.argmax(overlaps))
 

@@ -82,7 +82,8 @@ def sambe_block_matrix(h, d, omega, cutoff, components):
     and f_(-k) = conj(f_(+k)); a zero amplitude gives no block, and the
     factors are taken in one common dtype. Block (m, m') is
     H_(m-m') + delta_(mm') m omega 1 for m, m' in [-cutoff, cutoff], the
-    harmonic-major index m * dim(h) + matter.
+    harmonic-major index (m + cutoff) * dim(h) + matter; each term is added
+    onto a zero matrix, so every exact zero is +0.0.
     """
     keys, factors = [], []
     for k, amplitude, phase in components:
@@ -106,38 +107,40 @@ def sambe_block_matrix(h, d, omega, cutoff, components):
         for k, block in blocks.items():
             col = row - k
             if 0 <= col < n_blocks:
-                matrix[r0 : r0 + n_b, col * n_b : (col + 1) * n_b] = block
+                matrix[r0 : r0 + n_b, col * n_b : (col + 1) * n_b] += block
         matrix[r0 : r0 + n_b, r0 : r0 + n_b] += m * omega * eye
     return matrix
 
 
-def lifted_reflection(perm, signs, labels, outer_major):
+def lifted_reflection(perm, signs, labels):
     """(perm, signs) of the matter reflection (``perm``, ``signs``) lifted
-    to P (x) (-1)^label on a product index: outer * dim(P) + matter when
-    ``outer_major``, matter * len(labels) + outer otherwise."""
+    to (-1)^label (x) P on the product index outer * dim(P) + matter."""
     parity = np.where(np.asarray(labels) % 2 == 0, 1.0, -1.0)
     outer = np.arange(parity.size)
-    if outer_major:
-        return (outer[:, None] * perm.size + perm).ravel(), (parity[:, None] * signs).ravel()
-    return (perm[:, None] * outer.size + outer).ravel(), (signs[:, None] * parity).ravel()
+    return (outer[:, None] * perm.size + perm).ravel(), (parity[:, None] * signs).ravel()
 
 
 def kron_joint_hamiltonian(h, d, n_max, omega_c, g):
-    """H (x) I + omega_c I (x) a^dag a - g d (x) (a + a^dag) by np.kron.
+    """I (x) H + omega_c a^dag a (x) I + (-g (a + a^dag)) (x) d by np.kron,
+    on the photon-major index photon * dim(h) + matter.
 
-    The term-by-term Kronecker build, kept as the reference for the
-    package's joint operator written out in full.
+    The term-by-term Kronecker build, each term added onto a zero matrix
+    (every exact zero is +0.0), kept as the reference for the package's
+    joint operator written out in full.
     """
-    joint = np.kron(h, np.eye(n_max + 1))
-    joint += omega_c * np.kron(np.eye(h.shape[0]), fock_number_operator(n_max))
-    if g != 0.0:
-        joint -= g * np.kron(d, fock_displacement_operator(n_max))
+    fock_eye, matter_eye = np.eye(n_max + 1), np.eye(h.shape[0])
+    joint = np.zeros((fock_eye.shape[0] * h.shape[0],) * 2, dtype=np.result_type(h, d, np.float64))
+    joint += np.kron(fock_eye, h)
+    joint += omega_c * np.kron(fock_number_operator(n_max), matter_eye)
+    joint += np.kron(-g * fock_displacement_operator(n_max), d)
     return joint
 
 
 def kron_joint_dipole(d, n_max):
-    """d (x) I on the matter (x) Fock product basis by np.kron."""
-    return np.kron(d, np.eye(n_max + 1))
+    """I (x) d on the photon-major index by np.kron, added onto a zero
+    matrix (every exact zero is +0.0)."""
+    lifted = np.kron(np.eye(n_max + 1), d)
+    return np.zeros_like(lifted) + lifted
 
 
 def aggregated_rows(rows, tol):

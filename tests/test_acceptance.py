@@ -21,7 +21,6 @@ from floqtrk import (
     InteractionSpec,
     MatterOperator,
     PotentialSpec,
-    assemble_sambe,
     build_dipole,
     build_grid_hamiltonian,
     build_two_electron_hamiltonian,
@@ -32,6 +31,7 @@ from floqtrk import (
     fold_label,
     joint_operators,
     photon_cutoff_convergence,
+    sambe_operator,
     select_reference,
     spectral_density,
     static_trk,
@@ -58,12 +58,12 @@ def closure_ok(report, rtol: float = 1e-8) -> bool:
 def driven_run(h, d, drive, cutoff):
     """One driven configuration evaluated in both extended-space forms."""
     ground = diagonalize_hermitian(h.matrix).vectors[:, 0]
-    floquet = assemble_sambe(h, d, drive, cutoff)
-    system = diagonalize_hermitian(floquet.matrix)
+    floquet = sambe_operator(h, d, drive, cutoff)
+    system = diagonalize_hermitian(floquet)
     sambe = sumrule_sambe(
-        floquet, system, d, select_reference_sambe(system, floquet.spec, ground)
+        floquet, system, d, select_reference_sambe(system, floquet, ground)
     )
-    selection = fold_and_select_ffbz(system, drive.omega, floquet.spec)
+    selection = fold_and_select_ffbz(system, floquet)
     reference = select_reference(selection.representatives, ground)
     ffbz = sumrule_ffbz(
         selection.representatives, d, drive.omega, reference, h_matter=h
@@ -305,16 +305,16 @@ def test_criterion_9_property_sweeps():
 
     model = FewLevelModel((0.0, 1.0), SX)
     drive = DriveSpec(omega=2.5, components=(DriveComponent(1, 0.1),))
-    floquet = assemble_sambe(model.hamiltonian(), model.dipole_operator(), drive, 6)
-    system = diagonalize_hermitian(floquet.matrix)
-    selection = fold_and_select_ffbz(system, drive.omega, floquet.spec)
+    floquet = sambe_operator(model.hamiltonian(), model.dipole_operator(), drive, 6)
+    system = diagonalize_hermitian(floquet)
+    selection = fold_and_select_ffbz(system, floquet)
     replica_worst = 0.0
     for mode in selection.representatives:
         for n in (-2, -1, 1, 2):
             shifted, _ = shift_replica(mode, n)
             vec = shifted.vector()
             rayleigh = float(
-                np.real(np.vdot(vec, floquet.matrix @ vec) / np.vdot(vec, vec))
+                np.real(np.vdot(vec, floquet @ vec) / np.vdot(vec, vec))
             )
             replica_worst = max(
                 replica_worst,

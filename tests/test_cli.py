@@ -989,6 +989,7 @@ SWEEP_HEAD = "job: sweep\n" + FEW_MODEL + DRIVE_SECTION
 HUGE = "1" + "0" * 399
 THIRD_HARMONIC = "drive: {omega: 0.5, components: [{harmonic: 1, amplitude: 0.1}, {harmonic: 3, amplitude: 0.01}]}\n"
 DRIVEN = "(the highest drive harmonic with a nonzero amplitude)"
+SIDEBANDS = "(the sideband range, 2 x the harmonic cutoff {} of section '{}')"
 
 
 def sweep_section(path, values="[0.1, 0.2]"):
@@ -1203,6 +1204,13 @@ CONFIG_ERRORS = [
      "key 'edge_tol' in section 'sambe' must be > 0, got 0.0"),
     ("sambe_n_max_bound", FLOQUET_HEAD + DRIVE_SECTION + "sambe: {n_max: -1}\n",
      "key 'n_max' in section 'sambe' must be >= 0, got -1"),
+    ("sambe_n_max_above_sidebands", FLOQUET_HEAD + DRIVE_SECTION + "sambe: {harmonic_cutoff: 2, n_max: 5}\n",
+     f"key 'n_max' in section 'sambe' must be <= 4 {SIDEBANDS.format(2, 'sambe')}, got 5"),
+    ("converge_n_max_above_sidebands", HARMONIC_SCAN + DRIVE_SECTION + "sambe: {n_max: 6}\n",
+     f"key 'n_max' in section 'sambe' must be <= 4 {SIDEBANDS.format(2, 'converge')}, got 6"),
+    ("sweep_n_max_above_sidebands", SWEEP_HEAD + "sambe: {harmonic_cutoff: 3, n_max: 6}\n"
+     + "sweep: {job: floquet, path: sambe.harmonic_cutoff, values: [3, 2]}\n",
+     f"key 'n_max' in section 'sambe' must be <= 4 {SIDEBANDS.format(2, 'sambe')}, got 6"),
     ("harmonic_cutoff_below_harmonic", FLOQUET_HEAD + THIRD_HARMONIC + "sambe: {harmonic_cutoff: 2}\n",
      f"key 'harmonic_cutoff' in section 'sambe' must be >= 3 {DRIVEN}, got 2"),
     ("default_harmonic_cutoff_below_harmonic", FLOQUET_HEAD + THIRD_HARMONIC.replace("harmonic: 3", "harmonic: 9"),
@@ -1397,6 +1405,25 @@ def test_merge_keys_may_be_overridden(tmp_path):
             HARMONIC_CONVERGE_JOB.replace("harmonic: 1,", "harmonic: 3,"),
             "key 'values' in section 'converge' must be >= 3 " + DRIVEN + ", got 2",
         ),
+        (
+            "floquet",
+            FLOQUET_JOB.replace("harmonic_cutoff: 4", "harmonic_cutoff: 2\n  n_max: 5"),
+            "key 'n_max' in section 'sambe' must be <= 4 " + SIDEBANDS.format(2, "sambe")
+            + ", got 5",
+        ),
+        (
+            "converge",
+            HARMONIC_CONVERGE_JOB.replace("[2, 4, 6, 8]", "[2, 4]") + "sambe: {n_max: 6}\n",
+            "key 'n_max' in section 'sambe' must be <= 4 " + SIDEBANDS.format(2, "converge")
+            + ", got 6",
+        ),
+        (
+            "sweep",
+            "job: sweep\nsweep: {path: drive.omega, values: [0.35, 0.4]}\n"
+            + FLOQUET_JOB.split("\n", 1)[1].replace("harmonic_cutoff: 4", "harmonic_cutoff: 1\n  n_max: 3"),
+            "key 'n_max' in section 'sambe' must be <= 2 " + SIDEBANDS.format(1, "sambe")
+            + ", got 3",
+        ),
     ],
     ids=[
         "sweep_point",
@@ -1405,19 +1432,23 @@ def test_merge_keys_may_be_overridden(tmp_path):
         "sweep_cutoff_below_harmonic",
         "floquet_cutoff_below_harmonic",
         "converge_cutoff_below_harmonic",
+        "floquet_n_max_above_sidebands",
+        "converge_n_max_above_sidebands",
+        "sweep_n_max_above_sidebands",
     ],
 )
 def test_refused_at_load_before_any_eigensolve(
     tmp_path, monkeypatch, capsys, command, text, message
 ):
     """A config the run would refuse is refused while loading, before the
-    first eigensolve."""
+    first eigensolve of the package or of LAPACK."""
     solved = record_eigensolves(monkeypatch)
+    lapack = record_lapack_solves(monkeypatch)
     path = config_file(tmp_path, text)
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     message = message.format(fewest=qed.MIN_CUTOFF_FAMILY)
     assert capsys.readouterr().err == f"configuration error: {message}\n"
-    assert solved == []
+    assert solved == lapack == []
 
 
 def test_undriven_harmonic_above_the_cutoff_loads(tmp_path):

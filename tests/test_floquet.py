@@ -19,9 +19,7 @@ from floqtrk import (
     PotentialSpec,
     ProductOperator,
     Reflection,
-    SambeSpec,
     SizeError,
-    assemble_sambe,
     basis_reversal,
     build_dipole,
     build_grid_hamiltonian,
@@ -107,21 +105,21 @@ def test_assembled_dimension():
     """Two matter levels and cutoff 1 give the 6-dimensional operator."""
     h, d = two_level()
     drive = DriveSpec(omega=0.8, components=(DriveComponent(1, 0.1),))
-    floquet = assemble_sambe(h, d, drive, 1)
-    assert floquet.dim == 6
-    assert floquet.spec.n_blocks == 3
+    floquet = sambe_operator(h, d, drive, 1)
+    assert floquet.shape == (6, 6)
+    assert floquet.labels.tolist() == [-1, 0, 1]
 
 
 def test_zero_drive_assembly_is_block_diagonal():
     """Without drive the operator is exactly diag(H - w, H, H + w)."""
     h, d = two_level()
-    floquet = assemble_sambe(h, d, DriveSpec(omega=0.8), 1)
+    floquet = sambe_operator(h, d, DriveSpec(omega=0.8), 1)
     eye = np.eye(2)
     expected = np.zeros((6, 6))
     expected[0:2, 0:2] = h.matrix + (-1) * 0.8 * eye
     expected[2:4, 2:4] = h.matrix
     expected[4:6, 4:6] = h.matrix + 1 * 0.8 * eye
-    assert np.array_equal(floquet.matrix.toarray(), expected)
+    assert np.array_equal(floquet.toarray(), expected)
 
 
 def test_assembly_is_hermitian_for_random_blocks():
@@ -151,7 +149,7 @@ def test_assembly_rejects_small_cutoff():
         components=(DriveComponent(1, 0.1), DriveComponent(2, 0.05)),
     )
     with pytest.raises(ConfigError):
-        assemble_sambe(h, d, drive, 1)
+        sambe_operator(h, d, drive, 1)
 
 
 def test_assembly_size_guard():
@@ -274,9 +272,9 @@ def test_zero_drive_selection_is_pure_static():
     """Zero drive keeps every representative in the m = 0 block."""
     h = MatterOperator(np.diag([0.05, 0.1, -0.2, 0.15]), basis_tag="levels:4")
     d = MatterOperator(np.zeros((4, 4)), basis_tag="levels:4")
-    floquet = assemble_sambe(h, d, DriveSpec(omega=1.0), 2)
-    system = diagonalize_hermitian(floquet.matrix)
-    selection = fold_and_select_ffbz(system, 1.0, floquet.spec)
+    floquet = sambe_operator(h, d, DriveSpec(omega=1.0), 2)
+    system = diagonalize_hermitian(floquet)
+    selection = fold_and_select_ffbz(system, floquet)
     assert len(selection.representatives) == 4
     assert selection.warnings == ()
     quasis = [mode.quasienergy for mode in selection.representatives]
@@ -292,8 +290,8 @@ def test_zero_drive_spectrum_is_shifted_copies():
     """Zero-drive eigenvalues are exactly {E_a + m w}."""
     h = MatterOperator(np.diag([0.1, 0.25]), basis_tag="levels:2")
     d = MatterOperator(np.zeros((2, 2)), basis_tag="levels:2")
-    floquet = assemble_sambe(h, d, DriveSpec(omega=1.0), 2)
-    system = diagonalize_hermitian(floquet.matrix)
+    floquet = sambe_operator(h, d, DriveSpec(omega=1.0), 2)
+    system = diagonalize_hermitian(floquet)
     expected = np.sort([e + m for e in (0.1, 0.25) for m in range(-2, 3)])
     assert np.max(np.abs(system.values - expected)) < 1e-12
 
@@ -302,9 +300,9 @@ def test_incomplete_zone_is_warned_not_raised():
     """A level too far away to fold in-zone yields a warning and fewer modes."""
     h = MatterOperator(np.diag([0.0, 10.0]), basis_tag="levels:2")
     d = MatterOperator(np.zeros((2, 2)), basis_tag="levels:2")
-    floquet = assemble_sambe(h, d, DriveSpec(omega=1.0), 2)
-    system = diagonalize_hermitian(floquet.matrix)
-    selection = fold_and_select_ffbz(system, 1.0, floquet.spec)
+    floquet = sambe_operator(h, d, DriveSpec(omega=1.0), 2)
+    system = diagonalize_hermitian(floquet)
+    selection = fold_and_select_ffbz(system, floquet)
     assert len(selection.representatives) == 1
     assert any("incomplete" in w for w in selection.warnings)
 
@@ -314,22 +312,22 @@ def test_selection_rejects_incomplete_spectrum():
     h = MatterOperator(np.diag([0.0, 1.0]), basis_tag="levels:2")
     d = MatterOperator(SX, basis_tag="levels:2")
     drive = DriveSpec(omega=0.8, components=(DriveComponent(1, 0.1),))
-    floquet = assemble_sambe(h, d, drive, 2)
-    system = diagonalize_hermitian(floquet.matrix)
+    floquet = sambe_operator(h, d, drive, 2)
+    system = diagonalize_hermitian(floquet)
     from floqtrk import EigenSystem
 
     truncated = EigenSystem(system.values[:4], system.vectors[:, :4])
     with pytest.raises(InputError):
-        fold_and_select_ffbz(truncated, 0.8, floquet.spec)
+        fold_and_select_ffbz(truncated, floquet)
 
 
 def test_edge_flagging_is_reported():
     """With a vanishing tolerance every driven representative is flagged."""
     h, d = two_level()
     drive = DriveSpec(omega=2.5, components=(DriveComponent(1, 0.1),))
-    floquet = assemble_sambe(h, d, drive, 6)
-    system = diagonalize_hermitian(floquet.matrix)
-    selection = fold_and_select_ffbz(system, 2.5, floquet.spec, edge_tol=0.0)
+    floquet = sambe_operator(h, d, drive, 6)
+    system = diagonalize_hermitian(floquet)
+    selection = fold_and_select_ffbz(system, floquet, edge_tol=0.0)
     assert selection.edge_flagged == tuple(range(len(selection.representatives)))
     assert any("edge weight" in w for w in selection.warnings)
 
@@ -338,9 +336,9 @@ def driven_ground_mode(omega=2.5, amplitude=0.1, cutoff=6):
     """Ground representative plus the assembled operator for replica tests."""
     h, d = two_level()
     drive = DriveSpec(omega=omega, components=(DriveComponent(1, amplitude),))
-    floquet = assemble_sambe(h, d, drive, cutoff)
-    system = diagonalize_hermitian(floquet.matrix)
-    selection = fold_and_select_ffbz(system, omega, floquet.spec)
+    floquet = sambe_operator(h, d, drive, cutoff)
+    system = diagonalize_hermitian(floquet)
+    selection = fold_and_select_ffbz(system, floquet)
     return selection.representatives[0], floquet, system
 
 
@@ -361,7 +359,7 @@ def test_replica_shift_reindexes_blocks():
         assert np.allclose(replica.block(m), scale * mode.block(m - 1), atol=1e-14)
     norm = float(np.max(np.abs(system.values)))
     vector = replica.vector()
-    residual = floquet.matrix @ vector - replica.quasienergy * vector
+    residual = floquet @ vector - replica.quasienergy * vector
     assert float(np.linalg.norm(residual)) <= 1e-6 * norm
 
 
@@ -371,7 +369,7 @@ def test_replica_rayleigh_quotients():
     for n in (-2, -1, 1, 2):
         replica, _ = shift_replica(mode, n)
         vector = replica.vector()
-        rq = float(np.real(np.vdot(vector, floquet.matrix @ vector)))
+        rq = float(np.real(np.vdot(vector, floquet @ vector)))
         expected = mode.quasienergy + n * 2.5
         assert abs(rq - expected) <= 1e-6 * max(1.0, abs(expected))
 
@@ -413,12 +411,14 @@ def test_mode_validation():
         )
 
 
-def test_sambe_spec_validation():
+def test_sambe_operator_rejects_empty_windows():
     """Negative cutoffs and empty matter spaces are refused."""
-    with pytest.raises(InputError):
-        SambeSpec(harmonic_cutoff=-1, matter_dim=2)
-    with pytest.raises(InputError):
-        SambeSpec(harmonic_cutoff=2, matter_dim=0)
+    h, d = two_level()
+    with pytest.raises(InputError, match="harmonic cutoff must be >= 0"):
+        sambe_operator(h, d, DriveSpec(omega=1.0), -1)
+    empty = MatterOperator(np.zeros((0, 0)), basis_tag="levels:0")
+    with pytest.raises(InputError, match="matter dimension must be >= 1"):
+        sambe_operator(empty, empty, DriveSpec(omega=1.0), 2)
 
 
 # Parity-sector eigensolves: a symmetric grid with an odd-harmonic drive
@@ -436,7 +436,7 @@ def grid_sambe(drive, x_max=5.0, cutoff=3, n_points=21):
     )
     perm, signs = basis_reversal(n_points)
     harmonics = np.arange(-cutoff, cutoff + 1)
-    lifted = oracles.lifted_reflection(perm, signs, harmonics, outer_major=True)
+    lifted = oracles.lifted_reflection(perm, signs, harmonics)
     return matrix, Reflection(*lifted)
 
 
@@ -621,15 +621,15 @@ def test_split_keeps_harmonic_blocks_exact():
 def matvec_operators(x_max):
     """The structured operators of a harmonic grid on [-5, x_max], each with
     the matter reflection where the pipeline gives it one: the Sambe matrix
-    under a real and a complex drive (harmonic-major), the joint Hamiltonian
-    (matter-major), and both lifted dipoles."""
+    under a real and a complex drive, the joint Hamiltonian, and both lifted
+    dipoles."""
     grid = GridBasis(x_min=-5.0, x_max=x_max, n_points=21)
     h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
     d = build_dipole(grid)
     reflection = basis_reversal(21)
     h_joint, d_joint = joint_operators(h, d, FockSpec(n_max=4, omega_c=0.9, g=0.2), reflection)
     sambe = sambe_operator(h, d, REAL_DRIVE, 3, reflection)
-    d_sambe = ProductOperator(matter=d.matrix, labels=sambe.labels, outer_major=True)
+    d_sambe = ProductOperator(matter=d.matrix, labels=sambe.labels)
     return {
         "sambe_real": sambe,
         "sambe_complex": sambe_operator(h, d, COMPLEX_DRIVE, 3, reflection),

@@ -98,7 +98,7 @@ def test_dipole_commutes_with_field_terms():
     fock = FockSpec(n_max=4, omega_c=0.9, g=0.3)
     h_joint, d_joint = joint_operators(TWO_H, TWO_D, fock)
     dj = d_joint.toarray()
-    field_part = h_joint.toarray() - np.kron(TWO_H.matrix, np.eye(5))
+    field_part = h_joint.toarray() - np.kron(np.eye(5), TWO_H.matrix)
     comm = dj @ field_part - field_part @ dj
     assert np.max(np.abs(comm)) <= 1e-12
 
@@ -247,13 +247,13 @@ def test_edge_population_is_the_top_two_fock_levels():
         rows = photon_cutoff_convergence(TWO_H, TWO_D, family, reference)
         for row, fock in zip(rows, family):
             _, system, _ = qed_report(TWO_H, TWO_D, fock)
-            state = system.vectors[:, reference].reshape(TWO_H.dim, fock.dim)
-            expected = float(np.sum(np.abs(state[:, -2:]) ** 2))
+            state = system.vectors[:, reference].reshape(fock.dim, TWO_H.dim)
+            expected = float(np.sum(np.abs(state[-2:]) ** 2))
             assert abs(row.edge_population - expected) <= 1e-15
             assert expected > 1e-10
 
 
-@pytest.mark.parametrize("g", [0.3, -0.07, 0.0])
+@pytest.mark.parametrize("g", [0.3, -0.07, 0.0, 0.123456789])
 def test_joint_operators_bit_equal_to_kron_reference(g):
     """The joint operators written out in full reproduce the Kronecker build
     bit for bit, signed zeros included, on matrices with negative and zero
@@ -308,7 +308,7 @@ def test_joint_matrix_is_solved_in_two_sectors(monkeypatch):
     operator = joint_operator(h, d, fock, basis_reversal(11))
     assert operator.toarray().tobytes() == h_joint.tobytes()
     perm, signs = basis_reversal(11)
-    lifted = oracles.lifted_reflection(perm, signs, np.arange(fock.dim), outer_major=False)
+    lifted = oracles.lifted_reflection(perm, signs, np.arange(fock.dim))
     dense = diagonalize_hermitian(h_joint)
     solved = record_lapack_solves(monkeypatch)
     for system in (

@@ -20,7 +20,6 @@ from floqtrk import (
     PotentialSpec,
     SpectralDensity,
     ZoneError,
-    assemble_sambe,
     basis_reversal,
     build_dipole,
     build_grid_hamiltonian,
@@ -32,6 +31,7 @@ from floqtrk import (
     first_moment,
     fold_and_select_ffbz,
     joint_operators,
+    sambe_operator,
     select_reference,
     spectral_density,
     static_trk,
@@ -68,9 +68,9 @@ def driven_two_level(omega, amplitude, cutoff, delta=1.0, mu=1.0):
     h = MatterOperator(np.diag([0.0, delta]), basis_tag="levels:2")
     d = MatterOperator(mu * np.array([[0.0, 1.0], [1.0, 0.0]]), basis_tag="levels:2")
     drive = DriveSpec(omega=omega, components=(DriveComponent(1, amplitude),))
-    floquet = assemble_sambe(h, d, drive, cutoff)
-    system = diagonalize_hermitian(floquet.matrix)
-    selection = fold_and_select_ffbz(system, omega, floquet.spec)
+    floquet = sambe_operator(h, d, drive, cutoff)
+    system = diagonalize_hermitian(floquet)
+    selection = fold_and_select_ffbz(system, floquet)
     return h, d, floquet, system, selection
 
 
@@ -178,9 +178,9 @@ def test_ledger_weights_reproduce_value():
 
 def zero_drive_modes(omega=5.0, cutoff=2):
     """In-zone modes of the undriven three-level model."""
-    floquet = assemble_sambe(THREE_H, THREE_D, DriveSpec(omega=omega), cutoff)
-    system = diagonalize_hermitian(floquet.matrix)
-    selection = fold_and_select_ffbz(system, omega, floquet.spec)
+    floquet = sambe_operator(THREE_H, THREE_D, DriveSpec(omega=omega), cutoff)
+    system = diagonalize_hermitian(floquet)
+    selection = fold_and_select_ffbz(system, floquet)
     return floquet, system, selection
 
 
@@ -312,8 +312,8 @@ def test_sambe_sum_matches_extended_oracle():
     h0 = MatterOperator(oracles.random_hermitian(rng, 3), basis_tag="t")
     coupled = MatterOperator(oracles.random_hermitian(rng, 3), basis_tag="t")
     drive = DriveSpec(omega=0.9, components=(DriveComponent(1, 1.7, 0.6),))
-    floquet = assemble_sambe(h0, coupled, drive, 3)
-    system = diagonalize_hermitian(floquet.matrix)
+    floquet = sambe_operator(h0, coupled, drive, 3)
+    system = diagonalize_hermitian(floquet)
     d = MatterOperator(oracles.random_hermitian(rng, 3), basis_tag="t")
     for reference in (0, 7):
         report = sumrule_sambe(floquet, system, d, reference)
@@ -324,7 +324,7 @@ def test_sambe_sum_matches_extended_oracle():
 def test_sambe_sum_zero_drive_equals_static():
     """Zero drive reduces the extended-space sum to the static one."""
     floquet, system, _ = zero_drive_modes()
-    reference = select_reference_sambe(system, floquet.spec, np.array([1.0, 0.0, 0.0]))
+    reference = select_reference_sambe(system, floquet, np.array([1.0, 0.0, 0.0]))
     assert reference == 6
     report = sumrule_sambe(floquet, system, THREE_D, reference)
     static = static_trk(THREE_H, THREE_D)
@@ -605,16 +605,16 @@ def grid_reports(drive, reflection):
     h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
     d = build_dipole(grid)
     matter = diagonalize_hermitian(h.matrix, reflection=reflection)
-    fm = assemble_sambe(h, d, drive, 3, reflection)
-    system = diagonalize_hermitian(fm.matrix)
-    selection = fold_and_select_ffbz(system, drive.omega, fm.spec)
+    sambe = sambe_operator(h, d, drive, 3, reflection)
+    system = diagonalize_hermitian(sambe)
+    selection = fold_and_select_ffbz(system, sambe)
     h_joint, d_joint = joint_operators(h, d, FockSpec(n_max=4, omega_c=0.9, g=0.2), reflection)
     split = reflection is not None
-    assert fm.matrix.splits == h_joint.splits == split
+    assert sambe.splits == h_joint.splits == split
     assert bool(matter.sectors) == bool(system.sectors) == split
     return {
         "static": static_trk(h, d, 0, system=matter),
-        "sambe": sumrule_sambe(fm, system, d, selection.source_indices[0]),
+        "sambe": sumrule_sambe(sambe, system, d, selection.source_indices[0]),
         "ffbz": sumrule_ffbz(selection.representatives, d, drive.omega, 0, h_matter=h),
         "qed": sumrule_qed(diagonalize_hermitian(h_joint), d_joint, 0, h_joint=h_joint),
     }
