@@ -48,12 +48,10 @@ from .qed import (
     ConvergenceRow,
     FockSpec,
     joint_operator,
-    joint_operators,
     photon_cutoff_convergence,
     sumrule_qed,
 )
 from .sumrule import (
-    DipoleFourierSet,
     Ledger,
     SpectralDensity,
     SumRuleReport,
@@ -61,7 +59,6 @@ from .sumrule import (
     dipole_fourier_components,
     first_moment,
     select_reference,
-    spectral_density,
     static_trk,
     sumrule_ffbz,
     sumrule_sambe,
@@ -72,7 +69,6 @@ __all__ = [
     "__version__",
     "ConfigError",
     "ConvergenceRow",
-    "DipoleFourierSet",
     "DriveComponent",
     "DriveSpec",
     "EigenSystem",
@@ -107,12 +103,10 @@ __all__ = [
     "fold_and_select_ffbz",
     "fold_label",
     "joint_operator",
-    "joint_operators",
     "kinetic_matrix",
     "photon_cutoff_convergence",
     "sambe_operator",
     "select_reference",
-    "spectral_density",
     "static_trk",
     "sumrule_ffbz",
     "sumrule_qed",

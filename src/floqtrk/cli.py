@@ -73,7 +73,7 @@ from .model import (
 from .qed import (
     MIN_CUTOFF_FAMILY,
     FockSpec,
-    joint_operators,
+    joint_operator,
     photon_cutoff_convergence,
     sumrule_qed,
 )
@@ -890,7 +890,9 @@ def _floquet_stack(
     reflection: Reflection | None,
     harmonic_cutoff: int,
 ):
-    """Assemble/diagonalize/fold pipeline of one harmonic cutoff."""
+    """Assemble/diagonalize/fold pipeline of one harmonic cutoff: the
+    spectrum, its first-zone selection (which holds the operator) and the
+    reference representative."""
     with stage("sambe_assemble"):
         operator = sambe_operator(h, d, drive, harmonic_cutoff, reflection)
     with stage("eigensolve"):
@@ -908,14 +910,14 @@ def _floquet_stack(
                     f"reference {ffbz_ref} outside the "
                     f"{len(selection.representatives)} first-zone representatives"
                 )
-    return operator, system, selection, ffbz_ref
+    return system, selection, ffbz_ref
 
 
 def _run_floquet(config: JobConfig, stage: _Stage) -> dict:
     sambe_cfg = config.resolved["sambe"]
     h, d, n_e, matter_system, reflection = _matter_stack(config, stage)
     drive = _resolvable_drive(config, matter_system)
-    operator, system, selection, ffbz_ref = _floquet_stack(
+    system, selection, ffbz_ref = _floquet_stack(
         config,
         stage,
         h,
@@ -928,18 +930,13 @@ def _run_floquet(config: JobConfig, stage: _Stage) -> dict:
     with stage("sumrule"):
         static_report = static_trk(h, d, 0, n_electrons=n_e, system=matter_system)
         sambe_report = sumrule_sambe(
-            operator, system, d, selection.source_indices[ffbz_ref], n_electrons=n_e
+            selection.operator,
+            system,
+            selection.source_indices[ffbz_ref],
+            n_electrons=n_e,
         )
         ffbz_report = sumrule_ffbz(
-            selection.representatives,
-            d,
-            drive.omega,
-            ffbz_ref,
-            sambe_cfg["n_max"],
-            h_matter=h,
-            edge_tol=sambe_cfg["edge_tol"],
-            n_electrons=n_e,
-            extra_flags=selection.warnings,
+            selection, ffbz_ref, sambe_cfg["n_max"], n_electrons=n_e
         )
         density = density_from_ledger(ffbz_report)
     pieces = _empty_pieces()
@@ -955,7 +952,7 @@ def _run_floquet(config: JobConfig, stage: _Stage) -> dict:
         (i, mode.quasienergy, mode.edge_weight)
         for i, mode in enumerate(selection.representatives)
     )
-    pieces["warnings"] = selection.warnings
+    pieces["warnings"] = ffbz_report.truncation_flags
     return pieces
 
 
@@ -964,30 +961,24 @@ def _run_qed(config: JobConfig, stage: _Stage) -> dict:
     fock = FockSpec(**config.resolved["fock"])
     reference = _static_reference(config)
     with stage("joint_assemble"):
-        h_joint, d_joint = joint_operators(h, d, fock, reflection)
+        h_joint = joint_operator(h, d, fock, reflection)
     with stage("eigensolve"):
         system = diagonalize_hermitian(h_joint)
     with stage("sumrule"):
         static_report = static_trk(h, d, 0, n_electrons=n_e, system=matter_system)
-        qed_report = sumrule_qed(
-            system, d_joint, reference, h_joint=h_joint, n_electrons=n_e
-        )
+        qed_report = sumrule_qed(h_joint, system, reference, n_electrons=n_e)
     energies = system.values
     del system  # its vectors are not needed while the g = 0 diagnostic solves
     reports = [("static_trk", static_report), ("qed", qed_report)]
     if config.resolved["qed"]["h0_diagnostic"]:
-        # same photon cutoff, so I (x) d is shared with the coupled report
         fock0 = FockSpec(n_max=fock.n_max, omega_c=fock.omega_c, g=0.0)
         with stage("joint_assemble"):
-            h0, _ = joint_operators(h, d, fock0, reflection)
+            h0 = joint_operator(h, d, fock0, reflection)
         with stage("eigensolve"):
             system0 = diagonalize_hermitian(h0)
         with stage("sumrule"):
             reports.append(
-                (
-                    "qed_h0",
-                    sumrule_qed(system0, d_joint, reference, h_joint=h0, n_electrons=n_e),
-                )
+                ("qed_h0", sumrule_qed(h0, system0, reference, n_electrons=n_e))
             )
     pieces = _empty_pieces()
     pieces["reports"] = tuple(reports)
@@ -1010,23 +1001,14 @@ def _run_converge(config: JobConfig, stage: _Stage) -> dict:
         rows: list[dict] = []
         previous = None
         final_report = None
-        final_warnings: tuple[str, ...] = ()
         for cutoff in values:
-            # keep neither matrix nor spectrum into the next cutoff's solve
+            # keep no spectrum into the next cutoff's solve
             selection, ffbz_ref = _floquet_stack(
                 config, stage, h, d, drive, matter_system, reflection, cutoff
-            )[2:]
+            )[1:]
             with stage("sumrule"):
                 report = sumrule_ffbz(
-                    selection.representatives,
-                    d,
-                    drive.omega,
-                    ffbz_ref,
-                    config.resolved["sambe"]["n_max"],
-                    h_matter=h,
-                    edge_tol=config.resolved["sambe"]["edge_tol"],
-                    n_electrons=n_e,
-                    extra_flags=selection.warnings,
+                    selection, ffbz_ref, config.resolved["sambe"]["n_max"], n_electrons=n_e
                 )
             delta = None if previous is None else report.value - previous
             rows.append(
@@ -1040,11 +1022,10 @@ def _run_converge(config: JobConfig, stage: _Stage) -> dict:
             )
             previous = report.value
             final_report = report
-            final_warnings = selection.warnings
         pieces["reports"] = (("ffbz", final_report),)
         pieces["primary"] = "ffbz"
         pieces["convergence"] = tuple(rows)
-        pieces["warnings"] = final_warnings
+        pieces["warnings"] = final_report.truncation_flags
         return pieces
 
     with stage("matter_build"):

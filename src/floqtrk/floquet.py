@@ -220,15 +220,19 @@ class FfbzSelection:
     ``representatives`` are the eigenpairs whose raw eigenvalue already lies
     in the zone, ordered by quasienergy (degenerate groups by descending
     m=0-block weight, phases fixed). ``labels`` hold the folding of every
-    eigenpair of the input spectrum. Warnings are data, never raised: an
-    incomplete zone is reported and carried into downstream reports.
+    eigenpair of the input spectrum. ``operator`` is the Sambe operator the
+    spectrum was solved from and ``edge_tol`` the edge-weight threshold of
+    the selection. Warnings are data, never raised: an incomplete zone or
+    an edge-heavy representative is reported and carried into downstream
+    reports.
     """
 
     representatives: tuple[FloquetMode, ...]
     labels: tuple[FoldedLabel, ...]
     warnings: tuple[str, ...]
-    edge_flagged: tuple[int, ...]  # indices into representatives
     source_indices: tuple[int, ...]  # representative -> eigenpair column
+    operator: ProductOperator
+    edge_tol: float
 
 
 def _drive_factors(drive: DriveSpec) -> dict[int, float | complex]:
@@ -710,9 +714,8 @@ def _mode_from_vector(
     vector: np.ndarray, quasienergy: float, operator: ProductOperator
 ) -> FloquetMode:
     blocks = _fix_phase(vector.reshape(operator.labels.size, operator.matter.shape[0]))
-    edge = float(np.sum(np.abs(blocks[0]) ** 2) + np.sum(np.abs(blocks[-1]) ** 2))
-    if operator.labels.size == 1:
-        edge = float(np.sum(np.abs(blocks[0]) ** 2))
+    # the outermost blocks, one block when the window has only m = 0
+    edge = float(sum(np.sum(np.abs(blocks[j]) ** 2) for j in {0, len(blocks) - 1}))
     return FloquetMode(
         quasienergy=float(quasienergy),
         blocks=blocks,
@@ -733,8 +736,8 @@ def fold_and_select_ffbz(
     Representatives are exactly the eigenpairs whose raw truncated-matrix
     eigenvalue already lies in [-Omega/2, Omega/2): deterministic, and exact
     eigenvectors of the truncated operator. Only their eigenvectors are
-    mapped back to the original basis (:meth:`EigenSystem.column`). Their truncation quality is gated
-    by ``edge_weight`` instead of re-projection. Degenerate in-zone
+    mapped back to the original basis (:meth:`EigenSystem.column`). Their
+    truncation quality is gated by ``edge_weight`` instead of re-projection. Degenerate in-zone
     eigenvalues (within 1e-9 * Omega) are ordered by descending m=0-block
     weight; each representative's global phase is fixed.
 
@@ -795,7 +798,8 @@ def fold_and_select_ffbz(
         representatives=representatives,
         labels=labels,
         warnings=tuple(warnings),
-        edge_flagged=edge_flagged,
         source_indices=tuple(ordered),
+        operator=operator,
+        edge_tol=edge_tol,
     )
 

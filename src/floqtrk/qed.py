@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InputError, SizeError
 from .floquet import EigenSystem, ProductOperator, Reflection, diagonalize_hermitian
 from .model import MatterOperator
-from .sumrule import SumRuleReport, _closure_report
+from .sumrule import SumRuleReport, _extended_report
 
 #: Dense-eigensolve guard for the matter (x) Fock product dimension.
 MAX_JOINT_DIM = 6000
@@ -98,52 +98,24 @@ def joint_operator(
     )
 
 
-def joint_operators(
-    h_matter: MatterOperator,
-    d: MatterOperator,
-    fock: FockSpec,
-    reflection: Reflection | None = None,
-) -> tuple[ProductOperator, ProductOperator]:
-    """The :func:`joint_operator` and the lifted dipole I (x) d."""
-    h_joint = joint_operator(h_matter, d, fock, reflection)
-    return h_joint, ProductOperator(matter=d.matrix, labels=h_joint.labels)
-
-
 def sumrule_qed(
-    spectrum: EigenSystem,
-    d_joint: np.ndarray | ProductOperator,
+    operator: ProductOperator,
+    system: EigenSystem,
     reference: int,
     *,
-    h_joint: np.ndarray | ProductOperator,
-    n_electrons: int = 1,
+    n_electrons: int,
 ) -> SumRuleReport:
     """Energy-weighted dipole sum over the full joint spectrum.
 
     value = 2 sum_beta (E_beta - E_alpha) |<alpha| I(x)d |beta>|^2 with beta
     running over eigenstates of the interacting joint Hamiltonian. The
-    oracle is the joint double-commutator expectation, with ``h_joint`` and
-    ``d_joint`` (the operators of :func:`joint_operators`, or dense arrays)
-    applied to the reference vector; the closure identity keeps
-    oracle_residual below 1e-8 relative for any reference, converged or not.
+    oracle is the joint double-commutator expectation, with the
+    :func:`joint_operator` that ``system`` was solved from and I (x) d (its
+    dipole, lifted) applied to the reference vector; the closure identity
+    keeps oracle_residual below 1e-8 relative for any reference, converged
+    or not.
     """
-    if spectrum.dim != h_joint.shape[0]:
-        raise InputError(
-            f"spectrum has {spectrum.dim} eigenpairs, expected the complete "
-            f"joint dimension {h_joint.shape[0]}"
-        )
-    if d_joint.shape != h_joint.shape:
-        raise InputError(
-            f"joint dipole shape {d_joint.shape} != Hamiltonian shape {h_joint.shape}"
-        )
-    return _closure_report(
-        kind="qed",
-        system=spectrum,
-        h_full=h_joint,
-        d_full=d_joint,
-        reference=reference,
-        target=float(n_electrons),
-        omega=None,
-    )
+    return _extended_report("qed", operator, system, reference, n_electrons, None)
 
 
 @dataclass(frozen=True)
@@ -165,7 +137,7 @@ def photon_cutoff_convergence(
     focks: Sequence[FockSpec],
     reference: int = 0,
     *,
-    n_electrons: int = 1,
+    n_electrons: int,
     reflection: Reflection | None = None,
 ) -> tuple[ConvergenceRow, ...]:
     """Sum-rule value across a family of increasing photon cutoffs.
@@ -187,7 +159,7 @@ def photon_cutoff_convergence(
         Eigenpair index within each family member's ascending spectrum.
     reflection:
         A matter reflection, lifted to each member by
-        :func:`joint_operators` for the eigensolve.
+        :func:`joint_operator` for the eigensolve.
     """
     modes = tuple(focks)
     if len(modes) < MIN_CUTOFF_FAMILY:
@@ -238,11 +210,9 @@ def _cutoff_member(
 ) -> tuple[SumRuleReport, float]:
     """One family member's report and the reference population in its top
     two Fock levels; the member's spectrum is freed on return."""
-    h_joint, d_joint = joint_operators(h_matter, d, fock, reflection)
-    system = diagonalize_hermitian(h_joint)
-    report = sumrule_qed(
-        system, d_joint, reference, h_joint=h_joint, n_electrons=n_electrons
-    )
+    operator = joint_operator(h_matter, d, fock, reflection)
+    system = diagonalize_hermitian(operator)
+    report = sumrule_qed(operator, system, reference, n_electrons=n_electrons)
     # photon-number distribution of the reference, traced over matter
     table = system.column(reference).reshape(fock.dim, -1)
     populations = np.sum(np.abs(table) ** 2, axis=1)

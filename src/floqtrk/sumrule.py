@@ -36,6 +36,7 @@ from .errors import InputError, ZoneError
 from .floquet import (
     DEGENERACY_RTOL,
     EigenSystem,
+    FfbzSelection,
     FloquetMode,
     ProductOperator,
     diagonalize_hermitian,
@@ -89,18 +90,6 @@ class Ledger(_Table):
     quasienergy_diff: np.ndarray  # eps_lambda - eps_reference, without n*Omega
     abs2: np.ndarray  # |d^(n)|^2
     weight: np.ndarray
-
-
-@dataclass(frozen=True)
-class DipoleFourierSet:
-    """Harmonics d^(n) of the transition dipole between two Floquet modes.
-
-    ``entries[n]`` is the amplitude of exp(+i n Omega t) in
-    <phi_bra(t)|d|phi_ket(t)>; indices beyond the truncation window
-    [-2 N_h, 2 N_h] are identically zero and not stored.
-    """
-
-    entries: dict[int, complex]
 
 
 @dataclass(frozen=True)
@@ -176,25 +165,28 @@ class SpectralDensity(_Table):
 def dipole_fourier_components(
     bra: FloquetMode,
     ket: FloquetMode,
-    d: MatterOperator,
-) -> DipoleFourierSet:
+    d: np.ndarray,
+) -> dict[int, complex]:
     """All harmonics of the transition dipole between two Floquet modes.
 
     In harmonic coefficients, d^(n) = sum_m <c^bra_m| d |c^ket_(m-n)>: the
-    n-th harmonic transfers ket content upward by n drive quanta. The sum is
-    truncated to the shared window, so n runs over [-2 N_h, 2 N_h].
+    n-th harmonic transfers ket content upward by n drive quanta, and
+    ``result[n]`` is the amplitude of exp(+i n Omega t) in
+    <phi_bra(t)|d|phi_ket(t)>. The sum is truncated to the shared window, so
+    n runs over [-2 N_h, 2 N_h]; harmonics beyond it are identically zero
+    and not stored.
 
     Parameters
     ----------
     bra, ket:
         Modes with identical matter dimension, harmonic cutoff and Omega.
     d:
-        Matter-space dipole operator.
+        Matter-space dipole matrix.
     """
-    if bra.matter_dim != ket.matter_dim or bra.matter_dim != d.dim:
+    if bra.matter_dim != ket.matter_dim or bra.matter_dim != d.shape[0]:
         raise InputError(
             f"matter dimensions disagree: bra {bra.matter_dim}, "
-            f"ket {ket.matter_dim}, dipole {d.dim}"
+            f"ket {ket.matter_dim}, dipole {d.shape[0]}"
         )
     if bra.harmonic_cutoff != ket.harmonic_cutoff:
         raise InputError(
@@ -205,15 +197,14 @@ def dipole_fourier_components(
         raise InputError(f"drive frequencies disagree: {bra.omega} vs {ket.omega}")
     n_h = bra.harmonic_cutoff
     n_rows = 2 * n_h + 1
-    d_ket = ket.blocks @ d.matrix.T  # row m is d @ c^ket_m
+    d_ket = ket.blocks @ d.T  # row m is d @ c^ket_m
     entries: dict[int, complex] = {}
     for n in range(-2 * n_h, 2 * n_h + 1):
         lo, hi = max(0, n), min(n_rows, n_rows + n)
-        amp = complex(
+        entries[n] = complex(
             sum(np.vdot(bra.blocks[r], d_ket[r - n]) for r in range(lo, hi))
         )
-        entries[n] = amp
-    return DipoleFourierSet(entries=entries)
+    return entries
 
 
 def _infer_electrons(d: MatterOperator, n_electrons: int | None) -> int:
@@ -333,12 +324,39 @@ def select_reference(
     return int(np.argmax(overlaps if max(overlaps) > 0.0 else norms))
 
 
+def _extended_report(
+    kind: str,
+    operator: ProductOperator,
+    system: EigenSystem,
+    reference: int,
+    n_electrons: int,
+    omega: float | None,
+) -> SumRuleReport:
+    """Closure report over the complete spectrum of an extended-space
+    ``operator``, summing the dipole it holds lifted to 1 (x) d on the same
+    outer-major index; the oracle applies both block by block."""
+    if system.dim != operator.shape[0]:
+        raise InputError(
+            f"spectrum has {system.dim} eigenpairs, expected the complete "
+            f"{kind} dimension {operator.shape[0]}"
+        )
+    return _closure_report(
+        kind=kind,
+        system=system,
+        h_full=operator,
+        d_full=ProductOperator(matter=operator.dipole, labels=operator.labels),
+        reference=reference,
+        target=float(n_electrons),
+        omega=omega,
+    )
+
+
 def sumrule_sambe(
     operator: ProductOperator,
-    eigenpairs: EigenSystem,
-    d: MatterOperator,
+    system: EigenSystem,
     reference: int,
-    n_electrons: int | None = None,
+    *,
+    n_electrons: int,
 ) -> SumRuleReport:
     """Driven sum rule over the full truncated extended-space spectrum.
 
@@ -347,33 +365,17 @@ def sumrule_sambe(
     is the extended-space double-commutator expectation, an exact identity
     in the truncated space, so oracle_residual stays below 1e-8 relative
     regardless of physical convergence. ``operator`` is the
-    :func:`~floqtrk.floquet.sambe_operator`, whose window, matter dimension
-    and Omega are read off it; the oracle applies it and 1 (x) d, the
-    dipole lifted to the same harmonic-major index, block by block.
+    :func:`~floqtrk.floquet.sambe_operator` that ``system`` was solved from;
+    its dipole d, window and Omega are read off it.
     """
-    if eigenpairs.dim != operator.shape[0]:
-        raise InputError(
-            f"spectrum has {eigenpairs.dim} eigenpairs, expected the complete "
-            f"truncated dimension {operator.shape[0]}"
-        )
-    if d.dim != operator.matter.shape[0]:
-        raise InputError(
-            f"dipole dim {d.dim} != matter dimension {operator.matter.shape[0]}"
-        )
-    return _closure_report(
-        kind="sambe",
-        system=eigenpairs,
-        h_full=operator,
-        d_full=ProductOperator(matter=d.matrix, labels=operator.labels),
-        reference=reference,
-        target=float(_infer_electrons(d, n_electrons)),
-        omega=operator.frequency,
+    return _extended_report(
+        "sambe", operator, system, reference, n_electrons, operator.frequency
     )
 
 
 def _ffbz_ledger(
     representatives: tuple[FloquetMode, ...],
-    d: MatterOperator,
+    d: np.ndarray,
     omega: float,
     reference: int,
     n_max: int,
@@ -383,10 +385,10 @@ def _ffbz_ledger(
     ref_mode = representatives[reference]
     sidebands = range(-n_max, n_max + 1)
     abs2 = []
-    for lam, mode in enumerate(representatives):
+    for mode in representatives:
         harmonics = dipole_fourier_components(ref_mode, mode, d)
         # Python's complex abs, not np.abs: the two differ in the last bit
-        abs2.extend(abs(harmonics.entries.get(n, 0.0)) ** 2 for n in sidebands)
+        abs2.extend(abs(harmonics.get(n, 0.0)) ** 2 for n in sidebands)
     quasienergies = np.array([mode.quasienergy for mode in representatives])
     diffs = np.repeat(quasienergies - ref_mode.quasienergy, len(sidebands))
     n = np.tile(np.array(sidebands), len(representatives))
@@ -400,66 +402,19 @@ def _ffbz_ledger(
     )
 
 
-def _density(ledger: Ledger, omega: float, reference: int) -> SpectralDensity:
-    """Nonzero ledger rows on the frequency axis; each line is recomputed with
-    the ledger's own float operations, so the first moment matches it bitwise."""
-    keep = ledger.abs2 != 0.0
-    n = ledger.n[keep]
-    return SpectralDensity(
-        omega=ledger.quasienergy_diff[keep] + n * omega,
-        weight=ledger.abs2[keep],
-        lam=ledger.lam[keep],
-        n=n,
-        reference=reference,
-    )
-
-
-def _check_ffbz_inputs(
-    representatives: tuple[FloquetMode, ...],
-    d: MatterOperator,
-    omega: float,
-    reference: int,
-    n_max: int | None,
-) -> int:
-    if not representatives:
-        raise ZoneError("no first-zone representatives supplied")
-    if not 0 <= reference < len(representatives):
-        raise InputError(
-            f"reference index {reference} outside the {len(representatives)} "
-            f"supplied representatives"
-        )
-    mode = representatives[0]
-    if d.dim != mode.matter_dim:
-        raise InputError(f"dipole dim {d.dim} != matter dimension {mode.matter_dim}")
-    if omega <= 0:
-        raise InputError(f"omega must be > 0, got {omega}")
-    limit = 2 * mode.harmonic_cutoff
-    if n_max is None:
-        return limit
-    if not 0 <= n_max <= limit:
-        raise InputError(
-            f"n_max={n_max} outside the truncated sideband range [0, {limit}]"
-        )
-    return n_max
-
-
 def sumrule_ffbz(
-    representatives: tuple[FloquetMode, ...],
-    d: MatterOperator,
-    omega: float,
+    selection: FfbzSelection,
     reference: int,
     n_max: int | None = None,
     *,
-    h_matter: MatterOperator,
-    edge_tol: float = 1e-6,
-    n_electrons: int | None = None,
-    extra_flags: tuple[str, ...] = (),
+    n_electrons: int,
 ) -> SumRuleReport:
     """Driven sum rule resolved over first-zone modes and sidebands.
 
     value = 2 sum_lambda sum_n (eps_lambda - eps_ref + n*Omega)
-    |d^(n)_{ref,lambda}|^2 over the supplied representatives and
-    n in [-n_max, n_max] (default: the full truncated range 2 N_h).
+    |d^(n)_{ref,lambda}|^2 over the selection's representatives and
+    n in [-n_max, n_max] (default: the full truncated range 2 N_h). Omega,
+    H_M, d and the window are read off ``selection.operator``.
 
     The oracle is the matter double commutator averaged over the reference
     mode's harmonic content, sum_m <c_m|[d,[H_M,d]]|c_m> - identical to the
@@ -467,15 +422,35 @@ def sumrule_ffbz(
     beyond H_M commutes with d. The residual against it gauges zone coverage
     and window truncation, not implementation error.
 
-    An incomplete representative set or an edge-heavy reference is reported
-    in ``truncation_flags``; only an empty set or invalid reference raises.
+    ``truncation_flags`` are the selection's warnings, plus a flag when the
+    reference carries more than ``selection.edge_tol`` edge weight; only an
+    empty selection or an invalid reference or ``n_max`` raises.
     """
-    n_max = _check_ffbz_inputs(representatives, d, omega, reference, n_max)
+    representatives = selection.representatives
+    operator = selection.operator
+    if not representatives:
+        raise ZoneError("no first-zone representatives supplied")
+    if not 0 <= reference < len(representatives):
+        raise InputError(
+            f"reference index {reference} outside the {len(representatives)} "
+            f"supplied representatives"
+        )
+    limit = operator.labels.size - 1  # 2 N_h
+    if n_max is None:
+        n_max = limit
+    elif not 0 <= n_max <= limit:
+        raise InputError(
+            f"n_max={n_max} outside the truncated sideband range [0, {limit}]"
+        )
     ref_mode = representatives[reference]
-    contributions = _ffbz_ledger(representatives, d, omega, reference, n_max)
+    d = operator.dipole
+    contributions = _ffbz_ledger(
+        representatives, d, operator.frequency, reference, n_max
+    )
     value = math.fsum(contributions.weight.tolist())
 
-    commutator = _matter_double_commutator(h_matter, d)
+    hd = operator.matter @ d
+    commutator = 2.0 * (d @ hd) - d @ (d @ operator.matter) - hd @ d  # [d, [H_M, d]]
     oracle = float(
         np.real(
             np.einsum(
@@ -486,18 +461,13 @@ def sumrule_ffbz(
             )
         )
     )
-    flags = list(extra_flags)
-    if len(representatives) != d.dim:
-        flags.append(
-            f"representative count {len(representatives)} != matter dimension "
-            f"{d.dim}; sum runs over the supplied modes only"
-        )
-    if ref_mode.edge_weight > edge_tol:
-        flags.append(
+    flags = selection.warnings
+    if ref_mode.edge_weight > selection.edge_tol:
+        flags += (
             f"reference mode carries edge weight {ref_mode.edge_weight:.3e} "
-            f"> {edge_tol:g}; enlarge the harmonic window"
+            f"> {selection.edge_tol:g}; enlarge the harmonic window",
         )
-    target = float(_infer_electrons(d, n_electrons))
+    target = float(n_electrons)
     return SumRuleReport(
         kind="ffbz",
         value=value,
@@ -506,50 +476,32 @@ def sumrule_ffbz(
         oracle_value=oracle,
         oracle_residual=value - oracle,
         contributions=contributions,
-        truncation_flags=tuple(flags),
+        truncation_flags=flags,
         reference=reference,
-        omega=omega,
-    )
-
-
-def _matter_double_commutator(h: MatterOperator, d: MatterOperator) -> np.ndarray:
-    """[d, [H, d]] as a dense matter-space matrix."""
-    if h.dim != d.dim:
-        raise InputError(f"Hamiltonian dim {h.dim} != dipole dim {d.dim}")
-    hd = h.matrix @ d.matrix
-    return 2.0 * (d.matrix @ hd) - d.matrix @ (d.matrix @ h.matrix) - hd @ d.matrix
-
-
-def spectral_density(
-    representatives: tuple[FloquetMode, ...],
-    d: MatterOperator,
-    omega: float,
-    reference: int,
-    n_max: int | None = None,
-) -> SpectralDensity:
-    """Sideband-resolved stick spectrum from one reference mode.
-
-    One stick per (lambda, n) with nonzero weight, at frequency
-    eps_lambda - eps_ref + n*Omega with weight |d^(n)|^2. The stick set is
-    the zone-resolved sum-rule ledger re-expressed on the frequency axis,
-    built from the identical float products, so the first-moment identity
-    holds to the last bit.
-    """
-    n_max = _check_ffbz_inputs(representatives, d, omega, reference, n_max)
-    return _density(
-        _ffbz_ledger(representatives, d, omega, reference, n_max), omega, reference
+        omega=operator.frequency,
     )
 
 
 def density_from_ledger(report: SumRuleReport) -> SpectralDensity:
-    """The stick spectrum of a zone-resolved report, read off its ledger.
+    """The sideband-resolved stick spectrum of a zone-resolved report.
 
-    Equal to :func:`spectral_density` with the report's own inputs, without
-    evaluating the dipole harmonics a second time.
+    One stick per nonzero ledger row (lambda, n), at frequency
+    eps_lambda - eps_ref + n*Omega with weight |d^(n)|^2, read off the
+    report's ledger. Each line is recomputed with the ledger's own float
+    operations, so the first-moment identity holds to the last bit.
     """
     if report.kind != "ffbz":
         raise InputError(f"a stick spectrum needs an ffbz report, got {report.kind!r}")
-    return _density(report.contributions, report.omega, report.reference)
+    ledger = report.contributions
+    keep = ledger.abs2 != 0.0
+    n = ledger.n[keep]
+    return SpectralDensity(
+        omega=ledger.quasienergy_diff[keep] + n * report.omega,
+        weight=ledger.abs2[keep],
+        lam=ledger.lam[keep],
+        n=n,
+        reference=report.reference,
+    )
 
 
 def first_moment(density: SpectralDensity) -> float:

@@ -24,16 +24,16 @@ from floqtrk import (
     build_dipole,
     build_grid_hamiltonian,
     build_two_electron_hamiltonian,
+    density_from_ledger,
     diagonalize_hermitian,
     dipole_fourier_components,
     first_moment,
     fold_and_select_ffbz,
     fold_label,
-    joint_operators,
+    joint_operator,
     photon_cutoff_convergence,
     sambe_operator,
     select_reference,
-    spectral_density,
     static_trk,
     sumrule_ffbz,
     sumrule_qed,
@@ -61,22 +61,17 @@ def driven_run(h, d, drive, cutoff):
     floquet = sambe_operator(h, d, drive, cutoff)
     system = diagonalize_hermitian(floquet)
     sambe = sumrule_sambe(
-        floquet, system, d, select_reference_sambe(system, floquet, ground)
+        floquet, system, select_reference_sambe(system, floquet, ground), n_electrons=1
     )
     selection = fold_and_select_ffbz(system, floquet)
     reference = select_reference(selection.representatives, ground)
-    ffbz = sumrule_ffbz(
-        selection.representatives, d, drive.omega, reference, h_matter=h
-    )
-    density = spectral_density(
-        selection.representatives, d, drive.omega, reference
-    )
+    ffbz = sumrule_ffbz(selection, reference, n_electrons=1)
     return SimpleNamespace(
         floquet=floquet,
         selection=selection,
         sambe=sambe,
         ffbz=ffbz,
-        density=density,
+        density=density_from_ledger(ffbz),
     )
 
 
@@ -211,27 +206,28 @@ def test_criterion_8_quantum_light_closure():
     model = FewLevelModel((0.0, 1.0), SX)
     h, d = model.hamiltonian(), model.dipole_operator()
     fock = FockSpec(n_max=20, omega_c=0.9, g=0.3)
-    h_joint, d_joint = joint_operators(h, d, fock)
+    h_joint = joint_operator(h, d, fock)
     system = diagonalize_hermitian(h_joint)
     ground = diagonalize_hermitian(h.matrix).vectors[:, 0]
     reference = select_reference_joint(system, ground, fock.dim)
-    rabi = sumrule_qed(system, d_joint, reference, h_joint=h_joint)
+    rabi = sumrule_qed(h_joint, system, reference, n_electrons=1)
 
     grid = GridBasis(n_points=201, x_min=-10.0, x_max=10.0)
     hg = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
     dg = build_dipole(grid)
     fock_g = FockSpec(n_max=12, omega_c=1.2, g=0.05)
-    hg_joint, dg_joint = joint_operators(hg, dg, fock_g)
+    hg_joint = joint_operator(hg, dg, fock_g)
     grid_system = diagonalize_hermitian(hg_joint)
     grid_ground = diagonalize_hermitian(hg.matrix).vectors[:, 0]
     grid_ref = select_reference_joint(grid_system, grid_ground, fock_g.dim)
-    grid_report = sumrule_qed(grid_system, dg_joint, grid_ref, h_joint=hg_joint)
+    grid_report = sumrule_qed(hg_joint, grid_system, grid_ref, n_electrons=1)
 
     family = FewLevelModel((0.0, 0.5), np.array([[2.0, 1.0], [1.0, -2.0]]))
     rows = photon_cutoff_convergence(
         family.hamiltonian(),
         family.dipole_operator(),
         [FockSpec(n_max=n, omega_c=0.02, g=0.01) for n in (4, 8, 16, 32)],
+        n_electrons=1,
     )
     deltas = [abs(row.delta) for row in rows[1:]]
     ok = (
@@ -290,15 +286,15 @@ def test_criterion_9_property_sweeps():
     for _ in range(100):
         bra = random_mode(rng, cutoff=2, dim=3)
         ket = random_mode(rng, cutoff=2, dim=3)
-        forward = dipole_fourier_components(bra, ket, d3)
+        forward = dipole_fourier_components(bra, ket, d3.matrix)
         direct = complex(np.vdot(bra.vector(), lifted @ ket.vector()))
-        total = sum(forward.entries.values())
+        total = sum(forward.values())
         completeness_worst = max(completeness_worst, abs(total - direct))
-        backward = dipole_fourier_components(ket, bra, d3)
+        backward = dipole_fourier_components(ket, bra, d3.matrix)
         conjugation_worst = max(
             conjugation_worst,
             max(
-                abs(forward.entries[n] - np.conj(backward.entries[-n]))
+                abs(forward[n] - np.conj(backward[-n]))
                 for n in range(-4, 5)
             ),
         )

@@ -25,7 +25,7 @@ from floqtrk import (
     cli,
     first_moment,
     floquet,
-    joint_operators,
+    joint_operator,
     qed,
     sumrule,
     sumrule_qed,
@@ -738,6 +738,37 @@ def test_symmetric_grid_jobs_allocate_less_than_one_full_matrix(tmp_path, text, 
     assert peak < dim * dim * np.dtype(np.float64).itemsize
 
 
+EDGE_HEAVY_JOBS = {
+    # only m = 0 in the window: one of two levels is in the zone, and the
+    # reference is all edge
+    "floquet": "job: floquet\n"
+    + TWO_LEVEL_MODEL
+    + "drive: {omega: 0.5, components: [{harmonic: 1, amplitude: 0.0}]}\n"
+    + "sambe: {harmonic_cutoff: 0}\n",
+    # a complete zone whose reference keeps 1e-3 edge weight at cutoff 2
+    "converge": "job: converge\n"
+    + TWO_LEVEL_MODEL
+    + "converge: {axis: harmonic_cutoff, values: [1, 2]}\n"
+    + "drive: {omega: 0.9, components: [{harmonic: 1, amplitude: 0.2}]}\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(EDGE_HEAVY_JOBS))
+def test_first_zone_flags_are_warned_once(tmp_path, capsys, command):
+    """A floquet or harmonic-cutoff converge job warns with its primary
+    first-zone report's flags: each once, the edge-heavy reference
+    included, on stderr and in ``warnings``."""
+    path = config_file(tmp_path, EDGE_HEAVY_JOBS[command])
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    flags = report["reports"]["ffbz"]["truncation_flags"]
+    assert report["warnings"] == flags
+    assert len([flag for flag in flags if "representative count" in flag]) <= 1
+    assert flags[-1].startswith("reference mode carries edge weight")
+    assert capsys.readouterr().err.splitlines() == [f"warning: {flag}" for flag in flags]
+
+
 def test_converge_final_report_is_the_last_row(tmp_path):
     """The qed report of a photon-cutoff scan is the last member's report,
     equal to a fresh build and solve of that member."""
@@ -748,9 +779,9 @@ def test_converge_final_report_is_the_last_row(tmp_path):
     assert final["oracle_residual"] == payload["convergence"][-1]["oracle_residual"]
     h, d, _ = config.matter()
     fock = FockSpec(n_max=10, omega_c=0.9, g=0.3)
-    h_joint, d_joint = joint_operators(h, d, fock)
+    h_joint = joint_operator(h, d, fock)
     fresh = sumrule_qed(
-        floquet.diagonalize_hermitian(h_joint), d_joint, 0, h_joint=h_joint
+        h_joint, floquet.diagonalize_hermitian(h_joint), 0, n_electrons=1
     )
     assert final == cli._sumrule_payload(fresh)
 

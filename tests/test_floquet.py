@@ -27,7 +27,7 @@ from floqtrk import (
     diagonalize_hermitian,
     fold_and_select_ffbz,
     fold_label,
-    joint_operators,
+    joint_operator,
     sambe_operator,
 )
 
@@ -328,8 +328,9 @@ def test_edge_flagging_is_reported():
     floquet = sambe_operator(h, d, drive, 6)
     system = diagonalize_hermitian(floquet)
     selection = fold_and_select_ffbz(system, floquet, edge_tol=0.0)
-    assert selection.edge_flagged == tuple(range(len(selection.representatives)))
-    assert any("edge weight" in w for w in selection.warnings)
+    indices = list(range(len(selection.representatives)))
+    assert f"exceed edge weight 0: indices {indices}" in selection.warnings[-1]
+    assert selection.edge_tol == 0.0 and selection.operator is floquet
 
 
 def driven_ground_mode(omega=2.5, amplitude=0.1, cutoff=6):
@@ -627,9 +628,10 @@ def matvec_operators(x_max):
     h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
     d = build_dipole(grid)
     reflection = basis_reversal(21)
-    h_joint, d_joint = joint_operators(h, d, FockSpec(n_max=4, omega_c=0.9, g=0.2), reflection)
+    h_joint = joint_operator(h, d, FockSpec(n_max=4, omega_c=0.9, g=0.2), reflection)
     sambe = sambe_operator(h, d, REAL_DRIVE, 3, reflection)
     d_sambe = ProductOperator(matter=d.matrix, labels=sambe.labels)
+    d_joint = ProductOperator(matter=d.matrix, labels=h_joint.labels)
     return {
         "sambe_real": sambe,
         "sambe_complex": sambe_operator(h, d, COMPLEX_DRIVE, 3, reflection),

@@ -1,6 +1,8 @@
 """The package's public namespace and what importing it loads."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +38,43 @@ def test_package_loads_no_scipy():
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def _identifiers(path):
+    """Every name a module reads, imports or looks up as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_name_has_a_caller_or_a_documented_use():
+    """Each name in floqtrk.__all__ is used by a package module other than
+    ``__init__`` and the one defining it, or is named in README."""
+    package = SRC / "floqtrk"
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    home = {
+        alias.name: node.module
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = {
+        path.stem: _identifiers(path)
+        for path in package.glob("*.py")
+        if path.name != "__init__.py"
+    }
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    orphans = [
+        name
+        for name in floqtrk.__all__
+        if not any(name in names for module, names in used.items() if module != home[name])
+        and not re.search(rf"\b{re.escape(name)}\b", readme)
+    ]
+    assert orphans == []

@@ -18,8 +18,8 @@ from floqtrk import (
     build_dipole,
     build_grid_hamiltonian,
     diagonalize_hermitian,
+    ProductOperator,
     joint_operator,
-    joint_operators,
     photon_cutoff_convergence,
     static_trk,
     sumrule_qed,
@@ -32,9 +32,9 @@ TWO_D = MatterOperator(SX, basis_tag="levels:2")
 
 def qed_report(h, d, fock, reference=0):
     """Diagonalize the joint Hamiltonian and evaluate its sum rule."""
-    h_joint, d_joint = joint_operators(h, d, fock)
+    h_joint = joint_operator(h, d, fock)
     system = diagonalize_hermitian(h_joint)
-    report = sumrule_qed(system, d_joint, reference, h_joint=h_joint)
+    report = sumrule_qed(h_joint, system, reference, n_electrons=1)
     return report, system, h_joint
 
 
@@ -64,11 +64,10 @@ def test_fock_operator_entries():
 def test_joint_dimension_and_hermiticity():
     """Two matter levels and four photon levels give an 8x8 Hermitian matrix."""
     fock = FockSpec(n_max=3, omega_c=1.0, g=0.1)
-    h_joint, d_joint = joint_operators(TWO_H, TWO_D, fock)
+    h_joint = joint_operator(TWO_H, TWO_D, fock)
     full = h_joint.toarray()
     assert h_joint.shape == full.shape == (8, 8)
     assert np.max(np.abs(full - full.conj().T)) <= 1e-12
-    assert d_joint.shape == d_joint.toarray().shape == (8, 8)
 
 
 def test_joint_spectrum_separates_without_coupling():
@@ -96,8 +95,8 @@ def test_joint_dimension_mismatch():
 def test_dipole_commutes_with_field_terms():
     """d (x) I commutes with every photon-only and coupling term."""
     fock = FockSpec(n_max=4, omega_c=0.9, g=0.3)
-    h_joint, d_joint = joint_operators(TWO_H, TWO_D, fock)
-    dj = d_joint.toarray()
+    h_joint = joint_operator(TWO_H, TWO_D, fock)
+    dj = oracles.kron_joint_dipole(TWO_D.matrix, fock.n_max)
     field_part = h_joint.toarray() - np.kron(np.eye(5), TWO_H.matrix)
     comm = dj @ field_part - field_part @ dj
     assert np.max(np.abs(comm)) <= 1e-12
@@ -145,27 +144,26 @@ def test_two_level_sum_is_not_saturated():
 def test_closure_identity_every_joint_reference():
     """The sum matches the double commutator from every joint eigenstate."""
     fock = FockSpec(n_max=5, omega_c=0.9, g=0.2)
-    h_joint, dj = joint_operators(TWO_H, TWO_D, fock)
+    h_joint = joint_operator(TWO_H, TWO_D, fock)
     system = diagonalize_hermitian(h_joint)
+    dj = oracles.kron_joint_dipole(TWO_D.matrix, fock.n_max)
     for reference in range(12):
-        report = sumrule_qed(system, dj, reference, h_joint=h_joint)
+        report = sumrule_qed(h_joint, system, reference, n_electrons=1)
         assert abs(report.oracle_residual) <= 1e-10 * max(1.0, abs(report.value))
         direct = oracles.double_commutator_value(
-            h_joint.toarray(), dj.toarray(), system.vectors[:, reference]
+            h_joint.toarray(), dj, system.vectors[:, reference]
         )
         assert abs(report.value - direct) <= 1e-10 * max(1.0, abs(report.value))
 
 
 def test_qed_sum_input_checks():
-    """Incomplete spectra and mismatched dipole shapes are rejected."""
+    """An incomplete spectrum is rejected."""
     fock = FockSpec(n_max=3, omega_c=0.9, g=0.1)
-    h_joint, dj = joint_operators(TWO_H, TWO_D, fock)
+    h_joint = joint_operator(TWO_H, TWO_D, fock)
     system = diagonalize_hermitian(h_joint)
     truncated = EigenSystem(system.values[:4], system.vectors[:, :4])
-    with pytest.raises(InputError):
-        sumrule_qed(truncated, dj, 0, h_joint=h_joint)
-    with pytest.raises(InputError):
-        sumrule_qed(system, np.zeros((6, 6)), 0, h_joint=h_joint)
+    with pytest.raises(InputError, match="complete qed dimension 8"):
+        sumrule_qed(h_joint, truncated, 0, n_electrons=1)
 
 
 def test_spectrum_is_bounded_below():
@@ -181,27 +179,29 @@ def test_cutoff_family_validation():
     """Short, non-increasing, or inconsistent families are rejected."""
     f = lambda n: FockSpec(n_max=n, omega_c=0.9, g=0.1)
     with pytest.raises(InputError):
-        photon_cutoff_convergence(TWO_H, TWO_D, [f(2), f(4)])
+        photon_cutoff_convergence(TWO_H, TWO_D, [f(2), f(4)], n_electrons=1)
     with pytest.raises(InputError):
-        photon_cutoff_convergence(TWO_H, TWO_D, [f(4), f(4), f(8)])
+        photon_cutoff_convergence(TWO_H, TWO_D, [f(4), f(4), f(8)], n_electrons=1)
     with pytest.raises(InputError):
         photon_cutoff_convergence(
             TWO_H,
             TWO_D,
             [f(2), f(4), FockSpec(n_max=8, omega_c=0.8, g=0.1)],
+            n_electrons=1,
         )
     with pytest.raises(InputError):
         photon_cutoff_convergence(
             TWO_H,
             TWO_D,
             [f(2), f(4), FockSpec(n_max=8, omega_c=0.9, g=0.2)],
+            n_electrons=1,
         )
 
 
 def test_cutoff_family_uncoupled_is_flat():
     """At g = 0 every enlargement changes nothing."""
     family = [FockSpec(n_max=n, omega_c=0.7, g=0.0) for n in (2, 4, 6)]
-    rows = photon_cutoff_convergence(TWO_H, TWO_D, family)
+    rows = photon_cutoff_convergence(TWO_H, TWO_D, family, n_electrons=1)
     assert rows[0].delta is None
     for row in rows[1:]:
         assert abs(row.delta) <= 1e-12
@@ -215,7 +215,7 @@ def test_cutoff_family_deltas_shrink():
     h = MatterOperator(np.diag([0.0, 0.5]), basis_tag="levels:2")
     d = MatterOperator(np.array([[2.0, 1.0], [1.0, -2.0]]), basis_tag="levels:2")
     family = [FockSpec(n_max=n, omega_c=0.02, g=0.01) for n in (4, 8, 16, 32)]
-    rows = photon_cutoff_convergence(h, d, family)
+    rows = photon_cutoff_convergence(h, d, family, n_electrons=1)
     deltas = [abs(row.delta) for row in rows[1:]]
     assert deltas[0] > deltas[1] > deltas[2]
     assert deltas[2] < 1e-8
@@ -226,10 +226,16 @@ def test_cutoff_convergence_depends_on_coupling():
     one under the same policy."""
     cutoffs = (4, 8, 16, 24)
     weak = photon_cutoff_convergence(
-        TWO_H, TWO_D, [FockSpec(n_max=n, omega_c=0.9, g=0.01) for n in cutoffs]
+        TWO_H,
+        TWO_D,
+        [FockSpec(n_max=n, omega_c=0.9, g=0.01) for n in cutoffs],
+        n_electrons=1,
     )
     strong = photon_cutoff_convergence(
-        TWO_H, TWO_D, [FockSpec(n_max=n, omega_c=0.9, g=0.45) for n in cutoffs]
+        TWO_H,
+        TWO_D,
+        [FockSpec(n_max=n, omega_c=0.9, g=0.45) for n in cutoffs],
+        n_electrons=1,
     )
     first_weak = next(row.n_max for row in weak if row.converged)
     first_strong = next(row.n_max for row in strong if row.converged)
@@ -244,7 +250,7 @@ def test_edge_population_is_the_top_two_fock_levels():
     highest photon levels, read off a reshape of its eigenvector."""
     family = [FockSpec(n_max=n, omega_c=0.9, g=0.3) for n in (2, 4, 6)]
     for reference in (0, 1):
-        rows = photon_cutoff_convergence(TWO_H, TWO_D, family, reference)
+        rows = photon_cutoff_convergence(TWO_H, TWO_D, family, reference, n_electrons=1)
         for row, fock in zip(rows, family):
             _, system, _ = qed_report(TWO_H, TWO_D, fock)
             state = system.vectors[:, reference].reshape(fock.dim, TWO_H.dim)
@@ -255,9 +261,9 @@ def test_edge_population_is_the_top_two_fock_levels():
 
 @pytest.mark.parametrize("g", [0.3, -0.07, 0.0, 0.123456789])
 def test_joint_operators_bit_equal_to_kron_reference(g):
-    """The joint operators written out in full reproduce the Kronecker build
-    bit for bit, signed zeros included, on matrices with negative and zero
-    entries."""
+    """The joint operator and its dipole lifted to I (x) d, written out in
+    full, reproduce the Kronecker build bit for bit, signed zeros included,
+    on matrices with negative and zero entries."""
     rng = np.random.default_rng(7)
     a = rng.standard_normal((5, 5))
     a[rng.random((5, 5)) < 0.3] = 0.0
@@ -270,12 +276,12 @@ def test_joint_operators_bit_equal_to_kron_reference(g):
     d = MatterOperator(d_mat, basis_tag="levels:5")
     for n_max in (0, 1, 6):
         fock = FockSpec(n_max=n_max, omega_c=0.9, g=g)
-        h_joint, d_joint = joint_operators(h, d, fock)
+        h_joint = joint_operator(h, d, fock)
         joint = h_joint.toarray()
         reference = oracles.kron_joint_hamiltonian(h_mat, d_mat, n_max, 0.9, g)
         assert joint.dtype == reference.dtype and joint.shape == reference.shape
         assert joint.tobytes() == reference.tobytes()
-        lifted = d_joint.toarray()
+        lifted = ProductOperator(matter=h_joint.dipole, labels=h_joint.labels).toarray()
         reference_d = oracles.kron_joint_dipole(d_mat, n_max)
         assert lifted.dtype == reference_d.dtype and lifted.shape == reference_d.shape
         assert lifted.tobytes() == reference_d.tobytes()
@@ -285,7 +291,7 @@ def test_cutoff_rows_keep_their_reports():
     """Each convergence row carries its member's full report, whose numbers
     are the row's own."""
     family = [FockSpec(n_max=n, omega_c=0.9, g=0.3) for n in (2, 4, 6)]
-    rows = photon_cutoff_convergence(TWO_H, TWO_D, family)
+    rows = photon_cutoff_convergence(TWO_H, TWO_D, family, n_electrons=1)
     for row, fock in zip(rows, family):
         assert row.report.kind == "qed"
         assert row.report.value == row.value
@@ -348,9 +354,11 @@ def test_cutoff_family_lifts_the_matter_reflection(monkeypatch):
     h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
     d = build_dipole(grid)
     family = [FockSpec(n_max=n, omega_c=0.9, g=0.2) for n in (2, 3, 4)]
-    dense = photon_cutoff_convergence(h, d, family)
+    dense = photon_cutoff_convergence(h, d, family, n_electrons=1)
     solved = record_lapack_solves(monkeypatch)
-    rows = photon_cutoff_convergence(h, d, family, reflection=basis_reversal(11))
+    rows = photon_cutoff_convergence(
+        h, d, family, n_electrons=1, reflection=basis_reversal(11)
+    )
     assert solved == [17, 16, 22, 22, 28, 27]
     for row, reference in zip(rows, dense):
         assert abs(row.value - reference.value) <= 1e-12 * abs(reference.value)

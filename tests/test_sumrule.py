@@ -11,6 +11,7 @@ from helpers import select_reference_sambe, shift_replica
 from floqtrk import (
     DriveComponent,
     DriveSpec,
+    FfbzSelection,
     FloquetMode,
     FockSpec,
     GridBasis,
@@ -30,10 +31,9 @@ from floqtrk import (
     dipole_fourier_components,
     first_moment,
     fold_and_select_ffbz,
-    joint_operators,
+    joint_operator,
     sambe_operator,
     select_reference,
-    spectral_density,
     static_trk,
     sumrule_ffbz,
     sumrule_qed,
@@ -86,6 +86,20 @@ def random_mode(rng, cutoff, dim, omega=1.0):
         blocks=raw,
         omega=omega,
         edge_weight=edge,
+    )
+
+
+def fabricated_zone(modes, omega=0.7, cutoff=2):
+    """A selection of fabricated three-level ``modes`` on the window of the
+    undriven Sambe operator of THREE_H and THREE_D at ``omega``."""
+    operator = sambe_operator(THREE_H, THREE_D, DriveSpec(omega=omega), cutoff)
+    return FfbzSelection(
+        representatives=tuple(modes),
+        labels=(),
+        warnings=(),
+        source_indices=tuple(range(len(modes))),
+        operator=operator,
+        edge_tol=1e-6,
     )
 
 
@@ -191,9 +205,9 @@ def test_dipole_fourier_zero_drive_is_bare():
     assert len(modes) == 3
     for a in range(3):
         for b in range(3):
-            fset = dipole_fourier_components(modes[a], modes[b], THREE_D)
-            assert abs(fset.entries[0] - THREE_D.matrix[a, b]) < 1e-12
-            for n, amp in fset.entries.items():
+            fset = dipole_fourier_components(modes[a], modes[b], THREE_D.matrix)
+            assert abs(fset[0] - THREE_D.matrix[a, b]) < 1e-12
+            for n, amp in fset.items():
                 if n != 0:
                     assert abs(amp) <= 1e-14
 
@@ -207,11 +221,11 @@ def test_dipole_fourier_completeness():
     for _ in range(20):
         bra = random_mode(rng, 2, 3)
         ket = random_mode(rng, 2, 3)
-        fset = dipole_fourier_components(bra, ket, d)
+        fset = dipole_fourier_components(bra, ket, d.matrix)
         whole = np.vdot(bra.blocks.sum(axis=0), d.matrix @ ket.blocks.sum(axis=0))
-        assert abs(sum(fset.entries.values()) - whole) <= 1e-12
+        assert abs(sum(fset.values()) - whole) <= 1e-12
         direct = np.vdot(bra.vector(), big_d @ ket.vector())
-        assert abs(fset.entries[0] - direct) <= 1e-12
+        assert abs(fset[0] - direct) <= 1e-12
 
 
 def test_dipole_fourier_conjugation():
@@ -221,16 +235,16 @@ def test_dipole_fourier_conjugation():
     for _ in range(20):
         bra = random_mode(rng, 2, 3)
         ket = random_mode(rng, 2, 3)
-        forward = dipole_fourier_components(bra, ket, d)
-        backward = dipole_fourier_components(ket, bra, d)
+        forward = dipole_fourier_components(bra, ket, d.matrix)
+        backward = dipole_fourier_components(ket, bra, d.matrix)
         for n in range(-4, 5):
-            assert abs(forward.entries[n] - np.conj(backward.entries[-n])) <= 1e-13
+            assert abs(forward[n] - np.conj(backward[-n])) <= 1e-13
 
 
 def test_dipole_fourier_input_checks():
     """Mismatched dimensions, windows, or frequencies are rejected."""
     rng = np.random.default_rng(4)
-    d3 = MatterOperator(oracles.random_hermitian(rng, 3), basis_tag="t")
+    d3 = oracles.random_hermitian(rng, 3)
     a = random_mode(rng, 2, 3)
     with pytest.raises(InputError):
         dipole_fourier_components(a, random_mode(rng, 2, 4), d3)
@@ -259,10 +273,10 @@ def test_first_order_elastic_sideband():
     h, d, _, _, selection = driven_two_level(0.4, 0.01, 8)
     modes = selection.representatives
     ref = select_reference(modes, np.array([1.0, 0.0]))
-    fset = dipole_fourier_components(modes[ref], modes[ref], d)
+    fset = dipole_fourier_components(modes[ref], modes[ref], d.matrix)
     expected = oracles.two_level_elastic_sideband(1.0, 1.0, 0.01, 0.4)
     for n in (-1, 1):
-        assert abs(fset.entries[n] - expected) <= 5e-2 * abs(expected)
+        assert abs(fset[n] - expected) <= 5e-2 * abs(expected)
 
 
 def m0_mode(m0_block):
@@ -294,29 +308,28 @@ def test_parity_selection_rule():
     assert len(modes) == 2
     g = select_reference(modes, np.array([1.0, 0.0]))
     e = 1 - g
-    inter = dipole_fourier_components(modes[g], modes[e], d)
-    assert abs(inter.entries[1]) <= 1e-14
-    assert abs(inter.entries[-1]) <= 1e-14
-    assert abs(inter.entries[0]) > 0.99
-    intra = dipole_fourier_components(modes[g], modes[g], d)
-    assert abs(intra.entries[0]) <= 1e-14
+    inter = dipole_fourier_components(modes[g], modes[e], d.matrix)
+    assert abs(inter[1]) <= 1e-14
+    assert abs(inter[-1]) <= 1e-14
+    assert abs(inter[0]) > 0.99
+    intra = dipole_fourier_components(modes[g], modes[g], d.matrix)
+    assert abs(intra[0]) <= 1e-14
     expected = oracles.two_level_elastic_sideband(1.0, 1.0, 0.01, 2.5)
-    assert abs(intra.entries[1] - expected) <= 5e-2 * abs(expected)
+    assert abs(intra[1] - expected) <= 5e-2 * abs(expected)
 
 
 def test_sambe_sum_matches_extended_oracle():
     """The extended-space sum matches its double commutator for random
-    coupled blocks, from two different references: the drive couples
-    through a random Hermitian operator other than the summed dipole."""
+    coupled blocks, from two different references: a random complex
+    Hermitian dipole under a phased drive."""
     rng = np.random.default_rng(31)
     h0 = MatterOperator(oracles.random_hermitian(rng, 3), basis_tag="t")
-    coupled = MatterOperator(oracles.random_hermitian(rng, 3), basis_tag="t")
-    drive = DriveSpec(omega=0.9, components=(DriveComponent(1, 1.7, 0.6),))
-    floquet = sambe_operator(h0, coupled, drive, 3)
-    system = diagonalize_hermitian(floquet)
     d = MatterOperator(oracles.random_hermitian(rng, 3), basis_tag="t")
+    drive = DriveSpec(omega=0.9, components=(DriveComponent(1, 1.7, 0.6),))
+    floquet = sambe_operator(h0, d, drive, 3)
+    system = diagonalize_hermitian(floquet)
     for reference in (0, 7):
-        report = sumrule_sambe(floquet, system, d, reference)
+        report = sumrule_sambe(floquet, system, reference, n_electrons=1)
         assert abs(report.oracle_residual) <= 1e-10 * max(1.0, abs(report.value))
         assert report.kind == "sambe"
 
@@ -326,7 +339,7 @@ def test_sambe_sum_zero_drive_equals_static():
     floquet, system, _ = zero_drive_modes()
     reference = select_reference_sambe(system, floquet, np.array([1.0, 0.0, 0.0]))
     assert reference == 6
-    report = sumrule_sambe(floquet, system, THREE_D, reference)
+    report = sumrule_sambe(floquet, system, reference, n_electrons=1)
     static = static_trk(THREE_H, THREE_D)
     assert abs(report.value - static.value) <= 1e-10
 
@@ -338,7 +351,7 @@ def test_sambe_sum_rejects_incomplete_spectrum():
     floquet, system, _ = zero_drive_modes()
     truncated = EigenSystem(system.values[:5], system.vectors[:, :5])
     with pytest.raises(InputError):
-        sumrule_sambe(floquet, truncated, THREE_D, 0)
+        sumrule_sambe(floquet, truncated, 0, n_electrons=1)
 
 
 def test_ffbz_zero_drive_equals_static():
@@ -347,7 +360,7 @@ def test_ffbz_zero_drive_equals_static():
     _, _, selection = zero_drive_modes()
     modes = selection.representatives
     reference = select_reference(modes, np.array([1.0, 0.0, 0.0]))
-    report = sumrule_ffbz(modes, THREE_D, 5.0, reference, h_matter=THREE_H)
+    report = sumrule_ffbz(selection, reference, n_electrons=1)
     static = static_trk(THREE_H, THREE_D)
     assert abs(report.value - static.value) <= 1e-10
     ledger = report.contributions
@@ -356,12 +369,30 @@ def test_ffbz_zero_drive_equals_static():
     assert report.value == math.fsum(ledger.weight.tolist())
 
 
+def test_extended_sums_take_an_explicit_electron_count():
+    """The Sambe, first-zone and joint sums have no default electron count:
+    their operators carry no basis tag to infer one from, so the caller's
+    count is the target."""
+    floquet, system, selection = zero_drive_modes()
+    h_joint = joint_operator(THREE_H, THREE_D, FockSpec(n_max=2, omega_c=0.9, g=0.1))
+    joint = diagonalize_hermitian(h_joint)
+    with pytest.raises(TypeError, match="n_electrons"):
+        sumrule_sambe(floquet, system, 0)
+    with pytest.raises(TypeError, match="n_electrons"):
+        sumrule_ffbz(selection, 0)
+    with pytest.raises(TypeError, match="n_electrons"):
+        sumrule_qed(h_joint, joint, 0)
+    assert sumrule_sambe(floquet, system, 0, n_electrons=2).target == 2.0
+    assert sumrule_ffbz(selection, 0, n_electrons=2).target == 2.0
+    assert sumrule_qed(h_joint, joint, 0, n_electrons=2).target == 2.0
+
+
 def test_ffbz_high_frequency_sidebands_are_negligible():
     """Far off-resonant weak drive leaves almost no sideband weight."""
     h, d, _, _, selection = driven_two_level(10.0, 1e-3, 3)
     modes = selection.representatives
     reference = select_reference(modes, np.array([1.0, 0.0]))
-    report = sumrule_ffbz(modes, d, 10.0, reference, h_matter=h)
+    report = sumrule_ffbz(selection, reference, n_electrons=1)
     weights = np.abs(report.contributions.weight)
     total = math.fsum(weights.tolist())
     off = math.fsum(weights[report.contributions.n != 0].tolist())
@@ -371,9 +402,7 @@ def test_ffbz_high_frequency_sidebands_are_negligible():
 def test_ffbz_empty_representatives():
     """An empty zone is a zone error, not a silent zero."""
     with pytest.raises(ZoneError):
-        sumrule_ffbz((), THREE_D, 1.0, 0, h_matter=THREE_H)
-    with pytest.raises(ZoneError):
-        spectral_density((), THREE_D, 1.0, 0)
+        sumrule_ffbz(fabricated_zone(()), 0, n_electrons=1)
     with pytest.raises(ZoneError):
         select_reference((), np.array([1.0, 0.0, 0.0]))
 
@@ -381,23 +410,30 @@ def test_ffbz_empty_representatives():
 def test_ffbz_input_validation():
     """Bad reference indices and sideband windows are rejected."""
     _, _, selection = zero_drive_modes()
-    modes = selection.representatives
     with pytest.raises(InputError):
-        sumrule_ffbz(modes, THREE_D, 5.0, 3, h_matter=THREE_H)
+        sumrule_ffbz(selection, 3, n_electrons=1)
     with pytest.raises(InputError):
-        sumrule_ffbz(modes, THREE_D, 5.0, 0, n_max=5, h_matter=THREE_H)
+        sumrule_ffbz(selection, 0, n_max=5, n_electrons=1)
     with pytest.raises(InputError):
-        sumrule_ffbz(modes, THREE_D, 5.0, 0, n_max=-1, h_matter=THREE_H)
-    with pytest.raises(InputError):
-        sumrule_ffbz(modes, THREE_D, 0.0, 0, h_matter=THREE_H)
+        sumrule_ffbz(selection, 0, n_max=-1, n_electrons=1)
 
 
 def test_ffbz_incomplete_set_is_flagged():
-    """Dropping a representative flags the report instead of raising."""
-    _, _, selection = zero_drive_modes()
-    modes = selection.representatives[:2]
-    report = sumrule_ffbz(modes, THREE_D, 5.0, 0, h_matter=THREE_H)
-    assert any("representative count" in flag for flag in report.truncation_flags)
+    """A cutoff too small to cover the zone flags the report once instead of
+    raising: with only m = 0 and Omega = 1, the level at 1.1 has no in-zone
+    replica, and the edge-heavy reference is flagged too."""
+    floquet = sambe_operator(THREE_H, THREE_D, DriveSpec(omega=1.0), 0)
+    selection = fold_and_select_ffbz(diagonalize_hermitian(floquet), floquet)
+    assert len(selection.representatives) == 2
+    report = sumrule_ffbz(selection, 0, n_electrons=1)
+    flags = report.truncation_flags
+    assert flags[: len(selection.warnings)] == selection.warnings
+    assert [flag for flag in flags if "representative count" in flag] == [
+        "in-zone representative count 2 != matter dimension 3 (zone coverage "
+        "incomplete at harmonic cutoff 0 or zone-edge degeneracy)"
+    ]
+    assert flags[-1].startswith("reference mode carries edge weight 1.000e+00")
+    assert len(set(flags)) == len(flags) == len(selection.warnings) + 1
 
 
 def test_ffbz_reference_replica_invariance():
@@ -406,7 +442,7 @@ def test_ffbz_reference_replica_invariance():
     h, d, _, _, selection = driven_two_level(0.4, 0.05, 8)
     modes = list(selection.representatives)
     reference = select_reference(tuple(modes), np.array([1.0, 0.0]))
-    base = sumrule_ffbz(tuple(modes), d, 0.4, reference, h_matter=h)
+    base = sumrule_ffbz(selection, reference, n_electrons=1)
     base_abs2 = {
         (lam, n): abs2
         for lam, n, _, abs2, _ in base.contributions.rows()
@@ -415,7 +451,8 @@ def test_ffbz_reference_replica_invariance():
     for shift in (1, 2, -1):
         shifted = list(modes)
         shifted[reference], _ = shift_replica(modes[reference], shift)
-        report = sumrule_ffbz(tuple(shifted), d, 0.4, reference, h_matter=h)
+        replica = dataclasses.replace(selection, representatives=tuple(shifted))
+        report = sumrule_ffbz(replica, reference, n_electrons=1)
         assert abs(report.value - base.value) <= 1e-10 * max(1.0, abs(base.value))
         for lam, n, _, abs2, _ in report.contributions.rows():
             if lam == reference:
@@ -430,7 +467,7 @@ def test_spectral_density_zero_drive_sticks():
     _, _, selection = zero_drive_modes()
     modes = selection.representatives
     reference = select_reference(modes, np.array([1.0, 0.0, 0.0]))
-    density = spectral_density(modes, THREE_D, 5.0, reference)
+    density = density_from_ledger(sumrule_ffbz(selection, reference, n_electrons=1))
     assert density.reference == reference
     assert len(density) == 3
     for omega, weight, lam, n in density.rows():
@@ -446,7 +483,7 @@ def test_spectral_density_driven_sideband_weight():
     h, d, _, _, selection = driven_two_level(0.4, 0.01, 8)
     modes = selection.representatives
     reference = select_reference(modes, np.array([1.0, 0.0]))
-    density = spectral_density(modes, d, 0.4, reference)
+    density = density_from_ledger(sumrule_ffbz(selection, reference, n_electrons=1))
     omega, weight = next(
         (omega, weight)
         for omega, weight, lam, n in density.rows()
@@ -468,25 +505,31 @@ def test_first_moment_trivial_cases():
 
 
 def test_first_moment_reproduces_ffbz_value():
-    """Stick first moment equals the zone-resolved sum to the last bit."""
+    """The first moment of the plain-loop stick spectrum equals the
+    zone-resolved sum to 1e-12."""
     h, d, _, _, selection = driven_two_level(0.4, 0.05, 8)
     modes = selection.representatives
     reference = select_reference(modes, np.array([1.0, 0.0]))
-    report = sumrule_ffbz(modes, d, 0.4, reference, h_matter=h)
-    density = spectral_density(modes, d, 0.4, reference)
+    report = sumrule_ffbz(selection, reference, n_electrons=1)
+    sticks = oracles.spectral_density(modes, d.matrix, 0.4, reference)
+    density = SpectralDensity(*map(np.array, zip(*sticks)), reference=reference)
     assert abs(first_moment(density) - report.value) <= 1e-12
 
 
 def test_density_from_ledger_is_the_spectral_density():
-    """The stick view of an ffbz report equals the separately evaluated
-    density, and its first moment is the report value bit for bit."""
+    """The stick view of an ffbz report equals the plain-loop stick
+    spectrum bit for bit, and its first moment is the report value bit for
+    bit."""
     h, d, _, _, selection = driven_two_level(0.4, 0.05, 8)
     modes = selection.representatives
     reference = select_reference(modes, np.array([1.0, 0.0]))
     for n_max in (None, 3):
-        report = sumrule_ffbz(modes, d, 0.4, reference, n_max, h_matter=h)
+        report = sumrule_ffbz(selection, reference, n_max, n_electrons=1)
         density = density_from_ledger(report)
-        assert density == spectral_density(modes, d, 0.4, reference, n_max)
+        assert density.reference == reference
+        assert density.rows() == oracles.spectral_density(
+            modes, d.matrix, 0.4, reference, n_max
+        )
         assert first_moment(density) == report.value
     with pytest.raises(InputError, match="ffbz"):
         density_from_ledger(static_trk(h, d))
@@ -498,12 +541,12 @@ def test_ffbz_columns_follow_the_row_formula():
     squared."""
     rng = np.random.default_rng(5)
     modes = tuple(random_mode(rng, 2, 3, omega=0.7) for _ in range(6))
-    report = sumrule_ffbz(modes, THREE_D, 0.7, 2, 3, h_matter=THREE_H)
+    report = sumrule_ffbz(fabricated_zone(modes), 2, 3, n_electrons=1)
     rows = report.contributions.rows()
     assert len(rows) == len(modes) * 7
     for lam, n, diff, abs2, weight in rows:
-        harmonics = dipole_fourier_components(modes[2], modes[lam], THREE_D)
-        assert abs2 == abs(harmonics.entries[n]) ** 2
+        harmonics = dipole_fourier_components(modes[2], modes[lam], THREE_D.matrix)
+        assert abs2 == abs(harmonics[n]) ** 2
         assert diff == modes[lam].quasienergy - modes[2].quasienergy
         assert weight == 2.0 * (diff + n * 0.7) * abs2
     sticks = [[diff + n * 0.7, abs2, lam, n] for lam, n, diff, abs2, _ in rows if abs2]
@@ -579,7 +622,7 @@ def test_aggregation_is_the_row_by_row_merge():
             dataclasses.replace(random_mode(rng, 2, 3, omega), quasienergy=float(q))
             for q in planted_levels(rng, 1e-9 * omega, 14)
         )
-        report = sumrule_ffbz(modes, THREE_D, omega, trial, h_matter=THREE_H)
+        report = sumrule_ffbz(fabricated_zone(modes, omega), trial, n_electrons=1)
         rows = serialized_rows(report, "contributions")
         assert {row[1] for row in rows} == set(range(-4, 5))
         expected = oracles.aggregated_rows(rows, 1e-9 * omega)
@@ -608,15 +651,15 @@ def grid_reports(drive, reflection):
     sambe = sambe_operator(h, d, drive, 3, reflection)
     system = diagonalize_hermitian(sambe)
     selection = fold_and_select_ffbz(system, sambe)
-    h_joint, d_joint = joint_operators(h, d, FockSpec(n_max=4, omega_c=0.9, g=0.2), reflection)
+    h_joint = joint_operator(h, d, FockSpec(n_max=4, omega_c=0.9, g=0.2), reflection)
     split = reflection is not None
     assert sambe.splits == h_joint.splits == split
     assert bool(matter.sectors) == bool(system.sectors) == split
     return {
         "static": static_trk(h, d, 0, system=matter),
-        "sambe": sumrule_sambe(sambe, system, d, selection.source_indices[0]),
-        "ffbz": sumrule_ffbz(selection.representatives, d, drive.omega, 0, h_matter=h),
-        "qed": sumrule_qed(diagonalize_hermitian(h_joint), d_joint, 0, h_joint=h_joint),
+        "sambe": sumrule_sambe(sambe, system, selection.source_indices[0], n_electrons=1),
+        "ffbz": sumrule_ffbz(selection, 0, n_electrons=1),
+        "qed": sumrule_qed(h_joint, diagonalize_hermitian(h_joint), 0, n_electrons=1),
     }
 
 
