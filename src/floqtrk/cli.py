@@ -1079,6 +1079,19 @@ def _run_sweep(config: JobConfig, stage: _Stage, verbose: bool) -> dict:
 # serialization
 
 
+#: Layout of ``report.json``: 2 writes every table once, as columns keyed by
+#: its CSV header.
+_REPORT_FORMAT = 2
+
+#: Every file name ``write_report`` can produce; one of them that a run does
+#: not write is a stale table of an earlier run and is removed.
+_OUTPUT_NAME = re.compile(
+    r"(report|timings)\.json"
+    r"|(ledger|sticks|spectrum|convergence|index)\.csv"
+    r"|(ledger|sticks)_\d{3,}\.csv"
+)
+
+
 def _sumrule_payload(report: SumRuleReport) -> dict:
     return {
         "kind": report.kind,
@@ -1090,13 +1103,11 @@ def _sumrule_payload(report: SumRuleReport) -> dict:
         "reference": report.reference,
         "omega": report.omega,
         "truncation_flags": list(report.truncation_flags),
-        "contributions": report.contributions.rows(),
-        "aggregated_contributions": report.aggregated_contributions().rows(),
+        "contributions": report.contributions.columns(),
     }
 
 
-def report_payload(report: RunReport) -> dict:
-    """The deterministic structured payload (no timings)."""
+def _run_payload(report: RunReport) -> dict:
     payload: dict[str, Any] = {
         "job": report.job_kind,
         "version": report.version,
@@ -1109,12 +1120,12 @@ def report_payload(report: RunReport) -> dict:
     if report.density is not None:
         payload["spectral_density"] = {
             "reference": report.density.reference,
-            "sticks": report.density.rows(),
+            **report.density.columns(),
         }
     if report.spectrum_rows is not None:
         payload["spectrum"] = {
-            "header": list(report.spectrum_header),
-            "rows": [list(row) for row in report.spectrum_rows],
+            name: [row[i] for row in report.spectrum_rows]
+            for i, name in enumerate(report.spectrum_header)
         }
     if report.convergence is not None:
         payload["convergence"] = list(report.convergence)
@@ -1122,11 +1133,40 @@ def report_payload(report: RunReport) -> dict:
         payload["sweep"] = [
             {
                 "parameter_value": point.parameter_value,
-                "report": report_payload(point.report),
+                "report": _run_payload(point.report),
             }
             for point in report.sweep_points
         ]
     return payload
+
+
+def report_payload(report: RunReport) -> dict:
+    """The deterministic structured payload (no timings) that ``report.json``
+    holds: every table once, as columns keyed by its CSV header."""
+    return {"format": _REPORT_FORMAT, **_run_payload(report)}
+
+
+def _environment() -> dict:
+    """What ran the job: interpreter, machine, numpy and its BLAS build, the
+    CPUs this process may use and the floqtrk version."""
+    import platform  # ~2 ms to import, so kept off the start-up path
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 has no dict mode
+        blas = {}
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count()
+    return {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpus": cpus,
+        "floqtrk": __version__,
+    }
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
@@ -1159,21 +1199,28 @@ def write_report(
 ) -> list[Path]:
     """Serialize a run to disk; all content is built before the first write.
 
-    ``report.json`` carries the complete deterministic payload,
-    ``timings.json`` the quarantined wall-clock data plus
+    ``report.json`` carries the complete deterministic payload as compact
+    JSON, ``timings.json`` the quarantined wall-clock data plus
     ``threads_applied``, the BLAS thread cap the run was held to (None: the
-    library default); CSV tables cover the primary ledger, representative
-    spectra, spectral-density sticks, convergence rows, and per-point sweep
-    ledgers with an index.
+    library default), and the ``environment`` that ran it; CSV tables cover
+    the primary ledger, representative spectra, spectral-density sticks,
+    convergence rows, and per-point sweep ledgers with an index. After the
+    writes, any other file of those names in ``directory`` (a table of an
+    earlier run) is removed; every other file stays.
     """
     files: dict[str, str] = {}
     if "json" in formats:
         files["report.json"] = (
-            json.dumps(report_payload(report), sort_keys=True, indent=2) + "\n"
+            json.dumps(report_payload(report), sort_keys=True, separators=(",", ":"))
+            + "\n"
         )
         files["timings.json"] = (
             json.dumps(
-                {"timings": report.timings, "threads_applied": threads_applied},
+                {
+                    "timings": report.timings,
+                    "threads_applied": threads_applied,
+                    "environment": _environment(),
+                },
                 sort_keys=True,
                 indent=2,
             )
@@ -1213,6 +1260,10 @@ def write_report(
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
         written.append(path)
+    for path in target.iterdir():
+        stale = path.name not in files and _OUTPUT_NAME.fullmatch(path.name)
+        if stale and path.is_file():
+            path.unlink()
     return written
 
 

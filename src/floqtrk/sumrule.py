@@ -20,8 +20,8 @@ Ledger exactness: report values are math.fsum over the stored contribution
 weights, and the spectral-density first moment reuses the same per-(lambda,
 n) products, so the self-consistency requirements hold to the last bit
 rather than to a tolerance. A report's ledger is one :class:`Ledger` of
-numpy columns; its written rows, the aggregated view and the stick spectrum
-are all read off those columns.
+numpy columns; its written columns and rows, the aggregated view and the
+stick spectrum are all read off those columns.
 """
 
 from __future__ import annotations
@@ -68,9 +68,15 @@ class _Table:
             for f in fields(self)
         )
 
+    def columns(self) -> dict[str, list]:
+        """Each column's Python numbers, keyed by its ``HEADER`` name: the
+        table as ``report.json`` writes it."""
+        return {name: c.tolist() for name, c in zip(self.HEADER, self._columns())}
+
     def rows(self) -> list[list]:
-        """One list of Python numbers per row, columns in ``HEADER`` order."""
-        return [list(row) for row in zip(*(c.tolist() for c in self._columns()))]
+        """One list of Python numbers per row, columns in ``HEADER`` order:
+        the table as its CSV file writes it."""
+        return [list(row) for row in zip(*self.columns().values())]
 
 
 @dataclass(frozen=True, eq=False)

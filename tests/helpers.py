@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from floqtrk import FloquetMode, InputError, NumericError
+from floqtrk import FloquetMode, InputError, Ledger, NumericError, SpectralDensity
 
 
 def shift_replica(mode, n):
@@ -89,3 +89,29 @@ def assert_same_spectrum(matrix, system, dense):
     v = system.vectors
     assert np.linalg.norm(matrix @ v - v * system.values) <= rounding * scale
     assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= rounding
+
+
+def column_rows(columns, header):
+    """A table written as columns (``report.json``), zipped back into rows
+    in ``header`` order (its CSV file)."""
+    return [list(row) for row in zip(*(columns[name] for name in header))]
+
+
+def _table_from_columns(cls, columns, **extra):
+    return cls(*(np.array(columns[name]) for name in cls.HEADER), **extra)
+
+
+def read_report_tables(payload):
+    """The ledgers and stick spectrum of one run's ``report.json`` payload
+    (or of a sweep point's nested payload), rebuilt as package tables:
+    ``({tag: Ledger}, SpectralDensity or None)``."""
+    ledgers = {
+        tag: _table_from_columns(Ledger, report["contributions"])
+        for tag, report in payload["reports"].items()
+    }
+    sticks = payload.get("spectral_density")
+    if sticks is None:
+        return ledgers, None
+    return ledgers, _table_from_columns(
+        SpectralDensity, sticks, reference=sticks["reference"]
+    )

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import platform
 import sys
 import textwrap
 import tracemalloc
@@ -16,7 +17,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import record_lapack_solves
+from helpers import column_rows, read_report_tables, record_lapack_solves
 from floqtrk import (
     ConfigError,
     EigenSystem,
@@ -477,15 +478,17 @@ def test_csv_tables_are_the_report_rows(tmp_path, kind):
     else:
         views = [(payload, "")]
     for report, suffix in views:
-        ledger = report["reports"][report["primary"]]["contributions"]
+        columns = report["reports"][report["primary"]]["contributions"]
+        ledger = column_rows(columns, sumrule.Ledger.HEADER)
         assert ledger
         assert csv_numbers(out / f"ledger{suffix}.csv") == ledger
         sticks = out / f"sticks{suffix}.csv"
         if kind == "qed":
             assert "spectral_density" not in report and not sticks.exists()
         else:
-            assert report["spectral_density"]["sticks"]
-            assert csv_numbers(sticks) == report["spectral_density"]["sticks"]
+            rows = column_rows(report["spectral_density"], sumrule.SpectralDensity.HEADER)
+            assert rows
+            assert csv_numbers(sticks) == rows
 
 
 def test_convergence_csv_blank_delta(tmp_path):
@@ -784,6 +787,97 @@ def test_converge_final_report_is_the_last_row(tmp_path):
         h_joint, floquet.diagonalize_hermitian(h_joint), 0, n_electrons=1
     )
     assert final == cli._sumrule_payload(fresh)
+
+
+READBACK_JOBS = {
+    "static": "job: static_trk\n" + THREE_LEVEL_MODEL,
+    "floquet": FLOQUET_JOB,
+    "qed": QED_JOB,
+    "converge": FOCK_CONVERGE_JOB,
+    "sweep": SWEEP_JOB,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READBACK_JOBS))
+def test_report_json_reads_back_into_the_ledgers(tmp_path, kind):
+    """report.json holds every ledger and the stick spectrum once, as
+    columns that rebuild the in-memory tables bit for bit; each value is the
+    fsum of its read-back contributions, and the ffbz value the first moment
+    of the read-back sticks."""
+    config = load_config(config_file(tmp_path, READBACK_JOBS[kind]))
+    report = run_job(config)
+    write_report(report, tmp_path / "out", ["json"])
+    payload = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert payload["format"] == 2
+    runs = [(payload, report)]
+    if kind == "sweep":
+        runs = [
+            (entry["report"], point.report)
+            for entry, point in zip(payload["sweep"], report.sweep_points, strict=True)
+        ]
+    for run_payload, run in runs:
+        ledgers, density = read_report_tables(run_payload)
+        assert set(ledgers) == {tag for tag, _ in run.reports}
+        for tag, rule in run.reports:
+            assert "aggregated_contributions" not in run_payload["reports"][tag]
+            ledger = ledgers[tag]
+            assert len(ledger) == len(rule.contributions) > 0
+            for got, want in zip(ledger._columns(), rule.contributions._columns()):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert math.fsum(ledger.weight.tolist()) == rule.value
+        if run.density is None:
+            assert density is None
+            continue
+        assert density.reference == run.density.reference
+        for got, want in zip(density._columns(), run.density._columns()):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert first_moment(density) == dict(run.reports)["ffbz"].value
+
+
+def test_reused_output_directory_keeps_no_stale_tables(tmp_path):
+    """A run into a directory an earlier run wrote removes the tables it did
+    not write itself, and no other file."""
+    out = tmp_path / "out"
+    out.mkdir()
+    foreign = ("notes.txt", "ledger_final.csv", "report.json.bak")
+    for name in foreign:
+        (out / name).write_text("kept\n", encoding="utf-8")
+
+    def run(command, text):
+        path = config_file(tmp_path, text)
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        return sorted(p.name for p in out.iterdir() if p.name not in foreign)
+
+    assert "sticks.csv" in run("floquet", FLOQUET_JOB)
+    static = run("static-trk", "job: static_trk\n" + TWO_LEVEL_MODEL)
+    assert static == ["ledger.csv", "report.json", "timings.json"]
+    assert "ledger_002.csv" in run("sweep", SWEEP_JOB)
+    names = run("sweep", SWEEP_JOB.replace("[0.0, 0.02, 0.05]", "[0.0, 0.02]"))
+    assert names == [
+        "index.csv",
+        "ledger_000.csv",
+        "ledger_001.csv",
+        "report.json",
+        "sticks_000.csv",
+        "sticks_001.csv",
+        "timings.json",
+    ]
+    assert all((out / name).read_text(encoding="utf-8") == "kept\n" for name in foreign)
+
+
+def test_timings_record_the_environment(tmp_path):
+    """timings.json says what ran the job; report.json does not."""
+    path = static_job_file(tmp_path, tmp_path / "t")
+    assert main(["static-trk", "--config", str(path)]) == 0
+    environment = json.loads((tmp_path / "t" / "timings.json").read_text())["environment"]
+    assert set(environment) == {"python", "machine", "numpy", "blas", "cpus", "floqtrk"}
+    assert environment["python"] == platform.python_version()
+    assert environment["machine"] == platform.machine()
+    assert environment["numpy"] == np.__version__
+    assert set(environment["blas"]) == {"name", "version"}
+    assert isinstance(environment["cpus"], int) and environment["cpus"] >= 1
+    assert environment["floqtrk"] == __version__
+    assert "environment" not in (tmp_path / "t" / "report.json").read_text()
 
 
 @pytest.mark.parametrize(

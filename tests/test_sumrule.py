@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import select_reference_sambe, shift_replica
+from helpers import column_rows, select_reference_sambe, shift_replica
 from floqtrk import (
     DriveComponent,
     DriveSpec,
@@ -17,6 +17,7 @@ from floqtrk import (
     GridBasis,
     InputError,
     InteractionSpec,
+    Ledger,
     MatterOperator,
     PotentialSpec,
     SpectralDensity,
@@ -600,8 +601,11 @@ def planted_levels(rng, tol, count):
 
 
 def serialized_rows(report, view):
-    """``contributions`` or ``aggregated_contributions`` as report rows."""
-    return cli._sumrule_payload(report)[view]
+    """The ledger as ``report.json`` writes it, zipped into rows, or the
+    aggregated view as rows."""
+    if view == "aggregated_contributions":
+        return report.aggregated_contributions().rows()
+    return column_rows(cli._sumrule_payload(report)[view], Ledger.HEADER)
 
 
 def test_aggregation_is_the_row_by_row_merge():
