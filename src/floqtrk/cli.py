@@ -830,7 +830,7 @@ def _static_reference(config: JobConfig) -> int:
 def _matter_reflection(config: JobConfig, h: MatterOperator) -> Reflection | None:
     """The reflection the eigensolves try: basis reversal (x -> -x) for grid
     models, none for few-level models. On an asymmetric grid or potential
-    it does not commute, and each eigensolve falls back to the dense path."""
+    it does not commute, and each eigensolve is one unsplit solve."""
     return basis_reversal(h.dim) if config.resolved["model"]["kind"] == "grid" else None
 
 
@@ -1360,6 +1360,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.out == "":
+            raise ConfigError("--out must name a directory, got an empty string")
         threads = _resolve_threads(args.threads)
         config = load_config(args.config, default_job=args.job_kind)
         if config.job_kind != args.job_kind:
@@ -1369,7 +1371,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
         with _thread_limit(threads) as threads_applied:
             report = run_job(config, verbose=args.verbose)
-        out_dir = args.out if args.out else config.resolved["output"]["directory"]
+        out_dir = args.out if args.out is not None else config.resolved["output"]["directory"]
         written = write_report(
             report,
             out_dir,

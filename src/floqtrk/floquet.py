@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError, SizeError
-from .model import DriveSpec, MatterOperator, hermiticity_defect
+from .model import DriveSpec, MatterOperator, _as_index, hermiticity_defect
 
 #: Dense-eigensolve guard for the truncated Sambe matrix.
 MAX_SAMBE_DIM = 6000
@@ -90,14 +90,24 @@ class FoldedLabel:
     n_shift: int
 
 
+def _scaled(z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """z * s for a real s, C-ordered; a complex z part by part, since a
+    complex product turns (-0.0 - 1j) * 1 into (0.0 - 1j)."""
+    if not np.iscomplexobj(z):
+        return np.multiply(z, s, order="C")
+    out = np.empty(np.broadcast_shapes(z.shape, s.shape), dtype=np.result_type(z, s))
+    out.real, out.imag = z.real * s, z.imag * s
+    return out
+
+
 class SectorBasis(NamedTuple):
-    """An orthonormal basis of one reflection sector, in original coordinates.
+    """An orthonormal basis of one sector, in original coordinates.
 
     Basis vector k is weights[k] * (e_coords[k] + flips[k] * e_partners[k]):
-    a normalized pair combination (weight 1/sqrt(2), flip +-1), or the unit
-    vector of a fixed point of the reflection (weight 1, flip 0, partner =
-    coord). ``coords`` ascend, so a block structure of the operator
-    (harmonic blocks, Fock levels) stays in order in the sector block.
+    a normalized pair combination (weight 1/sqrt(2), flip +-1), or a unit
+    vector (weight 1, flip 0, partner = coord), whose coordinate keeps every
+    bit. ``coords`` ascend, so a block structure of the operator (harmonic
+    blocks, Fock levels) stays in order in the sector block.
     """
 
     coords: np.ndarray
@@ -105,25 +115,28 @@ class SectorBasis(NamedTuple):
     weights: np.ndarray
     flips: np.ndarray
 
+    @classmethod
+    def identity(cls, dim: int) -> SectorBasis:
+        """The original basis, the one sector of a solve that does not split."""
+        return cls(np.arange(dim), np.arange(dim), np.ones(dim), np.zeros(dim))
+
     def coordinates(self, x: np.ndarray) -> np.ndarray:
         """Components of the original-basis vector ``x`` along this basis."""
-        return self.weights * (x[self.coords] + self.flips * x[self.partners])
+        return _scaled(x[self.coords] + _scaled(x[self.partners], self.flips), self.weights)
 
     def embed(self, y: np.ndarray, dim: int) -> np.ndarray:
-        """The original-basis vector with coordinates ``y`` in this basis."""
-        out = np.zeros(dim, dtype=y.dtype)
-        scaled = self.weights * y
-        out[self.coords] = scaled
-        out[self.partners] += scaled * self.flips
-        return out
+        """The original-basis vector with coordinates ``y`` in this basis,
+        or one such column per column of a matrix ``y``."""
+        out = np.zeros((*y.shape[1:], dim), dtype=y.dtype)  # transposed
+        scaled = _scaled(y.T, self.weights)
+        out[..., self.coords] = scaled
+        out[..., self.partners] += _scaled(scaled, self.flips)
+        return out.T
 
 
 class Sector(NamedTuple):
-    """The eigenpairs of one reflection sector.
-
-    Column i of ``vectors`` (in ``basis`` coordinates) is eigenvector
-    ``ranks[i]`` of the merged ascending spectrum.
-    """
+    """The eigenpairs of one sector: column i of ``vectors`` (in ``basis``
+    coordinates) is eigenvector ``ranks[i]`` of the merged spectrum."""
 
     basis: SectorBasis
     vectors: np.ndarray
@@ -131,30 +144,20 @@ class Sector(NamedTuple):
 
 
 class EigenSystem:
-    """Complete spectrum of one Hermitian matrix, eigenvalues ascending.
+    """Complete spectrum of one Hermitian matrix, eigenvalues ascending, as
+    the sectors it was solved in: one, the identity basis with LAPACK's
+    eigenvector matrix, or two parity sectors with half its entries.
 
-    ``values[j]`` belongs to eigenvector j; :meth:`column` gives its
-    coefficients in the original basis and :meth:`amplitudes` the products
-    conj(x) . v_j for every j. A dense solve keeps its n x n eigenvector
-    matrix. A parity-sector solve keeps each sector's eigenvectors in that
-    sector's basis (:class:`Sector`), half the entries of the merged matrix,
-    and reads columns and amplitudes sector by sector. ``vectors``, the
-    merged matrix with column j the eigenvector of ``values[j]``, is built
-    only when a caller asks for it.
+    ``values[j]`` belongs to eigenvector j; :meth:`column` gives it in the
+    original basis and :meth:`amplitudes` the products conj(x) . v_j for
+    every j, both read sector by sector. ``vectors``, the merged n x n
+    matrix with column j the eigenvector of ``values[j]``, is built only
+    when a caller asks for it.
     """
 
-    def __init__(
-        self,
-        values: np.ndarray,
-        vectors: np.ndarray | None = None,
-        *,
-        sectors: tuple[Sector, ...] = (),
-    ) -> None:
-        if (vectors is None) == (not sectors):
-            raise InputError("an eigensystem holds either dense vectors or sectors")
+    def __init__(self, values: np.ndarray, sectors: tuple[Sector, ...]) -> None:
         self.values = values
         self.sectors = tuple(sectors)
-        self._dense = vectors
 
     @classmethod
     def from_sectors(
@@ -163,34 +166,32 @@ class EigenSystem:
         """Merge (basis, values, vectors) sector solves by a stable sort."""
         values = np.concatenate([sector_values for _, sector_values, _ in solved])
         ranking = np.argsort(values, kind="stable")
-        rank = np.empty(values.size, dtype=np.intp)
-        rank[ranking] = np.arange(values.size)
-        sectors, start = [], 0
-        for basis, sector_values, vectors in solved:
-            stop = start + sector_values.size
-            sectors.append(Sector(basis, vectors, rank[start:stop]))
-            start = stop
-        return cls(values[ranking], sectors=tuple(sectors))
+        stops = np.cumsum([sector_values.size for _, sector_values, _ in solved])
+        ranks = np.split(np.argsort(ranking), stops[:-1])  # the inverse permutation
+        sectors = [Sector(basis, vectors, r) for (basis, _, vectors), r in zip(solved, ranks)]
+        return cls(values[ranking], tuple(sectors))
 
     @property
     def dim(self) -> int:
         return self.values.size
 
     def column(self, j: int) -> np.ndarray:
-        """Eigenvector j in the original basis."""
-        if self._dense is not None:
-            return self._dense[:, j]
-        j = range(self.dim)[j]
+        """Eigenvector j in the original basis; a negative j counts from the
+        end."""
+        j = _as_index(j, "eigenvector index")
+        if not -self.dim <= j < self.dim:
+            raise InputError(f"eigenvector index {j} outside spectrum of size {self.dim}")
         for basis, vectors, ranks in self.sectors:
-            local = np.flatnonzero(ranks == j)
+            local = np.flatnonzero(ranks == j % self.dim)
             if local.size:
                 return basis.embed(vectors[:, local[0]], self.dim)
         raise InputError(f"no sector holds eigenvector {j}")
 
     def amplitudes(self, x: np.ndarray) -> np.ndarray:
         """conj(x) . v_j for every eigenvector v_j, in ascending order."""
-        if self._dense is not None:
-            return x.conj() @ self._dense
+        x = np.asarray(x)
+        if x.shape != (self.dim,):
+            raise InputError(f"expected a vector of length {self.dim}, got shape {x.shape}")
         dtype = np.result_type(x, *(sector.vectors for sector in self.sectors))
         amps = np.empty(self.dim, dtype=dtype)
         for sector in self.sectors:
@@ -201,16 +202,11 @@ class EigenSystem:
     def vectors(self) -> np.ndarray:
         """The n x n eigenvector matrix, Fortran-ordered like LAPACK's output;
         merged from the sectors on first use."""
-        if self._dense is not None:
-            return self._dense
         dtype = np.result_type(*(sector.vectors for sector in self.sectors))
-        rows = np.zeros((self.dim, self.dim), dtype=dtype)  # row r: eigenvector r
+        merged = np.zeros((self.dim, self.dim), dtype=dtype, order="F")
         for basis, vectors, ranks in self.sectors:
-            weights = np.multiply(vectors.T, basis.weights, order="C")
-            rows[np.ix_(ranks, basis.coords)] = weights
-            weights *= basis.flips
-            rows[np.ix_(ranks, basis.partners)] += weights
-        return rows.T
+            merged[:, ranks] = basis.embed(vectors, self.dim)
+        return merged
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,12 +266,12 @@ def sambe_operator(
     reflection P is lifted to (-1)^m (x) P: x -> -x together with
     t -> t + T/2.
 
-    Refused: a cutoff below 0 or below the highest driven harmonic (it
-    would drop a coupling), an empty matter space, and a dimension above
-    :data:`MAX_SAMBE_DIM`.
+    Refused: a cutoff that is not an integer, below 0 or below the highest
+    driven harmonic (it would drop a coupling), an empty matter space, and
+    a dimension above :data:`MAX_SAMBE_DIM`.
     """
     factors = _drive_factors(drive)
-    if harmonic_cutoff < 0:
+    if _as_index(harmonic_cutoff, "harmonic cutoff") < 0:
         raise InputError(f"harmonic cutoff must be >= 0, got {harmonic_cutoff}")
     if h_matter.dim < 1:
         raise InputError(f"matter dimension must be >= 1, got {h_matter.dim}")
@@ -508,8 +504,8 @@ class ProductOperator:
         coupling C[j, j'] between outer indices of opposite parity, each to
         within :data:`SECTOR_COUPLING_EPS` eps max|M|, with max|M| read off
         the blocks. False without a reflection, when a sector is empty, or
-        when an operator is not finite or not Hermitian (the dense path then
-        reports it).
+        when an operator is not finite or not Hermitian (the unsplit solve
+        then reports it).
         """
         if self.reflection is None:
             return False
@@ -584,44 +580,41 @@ class ProductOperator:
 def diagonalize_hermitian(
     matrix: np.ndarray | ProductOperator, *, reflection: Reflection | None = None
 ) -> EigenSystem:
-    """Complete spectrum of a Hermitian matrix, eigenvalues ascending.
+    """Complete spectrum of a Hermitian matrix, eigenvalues ascending, as
+    the sectors it was solved in (:class:`EigenSystem`).
 
-    Every solve, dense or per sector, is numpy's ``eigh`` (LAPACK's
-    divide-and-conquer ``?syevd`` / ``?heevd``). Exactly real-valued input
-    is routed to the real-symmetric driver, which is several times faster
-    than the complex one at the dimensions the dense guards allow. NaN or
-    infinite entries raise NumericError before any solve.
+    Every solve is numpy's ``eigh`` (LAPACK's divide-and-conquer ``?syevd``
+    / ``?heevd``). Exactly real-valued input is routed to the
+    real-symmetric driver, which is several times faster than the complex
+    one at the dimensions the dense guards allow. NaN or infinite entries
+    raise NumericError before any solve.
 
-    ``matrix`` is a dense array or a :class:`ProductOperator`. An operator
-    whose lifted reflection commutes with it (:attr:`ProductOperator.splits`)
-    is solved in its S = +1 and S = -1 sectors, one sector block at a time
-    (two half-size solves, about a quarter of the flops of one full-size
-    solve), and the result keeps its sectors (:class:`EigenSystem`). A dense
-    matrix with a ``reflection`` S is the operator with an outer space of
-    size one. Otherwise, and when S leaves a sector empty, the dense path
-    runs on the full matrix, with the bits of a solve without a reflection:
-    the given array itself, or the operator's :meth:`ProductOperator.toarray`,
-    which is freed when the solve returns.
+    ``matrix`` is a :class:`ProductOperator` or a dense array (with a
+    ``reflection`` S, the operator with an outer space of size one). When
+    the lifted reflection commutes (:attr:`ProductOperator.splits`), the
+    S = +1 and S = -1 sector blocks are solved one at a time, two half-size
+    solves at about a quarter of the flops. Otherwise the one sector is the
+    identity basis, solved on the array or on :meth:`~ProductOperator.toarray`
+    with the bits of a plain solve.
     """
     if isinstance(matrix, ProductOperator):
         if reflection is not None:
             raise InputError("a ProductOperator carries its own reflection")
         operator = matrix
-        if not operator.splits:
-            return _solve_dense(_checked_hermitian(operator.toarray()))
     else:
         m = _checked_hermitian(matrix)
-        if reflection is None:
-            return _solve_dense(m)
         operator = ProductOperator(matter=m, labels=np.zeros(1, dtype=int), reflection=reflection)
-        if not operator.splits:
-            return _solve_dense(m)
+    if operator.splits:
+        blocks = (operator.sector(parity) for parity in (1, -1))
+    else:
+        full = _checked_hermitian(operator.toarray()) if operator is matrix else operator.matter
+        blocks = [(full, SectorBasis.identity(full.shape[0]))]
     solved = []
-    for parity in (1, -1):
-        block, basis = operator.sector(parity)
+    for block, basis in blocks:
         values, vectors = _eigh(block)
         del block
-        solved.append((basis, values, vectors))
+        # numpy returns C order; a one-sector solve keeps LAPACK's Fortran order
+        solved.append((basis, values, vectors if operator.splits else np.asfortranarray(vectors)))
     return EigenSystem.from_sectors(solved)
 
 
@@ -655,12 +648,6 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed: {exc}") from exc
-
-
-def _solve_dense(m: np.ndarray) -> EigenSystem:
-    values, vectors = _eigh(m)
-    # numpy returns C order; keep LAPACK's Fortran order
-    return EigenSystem(values=values, vectors=np.asfortranarray(vectors))
 
 
 def fold_label(epsilon: float, omega: float) -> FoldedLabel:
@@ -737,9 +724,10 @@ def fold_and_select_ffbz(
     eigenvalue already lies in [-Omega/2, Omega/2): deterministic, and exact
     eigenvectors of the truncated operator. Only their eigenvectors are
     mapped back to the original basis (:meth:`EigenSystem.column`). Their
-    truncation quality is gated by ``edge_weight`` instead of re-projection. Degenerate in-zone
-    eigenvalues (within 1e-9 * Omega) are ordered by descending m=0-block
-    weight; each representative's global phase is fixed.
+    truncation quality is gated by ``edge_weight`` instead of
+    re-projection. Degenerate in-zone eigenvalues (within 1e-9 * Omega) are
+    ordered by descending m=0-block weight; each representative's global
+    phase is fixed.
 
     An in-zone count different from the matter dimension (zone coverage
     incomplete at this cutoff, or zone-edge degeneracy) is reported as a

@@ -11,6 +11,7 @@ two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,8 +243,8 @@ class DriveSpec:
     components: tuple[DriveComponent, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.omega <= 0:
-            raise InputError(f"drive frequency must be > 0, got {self.omega}")
+        if not 0 < self.omega < math.inf:
+            raise InputError(f"drive frequency must be finite and > 0, got {self.omega}")
         comps = tuple(
             c if isinstance(c, DriveComponent) else DriveComponent(*c)
             for c in self.components
@@ -489,6 +490,14 @@ def _as_matrix(operator) -> np.ndarray:
     if hasattr(operator, "shape"):
         return operator  # an array, or a structured operator that has `@`
     return np.asarray(operator)
+
+
+def _as_index(value, what: str) -> int:
+    """``value`` as a Python int; InputError for anything but an integer
+    (a bool, a float such as 2.0 or 2.5, a string)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_electron_count(n_electrons: int) -> None:

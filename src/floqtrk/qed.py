@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InputError, SizeError
 from .floquet import EigenSystem, ProductOperator, Reflection, diagonalize_hermitian
-from .model import MatterOperator
+from .model import MatterOperator, _as_index
 from .sumrule import SumRuleReport, _extended_report
 
 #: Dense-eigensolve guard for the matter (x) Fock product dimension.
@@ -48,10 +48,10 @@ class FockSpec:
     g: float
 
     def __post_init__(self) -> None:
-        if self.n_max < 0:
+        if _as_index(self.n_max, "photon cutoff") < 0:
             raise InputError(f"photon cutoff must be >= 0, got {self.n_max}")
-        if self.omega_c <= 0:
-            raise InputError(f"mode frequency must be > 0, got {self.omega_c}")
+        if not 0 < self.omega_c < math.inf:
+            raise InputError(f"mode frequency must be finite and > 0, got {self.omega_c}")
         if isinstance(self.g, complex):
             raise InputError(f"coupling amplitude must be real, got {self.g!r}")
 

@@ -41,7 +41,7 @@ from .floquet import (
     ProductOperator,
     diagonalize_hermitian,
 )
-from .model import MatterOperator, double_commutator_expectation
+from .model import MatterOperator, _as_index, double_commutator_expectation
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,7 +436,7 @@ def sumrule_ffbz(
     operator = selection.operator
     if not representatives:
         raise ZoneError("no first-zone representatives supplied")
-    if not 0 <= reference < len(representatives):
+    if not 0 <= _as_index(reference, "reference index") < len(representatives):
         raise InputError(
             f"reference index {reference} outside the {len(representatives)} "
             f"supplied representatives"
@@ -444,7 +444,7 @@ def sumrule_ffbz(
     limit = operator.labels.size - 1  # 2 N_h
     if n_max is None:
         n_max = limit
-    elif not 0 <= n_max <= limit:
+    elif not 0 <= _as_index(n_max, "n_max") <= limit:
         raise InputError(
             f"n_max={n_max} outside the truncated sideband range [0, {limit}]"
         )

@@ -551,6 +551,16 @@ def test_main_success_exit_code(tmp_path):
     assert abs(payload["reports"]["static_trk"]["value"] - 2.0) < 1e-12
 
 
+def test_empty_out_flag_is_a_config_error(tmp_path, capsys):
+    """--out "" names no directory: exit 2, and nothing is written to the
+    config's own output directory instead."""
+    configured = tmp_path / "configured"
+    path = static_job_file(tmp_path, configured)
+    assert main(["static-trk", "--config", str(path), "--out", ""]) == 2
+    assert "--out must name a directory" in capsys.readouterr().err
+    assert not configured.exists()
+
+
 def test_main_config_error_exit_code(tmp_path):
     """Unknown keys exit with the configuration code."""
     path = config_file(
@@ -1017,7 +1027,7 @@ def test_broken_closure_exits_numeric(
     def perturb(system):
         if system.dim < min_dim:
             return system
-        return EigenSystem(values=system.values * 1.01, vectors=system.vectors)
+        return EigenSystem(system.values * 1.01, system.sectors)
 
     record_eigensolves(monkeypatch, perturb)
     path = config_file(tmp_path, text)

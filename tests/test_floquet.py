@@ -152,6 +152,13 @@ def test_assembly_rejects_small_cutoff():
         sambe_operator(h, d, drive, 1)
 
 
+def test_assembly_rejects_non_integer_cutoff():
+    """A fractional harmonic cutoff is refused, not truncated."""
+    h, d = two_level()
+    with pytest.raises(InputError, match="harmonic cutoff must be an integer"):
+        sambe_operator(h, d, DriveSpec(omega=0.8, components=(DriveComponent(1, 0.1),)), 2.5)
+
+
 def test_assembly_size_guard():
     """Truncated dimensions beyond the dense guard are rejected."""
     zero = MatterOperator(np.zeros((100, 100)), basis_tag="t")
@@ -189,6 +196,65 @@ def test_diagonalize_rejects_non_hermitian():
         diagonalize_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(InputError):
         diagonalize_hermitian(np.zeros((2, 3)))
+
+
+def signed_zero_matrix(dtype):
+    """A 6 x 6 Hermitian matrix, Hermitian bit for bit, of two 3 x 3 blocks
+    with -0.0 entries in and between them."""
+    rng = np.random.default_rng(3)
+    m = np.zeros((6, 6), dtype=dtype)
+    for block in (slice(0, 3), slice(3, 6)):
+        part = rng.standard_normal((3, 3)).astype(dtype)
+        if dtype == complex:
+            part += 1j * rng.standard_normal((3, 3))
+        m[block, block] = part + part.conj().T
+    m[3:, :3] = m[:3, 3:] = -0.0
+    m[0, 1] = -0.0
+    m[1, 0] = np.conj(m[0, 1])
+    if dtype == complex:
+        m[0, 2] = complex(-0.0, -0.5)
+        m[2, 0] = np.conj(m[0, 2])
+    return m
+
+
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+def test_one_sector_solve_keeps_the_bits_of_eigh(dtype):
+    """An unsplit solve is LAPACK's eigh, bit for bit: its values, its
+    Fortran-ordered vectors V, every column V[:, j] and the amplitudes
+    conj(x) @ V, signed zeros included."""
+    m = signed_zero_matrix(dtype)
+    values, vectors = np.linalg.eigh(m)
+    v = np.asfortranarray(vectors)
+    system = diagonalize_hermitian(m)
+    assert system.values.tobytes() == values.tobytes()
+    assert system.vectors.flags.f_contiguous
+    assert system.vectors.tobytes() == v.tobytes()
+    for j in range(6):
+        assert system.column(j).tobytes() == v[:, j].tobytes()
+    for x in (
+        np.array([1.0, -0.0, 0.5, -0.0, 0.0, -2.0]),
+        np.array([complex(-0.0, -1.0), -0.0, complex(1.0, -0.0), complex(-0.0, 0.0), 2.0, -1j]),
+    ):
+        assert system.amplitudes(x).tobytes() == (x.conj() @ v).tobytes()
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+def test_eigensystem_refuses_bad_index_and_vector(split):
+    """column(j) takes an integer in [-n, n) and amplitudes(x) a vector of
+    shape (n,); anything else is an InputError, on either representation."""
+    matrix = np.diag([1.0, 2.0, 2.0, 1.0])
+    system = diagonalize_hermitian(matrix, reflection=basis_reversal(4) if split else None)
+    assert len(system.sectors) == (2 if split else 1)
+    assert np.array_equal(system.column(-1), system.column(3))
+    assert np.array_equal(system.column(np.int64(1)), system.column(1))
+    for j in (4, -5, 1.5, 2.0, True, "0", None):
+        with pytest.raises(InputError, match="eigenvector index"):
+            system.column(j)
+    for x in (np.ones(3), np.ones(5), np.ones((4, 1)), np.ones((1, 4)), 1.0):
+        with pytest.raises(InputError, match="vector of length 4"):
+            system.amplitudes(x)
+    with pytest.raises(InputError, match="eigenvector index 3 outside"):
+        diagonalize_hermitian(np.diag([1.0, 2.0, 3.0])).column(3)
 
 
 @pytest.mark.parametrize(
@@ -316,7 +382,7 @@ def test_selection_rejects_incomplete_spectrum():
     system = diagonalize_hermitian(floquet)
     from floqtrk import EigenSystem
 
-    truncated = EigenSystem(system.values[:4], system.vectors[:, :4])
+    truncated = EigenSystem(system.values[:4], system.sectors)
     with pytest.raises(InputError):
         fold_and_select_ffbz(truncated, floquet)
 

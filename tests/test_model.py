@@ -230,6 +230,13 @@ def test_drive_validation():
         DriveSpec(omega=1.0, components=(DriveComponent(1, 0.1), DriveComponent(1, 0.2)))
 
 
+def test_drive_frequency_must_be_a_number():
+    """A NaN drive frequency is refused; NaN <= 0 is False, so a plain sign
+    check lets it through."""
+    with pytest.raises(InputError, match="drive frequency must be finite and > 0"):
+        DriveSpec(omega=float("nan"))
+
+
 def test_double_commutator_harmonic_ground():
     """Grid double commutator lands within 1e-2 of one electron."""
     grid = GridBasis(-10.0, 10.0, 201)

@@ -156,12 +156,26 @@ def test_closure_identity_every_joint_reference():
         assert abs(report.value - direct) <= 1e-10 * max(1.0, abs(report.value))
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n_max": 2.5}, "photon cutoff must be an integer"),
+        ({"omega_c": float("nan")}, "mode frequency must be finite and > 0"),
+    ],
+    ids=["fractional_n_max", "nan_omega_c"],
+)
+def test_fock_spec_refuses_bad_inputs(kwargs, message):
+    """A fractional cutoff or a NaN mode frequency is refused."""
+    with pytest.raises(InputError, match=message):
+        FockSpec(**{"n_max": 3, "omega_c": 0.9, "g": 0.1, **kwargs})
+
+
 def test_qed_sum_input_checks():
     """An incomplete spectrum is rejected."""
     fock = FockSpec(n_max=3, omega_c=0.9, g=0.1)
     h_joint = joint_operator(TWO_H, TWO_D, fock)
     system = diagonalize_hermitian(h_joint)
-    truncated = EigenSystem(system.values[:4], system.vectors[:, :4])
+    truncated = EigenSystem(system.values[:4], system.sectors)
     with pytest.raises(InputError, match="complete qed dimension 8"):
         sumrule_qed(h_joint, truncated, 0, n_electrons=1)
 

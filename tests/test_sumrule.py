@@ -350,7 +350,7 @@ def test_sambe_sum_rejects_incomplete_spectrum():
     from floqtrk import EigenSystem
 
     floquet, system, _ = zero_drive_modes()
-    truncated = EigenSystem(system.values[:5], system.vectors[:, :5])
+    truncated = EigenSystem(system.values[:5], system.sectors)
     with pytest.raises(InputError):
         sumrule_sambe(floquet, truncated, 0, n_electrons=1)
 
@@ -417,6 +417,23 @@ def test_ffbz_input_validation():
         sumrule_ffbz(selection, 0, n_max=5, n_electrons=1)
     with pytest.raises(InputError):
         sumrule_ffbz(selection, 0, n_max=-1, n_electrons=1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda sel: sumrule_ffbz(sel, 1.5, n_electrons=1), "reference index must be an integer"),
+        (lambda sel: sumrule_ffbz(sel, 0, 1.5, n_electrons=1), "n_max must be an integer"),
+        (lambda sel: static_trk(THREE_H, THREE_D, 1.5), "eigenvector index must be an integer"),
+    ],
+    ids=["ffbz_reference", "ffbz_n_max", "static_reference"],
+)
+def test_fractional_indices_are_refused(call, message):
+    """A fractional reference or sideband cap is an InputError, not a raw
+    TypeError or IndexError."""
+    _, _, selection = zero_drive_modes()
+    with pytest.raises(InputError, match=message):
+        call(selection)
 
 
 def test_ffbz_incomplete_set_is_flagged():
@@ -658,7 +675,7 @@ def grid_reports(drive, reflection):
     h_joint = joint_operator(h, d, FockSpec(n_max=4, omega_c=0.9, g=0.2), reflection)
     split = reflection is not None
     assert sambe.splits == h_joint.splits == split
-    assert bool(matter.sectors) == bool(system.sectors) == split
+    assert len(matter.sectors) == len(system.sectors) == (2 if split else 1)
     return {
         "static": static_trk(h, d, 0, system=matter),
         "sambe": sumrule_sambe(sambe, system, selection.source_indices[0], n_electrons=1),
