@@ -27,7 +27,6 @@ import argparse
 import contextlib
 import copy
 import csv
-import ctypes
 import difflib
 import functools
 import hashlib
@@ -47,6 +46,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 import yaml
 
+from . import lapack
 from .errors import ConfigError, InputError, NumericError, ZoneError
 from .floquet import (
     EigenSystem,
@@ -1148,7 +1148,8 @@ def report_payload(report: RunReport) -> dict:
 
 def _environment() -> dict:
     """What ran the job: interpreter, machine, numpy and its BLAS build, the
-    CPUs this process may use and the floqtrk version."""
+    routine that solves real symmetric blocks, the CPUs this process may
+    use and the floqtrk version."""
     import platform  # ~2 ms to import, so kept off the start-up path
 
     try:
@@ -1164,6 +1165,7 @@ def _environment() -> dict:
         "machine": platform.machine(),
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "eigensolver": lapack.eigensolver_name(),
         "cpus": cpus,
         "floqtrk": __version__,
     }
@@ -1271,22 +1273,6 @@ def write_report(
 # entry point
 
 
-def _openblas_thread_control() -> tuple[Callable, Callable] | None:
-    """The thread setter and getter of the OpenBLAS bundled with numpy (in
-    ``numpy.libs``), or None when that library or its symbols are absent."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*.so*")):
-        try:
-            library = ctypes.CDLL(str(path))
-            return (
-                library.scipy_openblas_set_num_threads64_,
-                library.scipy_openblas_get_num_threads64_,
-            )
-        except (OSError, AttributeError):
-            continue
-    return None
-
-
 @contextlib.contextmanager
 def _thread_limit(threads: int):
     """Cap BLAS threads; yields the count in force, None when no cap was
@@ -1294,7 +1280,7 @@ def _thread_limit(threads: int):
     if threads <= 0:
         yield None
         return
-    control = _openblas_thread_control()
+    control = lapack.openblas()
     if control is None:
         print(
             f"warning: thread cap {threads} (--threads / FLOQTRK_THREADS) not "
@@ -1303,7 +1289,7 @@ def _thread_limit(threads: int):
         )
         yield None
         return
-    set_threads, get_threads = control
+    set_threads, get_threads = control.set_num_threads, control.get_num_threads
     previous = get_threads()
     set_threads(threads)
     try:

@@ -18,12 +18,15 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import lapack
 from .errors import ConfigError, InputError, NumericError, SizeError
+from .lapack import Reflectors
 from .model import DriveSpec, MatterOperator, _as_index, hermiticity_defect
 
 #: Dense-eigensolve guard for the truncated Sambe matrix.
@@ -135,24 +138,34 @@ class SectorBasis(NamedTuple):
 
 
 class Sector(NamedTuple):
-    """The eigenpairs of one sector: column i of ``vectors`` (in ``basis``
-    coordinates) is eigenvector ``ranks[i]`` of the merged spectrum."""
+    """The eigenpairs of one sector: column i of Q ``vectors`` (in
+    ``basis`` coordinates) is eigenvector ``ranks[i]`` of the merged
+    spectrum, with Q the orthogonal ``reflectors``.
+
+    A real block solved by LAPACK's ``dsytrd`` + ``dstedc``
+    (:func:`floqtrk.lapack.eigensolve`) keeps Q = H_0 ... H_(m-2) of its
+    tridiagonal reduction and the tridiagonal eigenvectors Z as
+    ``vectors``; a complex block, or any block without that kernel, keeps
+    numpy's ``eigh`` eigenvectors and no reflectors (Q = 1).
+    """
 
     basis: SectorBasis
     vectors: np.ndarray
     ranks: np.ndarray
+    reflectors: Reflectors
 
 
 class EigenSystem:
     """Complete spectrum of one Hermitian matrix, eigenvalues ascending, as
-    the sectors it was solved in: one, the identity basis with LAPACK's
-    eigenvector matrix, or two parity sectors with half its entries.
+    the sectors it was solved in: one, the identity basis, or two parity
+    sectors of half the dimension.
 
-    ``values[j]`` belongs to eigenvector j; :meth:`column` gives it in the
-    original basis and :meth:`amplitudes` the products conj(x) . v_j for
-    every j, both read sector by sector. ``vectors``, the merged n x n
-    matrix with column j the eigenvector of ``values[j]``, is built only
-    when a caller asks for it.
+    ``values[j]`` belongs to eigenvector j; :meth:`columns` gives a few of
+    them in the original basis and :meth:`amplitudes` the products
+    conj(x) . v_j for every j, both read sector by sector, so a sector's
+    reflectors are applied only to the columns read and to x, never to all
+    of Z. ``vectors``, the merged n x n matrix with column j the
+    eigenvector of ``values[j]``, is built only when a caller asks for it.
     """
 
     def __init__(self, values: np.ndarray, sectors: tuple[Sector, ...]) -> None:
@@ -161,14 +174,18 @@ class EigenSystem:
 
     @classmethod
     def from_sectors(
-        cls, solved: list[tuple[SectorBasis, np.ndarray, np.ndarray]]
+        cls, solved: list[tuple[SectorBasis, np.ndarray, np.ndarray, Reflectors]]
     ) -> EigenSystem:
-        """Merge (basis, values, vectors) sector solves by a stable sort."""
-        values = np.concatenate([sector_values for _, sector_values, _ in solved])
+        """Merge (basis, values, vectors, reflectors) sector solves by a
+        stable sort."""
+        values = np.concatenate([sector_values for _, sector_values, _, _ in solved])
         ranking = np.argsort(values, kind="stable")
-        stops = np.cumsum([sector_values.size for _, sector_values, _ in solved])
+        stops = np.cumsum([sector_values.size for _, sector_values, _, _ in solved])
         ranks = np.split(np.argsort(ranking), stops[:-1])  # the inverse permutation
-        sectors = [Sector(basis, vectors, r) for (basis, _, vectors), r in zip(solved, ranks)]
+        sectors = [
+            Sector(basis, vectors, r, reflectors)
+            for (basis, _, vectors, reflectors), r in zip(solved, ranks)
+        ]
         return cls(values[ranking], tuple(sectors))
 
     @property
@@ -178,14 +195,33 @@ class EigenSystem:
     def column(self, j: int) -> np.ndarray:
         """Eigenvector j in the original basis; a negative j counts from the
         end."""
+        return self.columns([j])[:, 0]
+
+    def columns(self, indices: Iterable[int]) -> np.ndarray:
+        """Eigenvectors ``indices`` in the original basis, one per column,
+        Fortran-ordered; a negative index counts from the end. Each sector
+        applies its reflectors to its own columns at once."""
+        wanted = np.array([self._position(j) for j in indices], dtype=np.intp)
+        dtype = np.result_type(*(sector.vectors for sector in self.sectors))
+        out = np.empty((self.dim, wanted.size), dtype=dtype, order="F")
+        missing = np.ones(wanted.size, dtype=bool)
+        for basis, vectors, ranks, reflectors in self.sectors:
+            local = np.full(self.dim, -1)
+            local[ranks] = np.arange(ranks.size)
+            mine = local[wanted] >= 0
+            if np.any(mine):
+                picked = reflectors.apply(vectors[:, local[wanted[mine]]])
+                out[:, mine] = basis.embed(picked, self.dim)
+                missing &= ~mine
+        if np.any(missing):
+            raise InputError(f"no sector holds eigenvector {wanted[missing][0]}")
+        return out
+
+    def _position(self, j: int) -> int:
         j = _as_index(j, "eigenvector index")
         if not -self.dim <= j < self.dim:
             raise InputError(f"eigenvector index {j} outside spectrum of size {self.dim}")
-        for basis, vectors, ranks in self.sectors:
-            local = np.flatnonzero(ranks == j % self.dim)
-            if local.size:
-                return basis.embed(vectors[:, local[0]], self.dim)
-        raise InputError(f"no sector holds eigenvector {j}")
+        return j % self.dim
 
     def amplitudes(self, x: np.ndarray) -> np.ndarray:
         """conj(x) . v_j for every eigenvector v_j, in ascending order."""
@@ -194,19 +230,17 @@ class EigenSystem:
             raise InputError(f"expected a vector of length {self.dim}, got shape {x.shape}")
         dtype = np.result_type(x, *(sector.vectors for sector in self.sectors))
         amps = np.empty(self.dim, dtype=dtype)
-        for sector in self.sectors:
-            amps[sector.ranks] = sector.basis.coordinates(x).conj() @ sector.vectors
+        for basis, vectors, ranks, reflectors in self.sectors:
+            coordinates = reflectors.apply_transpose(basis.coordinates(x))
+            amps[ranks] = coordinates.conj() @ vectors
         return amps
 
     @functools.cached_property
     def vectors(self) -> np.ndarray:
-        """The n x n eigenvector matrix, Fortran-ordered like LAPACK's output;
-        merged from the sectors on first use."""
-        dtype = np.result_type(*(sector.vectors for sector in self.sectors))
-        merged = np.zeros((self.dim, self.dim), dtype=dtype, order="F")
-        for basis, vectors, ranks in self.sectors:
-            merged[:, ranks] = basis.embed(vectors, self.dim)
-        return merged
+        """The n x n eigenvector matrix, Fortran-ordered; formed from the
+        sectors, reflectors applied to all of each Z, on first use. Nothing
+        in the pipeline reads it."""
+        return self.columns(range(self.dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -543,8 +577,9 @@ class ProductOperator:
         return largest <= SECTOR_COUPLING_EPS * np.finfo(np.float64).eps * scale
 
     def sector(self, parity: int) -> tuple[np.ndarray, SectorBasis]:
-        """The block of H in its (-1)^label (x) P = ``parity`` sector, and
-        that sector's basis.
+        """The block of H in its (-1)^label (x) P = ``parity`` sector,
+        Fortran-ordered for LAPACK to reduce in place, and that sector's
+        basis.
 
         Outer index j carries P's eigenspace p_j = parity * (-1)^label_j, and
         its basis vectors form the j-th run of sector coordinates, so the
@@ -557,7 +592,7 @@ class ProductOperator:
         parts = [self._bases[p] for p in matter_parity]
         starts = np.cumsum([0, *(part.coords.size for part in parts)])
         blocks = self._projections
-        block = np.zeros((starts[-1], starts[-1]), dtype=self._dtype)
+        block = np.zeros((starts[-1], starts[-1]), dtype=self._dtype, order="F")
         for j, (p, shift) in enumerate(zip(matter_parity, self.shifts)):
             rows = slice(starts[j], starts[j + 1])
             block[rows, rows] = blocks["h", p, p]
@@ -583,19 +618,24 @@ def diagonalize_hermitian(
     """Complete spectrum of a Hermitian matrix, eigenvalues ascending, as
     the sectors it was solved in (:class:`EigenSystem`).
 
-    Every solve is numpy's ``eigh`` (LAPACK's divide-and-conquer ``?syevd``
-    / ``?heevd``). Exactly real-valued input is routed to the
-    real-symmetric driver, which is several times faster than the complex
-    one at the dimensions the dense guards allow. NaN or infinite entries
-    raise NumericError before any solve.
+    A real block is solved by LAPACK's ``dsytrd`` + ``dstedc`` from numpy's
+    bundled OpenBLAS (:func:`floqtrk.lapack.eigensolve`): the two steps of
+    numpy's ``eigh`` (``dsyevd``) before it forms the eigenvector matrix,
+    so the eigenvalues are ``eigh``'s bit for bit and each sector keeps
+    its reflectors and tridiagonal eigenvectors instead. A complex block,
+    or any block when that library is absent, is solved by numpy's
+    ``eigh``. Exactly real-valued input is routed to the real path, which
+    is several times faster than the complex one at the dimensions the
+    dense guards allow. NaN or infinite entries raise NumericError before
+    any solve.
 
     ``matrix`` is a :class:`ProductOperator` or a dense array (with a
     ``reflection`` S, the operator with an outer space of size one). When
     the lifted reflection commutes (:attr:`ProductOperator.splits`), the
     S = +1 and S = -1 sector blocks are solved one at a time, two half-size
     solves at about a quarter of the flops. Otherwise the one sector is the
-    identity basis, solved on the array or on :meth:`~ProductOperator.toarray`
-    with the bits of a plain solve.
+    identity basis, solved on a copy of the array or on
+    :meth:`~ProductOperator.toarray`.
     """
     if isinstance(matrix, ProductOperator):
         if reflection is not None:
@@ -611,16 +651,15 @@ def diagonalize_hermitian(
         blocks = [(full, SectorBasis.identity(full.shape[0]))]
     solved = []
     for block, basis in blocks:
-        values, vectors = _eigh(block)
+        solved.append((basis, *_eigensolve(block)))
         del block
-        # numpy returns C order; a one-sector solve keeps LAPACK's Fortran order
-        solved.append((basis, values, vectors if operator.splits else np.asfortranarray(vectors)))
     return EigenSystem.from_sectors(solved)
 
 
 def _checked_hermitian(matrix: np.ndarray) -> np.ndarray:
-    """``matrix`` checked to be square, finite and Hermitian, made exactly
-    Hermitian when complex and real when its imaginary part is zero."""
+    """A copy of ``matrix``, checked to be square, finite and Hermitian;
+    made exactly Hermitian when complex, and real and Fortran-ordered when
+    its imaginary part is zero."""
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"expected a square matrix, got shape {m.shape}")
@@ -635,19 +674,23 @@ def _checked_hermitian(matrix: np.ndarray) -> np.ndarray:
     defect = hermiticity_defect(m)
     if defect > 1e-10 * max(1.0, scale):
         raise InputError(f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e}")
-    if np.iscomplexobj(m):
-        if np.max(np.abs(m.imag)) == 0.0:
-            m = np.ascontiguousarray(m.real)
-        else:
-            m = (m + m.conj().T) / 2.0
-    return m
+    if np.iscomplexobj(m) and np.max(np.abs(m.imag)) != 0.0:
+        return (m + m.conj().T) / 2.0
+    return np.array(m.real, dtype=np.result_type(m.real, np.float64), order="F")
 
 
-def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eigensolve(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, Reflectors]:
+    """Eigenvalues (ascending), vectors and reflectors of one Hermitian
+    block, which it may overwrite: the package's one call into LAPACK."""
+    if block.dtype == np.float64:
+        solved = lapack.eigensolve(block)
+        if solved is not None:
+            return solved
     try:
-        return np.linalg.eigh(m)
+        values, vectors = np.linalg.eigh(block)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed: {exc}") from exc
+    return values, vectors, Reflectors()
 
 
 def fold_label(epsilon: float, omega: float) -> FoldedLabel:
@@ -744,7 +787,7 @@ def fold_and_select_ffbz(
     labels = tuple(fold_label(float(e), omega) for e in eigensystem.values)
     in_zone = [i for i, lab in enumerate(labels) if lab.n_shift == 0]
     # only the in-zone eigenvectors are mapped back to the original basis
-    columns = {i: eigensystem.column(i) for i in in_zone}
+    columns = dict(zip(in_zone, eigensystem.columns(in_zone).T))
 
     # ascending quasienergy; inside degenerate groups, descending m=0 weight
     m0 = slice(n_h * n_b, (n_h + 1) * n_b)

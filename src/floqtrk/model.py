@@ -67,7 +67,7 @@ class GridBasis:
     n_points: int
 
     def __post_init__(self) -> None:
-        if self.n_points < 3:
+        if _as_index(self.n_points, "grid point count") < 3:
             raise InputError(f"grid needs at least 3 points, got {self.n_points}")
         if not self.x_max > self.x_min:
             raise InputError(
@@ -231,7 +231,7 @@ class DriveComponent:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.harmonic < 1:
+        if _as_index(self.harmonic, "drive harmonic index") < 1:
             raise InputError(f"drive harmonic index must be >= 1, got {self.harmonic}")
 
 

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from floqtrk import FloquetMode, InputError, Ledger, NumericError, SpectralDensity
+from floqtrk import FloquetMode, InputError, Ledger, NumericError, SpectralDensity, floquet
 
 
 def shift_replica(mode, n):
@@ -64,17 +64,17 @@ def select_reference_joint(system, matter_ground, fock_dim):
 
 
 def record_lapack_solves(monkeypatch):
-    """Patch ``numpy.linalg.eigh``, the one eigensolver the package calls,
-    with a recorder; returns the list the dimension of each call is
+    """Patch ``floquet._eigensolve``, the package's one block-solve entry,
+    with a recorder; returns the list the dimension of each block solve is
     appended to."""
-    original = np.linalg.eigh
+    original = floquet._eigensolve
     dims = []
 
-    def recorder(a, *args, **kwargs):
-        dims.append(a.shape[0])
-        return original(a, *args, **kwargs)
+    def recorder(block):
+        dims.append(block.shape[0])
+        return original(block)
 
-    monkeypatch.setattr(np.linalg, "eigh", recorder)
+    monkeypatch.setattr(floquet, "_eigensolve", recorder)
     return dims
 
 

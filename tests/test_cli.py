@@ -27,6 +27,7 @@ from floqtrk import (
     first_moment,
     floquet,
     joint_operator,
+    lapack,
     qed,
     sumrule,
     sumrule_qed,
@@ -876,11 +877,18 @@ def test_reused_output_directory_keeps_no_stale_tables(tmp_path):
 
 
 def test_timings_record_the_environment(tmp_path):
-    """timings.json says what ran the job; report.json does not."""
+    """timings.json says what ran the job, the eigensolver of real blocks
+    included; report.json does not."""
     path = static_job_file(tmp_path, tmp_path / "t")
     assert main(["static-trk", "--config", str(path)]) == 0
     environment = json.loads((tmp_path / "t" / "timings.json").read_text())["environment"]
-    assert set(environment) == {"python", "machine", "numpy", "blas", "cpus", "floqtrk"}
+    assert set(environment) == {
+        "python", "machine", "numpy", "blas", "eigensolver", "cpus", "floqtrk"
+    }
+    kernel = lapack.openblas() is not None
+    assert environment["eigensolver"] == (
+        "LAPACK dsytrd+dstedc" if kernel else "numpy.linalg.eigh"
+    )
     assert environment["python"] == platform.python_version()
     assert environment["machine"] == platform.machine()
     assert environment["numpy"] == np.__version__
@@ -888,6 +896,16 @@ def test_timings_record_the_environment(tmp_path):
     assert isinstance(environment["cpus"], int) and environment["cpus"] >= 1
     assert environment["floqtrk"] == __version__
     assert "environment" not in (tmp_path / "t" / "report.json").read_text()
+
+
+def test_timings_name_the_eigh_fallback(tmp_path, monkeypatch):
+    """Without numpy's bundled OpenBLAS, real blocks take numpy's eigh, and
+    timings.json says so."""
+    monkeypatch.setattr(lapack, "openblas", lambda: None)
+    path = static_job_file(tmp_path, tmp_path / "t")
+    assert main(["static-trk", "--config", str(path)]) == 0
+    environment = json.loads((tmp_path / "t" / "timings.json").read_text())["environment"]
+    assert environment["eigensolver"] == "numpy.linalg.eigh"
 
 
 @pytest.mark.parametrize(
@@ -969,7 +987,7 @@ def test_thread_cap_is_reported(tmp_path, monkeypatch, capsys):
         timings = json.loads((tmp_path / "t" / "timings.json").read_text())
         return timings["threads_applied"]
 
-    monkeypatch.setattr(cli, "_openblas_thread_control", lambda: None)  # symbol missing
+    monkeypatch.setattr(lapack, "openblas", lambda: None)  # library or symbol missing
     assert main(["static-trk", "--config", str(path), "--threads", "1"]) == 0
     assert "thread control was not found" in capsys.readouterr().err
     assert applied() is None
@@ -983,10 +1001,10 @@ def test_thread_cap_is_applied_and_restored(tmp_path, monkeypatch, capsys):
     """--threads 1 and FLOQTRK_THREADS=1 hold numpy's OpenBLAS to one thread
     during the run, timings.json records the count read back, and the
     previous count is restored afterwards."""
-    control = cli._openblas_thread_control()
+    control = lapack.openblas()
     if control is None:
         pytest.skip("numpy has no bundled OpenBLAS with thread control")
-    set_threads, get_threads = control
+    get_threads = control.get_num_threads
     monkeypatch.delenv("FLOQTRK_THREADS", raising=False)
     path = static_job_file(tmp_path, tmp_path / "t")
     before = get_threads()

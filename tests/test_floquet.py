@@ -7,6 +7,7 @@ import oracles
 from helpers import assert_same_spectrum, record_lapack_solves, shift_replica
 from floqtrk import (
     ConfigError,
+    EigenSystem,
     DriveComponent,
     DriveSpec,
     FloquetMode,
@@ -30,6 +31,7 @@ from floqtrk import (
     joint_operator,
     sambe_operator,
 )
+from floqtrk import lapack
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -159,6 +161,16 @@ def test_assembly_rejects_non_integer_cutoff():
         sambe_operator(h, d, DriveSpec(omega=0.8, components=(DriveComponent(1, 0.1),)), 2.5)
 
 
+def test_fractional_drive_harmonic_is_refused():
+    """A drive harmonic that is not an integer is refused when the drive is
+    made, not as an IndexError when the Sambe operator is filled."""
+    h, d = two_level()
+    with pytest.raises(InputError, match="drive harmonic index must be an integer"):
+        sambe_operator(
+            h, d, DriveSpec(omega=0.8, components=(DriveComponent(1.5, 0.1),)), 3
+        )
+
+
 def test_assembly_size_guard():
     """Truncated dimensions beyond the dense guard are rejected."""
     zero = MatterOperator(np.zeros((100, 100)), basis_tag="t")
@@ -218,10 +230,11 @@ def signed_zero_matrix(dtype):
 
 
 @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
-def test_one_sector_solve_keeps_the_bits_of_eigh(dtype):
-    """An unsplit solve is LAPACK's eigh, bit for bit: its values, its
-    Fortran-ordered vectors V, every column V[:, j] and the amplitudes
-    conj(x) @ V, signed zeros included."""
+def test_one_sector_solve_keeps_the_bits_of_eigh(monkeypatch, dtype):
+    """Without the LAPACK kernel, an unsplit solve is numpy's eigh, bit for
+    bit: its values, its Fortran-ordered vectors V, every column V[:, j]
+    and the amplitudes conj(x) @ V, signed zeros included."""
+    monkeypatch.setattr(lapack, "openblas", lambda: None)
     m = signed_zero_matrix(dtype)
     values, vectors = np.linalg.eigh(m)
     v = np.asfortranarray(vectors)
@@ -274,23 +287,91 @@ def test_diagonalize_rejects_non_finite(monkeypatch, entry, split):
     assert solved == []
 
 
-@pytest.mark.parametrize("split, dims", [(False, [4]), (True, [2])], ids=["dense", "sectors"])
-def test_lapack_failure_is_a_numeric_error(monkeypatch, split, dims):
-    """A LinAlgError from the eigensolver surfaces as NumericError, on the
-    dense path and on the sector path."""
+@pytest.mark.parametrize(
+    "path, split, dims",
+    [
+        ("fallback", False, [4]),
+        ("fallback", True, [2]),
+        ("kernel", False, [4]),
+        ("kernel", True, [2]),
+    ],
+    ids=["dense", "sectors", "kernel_dense", "kernel_sectors"],
+)
+def test_lapack_failure_is_a_numeric_error(monkeypatch, path, split, dims):
+    """A failed eigensolve surfaces as NumericError, on the dense path and
+    on the sector path: a LinAlgError of numpy's eigh, and a dstedc info > 0
+    of the LAPACK kernel, give the same message."""
     solved = []
 
     def failing(a, *args, **kwargs):
         solved.append(a.shape[0])
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", failing)
+    def failing_dstedc(layout, compz, n, *args):
+        solved.append(n)
+        return 1  # an eigenvalue did not converge
+
+    if path == "fallback":
+        monkeypatch.setattr(lapack, "openblas", lambda: None)
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+    else:
+        library = lapack.openblas()
+        if library is None:
+            pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
+        monkeypatch.setattr(lapack, "openblas", lambda: library._replace(dstedc=failing_dstedc))
     message = "^eigensolver failed: Eigenvalues did not converge$"
     with pytest.raises(NumericError, match=message):
         diagonalize_hermitian(
             np.diag([1.0, 2.0, 2.0, 1.0]), reflection=basis_reversal(4) if split else None
         )
     assert solved == dims
+
+
+def grid_floquet_sector():
+    """The P = +1 sector block (1709 x 1709) of the 201-point harmonic-grid
+    Sambe operator at cutoff 8, Omega = 0.35."""
+    grid = GridBasis(-10.0, 10.0, 201)
+    h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
+    drive = DriveSpec(omega=0.35, components=(DriveComponent(1, 0.05),))
+    operator = sambe_operator(h, build_dipole(grid), drive, 8, basis_reversal(201))
+    return operator.sector(1)[0]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: np.array([[-2.5]]),
+        lambda: np.array([[1.0, -0.5], [-0.5, 3.0]]),
+        lambda: signed_zero_matrix(float),
+        lambda: np.diag([1.0, 2.0, 2.0, 1.0]),
+        grid_floquet_sector,
+    ],
+    ids=["n1", "n2", "signed_zeros", "degenerate_diag", "grid_sector"],
+)
+def test_lapack_kernel_keeps_the_eigenvalues_of_eigh(make):
+    """A real block solved by dsytrd + dstedc has numpy eigh's eigenvalues
+    bit for bit and eigenvectors Q Z at its rounding level; column(j) and
+    amplitudes(x) agree with Q Z within 64 m eps, and the input is left
+    untouched."""
+    if lapack.openblas() is None:
+        pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
+    block = make()
+    kept = block.copy()
+    values = np.linalg.eigh(block)[0]
+    system = diagonalize_hermitian(block)
+    assert np.array_equal(block, kept)
+    assert system.values.tobytes() == values.tobytes()
+    n = block.shape[0]
+    assert len(system.sectors[0].reflectors.panels) == -(-(n - 1) // lapack.PANEL)
+    assert_same_spectrum(block, system, EigenSystem(values, ()))
+    tol = 64 * n * np.finfo(np.float64).eps
+    v = system.vectors
+    for j in sorted({0, n // 2, n - 1}):
+        assert np.max(np.abs(system.column(j) - v[:, j])) <= tol
+    x = np.random.default_rng(n).standard_normal(n)
+    x /= np.linalg.norm(x)
+    for y in (x, x + 1j * x[::-1]):
+        assert np.max(np.abs(system.amplitudes(y) - y.conj() @ v)) <= 2 * tol
 
 
 def test_fold_reference_points():

@@ -36,6 +36,14 @@ def test_grid_rejects_too_few_points():
         GridBasis(0.0, 1.0, 2)
 
 
+@pytest.mark.parametrize("n_points", [4.5, 5.0, True], ids=["fractional", "float", "bool"])
+def test_grid_rejects_non_integer_point_count(n_points):
+    """A point count that is not an integer is refused when the grid is
+    made, not as a TypeError when it is used."""
+    with pytest.raises(InputError, match="grid point count must be an integer"):
+        build_grid_hamiltonian(GridBasis(-1.0, 1.0, n_points), PotentialSpec.harmonic(1.0))
+
+
 def test_grid_rejects_inverted_range():
     """x_max must exceed x_min."""
     with pytest.raises(InputError):
