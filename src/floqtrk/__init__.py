@@ -44,13 +44,7 @@ from .model import (
     double_commutator_expectation,
     kinetic_matrix,
 )
-from .qed import (
-    ConvergenceRow,
-    FockSpec,
-    joint_operator,
-    photon_cutoff_convergence,
-    sumrule_qed,
-)
+from .qed import FockSpec, joint_operator, sumrule_qed
 from .sumrule import (
     Ledger,
     SpectralDensity,
@@ -68,7 +62,6 @@ from .version import __version__
 __all__ = [
     "__version__",
     "ConfigError",
-    "ConvergenceRow",
     "DriveComponent",
     "DriveSpec",
     "EigenSystem",
@@ -104,7 +97,6 @@ __all__ = [
     "fold_label",
     "joint_operator",
     "kinetic_matrix",
-    "photon_cutoff_convergence",
     "sambe_operator",
     "select_reference",
     "static_trk",

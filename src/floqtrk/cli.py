@@ -70,13 +70,7 @@ from .model import (
     build_two_electron_hamiltonian,
     hermiticity_defect,
 )
-from .qed import (
-    MIN_CUTOFF_FAMILY,
-    FockSpec,
-    joint_operator,
-    photon_cutoff_convergence,
-    sumrule_qed,
-)
+from .qed import FockSpec, joint_operator, sumrule_qed
 from .sumrule import (
     Ledger,
     SpectralDensity,
@@ -465,6 +459,8 @@ _INTERACTION = _Tagged("kind", "none", {
     },
 })
 _KINETIC = ("three_point", "sinc_dvr")
+#: Fewest photon cutoffs a photon-cutoff converge job may scan.
+MIN_CUTOFF_FAMILY = 3
 
 _SCHEMA = {
     "model": _Tagged("kind", "grid", {
@@ -956,30 +952,42 @@ def _run_floquet(config: JobConfig, stage: _Stage) -> dict:
     return pieces
 
 
+def _qed_member(
+    stage: _Stage,
+    h: MatterOperator,
+    d: MatterOperator,
+    n_e: int,
+    fock: FockSpec,
+    reference: int,
+    reflection: Reflection | None,
+) -> tuple[SumRuleReport, np.ndarray, float]:
+    """Assemble/diagonalize/sum pipeline of one photon cutoff: the report,
+    the energies and the reference population in the top two Fock levels.
+    The spectrum and the operator are freed on return."""
+    with stage("joint_assemble"):
+        operator = joint_operator(h, d, fock, reflection)
+    with stage("eigensolve"):
+        system = diagonalize_hermitian(operator)
+    with stage("sumrule"):
+        report = sumrule_qed(operator, system, reference, n_electrons=n_e)
+        # photon-number distribution of the reference, traced over matter
+        table = system.column(reference).reshape(fock.dim, -1)
+        edge = math.fsum(np.sum(np.abs(table) ** 2, axis=1)[-2:])
+    return report, system.values, edge
+
+
 def _run_qed(config: JobConfig, stage: _Stage) -> dict:
     h, d, n_e, matter_system, reflection = _matter_stack(config, stage)
     fock = FockSpec(**config.resolved["fock"])
     reference = _static_reference(config)
-    with stage("joint_assemble"):
-        h_joint = joint_operator(h, d, fock, reflection)
-    with stage("eigensolve"):
-        system = diagonalize_hermitian(h_joint)
+    qed_report, energies, _ = _qed_member(stage, h, d, n_e, fock, reference, reflection)
     with stage("sumrule"):
         static_report = static_trk(h, d, 0, n_electrons=n_e, system=matter_system)
-        qed_report = sumrule_qed(h_joint, system, reference, n_electrons=n_e)
-    energies = system.values
-    del system  # its vectors are not needed while the g = 0 diagnostic solves
     reports = [("static_trk", static_report), ("qed", qed_report)]
     if config.resolved["qed"]["h0_diagnostic"]:
         fock0 = FockSpec(n_max=fock.n_max, omega_c=fock.omega_c, g=0.0)
-        with stage("joint_assemble"):
-            h0 = joint_operator(h, d, fock0, reflection)
-        with stage("eigensolve"):
-            system0 = diagonalize_hermitian(h0)
-        with stage("sumrule"):
-            reports.append(
-                ("qed_h0", sumrule_qed(h0, system0, reference, n_electrons=n_e))
-            )
+        h0_report = _qed_member(stage, h, d, n_e, fock0, reference, reflection)[0]
+        reports.append(("qed_h0", h0_report))
     pieces = _empty_pieces()
     pieces["reports"] = tuple(reports)
     pieces["primary"] = "qed"
@@ -992,70 +1000,60 @@ def _run_qed(config: JobConfig, stage: _Stage) -> dict:
 
 
 def _run_converge(config: JobConfig, stage: _Stage) -> dict:
-    axis = config.resolved["converge"]["axis"]
-    values = config.resolved["converge"]["values"]
-    pieces = _empty_pieces()
-    if axis == "harmonic_cutoff":
+    """One member per cutoff, each through the stages of its base job.
+
+    A harmonic-cutoff row is converged when |delta| from the previous row
+    is below 1e-6. A photon-cutoff row also needs the reference population
+    in the top two Fock levels below 1e-10, so that the truncation edge is
+    unoccupied, not merely stationary; its |delta| bound is 1e-8.
+    """
+    harmonic = config.resolved["converge"]["axis"] == "harmonic_cutoff"
+    if harmonic:
         h, d, n_e, matter_system, reflection = _matter_stack(config, stage)
         drive = _resolvable_drive(config, matter_system)
-        rows: list[dict] = []
-        previous = None
-        final_report = None
-        for cutoff in values:
-            # keep no spectrum into the next cutoff's solve
+        key, tol = "harmonic_cutoff", 1e-6
+    else:
+        with stage("matter_build"):
+            h, d, n_e = config.matter()
+        reflection = _matter_reflection(config, h)
+        reference = _static_reference(config)
+        key, tol = "n_max", 1e-8
+    rows: list[dict] = []
+    previous = None
+    for value in config.resolved["converge"]["values"]:
+        # keep no spectrum into the next cutoff's solve
+        if harmonic:
             selection, ffbz_ref = _floquet_stack(
-                config, stage, h, d, drive, matter_system, reflection, cutoff
+                config, stage, h, d, drive, matter_system, reflection, value
             )[1:]
             with stage("sumrule"):
                 report = sumrule_ffbz(
                     selection, ffbz_ref, config.resolved["sambe"]["n_max"], n_electrons=n_e
                 )
-            delta = None if previous is None else report.value - previous
-            rows.append(
-                {
-                    "harmonic_cutoff": cutoff,
-                    "value": report.value,
-                    "oracle_residual": report.oracle_residual,
-                    "delta": delta,
-                    "converged": delta is not None and abs(delta) < 1e-6,
-                }
-            )
-            previous = report.value
-            final_report = report
-        pieces["reports"] = (("ffbz", final_report),)
-        pieces["primary"] = "ffbz"
-        pieces["convergence"] = tuple(rows)
-        pieces["warnings"] = final_report.truncation_flags
-        return pieces
-
-    with stage("matter_build"):
-        h, d, n_e = config.matter()
-    focks = [FockSpec(**{**config.resolved["fock"], "n_max": v}) for v in values]
-    reference = _static_reference(config)
-    with stage("convergence"):
-        qed_rows = photon_cutoff_convergence(
-            h,
-            d,
-            focks,
-            reference,
-            n_electrons=n_e,
-            reflection=_matter_reflection(config, h),
-        )
-    for row in qed_rows:
-        _check_closure(f"n_max={row.n_max}", row.report)
-    pieces["reports"] = (("qed", qed_rows[-1].report),)
-    pieces["primary"] = "qed"
-    pieces["convergence"] = tuple(
-        {
-            "n_max": row.n_max,
-            "value": row.value,
-            "oracle_residual": row.oracle_residual,
-            "delta": row.delta,
-            "edge_population": row.edge_population,
-            "converged": row.converged,
+            edge = None
+        else:
+            fock = FockSpec(**{**config.resolved["fock"], "n_max": value})
+            report, _, edge = _qed_member(stage, h, d, n_e, fock, reference, reflection)
+        _check_closure(f"{key}={value}", report)
+        delta = None if previous is None else report.value - previous
+        row = {
+            key: value,
+            "value": report.value,
+            "oracle_residual": report.oracle_residual,
+            "delta": delta,
         }
-        for row in qed_rows
-    )
+        if edge is not None:
+            row["edge_population"] = edge
+        row["converged"] = (
+            delta is not None and abs(delta) < tol and (edge is None or edge < 1e-10)
+        )
+        rows.append(row)
+        previous = report.value
+    pieces = _empty_pieces()
+    pieces["reports"] = ((report.kind, report),)
+    pieces["primary"] = report.kind
+    pieces["convergence"] = tuple(rows)
+    pieces["warnings"] = report.truncation_flags
     return pieces
 
 

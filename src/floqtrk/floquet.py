@@ -166,11 +166,17 @@ class EigenSystem:
     reflectors are applied only to the columns read and to x, never to all
     of Z. ``vectors``, the merged n x n matrix with column j the
     eigenvector of ``values[j]``, is built only when a caller asks for it.
+    The sectors' ``ranks`` must partition ``range(len(values))``.
     """
 
     def __init__(self, values: np.ndarray, sectors: tuple[Sector, ...]) -> None:
         self.values = values
         self.sectors = tuple(sectors)
+        ranks = np.concatenate([np.empty(0, dtype=np.intp), *(s.ranks for s in self.sectors)])
+        if not np.array_equal(np.sort(ranks), np.arange(self.dim)):
+            raise InputError(
+                f"sector ranks do not partition the indices of {self.dim} eigenvalues"
+            )
 
     @classmethod
     def from_sectors(
@@ -465,19 +471,20 @@ class ProductOperator:
         return self.labels * self.frequency
 
     def toarray(self) -> np.ndarray:
-        """The full-size dense matrix, written block by block from the
-        factors: H_M + shift_j 1 added onto block (j, j) and C[j, k] d onto
-        block (j, k) for each nonzero C[j, k], all onto a zero matrix, so
-        every exact zero is +0.0."""
+        """The full-size dense matrix, Fortran-ordered for LAPACK to reduce
+        in place, written block by block from the factors: H_M + shift_j 1
+        added onto block (j, j) and C[j, k] d onto block (j, k) for each
+        nonzero C[j, k], all onto a zero matrix, so every exact zero is
+        +0.0."""
         n_m, n_o = self.matter.shape[0], self.labels.size
-        full = np.zeros((n_o * n_m, n_o * n_m), dtype=self._dtype)
-        blocks = full.reshape(n_o, n_m, n_o, n_m)  # [j, :, k, :] is block (j, k)
+        full = np.zeros((n_o * n_m, n_o * n_m), dtype=self._dtype, order="F")
+        blocks = full.T.reshape(n_o, n_m, n_o, n_m)  # [k, :, j, :] is block (j, k)^T
         eye = np.eye(n_m, dtype=self._dtype)
         for j, shift in enumerate(self.shifts):
-            blocks[j, :, j, :] += self.matter + shift * eye
+            blocks[j, :, j, :] += (self.matter + shift * eye).T
         if self._couples:
             for j, k in zip(*np.nonzero(self.coupling)):
-                blocks[j, :, k, :] += self.coupling[j, k] * self.dipole
+                blocks[k, :, j, :] += self.coupling[j, k] * self.dipole.T
         return full
 
     def __matmul__(self, vector: np.ndarray) -> np.ndarray:
@@ -634,8 +641,8 @@ def diagonalize_hermitian(
     the lifted reflection commutes (:attr:`ProductOperator.splits`), the
     S = +1 and S = -1 sector blocks are solved one at a time, two half-size
     solves at about a quarter of the flops. Otherwise the one sector is the
-    identity basis, solved on a copy of the array or on
-    :meth:`~ProductOperator.toarray`.
+    identity basis, solved on a copy of the array, or in place on
+    :meth:`~ProductOperator.toarray`, whose matrix the solve owns.
     """
     if isinstance(matrix, ProductOperator):
         if reflection is not None:
@@ -647,7 +654,11 @@ def diagonalize_hermitian(
     if operator.splits:
         blocks = (operator.sector(parity) for parity in (1, -1))
     else:
-        full = _checked_hermitian(operator.toarray()) if operator is matrix else operator.matter
+        full = (
+            _checked_hermitian(operator.toarray(), owned=True)
+            if operator is matrix
+            else operator.matter
+        )
         blocks = [(full, SectorBasis.identity(full.shape[0]))]
     solved = []
     for block, basis in blocks:
@@ -656,10 +667,11 @@ def diagonalize_hermitian(
     return EigenSystem.from_sectors(solved)
 
 
-def _checked_hermitian(matrix: np.ndarray) -> np.ndarray:
+def _checked_hermitian(matrix: np.ndarray, owned: bool = False) -> np.ndarray:
     """A copy of ``matrix``, checked to be square, finite and Hermitian;
     made exactly Hermitian when complex, and real and Fortran-ordered when
-    its imaginary part is zero."""
+    its imaginary part is zero. An ``owned`` matrix that is already real
+    and Fortran-ordered is returned itself, for the solve to overwrite."""
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"expected a square matrix, got shape {m.shape}")
@@ -676,6 +688,8 @@ def _checked_hermitian(matrix: np.ndarray) -> np.ndarray:
         raise InputError(f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e}")
     if np.iscomplexobj(m) and np.max(np.abs(m.imag)) != 0.0:
         return (m + m.conj().T) / 2.0
+    if owned and m.dtype == np.float64 and m.flags.f_contiguous:
+        return m
     return np.array(m.real, dtype=np.result_type(m.real, np.float64), order="F")
 
 

@@ -14,25 +14,25 @@ and with the bilinear coupling, the double-commutator oracle again reduces
 to the bare matter commutator - evaluated here by applying the joint
 operators themselves, block by block, so the reduction is checked rather
 than assumed.
+
+A scan over photon cutoffs is the ``converge`` job of :mod:`floqtrk.cli`,
+which runs each cutoff through the stages of the ``qed`` job.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, SizeError
-from .floquet import EigenSystem, ProductOperator, Reflection, diagonalize_hermitian
+from .floquet import EigenSystem, ProductOperator, Reflection
 from .model import MatterOperator, _as_index
 from .sumrule import SumRuleReport, _extended_report
 
 #: Dense-eigensolve guard for the matter (x) Fock product dimension.
 MAX_JOINT_DIM = 6000
-#: Fewest photon cutoffs a convergence family may have.
-MIN_CUTOFF_FAMILY = 3
 
 
 @dataclass(frozen=True)
@@ -116,104 +116,3 @@ def sumrule_qed(
     or not.
     """
     return _extended_report("qed", operator, system, reference, n_electrons, None)
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    """One photon-cutoff family member of :func:`photon_cutoff_convergence`."""
-
-    n_max: int
-    value: float
-    oracle_residual: float
-    delta: float | None  # value - previous row's value; None on the first row
-    edge_population: float  # reference population in the top two Fock levels
-    converged: bool
-    report: SumRuleReport = field(repr=False)  # the member's full sum-rule report
-
-
-def photon_cutoff_convergence(
-    h_matter: MatterOperator,
-    d: MatterOperator,
-    focks: Sequence[FockSpec],
-    reference: int = 0,
-    *,
-    n_electrons: int,
-    reflection: Reflection | None = None,
-) -> tuple[ConvergenceRow, ...]:
-    """Sum-rule value across a family of increasing photon cutoffs.
-
-    A row is converged when |delta| from the previous row is below 1e-8 and
-    the reference state's population in the top two Fock levels is below
-    1e-10 (so the truncation edge is unoccupied, not merely stationary).
-
-    Each row keeps its member's complete :class:`SumRuleReport`, so a caller
-    that needs the final member's ledger reads ``rows[-1].report`` instead
-    of building and diagonalizing that joint Hamiltonian again.
-
-    Parameters
-    ----------
-    focks:
-        At least ``MIN_CUTOFF_FAMILY`` specifications with strictly
-        increasing ``n_max`` and identical ``omega_c`` and ``g``.
-    reference:
-        Eigenpair index within each family member's ascending spectrum.
-    reflection:
-        A matter reflection, lifted to each member by
-        :func:`joint_operator` for the eigensolve.
-    """
-    modes = tuple(focks)
-    if len(modes) < MIN_CUTOFF_FAMILY:
-        raise InputError(
-            f"cutoff convergence needs at least {MIN_CUTOFF_FAMILY} family members, "
-            f"got {len(modes)}"
-        )
-    for prev, nxt in zip(modes, modes[1:]):
-        if nxt.n_max <= prev.n_max:
-            raise InputError(
-                f"photon cutoffs must be strictly increasing, got "
-                f"{prev.n_max} then {nxt.n_max}"
-            )
-        if nxt.omega_c != prev.omega_c or nxt.g != prev.g:
-            raise InputError(
-                "cutoff family members must share omega_c and g"
-            )
-    rows: list[ConvergenceRow] = []
-    previous_value: float | None = None
-    for mode in modes:
-        report, edge = _cutoff_member(h_matter, d, mode, reference, n_electrons, reflection)
-        delta = None if previous_value is None else report.value - previous_value
-        converged = (
-            delta is not None and abs(delta) < 1e-8 and edge < 1e-10
-        )
-        rows.append(
-            ConvergenceRow(
-                n_max=mode.n_max,
-                value=report.value,
-                oracle_residual=report.oracle_residual,
-                delta=delta,
-                edge_population=edge,
-                converged=converged,
-                report=report,
-            )
-        )
-        previous_value = report.value
-    return tuple(rows)
-
-
-def _cutoff_member(
-    h_matter: MatterOperator,
-    d: MatterOperator,
-    fock: FockSpec,
-    reference: int,
-    n_electrons: int,
-    reflection: Reflection | None,
-) -> tuple[SumRuleReport, float]:
-    """One family member's report and the reference population in its top
-    two Fock levels; the member's spectrum is freed on return."""
-    operator = joint_operator(h_matter, d, fock, reflection)
-    system = diagonalize_hermitian(operator)
-    report = sumrule_qed(operator, system, reference, n_electrons=n_electrons)
-    # photon-number distribution of the reference, traced over matter
-    table = system.column(reference).reshape(fock.dim, -1)
-    populations = np.sum(np.abs(table) ** 2, axis=1)
-    return report, float(math.fsum(populations[-2:]))

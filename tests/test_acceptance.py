@@ -31,7 +31,6 @@ from floqtrk import (
     fold_and_select_ffbz,
     fold_label,
     joint_operator,
-    photon_cutoff_convergence,
     sambe_operator,
     select_reference,
     static_trk,
@@ -39,6 +38,7 @@ from floqtrk import (
     sumrule_qed,
     sumrule_sambe,
 )
+from floqtrk.cli import load_config, run_job
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 CUTOFFS = (6, 8, 10, 12)
@@ -200,7 +200,7 @@ def test_criterion_7_first_moment_identity(
     check(7, ok, f"worst |first_moment - value|={worst:.2e} over {len(runs)} runs")
 
 
-def test_criterion_8_quantum_light_closure():
+def test_criterion_8_quantum_light_closure(tmp_path):
     """Joint matter-photon sums match the joint oracle, the converged grid
     value stays near 1, and the cutoff table is monotone at weak coupling."""
     model = FewLevelModel((0.0, 1.0), SX)
@@ -222,14 +222,15 @@ def test_criterion_8_quantum_light_closure():
     grid_ref = select_reference_joint(grid_system, grid_ground, fock_g.dim)
     grid_report = sumrule_qed(hg_joint, grid_system, grid_ref, n_electrons=1)
 
-    family = FewLevelModel((0.0, 0.5), np.array([[2.0, 1.0], [1.0, -2.0]]))
-    rows = photon_cutoff_convergence(
-        family.hamiltonian(),
-        family.dipole_operator(),
-        [FockSpec(n_max=n, omega_c=0.02, g=0.01) for n in (4, 8, 16, 32)],
-        n_electrons=1,
+    family = tmp_path / "family.yaml"
+    family.write_text(
+        "job: converge\n"
+        "converge: {axis: fock_n_max, values: [4, 8, 16, 32]}\n"
+        "model: {kind: few_level, energies: [0.0, 0.5], dipole: [[2.0, 1.0], [1.0, -2.0]]}\n"
+        "fock: {omega_c: 0.02, g: 0.01}\n"
     )
-    deltas = [abs(row.delta) for row in rows[1:]]
+    rows = run_job(load_config(family)).convergence
+    deltas = [abs(row["delta"]) for row in rows[1:]]
     ok = (
         closure_ok(rabi)
         and closure_ok(grid_report)

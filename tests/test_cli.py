@@ -10,6 +10,7 @@ import platform
 import sys
 import textwrap
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from floqtrk import (
     floquet,
     joint_operator,
     lapack,
-    qed,
     sumrule,
     sumrule_qed,
 )
@@ -651,7 +651,7 @@ def record_eigensolves(monkeypatch, perturb=None):
         system = original(matrix, reflection=reflection)
         return system if perturb is None else perturb(system)
 
-    for module in (cli, floquet, qed, sumrule):
+    for module in (cli, floquet, sumrule):
         monkeypatch.setattr(module, "diagonalize_hermitian", recorder)
     return dims
 
@@ -800,6 +800,29 @@ def test_converge_final_report_is_the_last_row(tmp_path):
     assert final == cli._sumrule_payload(fresh)
 
 
+@pytest.mark.parametrize(
+    "text, matter_dim",
+    [(HARMONIC_CONVERGE_JOB, 3), (FOCK_CONVERGE_JOB, 2)],
+    ids=["harmonic", "fock"],
+)
+def test_converge_frees_each_member_spectrum(tmp_path, monkeypatch, text, matter_dim):
+    """A scan holds one member's spectrum at a time: by the time a member's
+    solve returns, no earlier member's EigenSystem is alive, so none was
+    held through that solve."""
+    members = []
+
+    def track(system):
+        alive = [i for i, ref in enumerate(members) if ref() is not None]
+        assert alive == [], f"member spectra {alive} alive during member {len(members)}"
+        if system.dim > matter_dim:  # the matter spectrum lives for the whole job
+            members.append(weakref.ref(system))
+        return system
+
+    record_eigensolves(monkeypatch, track)
+    run_job(load_config(config_file(tmp_path, text)))
+    assert len(members) == 4
+
+
 READBACK_JOBS = {
     "static": "job: static_trk\n" + THREE_LEVEL_MODEL,
     "floquet": FLOQUET_JOB,
@@ -941,7 +964,7 @@ def test_timings_name_the_eigh_fallback(tmp_path, monkeypatch):
                 "sumrule",
             },
         ),
-        (FOCK_CONVERGE_JOB, {"matter_build", "convergence"}),
+        (FOCK_CONVERGE_JOB, {"matter_build", "joint_assemble", "eigensolve", "sumrule"}),
     ],
     ids=["static", "floquet", "qed", "converge_harmonic", "converge_fock"],
 )
@@ -1427,6 +1450,8 @@ CONFIG_ERRORS = [
      "key 'values' in section 'converge' must be strictly increasing"),
     ("converge_values_negative", HARMONIC_SCAN.replace("[2, 4]", "[-2, 4]") + DRIVE_SECTION,
      "key 'values' in section 'converge' must be non-negative"),
+    ("converge_fock_values_repeated", FOCK_SCAN.replace("[2, 4, 6]", "[2, 4, 4]") + FOCK_SECTION,
+     "key 'values' in section 'converge' must be strictly increasing"),
     ("sweep_path_empty", sweep_section("''"),
      "key 'path' in section 'sweep' must be a non-empty string"),
     ("sweep_path_not_string", sweep_section("3"),
@@ -1599,7 +1624,7 @@ def test_refused_at_load_before_any_eigensolve(
     lapack = record_lapack_solves(monkeypatch)
     path = config_file(tmp_path, text)
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    message = message.format(fewest=qed.MIN_CUTOFF_FAMILY)
+    message = message.format(fewest=cli.MIN_CUTOFF_FAMILY)
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert solved == lapack == []
 

@@ -1,5 +1,8 @@
 """Sambe operators, eigensolves, folding, and replica shifts."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -270,6 +273,26 @@ def test_eigensystem_refuses_bad_index_and_vector(split):
         diagonalize_hermitian(np.diag([1.0, 2.0, 3.0])).column(3)
 
 
+@pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+def test_eigensystem_refuses_sectors_that_miss_its_values(split):
+    """The sectors' ranks must partition range(len(values)): too few or too
+    many values, or a rank held twice, is refused when the system is built,
+    not met as an IndexError by a later column() or amplitudes()."""
+    matrix = np.diag([1.0, 2.0, 5.0, 5.0, 2.0, 1.0])
+    system = diagonalize_hermitian(matrix, reflection=basis_reversal(6) if split else None)
+    assert len(system.sectors) == (2 if split else 1)
+    ranks = system.sectors[0].ranks.copy()
+    ranks[0] = (ranks[0] + 1) % 6  # rank ranks[0] lost, another held twice
+    twice = (system.sectors[0]._replace(ranks=ranks), *system.sectors[1:])
+    for values, sectors in (
+        (system.values[:4], system.sectors),
+        (np.append(system.values, 6.0), system.sectors),
+        (system.values, twice),
+    ):
+        with pytest.raises(InputError, match="^sector ranks do not partition"):
+            EigenSystem(values, sectors)
+
+
 @pytest.mark.parametrize(
     "entry",
     [np.nan, np.inf, -np.inf, complex(np.nan, 1.0)],
@@ -363,7 +386,7 @@ def test_lapack_kernel_keeps_the_eigenvalues_of_eigh(make):
     assert system.values.tobytes() == values.tobytes()
     n = block.shape[0]
     assert len(system.sectors[0].reflectors.panels) == -(-(n - 1) // lapack.PANEL)
-    assert_same_spectrum(block, system, EigenSystem(values, ()))
+    assert_same_spectrum(block, system, SimpleNamespace(values=values))
     tol = 64 * n * np.finfo(np.float64).eps
     v = system.vectors
     for j in sorted({0, n // 2, n - 1}):
@@ -461,9 +484,7 @@ def test_selection_rejects_incomplete_spectrum():
     drive = DriveSpec(omega=0.8, components=(DriveComponent(1, 0.1),))
     floquet = sambe_operator(h, d, drive, 2)
     system = diagonalize_hermitian(floquet)
-    from floqtrk import EigenSystem
-
-    truncated = EigenSystem(system.values[:4], system.sectors)
+    truncated = diagonalize_hermitian(np.diag(system.values[:4]))
     with pytest.raises(InputError):
         fold_and_select_ffbz(truncated, floquet)
 
@@ -716,6 +737,33 @@ def test_dense_fallback_is_the_unsplit_solve(monkeypatch, matrix, reflection):
     assert solved == [147]
     assert np.array_equal(system.values, plain.values)
     assert np.array_equal(system.vectors, plain.vectors)
+
+
+def test_unsplit_operator_is_solved_in_place():
+    """An operator that does not split writes its matrix once, in Fortran
+    order, and LAPACK reduces that array in place: the solve peaks below
+    1.75 n^2 doubles (the matrix and a C-ordered copy, 2 n^2, before), with
+    the eigenvalues of the solve of a copy bit for bit. A caller's array is
+    still copied, since the solve overwrites what it reduces."""
+    grid = GridBasis(x_min=-8.0, x_max=10.0, n_points=60)
+    h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
+    operator = sambe_operator(h, build_dipole(grid), REAL_DRIVE, 4, basis_reversal(60))
+    n = operator.shape[0]
+    assert n == 540 and not operator.splits
+    full = operator.toarray()
+    assert full.flags.f_contiguous
+    kept = full.copy(order="F")
+    copied = diagonalize_hermitian(full)
+    assert full.tobytes() == kept.tobytes()
+    del full, kept
+    tracemalloc.start()
+    try:
+        system = diagonalize_hermitian(operator)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * n * n * np.dtype(np.float64).itemsize
+    assert system.values.tobytes() == copied.values.tobytes()
 
 
 def test_coupling_just_below_tolerance_is_split(monkeypatch):

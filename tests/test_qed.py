@@ -1,4 +1,4 @@
-"""Joint light-matter models and the photon-cutoff convergence policy."""
+"""Joint light-matter models and the photon-cutoff converge job."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 import oracles
 from helpers import assert_same_spectrum, record_lapack_solves, select_reference_joint
 from floqtrk import (
-    EigenSystem,
     FockSpec,
     GridBasis,
     InputError,
@@ -20,14 +19,17 @@ from floqtrk import (
     diagonalize_hermitian,
     ProductOperator,
     joint_operator,
-    photon_cutoff_convergence,
     static_trk,
     sumrule_qed,
 )
+from floqtrk.cli import load_config, run_job
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 TWO_H = MatterOperator(np.diag([0.0, 1.0]), basis_tag="levels:2")
 TWO_D = MatterOperator(SX, basis_tag="levels:2")
+#: TWO_H and TWO_D, and an 11-point harmonic grid on [-5, 5], as config models.
+TWO_LEVEL = "{kind: few_level, energies: [0.0, 1.0], dipole: [[0.0, 1.0], [1.0, 0.0]]}"
+GRID_11 = "{kind: grid, grid: {n_points: 11, x_min: -5.0, x_max: 5.0}}"
 
 
 def qed_report(h, d, fock, reference=0):
@@ -36,6 +38,24 @@ def qed_report(h, d, fock, reference=0):
     system = diagonalize_hermitian(h_joint)
     report = sumrule_qed(h_joint, system, reference, n_electrons=1)
     return report, system, h_joint
+
+
+def write_scan(tmp_path, model, cutoffs, omega_c, g, reference="auto"):
+    """A photon-cutoff converge job of ``model`` (a YAML flow mapping)."""
+    path = tmp_path / "scan.yaml"
+    path.write_text(
+        "job: converge\n"
+        f"converge: {{axis: fock_n_max, values: {list(cutoffs)}}}\n"
+        f"model: {model}\n"
+        f"fock: {{omega_c: {omega_c}, g: {g}}}\n"
+        f"reference: {reference}\n"
+    )
+    return path
+
+
+def photon_scan(tmp_path, model, cutoffs, omega_c, g, reference="auto"):
+    """The run of :func:`write_scan`'s job."""
+    return run_job(load_config(write_scan(tmp_path, model, cutoffs, omega_c, g, reference)))
 
 
 def test_fock_spec_validation():
@@ -175,7 +195,7 @@ def test_qed_sum_input_checks():
     fock = FockSpec(n_max=3, omega_c=0.9, g=0.1)
     h_joint = joint_operator(TWO_H, TWO_D, fock)
     system = diagonalize_hermitian(h_joint)
-    truncated = EigenSystem(system.values[:4], system.sectors)
+    truncated = diagonalize_hermitian(np.diag(system.values[:4]))
     with pytest.raises(InputError, match="complete qed dimension 8"):
         sumrule_qed(h_joint, truncated, 0, n_electrons=1)
 
@@ -189,87 +209,53 @@ def test_spectrum_is_bounded_below():
     assert select_reference_joint(system, np.array([1.0, 0.0]), 11) == 0
 
 
-def test_cutoff_family_validation():
-    """Short, non-increasing, or inconsistent families are rejected."""
-    f = lambda n: FockSpec(n_max=n, omega_c=0.9, g=0.1)
-    with pytest.raises(InputError):
-        photon_cutoff_convergence(TWO_H, TWO_D, [f(2), f(4)], n_electrons=1)
-    with pytest.raises(InputError):
-        photon_cutoff_convergence(TWO_H, TWO_D, [f(4), f(4), f(8)], n_electrons=1)
-    with pytest.raises(InputError):
-        photon_cutoff_convergence(
-            TWO_H,
-            TWO_D,
-            [f(2), f(4), FockSpec(n_max=8, omega_c=0.8, g=0.1)],
-            n_electrons=1,
-        )
-    with pytest.raises(InputError):
-        photon_cutoff_convergence(
-            TWO_H,
-            TWO_D,
-            [f(2), f(4), FockSpec(n_max=8, omega_c=0.9, g=0.2)],
-            n_electrons=1,
-        )
-
-
-def test_cutoff_family_uncoupled_is_flat():
+def test_cutoff_family_uncoupled_is_flat(tmp_path):
     """At g = 0 every enlargement changes nothing."""
-    family = [FockSpec(n_max=n, omega_c=0.7, g=0.0) for n in (2, 4, 6)]
-    rows = photon_cutoff_convergence(TWO_H, TWO_D, family, n_electrons=1)
-    assert rows[0].delta is None
+    rows = photon_scan(tmp_path, TWO_LEVEL, (2, 4, 6), omega_c=0.7, g=0.0).convergence
+    assert rows[0]["delta"] is None
     for row in rows[1:]:
-        assert abs(row.delta) <= 1e-12
+        assert abs(row["delta"]) <= 1e-12
     for row in rows:
-        assert abs(row.oracle_residual) <= 1e-10
+        assert abs(row["oracle_residual"]) <= 1e-10
 
 
-def test_cutoff_family_deltas_shrink():
+def test_cutoff_family_deltas_shrink(tmp_path):
     """For a low-frequency mode on a parity-broken dipole the inter-row
     deltas decrease strictly with the cutoff."""
-    h = MatterOperator(np.diag([0.0, 0.5]), basis_tag="levels:2")
-    d = MatterOperator(np.array([[2.0, 1.0], [1.0, -2.0]]), basis_tag="levels:2")
-    family = [FockSpec(n_max=n, omega_c=0.02, g=0.01) for n in (4, 8, 16, 32)]
-    rows = photon_cutoff_convergence(h, d, family, n_electrons=1)
-    deltas = [abs(row.delta) for row in rows[1:]]
+    model = "{kind: few_level, energies: [0.0, 0.5], dipole: [[2.0, 1.0], [1.0, -2.0]]}"
+    rows = photon_scan(tmp_path, model, (4, 8, 16, 32), omega_c=0.02, g=0.01).convergence
+    deltas = [abs(row["delta"]) for row in rows[1:]]
     assert deltas[0] > deltas[1] > deltas[2]
     assert deltas[2] < 1e-8
 
 
-def test_cutoff_convergence_depends_on_coupling():
+def test_cutoff_convergence_depends_on_coupling(tmp_path):
     """A weak coupling converges at a smaller photon cutoff than a strong
     one under the same policy."""
     cutoffs = (4, 8, 16, 24)
-    weak = photon_cutoff_convergence(
-        TWO_H,
-        TWO_D,
-        [FockSpec(n_max=n, omega_c=0.9, g=0.01) for n in cutoffs],
-        n_electrons=1,
-    )
-    strong = photon_cutoff_convergence(
-        TWO_H,
-        TWO_D,
-        [FockSpec(n_max=n, omega_c=0.9, g=0.45) for n in cutoffs],
-        n_electrons=1,
-    )
-    first_weak = next(row.n_max for row in weak if row.converged)
-    first_strong = next(row.n_max for row in strong if row.converged)
+    weak = photon_scan(tmp_path, TWO_LEVEL, cutoffs, omega_c=0.9, g=0.01).convergence
+    strong = photon_scan(tmp_path, TWO_LEVEL, cutoffs, omega_c=0.9, g=0.45).convergence
+    first_weak = next(row["n_max"] for row in weak if row["converged"])
+    first_strong = next(row["n_max"] for row in strong if row["converged"])
     assert first_weak == 8
     assert first_strong == 16
-    assert not strong[0].converged
-    assert not strong[1].converged
+    assert not strong[0]["converged"]
+    assert not strong[1]["converged"]
 
 
-def test_edge_population_is_the_top_two_fock_levels():
+def test_edge_population_is_the_top_two_fock_levels(tmp_path):
     """A row's edge population is the reference state's weight in the two
     highest photon levels, read off a reshape of its eigenvector."""
     family = [FockSpec(n_max=n, omega_c=0.9, g=0.3) for n in (2, 4, 6)]
     for reference in (0, 1):
-        rows = photon_cutoff_convergence(TWO_H, TWO_D, family, reference, n_electrons=1)
+        rows = photon_scan(
+            tmp_path, TWO_LEVEL, (2, 4, 6), omega_c=0.9, g=0.3, reference=reference
+        ).convergence
         for row, fock in zip(rows, family):
             _, system, _ = qed_report(TWO_H, TWO_D, fock)
             state = system.vectors[:, reference].reshape(fock.dim, TWO_H.dim)
             expected = float(np.sum(np.abs(state[-2:]) ** 2))
-            assert abs(row.edge_population - expected) <= 1e-15
+            assert abs(row["edge_population"] - expected) <= 1e-15
             assert expected > 1e-10
 
 
@@ -301,17 +287,19 @@ def test_joint_operators_bit_equal_to_kron_reference(g):
         assert lifted.tobytes() == reference_d.tobytes()
 
 
-def test_cutoff_rows_keep_their_reports():
-    """Each convergence row carries its member's full report, whose numbers
-    are the row's own."""
+def test_cutoff_rows_keep_their_reports(tmp_path):
+    """Each convergence row holds its member's value and oracle residual,
+    and the scan reports the last member's full sum rule."""
     family = [FockSpec(n_max=n, omega_c=0.9, g=0.3) for n in (2, 4, 6)]
-    rows = photon_cutoff_convergence(TWO_H, TWO_D, family, n_electrons=1)
-    for row, fock in zip(rows, family):
-        assert row.report.kind == "qed"
-        assert row.report.value == row.value
-        assert row.report.oracle_residual == row.oracle_residual
-        assert len(row.report.contributions) == 2 * fock.dim
-    assert rows[-1].report == qed_report(TWO_H, TWO_D, family[-1])[0]
+    scan = photon_scan(tmp_path, TWO_LEVEL, (2, 4, 6), omega_c=0.9, g=0.3)
+    for row, fock in zip(scan.convergence, family):
+        report = qed_report(TWO_H, TWO_D, fock)[0]
+        assert report.value == row["value"]
+        assert report.oracle_residual == row["oracle_residual"]
+    final = scan.primary_report()
+    assert final.kind == "qed"
+    assert len(final.contributions) == 2 * family[-1].dim
+    assert final == qed_report(TWO_H, TWO_D, family[-1])[0]
 
 
 def test_joint_matrix_is_solved_in_two_sectors(monkeypatch):
@@ -361,19 +349,19 @@ def test_joint_operator_fallback_is_the_unsplit_solve(monkeypatch, x_max, potent
     assert np.array_equal(system.vectors, plain.vectors)
 
 
-def test_cutoff_family_lifts_the_matter_reflection(monkeypatch):
-    """photon_cutoff_convergence solves every member in its two sectors,
-    with the values of the unsplit solve."""
-    grid = GridBasis(-5.0, 5.0, 11)
-    h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
-    d = build_dipole(grid)
-    family = [FockSpec(n_max=n, omega_c=0.9, g=0.2) for n in (2, 3, 4)]
-    dense = photon_cutoff_convergence(h, d, family, n_electrons=1)
-    solved = record_lapack_solves(monkeypatch)
-    rows = photon_cutoff_convergence(
-        h, d, family, n_electrons=1, reflection=basis_reversal(11)
+def test_cutoff_family_lifts_the_matter_reflection(tmp_path, monkeypatch):
+    """The photon-cutoff converge job solves every grid member in its two
+    sectors, with the values of the unsplit solve."""
+    config = load_config(
+        write_scan(tmp_path, GRID_11, (2, 3, 4), omega_c=0.9, g=0.2)
     )
+    h, d, _ = config.matter()
+    dense = [
+        qed_report(h, d, FockSpec(n_max=n, omega_c=0.9, g=0.2))[0] for n in (2, 3, 4)
+    ]
+    solved = record_lapack_solves(monkeypatch)
+    rows = run_job(config).convergence
     assert solved == [17, 16, 22, 22, 28, 27]
     for row, reference in zip(rows, dense):
-        assert abs(row.value - reference.value) <= 1e-12 * abs(reference.value)
-        assert abs(row.oracle_residual) <= 1e-12
+        assert abs(row["value"] - reference.value) <= 1e-12 * abs(reference.value)
+        assert abs(row["oracle_residual"]) <= 1e-12
