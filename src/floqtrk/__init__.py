@@ -21,13 +21,12 @@ from .floquet import (
     EigenSystem,
     FfbzSelection,
     FloquetMode,
-    FoldedLabel,
     ProductOperator,
     Reflection,
     basis_reversal,
     diagonalize_hermitian,
     fold_and_select_ffbz,
-    fold_label,
+    fold_quasienergies,
     sambe_operator,
 )
 from .model import (
@@ -70,7 +69,6 @@ __all__ = [
     "FloqtrkError",
     "FloquetMode",
     "FockSpec",
-    "FoldedLabel",
     "GridBasis",
     "InputError",
     "InteractionSpec",
@@ -94,7 +92,7 @@ __all__ = [
     "double_commutator_expectation",
     "first_moment",
     "fold_and_select_ffbz",
-    "fold_label",
+    "fold_quasienergies",
     "joint_operator",
     "kinetic_matrix",
     "sambe_operator",

@@ -177,7 +177,8 @@ def load_config(path: str | Path, default_job: str | None = None) -> JobConfig:
         raise ConfigError(f"could not read {path} as UTF-8 text: {exc}") from exc
     try:
         raw = yaml.load(text, Loader=_UniqueKeyLoader)
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a scalar YAML cannot convert
+    # ValueError: a scalar YAML cannot convert; RecursionError: nesting too deep
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ConfigError(f"could not parse {path}: {exc}") from exc
     if raw is None:
         raw = {}
@@ -704,20 +705,21 @@ class SweepPoint:
 
 @dataclass(frozen=True, eq=False)
 class RunReport:
-    """Everything one job produced, timings quarantined from the payload."""
+    """Everything one job produced, timings quarantined from the payload.
+    A job sets only the fields it produces."""
 
     config: dict
     run_hash: str
     version: str
-    reports: tuple[tuple[str, SumRuleReport], ...]
-    primary: str | None
-    density: SpectralDensity | None
-    spectrum_header: tuple[str, ...] | None
-    spectrum_rows: tuple[tuple, ...] | None
-    convergence: tuple[dict, ...] | None
-    sweep_points: tuple[SweepPoint, ...] | None
-    warnings: tuple[str, ...]
     timings: dict
+    reports: tuple[tuple[str, SumRuleReport], ...] = ()
+    primary: str | None = None
+    density: SpectralDensity | None = None
+    spectrum_header: tuple[str, ...] | None = None
+    spectrum_rows: tuple[tuple, ...] | None = None
+    convergence: tuple[dict, ...] | None = None
+    sweep_points: tuple[SweepPoint, ...] | None = None
+    warnings: tuple[str, ...] = ()
 
     @property
     def job_kind(self) -> str:
@@ -777,7 +779,7 @@ def run_job(config: JobConfig, verbose: bool = False) -> RunReport:
         pieces = _run_converge(config, stage)
     else:
         pieces = _run_sweep(config, stage, verbose)
-    for tag, report in pieces["reports"]:
+    for tag, report in pieces.get("reports", ()):
         _check_closure(tag, report)
     timings["total"] = time.perf_counter() - start
     return RunReport(
@@ -787,19 +789,6 @@ def run_job(config: JobConfig, verbose: bool = False) -> RunReport:
         timings=timings,
         **pieces,
     )
-
-
-def _empty_pieces() -> dict:
-    return {
-        "reports": (),
-        "primary": None,
-        "density": None,
-        "spectrum_header": None,
-        "spectrum_rows": None,
-        "convergence": None,
-        "sweep_points": None,
-        "warnings": (),
-    }
 
 
 def _check_closure(tag: str, report: SumRuleReport) -> None:
@@ -848,11 +837,11 @@ def _run_static(config: JobConfig, stage: _Stage) -> dict:
         report = static_trk(
             h, d, _static_reference(config), n_electrons=n_e, system=matter_system
         )
-    pieces = _empty_pieces()
-    pieces["reports"] = (("static_trk", report),)
-    pieces["primary"] = "static_trk"
-    pieces["warnings"] = report.truncation_flags
-    return pieces
+    return {
+        "reports": (("static_trk", report),),
+        "primary": "static_trk",
+        "warnings": report.truncation_flags,
+    }
 
 
 def _resolvable_drive(config: JobConfig, matter_system: EigenSystem) -> DriveSpec:
@@ -935,21 +924,21 @@ def _run_floquet(config: JobConfig, stage: _Stage) -> dict:
             selection, ffbz_ref, sambe_cfg["n_max"], n_electrons=n_e
         )
         density = density_from_ledger(ffbz_report)
-    pieces = _empty_pieces()
-    pieces["reports"] = (
-        ("static_trk", static_report),
-        ("sambe", sambe_report),
-        ("ffbz", ffbz_report),
-    )
-    pieces["primary"] = "ffbz"
-    pieces["density"] = density
-    pieces["spectrum_header"] = ("index", "quasienergy", "edge_weight")
-    pieces["spectrum_rows"] = tuple(
-        (i, mode.quasienergy, mode.edge_weight)
-        for i, mode in enumerate(selection.representatives)
-    )
-    pieces["warnings"] = ffbz_report.truncation_flags
-    return pieces
+    return {
+        "reports": (
+            ("static_trk", static_report),
+            ("sambe", sambe_report),
+            ("ffbz", ffbz_report),
+        ),
+        "primary": "ffbz",
+        "density": density,
+        "spectrum_header": ("index", "quasienergy", "edge_weight"),
+        "spectrum_rows": tuple(
+            (i, mode.quasienergy, mode.edge_weight)
+            for i, mode in enumerate(selection.representatives)
+        ),
+        "warnings": ffbz_report.truncation_flags,
+    }
 
 
 def _qed_member(
@@ -988,15 +977,13 @@ def _run_qed(config: JobConfig, stage: _Stage) -> dict:
         fock0 = FockSpec(n_max=fock.n_max, omega_c=fock.omega_c, g=0.0)
         h0_report = _qed_member(stage, h, d, n_e, fock0, reference, reflection)[0]
         reports.append(("qed_h0", h0_report))
-    pieces = _empty_pieces()
-    pieces["reports"] = tuple(reports)
-    pieces["primary"] = "qed"
-    pieces["spectrum_header"] = ("index", "energy")
-    pieces["spectrum_rows"] = tuple(
-        (i, float(e)) for i, e in enumerate(energies)
-    )
-    pieces["warnings"] = qed_report.truncation_flags
-    return pieces
+    return {
+        "reports": tuple(reports),
+        "primary": "qed",
+        "spectrum_header": ("index", "energy"),
+        "spectrum_rows": tuple((i, float(e)) for i, e in enumerate(energies)),
+        "warnings": qed_report.truncation_flags,
+    }
 
 
 def _run_converge(config: JobConfig, stage: _Stage) -> dict:
@@ -1049,12 +1036,12 @@ def _run_converge(config: JobConfig, stage: _Stage) -> dict:
         )
         rows.append(row)
         previous = report.value
-    pieces = _empty_pieces()
-    pieces["reports"] = ((report.kind, report),)
-    pieces["primary"] = report.kind
-    pieces["convergence"] = tuple(rows)
-    pieces["warnings"] = report.truncation_flags
-    return pieces
+    return {
+        "reports": ((report.kind, report),),
+        "primary": report.kind,
+        "convergence": tuple(rows),
+        "warnings": report.truncation_flags,
+    }
 
 
 def _run_sweep(config: JobConfig, stage: _Stage, verbose: bool) -> dict:
@@ -1065,12 +1052,10 @@ def _run_sweep(config: JobConfig, stage: _Stage, verbose: bool) -> dict:
         # the point's own stage timings, its total included, replace its wall time
         stage.timings[f"point_{i}"] = report.timings
         points.append(SweepPoint(parameter_value=float(value), report=report))
-    pieces = _empty_pieces()
-    pieces["sweep_points"] = tuple(points)
-    pieces["warnings"] = tuple(
-        flag for point in points for flag in point.report.warnings
-    )
-    return pieces
+    return {
+        "sweep_points": tuple(points),
+        "warnings": tuple(flag for point in points for flag in point.report.warnings),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,6 @@ MAX_SAMBE_DIM = 6000
 #: Degenerate in-zone eigenvalues are grouped within this fraction of Omega.
 DEGENERACY_RTOL = 1e-9
 
-#: Half-open corrections :func:`fold_label` tries before giving up.
-_FOLD_CORRECTIONS = 4
-
 
 @dataclass(frozen=True, eq=False)
 class FloquetMode:
@@ -82,15 +79,6 @@ class FloquetMode:
     def vector(self) -> np.ndarray:
         """Flat Sambe-space vector (harmonic-major ordering)."""
         return self.blocks.ravel()
-
-
-@dataclass(frozen=True)
-class FoldedLabel:
-    """Unique decomposition eps = epsilon_folded + n_shift*Omega with
-    epsilon_folded in [-Omega/2, Omega/2)."""
-
-    epsilon_folded: float
-    n_shift: int
 
 
 def _scaled(z: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -255,8 +243,9 @@ class FfbzSelection:
 
     ``representatives`` are the eigenpairs whose raw eigenvalue already lies
     in the zone, ordered by quasienergy (degenerate groups by descending
-    m=0-block weight, phases fixed). ``labels`` hold the folding of every
-    eigenpair of the input spectrum. ``operator`` is the Sambe operator the
+    m=0-block weight, phases fixed). ``labels`` hold the zone index n of
+    every eigenpair of the input spectrum (int64, eps = folded + n * Omega,
+    :func:`fold_quasienergies`). ``operator`` is the Sambe operator the
     spectrum was solved from and ``edge_tol`` the edge-weight threshold of
     the selection. Warnings are data, never raised: an incomplete zone or
     an edge-heavy representative is reported and carried into downstream
@@ -264,7 +253,7 @@ class FfbzSelection:
     """
 
     representatives: tuple[FloquetMode, ...]
-    labels: tuple[FoldedLabel, ...]
+    labels: np.ndarray  # int64 zone index per eigenpair
     warnings: tuple[str, ...]
     source_indices: tuple[int, ...]  # representative -> eigenpair column
     operator: ProductOperator
@@ -707,37 +696,32 @@ def _eigensolve(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, Reflectors]:
     return values, vectors, Reflectors()
 
 
-def fold_label(epsilon: float, omega: float) -> FoldedLabel:
-    """Fold an eigenvalue into [-Omega/2, Omega/2), half-open.
+def fold_quasienergies(values: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """Fold eigenvalues into the half-open zone [-Omega/2, Omega/2).
 
-    n_shift = floor(eps/Omega + 1/2) maps the boundary +Omega/2 to -Omega/2,
-    so the (epsilon_folded, n_shift) pair is unique for every input.
+    Returns (folded, n) with values == folded + n * Omega exactly: fmod is
+    exact, and each +-Omega shift of its remainder is exact by Sterbenz's
+    lemma. n is int64.
 
-    Raises NumericError when Omega is below the floating-point resolution of
-    eps, where no shift by whole multiples of Omega lands in the zone.
+    Raises InputError for a non-finite value or an Omega that is not finite
+    and > 0, and NumericError when max|eps|/Omega reaches 2**50, where n can
+    no longer be recovered exactly from floating point.
     """
-    if omega <= 0:
-        raise InputError(f"omega must be > 0, got {omega}")
-    n = math.floor(epsilon / omega + 0.5)
-    folded = epsilon - n * omega
-    # guard the half-open convention against floating-point edge cases; a
-    # resolvable Omega needs a step or two, and n*Omega stops moving when
-    # Omega is not resolvable, so the walk is bounded
-    steps = 0
-    while folded >= omega / 2.0 and steps <= _FOLD_CORRECTIONS:
-        n += 1
-        folded = epsilon - n * omega
-        steps += 1
-    while folded < -omega / 2.0 and steps <= _FOLD_CORRECTIONS:
-        n -= 1
-        folded = epsilon - n * omega
-        steps += 1
-    if steps > _FOLD_CORRECTIONS:
+    values = np.asarray(values, dtype=np.float64)
+    if not (math.isfinite(omega) and omega > 0):
+        raise InputError(f"omega must be finite and > 0, got {omega}")
+    if not np.all(np.isfinite(values)):
+        raise InputError("cannot fold a non-finite quasienergy")
+    if np.max(np.abs(values), initial=0.0) >= 2.0**50 * omega:
         raise NumericError(
-            f"cannot fold {epsilon!r} into a zone of width {omega!r}: Omega is "
+            f"cannot fold quasienergies into a zone of width {omega!r}: Omega is "
             f"below the floating-point resolution of the quasienergy"
         )
-    return FoldedLabel(epsilon_folded=folded, n_shift=n)
+    folded = np.fmod(values, omega)
+    # 2 * folded is exact, so each comparison is made on the exact boundary
+    folded = np.where(2.0 * folded >= omega, folded - omega, folded)
+    folded = np.where(2.0 * folded < -omega, folded + omega, folded)
+    return folded, np.rint((values - folded) / omega).astype(np.int64)
 
 
 def _fix_phase(blocks: np.ndarray) -> np.ndarray:
@@ -773,18 +757,18 @@ def fold_and_select_ffbz(
     operator: ProductOperator,
     edge_tol: float = 1e-6,
 ) -> FfbzSelection:
-    """Fold every eigenvalue of the :func:`sambe_operator` ``operator`` and
-    select the in-zone representatives; the harmonic window, the matter
-    dimension and Omega are read off the operator.
+    """Fold every eigenvalue of the :func:`sambe_operator` ``operator`` with
+    :func:`fold_quasienergies` and select the in-zone representatives; the
+    harmonic window, the matter dimension and Omega are read off the operator.
 
-    Representatives are exactly the eigenpairs whose raw truncated-matrix
-    eigenvalue already lies in [-Omega/2, Omega/2): deterministic, and exact
-    eigenvectors of the truncated operator. Only their eigenvectors are
-    mapped back to the original basis (:meth:`EigenSystem.column`). Their
-    truncation quality is gated by ``edge_weight`` instead of
-    re-projection. Degenerate in-zone eigenvalues (within 1e-9 * Omega) are
-    ordered by descending m=0-block weight; each representative's global
-    phase is fixed.
+    Representatives are exactly the eigenpairs of zone index 0, whose raw
+    truncated-matrix eigenvalue already lies in [-Omega/2, Omega/2), in
+    ascending order: deterministic, and exact eigenvectors of the truncated
+    operator. Only their eigenvectors are mapped back to the original basis
+    (:meth:`EigenSystem.column`). Their truncation quality is gated by
+    ``edge_weight`` instead of re-projection. Degenerate in-zone eigenvalues
+    (within 1e-9 * Omega) are ordered by descending m=0-block weight; each
+    representative's global phase is fixed.
 
     An in-zone count different from the matter dimension (zone coverage
     incomplete at this cutoff, or zone-edge degeneracy) is reported as a
@@ -798,28 +782,25 @@ def fold_and_select_ffbz(
     omega = operator.frequency
     n_b = operator.matter.shape[0]
     n_h = operator.labels.size // 2
-    labels = tuple(fold_label(float(e), omega) for e in eigensystem.values)
-    in_zone = [i for i, lab in enumerate(labels) if lab.n_shift == 0]
+    _, labels = fold_quasienergies(eigensystem.values, omega)
+    # ascending, as the eigenvalues are
+    in_zone = np.flatnonzero(labels == 0).tolist()
     # only the in-zone eigenvectors are mapped back to the original basis
     columns = dict(zip(in_zone, eigensystem.columns(in_zone).T))
 
-    # ascending quasienergy; inside degenerate groups, descending m=0 weight
     m0 = slice(n_h * n_b, (n_h + 1) * n_b)
     def m0_weight(i: int) -> float:
         return float(np.sum(np.abs(columns[i][m0]) ** 2))
 
-    in_zone.sort(key=lambda i: eigensystem.values[i])
-    ordered: list[int] = []
-    group: list[int] = []
+    # a degenerate group runs while eigenvalues stay within tol of its first
+    # one, and is ordered by descending m=0 weight
+    head, first = None, {}
     tol = DEGENERACY_RTOL * omega
     for i in in_zone:
-        if group and eigensystem.values[i] - eigensystem.values[group[0]] > tol:
-            group.sort(key=lambda j: -m0_weight(j))
-            ordered.extend(group)
-            group = []
-        group.append(i)
-    group.sort(key=lambda j: -m0_weight(j))
-    ordered.extend(group)
+        if head is None or eigensystem.values[i] - eigensystem.values[head] > tol:
+            head = i
+        first[i] = head
+    ordered = sorted(in_zone, key=lambda i: (first[i], -m0_weight(i)))
 
     representatives = tuple(
         _mode_from_vector(columns[i], eigensystem.values[i], operator) for i in ordered

@@ -73,6 +73,12 @@ class GridBasis:
             raise InputError(
                 f"grid requires x_max > x_min, got [{self.x_min}, {self.x_max}]"
             )
+        square = self.spacing * self.spacing
+        if not (0.0 < square < math.inf and math.pi**2 / square < math.inf):
+            raise InputError(
+                f"grid spacing {self.spacing!r} is outside float range: its square "
+                f"and the kinetic scale 1/spacing^2 must be finite and nonzero"
+            )
 
     @property
     def spacing(self) -> float:
@@ -140,13 +146,13 @@ class PotentialSpec:
         """Sample the potential on ``grid`` (hartree per grid point)."""
         x = grid.points()
         if self.kind == "harmonic":
-            return 0.5 * self.omega**2 * x**2
+            return 0.5 * np.float64(self.omega) ** 2 * x**2
         if self.kind == "soft_coulomb":
             return -self.charge / np.sqrt(x**2 + self.softening)
         if self.kind == "box":
             return np.zeros_like(x)
         if self.kind == "double_well":
-            a2 = (self.separation / 2.0) ** 2
+            a2 = np.float64(self.separation / 2.0) ** 2
             return self.barrier * ((x**2 - a2) / a2) ** 2
         # tabulated
         if len(self.values) != grid.n_points:
@@ -350,7 +356,9 @@ def build_grid_hamiltonian(
 
 
 def _evaluate_finite(potential: PotentialSpec, grid: GridBasis) -> np.ndarray:
-    values = potential.evaluate(grid)
+    # an overflow is refused below, so numpy need not warn of it
+    with np.errstate(all="ignore"):
+        values = potential.evaluate(grid)
     if not np.all(np.isfinite(values)):
         raise InputError(
             f"potential {potential.kind!r} takes non-finite values on the grid"

@@ -1660,6 +1660,38 @@ def test_unconvertible_scalar_is_a_config_error(tmp_path, capsys, scalar, messag
     assert message in err and "Traceback" not in err
 
 
+
+def test_deeply_nested_config_is_a_config_error(tmp_path, capsys):
+    """A config nested deeper than the YAML parser can recurse exits 2 with
+    one message instead of a RecursionError traceback."""
+    path = config_file(tmp_path, "job: static_trk\nmodel: " + "[" * 3000 + "]" * 3000 + "\n")
+    assert main(["static-trk", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: could not parse {path}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "grid, potential",
+    [
+        ("{n_points: 21, x_max: 1.0e308}", "{kind: harmonic}"),
+        ("{n_points: 21}", "{kind: harmonic, omega: 1.0e200}"),
+        ("{n_points: 21, x_min: 0.0, x_max: 1.0e-200}", "{kind: harmonic}"),
+    ],
+    ids=["spacing_square_overflows", "potential_overflows", "spacing_square_underflows"],
+)
+def test_float_range_faults_are_input_errors(tmp_path, capsys, grid, potential):
+    """A grid spacing or potential whose square leaves the float range exits
+    2 with one line on stderr, not an OverflowError or ZeroDivisionError
+    traceback."""
+    path = config_file(
+        tmp_path,
+        f"job: static_trk\nmodel: {{kind: grid, grid: {grid}, potential: {potential}}}\n",
+    )
+    assert main(["static-trk", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
 #: Small valid jobs of every kind, the seeds of the fuzzed configs below.
 FUZZ_BASES = [
     yaml.safe_load(text)

@@ -1,6 +1,7 @@
 """Sambe operators, eigensolves, folding, and replica shifts."""
 
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +31,7 @@ from floqtrk import (
     build_two_electron_hamiltonian,
     diagonalize_hermitian,
     fold_and_select_ffbz,
-    fold_label,
+    fold_quasienergies,
     joint_operator,
     sambe_operator,
 )
@@ -399,15 +400,14 @@ def test_lapack_kernel_keeps_the_eigenvalues_of_eigh(make):
 
 def test_fold_reference_points():
     """Folding lands 0.7 w at (-0.3 w, 1) and keeps -w/2 in place."""
-    label = fold_label(0.7, 1.0)
-    assert abs(label.epsilon_folded + 0.3) < 1e-12
-    assert label.n_shift == 1
-    label = fold_label(-0.5, 1.0)
-    assert label.epsilon_folded == -0.5
-    assert label.n_shift == 0
-    label = fold_label(0.5, 1.0)
-    assert label.epsilon_folded == -0.5
-    assert label.n_shift == 1
+    folded, n = fold_quasienergies([0.7, -0.5, 0.5], 1.0)
+    assert abs(folded[0] + 0.3) < 1e-12
+    assert n[0] == 1
+    assert folded[1] == -0.5
+    assert n[1] == 0
+    assert folded[2] == -0.5
+    assert n[2] == 1
+    assert n.dtype == np.int64
 
 
 def test_fold_partition_property():
@@ -416,16 +416,56 @@ def test_fold_partition_property():
     for _ in range(1000):
         omega = float(rng.uniform(0.05, 5.0))
         epsilon = float(rng.uniform(-40.0, 40.0))
-        label = fold_label(epsilon, omega)
-        assert -omega / 2.0 <= label.epsilon_folded < omega / 2.0
-        rebuilt = label.epsilon_folded + label.n_shift * omega
+        folded, n = fold_quasienergies(epsilon, omega)
+        assert -omega / 2.0 <= folded < omega / 2.0
+        rebuilt = folded + n * omega
         assert abs(rebuilt - epsilon) < 1e-12 * max(1.0, abs(epsilon))
 
 
+def assert_exact_fold(values, omega):
+    """eps == folded + n * Omega and -Omega/2 <= folded < Omega/2, both in
+    exact rational arithmetic."""
+    folded, n = fold_quasienergies(np.asarray(values, dtype=float), omega)
+    half = Fraction(omega) / 2
+    for eps, f, k in zip(values, folded.tolist(), n.tolist()):
+        assert Fraction(f) + k * Fraction(omega) == Fraction(eps), (eps, omega)
+        assert -half <= Fraction(f) < half, (eps, omega)
+
+
+def test_fold_is_exact_and_in_zone():
+    """fmod plus at most one exact +-Omega shift: exact and in the half-open
+    zone on random inputs up to 2**49 Omega, on inputs at and next to the
+    half-integer zone edges (k + 1/2) Omega, and on two inputs a rounded
+    floor(eps/Omega + 1/2) folds out of the zone."""
+    rng = np.random.default_rng(15)
+    k = np.arange(-40, 40) + 0.5
+    for _ in range(100):
+        omega = float(10.0 ** rng.uniform(-3.0, 3.0))
+        edges = k * omega
+        values = np.concatenate([
+            omega * rng.uniform(-1e6, 1e6, 20),
+            omega * rng.uniform(-(2.0**49), 2.0**49, 5),
+            edges,
+            np.nextafter(edges, np.inf),
+            np.nextafter(edges, -np.inf),
+        ])
+        assert_exact_fold(values.tolist(), omega)
+    assert_exact_fold([0.49999999999999994], 1.0)
+    assert_exact_fold([141.88552747816553], 3.1884388197340567)
+
+
 def test_fold_rejects_bad_omega():
-    """Non-positive frequency is refused."""
-    with pytest.raises(InputError):
-        fold_label(0.3, 0.0)
+    """A frequency that is not finite and > 0 is refused."""
+    for omega in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(InputError):
+            fold_quasienergies([0.3], omega)
+
+
+def test_fold_rejects_non_finite_values():
+    """A non-finite quasienergy is an input error, not a raw exception."""
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(InputError):
+            fold_quasienergies([0.3, bad], 1.0)
 
 
 def test_fold_gives_up_below_float_resolution(deadline):
@@ -433,9 +473,9 @@ def test_fold_gives_up_below_float_resolution(deadline):
     once instead of stepping n forever."""
     with deadline(10):
         with pytest.raises(NumericError, match="resolution"):
-            fold_label(0.7123456789, 1e-300)
+            fold_quasienergies([0.7123456789], 1e-300)
         with pytest.raises(NumericError, match="resolution"):
-            fold_label(1000000.1234, 1e-12)
+            fold_quasienergies([1000000.1234], 1e-12)
 
 
 def test_zero_drive_selection_is_pure_static():
