@@ -20,7 +20,6 @@ from .errors import (
 from .floquet import (
     EigenSystem,
     FfbzSelection,
-    FloquetMode,
     ProductOperator,
     Reflection,
     basis_reversal,
@@ -67,7 +66,6 @@ __all__ = [
     "FewLevelModel",
     "FfbzSelection",
     "FloqtrkError",
-    "FloquetMode",
     "FockSpec",
     "GridBasis",
     "InputError",

@@ -76,6 +76,7 @@ from .sumrule import (
     SpectralDensity,
     SumRuleReport,
     density_from_ledger,
+    first_moment,
     select_reference,
     static_trk,
     sumrule_ffbz,
@@ -779,8 +780,17 @@ def run_job(config: JobConfig, verbose: bool = False) -> RunReport:
         pieces = _run_converge(config, stage)
     else:
         pieces = _run_sweep(config, stage, verbose)
-    for tag, report in pieces.get("reports", ()):
-        _check_closure(tag, report)
+    reports = pieces.get("reports", ())
+    for tag, report in reports:
+        _check_identities(tag, report)
+    if pieces.get("density") is not None:
+        ffbz = dict(reports)["ffbz"].value
+        moment = first_moment(pieces["density"])
+        if moment != ffbz:
+            raise NumericError(
+                f"stick spectrum breaks the first-moment identity: first moment "
+                f"{moment!r} != ffbz value {ffbz!r}"
+            )
     timings["total"] = time.perf_counter() - start
     return RunReport(
         config=config.resolved,
@@ -791,13 +801,21 @@ def run_job(config: JobConfig, verbose: bool = False) -> RunReport:
     )
 
 
-def _check_closure(tag: str, report: SumRuleReport) -> None:
-    """Enforce the closure identity of a complete-spectrum report.
+def _check_identities(tag: str, report: SumRuleReport) -> None:
+    """Enforce the exact identities of one report, so no report that breaks
+    one is written.
 
-    Over a complete spectrum the value equals the double-commutator oracle
-    up to rounding, whatever the truncation; a larger residual means the
-    eigensolve or the ledger is wrong, so no report is written.
+    Its value is the math.fsum of its ledger's stored weights, bit for bit.
+    Over a complete spectrum the value also equals the double-commutator
+    oracle up to rounding, whatever the truncation; a larger residual means
+    the eigensolve or the ledger is wrong.
     """
+    total = math.fsum(report.contributions.weight.tolist())
+    if total != report.value:
+        raise NumericError(
+            f"{tag} report breaks the ledger identity: the fsum of its weights "
+            f"{total!r} != its value {report.value!r}"
+        )
     if report.kind not in _CLOSURE_KINDS:
         return
     bound = CLOSURE_RTOL * max(1.0, abs(report.oracle_value))
@@ -887,13 +905,13 @@ def _floquet_stack(
         selection = fold_and_select_ffbz(system, operator, edge_tol=edge_tol)
         ground = matter_system.column(0)
         if config.reference == "auto":
-            ffbz_ref = select_reference(selection.representatives, ground)
+            ffbz_ref = select_reference(selection.blocks, ground)
         else:
             ffbz_ref = int(config.reference)
-            if ffbz_ref >= len(selection.representatives):
+            if ffbz_ref >= len(selection.blocks):
                 raise InputError(
                     f"reference {ffbz_ref} outside the "
-                    f"{len(selection.representatives)} first-zone representatives"
+                    f"{len(selection.blocks)} first-zone representatives"
                 )
     return system, selection, ffbz_ref
 
@@ -934,8 +952,11 @@ def _run_floquet(config: JobConfig, stage: _Stage) -> dict:
         "density": density,
         "spectrum_header": ("index", "quasienergy", "edge_weight"),
         "spectrum_rows": tuple(
-            (i, mode.quasienergy, mode.edge_weight)
-            for i, mode in enumerate(selection.representatives)
+            zip(
+                range(len(selection.blocks)),
+                selection.quasienergies.tolist(),
+                selection.edge_weights.tolist(),
+            )
         ),
         "warnings": ffbz_report.truncation_flags,
     }
@@ -1021,7 +1042,7 @@ def _run_converge(config: JobConfig, stage: _Stage) -> dict:
         else:
             fock = FockSpec(**{**config.resolved["fock"], "n_max": value})
             report, _, edge = _qed_member(stage, h, d, n_e, fock, reference, reflection)
-        _check_closure(f"{key}={value}", report)
+        _check_identities(f"{key}={value}", report)
         delta = None if previous is None else report.value - previous
         row = {
             key: value,

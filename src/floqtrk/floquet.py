@@ -36,51 +36,6 @@ MAX_SAMBE_DIM = 6000
 DEGENERACY_RTOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class FloquetMode:
-    """One eigenvector of the truncated Sambe matrix, stored blockwise.
-
-    ``blocks[m + N_h]`` is the coefficient vector c_m of the harmonic
-    exp(+i m Omega t). ``edge_weight`` is the norm fraction in the two
-    outermost blocks (the truncation-quality gauge).
-    """
-
-    quasienergy: float
-    blocks: np.ndarray  # (2 N_h + 1, N_b) complex or real
-    omega: float
-    edge_weight: float
-
-    def __post_init__(self) -> None:
-        blocks = np.atleast_2d(np.asarray(self.blocks))
-        if blocks.shape[0] % 2 != 1:
-            raise InputError(
-                f"mode needs an odd number of harmonic blocks, got {blocks.shape[0]}"
-            )
-        total = float(np.sum(np.abs(blocks) ** 2))
-        if abs(total - 1.0) > 1e-10:
-            raise InputError(f"mode norm^2 = {total!r}, expected 1 within 1e-10")
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def harmonic_cutoff(self) -> int:
-        return (self.blocks.shape[0] - 1) // 2
-
-    @property
-    def matter_dim(self) -> int:
-        return self.blocks.shape[1]
-
-    def block(self, m: int) -> np.ndarray:
-        """Coefficient vector c_m."""
-        n_h = self.harmonic_cutoff
-        if abs(m) > n_h:
-            raise InputError(f"harmonic index {m} outside window [-{n_h}, {n_h}]")
-        return self.blocks[m + n_h]
-
-    def vector(self) -> np.ndarray:
-        """Flat Sambe-space vector (harmonic-major ordering)."""
-        return self.blocks.ravel()
-
-
 def _scaled(z: np.ndarray, s: np.ndarray) -> np.ndarray:
     """z * s for a real s, C-ordered; a complex z part by part, since a
     complex product turns (-0.0 - 1j) * 1 into (0.0 - 1j)."""
@@ -152,9 +107,7 @@ class EigenSystem:
     them in the original basis and :meth:`amplitudes` the products
     conj(x) . v_j for every j, both read sector by sector, so a sector's
     reflectors are applied only to the columns read and to x, never to all
-    of Z. ``vectors``, the merged n x n matrix with column j the
-    eigenvector of ``values[j]``, is built only when a caller asks for it.
-    The sectors' ``ranks`` must partition ``range(len(values))``.
+    of Z. The sectors' ``ranks`` must partition ``range(len(values))``.
     """
 
     def __init__(self, values: np.ndarray, sectors: tuple[Sector, ...]) -> None:
@@ -229,35 +182,70 @@ class EigenSystem:
             amps[ranks] = coordinates.conj() @ vectors
         return amps
 
-    @functools.cached_property
-    def vectors(self) -> np.ndarray:
-        """The n x n eigenvector matrix, Fortran-ordered; formed from the
-        sectors, reflectors applied to all of each Z, on first use. Nothing
-        in the pipeline reads it."""
-        return self.columns(range(self.dim))
-
 
 @dataclass(frozen=True, eq=False)
 class FfbzSelection:
-    """Output of :func:`fold_and_select_ffbz`.
+    """Output of :func:`fold_and_select_ffbz`: k first-zone representatives
+    held as three columns.
 
-    ``representatives`` are the eigenpairs whose raw eigenvalue already lies
-    in the zone, ordered by quasienergy (degenerate groups by descending
-    m=0-block weight, phases fixed). ``labels`` hold the zone index n of
-    every eigenpair of the input spectrum (int64, eps = folded + n * Omega,
+    Representative i is eigenpair ``source_indices[i]``, whose raw
+    eigenvalue already lies in the zone; representatives are ordered by
+    quasienergy (degenerate groups by descending m=0-block weight). It has
+    quasienergy ``quasienergies[i]``, phase-fixed eigenvector ``blocks[i]``
+    (``blocks`` is k x (2 N_h + 1) x N_b, row m + N_h the coefficient
+    vector c_m of the harmonic exp(+i m Omega t)) and ``edge_weights[i]``,
+    the norm fraction in its two outermost blocks (the truncation-quality
+    gauge). ``labels`` hold the zone index n of every eigenpair of the
+    input spectrum (int64, eps = folded + n * Omega,
     :func:`fold_quasienergies`). ``operator`` is the Sambe operator the
     spectrum was solved from and ``edge_tol`` the edge-weight threshold of
     the selection. Warnings are data, never raised: an incomplete zone or
     an edge-heavy representative is reported and carried into downstream
     reports.
+
+    Refused: blocks whose window or matter dimension is not the operator's,
+    an even number of harmonic blocks, columns of unequal length, and a
+    representative whose norm^2 is not 1 within 1e-10.
     """
 
-    representatives: tuple[FloquetMode, ...]
+    quasienergies: np.ndarray  # (k,)
+    blocks: np.ndarray  # (k, 2 N_h + 1, N_b), complex or real
+    edge_weights: np.ndarray  # (k,)
     labels: np.ndarray  # int64 zone index per eigenpair
     warnings: tuple[str, ...]
     source_indices: tuple[int, ...]  # representative -> eigenpair column
     operator: ProductOperator
     edge_tol: float
+
+    def __post_init__(self) -> None:
+        blocks = np.asarray(self.blocks)
+        window = (self.operator.labels.size, self.operator.matter.shape[0])
+        if blocks.ndim != 3 or blocks.shape[1:] != window:
+            raise InputError(
+                f"representative blocks have shape {blocks.shape}, expected "
+                f"(k, {window[0]}, {window[1]}), the operator's window"
+            )
+        if window[0] % 2 != 1:
+            raise InputError(
+                f"representatives need an odd number of harmonic blocks, got {window[0]}"
+            )
+        quasienergies = np.asarray(self.quasienergies, dtype=np.float64)
+        edge_weights = np.asarray(self.edge_weights, dtype=np.float64)
+        if quasienergies.shape != (len(blocks),) or edge_weights.shape != (len(blocks),):
+            raise InputError(
+                f"{len(blocks)} representatives need as many quasienergies and edge "
+                f"weights, got shapes {quasienergies.shape} and {edge_weights.shape}"
+            )
+        norms = np.sum(np.abs(blocks) ** 2, axis=(1, 2))
+        bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-10)
+        if bad.size:
+            raise InputError(
+                f"representative {bad[0]} has norm^2 = {float(norms[bad[0]])!r}, "
+                f"expected 1 within 1e-10"
+            )
+        object.__setattr__(self, "quasienergies", quasienergies)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "edge_weights", edge_weights)
 
 
 def _drive_factors(drive: DriveSpec) -> dict[int, float | complex]:
@@ -738,20 +726,6 @@ def _fix_phase(blocks: np.ndarray) -> np.ndarray:
     return fixed
 
 
-def _mode_from_vector(
-    vector: np.ndarray, quasienergy: float, operator: ProductOperator
-) -> FloquetMode:
-    blocks = _fix_phase(vector.reshape(operator.labels.size, operator.matter.shape[0]))
-    # the outermost blocks, one block when the window has only m = 0
-    edge = float(sum(np.sum(np.abs(blocks[j]) ** 2) for j in {0, len(blocks) - 1}))
-    return FloquetMode(
-        quasienergy=float(quasienergy),
-        blocks=blocks,
-        omega=operator.frequency,
-        edge_weight=edge,
-    )
-
-
 def fold_and_select_ffbz(
     eigensystem: EigenSystem,
     operator: ProductOperator,
@@ -766,7 +740,7 @@ def fold_and_select_ffbz(
     ascending order: deterministic, and exact eigenvectors of the truncated
     operator. Only their eigenvectors are mapped back to the original basis
     (:meth:`EigenSystem.column`). Their truncation quality is gated by
-    ``edge_weight`` instead of re-projection. Degenerate in-zone eigenvalues
+    their edge weight instead of re-projection. Degenerate in-zone eigenvalues
     (within 1e-9 * Omega) are ordered by descending m=0-block weight; each
     representative's global phase is fixed.
 
@@ -802,26 +776,30 @@ def fold_and_select_ffbz(
         first[i] = head
     ordered = sorted(in_zone, key=lambda i: (first[i], -m0_weight(i)))
 
-    representatives = tuple(
-        _mode_from_vector(columns[i], eigensystem.values[i], operator) for i in ordered
-    )
-    edge_flagged = tuple(
-        idx for idx, mode in enumerate(representatives) if mode.edge_weight > edge_tol
-    )
+    n_o = operator.labels.size
+    blocks, edge_weights = [], []
+    for i in ordered:
+        fixed = _fix_phase(columns[i].reshape(n_o, n_b))
+        blocks.append(fixed)
+        # the outermost blocks, one block when the window has only m = 0
+        edge_weights.append(float(sum(np.sum(np.abs(fixed[j]) ** 2) for j in {0, n_o - 1})))
+    edge_flagged = [idx for idx, edge in enumerate(edge_weights) if edge > edge_tol]
     warnings: list[str] = []
-    if len(representatives) != n_b:
+    if len(ordered) != n_b:
         warnings.append(
-            f"in-zone representative count {len(representatives)} != matter "
+            f"in-zone representative count {len(ordered)} != matter "
             f"dimension {n_b} (zone coverage incomplete at "
             f"harmonic cutoff {n_h} or zone-edge degeneracy)"
         )
     if edge_flagged:
         warnings.append(
             f"{len(edge_flagged)} representative(s) exceed edge weight {edge_tol:g}: "
-            f"indices {list(edge_flagged)}"
+            f"indices {edge_flagged}"
         )
     return FfbzSelection(
-        representatives=representatives,
+        quasienergies=eigensystem.values[ordered],
+        blocks=np.array(blocks) if blocks else np.zeros((0, n_o, n_b)),
+        edge_weights=np.array(edge_weights),
         labels=labels,
         warnings=tuple(warnings),
         source_indices=tuple(ordered),

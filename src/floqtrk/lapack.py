@@ -148,7 +148,8 @@ def eigensolve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, Reflectors] | Non
     for k in range(0, m - 1, PANEL):
         # reflector j is I - tau_j v v^T, v = e_(j+1) + a[j+2:, j]
         size = min(PANEL, m - 1 - k)
-        v = np.asfortranarray(np.tril(a[k + 1 :, k : k + size], -1))
+        v = np.array(a[k + 1 :, k : k + size], order="F")  # the one copy
+        v[np.triu_indices(size, 1)] = 0.0
         np.fill_diagonal(v, 1.0)
         t = np.zeros((size, size), order="F")
         rows = v.shape[0]

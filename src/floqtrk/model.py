@@ -165,13 +165,12 @@ class PotentialSpec:
 
 @dataclass(frozen=True, eq=False)
 class MatterOperator:
-    """Dense Hermitian operator tagged with the basis it lives in.
+    """Dense Hermitian operator on the matter space.
 
     Hermiticity is enforced at construction (max-norm defect <= 1e-12).
     """
 
     matrix: np.ndarray
-    basis_tag: str
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix)
@@ -221,11 +220,10 @@ class FewLevelModel:
         return len(self.energies)
 
     def hamiltonian(self) -> MatterOperator:
-        return MatterOperator(np.diag(np.asarray(self.energies, dtype=float)),
-                              basis_tag=f"levels:{self.dim}")
+        return MatterOperator(np.diag(np.asarray(self.energies, dtype=float)))
 
     def dipole_operator(self) -> MatterOperator:
-        return MatterOperator(self.dipole, basis_tag=f"levels:{self.dim}")
+        return MatterOperator(self.dipole)
 
 
 @dataclass(frozen=True)
@@ -334,7 +332,7 @@ def build_grid_hamiltonian(
     Returns
     -------
     MatterOperator
-        Dense Hermitian H, basis tag ``grid:<n_points>``.
+        Dense Hermitian H on the grid points.
 
     Notes
     -----
@@ -352,7 +350,7 @@ def build_grid_hamiltonian(
     if potential.kind == "box":
         _apply_box_walls(t, grid)
     h = t + np.diag(_evaluate_finite(potential, grid))
-    return MatterOperator(h, basis_tag=f"grid:{grid.n_points}")
+    return MatterOperator(h)
 
 
 def _evaluate_finite(potential: PotentialSpec, grid: GridBasis) -> np.ndarray:
@@ -375,10 +373,10 @@ def build_dipole(grid: GridBasis, n_electrons: int = 1) -> MatterOperator:
     _check_electron_count(n_electrons)
     x = grid.points()
     if n_electrons == 1:
-        return MatterOperator(np.diag(-x), basis_tag=f"grid:{grid.n_points}")
+        return MatterOperator(np.diag(-x))
     _check_two_electron_grid(grid)
     pair_sum = np.add.outer(x, x).ravel()
-    return MatterOperator(np.diag(-pair_sum), basis_tag=f"grid2e:{grid.n_points}")
+    return MatterOperator(np.diag(-pair_sum))
 
 
 @dataclass(frozen=True)
@@ -444,7 +442,7 @@ def build_two_electron_hamiltonian(
     eye = np.eye(grid.n_points)
     h = np.kron(h1, eye) + np.kron(eye, h1)
     h += np.diag(interaction.evaluate_pairs(grid.points()))
-    return MatterOperator(h, basis_tag=f"grid2e:{grid.n_points}")
+    return MatterOperator(h)
 
 
 def double_commutator_expectation(hamiltonian, dipole, state) -> float:

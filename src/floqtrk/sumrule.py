@@ -37,7 +37,6 @@ from .floquet import (
     DEGENERACY_RTOL,
     EigenSystem,
     FfbzSelection,
-    FloquetMode,
     ProductOperator,
     diagonalize_hermitian,
 )
@@ -169,8 +168,8 @@ class SpectralDensity(_Table):
 
 
 def dipole_fourier_components(
-    bra: FloquetMode,
-    ket: FloquetMode,
+    bra: np.ndarray,
+    ket: np.ndarray,
     d: np.ndarray,
 ) -> dict[int, complex]:
     """All harmonics of the transition dipole between two Floquet modes.
@@ -185,46 +184,36 @@ def dipole_fourier_components(
     Parameters
     ----------
     bra, ket:
-        Modes with identical matter dimension, harmonic cutoff and Omega.
+        Coefficient blocks of the two modes, each (2 N_h + 1) x N_b with row
+        m + N_h the vector c_m (a row of :attr:`FfbzSelection.blocks`), of
+        one window and matter dimension.
     d:
-        Matter-space dipole matrix.
+        Matter-space dipole matrix, N_b x N_b.
     """
-    if bra.matter_dim != ket.matter_dim or bra.matter_dim != d.shape[0]:
+    bra, ket = np.asarray(bra), np.asarray(ket)
+    if bra.ndim != 2 or ket.shape != bra.shape or d.shape != (bra.shape[1],) * 2:
         raise InputError(
-            f"matter dimensions disagree: bra {bra.matter_dim}, "
-            f"ket {ket.matter_dim}, dipole {d.shape[0]}"
+            f"bra {bra.shape}, ket {ket.shape} and dipole {d.shape} do not share "
+            f"one window and matter dimension"
         )
-    if bra.harmonic_cutoff != ket.harmonic_cutoff:
-        raise InputError(
-            f"harmonic windows disagree: bra cutoff {bra.harmonic_cutoff}, "
-            f"ket cutoff {ket.harmonic_cutoff}"
-        )
-    if bra.omega != ket.omega:
-        raise InputError(f"drive frequencies disagree: {bra.omega} vs {ket.omega}")
-    n_h = bra.harmonic_cutoff
-    n_rows = 2 * n_h + 1
-    d_ket = ket.blocks @ d.T  # row m is d @ c^ket_m
+    n_rows = bra.shape[0]
+    n_h = (n_rows - 1) // 2
+    d_ket = ket @ d.T  # row m is d @ c^ket_m
     entries: dict[int, complex] = {}
     for n in range(-2 * n_h, 2 * n_h + 1):
         lo, hi = max(0, n), min(n_rows, n_rows + n)
         entries[n] = complex(
-            sum(np.vdot(bra.blocks[r], d_ket[r - n]) for r in range(lo, hi))
+            sum(np.vdot(bra[r], d_ket[r - n]) for r in range(lo, hi))
         )
     return entries
-
-
-def _infer_electrons(d: MatterOperator, n_electrons: int | None) -> int:
-    if n_electrons is not None:
-        return n_electrons
-    return 2 if d.basis_tag.startswith("grid2e") else 1
 
 
 def static_trk(
     h: MatterOperator,
     d: MatterOperator,
     reference: int = 0,
-    n_electrons: int | None = None,
     *,
+    n_electrons: int,
     system: EigenSystem | None = None,
 ) -> SumRuleReport:
     """Static energy-weighted dipole sum from one eigenstate.
@@ -232,7 +221,8 @@ def static_trk(
     value = 2 sum_beta (E_beta - E_alpha) |<alpha|d|beta>|^2, evaluated from
     the dense spectrum of ``h``; the oracle is the double-commutator
     expectation in the reference eigenvector, which the value matches to
-    1e-8 relative by the finite-dimensional closure identity.
+    1e-8 relative by the finite-dimensional closure identity. The target is
+    ``n_electrons``, the electron count the converged sum approaches.
 
     ``system`` is the complete spectrum of ``h`` when the caller already has
     it (``diagonalize_hermitian(h.matrix)``); without it ``h`` is
@@ -253,7 +243,7 @@ def static_trk(
         h_full=h.matrix,
         d_full=d.matrix,
         reference=reference,
-        target=float(_infer_electrons(d, n_electrons)),
+        target=float(n_electrons),
         omega=None,
     )
 
@@ -307,23 +297,25 @@ def _closure_report(
     )
 
 
-def select_reference(
-    representatives: tuple[FloquetMode, ...], ground: np.ndarray
-) -> int:
+def select_reference(blocks: np.ndarray, ground: np.ndarray) -> int:
     """Representative with the largest ground-state weight in its m=0 block.
 
-    A weight below (N_b eps)^2, the rounding level of an overlap between
-    unit vectors, counts as zero: a selection rule (the ground state and an
-    m=0 block of opposite parity) makes it exactly zero, and its computed
-    value is noise. When every weight is zero, the representative with the
-    largest m=0 block norm is taken.
+    ``blocks`` are the representatives' coefficient blocks
+    (:attr:`FfbzSelection.blocks`, k x (2 N_h + 1) x N_b), whose middle row
+    is c_0. A weight below (N_b eps)^2, the rounding level of an overlap
+    between unit vectors, counts as zero: a selection rule (the ground state
+    and an m=0 block of opposite parity) makes it exactly zero, and its
+    computed value is noise. When every weight is zero, the representative
+    with the largest m=0 block norm is taken.
     """
-    if not representatives:
+    blocks = np.asarray(blocks)
+    if blocks.ndim != 3:
+        raise InputError(f"expected k x (2 N_h + 1) x N_b blocks, got shape {blocks.shape}")
+    if not len(blocks):
         raise ZoneError("no representatives to select a reference from")
     floor = (ground.size * np.finfo(np.float64).eps) ** 2
     overlaps, norms = [], []
-    for mode in representatives:
-        block = mode.block(0)
+    for block in blocks[:, blocks.shape[1] // 2]:
         overlap = float(np.abs(np.vdot(ground, block)) ** 2)
         overlaps.append(overlap if overlap > floor else 0.0)
         norms.append(float(np.sum(np.abs(block) ** 2)))
@@ -379,32 +371,26 @@ def sumrule_sambe(
     )
 
 
-def _ffbz_ledger(
-    representatives: tuple[FloquetMode, ...],
-    d: np.ndarray,
-    omega: float,
-    reference: int,
-    n_max: int,
-) -> Ledger:
+def _ffbz_ledger(selection: FfbzSelection, reference: int, n_max: int) -> Ledger:
     """Per-(lambda, n) ledger behind the zone-resolved sum rule; the spectral
     density is a view of the same rows (:func:`density_from_ledger`)."""
-    ref_mode = representatives[reference]
+    blocks, quasienergies = selection.blocks, selection.quasienergies
+    d = selection.operator.dipole
     sidebands = range(-n_max, n_max + 1)
     abs2 = []
-    for mode in representatives:
-        harmonics = dipole_fourier_components(ref_mode, mode, d)
+    for ket in blocks:
+        harmonics = dipole_fourier_components(blocks[reference], ket, d)
         # Python's complex abs, not np.abs: the two differ in the last bit
         abs2.extend(abs(harmonics.get(n, 0.0)) ** 2 for n in sidebands)
-    quasienergies = np.array([mode.quasienergy for mode in representatives])
-    diffs = np.repeat(quasienergies - ref_mode.quasienergy, len(sidebands))
-    n = np.tile(np.array(sidebands), len(representatives))
+    diffs = np.repeat(quasienergies - quasienergies[reference], len(sidebands))
+    n = np.tile(np.array(sidebands), len(blocks))
     abs2 = np.array(abs2)
     return Ledger(
-        lam=np.repeat(np.arange(len(representatives)), len(sidebands)),
+        lam=np.repeat(np.arange(len(blocks)), len(sidebands)),
         n=n,
         quasienergy_diff=diffs,
         abs2=abs2,
-        weight=2.0 * (diffs + n * omega) * abs2,
+        weight=2.0 * (diffs + n * selection.operator.frequency) * abs2,
     )
 
 
@@ -432,14 +418,13 @@ def sumrule_ffbz(
     reference carries more than ``selection.edge_tol`` edge weight; only an
     empty selection or an invalid reference or ``n_max`` raises.
     """
-    representatives = selection.representatives
     operator = selection.operator
-    if not representatives:
+    count = len(selection.blocks)
+    if not count:
         raise ZoneError("no first-zone representatives supplied")
-    if not 0 <= _as_index(reference, "reference index") < len(representatives):
+    if not 0 <= _as_index(reference, "reference index") < count:
         raise InputError(
-            f"reference index {reference} outside the {len(representatives)} "
-            f"supplied representatives"
+            f"reference index {reference} outside the {count} supplied representatives"
         )
     limit = operator.labels.size - 1  # 2 N_h
     if n_max is None:
@@ -448,29 +433,21 @@ def sumrule_ffbz(
         raise InputError(
             f"n_max={n_max} outside the truncated sideband range [0, {limit}]"
         )
-    ref_mode = representatives[reference]
-    d = operator.dipole
-    contributions = _ffbz_ledger(
-        representatives, d, operator.frequency, reference, n_max
-    )
+    contributions = _ffbz_ledger(selection, reference, n_max)
     value = math.fsum(contributions.weight.tolist())
 
+    d = operator.dipole
     hd = operator.matter @ d
     commutator = 2.0 * (d @ hd) - d @ (d @ operator.matter) - hd @ d  # [d, [H_M, d]]
+    ref_blocks = selection.blocks[reference]
     oracle = float(
-        np.real(
-            np.einsum(
-                "mi,ij,mj->",
-                ref_mode.blocks.conj(),
-                commutator,
-                ref_mode.blocks,
-            )
-        )
+        np.real(np.einsum("mi,ij,mj->", ref_blocks.conj(), commutator, ref_blocks))
     )
     flags = selection.warnings
-    if ref_mode.edge_weight > selection.edge_tol:
+    edge = selection.edge_weights[reference]
+    if edge > selection.edge_tol:
         flags += (
-            f"reference mode carries edge weight {ref_mode.edge_weight:.3e} "
+            f"reference mode carries edge weight {edge:.3e} "
             f"> {selection.edge_tol:g}; enlarge the harmonic window",
         )
     target = float(n_electrons)

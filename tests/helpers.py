@@ -1,31 +1,63 @@
 """Package-level helpers that only the tests use.
 
-These build on package objects (modes, spectra) rather than computing
+These build on package objects (selections, spectra) rather than computing
 independent reference values, which live in ``oracles``.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 
-from floqtrk import FloquetMode, InputError, Ledger, NumericError, SpectralDensity, floquet
+from floqtrk import FfbzSelection, InputError, Ledger, NumericError, SpectralDensity, floquet
 
 
-def shift_replica(mode, n):
-    """Replica of a mode with quasienergy shifted by n*Omega, and the weight
-    the shift dropped.
+def dense_vectors(system):
+    """The n x n eigenvector matrix of an ``EigenSystem``, Fortran-ordered,
+    column j the eigenvector of ``values[j]``: every column read from the
+    sectors, reflectors applied to all of each Z."""
+    return system.columns(range(system.dim))
+
+
+def edge_weights(blocks):
+    """Norm fraction in the two outermost harmonic blocks of each of the
+    k x (2 N_h + 1) x N_b ``blocks``; one block when the window is m = 0."""
+    blocks = np.asarray(blocks)
+    outer = sorted({0, blocks.shape[1] - 1})
+    return np.sum(np.abs(blocks[:, outer]) ** 2, axis=(1, 2))
+
+
+def selection_of(quasienergies, blocks, operator, edge_tol=1e-6):
+    """A first-zone selection of fabricated representatives on the window
+    of ``operator``, their edge weights read off ``blocks``."""
+    blocks = np.asarray(blocks).reshape(-1, operator.labels.size, operator.matter.shape[0])
+    return FfbzSelection(
+        quasienergies=quasienergies,
+        blocks=blocks,
+        edge_weights=edge_weights(blocks),
+        labels=np.zeros(operator.shape[0], dtype=np.int64),
+        warnings=(),
+        source_indices=tuple(range(len(blocks))),
+        operator=operator,
+        edge_tol=edge_tol,
+    )
+
+
+def shift_replica(selection, index, n):
+    """The selection with representative ``index`` replaced by its replica
+    of quasienergy shifted by n*Omega, and the weight the shift dropped.
 
     Coefficient blocks are reindexed c'_m = c_(m-n); content shifted beyond
     the truncation window is dropped and the remainder renormalized. The
-    shift is lossless for interior modes (edge_weight ~ 0) and |n| small
+    shift is lossless for interior modes (edge weight ~ 0) and |n| small
     compared to the window.
     """
-    n_h = mode.harmonic_cutoff
+    n_h = selection.blocks.shape[1] // 2
     if abs(n) > n_h:
         raise InputError(f"replica shift |n|={abs(n)} exceeds the window cutoff {n_h}")
     if n == 0:
-        return mode, 0.0
-    blocks = mode.blocks
+        return selection, 0.0
+    blocks = selection.blocks[index]
     shifted = np.zeros_like(blocks)
     if n > 0:
         shifted[n:] = blocks[:-n]
@@ -36,15 +68,15 @@ def shift_replica(mode, n):
     remaining = 1.0 - dropped
     if remaining <= 0.0:
         raise NumericError(f"replica shift n={n} dropped the entire mode content")
-    shifted = shifted / math.sqrt(remaining)
-    edge = float(np.sum(np.abs(shifted[0]) ** 2) + np.sum(np.abs(shifted[-1]) ** 2))
-    replica = FloquetMode(
-        quasienergy=mode.quasienergy + n * mode.omega,
-        blocks=shifted,
-        omega=mode.omega,
-        edge_weight=edge,
-    )
-    return replica, dropped
+    columns = {
+        "quasienergies": selection.quasienergies.copy(),
+        "blocks": selection.blocks.copy(),
+        "edge_weights": selection.edge_weights.copy(),
+    }
+    columns["blocks"][index] = shifted / math.sqrt(remaining)
+    columns["quasienergies"][index] += n * selection.operator.frequency
+    columns["edge_weights"][index] = edge_weights(columns["blocks"][index : index + 1])[0]
+    return dataclasses.replace(selection, **columns), dropped
 
 
 def select_reference_sambe(system, operator, ground):
@@ -52,14 +84,14 @@ def select_reference_sambe(system, operator, ground):
     weight in its m=0 block."""
     n_b = operator.matter.shape[0]
     m0 = slice(operator.labels.size // 2 * n_b, (operator.labels.size // 2 + 1) * n_b)
-    overlaps = np.abs(ground.conj() @ system.vectors[m0, :]) ** 2
+    overlaps = np.abs(ground.conj() @ dense_vectors(system)[m0, :]) ** 2
     return int(np.argmax(overlaps))
 
 
 def select_reference_joint(system, matter_ground, fock_dim):
     """Joint eigenpair with the largest |0> (x) (matter ground) weight."""
     target = np.kron(np.eye(fock_dim)[0], matter_ground)
-    overlaps = np.abs(target.conj() @ system.vectors) ** 2
+    overlaps = np.abs(target.conj() @ dense_vectors(system)) ** 2
     return int(np.argmax(overlaps))
 
 
@@ -86,7 +118,7 @@ def assert_same_spectrum(matrix, system, dense):
     n = matrix.shape[0]
     rounding = 64 * n * np.finfo(np.float64).eps
     assert np.max(np.abs(system.values - dense.values)) <= 1e-12 * scale
-    v = system.vectors
+    v = dense_vectors(system)
     assert np.linalg.norm(matrix @ v - v * system.values) <= rounding * scale
     assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= rounding
 

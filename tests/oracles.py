@@ -180,29 +180,29 @@ def _merged_row(group):
     ]
 
 
-def spectral_density(modes, d, omega, reference, n_max=None):
+def spectral_density(quasienergies, blocks, d, omega, reference, n_max=None):
     """Stick rows ``[omega, weight, lambda, n]`` of the zone-resolved sum,
     one (lambda, n) at a time.
 
-    ``modes`` are first-zone modes (``quasienergy`` and harmonic ``blocks``
-    rows c_m), ``d`` the matter dipole matrix. The harmonic
-    d^(n) = sum_m <c^ref_m| d |c^lambda_(m-n)> runs over the shared window;
-    a stick at eps_lambda - eps_ref + n*omega of weight |d^(n)|^2 is kept
-    when its weight is nonzero. n runs over [-n_max, n_max], by default the
-    full truncated range 2 N_h.
+    ``quasienergies`` and ``blocks`` are the first-zone modes (the harmonic
+    ``blocks[lambda]`` rows c_m), ``d`` the matter dipole matrix. The
+    harmonic d^(n) = sum_m <c^ref_m| d |c^lambda_(m-n)> runs over the shared
+    window; a stick at eps_lambda - eps_ref + n*omega of weight |d^(n)|^2 is
+    kept when its weight is nonzero. n runs over [-n_max, n_max], by default
+    the full truncated range 2 N_h.
     """
-    ref = modes[reference]
-    n_rows = ref.blocks.shape[0]
+    ref = blocks[reference]
+    n_rows = ref.shape[0]
     if n_max is None:
         n_max = n_rows - 1
     rows = []
-    for lam, mode in enumerate(modes):
-        d_ket = mode.blocks @ d.T  # row m is d @ c^lambda_m
-        diff = mode.quasienergy - ref.quasienergy
+    for lam, (quasienergy, mode) in enumerate(zip(quasienergies, blocks)):
+        d_ket = mode @ d.T  # row m is d @ c^lambda_m
+        diff = float(quasienergy) - float(quasienergies[reference])
         for n in range(-n_max, n_max + 1):
             amp = 0
             for r in range(max(0, n), min(n_rows, n_rows + n)):
-                amp = amp + np.vdot(ref.blocks[r], d_ket[r - n])
+                amp = amp + np.vdot(ref[r], d_ket[r - n])
             weight = abs(complex(amp)) ** 2
             if weight != 0.0:
                 rows.append([diff + n * omega, weight, lam, n])

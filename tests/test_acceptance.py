@@ -10,12 +10,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import select_reference_joint, select_reference_sambe, shift_replica
+from helpers import dense_vectors, select_reference_joint, select_reference_sambe, shift_replica
 from floqtrk import (
     DriveComponent,
     DriveSpec,
     FewLevelModel,
-    FloquetMode,
     FockSpec,
     GridBasis,
     InteractionSpec,
@@ -57,14 +56,14 @@ def closure_ok(report, rtol: float = 1e-8) -> bool:
 
 def driven_run(h, d, drive, cutoff):
     """One driven configuration evaluated in both extended-space forms."""
-    ground = diagonalize_hermitian(h.matrix).vectors[:, 0]
+    ground = dense_vectors(diagonalize_hermitian(h.matrix))[:, 0]
     floquet = sambe_operator(h, d, drive, cutoff)
     system = diagonalize_hermitian(floquet)
     sambe = sumrule_sambe(
         floquet, system, select_reference_sambe(system, floquet, ground), n_electrons=1
     )
     selection = fold_and_select_ffbz(system, floquet)
-    reference = select_reference(selection.representatives, ground)
+    reference = select_reference(selection.blocks, ground)
     ffbz = sumrule_ffbz(selection, reference, n_electrons=1)
     return SimpleNamespace(
         floquet=floquet,
@@ -92,7 +91,7 @@ def zero_drive_run():
     h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
     d = build_dipole(grid)
     run = driven_run(h, d, DriveSpec(omega=150.0), cutoff=1)
-    run.static = static_trk(h, d)
+    run.static = static_trk(h, d, n_electrons=1)
     return run
 
 
@@ -111,7 +110,7 @@ def test_criterion_1_static_grid_sum():
     for n_points in (201, 401):
         grid = GridBasis(n_points=n_points, x_min=-10.0, x_max=10.0)
         h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
-        reports[n_points] = static_trk(h, build_dipole(grid))
+        reports[n_points] = static_trk(h, build_dipole(grid), n_electrons=1)
     coarse, fine = reports[201], reports[401]
     ratio = abs(coarse.value - 1.0) / abs(fine.value - 1.0)
     ok = (
@@ -135,7 +134,7 @@ def test_criterion_2_two_electron_sum():
     h = build_two_electron_hamiltonian(
         grid, PotentialSpec.harmonic(1.0), InteractionSpec.soft_coulomb(1.0, 1.0)
     )
-    report = static_trk(h, build_dipole(grid, n_electrons=2))
+    report = static_trk(h, build_dipole(grid, n_electrons=2), n_electrons=2)
     ok = (
         report.target == 2.0
         and closure_ok(report)
@@ -208,7 +207,7 @@ def test_criterion_8_quantum_light_closure(tmp_path):
     fock = FockSpec(n_max=20, omega_c=0.9, g=0.3)
     h_joint = joint_operator(h, d, fock)
     system = diagonalize_hermitian(h_joint)
-    ground = diagonalize_hermitian(h.matrix).vectors[:, 0]
+    ground = dense_vectors(diagonalize_hermitian(h.matrix))[:, 0]
     reference = select_reference_joint(system, ground, fock.dim)
     rabi = sumrule_qed(h_joint, system, reference, n_electrons=1)
 
@@ -218,7 +217,7 @@ def test_criterion_8_quantum_light_closure(tmp_path):
     fock_g = FockSpec(n_max=12, omega_c=1.2, g=0.05)
     hg_joint = joint_operator(hg, dg, fock_g)
     grid_system = diagonalize_hermitian(hg_joint)
-    grid_ground = diagonalize_hermitian(hg.matrix).vectors[:, 0]
+    grid_ground = dense_vectors(diagonalize_hermitian(hg.matrix))[:, 0]
     grid_ref = select_reference_joint(grid_system, grid_ground, fock_g.dim)
     grid_report = sumrule_qed(hg_joint, grid_system, grid_ref, n_electrons=1)
 
@@ -247,18 +246,14 @@ def test_criterion_8_quantum_light_closure(tmp_path):
     )
 
 
-def random_mode(rng, cutoff, dim, omega=1.0):
-    """Normalized Floquet mode with random complex harmonic content."""
+def random_blocks(rng, cutoff, dim):
+    """Normalized (2 cutoff + 1) x dim coefficient blocks of a Floquet mode
+    with random complex harmonic content."""
     shape = (2 * cutoff + 1, dim)
     blocks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     blocks /= np.linalg.norm(blocks)
-    edge = float(np.sum(np.abs(blocks[0]) ** 2) + np.sum(np.abs(blocks[-1]) ** 2))
-    return FloquetMode(
-        quasienergy=float(rng.uniform(-0.5, 0.5)) * omega,
-        blocks=blocks,
-        omega=omega,
-        edge_weight=edge,
-    )
+    rng.uniform(-0.5, 0.5)  # an unused quasienergy draw: later cases keep their stream
+    return blocks
 
 
 def test_criterion_9_property_sweeps():
@@ -270,9 +265,9 @@ def test_criterion_9_property_sweeps():
         dim = int(rng.integers(2, 65))
         raw_h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         raw_d = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        h = MatterOperator((raw_h + raw_h.conj().T) / 2, f"levels:{dim}")
-        d = MatterOperator((raw_d + raw_d.conj().T) / 2, f"levels:{dim}")
-        report = static_trk(h, d, reference=int(rng.integers(0, dim)))
+        h = MatterOperator((raw_h + raw_h.conj().T) / 2)
+        d = MatterOperator((raw_d + raw_d.conj().T) / 2)
+        report = static_trk(h, d, reference=int(rng.integers(0, dim)), n_electrons=1)
         closure_worst = max(
             closure_worst,
             abs(report.oracle_residual) / max(1.0, abs(report.value)),
@@ -281,14 +276,14 @@ def test_criterion_9_property_sweeps():
     completeness_worst = 0.0
     conjugation_worst = 0.0
     d3 = MatterOperator(
-        np.array([[0.2, 0.5, 0.1], [0.5, -0.1, 0.4], [0.1, 0.4, 0.3]]), "levels:3"
+        np.array([[0.2, 0.5, 0.1], [0.5, -0.1, 0.4], [0.1, 0.4, 0.3]])
     )
     lifted = np.kron(np.ones((5, 5)), d3.matrix)
     for _ in range(100):
-        bra = random_mode(rng, cutoff=2, dim=3)
-        ket = random_mode(rng, cutoff=2, dim=3)
+        bra = random_blocks(rng, cutoff=2, dim=3)
+        ket = random_blocks(rng, cutoff=2, dim=3)
         forward = dipole_fourier_components(bra, ket, d3.matrix)
-        direct = complex(np.vdot(bra.vector(), lifted @ ket.vector()))
+        direct = complex(np.vdot(bra.ravel(), lifted @ ket.ravel()))
         total = sum(forward.values())
         completeness_worst = max(completeness_worst, abs(total - direct))
         backward = dipole_fourier_components(ket, bra, d3.matrix)
@@ -306,17 +301,17 @@ def test_criterion_9_property_sweeps():
     system = diagonalize_hermitian(floquet)
     selection = fold_and_select_ffbz(system, floquet)
     replica_worst = 0.0
-    for mode in selection.representatives:
+    for index in range(len(selection.blocks)):
         for n in (-2, -1, 1, 2):
-            shifted, _ = shift_replica(mode, n)
-            vec = shifted.vector()
+            shifted, _ = shift_replica(selection, index, n)
+            vec = shifted.blocks[index].ravel()
+            quasienergy = shifted.quasienergies[index]
             rayleigh = float(
                 np.real(np.vdot(vec, floquet @ vec) / np.vdot(vec, vec))
             )
             replica_worst = max(
                 replica_worst,
-                abs(rayleigh - shifted.quasienergy)
-                / max(1.0, abs(shifted.quasienergy)),
+                abs(rayleigh - quasienergy) / max(1.0, abs(quasienergy)),
             )
 
     fold_worst = 0.0

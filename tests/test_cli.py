@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -1075,6 +1076,58 @@ def test_broken_closure_exits_numeric(
     out = tmp_path / "broken"
     assert main([command, "--config", str(path), "--out", str(out)]) == 3
     assert f"{tag} report breaks the closure identity" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def nudged(table, column, terms):
+    """``table`` with the entry of ``column`` in its largest-magnitude row of
+    ``terms`` moved by 1e-12 relative, far above the rounding of a sum of
+    those terms."""
+    values = getattr(table, column).copy()
+    values[np.argmax(np.abs(terms))] *= 1.0 + 1e-12
+    return dataclasses.replace(table, **{column: values})
+
+
+@pytest.mark.parametrize(
+    "command, text, builder, tag",
+    [
+        ("static-trk", "job: static_trk\n" + TWO_LEVEL_MODEL, "static_trk", "static_trk"),
+        ("floquet", FLOQUET_JOB, "sumrule_ffbz", "ffbz"),
+        ("qed", QED_JOB, "sumrule_qed", "qed"),
+        ("converge", FOCK_CONVERGE_JOB, "sumrule_qed", "n_max=4"),
+    ],
+    ids=["static", "floquet", "qed", "converge_fock"],
+)
+def test_broken_ledger_exits_numeric(tmp_path, monkeypatch, capsys, command, text, builder, tag):
+    """A report whose stored weights no longer math.fsum to its value breaks
+    the ledger identity: exit 3 and no report written."""
+    original = getattr(cli, builder)
+
+    def perturbed(*args, **kwargs):
+        report = original(*args, **kwargs)
+        ledger = report.contributions
+        return dataclasses.replace(report, contributions=nudged(ledger, "weight", ledger.weight))
+
+    monkeypatch.setattr(cli, builder, perturbed)
+    out = tmp_path / "broken"
+    assert main([command, "--config", str(config_file(tmp_path, text)), "--out", str(out)]) == 3
+    assert f"{tag} report breaks the ledger identity" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_broken_first_moment_exits_numeric(tmp_path, monkeypatch, capsys):
+    """A stick spectrum whose first moment is not the ffbz value breaks the
+    first-moment identity: exit 3 and no report written."""
+    def perturbed(report):
+        density = original(report)
+        return nudged(density, "omega", density.omega * density.weight)
+
+    original = cli.density_from_ledger
+    monkeypatch.setattr(cli, "density_from_ledger", perturbed)
+    out = tmp_path / "broken"
+    path = config_file(tmp_path, FLOQUET_JOB)
+    assert main(["floquet", "--config", str(path), "--out", str(out)]) == 3
+    assert "breaks the first-moment identity" in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 

@@ -209,9 +209,9 @@ def test_matter_dimension_guard():
 def test_matter_operator_rejects_non_hermitian():
     """MatterOperator construction enforces Hermiticity."""
     with pytest.raises(InputError):
-        MatterOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), basis_tag="test")
+        MatterOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(InputError):
-        MatterOperator(np.zeros((2, 3)), basis_tag="test")
+        MatterOperator(np.zeros((2, 3)))
 
 
 def test_few_level_model_validation():
@@ -298,8 +298,8 @@ def test_double_commutator_ignores_interaction():
 
 def test_double_commutator_input_checks():
     """Non-normalized states and mismatched dimensions are rejected."""
-    h = MatterOperator(np.diag([0.0, 1.0]), basis_tag="t")
-    d = MatterOperator(np.array([[0.0, 1.0], [1.0, 0.0]]), basis_tag="t")
+    h = MatterOperator(np.diag([0.0, 1.0]))
+    d = MatterOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(InputError):
         double_commutator_expectation(h, d, np.array([1.0, 1.0]))
     with pytest.raises(InputError):

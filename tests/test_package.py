@@ -78,3 +78,28 @@ def test_every_public_name_has_a_caller_or_a_documented_use():
         and not re.search(rf"\b{re.escape(name)}\b", readme)
     ]
     assert orphans == []
+
+
+def test_readme_library_use_runs():
+    """README's Library-use code block runs as written on a 21-point
+    symmetric grid that supplies ``h``, ``d``, ``drive``, ``reflection`` and
+    ``harmonic_cutoff``, and its reports keep their identities."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    grid = floqtrk.GridBasis(-5.0, 5.0, 21)
+    namespace = {
+        "h": floqtrk.build_grid_hamiltonian(grid, floqtrk.PotentialSpec.harmonic(1.0)),
+        "d": floqtrk.build_dipole(grid),
+        "drive": floqtrk.DriveSpec(
+            omega=0.35, components=(floqtrk.DriveComponent(1, 0.05),)
+        ),
+        "reflection": floqtrk.basis_reversal(21),
+        "harmonic_cutoff": 3,
+    }
+    exec("from floqtrk import *", namespace)
+    exec(block, namespace)
+    ffbz, sticks = namespace["ffbz"], namespace["sticks"]
+    assert ffbz.kind == "ffbz" and floqtrk.first_moment(sticks) == ffbz.value
+    for report in (namespace["sambe"], namespace["qed"]):
+        assert abs(report.oracle_residual) <= 1e-8 * max(1.0, abs(report.oracle_value))
