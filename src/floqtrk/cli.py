@@ -41,7 +41,7 @@ import time
 from collections.abc import Hashable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 import yaml
@@ -50,6 +50,7 @@ from . import lapack
 from .errors import ConfigError, InputError, NumericError, ZoneError
 from .floquet import (
     EigenSystem,
+    FfbzSelection,
     Reflection,
     basis_reversal,
     diagonalize_hermitian,
@@ -65,6 +66,7 @@ from .model import (
     InteractionSpec,
     MatterOperator,
     PotentialSpec,
+    _KINETIC_SCHEMES,
     build_dipole,
     build_grid_hamiltonian,
     build_two_electron_hamiltonian,
@@ -460,7 +462,6 @@ _INTERACTION = _Tagged("kind", "none", {
         "softening": _key(_as_float, 1.0, bound="> 0"),
     },
 })
-_KINETIC = ("three_point", "sinc_dvr")
 #: Fewest photon cutoffs a photon-cutoff converge job may scan.
 MIN_CUTOFF_FAMILY = 3
 
@@ -470,12 +471,12 @@ _SCHEMA = {
             1: {
                 "grid": _GRID,
                 "potential": _POTENTIAL,
-                "kinetic": _key(_as_choice, "three_point", choices=_KINETIC),
+                "kinetic": _key(_as_choice, "three_point", choices=_KINETIC_SCHEMES),
             },
             2: {
                 "grid": _GRID,
                 "potential": _POTENTIAL,
-                "kinetic": _key(_as_choice, "sinc_dvr", choices=_KINETIC),
+                "kinetic": _key(_as_choice, "sinc_dvr", choices=_KINETIC_SCHEMES),
                 "interaction": _INTERACTION,
             },
         }, parse=_as_grid_electrons),
@@ -716,8 +717,7 @@ class RunReport:
     reports: tuple[tuple[str, SumRuleReport], ...] = ()
     primary: str | None = None
     density: SpectralDensity | None = None
-    spectrum_header: tuple[str, ...] | None = None
-    spectrum_rows: tuple[tuple, ...] | None = None
+    spectrum: dict[str, list] | None = None
     convergence: tuple[dict, ...] | None = None
     sweep_points: tuple[SweepPoint, ...] | None = None
     warnings: tuple[str, ...] = ()
@@ -769,17 +769,7 @@ def run_job(config: JobConfig, verbose: bool = False) -> RunReport:
     timings: dict[str, float] = {}
     stage = _Stage(timings, verbose)
     start = time.perf_counter()
-    job = config.job_kind
-    if job == "static_trk":
-        pieces = _run_static(config, stage)
-    elif job == "floquet":
-        pieces = _run_floquet(config, stage)
-    elif job == "qed":
-        pieces = _run_qed(config, stage)
-    elif job == "converge":
-        pieces = _run_converge(config, stage)
-    else:
-        pieces = _run_sweep(config, stage, verbose)
+    pieces = _RUNNERS[config.job_kind](config, stage)
     reports = pieces.get("reports", ())
     for tag, report in reports:
         _check_identities(tag, report)
@@ -830,31 +820,40 @@ def _static_reference(config: JobConfig) -> int:
     return 0 if config.reference == "auto" else int(config.reference)
 
 
-def _matter_reflection(config: JobConfig, h: MatterOperator) -> Reflection | None:
-    """The reflection the eigensolves try: basis reversal (x -> -x) for grid
-    models, none for few-level models. On an asymmetric grid or potential
-    it does not commute, and each eigensolve is one unsplit solve."""
-    return basis_reversal(h.dim) if config.resolved["model"]["kind"] == "grid" else None
+class _Matter(NamedTuple):
+    """The matter operators of one job, the reflection its eigensolves try
+    and the H_M spectrum (None when the job needs none)."""
+
+    h: MatterOperator
+    d: MatterOperator
+    n_e: int
+    reflection: Reflection | None
+    system: EigenSystem | None
+
+    def static_report(self, reference: int) -> SumRuleReport:
+        """The static TRK report of ``reference``, read off the H_M spectrum."""
+        return static_trk(self.h, self.d, reference, n_electrons=self.n_e, system=self.system)
 
 
-def _matter_stack(
-    config: JobConfig, stage: _Stage
-) -> tuple[MatterOperator, MatterOperator, int, EigenSystem, Reflection | None]:
-    """Build the matter operators and diagonalize H_M, once per job."""
+def _matter(config: JobConfig, stage: _Stage, solve: bool = True) -> _Matter:
+    """Build the matter operators and, if ``solve``, diagonalize H_M, once
+    per job. The reflection is basis reversal (x -> -x) for grid models and
+    none for few-level models; on an asymmetric grid or potential it does
+    not commute, and each eigensolve is one unsplit solve."""
     with stage("matter_build"):
         h, d, n_e = config.matter()
-    reflection = _matter_reflection(config, h)
-    with stage("matter_eigensolve"):
-        matter_system = diagonalize_hermitian(h.matrix, reflection=reflection)
-    return h, d, n_e, matter_system, reflection
+    reflection = basis_reversal(h.dim) if config.resolved["model"]["kind"] == "grid" else None
+    system = None
+    if solve:
+        with stage("matter_eigensolve"):
+            system = diagonalize_hermitian(h.matrix, reflection=reflection)
+    return _Matter(h, d, n_e, reflection, system)
 
 
 def _run_static(config: JobConfig, stage: _Stage) -> dict:
-    h, d, n_e, matter_system, _ = _matter_stack(config, stage)
+    matter = _matter(config, stage)
     with stage("sumrule"):
-        report = static_trk(
-            h, d, _static_reference(config), n_electrons=n_e, system=matter_system
-        )
+        report = matter.static_report(_static_reference(config))
     return {
         "reports": (("static_trk", report),),
         "primary": "static_trk",
@@ -883,63 +882,41 @@ def _resolvable_drive(config: JobConfig, matter_system: EigenSystem) -> DriveSpe
     return drive
 
 
-def _floquet_stack(
-    config: JobConfig,
-    stage: _Stage,
-    h: MatterOperator,
-    d: MatterOperator,
-    drive: DriveSpec,
-    matter_system: EigenSystem,
-    reflection: Reflection | None,
-    harmonic_cutoff: int,
-):
-    """Assemble/diagonalize/fold pipeline of one harmonic cutoff: the
-    spectrum, its first-zone selection (which holds the operator) and the
-    reference representative."""
+def _floquet_member(
+    config: JobConfig, stage: _Stage, matter: _Matter, drive: DriveSpec, cutoff: int
+) -> tuple[SumRuleReport, EigenSystem, FfbzSelection]:
+    """Assemble/diagonalize/fold/sum pipeline of one harmonic cutoff: the
+    ffbz report, the Sambe spectrum and its first-zone selection (which
+    holds the operator). The reference representative is picked here;
+    ``sumrule_ffbz`` refuses an explicit one beyond the selection."""
     with stage("sambe_assemble"):
-        operator = sambe_operator(h, d, drive, harmonic_cutoff, reflection)
+        operator = sambe_operator(matter.h, matter.d, drive, cutoff, matter.reflection)
     with stage("eigensolve"):
         system = diagonalize_hermitian(operator)
     with stage("fold_select"):
-        edge_tol = config.resolved["sambe"]["edge_tol"]
-        selection = fold_and_select_ffbz(system, operator, edge_tol=edge_tol)
-        ground = matter_system.column(0)
-        if config.reference == "auto":
-            ffbz_ref = select_reference(selection.blocks, ground)
-        else:
-            ffbz_ref = int(config.reference)
-            if ffbz_ref >= len(selection.blocks):
-                raise InputError(
-                    f"reference {ffbz_ref} outside the "
-                    f"{len(selection.blocks)} first-zone representatives"
-                )
-    return system, selection, ffbz_ref
+        sambe_cfg = config.resolved["sambe"]
+        selection = fold_and_select_ffbz(system, operator, edge_tol=sambe_cfg["edge_tol"])
+        reference = config.reference
+        if reference == "auto":
+            reference = select_reference(selection.blocks, matter.system.column(0))
+    with stage("sumrule"):
+        report = sumrule_ffbz(selection, reference, sambe_cfg["n_max"], n_electrons=matter.n_e)
+    return report, system, selection
 
 
 def _run_floquet(config: JobConfig, stage: _Stage) -> dict:
-    sambe_cfg = config.resolved["sambe"]
-    h, d, n_e, matter_system, reflection = _matter_stack(config, stage)
-    drive = _resolvable_drive(config, matter_system)
-    system, selection, ffbz_ref = _floquet_stack(
-        config,
-        stage,
-        h,
-        d,
-        drive,
-        matter_system,
-        reflection,
-        sambe_cfg["harmonic_cutoff"],
+    matter = _matter(config, stage)
+    drive = _resolvable_drive(config, matter.system)
+    ffbz_report, system, selection = _floquet_member(
+        config, stage, matter, drive, config.resolved["sambe"]["harmonic_cutoff"]
     )
     with stage("sumrule"):
-        static_report = static_trk(h, d, 0, n_electrons=n_e, system=matter_system)
+        static_report = matter.static_report(0)
         sambe_report = sumrule_sambe(
             selection.operator,
             system,
-            selection.source_indices[ffbz_ref],
-            n_electrons=n_e,
-        )
-        ffbz_report = sumrule_ffbz(
-            selection, ffbz_ref, sambe_cfg["n_max"], n_electrons=n_e
+            selection.source_indices[ffbz_report.reference],
+            n_electrons=matter.n_e,
         )
         density = density_from_ledger(ffbz_report)
     return {
@@ -950,36 +927,27 @@ def _run_floquet(config: JobConfig, stage: _Stage) -> dict:
         ),
         "primary": "ffbz",
         "density": density,
-        "spectrum_header": ("index", "quasienergy", "edge_weight"),
-        "spectrum_rows": tuple(
-            zip(
-                range(len(selection.blocks)),
-                selection.quasienergies.tolist(),
-                selection.edge_weights.tolist(),
-            )
-        ),
+        "spectrum": {
+            "index": list(range(len(selection.blocks))),
+            "quasienergy": selection.quasienergies.tolist(),
+            "edge_weight": selection.edge_weights.tolist(),
+        },
         "warnings": ffbz_report.truncation_flags,
     }
 
 
 def _qed_member(
-    stage: _Stage,
-    h: MatterOperator,
-    d: MatterOperator,
-    n_e: int,
-    fock: FockSpec,
-    reference: int,
-    reflection: Reflection | None,
+    stage: _Stage, matter: _Matter, fock: FockSpec, reference: int
 ) -> tuple[SumRuleReport, np.ndarray, float]:
     """Assemble/diagonalize/sum pipeline of one photon cutoff: the report,
     the energies and the reference population in the top two Fock levels.
     The spectrum and the operator are freed on return."""
     with stage("joint_assemble"):
-        operator = joint_operator(h, d, fock, reflection)
+        operator = joint_operator(matter.h, matter.d, fock, matter.reflection)
     with stage("eigensolve"):
         system = diagonalize_hermitian(operator)
     with stage("sumrule"):
-        report = sumrule_qed(operator, system, reference, n_electrons=n_e)
+        report = sumrule_qed(operator, system, reference, n_electrons=matter.n_e)
         # photon-number distribution of the reference, traced over matter
         table = system.column(reference).reshape(fock.dim, -1)
         edge = math.fsum(np.sum(np.abs(table) ** 2, axis=1)[-2:])
@@ -987,22 +955,21 @@ def _qed_member(
 
 
 def _run_qed(config: JobConfig, stage: _Stage) -> dict:
-    h, d, n_e, matter_system, reflection = _matter_stack(config, stage)
+    matter = _matter(config, stage)
     fock = FockSpec(**config.resolved["fock"])
     reference = _static_reference(config)
-    qed_report, energies, _ = _qed_member(stage, h, d, n_e, fock, reference, reflection)
+    qed_report, energies, _ = _qed_member(stage, matter, fock, reference)
     with stage("sumrule"):
-        static_report = static_trk(h, d, 0, n_electrons=n_e, system=matter_system)
+        static_report = matter.static_report(0)
     reports = [("static_trk", static_report), ("qed", qed_report)]
     if config.resolved["qed"]["h0_diagnostic"]:
         fock0 = FockSpec(n_max=fock.n_max, omega_c=fock.omega_c, g=0.0)
-        h0_report = _qed_member(stage, h, d, n_e, fock0, reference, reflection)[0]
+        h0_report = _qed_member(stage, matter, fock0, reference)[0]
         reports.append(("qed_h0", h0_report))
     return {
         "reports": tuple(reports),
         "primary": "qed",
-        "spectrum_header": ("index", "energy"),
-        "spectrum_rows": tuple((i, float(e)) for i, e in enumerate(energies)),
+        "spectrum": {"index": list(range(len(energies))), "energy": energies.tolist()},
         "warnings": qed_report.truncation_flags,
     }
 
@@ -1013,17 +980,15 @@ def _run_converge(config: JobConfig, stage: _Stage) -> dict:
     A harmonic-cutoff row is converged when |delta| from the previous row
     is below 1e-6. A photon-cutoff row also needs the reference population
     in the top two Fock levels below 1e-10, so that the truncation edge is
-    unoccupied, not merely stationary; its |delta| bound is 1e-8.
+    unoccupied, not merely stationary; its |delta| bound is 1e-8. A
+    photon-cutoff scan runs no matter eigensolve.
     """
     harmonic = config.resolved["converge"]["axis"] == "harmonic_cutoff"
+    matter = _matter(config, stage, solve=harmonic)
     if harmonic:
-        h, d, n_e, matter_system, reflection = _matter_stack(config, stage)
-        drive = _resolvable_drive(config, matter_system)
+        drive = _resolvable_drive(config, matter.system)
         key, tol = "harmonic_cutoff", 1e-6
     else:
-        with stage("matter_build"):
-            h, d, n_e = config.matter()
-        reflection = _matter_reflection(config, h)
         reference = _static_reference(config)
         key, tol = "n_max", 1e-8
     rows: list[dict] = []
@@ -1031,17 +996,11 @@ def _run_converge(config: JobConfig, stage: _Stage) -> dict:
     for value in config.resolved["converge"]["values"]:
         # keep no spectrum into the next cutoff's solve
         if harmonic:
-            selection, ffbz_ref = _floquet_stack(
-                config, stage, h, d, drive, matter_system, reflection, value
-            )[1:]
-            with stage("sumrule"):
-                report = sumrule_ffbz(
-                    selection, ffbz_ref, config.resolved["sambe"]["n_max"], n_electrons=n_e
-                )
+            report = _floquet_member(config, stage, matter, drive, value)[0]
             edge = None
         else:
             fock = FockSpec(**{**config.resolved["fock"], "n_max": value})
-            report, _, edge = _qed_member(stage, h, d, n_e, fock, reference, reflection)
+            report, _, edge = _qed_member(stage, matter, fock, reference)
         _check_identities(f"{key}={value}", report)
         delta = None if previous is None else report.value - previous
         row = {
@@ -1065,11 +1024,11 @@ def _run_converge(config: JobConfig, stage: _Stage) -> dict:
     }
 
 
-def _run_sweep(config: JobConfig, stage: _Stage, verbose: bool) -> dict:
+def _run_sweep(config: JobConfig, stage: _Stage) -> dict:
     points: list[SweepPoint] = []
     for i, (value, resolved) in enumerate(_sweep_points(config.resolved)):
         with stage(f"point_{i}"):
-            report = run_job(JobConfig(resolved=resolved), verbose=verbose)
+            report = run_job(JobConfig(resolved=resolved), verbose=stage.verbose)
         # the point's own stage timings, its total included, replace its wall time
         stage.timings[f"point_{i}"] = report.timings
         points.append(SweepPoint(parameter_value=float(value), report=report))
@@ -1077,6 +1036,16 @@ def _run_sweep(config: JobConfig, stage: _Stage, verbose: bool) -> dict:
         "sweep_points": tuple(points),
         "warnings": tuple(flag for point in points for flag in point.report.warnings),
     }
+
+
+#: The pipeline of each job kind.
+_RUNNERS: dict[str, Callable[[JobConfig, _Stage], dict]] = {
+    "static_trk": _run_static,
+    "floquet": _run_floquet,
+    "qed": _run_qed,
+    "converge": _run_converge,
+    "sweep": _run_sweep,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -1126,11 +1095,8 @@ def _run_payload(report: RunReport) -> dict:
             "reference": report.density.reference,
             **report.density.columns(),
         }
-    if report.spectrum_rows is not None:
-        payload["spectrum"] = {
-            name: [row[i] for row in report.spectrum_rows]
-            for i, name in enumerate(report.spectrum_header)
-        }
+    if report.spectrum is not None:
+        payload["spectrum"] = report.spectrum
     if report.convergence is not None:
         payload["convergence"] = list(report.convergence)
     if report.sweep_points is not None:
@@ -1238,8 +1204,10 @@ def write_report(
             files["ledger.csv"] = _table_csv(primary.contributions)
         if report.density is not None:
             files["sticks.csv"] = _table_csv(report.density)
-        if report.spectrum_rows is not None:
-            files["spectrum.csv"] = _csv_text(report.spectrum_header, report.spectrum_rows)
+        if report.spectrum is not None:
+            files["spectrum.csv"] = _csv_text(
+                list(report.spectrum), zip(*report.spectrum.values())
+            )
         if report.convergence:
             files["convergence.csv"] = _convergence_csv(report.convergence)
         if report.sweep_points is not None:

@@ -302,15 +302,20 @@ def select_reference(blocks: np.ndarray, ground: np.ndarray) -> int:
 
     ``blocks`` are the representatives' coefficient blocks
     (:attr:`FfbzSelection.blocks`, k x (2 N_h + 1) x N_b), whose middle row
-    is c_0. A weight below (N_b eps)^2, the rounding level of an overlap
-    between unit vectors, counts as zero: a selection rule (the ground state
-    and an m=0 block of opposite parity) makes it exactly zero, and its
-    computed value is noise. When every weight is zero, the representative
+    is c_0, and ``ground`` is the matter ground state (N_b,). A weight below
+    (N_b eps)^2, the rounding level of an overlap between unit vectors,
+    counts as zero: a selection rule (the ground state and an m=0 block of
+    opposite parity) makes it exactly zero, and its computed value is noise. When every weight is zero, the representative
     with the largest m=0 block norm is taken.
     """
-    blocks = np.asarray(blocks)
+    blocks, ground = np.asarray(blocks), np.asarray(ground)
     if blocks.ndim != 3:
         raise InputError(f"expected k x (2 N_h + 1) x N_b blocks, got shape {blocks.shape}")
+    if ground.shape != blocks.shape[2:]:
+        raise InputError(
+            f"ground state of shape {ground.shape} does not match the blocks' "
+            f"matter dimension {blocks.shape[2]}"
+        )
     if not len(blocks):
         raise ZoneError("no representatives to select a reference from")
     floor = (ground.size * np.finfo(np.float64).eps) ** 2

@@ -247,8 +247,8 @@ def test_zero_drive_floquet_job(tmp_path):
     ledger = by_tag["ffbz"].contributions
     assert np.all(np.abs(ledger.weight[ledger.n != 0]) <= 1e-12)
     assert abs(first_moment(report.density) - by_tag["ffbz"].value) <= 1e-12
-    assert report.spectrum_header == ("index", "quasienergy", "edge_weight")
-    assert len(report.spectrum_rows) == 3
+    assert list(report.spectrum) == ["index", "quasienergy", "edge_weight"]
+    assert report.spectrum["index"] == [0, 1, 2]
     assert report.warnings == ()
     assert report.run_hash == run_hash_of(config.resolved)
     assert report.version == __version__
@@ -527,7 +527,7 @@ def test_qed_job_with_h0_diagnostic(tmp_path):
     report = run_job(config)
     assert [tag for tag, _ in report.reports] == ["static_trk", "qed", "qed_h0"]
     assert report.primary == "qed"
-    assert report.spectrum_header == ("index", "energy")
+    assert list(report.spectrum) == ["index", "energy"]
     by_tag = dict(report.reports)
     assert abs(by_tag["qed_h0"].value - by_tag["static_trk"].value) <= 1e-10
     assert math.isfinite(by_tag["qed"].value)
@@ -784,14 +784,25 @@ def test_first_zone_flags_are_warned_once(tmp_path, capsys, command):
     assert capsys.readouterr().err.splitlines() == [f"warning: {flag}" for flag in flags]
 
 
-def test_converge_final_report_is_the_last_row(tmp_path):
-    """The qed report of a photon-cutoff scan is the last member's report,
-    equal to a fresh build and solve of that member."""
-    config = load_config(config_file(tmp_path, FOCK_CONVERGE_JOB))
+@pytest.mark.parametrize("axis", ["harmonic", "fock"])
+def test_converge_final_report_is_the_last_row(tmp_path, axis):
+    """The report of a scan is the last member's report. A photon-cutoff
+    scan's qed report equals a fresh build and solve of that member; a
+    harmonic-cutoff scan's ffbz report equals the floquet job's at that
+    cutoff."""
+    text = HARMONIC_CONVERGE_JOB if axis == "harmonic" else FOCK_CONVERGE_JOB
+    config = load_config(config_file(tmp_path, text))
     payload = report_payload(run_job(config))
-    final = payload["reports"]["qed"]
+    (final,) = payload["reports"].values()
     assert final["value"] == payload["convergence"][-1]["value"]
     assert final["oracle_residual"] == payload["convergence"][-1]["oracle_residual"]
+    if axis == "harmonic":
+        floquet_job = {**config.resolved, "job": "floquet"}
+        del floquet_job["converge"]
+        floquet_job["sambe"] = {**floquet_job["sambe"], "harmonic_cutoff": 8}
+        path = config_file(tmp_path, yaml.safe_dump(floquet_job), name="floquet.yaml")
+        assert final == report_payload(run_job(load_config(path)))["reports"]["ffbz"]
+        return
     h, d, _ = config.matter()
     fock = FockSpec(n_max=10, omega_c=0.9, g=0.3)
     h_joint = joint_operator(h, d, fock)
@@ -1744,6 +1755,16 @@ def test_float_range_faults_are_input_errors(tmp_path, capsys, grid, potential):
     assert main(["static-trk", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_reference_beyond_the_first_zone_is_an_input_error(tmp_path, capsys):
+    """An explicit floquet reference past the first-zone representatives
+    exits 2 with one line on stderr."""
+    path = config_file(tmp_path, FLOQUET_JOB + "reference: 7\n")
+    assert main(["floquet", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "input error: reference index 7 outside the 3 supplied representatives\n"
+    )
 
 #: Small valid jobs of every kind, the seeds of the fuzzed configs below.
 FUZZ_BASES = [

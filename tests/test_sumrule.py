@@ -298,6 +298,8 @@ def test_reference_ignores_overlaps_at_rounding_level():
     assert select_reference(np.array([forbidden, noise, resolved]), ground) == 2
     with pytest.raises(InputError, match="blocks"):
         select_reference(noise, ground)
+    with pytest.raises(InputError, match="matter dimension 2"):
+        select_reference(np.array([noise]), np.array([1.0, 0.0, 0.0]))
 
 
 def test_parity_selection_rule():
