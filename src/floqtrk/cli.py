@@ -941,11 +941,13 @@ def _qed_member(
 ) -> tuple[SumRuleReport, np.ndarray, float]:
     """Assemble/diagonalize/sum pipeline of one photon cutoff: the report,
     the energies and the reference population in the top two Fock levels.
-    The spectrum and the operator are freed on return."""
+    The reference's own parity sector is solved values-only, as the sum
+    reads none of its other vectors. The spectrum and the operator are
+    freed on return."""
     with stage("joint_assemble"):
         operator = joint_operator(matter.h, matter.d, fock, matter.reflection)
     with stage("eigensolve"):
-        system = diagonalize_hermitian(operator)
+        system = diagonalize_hermitian(operator, reference=reference)
     with stage("sumrule"):
         report = sumrule_qed(operator, system, reference, n_electrons=matter.n_e)
         # photon-number distribution of the reference, traced over matter

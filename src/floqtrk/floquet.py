@@ -86,16 +86,32 @@ class Sector(NamedTuple):
     spectrum, with Q the orthogonal ``reflectors``.
 
     A real block solved by LAPACK's ``dsytrd`` + ``dstedc``
-    (:func:`floqtrk.lapack.eigensolve`) keeps Q = H_0 ... H_(m-2) of its
+    (:func:`floqtrk.lapack.solve`) keeps Q = H_0 ... H_(m-2) of its
     tridiagonal reduction and the tridiagonal eigenvectors Z as
     ``vectors``; a complex block, or any block without that kernel, keeps
     numpy's ``eigh`` eigenvectors and no reflectors (Q = 1).
+
+    A values-only sector (:func:`floqtrk.lapack.solve_values`) keeps one
+    eigenvector, of local index ``kept``: ``vectors`` is that one column,
+    already in ``basis`` coordinates (Q = 1). ``kept`` is None when every
+    eigenvector is kept.
     """
 
     basis: SectorBasis
     vectors: np.ndarray
     ranks: np.ndarray
     reflectors: Reflectors
+    kept: int | None = None
+
+
+class _Solution(NamedTuple):
+    """One block's solve, before the merge assigns its ranks (a
+    :class:`Sector` without ``basis`` and ``ranks``)."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    reflectors: Reflectors
+    kept: int | None = None
 
 
 class EigenSystem:
@@ -108,6 +124,10 @@ class EigenSystem:
     conj(x) . v_j for every j, both read sector by sector, so a sector's
     reflectors are applied only to the columns read and to x, never to all
     of Z. The sectors' ``ranks`` must partition ``range(len(values))``.
+
+    A values-only sector holds the eigenvalues and one eigenvector:
+    :meth:`columns` refuses its others, and :meth:`amplitudes` gives exact
+    zeros across it for an x with no component there.
     """
 
     def __init__(self, values: np.ndarray, sectors: tuple[Sector, ...]) -> None:
@@ -120,18 +140,15 @@ class EigenSystem:
             )
 
     @classmethod
-    def from_sectors(
-        cls, solved: list[tuple[SectorBasis, np.ndarray, np.ndarray, Reflectors]]
-    ) -> EigenSystem:
-        """Merge (basis, values, vectors, reflectors) sector solves by a
-        stable sort."""
-        values = np.concatenate([sector_values for _, sector_values, _, _ in solved])
+    def from_sectors(cls, solved: list[tuple[SectorBasis, _Solution]]) -> EigenSystem:
+        """Merge (basis, solution) sector solves by a stable sort."""
+        values = np.concatenate([solution.values for _, solution in solved])
         ranking = np.argsort(values, kind="stable")
-        stops = np.cumsum([sector_values.size for _, sector_values, _, _ in solved])
+        stops = np.cumsum([solution.values.size for _, solution in solved])
         ranks = np.split(np.argsort(ranking), stops[:-1])  # the inverse permutation
         sectors = [
-            Sector(basis, vectors, r, reflectors)
-            for (basis, _, vectors, reflectors), r in zip(solved, ranks)
+            Sector(basis, solution.vectors, r, solution.reflectors, solution.kept)
+            for (basis, solution), r in zip(solved, ranks)
         ]
         return cls(values[ranking], tuple(sectors))
 
@@ -147,18 +164,26 @@ class EigenSystem:
     def columns(self, indices: Iterable[int]) -> np.ndarray:
         """Eigenvectors ``indices`` in the original basis, one per column,
         Fortran-ordered; a negative index counts from the end. Each sector
-        applies its reflectors to its own columns at once."""
+        applies its reflectors to its own columns at once. An eigenvector a
+        values-only sector did not keep is refused."""
         wanted = np.array([self._position(j) for j in indices], dtype=np.intp)
         dtype = np.result_type(*(sector.vectors for sector in self.sectors))
         out = np.empty((self.dim, wanted.size), dtype=dtype, order="F")
         missing = np.ones(wanted.size, dtype=bool)
-        for basis, vectors, ranks, reflectors in self.sectors:
+        for basis, vectors, ranks, reflectors, kept in self.sectors:
             local = np.full(self.dim, -1)
             local[ranks] = np.arange(ranks.size)
             mine = local[wanted] >= 0
             if np.any(mine):
-                picked = reflectors.apply(vectors[:, local[wanted[mine]]])
-                out[:, mine] = basis.embed(picked, self.dim)
+                picked = local[wanted[mine]]
+                if kept is not None:
+                    if np.any(picked != kept):
+                        raise InputError(
+                            f"eigenvector {wanted[mine][picked != kept][0]} lies in a "
+                            f"values-only sector, which keeps only eigenvector {ranks[kept]}"
+                        )
+                    picked = np.zeros_like(picked)
+                out[:, mine] = basis.embed(reflectors.apply(vectors[:, picked]), self.dim)
                 missing &= ~mine
         if np.any(missing):
             raise InputError(f"no sector holds eigenvector {wanted[missing][0]}")
@@ -171,15 +196,32 @@ class EigenSystem:
         return j % self.dim
 
     def amplitudes(self, x: np.ndarray) -> np.ndarray:
-        """conj(x) . v_j for every eigenvector v_j, in ascending order."""
+        """conj(x) . v_j for every eigenvector v_j, in ascending order.
+
+        Across a values-only sector they are exact zeros, once x's component
+        there is checked to be at rounding level (its norm at most
+        :data:`SECTOR_COUPLING_EPS` eps times the sector's dimension and
+        ||x||); a larger one is refused.
+        """
         x = np.asarray(x)
         if x.shape != (self.dim,):
             raise InputError(f"expected a vector of length {self.dim}, got shape {x.shape}")
         dtype = np.result_type(x, *(sector.vectors for sector in self.sectors))
         amps = np.empty(self.dim, dtype=dtype)
-        for basis, vectors, ranks, reflectors in self.sectors:
-            coordinates = reflectors.apply_transpose(basis.coordinates(x))
-            amps[ranks] = coordinates.conj() @ vectors
+        for basis, vectors, ranks, reflectors, kept in self.sectors:
+            coordinates = basis.coordinates(x)
+            if kept is None:
+                amps[ranks] = reflectors.apply_transpose(coordinates).conj() @ vectors
+                continue
+            leak = float(np.linalg.norm(coordinates))
+            eps = np.finfo(np.float64).eps
+            bound = SECTOR_COUPLING_EPS * eps * ranks.size * float(np.linalg.norm(x))
+            if not leak <= bound:
+                raise InputError(
+                    f"vector has a component of norm {leak:.3e} in a values-only sector "
+                    f"(rounding level is {bound:.3e}); its amplitudes there were not solved"
+                )
+            amps[ranks] = 0.0
         return amps
 
 
@@ -501,11 +543,11 @@ class ProductOperator:
     @functools.cached_property
     def _projections(self) -> dict[tuple[str, int, int], np.ndarray]:
         """H_pq and d_pq = U_p^T (H_M or d) U_q on P's eigenspaces p, q; the
-        dipole's only when it couples."""
+        dipole's only when there is one."""
         bases = self._bases
         pairs = [(1, 1), (-1, -1), (1, -1)]
         blocks = {("h", p, q): _project(self.matter, bases[p], bases[q]) for p, q in pairs}
-        if self._couples:
+        if self.dipole is not None:
             for p, q in pairs:
                 blocks["d", p, q] = _project(self.dipole, bases[p], bases[q])
             blocks["d", -1, 1] = blocks["d", 1, -1].conj().T
@@ -560,6 +602,21 @@ class ProductOperator:
             )
         return largest <= SECTOR_COUPLING_EPS * np.finfo(np.float64).eps * scale
 
+    @functools.cached_property
+    def odd_dipole(self) -> bool:
+        """Whether the dipole is odd under the reflection, P d P = -d, so
+        that 1 (x) d couples only opposite sectors of (-1)^label (x) P: its
+        same-parity projections d_pp are at most
+        :data:`SECTOR_COUPLING_EPS` eps max|d|. Decided on matter-size
+        operators whether or not d couples. False without a reflection or a
+        dipole, or for a non-finite dipole."""
+        if self.reflection is None or self.dipole is None:
+            return False
+        scale = float(np.max(np.abs(self.dipole), initial=0.0))
+        blocks = self._projections
+        same_parity = max(np.max(np.abs(blocks["d", p, p]), initial=0.0) for p in (1, -1))
+        return same_parity <= SECTOR_COUPLING_EPS * np.finfo(np.float64).eps * scale
+
     def sector(self, parity: int) -> tuple[np.ndarray, SectorBasis]:
         """The block of H in its (-1)^label (x) P = ``parity`` sector,
         Fortran-ordered for LAPACK to reduce in place, and that sector's
@@ -597,21 +654,24 @@ class ProductOperator:
 
 
 def diagonalize_hermitian(
-    matrix: np.ndarray | ProductOperator, *, reflection: Reflection | None = None
+    matrix: np.ndarray | ProductOperator,
+    *,
+    reflection: Reflection | None = None,
+    reference: int | None = None,
 ) -> EigenSystem:
     """Complete spectrum of a Hermitian matrix, eigenvalues ascending, as
     the sectors it was solved in (:class:`EigenSystem`).
 
-    A real block is solved by LAPACK's ``dsytrd`` + ``dstedc`` from numpy's
-    bundled OpenBLAS (:func:`floqtrk.lapack.eigensolve`): the two steps of
-    numpy's ``eigh`` (``dsyevd``) before it forms the eigenvector matrix,
-    so the eigenvalues are ``eigh``'s bit for bit and each sector keeps
-    its reflectors and tridiagonal eigenvectors instead. A complex block,
-    or any block when that library is absent, is solved by numpy's
-    ``eigh``. Exactly real-valued input is routed to the real path, which
-    is several times faster than the complex one at the dimensions the
-    dense guards allow. NaN or infinite entries raise NumericError before
-    any solve.
+    A real block is reduced by LAPACK's ``dsytrd`` and solved by its
+    ``dstedc`` from numpy's bundled OpenBLAS (:mod:`floqtrk.lapack`): the
+    two steps of numpy's ``eigh`` (``dsyevd``) before it forms the
+    eigenvector matrix, so the eigenvalues are ``eigh``'s bit for bit and
+    each sector keeps its reflectors and tridiagonal eigenvectors instead. A
+    complex block, or any block when that library is absent, is solved by
+    numpy's ``eigh``. Exactly real-valued input is routed to the real path,
+    which is several times faster than the complex one at the dimensions
+    the dense guards allow. NaN or infinite entries raise NumericError
+    before any solve.
 
     ``matrix`` is a :class:`ProductOperator` or a dense array (with a
     ``reflection`` S, the operator with an outer space of size one). When
@@ -620,6 +680,16 @@ def diagonalize_hermitian(
     solves at about a quarter of the flops. Otherwise the one sector is the
     identity basis, solved on a copy of the array, or in place on
     :meth:`~ProductOperator.toarray`, whose matrix the solve owns.
+
+    With a ``reference`` rank r, an operator that splits and whose dipole is
+    odd (:attr:`ProductOperator.odd_dipole`) has the sector of eigenpair r
+    solved values-only: its eigenvalues and eigenvector r
+    (:func:`floqtrk.lapack.solve_values`). A closure sum from r reads no
+    other vector of that sector, since the dipole couples r only to the
+    opposite sector. Which sector holds r is decided on the r + 1 lowest
+    eigenvalues of each tridiagonal block; should the merged spectrum rank
+    another eigenvalue r (a tie across the sectors), that sector is solved
+    again with every vector. Other operators ignore ``reference``.
     """
     if isinstance(matrix, ProductOperator):
         if reflection is not None:
@@ -628,6 +698,12 @@ def diagonalize_hermitian(
     else:
         m = _checked_hermitian(matrix)
         operator = ProductOperator(matter=m, labels=np.zeros(1, dtype=int), reflection=reflection)
+    if reference is not None:
+        dim = operator.shape[0]
+        if not 0 <= _as_index(reference, "reference index") < dim:
+            raise InputError(f"reference index {reference} outside spectrum of size {dim}")
+        if operator.splits and operator.odd_dipole:
+            return _solve_around(operator, reference)
     if operator.splits:
         blocks = (operator.sector(parity) for parity in (1, -1))
     else:
@@ -639,9 +715,38 @@ def diagonalize_hermitian(
         blocks = [(full, SectorBasis.identity(full.shape[0]))]
     solved = []
     for block, basis in blocks:
-        solved.append((basis, *_eigensolve(block)))
+        solved.append((basis, _eigensolve(block).solve()))
         del block
     return EigenSystem.from_sectors(solved)
+
+
+def _solve_around(operator: ProductOperator, reference: int) -> EigenSystem:
+    """The two sectors of a splitting ``operator``, the one holding
+    eigenpair ``reference`` solved values-only (:func:`diagonalize_hermitian`)."""
+    reduced = {}
+    for parity in (1, -1):
+        block, basis = operator.sector(parity)
+        reduced[parity] = (basis, _eigensolve(block))
+        del block
+    lowest = [reduced[parity][1].lowest(reference + 1) for parity in (1, -1)]
+    # rank `reference` among both, a tie going to the +1 sector as in from_sectors
+    position = int(np.argsort(np.concatenate(lowest), kind="stable")[reference])
+    own, local = (1, position) if position < lowest[0].size else (-1, position - lowest[0].size)
+    solved = {}
+    basis, block_solve = reduced.pop(own)
+    solved[own] = (basis, block_solve.solve_values(local))
+    # the values-only block's matrix is freed before the other's solve
+    basis, block_solve = reduced.pop(-own)
+    solved[-own] = (basis, block_solve.solve())
+    del block_solve
+    system = EigenSystem.from_sectors([solved[1], solved[-1]])
+    sector = system.sectors[0 if own == 1 else 1]
+    if sector.kept is not None and sector.ranks[sector.kept] != reference:
+        # the merge ranked a tie across the sectors the other way round
+        block, basis = operator.sector(own)
+        solved[own] = (basis, _eigensolve(block).solve())
+        system = EigenSystem.from_sectors([solved[1], solved[-1]])
+    return system
 
 
 def _checked_hermitian(matrix: np.ndarray, owned: bool = False) -> np.ndarray:
@@ -670,18 +775,49 @@ def _checked_hermitian(matrix: np.ndarray, owned: bool = False) -> np.ndarray:
     return np.array(m.real, dtype=np.result_type(m.real, np.float64), order="F")
 
 
-def _eigensolve(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, Reflectors]:
-    """Eigenvalues (ascending), vectors and reflectors of one Hermitian
-    block, which it may overwrite: the package's one call into LAPACK."""
+class _BlockSolve(NamedTuple):
+    """One Hermitian block between the two steps of its solve: LAPACK's
+    tridiagonal reduction of a real block, or, for a complex block or
+    without that kernel, numpy's whole ``eigh`` solution (``values``,
+    ``vectors``)."""
+
+    reduced: lapack.Tridiagonal | None
+    values: np.ndarray | None = None
+    vectors: np.ndarray | None = None
+
+    def lowest(self, count: int) -> np.ndarray:
+        """The ``count`` lowest eigenvalues, ascending."""
+        if self.reduced is None:
+            return self.values[:count]
+        return lapack.lowest(self.reduced, count)
+
+    def solve(self) -> _Solution:
+        """Every eigenpair."""
+        if self.reduced is None:
+            return _Solution(self.values, self.vectors, Reflectors())
+        return _Solution(*lapack.solve(self.reduced))
+
+    def solve_values(self, k: int) -> _Solution:
+        """Every eigenvalue and eigenvector k (every eigenpair when ``eigh``
+        has already solved the block)."""
+        if self.reduced is None:
+            return self.solve()
+        values, vector = lapack.solve_values(self.reduced, k)
+        return _Solution(values, vector, Reflectors(), kept=k)
+
+
+def _eigensolve(block: np.ndarray) -> _BlockSolve:
+    """The first step of the solve of one Hermitian block, which it may
+    overwrite: the package's one entry into LAPACK, taken once per block."""
     if block.dtype == np.float64:
-        solved = lapack.eigensolve(block)
-        if solved is not None:
-            return solved
+        reduced = lapack.reduce(block)
+        if reduced is not None:
+            return _BlockSolve(reduced)
     try:
         values, vectors = np.linalg.eigh(block)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed: {exc}") from exc
-    return values, vectors, Reflectors()
+    return _BlockSolve(None, values, vectors)
 
 
 def fold_quasienergies(values: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarray]:

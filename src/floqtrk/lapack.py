@@ -6,10 +6,13 @@ prefixed ``scipy_`` and suffixed ``64_``) in ``numpy.libs``; its
 ``np.linalg.eigh`` calls that library's ``dsyevd``. For ``jobz = 'V'``,
 ``dsyevd`` reduces A = Q T Q^T (``dsytrd``), solves T = Z diag(w) Z^T
 (``dstedc``, compz = 'I') and forms the eigenvector matrix Q Z
-(``dormtr``), an O(m^3) step with 2 m^2 of workspace. :func:`eigensolve`
-runs the first two steps only, so its eigenvalues are those of ``eigh``
-bit for bit, and keeps Q as its Householder reflectors (:class:`Reflectors`),
-so a caller applies Q to the few columns of Z it reads.
+(``dormtr``), an O(m^3) step with 2 m^2 of workspace. Here the reduction
+(:func:`reduce`) and the tridiagonal solve are two steps. :func:`solve`
+runs ``dstedc`` only, so its eigenvalues are those of ``eigh`` bit for
+bit, and keeps Q as its Householder reflectors (:class:`Reflectors`), so a
+caller applies Q to the few columns of Z it reads. :func:`solve_values`
+keeps the eigenvalues (``dstedc``, compz = 'N', which runs ``dsterf``) and
+one eigenvector, with no Z and no m^2 workspace.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ class OpenBlas(NamedTuple):
     dsytrd: Callable
     dstedc: Callable
     dlarft: Callable
+    dstebz: Callable
+    dstein: Callable
+    dormtr: Callable
 
 
 def _bind(library: ctypes.CDLL) -> OpenBlas:
@@ -53,9 +59,11 @@ def _bind(library: ctypes.CDLL) -> OpenBlas:
         function.argtypes, function.restype = argtypes, restype
         return function
 
-    int64, char = ctypes.c_int64, ctypes.c_char
+    int64, char, double = ctypes.c_int64, ctypes.c_char, ctypes.c_double
+    count = ctypes.POINTER(int64)
     matrix = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS,WRITEABLE")
     vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    indices = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
     return OpenBlas(
         set_num_threads=routine("scipy_openblas_set_num_threads64_", ctypes.c_int, restype=None),
         get_num_threads=routine("scipy_openblas_get_num_threads64_", restype=ctypes.c_int),
@@ -70,6 +78,20 @@ def _bind(library: ctypes.CDLL) -> OpenBlas:
             "scipy_LAPACKE_dlarft64_",
             ctypes.c_int, char, char, int64, int64, matrix, int64, vector, matrix, int64,
         ),
+        dstebz=routine(
+            "scipy_LAPACKE_dstebz64_",
+            char, char, int64, double, double, int64, int64, double, vector, vector,
+            count, count, vector, indices, indices,
+        ),
+        dstein=routine(
+            "scipy_LAPACKE_dstein64_",
+            ctypes.c_int, int64, vector, vector, int64, vector, indices, indices, matrix, int64,
+            indices,
+        ),
+        dormtr=routine(
+            "scipy_LAPACKE_dormtr64_",
+            ctypes.c_int, char, char, char, int64, int64, matrix, int64, vector, matrix, int64,
+        ),
     )
 
 
@@ -77,7 +99,7 @@ def _bind(library: ctypes.CDLL) -> OpenBlas:
 def openblas() -> OpenBlas | None:
     """The OpenBLAS bundled with numpy (in ``numpy.libs``), or None when
     that library or one of its routines is absent. ``--threads`` caps this
-    library's threads, and :func:`eigensolve` calls its LAPACK."""
+    library's threads, and :func:`reduce` and the solves call its LAPACK."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas*.so*")):
         try:
@@ -119,21 +141,31 @@ class Reflectors(NamedTuple):
         return self._apply(y, transpose=True)
 
 
-def _check(info: int) -> None:
+def _check(info: int, failure: str = "Eigenvalues did not converge") -> None:
     if info > 0:
-        raise NumericError("eigensolver failed: Eigenvalues did not converge")
+        raise NumericError(f"eigensolver failed: {failure}")
     if info < 0:
         raise NumericError(f"eigensolver failed: LAPACKE returned {info}")
 
 
-def eigensolve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, Reflectors] | None:
-    """Eigenvalues w (ascending), tridiagonal eigenvectors Z and reflectors
-    Q of the real symmetric ``a`` = (Q Z) diag(w) (Q Z)^T, read from its
+class Tridiagonal(NamedTuple):
+    """A = Q T Q^T as ``dsytrd`` (lower) leaves it: the diagonal ``d`` and
+    subdiagonal ``e`` of T, and A's own buffer ``a``, whose columns below
+    the subdiagonal hold Q's Householder vectors with factors ``tau``."""
+
+    a: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
+    tau: np.ndarray
+
+
+def reduce(a: np.ndarray) -> Tridiagonal | None:
+    """The tridiagonal reduction of the real symmetric ``a``, read from its
     lower triangle as ``eigh`` reads it; None when the kernel is absent or
     ``a`` is too large or too small for it unscaled.
 
-    ``a`` must be square and Fortran-ordered; it is overwritten, and Z
-    takes its buffer once the reflectors are copied out into panels.
+    ``a`` must be square and Fortran-ordered; it is overwritten and becomes
+    the reduction's ``a``.
     """
     library = openblas()
     m = a.shape[0]
@@ -144,6 +176,17 @@ def eigensolve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, Reflectors] | Non
         return None
     d, e, tau = np.empty(m), np.empty(m - 1), np.empty(m - 1)
     _check(library.dsytrd(_COL_MAJOR, b"L", m, a, m, d, e, tau))
+    return Tridiagonal(a, d, e, tau)
+
+
+def solve(reduced: Tridiagonal) -> tuple[np.ndarray, np.ndarray, Reflectors]:
+    """Eigenvalues w (ascending), tridiagonal eigenvectors Z and reflectors
+    Q of A = (Q Z) diag(w) (Q Z)^T: ``dstedc`` (compz 'I') on T. Z takes
+    the buffer of ``reduced.a`` once the reflectors are copied out into
+    panels."""
+    library = openblas()
+    a, d, e, tau = reduced
+    m = d.size
     panels = []
     for k in range(0, m - 1, PANEL):
         # reflector j is I - tau_j v v^T, v = e_(j+1) + a[j+2:, j]
@@ -157,3 +200,60 @@ def eigensolve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, Reflectors] | Non
         panels.append((k + 1, v, t))
     _check(library.dstedc(_COL_MAJOR, b"I", m, d, e, a, m))
     return d, a, Reflectors(tuple(panels))
+
+
+def _bisect(library: OpenBlas, reduced: Tridiagonal, order: bytes, first: int, last: int):
+    """``dstebz`` on T for its eigenvalues ``first`` .. ``last`` (0-based,
+    ascending) at full accuracy: the number found and the whole output w,
+    iblock, isplit, zero-initialised, as ``dstein`` reads them."""
+    m = reduced.d.size
+    found, blocks = ctypes.c_int64(), ctypes.c_int64()
+    w, iblock, isplit = np.zeros(m), np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
+    abstol = 2 * np.finfo(np.float64).tiny
+    _check(
+        library.dstebz(
+            b"I", order, m, 0.0, 0.0, first + 1, last + 1, abstol, reduced.d, reduced.e,
+            ctypes.byref(found), ctypes.byref(blocks), w, iblock, isplit,
+        )
+    )
+    return found.value, w, iblock, isplit
+
+
+def lowest(reduced: Tridiagonal, count: int) -> np.ndarray:
+    """The ``count`` lowest eigenvalues of T (all of them when ``count``
+    exceeds its size), ascending, by bisection (``dstebz``)."""
+    count = min(count, reduced.d.size)
+    if count < 1:
+        return np.empty(0)
+    found, w, _, _ = _bisect(openblas(), reduced, b"E", 0, count - 1)
+    return w[:found]
+
+
+def solve_values(reduced: Tridiagonal, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenvalue of A, ascending, and its eigenvector k as a column.
+
+    Eigenvector k is Q z_k, with z_k from inverse iteration on T
+    (``dstein``) at eigenvalue k from bisection (``dstebz``) and Q applied
+    by ``dormtr``; value k is that bisection's, the others are ``dstedc``'s
+    with compz 'N'. The buffer of ``reduced.a`` is read, not kept.
+    """
+    library = openblas()
+    a, d, e, tau = reduced
+    m = d.size
+    if not 0 <= k < m:
+        raise InputError(f"eigenvalue index {k} outside a block of size {m}")
+    found, w, iblock, isplit = _bisect(library, reduced, b"B", k, k)
+    if found < 1:
+        raise NumericError(f"eigensolver failed: bisection found no eigenvalue {k}")
+    vector = np.zeros((m, 1), order="F")
+    failed = np.zeros(1, dtype=np.int64)
+    # LAPACKE NaN-checks all m entries of w, not only the one wanted
+    _check(
+        library.dstein(_COL_MAJOR, m, d, e, 1, w, iblock, isplit, vector, m, failed),
+        failure=f"eigenvector {k} did not converge",
+    )
+    _check(library.dormtr(_COL_MAJOR, b"L", b"L", b"N", m, 1, a, m, tau, vector, m))
+    values = d.copy()
+    _check(library.dstedc(_COL_MAJOR, b"N", m, values, e.copy(), np.zeros((1, 1), order="F"), 1))
+    values[k] = w[0]
+    return values, vector

@@ -647,9 +647,9 @@ def record_eigensolves(monkeypatch, perturb=None):
     original = floquet.diagonalize_hermitian
     dims = []
 
-    def recorder(matrix, *, reflection=None):
+    def recorder(matrix, **options):
         dims.append(matrix.shape[0])
-        system = original(matrix, reflection=reflection)
+        system = original(matrix, **options)
         return system if perturb is None else perturb(system)
 
     for module in (cli, floquet, sumrule):

@@ -407,6 +407,32 @@ def test_lapack_kernel_keeps_the_eigenvalues_of_eigh(make):
         assert np.max(np.abs(system.amplitudes(y) - y.conj() @ v)) <= 2 * tol
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 17, 64, 65, 129, 301])
+def test_values_only_solve_matches_eigh(m):
+    """solve_values on a random symmetric block of size m: every eigenvalue
+    within ||T|| m eps of eigh's, eigenvector k within 64 m eps of eigh's
+    column k (up to sign), for k at both ends and the middle; the bisection
+    lowest(k + 1) gives eigh's lowest values within the same bound."""
+    if lapack.openblas() is None:
+        pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((m, m))
+    a += a.T
+    values, vectors = np.linalg.eigh(a)
+    eps = np.finfo(np.float64).eps
+    for k in sorted({0, m // 2, m - 1}):
+        reduced = lapack.reduce(np.array(a, order="F"))
+        t = np.diag(reduced.d) + np.diag(reduced.e, 1) + np.diag(reduced.e, -1)
+        scale = np.linalg.norm(t, 2)
+        lowest = lapack.lowest(reduced, k + 1)
+        assert np.max(np.abs(lowest - values[: k + 1])) <= scale * m * eps
+        w, vector = lapack.solve_values(reduced, k)
+        assert vector.shape == (m, 1)
+        assert np.max(np.abs(w - values)) <= scale * m * eps
+        z = vector[:, 0] * np.sign(vector[:, 0] @ vectors[:, k])
+        assert np.max(np.abs(z - vectors[:, k])) <= 64 * m * eps
+
+
 def test_fold_reference_points():
     """Folding lands 0.7 w at (-0.3 w, 1) and keeps -w/2 in place."""
     folded, n = fold_quasienergies([0.7, -0.5, 0.5], 1.0)

@@ -27,6 +27,7 @@ from floqtrk import (
     static_trk,
     sumrule_qed,
 )
+from floqtrk import floquet
 from floqtrk.cli import load_config, run_job
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -330,6 +331,142 @@ def test_joint_matrix_is_solved_in_two_sectors(monkeypatch):
     ):
         assert_same_spectrum(h_joint, system, dense)
     assert solved == [28, 27, 28, 27]
+
+
+def grid_joint(n_max=4, g=0.2, dipole=None):
+    """The joint operator of the 11-point harmonic grid on [-5, 5], with its
+    x -> -x reflection; ``dipole`` replaces the grid's d = -x."""
+    grid = GridBasis(-5.0, 5.0, 11)
+    h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
+    d = build_dipole(grid) if dipole is None else dipole
+    return joint_operator(h, d, FockSpec(n_max=n_max, omega_c=0.9, g=g), basis_reversal(11))
+
+
+def values_only_sector(system):
+    """The one values-only sector of ``system``."""
+    (sector,) = [sector for sector in system.sectors if sector.kept is not None]
+    return sector
+
+
+def test_values_only_sector_keeps_the_reference_vector_only():
+    """With a reference, the joint grid keeps the reference's own sector
+    values-only: columns() gives the reference vector and refuses the
+    sector's others; amplitudes() gives exact zeros across that sector for
+    the odd x = (I (x) d) psi, and refuses an x with a real component
+    there."""
+    operator = grid_joint()
+    full = diagonalize_hermitian(operator)
+    lifted = ProductOperator(matter=operator.dipole, labels=operator.labels)
+    for reference in (0, 7):
+        system = diagonalize_hermitian(operator, reference=reference)
+        sector = values_only_sector(system)
+        assert sector.ranks[sector.kept] == reference
+        assert sector.vectors.shape == (sector.ranks.size, 1)
+        assert sector.reflectors.panels == ()
+        psi = system.column(reference)
+        expected = full.column(reference)
+        assert np.max(np.abs(psi * np.sign(psi @ expected) - expected)) <= 1e-12
+        other = int(sector.ranks[sector.ranks != reference][0])
+        with pytest.raises(InputError, match=f"eigenvector {other} lies in a values-only sector"):
+            system.columns([reference, other])
+        x = lifted @ psi
+        amps = system.amplitudes(x)
+        assert np.all(amps[sector.ranks] == 0.0)
+        # the opposite sector's ranks in both solves: a near-tie across the
+        # sectors (the top levels here) may be ranked either way round
+        own = [s.kept is not None for s in system.sectors].index(True)
+        opposite = np.intersect1d(system.sectors[1 - own].ranks, full.sectors[1 - own].ranks)
+        difference = np.abs(amps[opposite]) - np.abs(full.amplitudes(x)[opposite])
+        assert np.max(np.abs(difference)) <= 1e-12
+        for leaky in (psi, x + 1e-9 * psi):
+            with pytest.raises(InputError, match="component of norm .* in a values-only sector"):
+                system.amplitudes(leaky)
+
+
+def test_every_joint_reference_matches_the_full_solve(monkeypatch):
+    """From every reference of the joint grid, the values-only solve (two
+    block solves, or three after a tie) gives the full solve's spectrum and
+    sum within 1e-12 relative (absolute below 1); its own-sector ledger rows
+    are exact zeros."""
+    operator = grid_joint()
+    full = diagonalize_hermitian(operator)
+    scale = float(np.max(np.abs(full.values)))
+    solved = record_lapack_solves(monkeypatch)
+    for reference in range(operator.shape[0]):
+        solved.clear()
+        system = diagonalize_hermitian(operator, reference=reference)
+        assert solved[:2] == [28, 27] and len(solved) <= 3
+        assert np.max(np.abs(system.values - full.values)) <= 1e-12 * scale
+        report = sumrule_qed(operator, system, reference, n_electrons=1)
+        expected = sumrule_qed(operator, full, reference, n_electrons=1)
+        assert abs(report.value - expected.value) <= 1e-12 * max(1.0, abs(expected.value))
+        assert abs(report.oracle_residual) <= 1e-12 * max(1.0, abs(report.value))
+        if len(solved) == 2:
+            own = values_only_sector(system).ranks
+            assert np.all(report.contributions.abs2[own] == 0.0)
+            assert np.all(report.contributions.weight[own] == 0.0)
+
+
+def test_cross_sector_tie_takes_the_fallback(monkeypatch):
+    """H_M = 1 on two mirrored sites, d = diag(-1, 1): every joint level is
+    shared by both sectors. From every reference the values-only route
+    matches the full solve. When the merge ranks a tie the other way from
+    the bisection that picked the reference's sector, that sector is solved
+    again with every vector: forced at n_max = 0, whose two 1 x 1 sectors
+    hold the same value bit for bit, by raising the +1 sector's bisection
+    values."""
+    h, d = MatterOperator(np.eye(2)), MatterOperator(np.diag([-1.0, 1.0]))
+    operator = joint_operator(h, d, FockSpec(n_max=3, omega_c=0.9, g=0.2), basis_reversal(2))
+    full = diagonalize_hermitian(operator)
+    assert np.all(np.diff(full.values)[::2] <= 1e-12)  # tied pairs
+    for reference in range(operator.shape[0]):
+        system = diagonalize_hermitian(operator, reference=reference)
+        assert np.max(np.abs(system.values - full.values)) <= 1e-12 * np.max(full.values)
+        # [d, [H_M, d]] = 0: the sum is zero
+        report = sumrule_qed(operator, system, reference, n_electrons=1)
+        assert abs(report.value) <= 1e-12 and abs(report.oracle_residual) <= 1e-12
+
+    operator = joint_operator(h, d, FockSpec(n_max=0, omega_c=0.9, g=0.2), basis_reversal(2))
+    lowest = floquet._BlockSolve.lowest
+    parities = iter([1, -1] * 2)
+
+    def raised(block_solve, count):
+        values = lowest(block_solve, count)
+        return values + 1e-9 if next(parities) == 1 else values
+
+    monkeypatch.setattr(floquet._BlockSolve, "lowest", raised)
+    solved = record_lapack_solves(monkeypatch)
+    for reference in (0, 1):
+        system = diagonalize_hermitian(operator, reference=reference)
+        assert all(sector.kept is None for sector in system.sectors)
+        assert system.values[0] == system.values[1]
+        report = sumrule_qed(operator, system, reference, n_electrons=1)
+        assert abs(report.oracle_residual) <= 1e-15
+    assert solved == [1, 1, 1] * 2
+
+
+def test_even_dipole_at_zero_coupling_takes_the_full_solve(monkeypatch):
+    """At g = 0 the joint operator splits on H_M alone, whatever d is. An
+    even "dipole" (d = x^2) is not odd under x -> -x, so a reference solve
+    keeps every vector, and matches the solve without a reference within
+    1e-12; the odd d = -x at g = 0 takes the values-only route."""
+    x = GridBasis(-5.0, 5.0, 11).points()
+    operator = grid_joint(n_max=3, g=0.0, dipole=MatterOperator(np.diag(x**2)))
+    assert operator.splits and not operator.odd_dipole
+    assert grid_joint(n_max=3, g=0.0).odd_dipole
+    full = diagonalize_hermitian(operator)
+    solved = record_lapack_solves(monkeypatch)
+    for reference in (0, 5):
+        system = diagonalize_hermitian(operator, reference=reference)
+        assert all(sector.kept is None for sector in system.sectors)
+        assert np.max(np.abs(system.values - full.values)) <= 1e-12 * np.max(full.values)
+        report = sumrule_qed(operator, system, reference, n_electrons=1)
+        expected = sumrule_qed(operator, full, reference, n_electrons=1)
+        assert abs(report.value - expected.value) <= 1e-12 * max(1.0, abs(expected.value))
+    assert solved == [22, 22] * 2
+    system = diagonalize_hermitian(grid_joint(n_max=3, g=0.0), reference=0)
+    sector = values_only_sector(system)
+    assert sector.ranks[sector.kept] == 0
 
 
 @pytest.mark.parametrize(
