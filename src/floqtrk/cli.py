@@ -888,17 +888,25 @@ def _floquet_member(
     """Assemble/diagonalize/fold/sum pipeline of one harmonic cutoff: the
     ffbz report, the Sambe spectrum and its first-zone selection (which
     holds the operator). The reference representative is picked here;
-    ``sumrule_ffbz`` refuses an explicit one beyond the selection."""
+    ``sumrule_ffbz`` refuses an explicit one beyond the selection. The
+    eigensolve takes the same pick on the first-zone eigenpairs, and solves
+    the reference's own parity sector values-only, as the sambe sum reads
+    none of its vectors beyond the reference's."""
     with stage("sambe_assemble"):
         operator = sambe_operator(matter.h, matter.d, drive, cutoff, matter.reflection)
+    ground = matter.system.column(0) if config.reference == "auto" else None
+
+    def pick(selection: FfbzSelection) -> int:
+        if ground is None:
+            return config.reference
+        return select_reference(selection.blocks, ground)
+
     with stage("eigensolve"):
-        system = diagonalize_hermitian(operator)
+        system = diagonalize_hermitian(operator, reference=pick)
     with stage("fold_select"):
         sambe_cfg = config.resolved["sambe"]
         selection = fold_and_select_ffbz(system, operator, edge_tol=sambe_cfg["edge_tol"])
-        reference = config.reference
-        if reference == "auto":
-            reference = select_reference(selection.blocks, matter.system.column(0))
+        reference = pick(selection)
     with stage("sumrule"):
         report = sumrule_ffbz(selection, reference, sambe_cfg["n_max"], n_electrons=matter.n_e)
     return report, system, selection

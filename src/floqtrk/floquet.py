@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -91,17 +91,17 @@ class Sector(NamedTuple):
     ``vectors``; a complex block, or any block without that kernel, keeps
     numpy's ``eigh`` eigenvectors and no reflectors (Q = 1).
 
-    A values-only sector (:func:`floqtrk.lapack.solve_values`) keeps one
-    eigenvector, of local index ``kept``: ``vectors`` is that one column,
-    already in ``basis`` coordinates (Q = 1). ``kept`` is None when every
-    eigenvector is kept.
+    A values-only sector (:func:`floqtrk.lapack.solve_values`) keeps the
+    eigenvectors of local indices ``kept`` (ascending): column i of
+    ``vectors`` is eigenvector ``kept[i]``, already in ``basis``
+    coordinates (Q = 1). ``kept`` is None when every eigenvector is kept.
     """
 
     basis: SectorBasis
     vectors: np.ndarray
     ranks: np.ndarray
     reflectors: Reflectors
-    kept: int | None = None
+    kept: np.ndarray | None = None
 
 
 class _Solution(NamedTuple):
@@ -111,7 +111,7 @@ class _Solution(NamedTuple):
     values: np.ndarray
     vectors: np.ndarray
     reflectors: Reflectors
-    kept: int | None = None
+    kept: np.ndarray | None = None
 
 
 class EigenSystem:
@@ -125,9 +125,9 @@ class EigenSystem:
     reflectors are applied only to the columns read and to x, never to all
     of Z. The sectors' ``ranks`` must partition ``range(len(values))``.
 
-    A values-only sector holds the eigenvalues and one eigenvector:
-    :meth:`columns` refuses its others, and :meth:`amplitudes` gives exact
-    zeros across it for an x with no component there.
+    A values-only sector holds the eigenvalues and the eigenvectors it
+    kept: :meth:`columns` refuses its others, and :meth:`amplitudes` gives
+    exact zeros across it for an x with no component there.
     """
 
     def __init__(self, values: np.ndarray, sectors: tuple[Sector, ...]) -> None:
@@ -177,12 +177,15 @@ class EigenSystem:
             if np.any(mine):
                 picked = local[wanted[mine]]
                 if kept is not None:
-                    if np.any(picked != kept):
+                    # the column of each kept eigenvector, -1 for the others
+                    slots = np.full(ranks.size, -1)
+                    slots[kept] = np.arange(kept.size)
+                    picked = slots[picked]
+                    if np.any(picked < 0):
                         raise InputError(
-                            f"eigenvector {wanted[mine][picked != kept][0]} lies in a "
-                            f"values-only sector, which keeps only eigenvector {ranks[kept]}"
+                            f"eigenvector {wanted[mine][picked < 0][0]} lies in a values-only "
+                            f"sector, which keeps only eigenvectors {ranks[kept].tolist()}"
                         )
-                    picked = np.zeros_like(picked)
                 out[:, mine] = basis.embed(reflectors.apply(vectors[:, picked]), self.dim)
                 missing &= ~mine
         if np.any(missing):
@@ -653,11 +656,15 @@ class ProductOperator:
         return block, basis
 
 
+#: Picks the reference representative of a first-zone selection, by index.
+ReferencePicker = Callable[["FfbzSelection"], int]
+
+
 def diagonalize_hermitian(
     matrix: np.ndarray | ProductOperator,
     *,
     reflection: Reflection | None = None,
-    reference: int | None = None,
+    reference: int | ReferencePicker | None = None,
 ) -> EigenSystem:
     """Complete spectrum of a Hermitian matrix, eigenvalues ascending, as
     the sectors it was solved in (:class:`EigenSystem`).
@@ -681,15 +688,32 @@ def diagonalize_hermitian(
     identity basis, solved on a copy of the array, or in place on
     :meth:`~ProductOperator.toarray`, whose matrix the solve owns.
 
-    With a ``reference`` rank r, an operator that splits and whose dipole is
-    odd (:attr:`ProductOperator.odd_dipole`) has the sector of eigenpair r
-    solved values-only: its eigenvalues and eigenvector r
-    (:func:`floqtrk.lapack.solve_values`). A closure sum from r reads no
-    other vector of that sector, since the dipole couples r only to the
-    opposite sector. Which sector holds r is decided on the r + 1 lowest
-    eigenvalues of each tridiagonal block; should the merged spectrum rank
-    another eigenvalue r (a tie across the sectors), that sector is solved
-    again with every vector. Other operators ignore ``reference``.
+    With a ``reference``, an operator that splits and whose dipole is odd
+    (:attr:`ProductOperator.odd_dipole`) has the reference's own sector
+    solved values-only (:func:`floqtrk.lapack.solve_values`): its
+    eigenvalues and a few of its eigenvectors. A closure sum from the
+    reference reads no other vector of that sector, since the dipole
+    couples it only to the opposite sector, which is solved in full. Both
+    sectors are reduced before either is solved, and the values-only one is
+    solved and freed first. The reference is
+
+    * a rank r of the merged spectrum: the sector keeps eigenvector r. Which
+      sector holds r is decided on the r + 1 lowest eigenvalues of each
+      tridiagonal block;
+    * or, for a :func:`sambe_operator`, a picker, which maps a first-zone
+      selection (:func:`fold_and_select_ffbz`) to the index of the
+      reference representative. It is first called on the eigenpairs of
+      each sector in the zone [-Omega/2, Omega/2), widened by a rounding
+      margin (:func:`floqtrk.lapack.window`), and the picked
+      representative's sector keeps those eigenpairs. A picker whose index
+      is outside that selection, or a zone with no eigenvalue, leaves both
+      sectors solved in full.
+
+    Should the merged spectrum name another reference (a tie across the
+    sectors, or a pick that moves at rounding level), or hold an in-zone
+    eigenpair the values-only sector did not keep, that sector is solved
+    again with every vector. Other operators ignore ``reference``,
+    as do complex blocks under a picker.
     """
     if isinstance(matrix, ProductOperator):
         if reflection is not None:
@@ -698,12 +722,18 @@ def diagonalize_hermitian(
     else:
         m = _checked_hermitian(matrix)
         operator = ProductOperator(matter=m, labels=np.zeros(1, dtype=int), reflection=reflection)
-    if reference is not None:
+    anchor = None
+    if callable(reference):
+        if not operator.frequency > 0.0:
+            raise InputError("a first-zone reference picker needs a Sambe operator")
+        anchor = _ZoneAnchor(operator, reference)
+    elif reference is not None:
         dim = operator.shape[0]
         if not 0 <= _as_index(reference, "reference index") < dim:
             raise InputError(f"reference index {reference} outside spectrum of size {dim}")
-        if operator.splits and operator.odd_dipole:
-            return _solve_around(operator, reference)
+        anchor = _RankAnchor(reference)
+    if anchor is not None and operator.splits and operator.odd_dipole:
+        return _solve_around(operator, anchor)
     if operator.splits:
         blocks = (operator.sector(parity) for parity in (1, -1))
     else:
@@ -720,29 +750,110 @@ def diagonalize_hermitian(
     return EigenSystem.from_sectors(solved)
 
 
-def _solve_around(operator: ProductOperator, reference: int) -> EigenSystem:
-    """The two sectors of a splitting ``operator``, the one holding
-    eigenpair ``reference`` solved values-only (:func:`diagonalize_hermitian`)."""
-    reduced = {}
+class _Choice(NamedTuple):
+    """The values-only sector of a reference solve: its parity, the run of
+    local indices it keeps, the local index of the reference among them,
+    and the run's eigenpairs when the choice already solved them."""
+
+    parity: int
+    kept: range
+    reference: int
+    pairs: tuple[np.ndarray, np.ndarray] | None = None
+
+
+class _RankAnchor(NamedTuple):
+    """The reference of a solve given as rank ``rank`` of the merged
+    spectrum."""
+
+    rank: int
+
+    def choose(self, solves: dict[int, tuple[SectorBasis, _BlockSolve]]) -> _Choice:
+        lowest = [solves[parity][1].lowest(self.rank + 1) for parity in (1, -1)]
+        # rank among both, a tie going to the +1 sector as in from_sectors
+        position = int(np.argsort(np.concatenate(lowest), kind="stable")[self.rank])
+        own, local = (1, position) if position < lowest[0].size else (-1, position - lowest[0].size)
+        return _Choice(own, range(local, local + 1), local)
+
+    def final_rank(self, system: EigenSystem) -> int:
+        return self.rank
+
+
+class _ZoneAnchor(NamedTuple):
+    """The reference of a Sambe solve given as the representative that
+    ``pick`` names in a first-zone selection."""
+
+    operator: ProductOperator
+    pick: ReferencePicker
+
+    def choose(self, solves: dict[int, tuple[SectorBasis, _BlockSolve]]) -> _Choice | None:
+        """The picked representative's sector and its first-zone eigenpairs;
+        None under ``eigh`` blocks, or when nothing is picked."""
+        if any(block_solve.reduced is None for _, block_solve in solves.values()):
+            return None
+        half, dim = self.operator.frequency / 2, self.operator.shape[0]
+        reduced = {p: block_solve.reduced for p, (_, block_solve) in solves.items()}
+        runs = {p: lapack.window(reduced[p], -half, half) for p in reduced}
+        pairs = {p: lapack.eigenpairs(reduced[p], run) for p, run in runs.items() if run}
+        # the window's eigenpairs merged, a tie going to the +1 sector
+        values = np.concatenate([np.empty(0), *(w for w, _ in pairs.values())])
+        order = np.argsort(values, kind="stable")
+        _, labels = fold_quasienergies(values[order], self.operator.frequency)
+        in_zone = order[labels == 0]
+        if not in_zone.size:
+            return None
+        columns = np.hstack([solves[p][0].embed(vectors, dim) for p, (_, vectors) in pairs.items()])
+        selection = _select_first_zone(
+            values[in_zone],
+            np.asfortranarray(columns[:, in_zone]),  # as EigenSystem.columns gives them
+            in_zone.tolist(),
+            labels,
+            self.operator,
+        )
+        index = self.pick(selection)
+        if not 0 <= index < in_zone.size:
+            return None
+        parities = np.concatenate([np.full(len(runs[p]), p) for p in pairs])
+        local = np.concatenate([np.array(runs[p]) for p in pairs])
+        position = selection.source_indices[index]
+        own = int(parities[position])
+        return _Choice(own, runs[own], int(local[position]), pairs[own])
+
+    def final_rank(self, system: EigenSystem) -> int | None:
+        """The rank the pick names in the merged spectrum's selection; None
+        when an in-zone eigenvector was not kept."""
+        try:
+            selection = _fold_and_select(system, self.operator)
+        except InputError:
+            return None
+        return selection.source_indices[self.pick(selection)]
+
+
+def _solve_around(operator: ProductOperator, anchor: _RankAnchor | _ZoneAnchor) -> EigenSystem:
+    """The two sectors of a splitting ``operator``, the one holding the
+    ``anchor``'s reference solved values-only (:func:`diagonalize_hermitian`)."""
+    solves = {}
     for parity in (1, -1):
         block, basis = operator.sector(parity)
-        reduced[parity] = (basis, _eigensolve(block))
+        solves[parity] = (basis, _eigensolve(block))
         del block
-    lowest = [reduced[parity][1].lowest(reference + 1) for parity in (1, -1)]
-    # rank `reference` among both, a tie going to the +1 sector as in from_sectors
-    position = int(np.argsort(np.concatenate(lowest), kind="stable")[reference])
-    own, local = (1, position) if position < lowest[0].size else (-1, position - lowest[0].size)
+    choice = anchor.choose(solves)
+    if choice is None:
+        return EigenSystem.from_sectors(
+            [(basis, block_solve.solve()) for basis, block_solve in solves.values()]
+        )
+    own = choice.parity
     solved = {}
-    basis, block_solve = reduced.pop(own)
-    solved[own] = (basis, block_solve.solve_values(local))
+    basis, block_solve = solves.pop(own)
+    solved[own] = (basis, block_solve.solve_values(choice.kept, choice.pairs))
     # the values-only block's matrix is freed before the other's solve
-    basis, block_solve = reduced.pop(-own)
+    basis, block_solve = solves.pop(-own)
     solved[-own] = (basis, block_solve.solve())
     del block_solve
     system = EigenSystem.from_sectors([solved[1], solved[-1]])
     sector = system.sectors[0 if own == 1 else 1]
-    if sector.kept is not None and sector.ranks[sector.kept] != reference:
-        # the merge ranked a tie across the sectors the other way round
+    if sector.kept is not None and sector.ranks[choice.reference] != anchor.final_rank(system):
+        # the merge ranked a tie across the sectors the other way round, or
+        # the pick moved with the opposite sector's rounding
         block, basis = operator.sector(own)
         solved[own] = (basis, _eigensolve(block).solve())
         system = EigenSystem.from_sectors([solved[1], solved[-1]])
@@ -797,13 +908,16 @@ class _BlockSolve(NamedTuple):
             return _Solution(self.values, self.vectors, Reflectors())
         return _Solution(*lapack.solve(self.reduced))
 
-    def solve_values(self, k: int) -> _Solution:
-        """Every eigenvalue and eigenvector k (every eigenpair when ``eigh``
+    def solve_values(
+        self, ks: range, pairs: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> _Solution:
+        """Every eigenvalue and eigenvectors ``ks``, a run whose eigenpairs
+        are ``pairs`` when already solved (every eigenpair when ``eigh``
         has already solved the block)."""
         if self.reduced is None:
             return self.solve()
-        values, vector = lapack.solve_values(self.reduced, k)
-        return _Solution(values, vector, Reflectors(), kept=k)
+        values, vectors = lapack.solve_values(self.reduced, ks, pairs)
+        return _Solution(values, vectors, Reflectors(), kept=np.arange(ks.start, ks.stop))
 
 
 def _eigensolve(block: np.ndarray) -> _BlockSolve:
@@ -875,7 +989,7 @@ def fold_and_select_ffbz(
     truncated-matrix eigenvalue already lies in [-Omega/2, Omega/2), in
     ascending order: deterministic, and exact eigenvectors of the truncated
     operator. Only their eigenvectors are mapped back to the original basis
-    (:meth:`EigenSystem.column`). Their truncation quality is gated by
+    (:meth:`EigenSystem.columns`). Their truncation quality is gated by
     their edge weight instead of re-projection. Degenerate in-zone eigenvalues
     (within 1e-9 * Omega) are ordered by descending m=0-block weight; each
     representative's global phase is fixed.
@@ -889,33 +1003,58 @@ def fold_and_select_ffbz(
             f"spectrum has {eigensystem.dim} eigenpairs, expected the complete "
             f"truncated dimension {operator.shape[0]}"
         )
+    return _fold_and_select(eigensystem, operator, edge_tol)
+
+
+def _fold_and_select(
+    eigensystem: EigenSystem, operator: ProductOperator, edge_tol: float = 1e-6
+) -> FfbzSelection:
+    """:func:`fold_and_select_ffbz` on a complete spectrum."""
+    _, labels = fold_quasienergies(eigensystem.values, operator.frequency)
+    in_zone = np.flatnonzero(labels == 0)  # ascending, as the eigenvalues are
+    return _select_first_zone(
+        eigensystem.values[in_zone],
+        eigensystem.columns(in_zone),
+        in_zone.tolist(),
+        labels,
+        operator,
+        edge_tol,
+    )
+
+
+def _select_first_zone(
+    values: np.ndarray,
+    columns: np.ndarray,
+    sources: list[int],
+    labels: np.ndarray,
+    operator: ProductOperator,
+    edge_tol: float = 1e-6,
+) -> FfbzSelection:
+    """The selection of the in-zone eigenpairs: eigenvalues ``values``
+    (ascending), eigenvectors ``columns`` in the original basis, ``sources``
+    their indices in the spectrum whose zone indices are ``labels``."""
     omega = operator.frequency
     n_b = operator.matter.shape[0]
     n_h = operator.labels.size // 2
-    _, labels = fold_quasienergies(eigensystem.values, omega)
-    # ascending, as the eigenvalues are
-    in_zone = np.flatnonzero(labels == 0).tolist()
-    # only the in-zone eigenvectors are mapped back to the original basis
-    columns = dict(zip(in_zone, eigensystem.columns(in_zone).T))
-
     m0 = slice(n_h * n_b, (n_h + 1) * n_b)
+
     def m0_weight(i: int) -> float:
-        return float(np.sum(np.abs(columns[i][m0]) ** 2))
+        return float(np.sum(np.abs(columns[m0, i]) ** 2))
 
     # a degenerate group runs while eigenvalues stay within tol of its first
     # one, and is ordered by descending m=0 weight
-    head, first = None, {}
+    head, first = None, []
     tol = DEGENERACY_RTOL * omega
-    for i in in_zone:
-        if head is None or eigensystem.values[i] - eigensystem.values[head] > tol:
+    for i, value in enumerate(values):
+        if head is None or value - values[head] > tol:
             head = i
-        first[i] = head
-    ordered = sorted(in_zone, key=lambda i: (first[i], -m0_weight(i)))
+        first.append(head)
+    ordered = sorted(range(len(values)), key=lambda i: (first[i], -m0_weight(i)))
 
     n_o = operator.labels.size
     blocks, edge_weights = [], []
     for i in ordered:
-        fixed = _fix_phase(columns[i].reshape(n_o, n_b))
+        fixed = _fix_phase(columns[:, i].reshape(n_o, n_b))
         blocks.append(fixed)
         # the outermost blocks, one block when the window has only m = 0
         edge_weights.append(float(sum(np.sum(np.abs(fixed[j]) ** 2) for j in {0, n_o - 1})))
@@ -933,13 +1072,12 @@ def fold_and_select_ffbz(
             f"indices {edge_flagged}"
         )
     return FfbzSelection(
-        quasienergies=eigensystem.values[ordered],
+        quasienergies=values[ordered],
         blocks=np.array(blocks) if blocks else np.zeros((0, n_o, n_b)),
         edge_weights=np.array(edge_weights),
         labels=labels,
         warnings=tuple(warnings),
-        source_indices=tuple(ordered),
+        source_indices=tuple(sources[i] for i in ordered),
         operator=operator,
         edge_tol=edge_tol,
     )
-

@@ -12,7 +12,9 @@ runs ``dstedc`` only, so its eigenvalues are those of ``eigh`` bit for
 bit, and keeps Q as its Householder reflectors (:class:`Reflectors`), so a
 caller applies Q to the few columns of Z it reads. :func:`solve_values`
 keeps the eigenvalues (``dstedc``, compz = 'N', which runs ``dsterf``) and
-one eigenvector, with no Z and no m^2 workspace.
+the eigenvectors of one run of indices (:func:`eigenpairs`: bisection,
+inverse iteration and Q on those columns), with no Z and no m^2 workspace;
+:func:`window` finds the run of eigenvalues in an interval.
 """
 
 from __future__ import annotations
@@ -229,31 +231,83 @@ def lowest(reduced: Tridiagonal, count: int) -> np.ndarray:
     return w[:found]
 
 
-def solve_values(reduced: Tridiagonal, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every eigenvalue of A, ascending, and its eigenvector k as a column.
+def window(reduced: Tridiagonal, low: float, high: float) -> range:
+    """The indices (0-based, ascending) of T's eigenvalues in [low, high],
+    the interval widened on both sides by a rounding margin m eps ||T||
+    (Gershgorin), so an eigenvalue within rounding of an end is inside.
 
-    Eigenvector k is Q z_k, with z_k from inverse iteration on T
-    (``dstein``) at eigenvalue k from bisection (``dstebz``) and Q applied
-    by ``dormtr``; value k is that bisection's, the others are ``dstedc``'s
-    with compz 'N'. The buffer of ``reduced.a`` is read, not kept.
+    Read off two Sturm counts, LAPACK's bisection recurrence (``dlaebz``):
+    the count at x is the number of non-positive pivots of T - x.
+    """
+    d, e = reduced.d, reduced.e
+    off = np.abs(e)
+    gershgorin = np.abs(d) + np.concatenate([[0.0], off]) + np.concatenate([off, [0.0]])
+    margin = d.size * np.finfo(np.float64).eps * float(np.max(gershgorin))
+    squares = [0.0, *(e * e).tolist()]
+    pivmin = np.finfo(np.float64).tiny * max(1.0, max(squares))
+    diagonal = d.tolist()
+
+    def count(x: float) -> int:
+        below, pivot = 0, 1.0
+        for d_i, e2_i in zip(diagonal, squares):
+            pivot = d_i - e2_i / pivot - x
+            if abs(pivot) < pivmin:
+                pivot = -pivmin
+            if pivot <= 0.0:
+                below += 1
+        return below
+
+    return range(count(low - margin), count(high + margin))
+
+
+def eigenpairs(reduced: Tridiagonal, ks: range) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ``ks`` of A, a contiguous run (0-based, ascending), and
+    their eigenvectors as the columns of an m x k matrix.
+
+    The values come from bisection on T (``dstebz``), the vectors Q z from
+    inverse iteration (``dstein``, which orthogonalizes a cluster of close
+    values) with Q applied by ``dormtr``. The buffer of ``reduced.a`` is
+    read, not kept.
     """
     library = openblas()
     a, d, e, tau = reduced
     m = d.size
-    if not 0 <= k < m:
-        raise InputError(f"eigenvalue index {k} outside a block of size {m}")
-    found, w, iblock, isplit = _bisect(library, reduced, b"B", k, k)
-    if found < 1:
-        raise NumericError(f"eigensolver failed: bisection found no eigenvalue {k}")
-    vector = np.zeros((m, 1), order="F")
-    failed = np.zeros(1, dtype=np.int64)
-    # LAPACKE NaN-checks all m entries of w, not only the one wanted
+    if ks.step != 1 or not 0 <= ks.start < ks.stop <= m:
+        raise InputError(f"eigenvalue indices {ks} are not a run inside a block of size {m}")
+    k = len(ks)
+    found, w, iblock, isplit = _bisect(library, reduced, b"B", ks.start, ks.stop - 1)
+    if found != k:
+        raise NumericError(f"eigensolver failed: bisection found {found} of eigenvalues {ks}")
+    vectors = np.zeros((m, k), order="F")
+    failed = np.zeros(k, dtype=np.int64)
+    # LAPACKE NaN-checks all m entries of w, not only the ones wanted
     _check(
-        library.dstein(_COL_MAJOR, m, d, e, 1, w, iblock, isplit, vector, m, failed),
-        failure=f"eigenvector {k} did not converge",
+        library.dstein(_COL_MAJOR, m, d, e, k, w, iblock, isplit, vectors, m, failed),
+        failure=f"eigenvectors {ks} did not converge",
     )
-    _check(library.dormtr(_COL_MAJOR, b"L", b"L", b"N", m, 1, a, m, tau, vector, m))
-    values = d.copy()
-    _check(library.dstedc(_COL_MAJOR, b"N", m, values, e.copy(), np.zeros((1, 1), order="F"), 1))
-    values[k] = w[0]
-    return values, vector
+    _check(library.dormtr(_COL_MAJOR, b"L", b"L", b"N", m, k, a, m, tau, vectors, m))
+    # dstebz lists the values block by block of a split T
+    order = np.argsort(w[:k], kind="stable")
+    return w[order], vectors[:, order]
+
+
+def solve_values(
+    reduced: Tridiagonal,
+    ks: range,
+    pairs: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenvalue of A, ascending, and its eigenvectors ``ks`` (a
+    contiguous run) as columns.
+
+    The run's eigenpairs are :func:`eigenpairs`' (``pairs``, when the caller
+    already has them), and values ``ks`` are that bisection's; the others
+    are ``dstedc``'s with compz 'N'. No Z and no m^2 workspace is formed.
+    """
+    library = openblas()
+    w, vectors = eigenpairs(reduced, ks) if pairs is None else pairs
+    values = reduced.d.copy()
+    m = values.size
+    unused = np.zeros((1, 1), order="F")
+    _check(library.dstedc(_COL_MAJOR, b"N", m, values, reduced.e.copy(), unused, 1))
+    values[ks.start : ks.stop] = w
+    return values, vectors

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from helpers import column_rows, read_report_tables, record_lapack_solves
 from floqtrk import (
     ConfigError,
+    InputError,
     EigenSystem,
     FockSpec,
     __version__,
@@ -751,6 +752,126 @@ def test_symmetric_grid_jobs_allocate_less_than_one_full_matrix(tmp_path, text, 
     finally:
         tracemalloc.stop()
     assert peak < dim * dim * np.dtype(np.float64).itemsize
+
+
+def test_floquet_sambe_solve_peaks_at_two_and_a_half_sector_matrices(tmp_path, monkeypatch):
+    """The 61-point, cutoff-8 floquet job (dim 1037, sectors of m ~ dim/2)
+    reduces both sectors, then solves the reference's values-only and frees
+    it before the other's full solve: the memory traced during its Sambe
+    solve peaks at most 2.5 m^2 doubles (both reduced blocks, then one Z
+    and its reflector panels), not two Z and two panel sets."""
+    text = (
+        "job: floquet\nmodel: {grid: {n_points: 61}}\nsambe: {harmonic_cutoff: 8}\n"
+        "drive: {omega: 0.35, components: [{harmonic: 1, amplitude: 0.05}]}\n"
+    )
+    original = floquet.diagonalize_hermitian
+    peaks = {}
+
+    def traced(matrix, **options):
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        system = original(matrix, **options)
+        peaks[matrix.shape[0]] = tracemalloc.get_traced_memory()[1] - start
+        return system
+
+    monkeypatch.setattr(cli, "diagonalize_hermitian", traced)
+    config = load_config(config_file(tmp_path, text))
+    tracemalloc.start()
+    try:
+        run_job(config)
+    finally:
+        tracemalloc.stop()
+    m = 61 * 17 / 2
+    assert peaks[61 * 17] <= 2.5 * m * m * np.dtype(np.float64).itemsize
+
+
+GRID_FLOQUET_JOBS = {
+    # 5 representatives across both sectors
+    "grid21": "job: floquet\n" + GRID_21 + "sambe: {harmonic_cutoff: 3, n_max: 2}\n"
+    "drive: {omega: 0.9, components: [{harmonic: 1, amplitude: 0.2}]}\n",
+    # 4 representatives
+    "grid31": "job: floquet\nmodel: {grid: {n_points: 31}}\n"
+    "sambe: {harmonic_cutoff: 2, n_max: 2}\n"
+    "drive: {omega: 1.3, components: [{harmonic: 1, amplitude: 0.2}]}\n",
+}
+
+
+def full_sambe_solves(monkeypatch):
+    """Solve every eigensolve of a job in full, as without a reference."""
+    original = floquet.diagonalize_hermitian
+    monkeypatch.setattr(cli, "diagonalize_hermitian", lambda matrix, **options: original(matrix))
+
+
+def values_only_solves(monkeypatch):
+    """Count the values-only sector solves; returns the list they append to."""
+    original = floquet._BlockSolve.solve_values
+    calls = []
+
+    def counted(block_solve, *args):
+        calls.append(args[0])
+        return original(block_solve, *args)
+
+    monkeypatch.setattr(floquet._BlockSolve, "solve_values", counted)
+    return calls
+
+
+def assert_same_first_zone(routed, full):
+    """Two runs of one job: the same representatives, reference and
+    warnings, ffbz and sambe values within 1e-12 relative."""
+    assert routed.warnings == full.warnings
+    assert len(routed.spectrum["index"]) == len(full.spectrum["index"])
+    routed_reports, full_reports = dict(routed.reports), dict(full.reports)
+    assert routed_reports["ffbz"].reference == full_reports["ffbz"].reference
+    for tag in ("ffbz", "sambe"):
+        value, expected = routed_reports[tag].value, full_reports[tag].value
+        assert abs(value - expected) <= 1e-12 * abs(expected)
+    assert abs(routed_reports["sambe"].oracle_residual) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(GRID_FLOQUET_JOBS))
+def test_first_zone_route_matches_the_full_solve(tmp_path, monkeypatch, name):
+    """On a symmetric grid, a floquet job with the reference 'auto' or any
+    explicit representative solves one sector values-only, and matches the
+    job solved in full; a reference past the zone is refused as before."""
+    base = GRID_FLOQUET_JOBS[name]
+    count = len(run_job(load_config(config_file(tmp_path, base))).spectrum["index"])
+    assert count >= 4
+    for reference in ["auto", *range(count + 1)]:
+        config = load_config(config_file(tmp_path, base + f"reference: {reference}\n"))
+        with monkeypatch.context() as patch:
+            full_sambe_solves(patch)
+            if reference == count:
+                with pytest.raises(InputError, match=f"reference index {count} outside"):
+                    run_job(config)
+                continue
+            full = run_job(config)
+        calls = values_only_solves(monkeypatch)
+        routed = run_job(config)
+        assert len(calls) == 1
+        assert_same_first_zone(routed, full)
+        # the reference's own sector, at least half the rows, reads exact zeros
+        sambe = dict(routed.reports)["sambe"].contributions
+        assert np.count_nonzero(sambe.abs2 == 0.0) >= len(sambe) // 2
+
+
+def test_harmonic_converge_route_matches_the_full_solve(tmp_path, monkeypatch):
+    """A harmonic-cutoff scan takes the first-zone route at every cutoff,
+    and its rows match the scan solved in full within 1e-12 relative."""
+    text = (
+        "job: converge\nconverge: {axis: harmonic_cutoff, values: [2, 3]}\n" + GRID_21
+        + "drive: {omega: 0.9, components: [{harmonic: 1, amplitude: 0.2}]}\n"
+    )
+    config = load_config(config_file(tmp_path, text))
+    with monkeypatch.context() as patch:
+        full_sambe_solves(patch)
+        full = run_job(config)
+    calls = values_only_solves(monkeypatch)
+    routed = run_job(config)
+    assert len(calls) == 2
+    assert routed.warnings == full.warnings
+    for row, expected in zip(routed.convergence, full.convergence):
+        assert abs(row["value"] - expected["value"]) <= 1e-12 * abs(expected["value"])
+    assert dict(routed.reports)["ffbz"].reference == dict(full.reports)["ffbz"].reference
 
 
 EDGE_HEAVY_JOBS = {

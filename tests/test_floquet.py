@@ -407,12 +407,31 @@ def test_lapack_kernel_keeps_the_eigenvalues_of_eigh(make):
         assert np.max(np.abs(system.amplitudes(y) - y.conj() @ v)) <= 2 * tol
 
 
+def one_index_solve(reduced, k):
+    """Values and eigenvector k by the one-index sequence: dstebz over k,
+    dstein, dormtr on one column, then every value from dstedc compz 'N'
+    with value k replaced by the bisection's."""
+    library, layout = lapack.openblas(), 102  # LAPACKE's column-major
+    a, d, e, tau = reduced
+    m = d.size
+    _, w, iblock, isplit = lapack._bisect(library, reduced, b"B", k, k)
+    vector = np.zeros((m, 1), order="F")
+    library.dstein(layout, m, d, e, 1, w, iblock, isplit, vector, m, np.zeros(1, dtype=np.int64))
+    library.dormtr(layout, b"L", b"L", b"N", m, 1, a, m, tau, vector, m)
+    values = d.copy()
+    library.dstedc(layout, b"N", m, values, e.copy(), np.zeros((1, 1), order="F"), 1)
+    values[k] = w[0]
+    return values, vector
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 17, 64, 65, 129, 301])
 def test_values_only_solve_matches_eigh(m):
-    """solve_values on a random symmetric block of size m: every eigenvalue
-    within ||T|| m eps of eigh's, eigenvector k within 64 m eps of eigh's
-    column k (up to sign), for k at both ends and the middle; the bisection
-    lowest(k + 1) gives eigh's lowest values within the same bound."""
+    """solve_values on a random symmetric block of size m, over runs of
+    indices at both ends and in the middle: every eigenvalue within
+    ||T|| m eps of eigh's, each kept eigenvector within 64 m eps of eigh's
+    column (up to sign). A one-index run is the one-index sequence bit for
+    bit; the bisection lowest(k + 1) gives eigh's lowest values within the
+    same bound."""
     if lapack.openblas() is None:
         pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
     rng = np.random.default_rng(m)
@@ -420,17 +439,61 @@ def test_values_only_solve_matches_eigh(m):
     a += a.T
     values, vectors = np.linalg.eigh(a)
     eps = np.finfo(np.float64).eps
+    reduced = lapack.reduce(np.array(a, order="F"))
+    t = np.diag(reduced.d) + np.diag(reduced.e, 1) + np.diag(reduced.e, -1)
+    scale = np.linalg.norm(t, 2)
+    runs = {range(0, min(m, 3)), range(m // 2, min(m, m // 2 + 4)), range(max(0, m - 3), m)}
+    for ks in sorted(runs, key=lambda run: run.start):
+        w, kept = lapack.solve_values(reduced, ks)
+        assert kept.shape == (m, len(ks))
+        assert np.max(np.abs(w - values)) <= scale * m * eps
+        signs = np.sign(np.sum(kept * vectors[:, ks], axis=0))
+        assert np.max(np.abs(kept * signs - vectors[:, ks])) <= 64 * m * eps
     for k in sorted({0, m // 2, m - 1}):
-        reduced = lapack.reduce(np.array(a, order="F"))
-        t = np.diag(reduced.d) + np.diag(reduced.e, 1) + np.diag(reduced.e, -1)
-        scale = np.linalg.norm(t, 2)
         lowest = lapack.lowest(reduced, k + 1)
         assert np.max(np.abs(lowest - values[: k + 1])) <= scale * m * eps
-        w, vector = lapack.solve_values(reduced, k)
-        assert vector.shape == (m, 1)
-        assert np.max(np.abs(w - values)) <= scale * m * eps
-        z = vector[:, 0] * np.sign(vector[:, 0] @ vectors[:, k])
-        assert np.max(np.abs(z - vectors[:, k])) <= 64 * m * eps
+        w, kept = lapack.solve_values(reduced, range(k, k + 1))
+        expected_w, expected_vector = one_index_solve(reduced, k)
+        assert w.tobytes() == expected_w.tobytes()
+        assert kept.tobytes() == expected_vector.tobytes()
+    with pytest.raises(InputError, match="not a run inside a block"):
+        lapack.solve_values(reduced, range(0, m + 1))
+
+
+# H diag(lambda) H with H the 4 x 4 Hadamard matrix / 2, written exactly:
+# its eigenvalues are -1/2, -1/4, 1/4 and 1/2, the first and last on the
+# edges of the zone [-1/2, 1/2) of Omega = 1
+HADAMARD = 0.5 * np.array(
+    [[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]]
+)
+EDGE_BLOCKS = {
+    "hadamard": HADAMARD @ np.diag([-0.5, -0.25, 0.25, 0.5]) @ HADAMARD,
+    # T is split into 1 x 1 blocks, whose bisection lists values block by block
+    "split": np.diag([0.5, -0.5, 2.0, -0.25]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_BLOCKS))
+def test_window_keeps_eigenvalues_on_the_zone_edge(name):
+    """The window of [-1/2, 1/2] holds both eigenvalues on its ends, however
+    the reduction rounds them, and no eigenvalue 1e-6 beyond: the margin is
+    above rounding and far below any gap. Its eigenpairs are eigh's."""
+    if lapack.openblas() is None:
+        pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
+    block = EDGE_BLOCKS[name]
+    assert block.tobytes() == ((block + block.T) / 2).tobytes()
+    values, vectors = np.linalg.eigh(block)
+    assert np.array_equal(values[[0, -2] if name == "split" else [0, -1]], [-0.5, 0.5])
+    reduced = lapack.reduce(np.array(block, order="F"))
+    inside = range(0, 3) if name == "split" else range(0, 4)
+    assert lapack.window(reduced, -0.5, 0.5) == inside
+    assert lapack.window(reduced, -0.5 + 1e-6, 0.5 - 1e-6) == range(1, inside.stop - 1)
+    assert lapack.window(reduced, 3.0, 4.0) == range(4, 4)
+    w, kept = lapack.eigenpairs(reduced, inside)
+    eps = np.finfo(np.float64).eps
+    assert np.max(np.abs(w - values[inside])) <= 4 * eps
+    signs = np.sign(np.sum(kept * vectors[:, inside], axis=0))
+    assert np.max(np.abs(kept * signs - vectors[:, inside])) <= 64 * 4 * eps
 
 
 def test_fold_reference_points():
@@ -949,3 +1012,107 @@ def test_operator_matvec_matches_its_matrix(kind, x_max, splits):
         assert got.shape == (n,)
         bound = 2 * n * np.finfo(np.float64).eps * (np.abs(full) @ np.abs(x))
         assert np.all(np.abs(got - full @ x) <= bound)
+
+
+# First-zone solves: a reference picker (FfbzSelection -> representative
+# index) makes the picked representative's parity sector values-only.
+
+
+def first_zone(index):
+    """A picker that names representative ``index`` of every selection."""
+    return lambda selection: index
+
+
+def test_values_only_sector_keeps_its_first_zone_vectors():
+    """Both first-zone eigenpairs of the 21-point grid at Omega = 0.7 lie in
+    the S = -1 sector, which keeps exactly those two vectors. columns()
+    gives each of them (the full solve's, up to sign) and refuses the
+    sector's others; amplitudes() gives exact zeros across the sector for
+    the odd x = (1 (x) d) psi and refuses an x with a component there."""
+    operator = grid_operator(REAL_DRIVE)
+    full = diagonalize_hermitian(operator)
+    selection = fold_and_select_ffbz(full, operator)
+    lifted = ProductOperator(matter=operator.dipole, labels=operator.labels)
+    for index, source in enumerate(selection.source_indices):
+        system = diagonalize_hermitian(operator, reference=first_zone(index))
+        (sector,) = [sector for sector in system.sectors if sector.kept is not None]
+        kept = sector.ranks[sector.kept]
+        assert sorted(kept.tolist()) == sorted(selection.source_indices)
+        assert sector.vectors.shape == (sector.ranks.size, 2)
+        columns = system.columns(kept)
+        expected = full.columns(kept)
+        signs = np.sign(np.sum(columns * expected, axis=0))
+        assert np.max(np.abs(columns * signs - expected)) <= 1e-12
+        other = int(np.setdiff1d(sector.ranks, kept)[0])
+        with pytest.raises(InputError, match=f"eigenvector {other} lies in a values-only sector"):
+            system.columns([source, other])
+        psi = system.column(source)
+        amps = system.amplitudes(lifted @ psi)
+        assert np.all(amps[sector.ranks] == 0.0)
+        with pytest.raises(InputError, match="component of norm .* in a values-only sector"):
+            system.amplitudes(psi)
+
+
+@pytest.mark.parametrize(
+    "operator, pick",
+    [
+        (grid_operator(COMPLEX_DRIVE), first_zone(0)),
+        (grid_operator(REAL_DRIVE, x_max=6.0), first_zone(0)),
+        (grid_operator(REAL_DRIVE), first_zone(2)),
+        (grid_operator(DriveSpec(omega=0.7), cutoff=0), first_zone(0)),
+    ],
+    ids=["phased_drive", "asymmetric_grid", "pick_beyond_the_zone", "empty_zone"],
+)
+def test_first_zone_solve_falls_back_to_the_full_solve(operator, pick):
+    """A phased (complex) drive, an operator that does not split, a pick
+    outside the first-zone selection and a zone with no eigenvalue keep
+    every vector, bit-equal to the solve without a picker."""
+    plain = diagonalize_hermitian(operator)
+    system = diagonalize_hermitian(operator, reference=pick)
+    assert all(sector.kept is None for sector in system.sectors)
+    assert np.array_equal(system.values, plain.values)
+    assert np.array_equal(dense_vectors(system), dense_vectors(plain))
+
+
+def narrowed_window(monkeypatch):
+    """Drop the top index from each first-zone window, so the values-only
+    sector misses an in-zone vector of the merged spectrum."""
+    window = lapack.window
+
+    def narrowed(reduced, low, high):
+        run = window(reduced, low, high)
+        return range(run.start, max(run.start, run.stop - 1))
+
+    monkeypatch.setattr(lapack, "window", narrowed)
+
+
+@pytest.mark.parametrize("case", ["moved_pick", "unkept_vector"])
+def test_first_zone_mismatch_takes_the_fallback(monkeypatch, case):
+    """When the merged spectrum's selection picks another representative
+    than the first-zone eigenpairs did, or holds an in-zone eigenpair the
+    values-only sector did not keep, that sector is solved again with every
+    vector. Forced by a picker that names representative 0 first and 1
+    after, and by a window one index short."""
+    operator = grid_operator(REAL_DRIVE)
+    full = diagonalize_hermitian(operator)
+    if case == "moved_pick":
+        picks = iter([0])
+
+        def pick(selection):
+            return next(picks, 1)
+
+    else:
+        narrowed_window(monkeypatch)
+        pick = first_zone(0)
+    solved = record_lapack_solves(monkeypatch)
+    system = diagonalize_hermitian(operator, reference=pick)
+    assert solved == [73, 74, 74]
+    assert all(sector.kept is None for sector in system.sectors)
+    assert np.max(np.abs(system.values - full.values)) <= 1e-12 * np.max(np.abs(full.values))
+
+
+def test_reference_picker_needs_a_sambe_operator():
+    """A picker reads a first zone, which a matrix without Omega has not."""
+    matrix, reflection = grid_sambe(REAL_DRIVE)
+    with pytest.raises(InputError, match="picker needs a Sambe operator"):
+        diagonalize_hermitian(matrix, reflection=reflection, reference=first_zone(0))

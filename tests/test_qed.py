@@ -360,14 +360,15 @@ def test_values_only_sector_keeps_the_reference_vector_only():
     for reference in (0, 7):
         system = diagonalize_hermitian(operator, reference=reference)
         sector = values_only_sector(system)
-        assert sector.ranks[sector.kept] == reference
+        assert sector.ranks[sector.kept].tolist() == [reference]
         assert sector.vectors.shape == (sector.ranks.size, 1)
         assert sector.reflectors.panels == ()
         psi = system.column(reference)
         expected = full.column(reference)
         assert np.max(np.abs(psi * np.sign(psi @ expected) - expected)) <= 1e-12
         other = int(sector.ranks[sector.ranks != reference][0])
-        with pytest.raises(InputError, match=f"eigenvector {other} lies in a values-only sector"):
+        message = f"eigenvector {other} lies in a values-only sector, which keeps only "
+        with pytest.raises(InputError, match=f"{message}eigenvectors \\[{reference}\\]"):
             system.columns([reference, other])
         x = lifted @ psi
         amps = system.amplitudes(x)
@@ -466,7 +467,7 @@ def test_even_dipole_at_zero_coupling_takes_the_full_solve(monkeypatch):
     assert solved == [22, 22] * 2
     system = diagonalize_hermitian(grid_joint(n_max=3, g=0.0), reference=0)
     sector = values_only_sector(system)
-    assert sector.ranks[sector.kept] == 0
+    assert sector.ranks[sector.kept].tolist() == [0]
 
 
 @pytest.mark.parametrize(
