@@ -80,6 +80,17 @@ class SectorBasis(NamedTuple):
         return out.T
 
 
+class DipoleRow(NamedTuple):
+    """The dipole row of one sector: ``amplitudes[i]`` is conj(x) . v_j for
+    eigenvector j = ``ranks[i]`` of the sector, with the probe
+    x = (1 (x) ``dipole``) v_r, the dipole lifted over the operator's outer
+    labels and r = ``reference`` a rank of the merged spectrum."""
+
+    reference: int
+    dipole: np.ndarray
+    amplitudes: np.ndarray
+
+
 class Sector(NamedTuple):
     """The eigenpairs of one sector: column i of Q ``vectors`` (in
     ``basis`` coordinates) is eigenvector ``ranks[i]`` of the merged
@@ -91,10 +102,14 @@ class Sector(NamedTuple):
     ``vectors``; a complex block, or any block without that kernel, keeps
     numpy's ``eigh`` eigenvectors and no reflectors (Q = 1).
 
-    A values-only sector (:func:`floqtrk.lapack.solve_values`) keeps the
-    eigenvectors of local indices ``kept`` (ascending): column i of
-    ``vectors`` is eigenvector ``kept[i]``, already in ``basis``
-    coordinates (Q = 1). ``kept`` is None when every eigenvector is kept.
+    A values-only sector keeps the eigenvectors of local indices ``kept``
+    (ascending): column i of ``vectors`` is eigenvector ``kept[i]``,
+    already in ``basis`` coordinates (Q = 1). ``kept`` is None when every
+    eigenvector is kept. A reference solve has two: the reference's own
+    sector (:func:`floqtrk.lapack.solve_values`), and the opposite one
+    (:func:`floqtrk.lapack.solve_rows`), which also holds the reference's
+    dipole ``row``, the only products with its unkept eigenvectors that
+    were solved.
     """
 
     basis: SectorBasis
@@ -102,16 +117,19 @@ class Sector(NamedTuple):
     ranks: np.ndarray
     reflectors: Reflectors
     kept: np.ndarray | None = None
+    row: DipoleRow | None = None
 
 
 class _Solution(NamedTuple):
     """One block's solve, before the merge assigns its ranks (a
-    :class:`Sector` without ``basis`` and ``ranks``)."""
+    :class:`Sector` without ``basis`` and ``ranks``; ``row`` holds the
+    amplitudes of a :class:`DipoleRow`, whose reference is a merged rank)."""
 
     values: np.ndarray
     vectors: np.ndarray
     reflectors: Reflectors
     kept: np.ndarray | None = None
+    row: np.ndarray | None = None
 
 
 class EigenSystem:
@@ -127,7 +145,8 @@ class EigenSystem:
 
     A values-only sector holds the eigenvalues and the eigenvectors it
     kept: :meth:`columns` refuses its others, and :meth:`amplitudes` gives
-    exact zeros across it for an x with no component there.
+    exact zeros across it for an x with no component there, or, from a
+    sector with a dipole row, that row for the x it was solved for.
     """
 
     def __init__(self, values: np.ndarray, sectors: tuple[Sector, ...]) -> None:
@@ -170,7 +189,7 @@ class EigenSystem:
         dtype = np.result_type(*(sector.vectors for sector in self.sectors))
         out = np.empty((self.dim, wanted.size), dtype=dtype, order="F")
         missing = np.ones(wanted.size, dtype=bool)
-        for basis, vectors, ranks, reflectors, kept in self.sectors:
+        for basis, vectors, ranks, reflectors, kept, _ in self.sectors:
             local = np.full(self.dim, -1)
             local[ranks] = np.arange(ranks.size)
             mine = local[wanted] >= 0
@@ -198,31 +217,49 @@ class EigenSystem:
             raise InputError(f"eigenvector index {j} outside spectrum of size {self.dim}")
         return j % self.dim
 
-    def amplitudes(self, x: np.ndarray) -> np.ndarray:
+    def amplitudes(
+        self,
+        x: np.ndarray,
+        *,
+        reference: int | None = None,
+        dipole: np.ndarray | None = None,
+    ) -> np.ndarray:
         """conj(x) . v_j for every eigenvector v_j, in ascending order.
 
         Across a values-only sector they are exact zeros, once x's component
         there is checked to be at rounding level (its norm at most
         :data:`SECTOR_COUPLING_EPS` eps times the sector's dimension and
-        ||x||); a larger one is refused.
+        ||x||); a larger one is refused. A sector holding a
+        :class:`DipoleRow` gives that row instead when the request names x
+        as its probe (1 (x) d) v_r: ``reference`` is the row's rank r and
+        ``dipole`` the very array d (``is``) of the operator it was solved
+        from. That is decided on the names alone; x is not compared with
+        the probe.
         """
         x = np.asarray(x)
         if x.shape != (self.dim,):
             raise InputError(f"expected a vector of length {self.dim}, got shape {x.shape}")
         dtype = np.result_type(x, *(sector.vectors for sector in self.sectors))
         amps = np.empty(self.dim, dtype=dtype)
-        for basis, vectors, ranks, reflectors, kept in self.sectors:
+        for basis, vectors, ranks, reflectors, kept, row in self.sectors:
             coordinates = basis.coordinates(x)
             if kept is None:
                 amps[ranks] = reflectors.apply_transpose(coordinates).conj() @ vectors
+                continue
+            if row is not None and reference == row.reference and dipole is row.dipole:
+                amps[ranks] = row.amplitudes
                 continue
             leak = float(np.linalg.norm(coordinates))
             eps = np.finfo(np.float64).eps
             bound = SECTOR_COUPLING_EPS * eps * ranks.size * float(np.linalg.norm(x))
             if not leak <= bound:
+                held = "" if row is None else (
+                    f"; it holds only the dipole row of eigenvector {row.reference}"
+                )
                 raise InputError(
                     f"vector has a component of norm {leak:.3e} in a values-only sector "
-                    f"(rounding level is {bound:.3e}); its amplitudes there were not solved"
+                    f"(rounding level is {bound:.3e}); its amplitudes there were not "
+                    f"solved{held}"
                 )
             amps[ranks] = 0.0
         return amps
@@ -689,13 +726,18 @@ def diagonalize_hermitian(
     :meth:`~ProductOperator.toarray`, whose matrix the solve owns.
 
     With a ``reference``, an operator that splits and whose dipole is odd
-    (:attr:`ProductOperator.odd_dipole`) has the reference's own sector
-    solved values-only (:func:`floqtrk.lapack.solve_values`): its
-    eigenvalues and a few of its eigenvectors. A closure sum from the
-    reference reads no other vector of that sector, since the dipole
-    couples it only to the opposite sector, which is solved in full. Both
-    sectors are reduced before either is solved, and the values-only one is
-    solved and freed first. The reference is
+    (:attr:`ProductOperator.odd_dipole`) is solved for what a closure sum
+    from the reference reads. The dipole couples the reference only to the
+    opposite sector, so its own sector is solved values-only
+    (:func:`floqtrk.lapack.solve_values`): its eigenvalues and a few of its
+    eigenvectors, the reference's among them. The opposite sector keeps
+    its eigenvalues, the same few eigenvectors when the reference is
+    picked (none for a rank), and the reference's :class:`DipoleRow`
+    (:func:`floqtrk.lapack.solve_rows`): Q^T goes onto the probe
+    (1 (x) d) v_r before ``dstedc`` overwrites the reflectors with Z, which
+    is freed once the row is read, and no panels are formed. Both sectors
+    are reduced before either is solved, and the values-only one is solved
+    and freed first. The reference is
 
     * a rank r of the merged spectrum: the sector keeps eigenvector r. Which
       sector holds r is decided on the r + 1 lowest eigenvalues of each
@@ -711,9 +753,9 @@ def diagonalize_hermitian(
 
     Should the merged spectrum name another reference (a tie across the
     sectors, or a pick that moves at rounding level), or hold an in-zone
-    eigenpair the values-only sector did not keep, that sector is solved
-    again with every vector. Other operators ignore ``reference``,
-    as do complex blocks under a picker.
+    eigenpair a values-only sector did not keep, the row belongs to
+    another reference, and the operator is solved again without one. Other
+    operators ignore ``reference``, as do complex blocks under a picker.
     """
     if isinstance(matrix, ProductOperator):
         if reflection is not None:
@@ -751,14 +793,15 @@ def diagonalize_hermitian(
 
 
 class _Choice(NamedTuple):
-    """The values-only sector of a reference solve: its parity, the run of
-    local indices it keeps, the local index of the reference among them,
-    and the run's eigenpairs when the choice already solved them."""
+    """The sectors of a reference solve: the parity of the reference's own
+    and the reference's local index there; for each parity, the run of
+    local indices that sector keeps, and the eigenpairs of every non-empty
+    run, which the choice solved."""
 
     parity: int
-    kept: range
     reference: int
-    pairs: tuple[np.ndarray, np.ndarray] | None = None
+    kept: dict[int, range]
+    pairs: dict[int, tuple[np.ndarray, np.ndarray]]
 
 
 class _RankAnchor(NamedTuple):
@@ -772,7 +815,7 @@ class _RankAnchor(NamedTuple):
         # rank among both, a tie going to the +1 sector as in from_sectors
         position = int(np.argsort(np.concatenate(lowest), kind="stable")[self.rank])
         own, local = (1, position) if position < lowest[0].size else (-1, position - lowest[0].size)
-        return _Choice(own, range(local, local + 1), local)
+        return _Choice(own, local, {own: range(local, local + 1), -own: range(0)}, {})
 
     def final_rank(self, system: EigenSystem) -> int:
         return self.rank
@@ -786,8 +829,8 @@ class _ZoneAnchor(NamedTuple):
     pick: ReferencePicker
 
     def choose(self, solves: dict[int, tuple[SectorBasis, _BlockSolve]]) -> _Choice | None:
-        """The picked representative's sector and its first-zone eigenpairs;
-        None under ``eigh`` blocks, or when nothing is picked."""
+        """The picked representative's sector and both sectors' first-zone
+        eigenpairs; None under ``eigh`` blocks, or when nothing is picked."""
         if any(block_solve.reduced is None for _, block_solve in solves.values()):
             return None
         half, dim = self.operator.frequency / 2, self.operator.shape[0]
@@ -815,8 +858,7 @@ class _ZoneAnchor(NamedTuple):
         parities = np.concatenate([np.full(len(runs[p]), p) for p in pairs])
         local = np.concatenate([np.array(runs[p]) for p in pairs])
         position = selection.source_indices[index]
-        own = int(parities[position])
-        return _Choice(own, runs[own], int(local[position]), pairs[own])
+        return _Choice(int(parities[position]), int(local[position]), runs, pairs)
 
     def final_rank(self, system: EigenSystem) -> int | None:
         """The rank the pick names in the merged spectrum's selection; None
@@ -830,7 +872,8 @@ class _ZoneAnchor(NamedTuple):
 
 def _solve_around(operator: ProductOperator, anchor: _RankAnchor | _ZoneAnchor) -> EigenSystem:
     """The two sectors of a splitting ``operator``, the one holding the
-    ``anchor``'s reference solved values-only (:func:`diagonalize_hermitian`)."""
+    ``anchor``'s reference solved values-only and the other for the
+    reference's dipole row (:func:`diagonalize_hermitian`)."""
     solves = {}
     for parity in (1, -1):
         block, basis = operator.sector(parity)
@@ -841,23 +884,39 @@ def _solve_around(operator: ProductOperator, anchor: _RankAnchor | _ZoneAnchor) 
         return EigenSystem.from_sectors(
             [(basis, block_solve.solve()) for basis, block_solve in solves.values()]
         )
-    own = choice.parity
+    own, dim = choice.parity, operator.shape[0]
     solved = {}
     basis, block_solve = solves.pop(own)
-    solved[own] = (basis, block_solve.solve_values(choice.kept, choice.pairs))
+    solution = block_solve.solve_values(choice.kept[own], choice.pairs.get(own))
+    solved[own] = (basis, solution)
     # the values-only block's matrix is freed before the other's solve
+    del block_solve
+    column = choice.reference
+    if solution.kept is not None:
+        column = int(np.searchsorted(solution.kept, column))
+    psi = basis.embed(solution.reflectors.apply(solution.vectors[:, column]), dim)
+    probe = ProductOperator(matter=operator.dipole, labels=operator.labels) @ psi
     basis, block_solve = solves.pop(-own)
-    solved[-own] = (basis, block_solve.solve())
+    solution = block_solve.solve_row(
+        basis.coordinates(probe), choice.kept[-own], choice.pairs.get(-own)
+    )
+    solved[-own] = (basis, solution)
+    # Z is freed once its row is read
     del block_solve
     system = EigenSystem.from_sectors([solved[1], solved[-1]])
-    sector = system.sectors[0 if own == 1 else 1]
-    if sector.kept is not None and sector.ranks[choice.reference] != anchor.final_rank(system):
+    sectors = list(system.sectors)
+    mine = 0 if own == 1 else 1
+    rank = int(sectors[mine].ranks[choice.reference])
+    if any(sector.kept is not None for sector in sectors) and rank != anchor.final_rank(system):
         # the merge ranked a tie across the sectors the other way round, or
-        # the pick moved with the opposite sector's rounding
-        block, basis = operator.sector(own)
-        solved[own] = (basis, _eigensolve(block).solve())
-        system = EigenSystem.from_sectors([solved[1], solved[-1]])
-    return system
+        # the pick moved with the opposite sector's rounding: the row
+        # belongs to another reference
+        return diagonalize_hermitian(operator)
+    if solution.row is not None:
+        sectors[1 - mine] = sectors[1 - mine]._replace(
+            row=DipoleRow(rank, operator.dipole, solution.row)
+        )
+    return EigenSystem(system.values, tuple(sectors))
 
 
 def _checked_hermitian(matrix: np.ndarray, owned: bool = False) -> np.ndarray:
@@ -918,6 +977,21 @@ class _BlockSolve(NamedTuple):
             return self.solve()
         values, vectors = lapack.solve_values(self.reduced, ks, pairs)
         return _Solution(values, vectors, Reflectors(), kept=np.arange(ks.start, ks.stop))
+
+    def solve_row(
+        self, probe: np.ndarray, ks: range, pairs: tuple[np.ndarray, np.ndarray] | None
+    ) -> _Solution:
+        """Every eigenvalue, the row conj(probe) . v_j over every
+        eigenvector, and eigenvectors ``ks``, a run whose eigenpairs are
+        ``pairs`` (None for an empty run); every eigenpair and no row when
+        ``eigh`` has already solved the block."""
+        if self.reduced is None:
+            return self.solve()
+        vectors = pairs[1] if ks else np.zeros((self.reduced.d.size, 0))
+        values, rows = lapack.solve_rows(self.reduced, probe[:, None])
+        return _Solution(
+            values, vectors, Reflectors(), kept=np.arange(ks.start, ks.stop), row=rows[0].conj()
+        )
 
 
 def _eigensolve(block: np.ndarray) -> _BlockSolve:

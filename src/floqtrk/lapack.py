@@ -10,11 +10,15 @@ prefixed ``scipy_`` and suffixed ``64_``) in ``numpy.libs``; its
 (:func:`reduce`) and the tridiagonal solve are two steps. :func:`solve`
 runs ``dstedc`` only, so its eigenvalues are those of ``eigh`` bit for
 bit, and keeps Q as its Householder reflectors (:class:`Reflectors`), so a
-caller applies Q to the few columns of Z it reads. :func:`solve_values`
-keeps the eigenvalues (``dstedc``, compz = 'N', which runs ``dsterf``) and
-the eigenvectors of one run of indices (:func:`eigenpairs`: bisection,
-inverse iteration and Q on those columns), with no Z and no m^2 workspace;
-:func:`window` finds the run of eigenvalues in an interval.
+caller applies Q to the few columns of Z it reads. :func:`solve_rows`
+keeps the same eigenvalues and only the rows x^T Q Z of a few probe
+vectors x: Q^T goes onto the probes while the reflectors are still in the
+reduced block, Z then overwrites them, and no panels are formed.
+:func:`solve_values` keeps the eigenvalues (``dstedc``, compz = 'N', which
+runs ``dsterf``) and the eigenvectors of one run of indices
+(:func:`eigenpairs`: bisection, inverse iteration and Q on those
+columns), with no Z and no m^2 workspace; :func:`window` finds the run of
+eigenvalues in an interval.
 """
 
 from __future__ import annotations
@@ -202,6 +206,31 @@ def solve(reduced: Tridiagonal) -> tuple[np.ndarray, np.ndarray, Reflectors]:
         panels.append((k + 1, v, t))
     _check(library.dstedc(_COL_MAJOR, b"I", m, d, e, a, m))
     return d, a, Reflectors(tuple(panels))
+
+
+def solve_rows(reduced: Tridiagonal, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w (ascending) of A = (Q Z) diag(w) (Q Z)^T and the k x m
+    matrix of rows ``probes``^T Q Z, for the m x k ``probes``, real or
+    complex: entry (i, j) is probes[:, i] . v_j, unconjugated.
+
+    ``dormtr`` applies Q^T to the probes while the reflectors are still in
+    ``reduced.a``; ``dstedc`` (compz 'I') then overwrites them with Z, so
+    the values are :func:`solve`'s bit for bit. No panels are formed, and Z
+    is read once: the buffer of ``reduced.a`` is spent.
+    """
+    library = openblas()
+    a, d, e, tau = reduced
+    m = d.size
+    if probes.ndim != 2 or probes.shape[0] != m:
+        raise InputError(f"expected probes of shape ({m}, k), got shape {probes.shape}")
+    dtype = np.result_type(probes, np.float64)
+    # a complex column is two real columns: Q and Z are real
+    columns = np.ascontiguousarray(probes, dtype=dtype).view(np.float64)
+    projected = np.array(columns, order="F")
+    k = projected.shape[1]
+    _check(library.dormtr(_COL_MAJOR, b"L", b"L", b"T", m, k, a, m, tau, projected, m))
+    _check(library.dstedc(_COL_MAJOR, b"I", m, d, e, a, m))
+    return d, np.ascontiguousarray(a.T @ projected).view(dtype).T
 
 
 def _bisect(library: OpenBlas, reduced: Tridiagonal, order: bytes, first: int, last: int):

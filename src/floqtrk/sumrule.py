@@ -260,7 +260,9 @@ def _closure_report(
     """Sum over a complete spectrum plus its double-commutator oracle.
 
     Reads the reference eigenvector and the amplitudes <alpha|d|beta> off
-    ``system``, sector by sector for a parity-sector solve. ``h_full`` and
+    ``system``, sector by sector for a parity-sector solve, naming them by
+    the reference and the dipole, so a sector that holds only the
+    reference's dipole row serves it. ``h_full`` and
     ``d_full`` are matrices or :class:`ProductOperator` s; the oracle
     applies them to the reference vector in the original basis, so it does
     not depend on the sector construction.
@@ -270,7 +272,9 @@ def _closure_report(
             f"reference index {reference} outside spectrum of size {system.dim}"
         )
     psi = system.column(reference)
-    amps = system.amplitudes(d_full @ psi)  # <alpha|d|beta> for every beta
+    # <alpha|d|beta> for every beta; a lifted dipole is named by its matter d
+    dipole = d_full.matter if isinstance(d_full, ProductOperator) else d_full
+    amps = system.amplitudes(d_full @ psi, reference=reference, dipole=dipole)
     abs2 = np.abs(amps) ** 2
     diffs = system.values - system.values[reference]
     weights = 2.0 * diffs * abs2

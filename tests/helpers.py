@@ -110,6 +110,20 @@ def record_lapack_solves(monkeypatch):
     return dims
 
 
+def values_only_sector(system):
+    """The reference's own sector of a reference solve: values-only, with no
+    dipole row."""
+    (sector,) = [s for s in system.sectors if s.kept is not None and s.row is None]
+    return sector
+
+
+def row_sector(system):
+    """The position and the sector of a reference solve that holds the
+    reference's dipole row."""
+    ((position, sector),) = [(i, s) for i, s in enumerate(system.sectors) if s.row is not None]
+    return position, sector
+
+
 def assert_same_spectrum(matrix, system, dense):
     """``system`` is a complete eigensystem of ``matrix``: eigenvalues within
     1e-12 max|M| of the dense ones, residual and orthonormality at rounding

@@ -757,9 +757,14 @@ def test_symmetric_grid_jobs_allocate_less_than_one_full_matrix(tmp_path, text, 
 def test_floquet_sambe_solve_peaks_at_two_and_a_half_sector_matrices(tmp_path, monkeypatch):
     """The 61-point, cutoff-8 floquet job (dim 1037, sectors of m ~ dim/2)
     reduces both sectors, then solves the reference's values-only and frees
-    it before the other's full solve: the memory traced during its Sambe
-    solve peaks at most 2.5 m^2 doubles (both reduced blocks, then one Z
-    and its reflector panels), not two Z and two panel sets."""
+    it before the other's solve for the dipole row: the numpy allocations
+    traced during its Sambe solve peak at most 2.5 m^2 doubles (both
+    reduced blocks, 2.14 m^2), not two Z and two panel sets. tracemalloc
+    counts numpy's allocations only, not the m^2 + 4m + 1 doubles
+    LAPACKE_dstedc allocates for its workspace; with those counted
+    (LAPACKE_dstedc_work fed numpy arrays) this solve still peaks at
+    2.14 m^2, at the two reduced blocks, where one Z, its reflector
+    panels and that workspace read 2.78 m^2."""
     text = (
         "job: floquet\nmodel: {grid: {n_points: 61}}\nsambe: {harmonic_cutoff: 8}\n"
         "drive: {omega: 0.35, components: [{harmonic: 1, amplitude: 0.05}]}\n"

@@ -12,8 +12,10 @@ from helpers import (
     assert_same_spectrum,
     dense_vectors,
     record_lapack_solves,
+    row_sector,
     selection_of,
     shift_replica,
+    values_only_sector,
 )
 from floqtrk import (
     ConfigError,
@@ -898,10 +900,14 @@ def test_dense_fallback_is_the_unsplit_solve(monkeypatch, matrix, reflection):
 
 def test_unsplit_operator_is_solved_in_place():
     """An operator that does not split writes its matrix once, in Fortran
-    order, and LAPACK reduces that array in place: the solve peaks below
-    1.75 n^2 doubles (the matrix and a C-ordered copy, 2 n^2, before), with
-    the eigenvalues of the solve of a copy bit for bit. A caller's array is
-    still copied, since the solve overwrites what it reduces."""
+    order, and LAPACK reduces that array in place: the numpy allocations
+    of the solve peak below 1.75 n^2 doubles (the matrix and a C-ordered
+    copy, 2 n^2, before), with the eigenvalues of the solve of a copy bit
+    for bit. A caller's array is still copied, since the solve overwrites
+    what it reduces. tracemalloc counts numpy's allocations only, not the
+    n^2 + 4n + 1 doubles LAPACKE_dstedc allocates for its workspace; with
+    those counted (LAPACKE_dstedc_work fed numpy arrays) this solve peaks
+    at 2.73 n^2."""
     grid = GridBasis(x_min=-8.0, x_max=10.0, n_points=60)
     h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
     operator = sambe_operator(h, build_dipole(grid), REAL_DRIVE, 4, basis_reversal(60))
@@ -1028,14 +1034,18 @@ def test_values_only_sector_keeps_its_first_zone_vectors():
     the S = -1 sector, which keeps exactly those two vectors. columns()
     gives each of them (the full solve's, up to sign) and refuses the
     sector's others; amplitudes() gives exact zeros across the sector for
-    the odd x = (1 (x) d) psi and refuses an x with a component there."""
+    the odd x = (1 (x) d) psi named by its reference and dipole, and the
+    sector refuses an x with a component there. The S = +1 sector holds
+    the dipole row and no vector, as its first zone is empty."""
     operator = grid_operator(REAL_DRIVE)
     full = diagonalize_hermitian(operator)
     selection = fold_and_select_ffbz(full, operator)
     lifted = ProductOperator(matter=operator.dipole, labels=operator.labels)
     for index, source in enumerate(selection.source_indices):
         system = diagonalize_hermitian(operator, reference=first_zone(index))
-        (sector,) = [sector for sector in system.sectors if sector.kept is not None]
+        sector = values_only_sector(system)
+        position, opposite = row_sector(system)
+        assert position == 0 and opposite.kept.size == 0
         kept = sector.ranks[sector.kept]
         assert sorted(kept.tolist()) == sorted(selection.source_indices)
         assert sector.vectors.shape == (sector.ranks.size, 2)
@@ -1047,10 +1057,85 @@ def test_values_only_sector_keeps_its_first_zone_vectors():
         with pytest.raises(InputError, match=f"eigenvector {other} lies in a values-only sector"):
             system.columns([source, other])
         psi = system.column(source)
-        amps = system.amplitudes(lifted @ psi)
+        amps = system.amplitudes(lifted @ psi, reference=source, dipole=operator.dipole)
         assert np.all(amps[sector.ranks] == 0.0)
         with pytest.raises(InputError, match="component of norm .* in a values-only sector"):
-            system.amplitudes(psi)
+            system.amplitudes(psi, reference=source, dipole=operator.dipole)
+
+
+def test_first_zone_dipole_row_matches_the_full_solve():
+    """From every first-zone pick of the 21-point grid, the opposite sector
+    holds the reference's dipole row: |row| is the full solve's
+    |amplitudes| within 1e-12 there. The row is served only when named by
+    that reference and that very dipole array: an unnamed vector, another
+    reference and an equal copy of the dipole are refused."""
+    operator = grid_operator(REAL_DRIVE)
+    full = diagonalize_hermitian(operator)
+    selection = fold_and_select_ffbz(full, operator)
+    lifted = ProductOperator(matter=operator.dipole, labels=operator.labels)
+    for index, source in enumerate(selection.source_indices):
+        system = diagonalize_hermitian(operator, reference=first_zone(index))
+        position, opposite = row_sector(system)
+        assert opposite.row.reference == source and opposite.row.dipole is operator.dipole
+        assert np.array_equal(opposite.ranks, full.sectors[position].ranks)
+        x = lifted @ system.column(source)
+        amps = system.amplitudes(x, reference=source, dipole=operator.dipole)
+        assert np.array_equal(amps[opposite.ranks], opposite.row.amplitudes)
+        difference = np.abs(amps[opposite.ranks]) - np.abs(full.amplitudes(x)[opposite.ranks])
+        assert np.max(np.abs(difference)) <= 1e-12
+        other = selection.source_indices[1 - index]
+        for names in (
+            {},
+            {"reference": other, "dipole": operator.dipole},
+            {"reference": source, "dipole": operator.dipole.copy()},
+        ):
+            with pytest.raises(InputError, match=f"dipole row of eigenvector {source}$"):
+                system.amplitudes(x, **names)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 17, 64, 65, 129, 301])
+def test_row_solve_keeps_the_values_of_the_full_solve(m):
+    """solve_rows on a random symmetric block of size m has solve's
+    eigenvalues bit for bit, and its rows are (Q Z)^T x within
+    64 m eps ||x|| for one real probe and for three probes, one complex."""
+    if lapack.openblas() is None:
+        pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((m, m))
+    a += a.T
+    values, z, reflectors = lapack.solve(lapack.reduce(np.array(a, order="F")))
+    v = reflectors.apply(z)
+    probes = rng.standard_normal((m, 3)).astype(complex)
+    probes[:, 2] += 1j * rng.standard_normal(m)
+    eps = np.finfo(np.float64).eps
+    for x in (probes[:, :1].real, probes):
+        w, rows = lapack.solve_rows(lapack.reduce(np.array(a, order="F")), x)
+        assert w.tobytes() == values.tobytes()
+        assert rows.shape == (x.shape[1], m) and rows.dtype == x.dtype
+        bound = 64 * m * eps * np.linalg.norm(x, axis=0)[:, None]
+        assert np.all(np.abs(rows - x.T @ v) <= bound)
+
+
+def test_reference_solve_forms_no_panels(monkeypatch):
+    """Neither sector of a reference solve copies its reflectors into
+    compact-WY panels: no dlarft call, for a first-zone pick or a joint
+    rank. The solve without a reference forms two panels per sector."""
+    library = lapack.openblas()
+    if library is None:
+        pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
+    calls = []
+
+    def dlarft(*args):
+        calls.append(args[4])  # the panel's reflector count
+        return library.dlarft(*args)
+
+    monkeypatch.setattr(lapack, "openblas", lambda: library._replace(dlarft=dlarft))
+    operator = grid_operator(REAL_DRIVE)
+    diagonalize_hermitian(operator, reference=first_zone(0))
+    diagonalize_hermitian(matvec_operators(5.0)["joint"], reference=0)
+    assert calls == []
+    diagonalize_hermitian(operator)
+    assert calls == [64, 8, 64, 9]
 
 
 @pytest.mark.parametrize(
@@ -1090,8 +1175,8 @@ def narrowed_window(monkeypatch):
 def test_first_zone_mismatch_takes_the_fallback(monkeypatch, case):
     """When the merged spectrum's selection picks another representative
     than the first-zone eigenpairs did, or holds an in-zone eigenpair the
-    values-only sector did not keep, that sector is solved again with every
-    vector. Forced by a picker that names representative 0 first and 1
+    values-only sector did not keep, the operator is solved again without a
+    reference. Forced by a picker that names representative 0 first and 1
     after, and by a window one index short."""
     operator = grid_operator(REAL_DRIVE)
     full = diagonalize_hermitian(operator)
@@ -1106,7 +1191,7 @@ def test_first_zone_mismatch_takes_the_fallback(monkeypatch, case):
         pick = first_zone(0)
     solved = record_lapack_solves(monkeypatch)
     system = diagonalize_hermitian(operator, reference=pick)
-    assert solved == [73, 74, 74]
+    assert solved == [73, 74, 73, 74]
     assert all(sector.kept is None for sector in system.sectors)
     assert np.max(np.abs(system.values - full.values)) <= 1e-12 * np.max(np.abs(full.values))
 

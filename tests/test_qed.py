@@ -8,7 +8,9 @@ from helpers import (
     assert_same_spectrum,
     dense_vectors,
     record_lapack_solves,
+    row_sector,
     select_reference_joint,
+    values_only_sector,
 )
 from floqtrk import (
     FockSpec,
@@ -342,18 +344,13 @@ def grid_joint(n_max=4, g=0.2, dipole=None):
     return joint_operator(h, d, FockSpec(n_max=n_max, omega_c=0.9, g=g), basis_reversal(11))
 
 
-def values_only_sector(system):
-    """The one values-only sector of ``system``."""
-    (sector,) = [sector for sector in system.sectors if sector.kept is not None]
-    return sector
-
-
 def test_values_only_sector_keeps_the_reference_vector_only():
     """With a reference, the joint grid keeps the reference's own sector
     values-only: columns() gives the reference vector and refuses the
     sector's others; amplitudes() gives exact zeros across that sector for
-    the odd x = (I (x) d) psi, and refuses an x with a real component
-    there."""
+    the odd x = (I (x) d) psi named by its reference and dipole, and that
+    sector refuses an x with a real component there. The opposite sector
+    keeps no vector and refuses an unnamed x, which lies in it."""
     operator = grid_joint()
     full = diagonalize_hermitian(operator)
     lifted = ProductOperator(matter=operator.dipole, labels=operator.labels)
@@ -363,6 +360,9 @@ def test_values_only_sector_keeps_the_reference_vector_only():
         assert sector.ranks[sector.kept].tolist() == [reference]
         assert sector.vectors.shape == (sector.ranks.size, 1)
         assert sector.reflectors.panels == ()
+        position, opposite = row_sector(system)
+        assert opposite.kept.size == 0 and opposite.vectors.shape == (opposite.ranks.size, 0)
+        assert opposite.reflectors.panels == ()
         psi = system.column(reference)
         expected = full.column(reference)
         assert np.max(np.abs(psi * np.sign(psi @ expected) - expected)) <= 1e-12
@@ -370,18 +370,25 @@ def test_values_only_sector_keeps_the_reference_vector_only():
         message = f"eigenvector {other} lies in a values-only sector, which keeps only "
         with pytest.raises(InputError, match=f"{message}eigenvectors \\[{reference}\\]"):
             system.columns([reference, other])
+        first = int(opposite.ranks[0])
+        with pytest.raises(InputError, match=f"eigenvector {first} lies in a values-only"):
+            system.column(first)
         x = lifted @ psi
-        amps = system.amplitudes(x)
+        amps = system.amplitudes(x, reference=reference, dipole=operator.dipole)
         assert np.all(amps[sector.ranks] == 0.0)
         # the opposite sector's ranks in both solves: a near-tie across the
         # sectors (the top levels here) may be ranked either way round
-        own = [s.kept is not None for s in system.sectors].index(True)
-        opposite = np.intersect1d(system.sectors[1 - own].ranks, full.sectors[1 - own].ranks)
-        difference = np.abs(amps[opposite]) - np.abs(full.amplitudes(x)[opposite])
+        ranks = np.intersect1d(opposite.ranks, full.sectors[position].ranks)
+        difference = np.abs(amps[ranks]) - np.abs(full.amplitudes(x)[ranks])
         assert np.max(np.abs(difference)) <= 1e-12
+        # named, the row is served and the own sector refuses a leak there
+        own_leak = "component of norm .* in a values-only sector .* were not solved$"
         for leaky in (psi, x + 1e-9 * psi):
-            with pytest.raises(InputError, match="component of norm .* in a values-only sector"):
-                system.amplitudes(leaky)
+            with pytest.raises(InputError, match=own_leak):
+                system.amplitudes(leaky, reference=reference, dipole=operator.dipole)
+        row_only = f"holds only the dipole row of eigenvector {reference}$"
+        with pytest.raises(InputError, match=row_only):
+            system.amplitudes(x)
 
 
 def test_every_joint_reference_matches_the_full_solve(monkeypatch):
@@ -406,6 +413,39 @@ def test_every_joint_reference_matches_the_full_solve(monkeypatch):
             own = values_only_sector(system).ranks
             assert np.all(report.contributions.abs2[own] == 0.0)
             assert np.all(report.contributions.weight[own] == 0.0)
+
+
+def test_joint_dipole_row_matches_the_full_solve(monkeypatch):
+    """From every reference of the joint grid (two block solves each, no
+    fallback), the opposite sector holds the reference's dipole row:
+    |row| is the full solve's |amplitudes| within 1e-12 there. The row is
+    served only when named by that reference and that very dipole array:
+    an unnamed vector, another reference and an equal copy of the dipole
+    are refused."""
+    operator = grid_joint()
+    full = diagonalize_hermitian(operator)
+    lifted = ProductOperator(matter=operator.dipole, labels=operator.labels)
+    solved = record_lapack_solves(monkeypatch)
+    for reference in range(operator.shape[0]):
+        solved.clear()
+        system = diagonalize_hermitian(operator, reference=reference)
+        assert solved == [28, 27]
+        position, opposite = row_sector(system)
+        assert opposite.row.reference == reference and opposite.row.dipole is operator.dipole
+        x = lifted @ system.column(reference)
+        amps = system.amplitudes(x, reference=reference, dipole=operator.dipole)
+        assert np.array_equal(amps[opposite.ranks], opposite.row.amplitudes)
+        # a near-tie across the sectors may be ranked either way round
+        ranks = np.intersect1d(opposite.ranks, full.sectors[position].ranks)
+        difference = np.abs(amps[ranks]) - np.abs(full.amplitudes(x)[ranks])
+        assert np.max(np.abs(difference)) <= 1e-12
+        for names in (
+            {},
+            {"reference": (reference + 1) % operator.shape[0], "dipole": operator.dipole},
+            {"reference": reference, "dipole": operator.dipole.copy()},
+        ):
+            with pytest.raises(InputError, match="holds only the dipole row of eigenvector"):
+                system.amplitudes(x, **names)
 
 
 def test_cross_sector_tie_takes_the_fallback(monkeypatch):
@@ -443,7 +483,7 @@ def test_cross_sector_tie_takes_the_fallback(monkeypatch):
         assert system.values[0] == system.values[1]
         report = sumrule_qed(operator, system, reference, n_electrons=1)
         assert abs(report.oracle_residual) <= 1e-15
-    assert solved == [1, 1, 1] * 2
+    assert solved == [1, 1, 1, 1] * 2
 
 
 def test_even_dipole_at_zero_coupling_takes_the_full_solve(monkeypatch):
