@@ -91,6 +91,18 @@ class DipoleRow(NamedTuple):
     amplitudes: np.ndarray
 
 
+class SectorBand(NamedTuple):
+    """One sector block as a lower band in (matter coordinate, outer index)
+    order: ``band`` is (kd + 1) x m, Fortran-ordered, LAPACK's storage of a
+    lower band (``band[r - c, c]`` is entry (r, c), r >= c), and position r
+    is sector coordinate ``order[r]``. So ``band`` is the lower band of
+    block[order][:, order] for the block :meth:`ProductOperator.sector`
+    writes, whose entries beyond kd are zero."""
+
+    band: np.ndarray
+    order: np.ndarray
+
+
 class Sector(NamedTuple):
     """The eigenpairs of one sector: column i of Q ``vectors`` (in
     ``basis`` coordinates) is eigenvector ``ranks[i]`` of the merged
@@ -596,6 +608,96 @@ class ProductOperator:
     def _sector_dim(self, parity: int) -> int:
         return sum(self._bases[parity * s].coords.size for s in self._outer_signs)
 
+    def _runs(self, parity: int) -> tuple[np.ndarray, list[SectorBasis], np.ndarray]:
+        """The ``parity`` sector as runs, one per outer index j: P's
+        eigenspace p_j = parity * (-1)^label_j, its pair basis, and where
+        each run starts among the sector coordinates (the last entry is the
+        sector's dimension)."""
+        matter_parity = parity * self._outer_signs
+        parts = [self._bases[p] for p in matter_parity]
+        return matter_parity, parts, np.cumsum([0, *(part.coords.size for part in parts)])
+
+    def _run_blocks(self, parity: int) -> Iterable[tuple[int, int, np.ndarray, bool]]:
+        """The blocks of the ``parity`` sector block in the order
+        :meth:`sector` writes them: (j, k, values, added) for block (run j,
+        run k), H_(p_j p_j) written onto zeros for each j, then
+        C[j, k] d_(p_j p_k) added for each k that j couples to, ascending.
+        Each run's diagonal gets its shift between the two."""
+        matter_parity, _, _ = self._runs(parity)
+        blocks = self._projections
+        for j, p in enumerate(matter_parity):
+            yield j, j, blocks["h", p, p], False
+            if self._couples:
+                for k in np.flatnonzero(self.coupling[j]):
+                    yield j, k, self.coupling[j, k] * blocks["d", p, matter_parity[k]], True
+
+    def _basis(self, parity: int) -> SectorBasis:
+        """The basis of the ``parity`` sector (:meth:`sector`)."""
+        _, parts, starts = self._runs(parity)
+        n_m = self.matter.shape[0]
+        offsets = np.repeat(np.arange(self.labels.size) * n_m, np.diff(starts))
+        return SectorBasis(
+            coords=offsets + np.concatenate([part.coords for part in parts]),
+            partners=offsets + np.concatenate([part.partners for part in parts]),
+            weights=np.concatenate([part.weights for part in parts]),
+            flips=np.concatenate([part.flips for part in parts]),
+        )
+
+    @functools.cached_property
+    def _band_layouts(self) -> dict[int, tuple[np.ndarray, list[np.ndarray], int]]:
+        """For each parity: the band order of the sector coordinates (by
+        matter coordinate, then outer index), each run's band positions
+        (ascending, as a run's coordinates ascend), and the half bandwidth
+        kd, the largest |r - c| over the nonzero entries of the blocks
+        :meth:`sector` writes. Read off the matter-size factors."""
+        layouts = {}
+        for parity in (1, -1):
+            _, parts, starts = self._runs(parity)
+            coords = np.concatenate([part.coords for part in parts])
+            outer = np.repeat(np.arange(self.labels.size), np.diff(starts))
+            order = np.lexsort((outer, coords))
+            position = np.empty_like(order)
+            position[order] = np.arange(order.size)
+            runs = [position[starts[j] : starts[j + 1]] for j in range(self.labels.size)]
+            kd = 0
+            for j, k, values, _ in self._run_blocks(parity):
+                rows, cols = np.nonzero(values)
+                distance = np.abs(runs[j][rows] - runs[k][cols])
+                kd = max(kd, int(np.max(distance, initial=0)))
+            layouts[parity] = (order, runs, kd)
+        return layouts
+
+    def band_width(self, parity: int) -> int:
+        """The half bandwidth kd of the ``parity`` sector block in
+        (matter coordinate, outer index) order (:meth:`sector_band`):
+        n_max + 1 for a joint operator and 2 N_h + 1 for a Sambe operator
+        on the three-point grid, whose H_M is tridiagonal and d diagonal;
+        the sector's dimension with a dense H_M."""
+        return self._band_layouts[parity][2]
+
+    def sector_band(self, parity: int) -> SectorBand:
+        """The block of H in its (-1)^label (x) P = ``parity`` sector as a
+        lower band (:class:`SectorBand`), written straight from the
+        projected factors with the operations of :meth:`sector`, entry by
+        entry, so it is that block under the band order bit for bit. A real
+        operator only."""
+        order, runs, kd = self._band_layouts[parity]
+        band = np.zeros((kd + 1, order.size), order="F")
+        for j, k, values, added in self._run_blocks(parity):
+            rows, cols = runs[j], runs[k]
+            # the entries (a, b) of the block in the lower band: 0 <= r - c <= kd
+            low = np.searchsorted(cols, rows - kd, side="left")
+            counts = np.searchsorted(cols, rows, side="right") - low
+            a = np.repeat(np.arange(rows.size), counts)
+            b = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - low, counts)
+            r, c = rows[a], cols[b]
+            if added:
+                band[r - c, c] += values[a, b]
+            else:
+                band[r - c, c] = values[a, b]
+                band[0, rows] += self.shifts[j]
+        return SectorBand(band, order)
+
     @functools.cached_property
     def splits(self) -> bool:
         """Whether the lifted reflection (-1)^label (x) P commutes with H.
@@ -668,29 +770,17 @@ class ProductOperator:
         run j is H_(p_j p_j) + shift_j, and its block towards each run j' it
         couples to is C[j, j'] d_(p_j p_j').
         """
-        n_m = self.matter.shape[0]
-        matter_parity = parity * self._outer_signs
-        parts = [self._bases[p] for p in matter_parity]
-        starts = np.cumsum([0, *(part.coords.size for part in parts)])
-        blocks = self._projections
+        _, _, starts = self._runs(parity)
         block = np.zeros((starts[-1], starts[-1]), dtype=self._dtype, order="F")
-        for j, (p, shift) in enumerate(zip(matter_parity, self.shifts)):
-            rows = slice(starts[j], starts[j + 1])
-            block[rows, rows] = blocks["h", p, p]
-            diagonal = np.arange(starts[j], starts[j + 1])
-            block[diagonal, diagonal] += shift
-            if self._couples:
-                for k in np.flatnonzero(self.coupling[j]):
-                    cols = slice(starts[k], starts[k + 1])
-                    block[rows, cols] += self.coupling[j, k] * blocks["d", p, matter_parity[k]]
-        offsets = np.repeat(np.arange(self.labels.size) * n_m, starts[1:] - starts[:-1])
-        basis = SectorBasis(
-            coords=offsets + np.concatenate([part.coords for part in parts]),
-            partners=offsets + np.concatenate([part.partners for part in parts]),
-            weights=np.concatenate([part.weights for part in parts]),
-            flips=np.concatenate([part.flips for part in parts]),
-        )
-        return block, basis
+        for j, k, values, added in self._run_blocks(parity):
+            rows, cols = slice(starts[j], starts[j + 1]), slice(starts[k], starts[k + 1])
+            if added:
+                block[rows, cols] += values
+            else:
+                block[rows, rows] = values
+                diagonal = np.arange(starts[j], starts[j + 1])
+                block[diagonal, diagonal] += self.shifts[j]
+        return block, self._basis(parity)
 
 
 #: Picks the reference representative of a first-zone selection, by index.
@@ -736,12 +826,22 @@ def diagonalize_hermitian(
     (:func:`floqtrk.lapack.solve_rows`): Q^T goes onto the probe
     (1 (x) d) v_r before ``dstedc`` overwrites the reflectors with Z, which
     is freed once the row is read, and no panels are formed. Both sectors
-    are reduced before either is solved, and the values-only one is solved
-    and freed first. The reference is
+    are reduced before either is solved (except on the band route below),
+    and the values-only one is solved and freed first. The reference is
 
     * a rank r of the merged spectrum: the sector keeps eigenvector r. Which
       sector holds r is decided on the r + 1 lowest eigenvalues of each
-      tridiagonal block;
+      tridiagonal block. For r = 0 of a real operator whose sector blocks
+      are narrow bands in (matter coordinate, outer index) order
+      (:meth:`ProductOperator.band_width`, at most m / :data:`BAND_RATIO`),
+      the +1 sector is tried first as a band, and never written or reduced
+      densely: ``dsbtrd`` without Q, its lowest eigenvalue confirmed as
+      the ground by a banded Cholesky factorization of the -1 band, every
+      eigenvalue from ``dsterf`` and the ground vector from banded inverse
+      iteration (:func:`_banded_ground`). Only the -1 block is then written
+      and reduced, for the row. What the band cannot confirm (a ground in
+      the -1 sector, a tie, a vector whose residual is above rounding)
+      takes the dense route;
     * or, for a :func:`sambe_operator`, a picker, which maps a first-zone
       selection (:func:`fold_and_select_ffbz`) to the index of the
       reference representative. It is first called on the eigenpairs of
@@ -870,43 +970,62 @@ class _ZoneAnchor(NamedTuple):
         return selection.source_indices[self.pick(selection)]
 
 
+#: A rank-0 reference solve reduces the reference's own sector as a band
+#: when this many times its half bandwidth kd is at most its dimension m
+#: (:func:`_banded_ground`). ``dsbtrd`` then beats ``dsytrd``: on a 2-core
+#: x86_64 machine at 2 OpenBLAS threads they cross near kd = m/15 at
+#: m = 502 and kd = m/25 at m = 1106-1708.
+BAND_RATIO = 32
+
+
 def _solve_around(operator: ProductOperator, anchor: _RankAnchor | _ZoneAnchor) -> EigenSystem:
     """The two sectors of a splitting ``operator``, the one holding the
     ``anchor``'s reference solved values-only and the other for the
     reference's dipole row (:func:`diagonalize_hermitian`)."""
-    solves = {}
-    for parity in (1, -1):
-        block, basis = operator.sector(parity)
-        solves[parity] = (basis, _eigensolve(block))
+    rank_zero = isinstance(anchor, _RankAnchor) and anchor.rank == 0
+    banded = _banded_ground(operator) if rank_zero else None
+    if banded is not None:
+        # the ground lies in the +1 sector, solved as a band; the -1 block
+        # is written only now
+        own, reference, kept, pairs = 1, 0, range(0), None
+        solved = {own: banded}
+        block, basis = operator.sector(-own)
+        opposite = (basis, _eigensolve(block))
         del block
-    choice = anchor.choose(solves)
-    if choice is None:
-        return EigenSystem.from_sectors(
-            [(basis, block_solve.solve()) for basis, block_solve in solves.values()]
-        )
-    own, dim = choice.parity, operator.shape[0]
-    solved = {}
-    basis, block_solve = solves.pop(own)
-    solution = block_solve.solve_values(choice.kept[own], choice.pairs.get(own))
-    solved[own] = (basis, solution)
-    # the values-only block's matrix is freed before the other's solve
-    del block_solve
-    column = choice.reference
+    else:
+        solves = {}
+        for parity in (1, -1):
+            block, basis = operator.sector(parity)
+            solves[parity] = (basis, _eigensolve(block))
+            del block
+        choice = anchor.choose(solves)
+        if choice is None:
+            return EigenSystem.from_sectors(
+                [(basis, block_solve.solve()) for basis, block_solve in solves.values()]
+            )
+        own, reference = choice.parity, choice.reference
+        kept, pairs = choice.kept[-own], choice.pairs.get(-own)
+        basis, block_solve = solves.pop(own)
+        solved = {own: (basis, block_solve.solve_values(choice.kept[own], choice.pairs.get(own)))}
+        # the values-only block's matrix is freed before the other's solve
+        del block_solve
+        opposite = solves.pop(-own)
+    basis, solution = solved[own]
+    column = reference
     if solution.kept is not None:
         column = int(np.searchsorted(solution.kept, column))
-    psi = basis.embed(solution.reflectors.apply(solution.vectors[:, column]), dim)
+    psi = basis.embed(solution.reflectors.apply(solution.vectors[:, column]), operator.shape[0])
     probe = ProductOperator(matter=operator.dipole, labels=operator.labels) @ psi
-    basis, block_solve = solves.pop(-own)
-    solution = block_solve.solve_row(
-        basis.coordinates(probe), choice.kept[-own], choice.pairs.get(-own)
-    )
+    basis, block_solve = opposite
+    del opposite
+    solution = block_solve.solve_row(basis.coordinates(probe), kept, pairs)
     solved[-own] = (basis, solution)
     # Z is freed once its row is read
     del block_solve
     system = EigenSystem.from_sectors([solved[1], solved[-1]])
     sectors = list(system.sectors)
     mine = 0 if own == 1 else 1
-    rank = int(sectors[mine].ranks[choice.reference])
+    rank = int(sectors[mine].ranks[reference])
     if any(sector.kept is not None for sector in sectors) and rank != anchor.final_rank(system):
         # the merge ranked a tie across the sectors the other way round, or
         # the pick moved with the opposite sector's rounding: the row
@@ -917,6 +1036,44 @@ def _solve_around(operator: ProductOperator, anchor: _RankAnchor | _ZoneAnchor) 
             row=DipoleRow(rank, operator.dipole, solution.row)
         )
     return EigenSystem(system.values, tuple(sectors))
+
+
+def _banded_ground(operator: ProductOperator) -> tuple[SectorBasis, _Solution] | None:
+    """The +1 sector of a splitting real ``operator`` solved as a band for
+    its eigenvalues and its lowest eigenvector, when that eigenpair is the
+    ground of the operator; None when this cannot be confirmed, for the
+    dense route to solve.
+
+    Both sector blocks are read as bands (:meth:`ProductOperator.sector_band`)
+    and only when each is narrow: :data:`BAND_RATIO` kd <= m. The +1 band
+    is reduced without Q (``dsbtrd``) and its lowest eigenvalue lambda
+    found by bisection on T. Lambda is the ground when every -1 eigenvalue
+    lies above it beyond rounding: the banded Cholesky factorization of the
+    -1 band shifted by lambda and the margin exists
+    (:func:`floqtrk.lapack.band_above`), which fails on a tie. Every
+    eigenvalue then comes from ``dsterf`` on T, lambda's from the
+    bisection, and the ground vector from banded inverse iteration at
+    lambda, refused unless its residual is at rounding level.
+    """
+    if operator._dtype != np.float64 or any(
+        BAND_RATIO * operator.band_width(p) > operator._sector_dim(p) for p in (1, -1)
+    ):
+        return None
+    plus = operator.sector_band(1)
+    reduced = lapack.band_reduce(plus.band)
+    if reduced is None:
+        return None
+    ground = float(lapack.lowest(reduced, 1)[0])
+    if not lapack.band_above(operator.sector_band(-1).band, ground):
+        return None
+    vector = lapack.band_eigenvector(plus.band, ground)
+    if vector is None:
+        return None
+    values = lapack.eigenvalues(reduced)
+    values[0] = ground
+    column = np.empty((plus.order.size, 1))
+    column[plus.order, 0] = vector
+    return operator._basis(1), _Solution(values, column, Reflectors(), kept=np.arange(1))
 
 
 def _checked_hermitian(matrix: np.ndarray, owned: bool = False) -> np.ndarray:

@@ -14,11 +14,20 @@ caller applies Q to the few columns of Z it reads. :func:`solve_rows`
 keeps the same eigenvalues and only the rows x^T Q Z of a few probe
 vectors x: Q^T goes onto the probes while the reflectors are still in the
 reduced block, Z then overwrites them, and no panels are formed.
-:func:`solve_values` keeps the eigenvalues (``dstedc``, compz = 'N', which
-runs ``dsterf``) and the eigenvectors of one run of indices
-(:func:`eigenpairs`: bisection, inverse iteration and Q on those
-columns), with no Z and no m^2 workspace; :func:`window` finds the run of
-eigenvalues in an interval.
+:func:`solve_values` keeps the eigenvalues (:func:`eigenvalues`:
+``dsterf``, which ``dstedc`` runs for compz = 'N') and the eigenvectors
+of one run of indices (:func:`eigenpairs`: bisection, inverse iteration
+and Q on those columns), with no Z and no m^2 workspace; :func:`window`
+finds the run of eigenvalues in an interval.
+
+A block that is a narrow band needs no dense reduction when no Q is read.
+:func:`band_reduce` takes its lower band to the same tridiagonal form
+without Q (``dsbtrd``, O(m^2 kd) where ``dsytrd`` is O(m^3)), whose
+eigenvalues :func:`eigenvalues` gives (``dsterf``) and :func:`lowest`
+bisects; :func:`band_above` tells by one banded Cholesky factorization
+(``dpbtrf``) whether every eigenvalue lies above a value, and
+:func:`band_eigenvector` solves for one eigenvector by inverse iteration on
+the banded LU factors (``dgbtrf``, ``dgbtrs``).
 """
 
 from __future__ import annotations
@@ -57,6 +66,11 @@ class OpenBlas(NamedTuple):
     dstebz: Callable
     dstein: Callable
     dormtr: Callable
+    dsterf: Callable
+    dsbtrd: Callable
+    dpbtrf: Callable
+    dgbtrf: Callable
+    dgbtrs: Callable
 
 
 def _bind(library: ctypes.CDLL) -> OpenBlas:
@@ -98,16 +112,36 @@ def _bind(library: ctypes.CDLL) -> OpenBlas:
             "scipy_LAPACKE_dormtr64_",
             ctypes.c_int, char, char, char, int64, int64, matrix, int64, vector, matrix, int64,
         ),
+        dsterf=routine("scipy_LAPACKE_dsterf64_", int64, vector, vector),
+        dsbtrd=routine(
+            "scipy_LAPACKE_dsbtrd64_",
+            ctypes.c_int, char, char, int64, int64, matrix, int64, vector, vector, matrix, int64,
+        ),
+        dpbtrf=routine("scipy_LAPACKE_dpbtrf64_", ctypes.c_int, char, int64, int64, matrix, int64),
+        dgbtrf=routine(
+            "scipy_LAPACKE_dgbtrf64_",
+            ctypes.c_int, int64, int64, int64, int64, matrix, int64, indices,
+        ),
+        dgbtrs=routine(
+            "scipy_LAPACKE_dgbtrs64_",
+            ctypes.c_int, char, int64, int64, int64, int64, matrix, int64, indices, matrix, int64,
+        ),
     )
+
+
+def bundled_libraries() -> list[Path]:
+    """The OpenBLAS libraries numpy ships in ``numpy.libs``, if any."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    return sorted(libs.glob("libscipy_openblas*.so*"))
 
 
 @functools.cache
 def openblas() -> OpenBlas | None:
-    """The OpenBLAS bundled with numpy (in ``numpy.libs``), or None when
-    that library or one of its routines is absent. ``--threads`` caps this
-    library's threads, and :func:`reduce` and the solves call its LAPACK."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+    """The OpenBLAS bundled with numpy (:func:`bundled_libraries`), or None
+    when that library or one of its routines is absent. ``--threads`` caps
+    this library's threads, and :func:`reduce` and the solves call its
+    LAPACK."""
+    for path in bundled_libraries():
         try:
             return _bind(ctypes.CDLL(str(path)))
         except (OSError, AttributeError):
@@ -116,8 +150,12 @@ def openblas() -> OpenBlas | None:
 
 
 def eigensolver_name() -> str:
-    """The routine that solves a real symmetric block in this process."""
-    return "numpy.linalg.eigh" if openblas() is None else "LAPACK dsytrd+dstedc"
+    """The routines that solve a real symmetric block in this process: the
+    dense reduction and its tridiagonal solve, and the band reduction with
+    its values-only solve."""
+    if openblas() is None:
+        return "numpy.linalg.eigh"
+    return "LAPACK dsytrd+dstedc, dsbtrd+dsterf"
 
 
 class Reflectors(NamedTuple):
@@ -157,12 +195,14 @@ def _check(info: int, failure: str = "Eigenvalues did not converge") -> None:
 class Tridiagonal(NamedTuple):
     """A = Q T Q^T as ``dsytrd`` (lower) leaves it: the diagonal ``d`` and
     subdiagonal ``e`` of T, and A's own buffer ``a``, whose columns below
-    the subdiagonal hold Q's Householder vectors with factors ``tau``."""
+    the subdiagonal hold Q's Householder vectors with factors ``tau``. A
+    band reduction (:func:`band_reduce`) keeps no Q: ``a`` and ``tau`` are
+    None, and only T's eigenvalues are read."""
 
-    a: np.ndarray
+    a: np.ndarray | None
     d: np.ndarray
     e: np.ndarray
-    tau: np.ndarray
+    tau: np.ndarray | None
 
 
 def reduce(a: np.ndarray) -> Tridiagonal | None:
@@ -330,13 +370,121 @@ def solve_values(
 
     The run's eigenpairs are :func:`eigenpairs`' (``pairs``, when the caller
     already has them), and values ``ks`` are that bisection's; the others
-    are ``dstedc``'s with compz 'N'. No Z and no m^2 workspace is formed.
+    are :func:`eigenvalues`'. No Z and no m^2 workspace is formed.
     """
-    library = openblas()
     w, vectors = eigenpairs(reduced, ks) if pairs is None else pairs
-    values = reduced.d.copy()
-    m = values.size
-    unused = np.zeros((1, 1), order="F")
-    _check(library.dstedc(_COL_MAJOR, b"N", m, values, reduced.e.copy(), unused, 1))
+    values = eigenvalues(reduced)
     values[ks.start : ks.stop] = w
     return values, vectors
+
+
+def eigenvalues(reduced: Tridiagonal) -> np.ndarray:
+    """Every eigenvalue of T, ascending: ``dsterf`` on copies of its
+    diagonals, the routine ``dstedc`` runs for compz 'N'."""
+    values = reduced.d.copy()
+    _check(openblas().dsterf(values.size, values, reduced.e.copy()))
+    return values
+
+
+def band_reduce(band: np.ndarray) -> Tridiagonal | None:
+    """The tridiagonal T of the real symmetric band matrix A whose lower
+    band is ``band`` (``dsbtrd``, vect 'N', on a copy): the same
+    eigenvalues, and no Q. None when the kernel is absent or A is too large
+    or too small for it unscaled, as in :func:`reduce`.
+
+    ``band`` is (kd + 1) x m, Fortran-ordered: ``band[i - j, j]`` = A[i, j]
+    for j <= i <= j + kd, as LAPACK stores a lower band.
+    """
+    library = openblas()
+    kd, m = band.shape[0] - 1, band.shape[1]
+    scale = max(band.max(initial=0.0), -band.min(initial=0.0))
+    if library is None or not m or not (scale == 0.0 or 2 * _RMIN < scale < _RMAX / 2):
+        return None
+    ab = np.array(band, order="F")
+    d, e, unused = np.empty(m), np.empty(m - 1), np.zeros((1, 1), order="F")
+    _check(library.dsbtrd(_COL_MAJOR, b"N", b"L", m, kd, ab, kd + 1, d, e, unused, 1))
+    return Tridiagonal(None, d, e, None)
+
+
+def _band_product(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for the symmetric A of the lower ``band``."""
+    m = band.shape[1]
+    y = band[0] * x
+    for t in range(1, band.shape[0]):
+        y[t:] += band[t, : m - t] * x[: m - t]
+        y[: m - t] += band[t, : m - t] * x[t:]
+    return y
+
+
+def _band_margin(band: np.ndarray) -> float:
+    """The rounding margin m eps ||A|| of the symmetric A of the lower
+    ``band``, with ||A|| its largest Gershgorin row sum, as :func:`window`
+    widens an interval by on T."""
+    rows = _band_product(np.abs(band), np.ones(band.shape[1]))
+    return band.shape[1] * np.finfo(np.float64).eps * float(np.max(rows, initial=0.0))
+
+
+def band_above(band: np.ndarray, value: float) -> bool:
+    """Whether every eigenvalue of the symmetric A of the lower ``band``
+    lies above ``value`` by more than :func:`_band_margin`: whether the
+    banded Cholesky factorization (``dpbtrf``) of A - (value + margin) 1
+    exists. A tie with ``value`` at rounding level fails it."""
+    ab = np.array(band, order="F")
+    ab[0] -= value + _band_margin(band)
+    kd, m = ab.shape[0] - 1, ab.shape[1]
+    return openblas().dpbtrf(_COL_MAJOR, b"L", m, kd, ab, kd + 1) == 0
+
+
+#: Inverse iteration steps :func:`band_eigenvector` takes at most before
+#: its residual is at rounding level, and the steps it takes after, as
+#: ``dstein`` does (MAXITS, EXTRA).
+INVERSE_STEPS, EXTRA_STEPS = 5, 2
+
+
+def band_eigenvector(band: np.ndarray, value: float) -> np.ndarray | None:
+    """A unit eigenvector of the symmetric A of the lower ``band`` for its
+    eigenvalue ``value``, by inverse iteration on A - value 1 (banded LU,
+    ``dgbtrf`` once, ``dgbtrs`` per step) from a fixed start vector: the
+    vector :data:`EXTRA_STEPS` steps after the first whose residual
+    ||A v - value v|| is within :func:`_band_margin`, each further step
+    cutting the error the margin allows by the ratio of the distances to
+    ``value``; None when no step of the first :data:`INVERSE_STEPS`
+    reaches the margin, or the last step is beyond it.
+
+    A pivot of the LU factors below eps ||A|| in magnitude (an exactly
+    singular shift among them) is raised to that size, as ``dstein``
+    perturbs a small pivot: a perturbation of A at rounding level, which
+    keeps every step finite.
+    """
+    library = openblas()
+    kd, m = band.shape[0] - 1, band.shape[1]
+    margin = _band_margin(band)
+    # general band storage: A[i, j] at row 2 kd + i - j, kd rows for fill-in
+    lu = np.zeros((3 * kd + 1, m), order="F")
+    lu[2 * kd] = band[0] - value
+    for t in range(1, kd + 1):
+        lu[2 * kd + t, : m - t] = band[t, : m - t]
+        lu[2 * kd - t, t:] = band[t, : m - t]
+    pivots = np.zeros(m, dtype=np.int64)
+    # info > 0 names an exactly zero pivot, raised below
+    _check(min(library.dgbtrf(_COL_MAJOR, m, m, kd, kd, lu, 3 * kd + 1, pivots), 0))
+    floor = max(margin / m, np.finfo(np.float64).tiny)
+    diagonal = lu[2 * kd]
+    small = np.abs(diagonal) < floor
+    diagonal[small] = np.where(diagonal[small] < 0.0, -floor, floor)
+    # a fixed start with no symmetry: cos(k phi), phi the golden angle
+    x = np.cos(np.arange(m, dtype=np.float64) * (math.pi * (3.0 - math.sqrt(5.0))))[:, None]
+    steps, found = INVERSE_STEPS, False
+    while steps:
+        steps -= 1
+        x = np.asfortranarray(x / np.linalg.norm(x))
+        _check(library.dgbtrs(_COL_MAJOR, b"N", m, kd, kd, 1, lu, 3 * kd + 1, pivots, x, m))
+        largest = float(np.max(np.abs(x)))
+        if not 0.0 < largest < math.inf:
+            return None
+        x /= largest
+        vector = x[:, 0] / np.linalg.norm(x)
+        converged = np.linalg.norm(_band_product(band, vector) - value * vector) <= margin
+        if converged and not found:
+            found, steps = True, EXTRA_STEPS
+    return vector if found and converged else None

@@ -9,7 +9,15 @@ import math
 
 import numpy as np
 
-from floqtrk import FfbzSelection, InputError, Ledger, NumericError, SpectralDensity, floquet
+from floqtrk import (
+    FfbzSelection,
+    InputError,
+    Ledger,
+    NumericError,
+    SpectralDensity,
+    floquet,
+    lapack,
+)
 
 
 def dense_vectors(system):
@@ -95,18 +103,27 @@ def select_reference_joint(system, matter_ground, fock_dim):
     return int(np.argmax(overlaps))
 
 
-def record_lapack_solves(monkeypatch):
+def record_lapack_solves(monkeypatch, bands=None):
     """Patch ``floquet._eigensolve``, the package's one block-solve entry,
-    with a recorder; returns the list the dimension of each block solve is
-    appended to."""
-    original = floquet._eigensolve
+    and ``lapack.band_reduce``, which reduces a sector band, with recorders;
+    returns the list the dimension of each block solve is appended to, in
+    the order of the solves. The dimension of each band solve is also
+    appended to ``bands``, when given."""
+    dense, banded = floquet._eigensolve, lapack.band_reduce
     dims = []
 
     def recorder(block):
         dims.append(block.shape[0])
-        return original(block)
+        return dense(block)
+
+    def band_recorder(band):
+        dims.append(band.shape[1])
+        if bands is not None:
+            bands.append(band.shape[1])
+        return banded(band)
 
     monkeypatch.setattr(floquet, "_eigensolve", recorder)
+    monkeypatch.setattr(lapack, "band_reduce", band_recorder)
     return dims
 
 
@@ -161,3 +178,19 @@ def read_report_tables(payload):
     return ledgers, _table_from_columns(
         SpectralDensity, sticks, reference=sticks["reference"]
     )
+
+
+def assert_band_is_sector(operator, parity):
+    """``operator.sector_band(parity)`` is the lower band of the sector
+    block under its band order, bit for bit, and every entry of that block
+    beyond the band is zero; returns the half bandwidth kd."""
+    block, _ = operator.sector(parity)
+    band, order = operator.sector_band(parity)
+    kd, m = band.shape[0] - 1, band.shape[1]
+    assert kd == operator.band_width(parity) and m == block.shape[0]
+    assert np.array_equal(np.sort(order), np.arange(m))
+    permuted = block[np.ix_(order, order)]
+    for t in range(kd + 1):
+        assert band[t, : m - t].tobytes() == np.diagonal(permuted, -t).tobytes()
+    assert not np.any(np.tril(permuted, -kd - 1)) and not np.any(np.triu(permuted, kd + 1))
+    return kd

@@ -790,6 +790,42 @@ def test_floquet_sambe_solve_peaks_at_two_and_a_half_sector_matrices(tmp_path, m
     assert peaks[61 * 17] <= 2.5 * m * m * np.dtype(np.float64).itemsize
 
 
+def test_band_route_peaks_at_one_and_a_half_sector_matrices(tmp_path, monkeypatch):
+    """Each member of the 81-point photon-cutoff scan (n_max 8, 10, 12;
+    sectors of m ~ dim/2, kd = n_max + 1) reduces the ground's sector as a
+    band, then writes and reduces the other densely: the numpy allocations
+    traced during its joint solve peak at most 1.5 m^2 doubles (one dense
+    block, its probe and row, and the bands), not the two dense blocks
+    (2.1 m^2) the dense route holds while it picks the reference's sector.
+    tracemalloc does not count LAPACKE_dstedc's own workspace."""
+    text = (
+        "job: converge\nconverge: {axis: fock_n_max, values: [8, 10, 12]}\n"
+        "model: {grid: {n_points: 81}}\nfock: {omega_c: 0.9, g: 0.05}\n"
+    )
+    original = floquet.diagonalize_hermitian
+    bands, peaks = [], {}
+
+    def traced(matrix, **options):
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        system = original(matrix, **options)
+        peaks[matrix.shape[0]] = tracemalloc.get_traced_memory()[1] - start
+        return system
+
+    monkeypatch.setattr(cli, "diagonalize_hermitian", traced)
+    record_lapack_solves(monkeypatch, bands)
+    config = load_config(config_file(tmp_path, text))
+    tracemalloc.start()
+    try:
+        run_job(config)
+    finally:
+        tracemalloc.stop()
+    assert bands == [365, 446, 527]
+    for n_max in (8, 10, 12):
+        m = 81 * (n_max + 1) / 2
+        assert peaks[81 * (n_max + 1)] <= 1.5 * m * m * np.dtype(np.float64).itemsize
+
+
 GRID_FLOQUET_JOBS = {
     # 5 representatives across both sectors
     "grid21": "job: floquet\n" + GRID_21 + "sambe: {harmonic_cutoff: 3, n_max: 2}\n"
@@ -1048,7 +1084,7 @@ def test_timings_record_the_environment(tmp_path):
     }
     kernel = lapack.openblas() is not None
     assert environment["eigensolver"] == (
-        "LAPACK dsytrd+dstedc" if kernel else "numpy.linalg.eigh"
+        "LAPACK dsytrd+dstedc, dsbtrd+dsterf" if kernel else "numpy.linalg.eigh"
     )
     assert environment["python"] == platform.python_version()
     assert environment["machine"] == platform.machine()

@@ -1,5 +1,6 @@
 """Sambe operators, eigensolves, folding, and replica shifts."""
 
+import ctypes
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -9,6 +10,7 @@ import pytest
 
 import oracles
 from helpers import (
+    assert_band_is_sector,
     assert_same_spectrum,
     dense_vectors,
     record_lapack_solves,
@@ -362,14 +364,127 @@ def test_lapack_failure_is_a_numeric_error(monkeypatch, path, split, dims):
     assert solved == dims
 
 
-def grid_floquet_sector():
-    """The P = +1 sector block (1709 x 1709) of the 201-point harmonic-grid
-    Sambe operator at cutoff 8, Omega = 0.35."""
+def grid_floquet_operator():
+    """The 201-point harmonic-grid Sambe operator at cutoff 8,
+    Omega = 0.35, of the floquet benchmark."""
     grid = GridBasis(-10.0, 10.0, 201)
     h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
     drive = DriveSpec(omega=0.35, components=(DriveComponent(1, 0.05),))
-    operator = sambe_operator(h, build_dipole(grid), drive, 8, basis_reversal(201))
-    return operator.sector(1)[0]
+    return sambe_operator(h, build_dipole(grid), drive, 8, basis_reversal(201))
+
+
+def grid_floquet_sector():
+    """The P = +1 sector block (1709 x 1709) of :func:`grid_floquet_operator`."""
+    return grid_floquet_operator().sector(1)[0]
+
+
+def test_sambe_band_is_the_sector_block():
+    """Each sector band of the benchmark's Sambe operator is its sector
+    block in (matter coordinate, harmonic) order bit for bit, with
+    kd = 2 N_h + 1 = 17."""
+    operator = grid_floquet_operator()
+    for parity in (1, -1):
+        assert assert_band_is_sector(operator, parity) == 17
+
+
+def band_of(matrix, kd):
+    """The lower band (kd + 1) x m of the symmetric ``matrix``, as LAPACK
+    stores it."""
+    m = matrix.shape[0]
+    band = np.zeros((kd + 1, m), order="F")
+    for t in range(kd + 1):
+        band[t, : m - t] = np.diagonal(matrix, -t)
+    return band
+
+
+@pytest.mark.parametrize("m", [1, 2, 17, 64, 301])
+def test_band_kernels_match_eigh(m):
+    """On a random symmetric matrix of half bandwidth 3 (all of it below
+    m = 4): the band reduction's eigenvalues (dsterf) and its bisection
+    lowest are eigh's within m eps ||A||; inverse iteration at the lowest
+    gives eigh's ground vector within 64 m eps up to sign; the Cholesky
+    test puts every eigenvalue above the lowest minus 1e-8 and not above
+    the lowest itself."""
+    if lapack.openblas() is None:
+        pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
+    kd = min(3, m - 1)
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((m, m))
+    a = np.triu(np.tril(a + a.T, kd), -kd)
+    band = band_of(a, kd)
+    values, vectors = np.linalg.eigh(a)
+    eps = np.finfo(np.float64).eps
+    bound = m * eps * np.linalg.norm(a, 2)
+    reduced = lapack.band_reduce(band)
+    assert reduced.a is None and reduced.tau is None
+    assert np.max(np.abs(lapack.eigenvalues(reduced) - values)) <= bound
+    ground = float(lapack.lowest(reduced, 1)[0])
+    assert abs(ground - values[0]) <= bound
+    vector = lapack.band_eigenvector(band, ground)
+    assert abs(np.linalg.norm(vector) - 1.0) <= 4 * eps
+    if m > 1:
+        assert values[1] - values[0] > 1e-3  # a separated ground
+    assert np.max(np.abs(vector * np.sign(vector @ vectors[:, 0]) - vectors[:, 0])) <= 64 * m * eps
+    assert lapack.band_above(band, values[0] - 1e-8)
+    assert not lapack.band_above(band, ground)
+
+
+@pytest.mark.parametrize(
+    "matrix, value, expected",
+    [
+        (np.array([[1.0, 1.0], [1.0, 1.0]]), 0.0, np.array([1.0, -1.0]) / np.sqrt(2.0)),
+        (np.diag([0.0, 1.0, 2.0]), 0.0, np.array([1.0, 0.0, 0.0])),
+        (np.zeros((3, 3)), 0.0, None),
+    ],
+    ids=["eliminated_to_zero", "zero_diagonal", "zero_matrix"],
+)
+def test_inverse_iteration_at_an_exactly_singular_shift(matrix, value, expected):
+    """A - value 1 with an exactly zero pivot (dgbtrf reports it) still
+    gives a finite unit eigenvector for ``value``: the pivot is raised to
+    rounding level. The zero matrix takes any unit vector."""
+    if lapack.openblas() is None:
+        pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
+    m = matrix.shape[0]
+    band = band_of(matrix, 1)
+    lu = np.zeros((4, m), order="F")
+    lu[2] = band[0] - value
+    lu[3, : m - 1], lu[1, 1:] = band[1, : m - 1], band[1, : m - 1]
+    pivots = np.zeros(m, dtype=np.int64)
+    assert lapack.openblas().dgbtrf(102, m, m, 1, 1, lu, 4, pivots) > 0
+    with np.errstate(all="raise"):
+        vector = lapack.band_eigenvector(band, value)
+    assert np.all(np.isfinite(vector)) and abs(np.linalg.norm(vector) - 1.0) <= 1e-15
+    assert np.linalg.norm(matrix @ vector - value * vector) <= 1e-15
+    if expected is not None:
+        assert np.max(np.abs(vector * np.sign(vector @ expected) - expected)) <= 1e-15
+
+
+def test_inverse_iteration_refuses_a_shift_off_the_spectrum():
+    """At a shift 1e-6 from the nearest eigenvalue, no step's residual
+    reaches rounding level: no vector."""
+    if lapack.openblas() is None:
+        pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
+    band = band_of(np.diag([0.0, 1.0, 2.0]), 0)
+    assert lapack.band_eigenvector(band, 1e-6) is None
+    assert lapack.band_eigenvector(band, 0.5) is None
+
+
+def test_bundled_openblas_binds_every_routine():
+    """When numpy ships its OpenBLAS, every routine this package binds is
+    there: a missing one would leave ``openblas()`` None, every block on
+    numpy's eigh and every kernel test skipped. A failure names what
+    ``ctypes`` could not find."""
+    libraries = lapack.bundled_libraries()
+    if not libraries:
+        pytest.skip("numpy ships no scipy_openblas library here")
+    if lapack.openblas() is None:
+        errors = []
+        for path in libraries:
+            try:
+                lapack._bind(ctypes.CDLL(str(path)))
+            except (OSError, AttributeError) as exc:
+                errors.append(str(exc))
+        pytest.fail(f"numpy's OpenBLAS is not bound, so real blocks run eigh: {errors}")
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from helpers import (
+    assert_band_is_sector,
     assert_same_spectrum,
     dense_vectors,
     record_lapack_solves,
@@ -29,7 +30,7 @@ from floqtrk import (
     static_trk,
     sumrule_qed,
 )
-from floqtrk import floquet
+from floqtrk import floquet, lapack
 from floqtrk.cli import load_config, run_job
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -455,7 +456,8 @@ def test_cross_sector_tie_takes_the_fallback(monkeypatch):
     the bisection that picked the reference's sector, that sector is solved
     again with every vector: forced at n_max = 0, whose two 1 x 1 sectors
     hold the same value bit for bit, by raising the +1 sector's bisection
-    values."""
+    values. There, rank 0 first tries the band route (kd = 0), whose
+    Cholesky test fails on the exact tie, so today's route runs after it."""
     h, d = MatterOperator(np.eye(2)), MatterOperator(np.diag([-1.0, 1.0]))
     operator = joint_operator(h, d, FockSpec(n_max=3, omega_c=0.9, g=0.2), basis_reversal(2))
     full = diagonalize_hermitian(operator)
@@ -476,14 +478,15 @@ def test_cross_sector_tie_takes_the_fallback(monkeypatch):
         return values + 1e-9 if next(parities) == 1 else values
 
     monkeypatch.setattr(floquet._BlockSolve, "lowest", raised)
-    solved = record_lapack_solves(monkeypatch)
+    bands = []
+    solved = record_lapack_solves(monkeypatch, bands)
     for reference in (0, 1):
         system = diagonalize_hermitian(operator, reference=reference)
         assert all(sector.kept is None for sector in system.sectors)
         assert system.values[0] == system.values[1]
         report = sumrule_qed(operator, system, reference, n_electrons=1)
         assert abs(report.oracle_residual) <= 1e-15
-    assert solved == [1, 1, 1, 1] * 2
+    assert solved == [1] + [1, 1, 1, 1] * 2 and bands == [1]
 
 
 def test_even_dipole_at_zero_coupling_takes_the_full_solve(monkeypatch):
@@ -548,3 +551,143 @@ def test_cutoff_family_lifts_the_matter_reflection(tmp_path, monkeypatch):
     for row, reference in zip(rows, dense):
         assert abs(row["value"] - reference.value) <= 1e-12 * abs(reference.value)
         assert abs(row["oracle_residual"]) <= 1e-12
+
+
+def band_joint(n_points=81, n_max=8, kinetic="three_point", signs=1.0, link=None):
+    """The joint operator of an ``n_points`` harmonic grid on [-10, 10]
+    with ``n_max`` photons and its reflection x -> -x, scaled by ``signs``;
+    ``link`` replaces the kinetic coupling across the grid's middle."""
+    grid = GridBasis(-10.0, 10.0, n_points)
+    h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0), kinetic)
+    if link is not None:
+        middle = n_points // 2
+        matrix = h.matrix.copy()
+        matrix[middle - 1, middle] = matrix[middle, middle - 1] = link
+        h = MatterOperator(matrix)
+    perm, _ = basis_reversal(n_points)
+    return joint_operator(
+        h,
+        build_dipole(grid),
+        FockSpec(n_max=n_max, omega_c=0.9, g=0.05),
+        Reflection(perm, np.full(n_points, signs)),
+    )
+
+
+@pytest.mark.parametrize("n_max", [4, 10])
+def test_joint_band_is_the_sector_block(n_max):
+    """On the 201-point grid of the converge benchmark, each sector band is
+    the sector block in (matter coordinate, photon number) order bit for
+    bit, with kd = n_max + 1: H_M is tridiagonal and d diagonal."""
+    operator = band_joint(201, n_max)
+    for parity in (1, -1):
+        assert assert_band_is_sector(operator, parity) == n_max + 1
+
+
+def test_band_ground_vector_is_eighs():
+    """On the 201-point grid with n_max = 8 (m = 905, kd 9), the bisection
+    ground of the band's T is eigh's lowest within 1e-11, and inverse
+    iteration there gives eigh's ground vector within 3e-14 up to sign.
+    The steps taken after the first within the rounding margin matter:
+    that first vector is off by about 2e-13 here."""
+    operator = band_joint(201, 8)
+    band, order = operator.sector_band(1)
+    values, vectors = np.linalg.eigh(operator.sector(1)[0])
+    ground = float(lapack.lowest(lapack.band_reduce(band), 1)[0])
+    assert abs(ground - values[0]) <= 1e-11
+    vector, expected = lapack.band_eigenvector(band, ground), vectors[order, 0]
+    assert np.max(np.abs(vector * np.sign(vector @ expected) - expected)) <= 3e-14
+
+
+def test_dense_matter_band_is_too_wide(monkeypatch):
+    """With sinc_dvr, H_M is dense, so the band is as wide as the sector:
+    the band route is not taken and a rank-0 solve reduces both dense
+    blocks."""
+    operator = band_joint(81, 8, kinetic="sinc_dvr")
+    for parity in (1, -1):
+        kd = assert_band_is_sector(operator, parity)
+        assert floquet.BAND_RATIO * kd > operator.shape[0] // 2
+    bands = []
+    solved = record_lapack_solves(monkeypatch, bands)
+    diagonalize_hermitian(operator, reference=0)
+    assert solved == [365, 364] and bands == []
+
+
+def assert_matches_full_solve(operator, system, full, reference=0):
+    """Eigenvalues within 1e-11 of the full solve, the reference vector
+    within 1e-12 up to sign, the qed sum within 1e-12 relative and its
+    closure residual at most 1e-12 relative."""
+    assert np.max(np.abs(system.values - full.values)) <= 1e-11
+    psi, expected = system.column(reference), full.column(reference)
+    assert np.max(np.abs(psi * np.sign(psi @ expected) - expected)) <= 1e-12
+    report = sumrule_qed(operator, system, reference, n_electrons=1)
+    exact = sumrule_qed(operator, full, reference, n_electrons=1)
+    assert abs(report.value - exact.value) <= 1e-12 * abs(exact.value)
+    assert abs(report.oracle_residual) <= 1e-12 * abs(report.value)
+
+
+def test_rank_zero_takes_the_band_route(monkeypatch):
+    """On the 81-point grid with n_max = 8 (sectors 365 and 364, kd 9), a
+    rank-0 solve reduces the +1 sector as a band and only the -1 sector
+    densely, and matches the full solve. The band sector keeps the ground
+    vector only and no reflectors; the other holds the dipole row."""
+    operator = band_joint()
+    assert [operator.band_width(p) for p in (1, -1)] == [9, 9]
+    full = diagonalize_hermitian(operator)
+    bands = []
+    solved = record_lapack_solves(monkeypatch, bands)
+    system = diagonalize_hermitian(operator, reference=0)
+    assert solved == [365, 364] and bands == [365]
+    sector = values_only_sector(system)
+    assert sector.ranks.size == 365 and sector.ranks[sector.kept].tolist() == [0]
+    assert sector.reflectors.panels == ()
+    _, opposite = row_sector(system)
+    assert opposite.row.reference == 0
+    assert_matches_full_solve(operator, system, full)
+
+
+@pytest.mark.parametrize(
+    "options, why",
+    [
+        ({"signs": -1.0}, "the ground lies in the -1 sector"),
+        ({"n_points": 80, "link": -1e-13}, "a tie at rounding level"),
+    ],
+    ids=["ground_in_minus", "rounding_tie"],
+)
+def test_unconfirmed_ground_takes_the_dense_route(monkeypatch, options, why):
+    """Under the reflection x -> -x with signs -1, the even ground of
+    the grid lies in the -1 sector; with the middle of the grid cut to a
+    1e-13 link, the even and odd grounds of the two halves tie within
+    rounding. Either way the banded Cholesky test fails and both sectors
+    are reduced densely, as without the band route."""
+    operator = band_joint(**options)
+    full = diagonalize_hermitian(operator)
+    dims = [operator.sector(p)[1].coords.size for p in (1, -1)]
+    if why == "a tie at rounding level":
+        lowest = [floquet._eigensolve(operator.sector(p)[0]).lowest(1)[0] for p in (1, -1)]
+        assert 0.0 < abs(lowest[0] - lowest[1]) <= 1e-13
+    bands = []
+    solved = record_lapack_solves(monkeypatch, bands)
+    system = diagonalize_hermitian(operator, reference=0)
+    assert bands == dims[:1] and solved[1:3] == dims
+    assert_matches_full_solve(operator, system, full)
+
+
+def test_inexact_band_vector_takes_the_dense_route(monkeypatch):
+    """An inverse iteration whose residual stays above rounding (here, at a
+    shift 1e-6 off the ground) gives no vector, and the solve takes the
+    dense route."""
+    operator = band_joint()
+    full = diagonalize_hermitian(operator)
+    original = lapack.band_eigenvector
+    vectors = []
+
+    def shifted(band, value):
+        vectors.append(original(band, value + 1e-6))
+        return vectors[-1]
+
+    monkeypatch.setattr(lapack, "band_eigenvector", shifted)
+    bands = []
+    solved = record_lapack_solves(monkeypatch, bands)
+    system = diagonalize_hermitian(operator, reference=0)
+    assert vectors == [None] and bands == [365] and solved == [365, 365, 364]
+    assert_matches_full_solve(operator, system, full)
