@@ -826,8 +826,9 @@ def diagonalize_hermitian(
     (:func:`floqtrk.lapack.solve_rows`): Q^T goes onto the probe
     (1 (x) d) v_r before ``dstedc`` overwrites the reflectors with Z, which
     is freed once the row is read, and no panels are formed. Both sectors
-    are reduced before either is solved (except on the band route below),
-    and the values-only one is solved and freed first. The reference is
+    are reduced before either is solved (on the band routes below, only
+    the row sector is reduced densely, and last), and the values-only one
+    is solved and freed first. The reference is
 
     * a rank r of the merged spectrum: the sector keeps eigenvector r. Which
       sector holds r is decided on the r + 1 lowest eigenvalues of each
@@ -847,8 +848,20 @@ def diagonalize_hermitian(
       reference representative. It is first called on the eigenpairs of
       each sector in the zone [-Omega/2, Omega/2), widened by a rounding
       margin (:func:`floqtrk.lapack.window`), and the picked
-      representative's sector keeps those eigenpairs. A picker whose index
-      is outside that selection, or a zone with no eigenvalue, leaves both
+      representative's sector keeps those eigenpairs. When the operator is
+      real and both sector bands are narrow (:func:`_narrow`, as for
+      r = 0), neither sector is first written densely: both bands are
+      reduced without Q side by side (``dsbtrd`` runs on one core, so one
+      band is reduced on a second thread; at one OpenBLAS thread, in
+      turn), the in-zone eigenpairs come from bisection on each band's T
+      and banded inverse iteration, orthogonalized within a cluster as
+      ``dstein`` does (:func:`floqtrk.lapack.band_eigenpairs`), the
+      picked sector's values from ``dsterf``, and only the opposite
+      sector is written and reduced densely, for the row. What the bands
+      cannot finish (a declined reduction, an in-zone vector whose
+      residual is above rounding, an empty zone, a pick outside the
+      selection) takes the dense route, where a picker whose index is
+      outside the selection, or a zone with no eigenvalue, leaves both
       sectors solved in full.
 
     Should the merged spectrum name another reference (a tie across the
@@ -930,13 +943,19 @@ class _ZoneAnchor(NamedTuple):
 
     def choose(self, solves: dict[int, tuple[SectorBasis, _BlockSolve]]) -> _Choice | None:
         """The picked representative's sector and both sectors' first-zone
-        eigenpairs; None under ``eigh`` blocks, or when nothing is picked."""
+        eigenpairs (:meth:`_BlockSolve.eigenpairs`, from a dense block's T or
+        a band's); None under ``eigh`` blocks, when a band does not confirm
+        a vector, or when nothing is picked."""
         if any(block_solve.reduced is None for _, block_solve in solves.values()):
             return None
         half, dim = self.operator.frequency / 2, self.operator.shape[0]
-        reduced = {p: block_solve.reduced for p, (_, block_solve) in solves.items()}
-        runs = {p: lapack.window(reduced[p], -half, half) for p in reduced}
-        pairs = {p: lapack.eigenpairs(reduced[p], run) for p, run in runs.items() if run}
+        runs = {p: lapack.window(solves[p][1].reduced, -half, half) for p in solves}
+        pairs = {}
+        for p, run in runs.items():
+            if run:
+                pairs[p] = solves[p][1].eigenpairs(run)
+                if pairs[p] is None:
+                    return None
         # the window's eigenpairs merged, a tie going to the +1 sector
         values = np.concatenate([np.empty(0), *(w for w, _ in pairs.values())])
         order = np.argsort(values, kind="stable")
@@ -970,12 +989,20 @@ class _ZoneAnchor(NamedTuple):
         return selection.source_indices[self.pick(selection)]
 
 
-#: A rank-0 reference solve reduces the reference's own sector as a band
-#: when this many times its half bandwidth kd is at most its dimension m
-#: (:func:`_banded_ground`). ``dsbtrd`` then beats ``dsytrd``: on a 2-core
-#: x86_64 machine at 2 OpenBLAS threads they cross near kd = m/15 at
-#: m = 502 and kd = m/25 at m = 1106-1708.
+#: A reference solve reduces sectors as bands when this many times each
+#: sector's half bandwidth kd is at most its dimension m (:func:`_narrow`).
+#: ``dsbtrd`` then beats ``dsytrd``: on a 2-core x86_64 machine at 2
+#: OpenBLAS threads they cross near kd = m/15 at m = 502 and kd = m/25 at
+#: m = 1106-1708.
 BAND_RATIO = 32
+
+
+def _narrow(operator: ProductOperator) -> bool:
+    """Whether a splitting ``operator`` is real and each of its sector
+    blocks a narrow band: :data:`BAND_RATIO` kd <= m."""
+    return operator._dtype == np.float64 and all(
+        BAND_RATIO * operator.band_width(p) <= operator._sector_dim(p) for p in (1, -1)
+    )
 
 
 def _solve_around(operator: ProductOperator, anchor: _RankAnchor | _ZoneAnchor) -> EigenSystem:
@@ -989,16 +1016,19 @@ def _solve_around(operator: ProductOperator, anchor: _RankAnchor | _ZoneAnchor) 
         # is written only now
         own, reference, kept, pairs = 1, 0, range(0), None
         solved = {own: banded}
-        block, basis = operator.sector(-own)
-        opposite = (basis, _eigensolve(block))
-        del block
+        opposite = None
     else:
-        solves = {}
-        for parity in (1, -1):
-            block, basis = operator.sector(parity)
-            solves[parity] = (basis, _eigensolve(block))
-            del block
-        choice = anchor.choose(solves)
+        zoned = isinstance(anchor, _ZoneAnchor) and _narrow(operator)
+        solves = _band_solves(operator) if zoned else None
+        choice = None if solves is None else anchor.choose(solves)
+        if choice is None:
+            # the dense route, also for whatever the bands could not finish
+            solves = {}
+            for parity in (1, -1):
+                block, basis = operator.sector(parity)
+                solves[parity] = (basis, _eigensolve(block))
+                del block
+            choice = anchor.choose(solves)
         if choice is None:
             return EigenSystem.from_sectors(
                 [(basis, block_solve.solve()) for basis, block_solve in solves.values()]
@@ -1010,6 +1040,12 @@ def _solve_around(operator: ProductOperator, anchor: _RankAnchor | _ZoneAnchor) 
         # the values-only block's matrix is freed before the other's solve
         del block_solve
         opposite = solves.pop(-own)
+    if opposite is None or opposite[1].band is not None:
+        # the opposite sector was read as a band, or not at all: its block
+        # is written and reduced densely only now, for the row
+        block, basis = operator.sector(-own)
+        opposite = (basis, _eigensolve(block))
+        del block
     basis, solution = solved[own]
     column = reference
     if solution.kept is not None:
@@ -1045,7 +1081,7 @@ def _banded_ground(operator: ProductOperator) -> tuple[SectorBasis, _Solution] |
     dense route to solve.
 
     Both sector blocks are read as bands (:meth:`ProductOperator.sector_band`)
-    and only when each is narrow: :data:`BAND_RATIO` kd <= m. The +1 band
+    and only when each is narrow (:func:`_narrow`). The +1 band
     is reduced without Q (``dsbtrd``) and its lowest eigenvalue lambda
     found by bisection on T. Lambda is the ground when every -1 eigenvalue
     lies above it beyond rounding: the banded Cholesky factorization of the
@@ -1055,9 +1091,7 @@ def _banded_ground(operator: ProductOperator) -> tuple[SectorBasis, _Solution] |
     bisection, and the ground vector from banded inverse iteration at
     lambda, refused unless its residual is at rounding level.
     """
-    if operator._dtype != np.float64 or any(
-        BAND_RATIO * operator.band_width(p) > operator._sector_dim(p) for p in (1, -1)
-    ):
+    if not _narrow(operator):
         return None
     plus = operator.sector_band(1)
     reduced = lapack.band_reduce(plus.band)
@@ -1074,6 +1108,22 @@ def _banded_ground(operator: ProductOperator) -> tuple[SectorBasis, _Solution] |
     column = np.empty((plus.order.size, 1))
     column[plus.order, 0] = vector
     return operator._basis(1), _Solution(values, column, Reflectors(), kept=np.arange(1))
+
+
+def _band_solves(operator: ProductOperator) -> dict[int, tuple[SectorBasis, _BlockSolve]] | None:
+    """Both sectors of a splitting, narrow ``operator`` (:func:`_narrow`)
+    written as bands (:meth:`ProductOperator.sector_band`) and reduced
+    without Q side by side (:func:`floqtrk.lapack.band_reduce_pair`): each
+    a :class:`_BlockSolve` that reads its eigenpairs off its band; None
+    when a reduction declines, for the dense route to solve."""
+    bands = {p: operator.sector_band(p) for p in (1, -1)}
+    reduced = lapack.band_reduce_pair(bands[1].band, bands[-1].band)
+    if any(r is None for r in reduced):
+        return None
+    return {
+        p: (operator._basis(p), _BlockSolve(r, band=bands[p]))
+        for p, r in zip((1, -1), reduced)
+    }
 
 
 def _checked_hermitian(matrix: np.ndarray, owned: bool = False) -> np.ndarray:
@@ -1106,17 +1156,35 @@ class _BlockSolve(NamedTuple):
     """One Hermitian block between the two steps of its solve: LAPACK's
     tridiagonal reduction of a real block, or, for a complex block or
     without that kernel, numpy's whole ``eigh`` solution (``values``,
-    ``vectors``)."""
+    ``vectors``). A block reduced from its ``band`` keeps no Q: it gives
+    its values and eigenpairs, and is not solved for Z or a row."""
 
     reduced: lapack.Tridiagonal | None
     values: np.ndarray | None = None
     vectors: np.ndarray | None = None
+    band: SectorBand | None = None
 
     def lowest(self, count: int) -> np.ndarray:
         """The ``count`` lowest eigenvalues, ascending."""
         if self.reduced is None:
             return self.values[:count]
         return lapack.lowest(self.reduced, count)
+
+    def eigenpairs(self, ks: range) -> tuple[np.ndarray, np.ndarray] | None:
+        """Eigenvalues ``ks`` of a reduced block, a contiguous run, and their
+        eigenvectors in sector coordinates as columns: from a dense block's
+        T (:func:`floqtrk.lapack.eigenpairs`), or by bisection on a band's T
+        and banded inverse iteration (:func:`floqtrk.lapack.band_eigenpairs`),
+        None when that does not confirm a vector."""
+        if self.band is None:
+            return lapack.eigenpairs(self.reduced, ks)
+        pairs = lapack.band_eigenpairs(self.band.band, self.reduced, ks)
+        if pairs is None:
+            return None
+        values, vectors = pairs
+        columns = np.empty_like(vectors)
+        columns[self.band.order] = vectors  # band position r is coordinate order[r]
+        return values, columns
 
     def solve(self) -> _Solution:
         """Every eigenpair."""

@@ -24,10 +24,13 @@ A block that is a narrow band needs no dense reduction when no Q is read.
 :func:`band_reduce` takes its lower band to the same tridiagonal form
 without Q (``dsbtrd``, O(m^2 kd) where ``dsytrd`` is O(m^3)), whose
 eigenvalues :func:`eigenvalues` gives (``dsterf``) and :func:`lowest`
-bisects; :func:`band_above` tells by one banded Cholesky factorization
-(``dpbtrf``) whether every eigenvalue lies above a value, and
-:func:`band_eigenvector` solves for one eigenvector by inverse iteration on
-the banded LU factors (``dgbtrf``, ``dgbtrs``).
+bisects, and :func:`band_reduce_pair` reduces two bands side by side, one
+on a second thread, since ``dsbtrd`` runs on one core; :func:`band_above`
+tells by one banded Cholesky factorization (``dpbtrf``) whether every
+eigenvalue lies above a value, :func:`band_eigenvector` solves for one
+eigenvector by inverse iteration on the banded LU factors (``dgbtrf``,
+``dgbtrs``), and :func:`band_eigenpairs` for those of one run of indices,
+orthogonalized within a cluster as ``dstein`` does.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import threading
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -290,6 +294,19 @@ def _bisect(library: OpenBlas, reduced: Tridiagonal, order: bytes, first: int, l
     return found.value, w, iblock, isplit
 
 
+def _run(library: OpenBlas, reduced: Tridiagonal, order: bytes, ks: range):
+    """:func:`_bisect` for the eigenvalues ``ks``, a contiguous run (0-based,
+    ascending) of T's, refused unless it finds them all: w, iblock,
+    isplit."""
+    m = reduced.d.size
+    if ks.step != 1 or not 0 <= ks.start < ks.stop <= m:
+        raise InputError(f"eigenvalue indices {ks} are not a run inside a block of size {m}")
+    found, w, iblock, isplit = _bisect(library, reduced, order, ks.start, ks.stop - 1)
+    if found != len(ks):
+        raise NumericError(f"eigensolver failed: bisection found {found} of eigenvalues {ks}")
+    return w, iblock, isplit
+
+
 def lowest(reduced: Tridiagonal, count: int) -> np.ndarray:
     """The ``count`` lowest eigenvalues of T (all of them when ``count``
     exceeds its size), ascending, by bisection (``dstebz``)."""
@@ -298,6 +315,13 @@ def lowest(reduced: Tridiagonal, count: int) -> np.ndarray:
         return np.empty(0)
     found, w, _, _ = _bisect(openblas(), reduced, b"E", 0, count - 1)
     return w[:found]
+
+
+def _norm(reduced: Tridiagonal) -> float:
+    """||T||_1 of T, its largest Gershgorin row sum."""
+    off = np.abs(reduced.e)
+    gershgorin = np.abs(reduced.d) + np.concatenate([[0.0], off]) + np.concatenate([off, [0.0]])
+    return float(np.max(gershgorin))
 
 
 def window(reduced: Tridiagonal, low: float, high: float) -> range:
@@ -309,9 +333,7 @@ def window(reduced: Tridiagonal, low: float, high: float) -> range:
     the count at x is the number of non-positive pivots of T - x.
     """
     d, e = reduced.d, reduced.e
-    off = np.abs(e)
-    gershgorin = np.abs(d) + np.concatenate([[0.0], off]) + np.concatenate([off, [0.0]])
-    margin = d.size * np.finfo(np.float64).eps * float(np.max(gershgorin))
+    margin = d.size * np.finfo(np.float64).eps * _norm(reduced)
     squares = [0.0, *(e * e).tolist()]
     pivmin = np.finfo(np.float64).tiny * max(1.0, max(squares))
     diagonal = d.tolist()
@@ -340,13 +362,8 @@ def eigenpairs(reduced: Tridiagonal, ks: range) -> tuple[np.ndarray, np.ndarray]
     """
     library = openblas()
     a, d, e, tau = reduced
-    m = d.size
-    if ks.step != 1 or not 0 <= ks.start < ks.stop <= m:
-        raise InputError(f"eigenvalue indices {ks} are not a run inside a block of size {m}")
-    k = len(ks)
-    found, w, iblock, isplit = _bisect(library, reduced, b"B", ks.start, ks.stop - 1)
-    if found != k:
-        raise NumericError(f"eigensolver failed: bisection found {found} of eigenvalues {ks}")
+    m, k = d.size, len(ks)
+    w, iblock, isplit = _run(library, reduced, b"B", ks)
     vectors = np.zeros((m, k), order="F")
     failed = np.zeros(k, dtype=np.int64)
     # LAPACKE NaN-checks all m entries of w, not only the ones wanted
@@ -406,6 +423,38 @@ def band_reduce(band: np.ndarray) -> Tridiagonal | None:
     return Tridiagonal(None, d, e, None)
 
 
+def band_reduce_pair(
+    first: np.ndarray, second: np.ndarray
+) -> tuple[Tridiagonal | None, Tridiagonal | None]:
+    """:func:`band_reduce` of two lower bands. ``dsbtrd`` runs on one core,
+    so when OpenBLAS may use two threads ``first`` is reduced on a second
+    thread while the calling thread reduces ``second``; with one thread
+    (``--threads 1``) both are reduced on the calling thread, in turn. The
+    two reductions share nothing, so each T is the same bit for bit either
+    way. An exception of the second thread is raised here once it has
+    ended; no thread outlives the call."""
+    library = openblas()
+    if library is None or library.get_num_threads() < 2:
+        return band_reduce(first), band_reduce(second)
+    reduced, failed = [None], []
+
+    def reduce_first() -> None:
+        try:
+            reduced[0] = band_reduce(first)
+        except BaseException as exc:  # raised again on the calling thread
+            failed.append(exc)
+
+    worker = threading.Thread(target=reduce_first)
+    worker.start()
+    try:
+        other = band_reduce(second)
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+    return reduced[0], other
+
+
 def _band_product(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A x for the symmetric A of the lower ``band``."""
     m = band.shape[1]
@@ -441,7 +490,9 @@ def band_above(band: np.ndarray, value: float) -> bool:
 INVERSE_STEPS, EXTRA_STEPS = 5, 2
 
 
-def band_eigenvector(band: np.ndarray, value: float) -> np.ndarray | None:
+def band_eigenvector(
+    band: np.ndarray, value: float, against: np.ndarray | None = None
+) -> np.ndarray | None:
     """A unit eigenvector of the symmetric A of the lower ``band`` for its
     eigenvalue ``value``, by inverse iteration on A - value 1 (banded LU,
     ``dgbtrf`` once, ``dgbtrs`` per step) from a fixed start vector: the
@@ -449,7 +500,10 @@ def band_eigenvector(band: np.ndarray, value: float) -> np.ndarray | None:
     ||A v - value v|| is within :func:`_band_margin`, each further step
     cutting the error the margin allows by the ratio of the distances to
     ``value``; None when no step of the first :data:`INVERSE_STEPS`
-    reaches the margin, or the last step is beyond it.
+    reaches the margin, or the last step is beyond it. Each iterate is
+    orthogonalized against the orthonormal columns of ``against``, when
+    given, as ``dstein`` orthogonalizes against a cluster's earlier
+    vectors.
 
     A pivot of the LU factors below eps ||A|| in magnitude (an exactly
     singular shift among them) is raised to that size, as ``dstein``
@@ -479,6 +533,8 @@ def band_eigenvector(band: np.ndarray, value: float) -> np.ndarray | None:
         steps -= 1
         x = np.asfortranarray(x / np.linalg.norm(x))
         _check(library.dgbtrs(_COL_MAJOR, b"N", m, kd, kd, 1, lu, 3 * kd + 1, pivots, x, m))
+        if against is not None:
+            x -= against @ (against.T @ x)
         largest = float(np.max(np.abs(x)))
         if not 0.0 < largest < math.inf:
             return None
@@ -488,3 +544,37 @@ def band_eigenvector(band: np.ndarray, value: float) -> np.ndarray | None:
         if converged and not found:
             found, steps = True, EXTRA_STEPS
     return vector if found and converged else None
+
+
+#: ``dstein``'s ORTOL: eigenvalues within this fraction of ||T||_1 of the
+#: one before form a cluster, whose vectors are orthogonalized (ODM3).
+CLUSTER_RTOL = 1e-3
+
+
+def band_eigenpairs(
+    band: np.ndarray, reduced: Tridiagonal, ks: range
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Eigenvalues ``ks`` of the symmetric A of the lower ``band``, a
+    contiguous run (0-based, ascending), and their eigenvectors as the
+    columns of an m x k matrix in band order; None when inverse iteration
+    does not confirm a vector (:func:`band_eigenvector`).
+
+    The values come from bisection (``dstebz``) on ``reduced``, A's
+    tridiagonal T (:func:`band_reduce`), and each vector from banded
+    inverse iteration at its value. As in ``dstein``, a value within
+    :data:`CLUSTER_RTOL` ||T||_1 of the one before it joins its cluster,
+    and each iterate is orthogonalized against the cluster's earlier
+    vectors.
+    """
+    w = _run(openblas(), reduced, b"E", ks)[0][: len(ks)]
+    cluster = CLUSTER_RTOL * _norm(reduced)
+    vectors = np.empty((reduced.d.size, len(ks)), order="F")
+    head = 0
+    for i, value in enumerate(w):
+        if i and value - w[i - 1] > cluster:
+            head = i
+        vector = band_eigenvector(band, float(value), vectors[:, head:i] if i > head else None)
+        if vector is None:
+            return None
+        vectors[:, i] = vector
+    return w, vectors

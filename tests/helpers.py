@@ -107,8 +107,9 @@ def record_lapack_solves(monkeypatch, bands=None):
     """Patch ``floquet._eigensolve``, the package's one block-solve entry,
     and ``lapack.band_reduce``, which reduces a sector band, with recorders;
     returns the list the dimension of each block solve is appended to, in
-    the order of the solves. The dimension of each band solve is also
-    appended to ``bands``, when given."""
+    the order of the solves; two bands reduced side by side
+    (``lapack.band_reduce_pair``) come in either order. The dimension of
+    each band solve is also appended to ``bands``, when given."""
     dense, banded = floquet._eigensolve, lapack.band_reduce
     dims = []
 

@@ -826,6 +826,44 @@ def test_band_route_peaks_at_one_and_a_half_sector_matrices(tmp_path, monkeypatc
         assert peaks[81 * (n_max + 1)] <= 1.5 * m * m * np.dtype(np.float64).itemsize
 
 
+def test_floquet_band_route_peaks_at_one_and_a_half_sector_matrices(tmp_path, monkeypatch):
+    """Each member of the 101-point harmonic-cutoff scan (cutoffs 3, 4, 5;
+    sectors of m ~ dim/2, kd = 2 N_h + 1) reduces both sector bands, picks
+    its reference on their first-zone eigenpairs, then writes and reduces
+    only the row sector densely: the numpy allocations traced during its
+    Sambe solve peak at most 1.5 m^2 doubles (one dense block, its probe
+    and row, and the bands), not the two dense blocks (2.1-2.2 m^2) the dense
+    route holds while it picks. tracemalloc does not count
+    LAPACKE_dstedc's own workspace."""
+    text = (
+        "job: converge\nconverge: {axis: harmonic_cutoff, values: [3, 4, 5]}\n"
+        "model: {grid: {n_points: 101}}\n"
+        "drive: {omega: 0.35, components: [{harmonic: 1, amplitude: 0.05}]}\n"
+    )
+    original = floquet.diagonalize_hermitian
+    bands, peaks = [], {}
+
+    def traced(matrix, **options):
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        system = original(matrix, **options)
+        peaks[matrix.shape[0]] = tracemalloc.get_traced_memory()[1] - start
+        return system
+
+    monkeypatch.setattr(cli, "diagonalize_hermitian", traced)
+    record_lapack_solves(monkeypatch, bands)
+    config = load_config(config_file(tmp_path, text))
+    tracemalloc.start()
+    try:
+        run_job(config)
+    finally:
+        tracemalloc.stop()
+    assert sorted(bands) == [353, 354, 454, 455, 555, 556]
+    for cutoff in (3, 4, 5):
+        m = 101 * (2 * cutoff + 1) / 2
+        assert peaks[101 * (2 * cutoff + 1)] <= 1.5 * m * m * np.dtype(np.float64).itemsize
+
+
 GRID_FLOQUET_JOBS = {
     # 5 representatives across both sectors
     "grid21": "job: floquet\n" + GRID_21 + "sambe: {harmonic_cutoff: 3, n_max: 2}\n"
@@ -833,6 +871,10 @@ GRID_FLOQUET_JOBS = {
     # 4 representatives
     "grid31": "job: floquet\nmodel: {grid: {n_points: 31}}\n"
     "sambe: {harmonic_cutoff: 2, n_max: 2}\n"
+    "drive: {omega: 1.3, components: [{harmonic: 1, amplitude: 0.2}]}\n",
+    # 5 representatives; sectors of 283 and 284 with kd 7: the band route
+    "grid81": "job: floquet\nmodel: {grid: {n_points: 81}}\n"
+    "sambe: {harmonic_cutoff: 3, n_max: 2}\n"
     "drive: {omega: 1.3, components: [{harmonic: 1, amplitude: 0.2}]}\n",
 }
 
@@ -893,6 +935,21 @@ def test_first_zone_route_matches_the_full_solve(tmp_path, monkeypatch, name):
         # the reference's own sector, at least half the rows, reads exact zeros
         sambe = dict(routed.reports)["sambe"].contributions
         assert np.count_nonzero(sambe.abs2 == 0.0) >= len(sambe) // 2
+
+
+def test_wide_grid_job_takes_the_first_zone_band_route(tmp_path, monkeypatch):
+    """The 81-point job at cutoff 3 reduces its matter sectors (41, 40),
+    then both Sambe sector bands side by side and one dense Sambe block,
+    the row sector's, for every reference: no fallback re-solve."""
+    base = GRID_FLOQUET_JOBS["grid81"]
+    for reference in ["auto", *range(5)]:
+        config = load_config(config_file(tmp_path, base + f"reference: {reference}\n"))
+        bands = []
+        with monkeypatch.context() as patch:
+            solved = record_lapack_solves(patch, bands)
+            run_job(config)
+        assert sorted(bands) == [283, 284]
+        assert solved[:2] == [41, 40] and len(solved) == 5 and solved[4] in (283, 284)
 
 
 def test_harmonic_converge_route_matches_the_full_solve(tmp_path, monkeypatch):

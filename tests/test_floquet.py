@@ -1,6 +1,7 @@
 """Sambe operators, eigensolves, folding, and replica shifts."""
 
 import ctypes
+import threading
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -894,6 +895,8 @@ def grid_operator(drive, x_max=5.0, cutoff=3, n_points=21, h=None):
 
 
 REAL_DRIVE = DriveSpec(omega=0.7, components=(DriveComponent(1, 0.3),))
+# at cutoff 3 on 81 points, one first-zone eigenpair in each sector
+BAND_DRIVE = DriveSpec(omega=0.55, components=(DriveComponent(1, 0.1),))
 COMPLEX_DRIVE = DriveSpec(
     omega=0.7, components=(DriveComponent(1, 0.3, 0.7), DriveComponent(3, 0.1, -1.2))
 )
@@ -1260,13 +1263,17 @@ def test_reference_solve_forms_no_panels(monkeypatch):
         (grid_operator(REAL_DRIVE, x_max=6.0), first_zone(0)),
         (grid_operator(REAL_DRIVE), first_zone(2)),
         (grid_operator(DriveSpec(omega=0.7), cutoff=0), first_zone(0)),
+        (grid_operator(BAND_DRIVE, cutoff=3, n_points=81), first_zone(2)),
     ],
-    ids=["phased_drive", "asymmetric_grid", "pick_beyond_the_zone", "empty_zone"],
+    ids=[
+        "phased_drive", "asymmetric_grid", "pick_beyond_the_zone", "empty_zone", "band_pick_beyond",
+    ],
 )
 def test_first_zone_solve_falls_back_to_the_full_solve(operator, pick):
     """A phased (complex) drive, an operator that does not split, a pick
-    outside the first-zone selection and a zone with no eigenvalue keep
-    every vector, bit-equal to the solve without a picker."""
+    outside the first-zone selection, also after the band route has read
+    the zone, and a zone with no eigenvalue keep every vector, bit-equal to
+    the solve without a picker."""
     plain = diagonalize_hermitian(operator)
     system = diagonalize_hermitian(operator, reference=pick)
     assert all(sector.kept is None for sector in system.sectors)
@@ -1316,3 +1323,159 @@ def test_reference_picker_needs_a_sambe_operator():
     matrix, reflection = grid_sambe(REAL_DRIVE)
     with pytest.raises(InputError, match="picker needs a Sambe operator"):
         diagonalize_hermitian(matrix, reflection=reflection, reference=first_zone(0))
+
+
+# The band route of a first-zone solve: when both sector bands are narrow,
+# both are reduced without Q side by side, the first-zone eigenpairs come
+# from bisection and banded inverse iteration, and only the row sector is
+# written and reduced densely.
+
+def band_zone_operator(drive=BAND_DRIVE, h=None):
+    """The 81-point harmonic-grid Sambe operator on [-5, 5] at cutoff 3:
+    sectors of 283 (S = +1) and 284 (S = -1), each of half bandwidth
+    kd = 7, so 32 kd <= m and a first-zone solve takes the band route."""
+    return grid_operator(drive, cutoff=3, n_points=81, h=h)
+
+
+def test_first_zone_band_route_matches_the_full_solve(monkeypatch):
+    """At Omega = 0.55 each sector holds one first-zone eigenpair. From
+    either pick, the solve reduces the two bands and one dense block, the
+    opposite sector's, with no fallback; its eigenvalues are the full
+    solve's within 1e-11, its kept vectors within 1e-12 up to sign, and
+    |row| the full solve's |amplitudes| within 1e-12."""
+    operator = band_zone_operator()
+    assert [operator.band_width(p) for p in (1, -1)] == [7, 7]
+    full = diagonalize_hermitian(operator)
+    selection = fold_and_select_ffbz(full, operator)
+    owners = [1 if source in full.sectors[0].ranks else -1 for source in selection.source_indices]
+    assert sorted(owners) == [-1, 1]
+    lifted = ProductOperator(matter=operator.dipole, labels=operator.labels)
+    for index, source in enumerate(selection.source_indices):
+        bands = []
+        with monkeypatch.context() as patch:
+            solved = record_lapack_solves(patch, bands)
+            system = diagonalize_hermitian(operator, reference=first_zone(index))
+        assert sorted(bands) == [283, 284] and solved[2:] == [284 if owners[index] == 1 else 283]
+        assert np.max(np.abs(system.values - full.values)) <= 1e-11
+        kept = np.concatenate([sector.ranks[sector.kept] for sector in system.sectors])
+        assert sorted(kept.tolist()) == sorted(selection.source_indices)
+        columns, expected = system.columns(kept), full.columns(kept)
+        signs = np.sign(np.sum(columns * expected, axis=0))
+        assert np.max(np.abs(columns * signs - expected)) <= 1e-12
+        _, opposite = row_sector(system)
+        x = lifted @ system.column(source)
+        amps = system.amplitudes(x, reference=source, dipole=operator.dipole)
+        difference = np.abs(amps[opposite.ranks]) - np.abs(full.amplitudes(x)[opposite.ranks])
+        assert np.max(np.abs(difference)) <= 1e-12
+
+
+def capped_threads(monkeypatch, threads, **routines):
+    """Make OpenBLAS report ``threads`` threads, with ``routines`` replaced;
+    returns the bundled library."""
+    library = lapack.openblas()
+    if library is None:
+        pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
+    patched = library._replace(get_num_threads=lambda: threads, **routines)
+    monkeypatch.setattr(lapack, "openblas", lambda: patched)
+    return library
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_band_reductions_overlap_within_the_thread_cap(monkeypatch, threads):
+    """With two OpenBLAS threads the two sector bands are reduced side by
+    side, the S = +1 band on a second thread and the S = -1 band on the
+    calling one; with one thread (--threads 1), both on the calling
+    thread, +1 first. Either way each T is that band's reduction alone bit
+    for bit, and no thread outlives the solve."""
+    operator = band_zone_operator()
+    capped_threads(monkeypatch, threads)
+    alone = [lapack.band_reduce(operator.sector_band(p).band) for p in (1, -1)]
+    original, calls = lapack.band_reduce, []
+
+    def recorder(band):
+        reduced = original(band)
+        calls.append((band.shape[1], threading.get_ident(), reduced))
+        return reduced
+
+    monkeypatch.setattr(lapack, "band_reduce", recorder)
+    before = threading.active_count()
+    diagonalize_hermitian(operator, reference=first_zone(0))
+    assert threading.active_count() == before
+    if threads == 2:  # the order the two threads record in is not fixed
+        calls.sort(key=lambda call: call[0])
+    assert [dim for dim, _, _ in calls] == [283, 284]
+    caller = threading.get_ident()
+    assert calls[1][1] == caller and (calls[0][1] != caller) == (threads == 2)
+    for (_, _, reduced), expected in zip(calls, alone):
+        assert reduced.d.tobytes() == expected.d.tobytes()
+        assert reduced.e.tobytes() == expected.e.tobytes()
+
+
+@pytest.mark.parametrize("failing", [283, 284], ids=["second_thread", "calling_thread"])
+def test_band_reduction_fault_is_raised_after_the_join(monkeypatch, failing):
+    """A ``dsbtrd`` failure in either band reduction, on the second thread
+    or on the calling one, is the NumericError of the solve, raised once
+    both reductions have ended."""
+    library = lapack.openblas()
+
+    def dsbtrd(*args):
+        return -4 if args[3] == failing else library.dsbtrd(*args)
+
+    capped_threads(monkeypatch, 2, dsbtrd=dsbtrd)
+    before = threading.active_count()
+    with pytest.raises(NumericError, match="LAPACKE returned -4"):
+        diagonalize_hermitian(band_zone_operator(), reference=first_zone(0))
+    assert threading.active_count() == before
+
+
+def test_band_route_orthogonalizes_a_cluster(monkeypatch):
+    """With no drive, H_M shifted to E_0 = 0 and Omega = (E_2 - E_0) / 2,
+    the replicas (n, -n) of levels 0-3 all lie in the S = +1 zone: (0, 0)
+    and (2, -2) tie at rounding level, and all four lie far closer than
+    dstein's ORTOL (1e-3 ||T||). The band route keeps four orthonormal
+    vectors, each with its residual within m eps ||A||, spanning the full
+    solve's eigenspaces."""
+    grid = GridBasis(x_min=-5.0, x_max=5.0, n_points=81)
+    h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0)).matrix
+    energies = np.linalg.eigvalsh(h)
+    drive = DriveSpec(omega=float(energies[2] - energies[0]) / 2)
+    operator = band_zone_operator(drive, h=h - energies[0] * np.eye(81))
+    full = diagonalize_hermitian(operator)
+    bands = []
+    solved = record_lapack_solves(monkeypatch, bands)
+    system = diagonalize_hermitian(operator, reference=first_zone(0))
+    assert sorted(bands) == [283, 284] and solved[2:] == [284]
+    sector = values_only_sector(system)
+    kept = sector.ranks[sector.kept]
+    values = system.values[kept]
+    cluster = lapack.CLUSTER_RTOL * np.max(np.abs(system.values[sector.ranks]))
+    assert kept.size == 4 and np.min(np.diff(values)) <= 1e-13
+    assert np.max(np.diff(values)) < cluster
+    columns = system.columns(kept)
+    eps = np.finfo(np.float64).eps
+    assert np.max(np.abs(columns.T @ columns - np.eye(4))) <= 16 * eps
+    matrix = operator.toarray()
+    scale = float(np.max(np.sum(np.abs(matrix), axis=1)))
+    residuals = np.linalg.norm(matrix @ columns - columns * values, axis=0)
+    assert np.all(residuals <= sector.ranks.size * eps * scale)
+    expected = full.columns(kept)
+    assert np.max(np.abs(columns @ columns.T - expected @ expected.T)) <= 1e-12
+
+
+def test_inexact_first_zone_band_vector_takes_the_dense_route(monkeypatch):
+    """A banded inverse iteration whose residual stays above rounding (at
+    a shift 1e-6 off its value) gives no vector: both sectors are then
+    reduced densely, as without the band route."""
+    operator = band_zone_operator()
+    full = diagonalize_hermitian(operator)
+    original = lapack.band_eigenvector
+    monkeypatch.setattr(
+        lapack,
+        "band_eigenvector",
+        lambda band, value, against=None: original(band, value + 1e-6, against),
+    )
+    bands = []
+    solved = record_lapack_solves(monkeypatch, bands)
+    system = diagonalize_hermitian(operator, reference=first_zone(0))
+    assert sorted(bands) == [283, 284] and solved[2:] == [283, 284]
+    assert np.max(np.abs(system.values - full.values)) <= 1e-11
