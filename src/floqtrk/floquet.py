@@ -119,9 +119,10 @@ class Sector(NamedTuple):
     already in ``basis`` coordinates (Q = 1). ``kept`` is None when every
     eigenvector is kept. A reference solve has two: the reference's own
     sector (:func:`floqtrk.lapack.solve_values`), and the opposite one
-    (:func:`floqtrk.lapack.solve_rows`), which also holds the reference's
-    dipole ``row``, the only products with its unkept eigenvectors that
-    were solved.
+    (:func:`floqtrk.lapack.solve_rows` on a dense block, or
+    :func:`floqtrk.lapack.band_rows` on a narrow band), which also holds
+    the reference's dipole ``row``, the only products with its unkept
+    eigenvectors that were solved.
     """
 
     basis: SectorBasis
@@ -826,9 +827,15 @@ def diagonalize_hermitian(
     (:func:`floqtrk.lapack.solve_rows`): Q^T goes onto the probe
     (1 (x) d) v_r before ``dstedc`` overwrites the reflectors with Z, which
     is freed once the row is read, and no panels are formed. Both sectors
-    are reduced before either is solved (on the band routes below, only
-    the row sector is reduced densely, and last), and the values-only one
-    is solved and freed first. The reference is
+    are reduced before either is solved, and the values-only one is solved
+    and freed first. On the band routes below, no sector block is written
+    densely: the row sector's eigenvalues and row come from its band
+    (:func:`floqtrk.lapack.band_rows`: the probe carried through
+    ``dgbbrd`` and ``dbdsqr`` of the band shifted positive definite, with
+    no Q, Z or m x m array), beside the values-only sector's ``dsterf``
+    on a second thread (:func:`floqtrk.lapack.side_by_side`); should
+    ``dgbbrd`` or ``dbdsqr`` report a failure, the row sector is written
+    and solved densely instead. The reference is
 
     * a rank r of the merged spectrum: the sector keeps eigenvector r. Which
       sector holds r is decided on the r + 1 lowest eigenvalues of each
@@ -839,10 +846,9 @@ def diagonalize_hermitian(
       densely: ``dsbtrd`` without Q, its lowest eigenvalue confirmed as
       the ground by a banded Cholesky factorization of the -1 band, every
       eigenvalue from ``dsterf`` and the ground vector from banded inverse
-      iteration (:func:`_banded_ground`). Only the -1 block is then written
-      and reduced, for the row. What the band cannot confirm (a ground in
-      the -1 sector, a tie, a vector whose residual is above rounding)
-      takes the dense route;
+      iteration (:func:`_banded_ground`); the -1 band is solved for the
+      row. What the band cannot confirm (a ground in the -1 sector, a tie,
+      a vector whose residual is above rounding) takes the dense route;
     * or, for a :func:`sambe_operator`, a picker, which maps a first-zone
       selection (:func:`fold_and_select_ffbz`) to the index of the
       reference representative. It is first called on the eigenpairs of
@@ -856,13 +862,12 @@ def diagonalize_hermitian(
       turn), the in-zone eigenpairs come from bisection on each band's T
       and banded inverse iteration, orthogonalized within a cluster as
       ``dstein`` does (:func:`floqtrk.lapack.band_eigenpairs`), the
-      picked sector's values from ``dsterf``, and only the opposite
-      sector is written and reduced densely, for the row. What the bands
-      cannot finish (a declined reduction, an in-zone vector whose
-      residual is above rounding, an empty zone, a pick outside the
-      selection) takes the dense route, where a picker whose index is
-      outside the selection, or a zone with no eigenvalue, leaves both
-      sectors solved in full.
+      picked sector's values from ``dsterf``, and the opposite band is
+      solved for the row. What the bands cannot confirm (a declined
+      reduction, an in-zone vector whose residual is above rounding) takes
+      the dense route. A picker whose index is outside the selection, or
+      a zone with no eigenvalue, leaves both sectors solved in full, on
+      either route.
 
     Should the merged spectrum name another reference (a tie across the
     sectors, or a pick that moves at rounding level), or hold an in-zone
@@ -917,6 +922,11 @@ class _Choice(NamedTuple):
     pairs: dict[int, tuple[np.ndarray, np.ndarray]]
 
 
+#: What :meth:`_ZoneAnchor.choose` returns when a sector band does not
+#: confirm an in-zone eigenvector; the dense route then chooses again.
+_UNCONFIRMED = _Choice(0, 0, {}, {})
+
+
 class _RankAnchor(NamedTuple):
     """The reference of a solve given as rank ``rank`` of the merged
     spectrum."""
@@ -944,8 +954,10 @@ class _ZoneAnchor(NamedTuple):
     def choose(self, solves: dict[int, tuple[SectorBasis, _BlockSolve]]) -> _Choice | None:
         """The picked representative's sector and both sectors' first-zone
         eigenpairs (:meth:`_BlockSolve.eigenpairs`, from a dense block's T or
-        a band's); None under ``eigh`` blocks, when a band does not confirm
-        a vector, or when nothing is picked."""
+        a band's); :data:`_UNCONFIRMED` when a band does not confirm a
+        vector, for the dense route to choose again; None when nothing is
+        picked (an empty zone, a pick outside the selection, or ``eigh``
+        blocks, whose zone is not read), which no route can change."""
         if any(block_solve.reduced is None for _, block_solve in solves.values()):
             return None
         half, dim = self.operator.frequency / 2, self.operator.shape[0]
@@ -955,7 +967,7 @@ class _ZoneAnchor(NamedTuple):
             if run:
                 pairs[p] = solves[p][1].eigenpairs(run)
                 if pairs[p] is None:
-                    return None
+                    return _UNCONFIRMED
         # the window's eigenpairs merged, a tie going to the +1 sector
         values = np.concatenate([np.empty(0), *(w for w, _ in pairs.values())])
         order = np.argsort(values, kind="stable")
@@ -1009,55 +1021,65 @@ def _solve_around(operator: ProductOperator, anchor: _RankAnchor | _ZoneAnchor) 
     """The two sectors of a splitting ``operator``, the one holding the
     ``anchor``'s reference solved values-only and the other for the
     reference's dipole row (:func:`diagonalize_hermitian`)."""
-    rank_zero = isinstance(anchor, _RankAnchor) and anchor.rank == 0
-    banded = _banded_ground(operator) if rank_zero else None
-    if banded is not None:
-        # the ground lies in the +1 sector, solved as a band; the -1 block
-        # is written only now
-        own, reference, kept, pairs = 1, 0, range(0), None
-        solved = {own: banded}
-        opposite = None
-    else:
-        zoned = isinstance(anchor, _ZoneAnchor) and _narrow(operator)
-        solves = _band_solves(operator) if zoned else None
-        choice = None if solves is None else anchor.choose(solves)
-        if choice is None:
-            # the dense route, also for whatever the bands could not finish
-            solves = {}
-            for parity in (1, -1):
-                block, basis = operator.sector(parity)
-                solves[parity] = (basis, _eigensolve(block))
-                del block
+    choice = _UNCONFIRMED
+    if isinstance(anchor, _RankAnchor):
+        banded = _banded_ground(operator) if anchor.rank == 0 else None
+        if banded is not None:
+            solves, choice = banded
+    elif _narrow(operator):
+        solves = _band_solves(operator)
+        if solves is not None:
             choice = anchor.choose(solves)
-        if choice is None:
-            return EigenSystem.from_sectors(
-                [(basis, block_solve.solve()) for basis, block_solve in solves.values()]
-            )
-        own, reference = choice.parity, choice.reference
-        kept, pairs = choice.kept[-own], choice.pairs.get(-own)
-        basis, block_solve = solves.pop(own)
-        solved = {own: (basis, block_solve.solve_values(choice.kept[own], choice.pairs.get(own)))}
+    if choice is _UNCONFIRMED:
+        # the dense route, also for whatever the bands could not confirm
+        solves = {}
+        for parity in (1, -1):
+            block, basis = operator.sector(parity)
+            solves[parity] = (basis, _eigensolve(block))
+            del block
+        choice = anchor.choose(solves)
+    if choice is None:
+        # nothing to pick: every eigenpair; bands hold no Q, so after the
+        # band route both blocks are written and solved in full
+        if any(block_solve.band is not None for _, block_solve in solves.values()):
+            return diagonalize_hermitian(operator)
+        return EigenSystem.from_sectors(
+            [(basis, block_solve.solve()) for basis, block_solve in solves.values()]
+        )
+    own, reference = choice.parity, choice.reference
+    ks, own_pairs = choice.kept[own], choice.pairs.get(own)
+    kept, pairs = choice.kept[-own], choice.pairs.get(-own)
+    basis, own_solve = solves.pop(own)
+    row_basis, row_solve = solves.pop(-own)
+    lifted = ProductOperator(matter=operator.dipole, labels=operator.labels)
+
+    def probe_of(vectors: np.ndarray, local: np.ndarray | None) -> np.ndarray:
+        # (1 (x) d) v_r in the row sector's coordinates, v_r a kept column
+        column = reference if local is None else int(np.searchsorted(local, reference))
+        psi = basis.embed(vectors[:, column], operator.shape[0])
+        return row_basis.coordinates(lifted @ psi)
+
+    if row_solve.band is None:
         # the values-only block's matrix is freed before the other's solve
-        del block_solve
-        opposite = solves.pop(-own)
-    if opposite is None or opposite[1].band is not None:
-        # the opposite sector was read as a band, or not at all: its block
-        # is written and reduced densely only now, for the row
-        block, basis = operator.sector(-own)
-        opposite = (basis, _eigensolve(block))
-        del block
-    basis, solution = solved[own]
-    column = reference
-    if solution.kept is not None:
-        column = int(np.searchsorted(solution.kept, column))
-    psi = basis.embed(solution.reflectors.apply(solution.vectors[:, column]), operator.shape[0])
-    probe = ProductOperator(matter=operator.dipole, labels=operator.labels) @ psi
-    basis, block_solve = opposite
-    del opposite
-    solution = block_solve.solve_row(basis.coordinates(probe), kept, pairs)
-    solved[-own] = (basis, solution)
+        solution = own_solve.solve_values(ks, own_pairs)
+        del own_solve
+        row_solution = row_solve.solve_row(probe_of(solution.vectors, solution.kept), kept, pairs)
+    else:
+        # the row sector is solved from its band, and the values-only
+        # sector's dsterf runs beside it: each on one core
+        probe = probe_of(own_pairs[1], np.arange(ks.start, ks.stop))
+        solution, row_solution = lapack.side_by_side(
+            lambda: own_solve.solve_values(ks, own_pairs),
+            lambda: row_solve.solve_row(probe, kept, pairs),
+        )
+        if row_solution is None:
+            # dgbbrd or dbdsqr failed: the row sector is written and reduced
+            block, _ = operator.sector(-own)
+            row_solution = _eigensolve(block).solve_row(probe, kept, pairs)
+            del block
     # Z is freed once its row is read
-    del block_solve
+    del row_solve
+    solved = {own: (basis, solution), -own: (row_basis, row_solution)}
     system = EigenSystem.from_sectors([solved[1], solved[-1]])
     sectors = list(system.sectors)
     mine = 0 if own == 1 else 1
@@ -1067,18 +1089,19 @@ def _solve_around(operator: ProductOperator, anchor: _RankAnchor | _ZoneAnchor) 
         # the pick moved with the opposite sector's rounding: the row
         # belongs to another reference
         return diagonalize_hermitian(operator)
-    if solution.row is not None:
+    if row_solution.row is not None:
         sectors[1 - mine] = sectors[1 - mine]._replace(
-            row=DipoleRow(rank, operator.dipole, solution.row)
+            row=DipoleRow(rank, operator.dipole, row_solution.row)
         )
     return EigenSystem(system.values, tuple(sectors))
 
 
-def _banded_ground(operator: ProductOperator) -> tuple[SectorBasis, _Solution] | None:
-    """The +1 sector of a splitting real ``operator`` solved as a band for
-    its eigenvalues and its lowest eigenvector, when that eigenpair is the
-    ground of the operator; None when this cannot be confirmed, for the
-    dense route to solve.
+def _banded_ground(
+    operator: ProductOperator,
+) -> tuple[dict[int, tuple[SectorBasis, _BlockSolve]], _Choice] | None:
+    """The choice of rank 0 of a splitting real ``operator`` read off its
+    sector bands: the ground and its vector in the +1 sector; None when
+    this cannot be confirmed, for the dense route to choose.
 
     Both sector blocks are read as bands (:meth:`ProductOperator.sector_band`)
     and only when each is narrow (:func:`_narrow`). The +1 band
@@ -1086,38 +1109,43 @@ def _banded_ground(operator: ProductOperator) -> tuple[SectorBasis, _Solution] |
     found by bisection on T. Lambda is the ground when every -1 eigenvalue
     lies above it beyond rounding: the banded Cholesky factorization of the
     -1 band shifted by lambda and the margin exists
-    (:func:`floqtrk.lapack.band_above`), which fails on a tie. Every
-    eigenvalue then comes from ``dsterf`` on T, lambda's from the
-    bisection, and the ground vector from banded inverse iteration at
-    lambda, refused unless its residual is at rounding level.
+    (:func:`floqtrk.lapack.band_above`), which fails on a tie. The ground
+    vector comes from banded inverse iteration at lambda, refused unless
+    its residual is at rounding level. The +1 sector is then solved
+    values-only from T, and the -1 sector for the row from its band alone,
+    which is never reduced.
     """
     if not _narrow(operator):
         return None
-    plus = operator.sector_band(1)
+    plus, minus = (operator.sector_band(p) for p in (1, -1))
     reduced = lapack.band_reduce(plus.band)
     if reduced is None:
         return None
-    ground = float(lapack.lowest(reduced, 1)[0])
-    if not lapack.band_above(operator.sector_band(-1).band, ground):
+    ground = lapack.lowest(reduced, 1)
+    if not lapack.band_above(minus.band, float(ground[0])):
         return None
-    vector = lapack.band_eigenvector(plus.band, ground)
+    vector = lapack.band_eigenvector(plus.band, float(ground[0]))
     if vector is None:
         return None
-    values = lapack.eigenvalues(reduced)
-    values[0] = ground
     column = np.empty((plus.order.size, 1))
     column[plus.order, 0] = vector
-    return operator._basis(1), _Solution(values, column, Reflectors(), kept=np.arange(1))
+    solves = {
+        1: (operator._basis(1), _BlockSolve(reduced, band=plus)),
+        -1: (operator._basis(-1), _BlockSolve(None, band=minus)),
+    }
+    return solves, _Choice(1, 0, {1: range(1), -1: range(0)}, {1: (ground, column)})
 
 
 def _band_solves(operator: ProductOperator) -> dict[int, tuple[SectorBasis, _BlockSolve]] | None:
     """Both sectors of a splitting, narrow ``operator`` (:func:`_narrow`)
     written as bands (:meth:`ProductOperator.sector_band`) and reduced
-    without Q side by side (:func:`floqtrk.lapack.band_reduce_pair`): each
-    a :class:`_BlockSolve` that reads its eigenpairs off its band; None
-    when a reduction declines, for the dense route to solve."""
+    without Q side by side (:func:`floqtrk.lapack.side_by_side`): each a
+    :class:`_BlockSolve` that reads its eigenpairs off its band; None when
+    a reduction declines, for the dense route to solve."""
     bands = {p: operator.sector_band(p) for p in (1, -1)}
-    reduced = lapack.band_reduce_pair(bands[1].band, bands[-1].band)
+    reduced = lapack.side_by_side(
+        lambda: lapack.band_reduce(bands[1].band), lambda: lapack.band_reduce(bands[-1].band)
+    )
     if any(r is None for r in reduced):
         return None
     return {
@@ -1156,8 +1184,10 @@ class _BlockSolve(NamedTuple):
     """One Hermitian block between the two steps of its solve: LAPACK's
     tridiagonal reduction of a real block, or, for a complex block or
     without that kernel, numpy's whole ``eigh`` solution (``values``,
-    ``vectors``). A block reduced from its ``band`` keeps no Q: it gives
-    its values and eigenpairs, and is not solved for Z or a row."""
+    ``vectors``). A block read as a ``band`` is not solved for Z: reduced
+    from its band without Q, it gives its values and eigenpairs, and its
+    row is solved from the band (the qed route's row sector is not reduced
+    at all, so ``reduced`` is None)."""
 
     reduced: lapack.Tridiagonal | None
     values: np.ndarray | None = None
@@ -1205,15 +1235,23 @@ class _BlockSolve(NamedTuple):
 
     def solve_row(
         self, probe: np.ndarray, ks: range, pairs: tuple[np.ndarray, np.ndarray] | None
-    ) -> _Solution:
+    ) -> _Solution | None:
         """Every eigenvalue, the row conj(probe) . v_j over every
         eigenvector, and eigenvectors ``ks``, a run whose eigenpairs are
-        ``pairs`` (None for an empty run); every eigenpair and no row when
-        ``eigh`` has already solved the block."""
-        if self.reduced is None:
+        ``pairs`` (None for an empty run): from the band of a block read as
+        one (:func:`floqtrk.lapack.band_rows`; None when that fails), or
+        from the reduced block (:func:`floqtrk.lapack.solve_rows`); every
+        eigenpair and no row when ``eigh`` has already solved the block."""
+        if self.band is not None:
+            found = lapack.band_rows(self.band.band, probe[self.band.order][:, None])
+            if found is None:
+                return None
+            values, rows = found
+        elif self.reduced is None:
             return self.solve()
-        vectors = pairs[1] if ks else np.zeros((self.reduced.d.size, 0))
-        values, rows = lapack.solve_rows(self.reduced, probe[:, None])
+        else:
+            values, rows = lapack.solve_rows(self.reduced, probe[:, None])
+        vectors = pairs[1] if ks else np.zeros((probe.size, 0))
         return _Solution(
             values, vectors, Reflectors(), kept=np.arange(ks.start, ks.stop), row=rows[0].conj()
         )

@@ -20,17 +20,22 @@ of one run of indices (:func:`eigenpairs`: bisection, inverse iteration
 and Q on those columns), with no Z and no m^2 workspace; :func:`window`
 finds the run of eigenvalues in an interval.
 
-A block that is a narrow band needs no dense reduction when no Q is read.
-:func:`band_reduce` takes its lower band to the same tridiagonal form
-without Q (``dsbtrd``, O(m^2 kd) where ``dsytrd`` is O(m^3)), whose
-eigenvalues :func:`eigenvalues` gives (``dsterf``) and :func:`lowest`
-bisects, and :func:`band_reduce_pair` reduces two bands side by side, one
-on a second thread, since ``dsbtrd`` runs on one core; :func:`band_above`
-tells by one banded Cholesky factorization (``dpbtrf``) whether every
-eigenvalue lies above a value, :func:`band_eigenvector` solves for one
-eigenvector by inverse iteration on the banded LU factors (``dgbtrf``,
-``dgbtrs``), and :func:`band_eigenpairs` for those of one run of indices,
-orthogonalized within a cluster as ``dstein`` does.
+A block that is a narrow band needs no dense reduction, and no m x m
+array at all. :func:`band_reduce` takes its lower band to the same
+tridiagonal form without Q (``dsbtrd``, O(m^2 kd) where ``dsytrd`` is
+O(m^3)), whose eigenvalues :func:`eigenvalues` gives (``dsterf``) and
+:func:`lowest` bisects; :func:`band_above` tells by one banded Cholesky
+factorization (``dpbtrf``) whether every eigenvalue lies above a value,
+:func:`band_eigenvector` solves for one eigenvector by inverse iteration
+on the banded LU factors (``dgbtrf``, ``dgbtrs``), and
+:func:`band_eigenpairs` for those of one run of indices, orthogonalized
+within a cluster as ``dstein`` does. :func:`band_rows` gives every
+eigenvalue and the rows of a few probes, as :func:`solve_rows` does, from
+the band alone: the probes ride through the bidiagonal reduction of the
+band shifted positive definite (``dgbbrd``) and its singular value solve
+(``dbdsqr``), so no Q or Z is formed. Those band routines run on one core,
+and :func:`side_by_side` runs two of them at once, one on a second
+thread.
 """
 
 from __future__ import annotations
@@ -40,11 +45,13 @@ import functools
 import math
 import threading
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, TypeVar
 
 import numpy as np
 
 from .errors import InputError, NumericError
+
+First, Second = TypeVar("First"), TypeVar("Second")
 
 #: LAPACKE's matrix_layout value for column-major arrays.
 _COL_MAJOR = 102
@@ -75,6 +82,8 @@ class OpenBlas(NamedTuple):
     dpbtrf: Callable
     dgbtrf: Callable
     dgbtrs: Callable
+    dgbbrd: Callable
+    dbdsqr: Callable
 
 
 def _bind(library: ctypes.CDLL) -> OpenBlas:
@@ -130,6 +139,16 @@ def _bind(library: ctypes.CDLL) -> OpenBlas:
             "scipy_LAPACKE_dgbtrs64_",
             ctypes.c_int, char, int64, int64, int64, int64, matrix, int64, indices, matrix, int64,
         ),
+        dgbbrd=routine(
+            "scipy_LAPACKE_dgbbrd64_",
+            ctypes.c_int, char, int64, int64, int64, int64, int64, matrix, int64, vector, vector,
+            matrix, int64, matrix, int64, matrix, int64,
+        ),
+        dbdsqr=routine(
+            "scipy_LAPACKE_dbdsqr64_",
+            ctypes.c_int, char, int64, int64, int64, int64, vector, vector, matrix, int64,
+            matrix, int64, matrix, int64,
+        ),
     )
 
 
@@ -155,11 +174,11 @@ def openblas() -> OpenBlas | None:
 
 def eigensolver_name() -> str:
     """The routines that solve a real symmetric block in this process: the
-    dense reduction and its tridiagonal solve, and the band reduction with
-    its values-only solve."""
+    dense reduction and its tridiagonal solve, the band reduction with its
+    values-only solve, and the band solve for rows."""
     if openblas() is None:
         return "numpy.linalg.eigh"
-    return "LAPACK dsytrd+dstedc, dsbtrd+dsterf"
+    return "LAPACK dsytrd+dstedc, dsbtrd+dsterf, dgbbrd+dbdsqr"
 
 
 class Reflectors(NamedTuple):
@@ -423,36 +442,34 @@ def band_reduce(band: np.ndarray) -> Tridiagonal | None:
     return Tridiagonal(None, d, e, None)
 
 
-def band_reduce_pair(
-    first: np.ndarray, second: np.ndarray
-) -> tuple[Tridiagonal | None, Tridiagonal | None]:
-    """:func:`band_reduce` of two lower bands. ``dsbtrd`` runs on one core,
-    so when OpenBLAS may use two threads ``first`` is reduced on a second
-    thread while the calling thread reduces ``second``; with one thread
-    (``--threads 1``) both are reduced on the calling thread, in turn. The
-    two reductions share nothing, so each T is the same bit for bit either
-    way. An exception of the second thread is raised here once it has
-    ended; no thread outlives the call."""
+def side_by_side(first: Callable[[], First], second: Callable[[], Second]) -> tuple[First, Second]:
+    """``first()`` and ``second()``, two calls that share nothing. The band
+    routines (``dsbtrd``, ``dgbbrd``, ``dbdsqr``, ``dsterf``) run on one
+    core, so when OpenBLAS may use two threads ``first`` runs on a second
+    thread while the calling thread runs ``second``; with one thread
+    (``--threads 1``) both run on the calling thread, in turn. Each result
+    is the same bit for bit either way. An exception of the second thread
+    is raised here once it has ended; no thread outlives the call."""
     library = openblas()
     if library is None or library.get_num_threads() < 2:
-        return band_reduce(first), band_reduce(second)
-    reduced, failed = [None], []
+        return first(), second()
+    result, failed = [], []
 
-    def reduce_first() -> None:
+    def run_first() -> None:
         try:
-            reduced[0] = band_reduce(first)
+            result.append(first())
         except BaseException as exc:  # raised again on the calling thread
             failed.append(exc)
 
-    worker = threading.Thread(target=reduce_first)
+    worker = threading.Thread(target=run_first)
     worker.start()
     try:
-        other = band_reduce(second)
+        other = second()
     finally:
         worker.join()
     if failed:
         raise failed[0]
-    return reduced[0], other
+    return result[0], other
 
 
 def _band_product(band: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -578,3 +595,67 @@ def band_eigenpairs(
             return None
         vectors[:, i] = vector
     return w, vectors
+
+
+def band_rows(band: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Eigenvalues w (ascending) of the symmetric A of the lower ``band`` and
+    the k x m matrix of rows ``probes``^T V, V its eigenvectors, for the
+    real m x k ``probes`` in band order: entry (i, j) is probes[:, i] . v_j,
+    as :func:`solve_rows` gives them.
+    None when the kernel is absent, A is too large or too small for it
+    unscaled (as in :func:`band_reduce`), or ``dgbbrd`` or ``dbdsqr``
+    reports a failure.
+
+    A + sigma 1 is positive definite for sigma = margin - (the lower end of
+    A's Gershgorin interval), the margin :data:`CLUSTER_RTOL` times that
+    interval's width, or the smallest normal number for a zero width. Its
+    band is reduced to an upper bidiagonal B = Q^T (A + sigma 1) P
+    (``dgbbrd``, no Q or P formed), which applies Q^T to the probes, and
+    B's singular value decomposition B = U S V_B^T (``dbdsqr``, no U or
+    V_B formed) applies U^T to them. The left singular vectors Q U of a
+    positive definite matrix are its eigenvectors, so eigenvalue j is
+    s_j - sigma and its row is (U^T Q^T probes)_j. The values s come from
+    ``dbdsqr`` on a copy of B with no columns to carry (dqds), beside the
+    solve that carries the probes (:func:`side_by_side`): with columns its
+    QR sweeps stop at a relative tolerance near 90 eps, 1.5e-11 on a
+    value near 242 of a joint sector where dqds is within 2.3e-12. Every
+    array is O(m kd).
+    """
+    library = openblas()
+    kd, m = band.shape[0] - 1, band.shape[1]
+    if probes.ndim != 2 or probes.shape[0] != m:
+        raise InputError(f"expected probes of shape ({m}, k), got shape {probes.shape}")
+    scale = max(band.max(initial=0.0), -band.min(initial=0.0))
+    if library is None or not m or not (scale == 0.0 or 2 * _RMIN < scale < _RMAX / 2):
+        return None
+    radii = _band_product(np.abs(band), np.ones(m)) - np.abs(band[0])
+    low, high = float(np.min(band[0] - radii)), float(np.max(band[0] + radii))
+    shift = max(CLUSTER_RTOL * (high - low), np.finfo(np.float64).tiny) - low
+    # general band storage, kl = ku = kd: A[i, j] at row kd + i - j
+    ab = np.zeros((2 * kd + 1, m), order="F")
+    ab[kd] = band[0] + shift
+    for t in range(1, kd + 1):
+        ab[kd + t, : m - t] = band[t, : m - t]
+        ab[kd - t, t:] = band[t, : m - t]
+    carried = np.array(probes, dtype=np.float64, order="F")
+    k = carried.shape[1]
+    d, e, unused = np.empty(m), np.empty(m - 1), np.zeros((1, 1), order="F")
+    if library.dgbbrd(
+        _COL_MAJOR, b"N", m, m, k, kd, kd, ab, 2 * kd + 1, d, e, unused, 1, unused, 1, carried, m
+    ):
+        return None
+    # with no columns to carry dbdsqr runs dqds (dlasq1), accurate to a few
+    # eps; carrying them, its QR sweeps stop at about 90 eps relative. So
+    # the values come from a copy of B, taken before either call starts
+    s, f, none = d.copy(), e.copy(), np.zeros((1, 1), order="F")
+    if any(
+        side_by_side(
+            lambda: library.dbdsqr(_COL_MAJOR, b"U", m, 0, 0, 0, s, f, none, 1, none, 1, none, 1),
+            lambda: library.dbdsqr(
+                _COL_MAJOR, b"U", m, 0, 0, k, d, e, unused, 1, unused, 1, carried, m
+            ),
+        )
+    ):
+        return None
+    # dbdsqr sorts the singular values descending
+    return s[::-1] - shift, carried[::-1].T

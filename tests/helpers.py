@@ -105,26 +105,33 @@ def select_reference_joint(system, matter_ground, fock_dim):
 
 def record_lapack_solves(monkeypatch, bands=None):
     """Patch ``floquet._eigensolve``, the package's one block-solve entry,
-    and ``lapack.band_reduce``, which reduces a sector band, with recorders;
-    returns the list the dimension of each block solve is appended to, in
-    the order of the solves; two bands reduced side by side
-    (``lapack.band_reduce_pair``) come in either order. The dimension of
-    each band solve is also appended to ``bands``, when given."""
-    dense, banded = floquet._eigensolve, lapack.band_reduce
+    ``lapack.band_reduce``, which reduces a sector band, and
+    ``lapack.band_rows``, which solves a sector band for its row, with
+    recorders; returns the list the dimension of each block solve is
+    appended to, in the order of the solves; two bands reduced side by
+    side (``lapack.side_by_side``) come in either order. The dimension of
+    each band solve, a reduction or a row solve, is also appended to
+    ``bands``, when given, so a solve that wrote no dense block records
+    the same list twice."""
+    dense, banded, rows = floquet._eigensolve, lapack.band_reduce, lapack.band_rows
     dims = []
 
     def recorder(block):
         dims.append(block.shape[0])
         return dense(block)
 
-    def band_recorder(band):
-        dims.append(band.shape[1])
-        if bands is not None:
-            bands.append(band.shape[1])
-        return banded(band)
+    def band_recorder(solve):
+        def recorded(band, *args):
+            dims.append(band.shape[1])
+            if bands is not None:
+                bands.append(band.shape[1])
+            return solve(band, *args)
+
+        return recorded
 
     monkeypatch.setattr(floquet, "_eigensolve", recorder)
-    monkeypatch.setattr(lapack, "band_reduce", band_recorder)
+    monkeypatch.setattr(lapack, "band_reduce", band_recorder(banded))
+    monkeypatch.setattr(lapack, "band_rows", band_recorder(rows))
     return dims
 
 

@@ -790,14 +790,15 @@ def test_floquet_sambe_solve_peaks_at_two_and_a_half_sector_matrices(tmp_path, m
     assert peaks[61 * 17] <= 2.5 * m * m * np.dtype(np.float64).itemsize
 
 
-def test_band_route_peaks_at_one_and_a_half_sector_matrices(tmp_path, monkeypatch):
+def test_band_route_holds_no_sector_matrix(tmp_path, monkeypatch):
     """Each member of the 81-point photon-cutoff scan (n_max 8, 10, 12;
     sectors of m ~ dim/2, kd = n_max + 1) reduces the ground's sector as a
-    band, then writes and reduces the other densely: the numpy allocations
-    traced during its joint solve peak at most 1.5 m^2 doubles (one dense
-    block, its probe and row, and the bands), not the two dense blocks
-    (2.1 m^2) the dense route holds while it picks the reference's sector.
-    tracemalloc does not count LAPACKE_dstedc's own workspace."""
+    band and solves the other from its band for the row: no sector block
+    is written densely, and the numpy allocations traced during its joint
+    solve peak at most 0.5 m^2 doubles (the bands, the probe, the row and
+    the matter-size projections), not the dense row block (over 1 m^2)
+    the route held before it read that sector's band. tracemalloc now
+    misses only LAPACKE's O(m) workspace of dgbbrd and dbdsqr."""
     text = (
         "job: converge\nconverge: {axis: fock_n_max, values: [8, 10, 12]}\n"
         "model: {grid: {n_points: 81}}\nfock: {omega_c: 0.9, g: 0.05}\n"
@@ -813,28 +814,29 @@ def test_band_route_peaks_at_one_and_a_half_sector_matrices(tmp_path, monkeypatc
         return system
 
     monkeypatch.setattr(cli, "diagonalize_hermitian", traced)
-    record_lapack_solves(monkeypatch, bands)
+    solved = record_lapack_solves(monkeypatch, bands)
     config = load_config(config_file(tmp_path, text))
     tracemalloc.start()
     try:
         run_job(config)
     finally:
         tracemalloc.stop()
-    assert bands == [365, 446, 527]
+    assert bands == [365, 364, 446, 445, 527, 526] and solved[-6:] == bands
     for n_max in (8, 10, 12):
         m = 81 * (n_max + 1) / 2
-        assert peaks[81 * (n_max + 1)] <= 1.5 * m * m * np.dtype(np.float64).itemsize
+        assert peaks[81 * (n_max + 1)] <= 0.5 * m * m * np.dtype(np.float64).itemsize
 
 
-def test_floquet_band_route_peaks_at_one_and_a_half_sector_matrices(tmp_path, monkeypatch):
+def test_floquet_band_route_holds_no_sector_matrix(tmp_path, monkeypatch):
     """Each member of the 101-point harmonic-cutoff scan (cutoffs 3, 4, 5;
     sectors of m ~ dim/2, kd = 2 N_h + 1) reduces both sector bands, picks
-    its reference on their first-zone eigenpairs, then writes and reduces
-    only the row sector densely: the numpy allocations traced during its
-    Sambe solve peak at most 1.5 m^2 doubles (one dense block, its probe
-    and row, and the bands), not the two dense blocks (2.1-2.2 m^2) the dense
-    route holds while it picks. tracemalloc does not count
-    LAPACKE_dstedc's own workspace."""
+    its reference on their first-zone eigenpairs, then solves the row
+    sector from its band: no sector block is written densely, and the
+    numpy allocations traced during its Sambe solve peak at most 0.5 m^2
+    doubles (the bands, the probe, the row and the matter-size
+    projections), not the dense row block (over 1 m^2) the route held
+    before it read that sector's band for the row. tracemalloc now misses
+    only LAPACKE's O(m) workspace of dgbbrd and dbdsqr."""
     text = (
         "job: converge\nconverge: {axis: harmonic_cutoff, values: [3, 4, 5]}\n"
         "model: {grid: {n_points: 101}}\n"
@@ -851,17 +853,20 @@ def test_floquet_band_route_peaks_at_one_and_a_half_sector_matrices(tmp_path, mo
         return system
 
     monkeypatch.setattr(cli, "diagonalize_hermitian", traced)
-    record_lapack_solves(monkeypatch, bands)
+    solved = record_lapack_solves(monkeypatch, bands)
     config = load_config(config_file(tmp_path, text))
     tracemalloc.start()
     try:
         run_job(config)
     finally:
         tracemalloc.stop()
-    assert sorted(bands) == [353, 354, 454, 455, 555, 556]
+    assert len(bands) == 9 and solved[-9:] == bands
+    for member, sizes in enumerate([(353, 354), (454, 455), (555, 556)]):
+        first = bands[3 * member : 3 * member + 3]
+        assert sorted(first[:2]) == list(sizes) and first[2] in sizes
     for cutoff in (3, 4, 5):
         m = 101 * (2 * cutoff + 1) / 2
-        assert peaks[101 * (2 * cutoff + 1)] <= 1.5 * m * m * np.dtype(np.float64).itemsize
+        assert peaks[101 * (2 * cutoff + 1)] <= 0.5 * m * m * np.dtype(np.float64).itemsize
 
 
 GRID_FLOQUET_JOBS = {
@@ -939,8 +944,9 @@ def test_first_zone_route_matches_the_full_solve(tmp_path, monkeypatch, name):
 
 def test_wide_grid_job_takes_the_first_zone_band_route(tmp_path, monkeypatch):
     """The 81-point job at cutoff 3 reduces its matter sectors (41, 40),
-    then both Sambe sector bands side by side and one dense Sambe block,
-    the row sector's, for every reference: no fallback re-solve."""
+    then both Sambe sector bands side by side, and solves the row sector's
+    band for the row, for every reference: no dense Sambe block and no
+    fallback re-solve."""
     base = GRID_FLOQUET_JOBS["grid81"]
     for reference in ["auto", *range(5)]:
         config = load_config(config_file(tmp_path, base + f"reference: {reference}\n"))
@@ -948,8 +954,8 @@ def test_wide_grid_job_takes_the_first_zone_band_route(tmp_path, monkeypatch):
         with monkeypatch.context() as patch:
             solved = record_lapack_solves(patch, bands)
             run_job(config)
-        assert sorted(bands) == [283, 284]
-        assert solved[:2] == [41, 40] and len(solved) == 5 and solved[4] in (283, 284)
+        assert sorted(bands[:2]) == [283, 284] and len(bands) == 3 and bands[2] in (283, 284)
+        assert solved == [41, 40, *bands]
 
 
 def test_harmonic_converge_route_matches_the_full_solve(tmp_path, monkeypatch):
@@ -1141,7 +1147,7 @@ def test_timings_record_the_environment(tmp_path):
     }
     kernel = lapack.openblas() is not None
     assert environment["eigensolver"] == (
-        "LAPACK dsytrd+dstedc, dsbtrd+dsterf" if kernel else "numpy.linalg.eigh"
+        "LAPACK dsytrd+dstedc, dsbtrd+dsterf, dgbbrd+dbdsqr" if kernel else "numpy.linalg.eigh"
     )
     assert environment["python"] == platform.python_version()
     assert environment["machine"] == platform.machine()

@@ -470,6 +470,51 @@ def test_inverse_iteration_refuses_a_shift_off_the_spectrum():
     assert lapack.band_eigenvector(band, 0.5) is None
 
 
+@pytest.mark.parametrize(
+    "m, kd, kind, k",
+    [
+        (1, 0, "random", 1),
+        (2, 1, "random", 3),
+        (17, 3, "random", 3),
+        (64, 0, "random", 1),
+        (64, 3, "zero", 3),
+        (101, 5, "negative_definite", 1),
+        (301, 3, "random", 3),
+    ],
+)
+def test_band_rows_match_eigh(m, kd, kind, k):
+    """On a symmetric band (random, zero, or random shifted below zero by
+    its Gershgorin norm plus one): the values of band_rows (dgbbrd +
+    dbdsqr on the band shifted positive definite) are eigh's within
+    m eps ||A||, and over each cluster of eigh's values (neighbours within
+    dstein's ORTOL, CLUSTER_RTOL ||A||) the sum of |row|^2 of every probe
+    is eigh's within 64 m eps ||x||^2: the weight of the probe in each
+    eigenspace, which does not depend on the basis chosen inside it."""
+    if lapack.openblas() is None:
+        pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
+    rng = np.random.default_rng(m + kd)
+    a = np.zeros((m, m))
+    if kind != "zero":
+        a = rng.standard_normal((m, m))
+        a = np.triu(np.tril(a + a.T, kd), -kd)
+    if kind == "negative_definite":
+        a -= (np.max(np.sum(np.abs(a), axis=1)) + 1.0) * np.eye(m)
+        assert np.linalg.eigvalsh(a)[-1] < 0.0
+    probes = rng.standard_normal((m, k))
+    values, vectors = np.linalg.eigh(a)
+    band = band_of(a, kd)
+    w, rows = lapack.band_rows(band, probes)
+    assert np.array_equal(band, band_of(a, kd))  # the band is read, not overwritten
+    eps, norm = np.finfo(np.float64).eps, np.linalg.norm(a, 2)
+    assert rows.shape == (k, m) and np.all(np.diff(w) >= 0.0)
+    assert np.max(np.abs(w - values)) <= m * eps * norm
+    clusters = np.concatenate([[0], np.cumsum(np.diff(values) > lapack.CLUSTER_RTOL * norm)])
+    for x, row, expected in zip(probes.T, rows, probes.T @ vectors):
+        weights = np.bincount(clusters, np.abs(row) ** 2)
+        exact = np.bincount(clusters, np.abs(expected) ** 2)
+        assert np.max(np.abs(weights - exact)) <= 64 * m * eps * (x @ x)
+
+
 def test_bundled_openblas_binds_every_routine():
     """When numpy ships its OpenBLAS, every routine this package binds is
     there: a missing one would leave ``openblas()`` None, every block on
@@ -1269,13 +1314,27 @@ def test_reference_solve_forms_no_panels(monkeypatch):
         "phased_drive", "asymmetric_grid", "pick_beyond_the_zone", "empty_zone", "band_pick_beyond",
     ],
 )
-def test_first_zone_solve_falls_back_to_the_full_solve(operator, pick):
+def test_first_zone_solve_falls_back_to_the_full_solve(monkeypatch, operator, pick):
     """A phased (complex) drive, an operator that does not split, a pick
     outside the first-zone selection, also after the band route has read
     the zone, and a zone with no eigenvalue keep every vector, bit-equal to
-    the solve without a picker."""
+    the solve without a picker. After the band route, a pick outside the
+    selection goes straight to the full solve: both blocks are written and
+    solved in full, with no first-zone eigenpairs read off a dense T
+    (lapack.eigenpairs) after the band phase."""
     plain = diagonalize_hermitian(operator)
+    bands = []
+    solved = record_lapack_solves(monkeypatch, bands)
+    eigenpairs = lapack.eigenpairs
+
+    def recorded(reduced, ks):
+        solved.append("eigenpairs")
+        return eigenpairs(reduced, ks)
+
+    monkeypatch.setattr(lapack, "eigenpairs", recorded)
     system = diagonalize_hermitian(operator, reference=pick)
+    if bands:  # band_pick_beyond, the one narrow operator here
+        assert sorted(bands) == [283, 284] and solved == [*bands, 283, 284]
     assert all(sector.kept is None for sector in system.sectors)
     assert np.array_equal(system.values, plain.values)
     assert np.array_equal(dense_vectors(system), dense_vectors(plain))
@@ -1327,8 +1386,8 @@ def test_reference_picker_needs_a_sambe_operator():
 
 # The band route of a first-zone solve: when both sector bands are narrow,
 # both are reduced without Q side by side, the first-zone eigenpairs come
-# from bisection and banded inverse iteration, and only the row sector is
-# written and reduced densely.
+# from bisection and banded inverse iteration, and the row sector is solved
+# from its band for the dipole row.
 
 def band_zone_operator(drive=BAND_DRIVE, h=None):
     """The 81-point harmonic-grid Sambe operator on [-5, 5] at cutoff 3:
@@ -1339,8 +1398,9 @@ def band_zone_operator(drive=BAND_DRIVE, h=None):
 
 def test_first_zone_band_route_matches_the_full_solve(monkeypatch):
     """At Omega = 0.55 each sector holds one first-zone eigenpair. From
-    either pick, the solve reduces the two bands and one dense block, the
-    opposite sector's, with no fallback; its eigenvalues are the full
+    either pick, the solve reduces the two bands and solves the opposite
+    sector's band for the row, with no dense block and no fallback; its
+    eigenvalues are the full
     solve's within 1e-11, its kept vectors within 1e-12 up to sign, and
     |row| the full solve's |amplitudes| within 1e-12."""
     operator = band_zone_operator()
@@ -1355,7 +1415,8 @@ def test_first_zone_band_route_matches_the_full_solve(monkeypatch):
         with monkeypatch.context() as patch:
             solved = record_lapack_solves(patch, bands)
             system = diagonalize_hermitian(operator, reference=first_zone(index))
-        assert sorted(bands) == [283, 284] and solved[2:] == [284 if owners[index] == 1 else 283]
+        assert sorted(bands[:2]) == [283, 284] and bands[2:] == [284 if owners[index] == 1 else 283]
+        assert solved == bands
         assert np.max(np.abs(system.values - full.values)) <= 1e-11
         kept = np.concatenate([sector.ranks[sector.kept] for sector in system.sectors])
         assert sorted(kept.tolist()) == sorted(selection.source_indices)
@@ -1428,13 +1489,84 @@ def test_band_reduction_fault_is_raised_after_the_join(monkeypatch, failing):
     assert threading.active_count() == before
 
 
+def reversed_side_by_side(first, second):
+    """lapack.side_by_side with ``second`` run to its end before ``first``
+    starts: one order two concurrent calls may take."""
+    other = second()
+    return first(), other
+
+
+@pytest.mark.parametrize("schedule", ["two_threads", "second_first"])
+def test_band_rows_do_not_depend_on_the_schedule(monkeypatch, schedule):
+    """band_rows takes its values from a copy of the bidiagonal (dqds)
+    beside the solve that carries the probes, on a second thread when
+    OpenBLAS may use two: values and rows are those of the two solves run
+    in turn bit for bit, whether they run at once or the carrying solve
+    ends before the other starts, and no thread outlives the call."""
+    band = band_zone_operator().sector_band(-1).band
+    probes = np.random.default_rng(0).standard_normal((band.shape[1], 3))
+    with monkeypatch.context() as patch:
+        capped_threads(patch, 1)
+        expected_values, expected_rows = lapack.band_rows(band, probes)
+    capped_threads(monkeypatch, 2)
+    if schedule == "second_first":
+        monkeypatch.setattr(lapack, "side_by_side", reversed_side_by_side)
+    before = threading.active_count()
+    values, rows = lapack.band_rows(band, probes)
+    assert threading.active_count() == before
+    assert values.tobytes() == expected_values.tobytes()
+    assert rows.tobytes() == expected_rows.tobytes()
+
+
+def band_joint_operator():
+    """The 81-point harmonic-grid joint operator on [-10, 10] with 8
+    photons: sectors of 365 and 364, kd 9, so a rank-0 solve takes the band
+    route."""
+    grid = GridBasis(-10.0, 10.0, 81)
+    h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
+    fock = FockSpec(n_max=8, omega_c=0.9, g=0.05)
+    reflection = Reflection(basis_reversal(81)[0], np.ones(81))
+    return joint_operator(h, build_dipole(grid), fock, reflection)
+
+
+@pytest.mark.parametrize(
+    "make, reference",
+    [(band_zone_operator, first_zone(0)), (band_joint_operator, 0)],
+    ids=["first_zone", "rank_zero"],
+)
+def test_failed_band_row_solve_takes_the_dense_row_solve(monkeypatch, make, reference):
+    """A dbdsqr that reports info > 0 (its bidiagonal SVD did not converge)
+    sends the row sector to the dense row solve once the band route has
+    chosen: that block alone is written and reduced densely, and the
+    values are the same, the row sector's those of the full solve (dsytrd +
+    dstedc) bit for bit and the values-only sector's those of the band
+    route, with its dipole row within 1e-12 of the band route's."""
+    operator = make()
+    full = diagonalize_hermitian(operator)
+    banded = diagonalize_hermitian(operator, reference=reference)
+    capped_threads(monkeypatch, 2, dbdsqr=lambda *args: 1)
+    bands = []
+    solved = record_lapack_solves(monkeypatch, bands)
+    system = diagonalize_hermitian(operator, reference=reference)
+    position, opposite = row_sector(system)
+    assert solved == [*bands, opposite.ranks.size] and bands[-1] == opposite.ranks.size
+    assert system.values[opposite.ranks].tobytes() == (
+        full.values[full.sectors[position].ranks].tobytes()
+    )
+    own, expected = values_only_sector(system), values_only_sector(banded)
+    assert system.values[own.ranks].tobytes() == banded.values[expected.ranks].tobytes()
+    assert np.max(np.abs(system.values - banded.values)) <= 1e-11
+    row, band_row = opposite.row.amplitudes, row_sector(banded)[1].row.amplitudes
+    assert np.max(np.abs(np.abs(row) - np.abs(band_row))) <= 1e-12
+
+
 def test_band_route_orthogonalizes_a_cluster(monkeypatch):
     """With no drive, H_M shifted to E_0 = 0 and Omega = (E_2 - E_0) / 2,
     the replicas (n, -n) of levels 0-3 all lie in the S = +1 zone: (0, 0)
     and (2, -2) tie at rounding level, and all four lie far closer than
     dstein's ORTOL (1e-3 ||T||). The band route keeps four orthonormal
     vectors, each with its residual within m eps ||A||, spanning the full
-    solve's eigenspaces."""
+    solve's eigenspaces, and solves the S = -1 band for the row."""
     grid = GridBasis(x_min=-5.0, x_max=5.0, n_points=81)
     h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0)).matrix
     energies = np.linalg.eigvalsh(h)
@@ -1444,7 +1576,7 @@ def test_band_route_orthogonalizes_a_cluster(monkeypatch):
     bands = []
     solved = record_lapack_solves(monkeypatch, bands)
     system = diagonalize_hermitian(operator, reference=first_zone(0))
-    assert sorted(bands) == [283, 284] and solved[2:] == [284]
+    assert sorted(bands[:2]) == [283, 284] and bands[2:] == [284] and solved == bands
     sector = values_only_sector(system)
     kept = sector.ranks[sector.kept]
     values = system.values[kept]

@@ -627,16 +627,17 @@ def assert_matches_full_solve(operator, system, full, reference=0):
 
 def test_rank_zero_takes_the_band_route(monkeypatch):
     """On the 81-point grid with n_max = 8 (sectors 365 and 364, kd 9), a
-    rank-0 solve reduces the +1 sector as a band and only the -1 sector
-    densely, and matches the full solve. The band sector keeps the ground
-    vector only and no reflectors; the other holds the dipole row."""
+    rank-0 solve reduces the +1 sector as a band and solves the -1 sector
+    from its band for the row, with no dense block, and matches the full
+    solve. The band sector keeps the ground vector only and no reflectors;
+    the other holds the dipole row."""
     operator = band_joint()
     assert [operator.band_width(p) for p in (1, -1)] == [9, 9]
     full = diagonalize_hermitian(operator)
     bands = []
     solved = record_lapack_solves(monkeypatch, bands)
     system = diagonalize_hermitian(operator, reference=0)
-    assert solved == [365, 364] and bands == [365]
+    assert solved == bands == [365, 364]
     sector = values_only_sector(system)
     assert sector.ranks.size == 365 and sector.ranks[sector.kept].tolist() == [0]
     assert sector.reflectors.panels == ()
