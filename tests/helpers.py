@@ -11,11 +11,20 @@ import numpy as np
 
 from floqtrk import (
     FfbzSelection,
+    FockSpec,
+    GridBasis,
     InputError,
     Ledger,
+    MatterOperator,
     NumericError,
+    PotentialSpec,
+    Reflection,
     SpectralDensity,
+    basis_reversal,
+    build_dipole,
+    build_grid_hamiltonian,
     floquet,
+    joint_operator,
     lapack,
 )
 
@@ -202,3 +211,23 @@ def assert_band_is_sector(operator, parity):
         assert band[t, : m - t].tobytes() == np.diagonal(permuted, -t).tobytes()
     assert not np.any(np.tril(permuted, -kd - 1)) and not np.any(np.triu(permuted, kd + 1))
     return kd
+
+
+def band_joint(n_points=81, n_max=8, kinetic="three_point", signs=1.0, link=None):
+    """The joint operator of an ``n_points`` harmonic grid on [-10, 10]
+    with ``n_max`` photons and its reflection x -> -x, scaled by ``signs``;
+    ``link`` replaces the kinetic coupling across the grid's middle."""
+    grid = GridBasis(-10.0, 10.0, n_points)
+    h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0), kinetic)
+    if link is not None:
+        middle = n_points // 2
+        matrix = h.matrix.copy()
+        matrix[middle - 1, middle] = matrix[middle, middle - 1] = link
+        h = MatterOperator(matrix)
+    perm, _ = basis_reversal(n_points)
+    return joint_operator(
+        h,
+        build_dipole(grid),
+        FockSpec(n_max=n_max, omega_c=0.9, g=0.05),
+        Reflection(perm, np.full(n_points, signs)),
+    )

@@ -13,6 +13,7 @@ import oracles
 from helpers import (
     assert_band_is_sector,
     assert_same_spectrum,
+    band_joint,
     dense_vectors,
     record_lapack_solves,
     row_sector,
@@ -1518,20 +1519,9 @@ def test_band_rows_do_not_depend_on_the_schedule(monkeypatch, schedule):
     assert rows.tobytes() == expected_rows.tobytes()
 
 
-def band_joint_operator():
-    """The 81-point harmonic-grid joint operator on [-10, 10] with 8
-    photons: sectors of 365 and 364, kd 9, so a rank-0 solve takes the band
-    route."""
-    grid = GridBasis(-10.0, 10.0, 81)
-    h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
-    fock = FockSpec(n_max=8, omega_c=0.9, g=0.05)
-    reflection = Reflection(basis_reversal(81)[0], np.ones(81))
-    return joint_operator(h, build_dipole(grid), fock, reflection)
-
-
 @pytest.mark.parametrize(
     "make, reference",
-    [(band_zone_operator, first_zone(0)), (band_joint_operator, 0)],
+    [(band_zone_operator, first_zone(0)), (band_joint, 0)],
     ids=["first_zone", "rank_zero"],
 )
 def test_failed_band_row_solve_takes_the_dense_row_solve(monkeypatch, make, reference):

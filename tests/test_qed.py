@@ -7,6 +7,7 @@ import oracles
 from helpers import (
     assert_band_is_sector,
     assert_same_spectrum,
+    band_joint,
     dense_vectors,
     record_lapack_solves,
     row_sector,
@@ -551,26 +552,6 @@ def test_cutoff_family_lifts_the_matter_reflection(tmp_path, monkeypatch):
     for row, reference in zip(rows, dense):
         assert abs(row["value"] - reference.value) <= 1e-12 * abs(reference.value)
         assert abs(row["oracle_residual"]) <= 1e-12
-
-
-def band_joint(n_points=81, n_max=8, kinetic="three_point", signs=1.0, link=None):
-    """The joint operator of an ``n_points`` harmonic grid on [-10, 10]
-    with ``n_max`` photons and its reflection x -> -x, scaled by ``signs``;
-    ``link`` replaces the kinetic coupling across the grid's middle."""
-    grid = GridBasis(-10.0, 10.0, n_points)
-    h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0), kinetic)
-    if link is not None:
-        middle = n_points // 2
-        matrix = h.matrix.copy()
-        matrix[middle - 1, middle] = matrix[middle, middle - 1] = link
-        h = MatterOperator(matrix)
-    perm, _ = basis_reversal(n_points)
-    return joint_operator(
-        h,
-        build_dipole(grid),
-        FockSpec(n_max=n_max, omega_c=0.9, g=0.05),
-        Reflection(perm, np.full(n_points, signs)),
-    )
 
 
 @pytest.mark.parametrize("n_max", [4, 10])
