@@ -51,6 +51,7 @@ from .errors import ConfigError, InputError, NumericError, ZoneError
 from .floquet import (
     EigenSystem,
     FfbzSelection,
+    ProductOperator,
     Reflection,
     basis_reversal,
     diagonalize_hermitian,
@@ -822,7 +823,8 @@ def _static_reference(config: JobConfig) -> int:
 
 class _Matter(NamedTuple):
     """The matter operators of one job, the reflection its eigensolves try
-    and the H_M spectrum (None when the job needs none)."""
+    and the H_M spectrum, solved for the reference of the job's static
+    report (None when the job needs none)."""
 
     h: MatterOperator
     d: MatterOperator
@@ -837,16 +839,27 @@ class _Matter(NamedTuple):
 
 def _matter(config: JobConfig, stage: _Stage, solve: bool = True) -> _Matter:
     """Build the matter operators and, if ``solve``, diagonalize H_M, once
-    per job. The reflection is basis reversal (x -> -x) for grid models and
-    none for few-level models; on an asymmetric grid or potential it does
-    not commute, and each eigensolve is one unsplit solve."""
+    per job, for its static report's reference (a static job's own, 0 for
+    every other job): its eigenvector, its dipole row and every
+    eigenvalue. The reflection is basis reversal (x -> -x) for grid models
+    and none for few-level models; on an asymmetric grid or potential it
+    does not commute, and each eigensolve is one unsplit solve."""
     with stage("matter_build"):
         h, d, n_e = config.matter()
     reflection = basis_reversal(h.dim) if config.resolved["model"]["kind"] == "grid" else None
     system = None
     if solve:
         with stage("matter_eigensolve"):
-            system = diagonalize_hermitian(h.matrix, reflection=reflection)
+            operator = ProductOperator(
+                matter=h.matrix,
+                labels=np.zeros(1, dtype=int),
+                dipole=d.matrix,
+                coupling=np.zeros((1, 1)),
+                reflection=reflection,
+            )
+            static = config.resolved["job"] == "static_trk"
+            reference = _static_reference(config) if static else 0
+            system = diagonalize_hermitian(operator, reference=reference)
     return _Matter(h, d, n_e, reflection, system)
 
 
@@ -1271,13 +1284,8 @@ def _thread_limit(threads: int):
         )
         yield None
         return
-    set_threads, get_threads = control.set_num_threads, control.get_num_threads
-    previous = get_threads()
-    set_threads(threads)
-    try:
-        yield get_threads()
-    finally:
-        set_threads(previous)
+    with lapack.thread_cap(control, threads) as applied:
+        yield applied
 
 
 def _resolve_threads(cli_value: int | None) -> int:

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import lapack
 from .errors import ConfigError, InputError, NumericError, SizeError
-from .lapack import Reflectors
 from .model import DriveSpec, MatterOperator, _as_index, hermiticity_defect
 
 #: Dense-eigensolve guard for the truncated Sambe matrix.
@@ -104,31 +103,24 @@ class SectorBand(NamedTuple):
 
 
 class Sector(NamedTuple):
-    """The eigenpairs of one sector: column i of Q ``vectors`` (in
-    ``basis`` coordinates) is eigenvector ``ranks[i]`` of the merged
-    spectrum, with Q the orthogonal ``reflectors``.
+    """The eigenpairs of one sector: column i of ``vectors`` (in ``basis``
+    coordinates) is eigenvector ``ranks[i]`` of the merged spectrum.
 
-    A real block solved by LAPACK's ``dsytrd`` + ``dstedc``
-    (:func:`floqtrk.lapack.solve`) keeps Q = H_0 ... H_(m-2) of its
-    tridiagonal reduction and the tridiagonal eigenvectors Z as
-    ``vectors``; a complex block, or any block without that kernel, keeps
-    numpy's ``eigh`` eigenvectors and no reflectors (Q = 1).
-
-    A values-only sector keeps the eigenvectors of local indices ``kept``
-    (ascending): column i of ``vectors`` is eigenvector ``kept[i]``,
-    already in ``basis`` coordinates (Q = 1). ``kept`` is None when every
-    eigenvector is kept. A reference solve has two: the reference's own
-    sector (:func:`floqtrk.lapack.solve_values`), and the opposite one
+    A sector solved by numpy's ``eigh`` keeps every eigenvector, and
+    ``kept`` is None. A values-only sector keeps the eigenvectors of local
+    indices ``kept`` (ascending): column i of ``vectors`` is eigenvector
+    ``kept[i]``. Every sector of a reference solve is values-only: the
+    reference's own sector (:func:`floqtrk.lapack.solve_values`), and the
+    one that holds the reference's dipole ``row``
     (:func:`floqtrk.lapack.solve_rows` on a dense block, or
-    :func:`floqtrk.lapack.band_rows` on a narrow band), which also holds
-    the reference's dipole ``row``, the only products with its unkept
-    eigenvectors that were solved.
+    :func:`floqtrk.lapack.band_rows` on a narrow band), the only products
+    with its unkept eigenvectors that were solved. An operator that does
+    not split is one sector, which is both.
     """
 
     basis: SectorBasis
     vectors: np.ndarray
     ranks: np.ndarray
-    reflectors: Reflectors
     kept: np.ndarray | None = None
     row: DipoleRow | None = None
 
@@ -140,7 +132,6 @@ class _Solution(NamedTuple):
 
     values: np.ndarray
     vectors: np.ndarray
-    reflectors: Reflectors
     kept: np.ndarray | None = None
     row: np.ndarray | None = None
 
@@ -152,9 +143,8 @@ class EigenSystem:
 
     ``values[j]`` belongs to eigenvector j; :meth:`columns` gives a few of
     them in the original basis and :meth:`amplitudes` the products
-    conj(x) . v_j for every j, both read sector by sector, so a sector's
-    reflectors are applied only to the columns read and to x, never to all
-    of Z. The sectors' ``ranks`` must partition ``range(len(values))``.
+    conj(x) . v_j for every j, both read sector by sector. The sectors'
+    ``ranks`` must partition ``range(len(values))``.
 
     A values-only sector holds the eigenvalues and the eigenvectors it
     kept: :meth:`columns` refuses its others, and :meth:`amplitudes` gives
@@ -179,7 +169,7 @@ class EigenSystem:
         stops = np.cumsum([solution.values.size for _, solution in solved])
         ranks = np.split(np.argsort(ranking), stops[:-1])  # the inverse permutation
         sectors = [
-            Sector(basis, solution.vectors, r, solution.reflectors, solution.kept)
+            Sector(basis, solution.vectors, r, solution.kept)
             for (basis, solution), r in zip(solved, ranks)
         ]
         return cls(values[ranking], tuple(sectors))
@@ -195,14 +185,13 @@ class EigenSystem:
 
     def columns(self, indices: Iterable[int]) -> np.ndarray:
         """Eigenvectors ``indices`` in the original basis, one per column,
-        Fortran-ordered; a negative index counts from the end. Each sector
-        applies its reflectors to its own columns at once. An eigenvector a
-        values-only sector did not keep is refused."""
+        Fortran-ordered; a negative index counts from the end. An
+        eigenvector a values-only sector did not keep is refused."""
         wanted = np.array([self._position(j) for j in indices], dtype=np.intp)
         dtype = np.result_type(*(sector.vectors for sector in self.sectors))
         out = np.empty((self.dim, wanted.size), dtype=dtype, order="F")
         missing = np.ones(wanted.size, dtype=bool)
-        for basis, vectors, ranks, reflectors, kept, _ in self.sectors:
+        for basis, vectors, ranks, kept, _ in self.sectors:
             local = np.full(self.dim, -1)
             local[ranks] = np.arange(ranks.size)
             mine = local[wanted] >= 0
@@ -218,7 +207,7 @@ class EigenSystem:
                             f"eigenvector {wanted[mine][picked < 0][0]} lies in a values-only "
                             f"sector, which keeps only eigenvectors {ranks[kept].tolist()}"
                         )
-                out[:, mine] = basis.embed(reflectors.apply(vectors[:, picked]), self.dim)
+                out[:, mine] = basis.embed(vectors[:, picked], self.dim)
                 missing &= ~mine
         if np.any(missing):
             raise InputError(f"no sector holds eigenvector {wanted[missing][0]}")
@@ -254,10 +243,10 @@ class EigenSystem:
             raise InputError(f"expected a vector of length {self.dim}, got shape {x.shape}")
         dtype = np.result_type(x, *(sector.vectors for sector in self.sectors))
         amps = np.empty(self.dim, dtype=dtype)
-        for basis, vectors, ranks, reflectors, kept, row in self.sectors:
+        for basis, vectors, ranks, kept, row in self.sectors:
             coordinates = basis.coordinates(x)
             if kept is None:
-                amps[ranks] = reflectors.apply_transpose(coordinates).conj() @ vectors
+                amps[ranks] = coordinates.conj() @ vectors
                 continue
             if row is not None and reference == row.reference and dipole is row.dipole:
                 amps[ranks] = row.amplitudes
@@ -797,45 +786,53 @@ def diagonalize_hermitian(
     """Complete spectrum of a Hermitian matrix, eigenvalues ascending, as
     the sectors it was solved in (:class:`EigenSystem`).
 
-    A real block is reduced by LAPACK's ``dsytrd`` and solved by its
-    ``dstedc`` from numpy's bundled OpenBLAS (:mod:`floqtrk.lapack`): the
-    two steps of numpy's ``eigh`` (``dsyevd``) before it forms the
-    eigenvector matrix, so the eigenvalues are ``eigh``'s bit for bit and
-    each sector keeps its reflectors and tridiagonal eigenvectors instead. A
-    complex block, or any block when that library is absent, is solved by
-    numpy's ``eigh``. Exactly real-valued input is routed to the real path,
-    which is several times faster than the complex one at the dimensions
-    the dense guards allow. NaN or infinite entries raise NumericError
-    before any solve.
-
     ``matrix`` is a :class:`ProductOperator` or a dense array (with a
     ``reflection`` S, the operator with an outer space of size one). When
     the lifted reflection commutes (:attr:`ProductOperator.splits`), the
     S = +1 and S = -1 sector blocks are solved one at a time, two half-size
     solves at about a quarter of the flops. Otherwise the one sector is the
-    identity basis, solved on a copy of the array, or in place on
-    :meth:`~ProductOperator.toarray`, whose matrix the solve owns.
+    identity basis. Exactly real-valued input is routed to the real path,
+    which is several times faster than the complex one at the dimensions
+    the dense guards allow. NaN or infinite entries raise NumericError
+    before any solve.
 
-    With a ``reference``, an operator that splits and whose dipole is odd
-    (:attr:`ProductOperator.odd_dipole`) is solved for what a closure sum
-    from the reference reads. The dipole couples the reference only to the
-    opposite sector, so its own sector is solved values-only
-    (:func:`floqtrk.lapack.solve_values`): its eigenvalues and a few of its
-    eigenvectors, the reference's among them. The opposite sector keeps
-    its eigenvalues, the same few eigenvectors when the reference is
-    picked (none for a rank), and the reference's :class:`DipoleRow`
-    (:func:`floqtrk.lapack.solve_rows`): Q^T goes onto the probe
-    (1 (x) d) v_r before ``dstedc`` overwrites the reflectors with Z, which
-    is freed once the row is read, and no panels are formed. Both sectors
-    are reduced before either is solved, and the values-only one is solved
-    and freed first. On the band routes below, no sector block is written
-    densely: the row sector's eigenvalues and row come from its band
-    (:func:`floqtrk.lapack.band_rows`: the probe carried through
-    ``dgbbrd`` and ``dbdsqr`` of the band shifted positive definite, with
-    no Q, Z or m x m array), beside the values-only sector's ``dsterf``
-    on a second thread (:func:`floqtrk.lapack.side_by_side`); should
-    ``dgbbrd`` or ``dbdsqr`` report a failure, the row sector is written
-    and solved densely instead. The reference is
+    Without a ``reference`` each sector block is solved by numpy's
+    ``eigh``, and every eigenvector is kept.
+
+    With a ``reference``, an operator with a dipole d is solved for what a
+    closure sum from the reference reads: every eigenvalue, the
+    reference's eigenvector (with, for a picker, the other in-zone ones)
+    and the reference's :class:`DipoleRow`, the products of the probe
+    (1 (x) d) v_r with every eigenvector. No eigenvector matrix is formed.
+    A real block is reduced by LAPACK's ``dsytrd`` from numpy's bundled
+    OpenBLAS (:mod:`floqtrk.lapack`), or as a band by ``dsbtrd``, and its
+    eigenvalues are ``dstedc``'s, ``eigh``'s bit for bit, or ``dsterf``'s.
+
+    An operator that does not split is one sector: its
+    :meth:`~ProductOperator.toarray`, which the solve owns, is reduced once
+    in place, the kept eigenvectors come from its T by inverse iteration
+    (:func:`floqtrk.lapack.eigenpairs`), and ``dstedc`` then solves for
+    every eigenvalue and the row (:func:`floqtrk.lapack.solve_rows`).
+
+    An operator that splits and whose dipole is odd
+    (:attr:`ProductOperator.odd_dipole`) has the dipole couple the
+    reference only to the opposite sector, so its own sector is solved
+    values-only (:func:`floqtrk.lapack.solve_values`): its eigenvalues and
+    a few of its eigenvectors, the reference's among them. The opposite
+    sector keeps its eigenvalues, the same few eigenvectors when the
+    reference is picked (none for a rank), and the reference's row
+    (:func:`floqtrk.lapack.solve_rows`): Q^T goes onto the probe before
+    ``dstedc`` overwrites the reflectors with Z, which is freed once the
+    row is read. Both sectors are reduced before either is solved, and the
+    values-only one is solved and freed first. On the band routes below,
+    no sector block is written densely: the row sector's eigenvalues and
+    row come from its band (:func:`floqtrk.lapack.band_rows`: the probe
+    carried through ``dgbbrd`` and ``dbdsqr`` of the band shifted positive
+    definite, with no Q, Z or m x m array), beside the values-only
+    sector's ``dsterf`` on a second thread
+    (:func:`floqtrk.lapack.side_by_side`); should ``dgbbrd`` or ``dbdsqr``
+    report a failure, the row sector is written and solved densely
+    instead. The reference is
 
     * a rank r of the merged spectrum: the sector keeps eigenvector r. Which
       sector holds r is decided on the r + 1 lowest eigenvalues of each
@@ -865,15 +862,16 @@ def diagonalize_hermitian(
       picked sector's values from ``dsterf``, and the opposite band is
       solved for the row. What the bands cannot confirm (a declined
       reduction, an in-zone vector whose residual is above rounding) takes
-      the dense route. A picker whose index is outside the selection, or
-      a zone with no eigenvalue, leaves both sectors solved in full, on
-      either route.
+      the dense route.
 
-    Should the merged spectrum name another reference (a tie across the
-    sectors, or a pick that moves at rounding level), or hold an in-zone
-    eigenpair a values-only sector did not keep, the row belongs to
-    another reference, and the operator is solved again without one. Other
-    operators ignore ``reference``, as do complex blocks under a picker.
+    What a reference solve cannot serve is solved as without a reference:
+    a picker whose index is outside the selection, or a zone with no
+    eigenvalue; a merged spectrum that names another reference (a tie
+    across the sectors, or a pick that moves at rounding level) or holds
+    an in-zone eigenpair a values-only sector did not keep, where the row
+    belongs to another reference; a complex block; and a block LAPACK
+    declines unscaled. So are an operator without a dipole and a splitting
+    one whose dipole is not odd.
     """
     if isinstance(matrix, ProductOperator):
         if reflection is not None:
@@ -892,8 +890,11 @@ def diagonalize_hermitian(
         if not 0 <= _as_index(reference, "reference index") < dim:
             raise InputError(f"reference index {reference} outside spectrum of size {dim}")
         anchor = _RankAnchor(reference)
-    if anchor is not None and operator.splits and operator.odd_dipole:
-        return _solve_around(operator, anchor)
+    if anchor is not None and operator.dipole is not None:
+        if not operator.splits:
+            return _solve_unsplit(operator, anchor)
+        if operator.odd_dipole and operator._dtype == np.float64:
+            return _solve_around(operator, anchor)
     if operator.splits:
         blocks = (operator.sector(parity) for parity in (1, -1))
     else:
@@ -905,7 +906,7 @@ def diagonalize_hermitian(
         blocks = [(full, SectorBasis.identity(full.shape[0]))]
     solved = []
     for block, basis in blocks:
-        solved.append((basis, _eigensolve(block).solve()))
+        solved.append((basis, _eigh(block)))
         del block
     return EigenSystem.from_sectors(solved)
 
@@ -914,7 +915,8 @@ class _Choice(NamedTuple):
     """The sectors of a reference solve: the parity of the reference's own
     and the reference's local index there; for each parity, the run of
     local indices that sector keeps, and the eigenpairs of every non-empty
-    run, which the choice solved."""
+    run, which the choice solved. The one sector of an operator that does
+    not split has parity 1."""
 
     parity: int
     reference: int
@@ -934,11 +936,15 @@ class _RankAnchor(NamedTuple):
     rank: int
 
     def choose(self, solves: dict[int, tuple[SectorBasis, _BlockSolve]]) -> _Choice:
-        lowest = [solves[parity][1].lowest(self.rank + 1) for parity in (1, -1)]
-        # rank among both, a tie going to the +1 sector as in from_sectors
-        position = int(np.argsort(np.concatenate(lowest), kind="stable")[self.rank])
-        own, local = (1, position) if position < lowest[0].size else (-1, position - lowest[0].size)
-        return _Choice(own, local, {own: range(local, local + 1), -own: range(0)}, {})
+        lowest = {p: block_solve.lowest(self.rank + 1) for p, (_, block_solve) in solves.items()}
+        # rank among all, a tie going to the +1 sector as in from_sectors
+        local = int(np.argsort(np.concatenate(list(lowest.values())), kind="stable")[self.rank])
+        for own, values in lowest.items():
+            if local < values.size:
+                break
+            local -= values.size
+        kept = {p: range(local, local + 1) if p == own else range(0) for p in solves}
+        return _Choice(own, local, kept, {})
 
     def final_rank(self, system: EigenSystem) -> int:
         return self.rank
@@ -956,10 +962,8 @@ class _ZoneAnchor(NamedTuple):
         eigenpairs (:meth:`_BlockSolve.eigenpairs`, from a dense block's T or
         a band's); :data:`_UNCONFIRMED` when a band does not confirm a
         vector, for the dense route to choose again; None when nothing is
-        picked (an empty zone, a pick outside the selection, or ``eigh``
-        blocks, whose zone is not read), which no route can change."""
-        if any(block_solve.reduced is None for _, block_solve in solves.values()):
-            return None
+        picked (an empty zone or a pick outside the selection), which no
+        route can change."""
         half, dim = self.operator.frequency / 2, self.operator.shape[0]
         runs = {p: lapack.window(solves[p][1].reduced, -half, half) for p in solves}
         pairs = {}
@@ -1018,8 +1022,8 @@ def _narrow(operator: ProductOperator) -> bool:
 
 
 def _solve_around(operator: ProductOperator, anchor: _RankAnchor | _ZoneAnchor) -> EigenSystem:
-    """The two sectors of a splitting ``operator``, the one holding the
-    ``anchor``'s reference solved values-only and the other for the
+    """The two sectors of a splitting real ``operator``, the one holding
+    the ``anchor``'s reference solved values-only and the other for the
     reference's dipole row (:func:`diagonalize_hermitian`)."""
     choice = _UNCONFIRMED
     if isinstance(anchor, _RankAnchor):
@@ -1035,17 +1039,14 @@ def _solve_around(operator: ProductOperator, anchor: _RankAnchor | _ZoneAnchor) 
         solves = {}
         for parity in (1, -1):
             block, basis = operator.sector(parity)
-            solves[parity] = (basis, _eigensolve(block))
+            solves[parity] = (basis, _reduce(block))
             del block
-        choice = anchor.choose(solves)
+        declined = any(block_solve is None for _, block_solve in solves.values())
+        choice = None if declined else anchor.choose(solves)
     if choice is None:
-        # nothing to pick: every eigenpair; bands hold no Q, so after the
-        # band route both blocks are written and solved in full
-        if any(block_solve.band is not None for _, block_solve in solves.values()):
-            return diagonalize_hermitian(operator)
-        return EigenSystem.from_sectors(
-            [(basis, block_solve.solve()) for basis, block_solve in solves.values()]
-        )
+        # nothing picked, or a block LAPACK declines: every eigenpair
+        del solves
+        return diagonalize_hermitian(operator)
     own, reference = choice.parity, choice.reference
     ks, own_pairs = choice.kept[own], choice.pairs.get(own)
     kept, pairs = choice.kept[-own], choice.pairs.get(-own)
@@ -1053,10 +1054,9 @@ def _solve_around(operator: ProductOperator, anchor: _RankAnchor | _ZoneAnchor) 
     row_basis, row_solve = solves.pop(-own)
     lifted = ProductOperator(matter=operator.dipole, labels=operator.labels)
 
-    def probe_of(vectors: np.ndarray, local: np.ndarray | None) -> np.ndarray:
+    def probe_of(vectors: np.ndarray, local: np.ndarray) -> np.ndarray:
         # (1 (x) d) v_r in the row sector's coordinates, v_r a kept column
-        column = reference if local is None else int(np.searchsorted(local, reference))
-        psi = basis.embed(vectors[:, column], operator.shape[0])
+        psi = basis.embed(vectors[:, int(np.searchsorted(local, reference))], operator.shape[0])
         return row_basis.coordinates(lifted @ psi)
 
     if row_solve.band is None:
@@ -1074,26 +1074,66 @@ def _solve_around(operator: ProductOperator, anchor: _RankAnchor | _ZoneAnchor) 
         )
         if row_solution is None:
             # dgbbrd or dbdsqr failed: the row sector is written and reduced
-            block, _ = operator.sector(-own)
-            row_solution = _eigensolve(block).solve_row(probe, kept, pairs)
-            del block
+            row_solve = _reduce(operator.sector(-own)[0])
+            if row_solve is None:
+                return diagonalize_hermitian(operator)
+            row_solution = row_solve.solve_row(probe, kept, pairs)
     # Z is freed once its row is read
     del row_solve
     solved = {own: (basis, solution), -own: (row_basis, row_solution)}
-    system = EigenSystem.from_sectors([solved[1], solved[-1]])
-    sectors = list(system.sectors)
-    mine = 0 if own == 1 else 1
-    rank = int(sectors[mine].ranks[reference])
-    if any(sector.kept is not None for sector in sectors) and rank != anchor.final_rank(system):
-        # the merge ranked a tie across the sectors the other way round, or
-        # the pick moved with the opposite sector's rounding: the row
-        # belongs to another reference
+    return _merged(operator, anchor, [solved[1], solved[-1]], 0 if own == 1 else 1, reference)
+
+
+def _solve_unsplit(operator: ProductOperator, anchor: _RankAnchor | _ZoneAnchor) -> EigenSystem:
+    """The one sector of an ``operator`` that does not split, solved for the
+    ``anchor``'s reference and its dipole row (:func:`diagonalize_hermitian`):
+    numpy's ``eigh`` for a complex block or one LAPACK declines."""
+    full = _checked_hermitian(operator.toarray(), owned=True)
+    basis = SectorBasis.identity(full.shape[0])
+    block_solve = _reduce(full)
+    if block_solve is None:
+        return EigenSystem.from_sectors([(basis, _eigh(full))])
+    del full
+    choice = anchor.choose({1: (basis, block_solve)})
+    if choice is None:
+        # nothing picked: every eigenpair
+        del block_solve
         return diagonalize_hermitian(operator)
-    if row_solution.row is not None:
-        sectors[1 - mine] = sectors[1 - mine]._replace(
-            row=DipoleRow(rank, operator.dipole, row_solution.row)
-        )
-    return EigenSystem(system.values, tuple(sectors))
+    ks, reference = choice.kept[1], choice.reference
+    # the kept eigenpairs come off T before dstedc overwrites its reflectors
+    pairs = choice.pairs[1] if choice.pairs else block_solve.eigenpairs(ks)
+    lifted = ProductOperator(matter=operator.dipole, labels=operator.labels)
+    probe = lifted @ pairs[1][:, reference - ks.start]
+    solution = block_solve.solve_row(probe, ks, pairs)
+    del block_solve
+    return _merged(operator, anchor, [(basis, solution)], 0, reference)
+
+
+def _merged(
+    operator: ProductOperator,
+    anchor: _RankAnchor | _ZoneAnchor,
+    solved: list[tuple[SectorBasis, _Solution]],
+    own: int,
+    reference: int,
+) -> EigenSystem:
+    """The merged spectrum of the ``solved`` sectors of a reference solve,
+    whose reference is local index ``reference`` of ``solved[own]``, with
+    the :class:`DipoleRow` of the solution that holds a row.
+
+    Should the merged spectrum name another reference than the anchor's
+    (the merge ranked a tie across the sectors the other way round, or the
+    pick moved with the row sector's rounding), the row belongs to another
+    reference, and ``operator`` is solved again without one."""
+    system = EigenSystem.from_sectors(solved)
+    rank = int(system.sectors[own].ranks[reference])
+    if rank != anchor.final_rank(system):
+        return diagonalize_hermitian(operator)
+    sectors = tuple(
+        sector if solution.row is None
+        else sector._replace(row=DipoleRow(rank, operator.dipole, solution.row))
+        for sector, (_, solution) in zip(system.sectors, solved)
+    )
+    return EigenSystem(system.values, sectors)
 
 
 def _banded_ground(
@@ -1181,23 +1221,17 @@ def _checked_hermitian(matrix: np.ndarray, owned: bool = False) -> np.ndarray:
 
 
 class _BlockSolve(NamedTuple):
-    """One Hermitian block between the two steps of its solve: LAPACK's
-    tridiagonal reduction of a real block, or, for a complex block or
-    without that kernel, numpy's whole ``eigh`` solution (``values``,
-    ``vectors``). A block read as a ``band`` is not solved for Z: reduced
-    from its band without Q, it gives its values and eigenpairs, and its
-    row is solved from the band (the qed route's row sector is not reduced
-    at all, so ``reduced`` is None)."""
+    """One real block between the two steps of a reference solve: LAPACK's
+    tridiagonal reduction of the block. A block read as a ``band`` is not
+    solved for Z: reduced from its band without Q, it gives its values and
+    eigenpairs, and its row is solved from the band (the qed route's row
+    sector is not reduced at all, so ``reduced`` is None)."""
 
     reduced: lapack.Tridiagonal | None
-    values: np.ndarray | None = None
-    vectors: np.ndarray | None = None
     band: SectorBand | None = None
 
     def lowest(self, count: int) -> np.ndarray:
         """The ``count`` lowest eigenvalues, ascending."""
-        if self.reduced is None:
-            return self.values[:count]
         return lapack.lowest(self.reduced, count)
 
     def eigenpairs(self, ks: range) -> tuple[np.ndarray, np.ndarray] | None:
@@ -1216,22 +1250,13 @@ class _BlockSolve(NamedTuple):
         columns[self.band.order] = vectors  # band position r is coordinate order[r]
         return values, columns
 
-    def solve(self) -> _Solution:
-        """Every eigenpair."""
-        if self.reduced is None:
-            return _Solution(self.values, self.vectors, Reflectors())
-        return _Solution(*lapack.solve(self.reduced))
-
     def solve_values(
         self, ks: range, pairs: tuple[np.ndarray, np.ndarray] | None = None
     ) -> _Solution:
         """Every eigenvalue and eigenvectors ``ks``, a run whose eigenpairs
-        are ``pairs`` when already solved (every eigenpair when ``eigh``
-        has already solved the block)."""
-        if self.reduced is None:
-            return self.solve()
+        are ``pairs`` when already solved."""
         values, vectors = lapack.solve_values(self.reduced, ks, pairs)
-        return _Solution(values, vectors, Reflectors(), kept=np.arange(ks.start, ks.stop))
+        return _Solution(values, vectors, kept=np.arange(ks.start, ks.stop))
 
     def solve_row(
         self, probe: np.ndarray, ks: range, pairs: tuple[np.ndarray, np.ndarray] | None
@@ -1240,35 +1265,34 @@ class _BlockSolve(NamedTuple):
         eigenvector, and eigenvectors ``ks``, a run whose eigenpairs are
         ``pairs`` (None for an empty run): from the band of a block read as
         one (:func:`floqtrk.lapack.band_rows`; None when that fails), or
-        from the reduced block (:func:`floqtrk.lapack.solve_rows`); every
-        eigenpair and no row when ``eigh`` has already solved the block."""
+        from the reduced block (:func:`floqtrk.lapack.solve_rows`)."""
         if self.band is not None:
             found = lapack.band_rows(self.band.band, probe[self.band.order][:, None])
             if found is None:
                 return None
             values, rows = found
-        elif self.reduced is None:
-            return self.solve()
         else:
             values, rows = lapack.solve_rows(self.reduced, probe[:, None])
         vectors = pairs[1] if ks else np.zeros((probe.size, 0))
-        return _Solution(
-            values, vectors, Reflectors(), kept=np.arange(ks.start, ks.stop), row=rows[0].conj()
-        )
+        return _Solution(values, vectors, kept=np.arange(ks.start, ks.stop), row=rows[0].conj())
 
 
-def _eigensolve(block: np.ndarray) -> _BlockSolve:
-    """The first step of the solve of one Hermitian block, which it may
-    overwrite: the package's one entry into LAPACK, taken once per block."""
-    if block.dtype == np.float64:
-        reduced = lapack.reduce(block)
-        if reduced is not None:
-            return _BlockSolve(reduced)
+def _reduce(block: np.ndarray) -> _BlockSolve | None:
+    """The tridiagonal reduction of one Hermitian block of a reference
+    solve, which overwrites it: the package's one dense reduction
+    (:func:`floqtrk.lapack.reduce`). None for a complex block, or one the
+    kernel declines."""
+    reduced = lapack.reduce(block) if block.dtype == np.float64 else None
+    return None if reduced is None else _BlockSolve(reduced)
+
+
+def _eigh(block: np.ndarray) -> _Solution:
+    """Every eigenpair of one Hermitian block, by numpy's ``eigh``."""
     try:
         values, vectors = np.linalg.eigh(block)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed: {exc}") from exc
-    return _BlockSolve(None, values, vectors)
+    return _Solution(values, vectors)
 
 
 def fold_quasienergies(values: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarray]:

@@ -7,13 +7,11 @@ prefixed ``scipy_`` and suffixed ``64_``) in ``numpy.libs``; its
 ``dsyevd`` reduces A = Q T Q^T (``dsytrd``), solves T = Z diag(w) Z^T
 (``dstedc``, compz = 'I') and forms the eigenvector matrix Q Z
 (``dormtr``), an O(m^3) step with 2 m^2 of workspace. Here the reduction
-(:func:`reduce`) and the tridiagonal solve are two steps. :func:`solve`
-runs ``dstedc`` only, so its eigenvalues are those of ``eigh`` bit for
-bit, and keeps Q as its Householder reflectors (:class:`Reflectors`), so a
-caller applies Q to the few columns of Z it reads. :func:`solve_rows`
-keeps the same eigenvalues and only the rows x^T Q Z of a few probe
-vectors x: Q^T goes onto the probes while the reflectors are still in the
-reduced block, Z then overwrites them, and no panels are formed.
+(:func:`reduce`) and the tridiagonal solve are two steps, and no
+eigenvector matrix is formed. :func:`solve_rows` runs ``dstedc``, so its
+eigenvalues are those of ``eigh`` bit for bit, and keeps only the rows
+x^T Q Z of a few probe vectors x: Q^T goes onto the probes while the
+reflectors are still in the reduced block, and Z then overwrites them.
 :func:`solve_values` keeps the eigenvalues (:func:`eigenvalues`:
 ``dsterf``, which ``dstedc`` runs for compz = 'N') and the eigenvectors
 of one run of indices (:func:`eigenpairs`: bisection, inverse iteration
@@ -40,12 +38,13 @@ thread.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
 import threading
 from pathlib import Path
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -56,14 +55,19 @@ First, Second = TypeVar("First"), TypeVar("Second")
 #: LAPACKE's matrix_layout value for column-major arrays.
 _COL_MAJOR = 102
 
-#: Reflectors per compact-WY panel of :class:`Reflectors`.
-PANEL = 64
-
 # dsyevd rescales A when max |A| (of its lower triangle) is outside
 # [_RMIN, _RMAX]; such blocks, and those within a factor 2 of a bound, take
 # numpy's eigh
 _SMLNUM = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 _RMIN, _RMAX = math.sqrt(_SMLNUM), math.sqrt(1.0 / _SMLNUM)
+
+
+def _unscaled(a: np.ndarray) -> bool:
+    """Whether LAPACK takes the entries ``a`` of a block unscaled: ``a`` is
+    not empty, and max |a| is zero or inside [_RMIN, _RMAX] by more than a
+    factor 2 (False for a NaN)."""
+    scale = max(a.max(initial=0.0), -a.min(initial=0.0))
+    return a.size > 0 and (scale == 0.0 or 2 * _RMIN < scale < _RMAX / 2)
 
 
 class OpenBlas(NamedTuple):
@@ -73,7 +77,6 @@ class OpenBlas(NamedTuple):
     get_num_threads: Callable
     dsytrd: Callable
     dstedc: Callable
-    dlarft: Callable
     dstebz: Callable
     dstein: Callable
     dormtr: Callable
@@ -106,10 +109,6 @@ def _bind(library: ctypes.CDLL) -> OpenBlas:
         ),
         dstedc=routine(
             "scipy_LAPACKE_dstedc64_", ctypes.c_int, char, int64, vector, vector, matrix, int64
-        ),
-        dlarft=routine(
-            "scipy_LAPACKE_dlarft64_",
-            ctypes.c_int, char, char, int64, int64, matrix, int64, vector, matrix, int64,
         ),
         dstebz=routine(
             "scipy_LAPACKE_dstebz64_",
@@ -162,8 +161,8 @@ def bundled_libraries() -> list[Path]:
 def openblas() -> OpenBlas | None:
     """The OpenBLAS bundled with numpy (:func:`bundled_libraries`), or None
     when that library or one of its routines is absent. ``--threads`` caps
-    this library's threads, and :func:`reduce` and the solves call its
-    LAPACK."""
+    this library's threads (:func:`thread_cap`), and :func:`reduce` and the
+    solves call its LAPACK."""
     for path in bundled_libraries():
         try:
             return _bind(ctypes.CDLL(str(path)))
@@ -172,40 +171,26 @@ def openblas() -> OpenBlas | None:
     return None
 
 
+@contextlib.contextmanager
+def thread_cap(library: OpenBlas, threads: int) -> Iterator[int]:
+    """``library`` capped at ``threads`` threads inside the block; yields the
+    count read back. The previous count is restored on exit."""
+    previous = library.get_num_threads()
+    library.set_num_threads(threads)
+    try:
+        yield library.get_num_threads()
+    finally:
+        library.set_num_threads(previous)
+
+
 def eigensolver_name() -> str:
-    """The routines that solve a real symmetric block in this process: the
-    dense reduction and its tridiagonal solve, the band reduction with its
-    values-only solve, and the band solve for rows."""
+    """The routines that solve a real symmetric block of a reference solve
+    in this process: the dense reduction and its tridiagonal solve, the
+    band reduction with its values-only solve, and the band solve for rows.
+    A solve with no reference is numpy's ``eigh``."""
     if openblas() is None:
         return "numpy.linalg.eigh"
     return "LAPACK dsytrd+dstedc, dsbtrd+dsterf, dgbbrd+dbdsqr"
-
-
-class Reflectors(NamedTuple):
-    """Q = H_0 H_1 ... H_(m-2) of a tridiagonal reduction, as compact-WY
-    panels (start, v, t): the product of the reflectors of one panel is
-    I - v t v^T on rows start:, v unit lower trapezoidal, t upper
-    triangular. No panels is Q = 1."""
-
-    panels: tuple[tuple[int, np.ndarray, np.ndarray], ...] = ()
-
-    def _apply(self, y: np.ndarray, transpose: bool) -> np.ndarray:
-        out = np.array(y, dtype=np.result_type(y, np.float64), order="C")
-        # a complex column is two real columns: Q is real
-        work = out.reshape(out.shape[0], -1).view(np.float64)
-        # Q = P_0 P_1 ..., so Q y applies the last panel first
-        for start, v, t in self.panels if transpose else self.panels[::-1]:
-            rows = work[start:]
-            rows -= v @ ((t.T if transpose else t) @ (v.T @ rows))
-        return out
-
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        """Q z for a vector, or each column of a matrix, ``z``."""
-        return self._apply(z, transpose=False)
-
-    def apply_transpose(self, y: np.ndarray) -> np.ndarray:
-        """Q^T y for a vector, or each column of a matrix, ``y``."""
-        return self._apply(y, transpose=True)
 
 
 def _check(info: int, failure: str = "Eigenvalues did not converge") -> None:
@@ -240,35 +225,11 @@ def reduce(a: np.ndarray) -> Tridiagonal | None:
     m = a.shape[0]
     if a.shape != (m, m):
         raise InputError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(a.max(initial=0.0), -a.min(initial=0.0))
-    if library is None or not m or not (scale == 0.0 or 2 * _RMIN < scale < _RMAX / 2):
+    if library is None or not _unscaled(a):
         return None
     d, e, tau = np.empty(m), np.empty(m - 1), np.empty(m - 1)
     _check(library.dsytrd(_COL_MAJOR, b"L", m, a, m, d, e, tau))
     return Tridiagonal(a, d, e, tau)
-
-
-def solve(reduced: Tridiagonal) -> tuple[np.ndarray, np.ndarray, Reflectors]:
-    """Eigenvalues w (ascending), tridiagonal eigenvectors Z and reflectors
-    Q of A = (Q Z) diag(w) (Q Z)^T: ``dstedc`` (compz 'I') on T. Z takes
-    the buffer of ``reduced.a`` once the reflectors are copied out into
-    panels."""
-    library = openblas()
-    a, d, e, tau = reduced
-    m = d.size
-    panels = []
-    for k in range(0, m - 1, PANEL):
-        # reflector j is I - tau_j v v^T, v = e_(j+1) + a[j+2:, j]
-        size = min(PANEL, m - 1 - k)
-        v = np.array(a[k + 1 :, k : k + size], order="F")  # the one copy
-        v[np.triu_indices(size, 1)] = 0.0
-        np.fill_diagonal(v, 1.0)
-        t = np.zeros((size, size), order="F")
-        rows = v.shape[0]
-        _check(library.dlarft(_COL_MAJOR, b"F", b"C", rows, size, v, rows, tau[k:], t, size))
-        panels.append((k + 1, v, t))
-    _check(library.dstedc(_COL_MAJOR, b"I", m, d, e, a, m))
-    return d, a, Reflectors(tuple(panels))
 
 
 def solve_rows(reduced: Tridiagonal, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,8 +239,8 @@ def solve_rows(reduced: Tridiagonal, probes: np.ndarray) -> tuple[np.ndarray, np
 
     ``dormtr`` applies Q^T to the probes while the reflectors are still in
     ``reduced.a``; ``dstedc`` (compz 'I') then overwrites them with Z, so
-    the values are :func:`solve`'s bit for bit. No panels are formed, and Z
-    is read once: the buffer of ``reduced.a`` is spent.
+    the values are those of ``eigh`` bit for bit. Z is read once: the
+    buffer of ``reduced.a`` is spent.
     """
     library = openblas()
     a, d, e, tau = reduced
@@ -433,8 +394,7 @@ def band_reduce(band: np.ndarray) -> Tridiagonal | None:
     """
     library = openblas()
     kd, m = band.shape[0] - 1, band.shape[1]
-    scale = max(band.max(initial=0.0), -band.min(initial=0.0))
-    if library is None or not m or not (scale == 0.0 or 2 * _RMIN < scale < _RMAX / 2):
+    if library is None or not _unscaled(band):
         return None
     ab = np.array(band, order="F")
     d, e, unused = np.empty(m), np.empty(m - 1), np.zeros((1, 1), order="F")
@@ -480,6 +440,19 @@ def _band_product(band: np.ndarray, x: np.ndarray) -> np.ndarray:
         y[t:] += band[t, : m - t] * x[: m - t]
         y[: m - t] += band[t, : m - t] * x[t:]
     return y
+
+
+def _general_band(band: np.ndarray, diagonal: np.ndarray, above: int) -> np.ndarray:
+    """The symmetric A of the lower ``band`` with ``diagonal`` on its
+    diagonal, in LAPACK's general band storage with ``above`` >= kd rows
+    over the diagonal row: A[i, j] at row ``above`` + i - j."""
+    kd, m = band.shape[0] - 1, band.shape[1]
+    ab = np.zeros((above + kd + 1, m), order="F")
+    ab[above] = diagonal
+    for t in range(1, kd + 1):
+        ab[above + t, : m - t] = band[t, : m - t]
+        ab[above - t, t:] = band[t, : m - t]
+    return ab
 
 
 def _band_margin(band: np.ndarray) -> float:
@@ -530,12 +503,8 @@ def band_eigenvector(
     library = openblas()
     kd, m = band.shape[0] - 1, band.shape[1]
     margin = _band_margin(band)
-    # general band storage: A[i, j] at row 2 kd + i - j, kd rows for fill-in
-    lu = np.zeros((3 * kd + 1, m), order="F")
-    lu[2 * kd] = band[0] - value
-    for t in range(1, kd + 1):
-        lu[2 * kd + t, : m - t] = band[t, : m - t]
-        lu[2 * kd - t, t:] = band[t, : m - t]
+    # kd more rows above for the fill-in of dgbtrf
+    lu = _general_band(band, band[0] - value, 2 * kd)
     pivots = np.zeros(m, dtype=np.int64)
     # info > 0 names an exactly zero pivot, raised below
     _check(min(library.dgbtrf(_COL_MAJOR, m, m, kd, kd, lu, 3 * kd + 1, pivots), 0))
@@ -625,18 +594,12 @@ def band_rows(band: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndar
     kd, m = band.shape[0] - 1, band.shape[1]
     if probes.ndim != 2 or probes.shape[0] != m:
         raise InputError(f"expected probes of shape ({m}, k), got shape {probes.shape}")
-    scale = max(band.max(initial=0.0), -band.min(initial=0.0))
-    if library is None or not m or not (scale == 0.0 or 2 * _RMIN < scale < _RMAX / 2):
+    if library is None or not _unscaled(band):
         return None
     radii = _band_product(np.abs(band), np.ones(m)) - np.abs(band[0])
     low, high = float(np.min(band[0] - radii)), float(np.max(band[0] + radii))
     shift = max(CLUSTER_RTOL * (high - low), np.finfo(np.float64).tiny) - low
-    # general band storage, kl = ku = kd: A[i, j] at row kd + i - j
-    ab = np.zeros((2 * kd + 1, m), order="F")
-    ab[kd] = band[0] + shift
-    for t in range(1, kd + 1):
-        ab[kd + t, : m - t] = band[t, : m - t]
-        ab[kd - t, t:] = band[t, : m - t]
+    ab = _general_band(band, band[0] + shift, kd)
     carried = np.array(probes, dtype=np.float64, order="F")
     k = carried.shape[1]
     d, e, unused = np.empty(m), np.empty(m - 1), np.zeros((1, 1), order="F")

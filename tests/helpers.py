@@ -32,7 +32,8 @@ from floqtrk import (
 def dense_vectors(system):
     """The n x n eigenvector matrix of an ``EigenSystem``, Fortran-ordered,
     column j the eigenvector of ``values[j]``: every column read from the
-    sectors, reflectors applied to all of each Z."""
+    sectors; a values-only sector refuses the eigenvectors it did not
+    keep."""
     return system.columns(range(system.dim))
 
 
@@ -113,8 +114,9 @@ def select_reference_joint(system, matter_ground, fock_dim):
 
 
 def record_lapack_solves(monkeypatch, bands=None):
-    """Patch ``floquet._eigensolve``, the package's one block-solve entry,
-    ``lapack.band_reduce``, which reduces a sector band, and
+    """Patch ``floquet._reduce`` and ``floquet._eigh``, the package's two
+    dense block-solve entries (a reference solve's reduction and numpy's
+    ``eigh``), ``lapack.band_reduce``, which reduces a sector band, and
     ``lapack.band_rows``, which solves a sector band for its row, with
     recorders; returns the list the dimension of each block solve is
     appended to, in the order of the solves; two bands reduced side by
@@ -122,12 +124,15 @@ def record_lapack_solves(monkeypatch, bands=None):
     each band solve, a reduction or a row solve, is also appended to
     ``bands``, when given, so a solve that wrote no dense block records
     the same list twice."""
-    dense, banded, rows = floquet._eigensolve, lapack.band_reduce, lapack.band_rows
+    banded, rows = lapack.band_reduce, lapack.band_rows
     dims = []
 
-    def recorder(block):
-        dims.append(block.shape[0])
-        return dense(block)
+    def recorder(solve):
+        def recorded(block):
+            dims.append(block.shape[0])
+            return solve(block)
+
+        return recorded
 
     def band_recorder(solve):
         def recorded(band, *args):
@@ -138,7 +143,8 @@ def record_lapack_solves(monkeypatch, bands=None):
 
         return recorded
 
-    monkeypatch.setattr(floquet, "_eigensolve", recorder)
+    for name in ("_reduce", "_eigh"):
+        monkeypatch.setattr(floquet, name, recorder(getattr(floquet, name)))
     monkeypatch.setattr(lapack, "band_reduce", band_recorder(banded))
     monkeypatch.setattr(lapack, "band_rows", band_recorder(rows))
     return dims

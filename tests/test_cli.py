@@ -712,6 +712,44 @@ def test_symmetric_grid_jobs_solve_only_parity_sectors(tmp_path, monkeypatch, te
     assert solved == dims
 
 
+GRID_DRIVE = "drive: {omega: 0.35, components: [{harmonic: 1, amplitude: 0.05}]}\n"
+REFERENCE_ROUTE_JOBS = {
+    "floquet": "job: floquet\n" + GRID_21 + "sambe: {harmonic_cutoff: 2}\n" + GRID_DRIVE,
+    "qed_h0": "job: qed\n" + GRID_21 + "qed: {h0_diagnostic: true}\n"
+    "fock: {n_max: 3, omega_c: 0.9, g: 0.05}\n",
+    "converge_harmonic": "job: converge\nconverge: {axis: harmonic_cutoff, values: [2, 3]}\n"
+    + GRID_21 + GRID_DRIVE,
+    "converge_fock": "job: converge\nconverge: {axis: fock_n_max, values: [2, 3, 4]}\n"
+    + GRID_21 + "fock: {omega_c: 0.9, g: 0.05}\n",
+    "static": "job: static_trk\n" + GRID_21,
+    "static_reference_2": "job: static_trk\n" + GRID_21 + "reference: 2\n",
+    "static_two_electron": "job: static_trk\nmodel: {n_electrons: 2, grid: {n_points: 15}}\n",
+    "few_level_static": "job: static_trk\n" + THREE_LEVEL_MODEL,
+    "few_level_floquet": FLOQUET_JOB,
+    "few_level_qed": QED_JOB,
+    "asymmetric_floquet": "job: floquet\nmodel: {grid: {n_points: 21, x_max: 12.0}}\n"
+    "sambe: {harmonic_cutoff: 2}\n" + GRID_DRIVE,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_ROUTE_JOBS))
+def test_jobs_solve_every_operator_for_its_reference(tmp_path, monkeypatch, name):
+    """Every eigensolve of a job on a real operator names its reference, as
+    the sums read one reference's eigenvector and dipole row: each block
+    is reduced (densely or as a band), and numpy's eigh, the solve without
+    a reference, never runs."""
+    eigh, calls = np.linalg.eigh, []
+
+    def recorded(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    solved = record_lapack_solves(monkeypatch)
+    run_job(load_config(config_file(tmp_path, REFERENCE_ROUTE_JOBS[name])))
+    assert solved and calls == []
+
+
 @pytest.mark.parametrize(
     "text, dim",
     [
@@ -828,8 +866,10 @@ def test_band_route_holds_no_sector_matrix(tmp_path, monkeypatch):
 
 
 def test_floquet_band_route_holds_no_sector_matrix(tmp_path, monkeypatch):
-    """Each member of the 101-point harmonic-cutoff scan (cutoffs 3, 4, 5;
-    sectors of m ~ dim/2, kd = 2 N_h + 1) reduces both sector bands, picks
+    """After the matter ground's band solve (the +1 band of 51 reduced, the
+    -1 band of 50 solved for the row), each member of the 101-point
+    harmonic-cutoff scan (cutoffs 3, 4, 5; sectors of m ~ dim/2,
+    kd = 2 N_h + 1) reduces both sector bands, picks
     its reference on their first-zone eigenpairs, then solves the row
     sector from its band: no sector block is written densely, and the
     numpy allocations traced during its Sambe solve peak at most 0.5 m^2
@@ -860,9 +900,10 @@ def test_floquet_band_route_holds_no_sector_matrix(tmp_path, monkeypatch):
         run_job(config)
     finally:
         tracemalloc.stop()
-    assert len(bands) == 9 and solved[-9:] == bands
+    matter, sambe = bands[:2], bands[2:]
+    assert matter == [51, 50] and len(sambe) == 9 and solved == bands
     for member, sizes in enumerate([(353, 354), (454, 455), (555, 556)]):
-        first = bands[3 * member : 3 * member + 3]
+        first = sambe[3 * member : 3 * member + 3]
         assert sorted(first[:2]) == list(sizes) and first[2] in sizes
     for cutoff in (3, 4, 5):
         m = 101 * (2 * cutoff + 1) / 2
@@ -919,8 +960,9 @@ def assert_same_first_zone(routed, full):
 @pytest.mark.parametrize("name", sorted(GRID_FLOQUET_JOBS))
 def test_first_zone_route_matches_the_full_solve(tmp_path, monkeypatch, name):
     """On a symmetric grid, a floquet job with the reference 'auto' or any
-    explicit representative solves one sector values-only, and matches the
-    job solved in full; a reference past the zone is refused as before."""
+    explicit representative solves one sector of its Sambe operator
+    values-only, as its matter solve does, and matches the job solved in
+    full; a reference past the zone is refused as before."""
     base = GRID_FLOQUET_JOBS[name]
     count = len(run_job(load_config(config_file(tmp_path, base))).spectrum["index"])
     assert count >= 4
@@ -935,7 +977,7 @@ def test_first_zone_route_matches_the_full_solve(tmp_path, monkeypatch, name):
             full = run_job(config)
         calls = values_only_solves(monkeypatch)
         routed = run_job(config)
-        assert len(calls) == 1
+        assert len(calls) == 2  # matter and Sambe
         assert_same_first_zone(routed, full)
         # the reference's own sector, at least half the rows, reads exact zeros
         sambe = dict(routed.reports)["sambe"].contributions
@@ -943,10 +985,11 @@ def test_first_zone_route_matches_the_full_solve(tmp_path, monkeypatch, name):
 
 
 def test_wide_grid_job_takes_the_first_zone_band_route(tmp_path, monkeypatch):
-    """The 81-point job at cutoff 3 reduces its matter sectors (41, 40),
-    then both Sambe sector bands side by side, and solves the row sector's
-    band for the row, for every reference: no dense Sambe block and no
-    fallback re-solve."""
+    """The 81-point job at cutoff 3 solves its matter ground on the band
+    route (the +1 band of 41 reduced, the -1 band of 40 solved for the
+    row), then reduces both Sambe sector bands side by side, and solves the
+    row sector's band for the row, for every reference: no dense block and
+    no fallback re-solve."""
     base = GRID_FLOQUET_JOBS["grid81"]
     for reference in ["auto", *range(5)]:
         config = load_config(config_file(tmp_path, base + f"reference: {reference}\n"))
@@ -954,13 +997,16 @@ def test_wide_grid_job_takes_the_first_zone_band_route(tmp_path, monkeypatch):
         with monkeypatch.context() as patch:
             solved = record_lapack_solves(patch, bands)
             run_job(config)
-        assert sorted(bands[:2]) == [283, 284] and len(bands) == 3 and bands[2] in (283, 284)
-        assert solved == [41, 40, *bands]
+        matter, sambe = bands[:2], bands[2:]
+        assert matter == [41, 40]
+        assert sorted(sambe[:2]) == [283, 284] and len(sambe) == 3 and sambe[2] in (283, 284)
+        assert solved == bands
 
 
 def test_harmonic_converge_route_matches_the_full_solve(tmp_path, monkeypatch):
     """A harmonic-cutoff scan takes the first-zone route at every cutoff,
-    and its rows match the scan solved in full within 1e-12 relative."""
+    after its matter solve, and its rows match the scan solved in full
+    within 1e-12 relative."""
     text = (
         "job: converge\nconverge: {axis: harmonic_cutoff, values: [2, 3]}\n" + GRID_21
         + "drive: {omega: 0.9, components: [{harmonic: 1, amplitude: 0.2}]}\n"
@@ -971,7 +1017,7 @@ def test_harmonic_converge_route_matches_the_full_solve(tmp_path, monkeypatch):
         full = run_job(config)
     calls = values_only_solves(monkeypatch)
     routed = run_job(config)
-    assert len(calls) == 2
+    assert len(calls) == 3  # matter, then each cutoff
     assert routed.warnings == full.warnings
     for row, expected in zip(routed.convergence, full.convergence):
         assert abs(row["value"] - expected["value"]) <= 1e-12 * abs(expected["value"])
@@ -1012,7 +1058,8 @@ def test_first_zone_flags_are_warned_once(tmp_path, capsys, command):
 @pytest.mark.parametrize("axis", ["harmonic", "fock"])
 def test_converge_final_report_is_the_last_row(tmp_path, axis):
     """The report of a scan is the last member's report. A photon-cutoff
-    scan's qed report equals a fresh build and solve of that member; a
+    scan's qed report equals a fresh build and solve of that member for
+    its reference; a
     harmonic-cutoff scan's ffbz report equals the floquet job's at that
     cutoff."""
     text = HARMONIC_CONVERGE_JOB if axis == "harmonic" else FOCK_CONVERGE_JOB
@@ -1032,7 +1079,7 @@ def test_converge_final_report_is_the_last_row(tmp_path, axis):
     fock = FockSpec(n_max=10, omega_c=0.9, g=0.3)
     h_joint = joint_operator(h, d, fock)
     fresh = sumrule_qed(
-        h_joint, floquet.diagonalize_hermitian(h_joint), 0, n_electrons=1
+        h_joint, floquet.diagonalize_hermitian(h_joint, reference=0), 0, n_electrons=1
     )
     assert final == cli._sumrule_payload(fresh)
 

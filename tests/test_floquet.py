@@ -1,10 +1,11 @@
 """Sambe operators, eigensolves, folding, and replica shifts."""
 
+import ast
 import ctypes
 import threading
 import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +47,8 @@ from floqtrk import (
     fold_quasienergies,
     joint_operator,
     sambe_operator,
+    sumrule_qed,
+    sumrule_sambe,
 )
 from floqtrk import lapack
 
@@ -339,7 +342,8 @@ def test_diagonalize_rejects_non_finite(monkeypatch, entry, split):
 def test_lapack_failure_is_a_numeric_error(monkeypatch, path, split, dims):
     """A failed eigensolve surfaces as NumericError, on the dense path and
     on the sector path: a LinAlgError of numpy's eigh, and a dstedc info > 0
-    of the LAPACK kernel, give the same message."""
+    of the LAPACK kernel, give the same message. The kernel's dstedc runs
+    in a reference solve, here of rank 1, which takes the dense route."""
     solved = []
 
     def failing(a, *args, **kwargs):
@@ -350,19 +354,28 @@ def test_lapack_failure_is_a_numeric_error(monkeypatch, path, split, dims):
         solved.append(n)
         return 1  # an eigenvalue did not converge
 
+    matrix = np.diag([1.0, 2.0, 2.0, 1.0])
+    reflection = basis_reversal(4) if split else None
     if path == "fallback":
         monkeypatch.setattr(lapack, "openblas", lambda: None)
         monkeypatch.setattr(np.linalg, "eigh", failing)
+        target, options = matrix, {"reflection": reflection}
     else:
         library = lapack.openblas()
         if library is None:
             pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
         monkeypatch.setattr(lapack, "openblas", lambda: library._replace(dstedc=failing_dstedc))
+        target = ProductOperator(
+            matter=matrix,
+            labels=np.zeros(1, dtype=int),
+            dipole=np.diag([-1.5, -0.5, 0.5, 1.5]),
+            coupling=np.zeros((1, 1)),
+            reflection=reflection,
+        )
+        options = {"reference": 1}
     message = "^eigensolver failed: Eigenvalues did not converge$"
     with pytest.raises(NumericError, match=message):
-        diagonalize_hermitian(
-            np.diag([1.0, 2.0, 2.0, 1.0]), reflection=basis_reversal(4) if split else None
-        )
+        diagonalize_hermitian(target, **options)
     assert solved == dims
 
 
@@ -534,6 +547,20 @@ def test_bundled_openblas_binds_every_routine():
         pytest.fail(f"numpy's OpenBLAS is not bound, so real blocks run eigh: {errors}")
 
 
+def test_every_bound_routine_is_called():
+    """Each routine of ``lapack.OpenBlas`` is called in ``lapack.py``
+    outside ``_bind``, so a binding no code uses fails here."""
+    tree = ast.parse(Path(lapack.__file__).read_text(encoding="utf-8"))
+    called = {
+        node.func.attr
+        for top in tree.body
+        if not (isinstance(top, ast.FunctionDef) and top.name == "_bind")
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    assert [name for name in lapack.OpenBlas._fields if name not in called] == []
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -546,29 +573,36 @@ def test_bundled_openblas_binds_every_routine():
     ids=["n1", "n2", "signed_zeros", "degenerate_diag", "grid_sector"],
 )
 def test_lapack_kernel_keeps_the_eigenvalues_of_eigh(make):
-    """A real block solved by dsytrd + dstedc has numpy eigh's eigenvalues
-    bit for bit and eigenvectors Q Z at its rounding level; column(j) and
-    amplitudes(x) agree with Q Z within 64 m eps, and the input is left
-    untouched."""
+    """A real block solved for a reference by dsytrd + dstedc has the
+    eigenvalues of numpy's eigh on the operator's matrix (its toarray(),
+    whose zeros are +0.0) bit for bit, and the input is left untouched. Each
+    reference's column is a unit eigenvector of its value within 64 m eps
+    (orthogonal to eigh's columns of the other values), and its dipole row
+    agrees with eigh's eigenvectors V within 64 m eps ||x||, for x the
+    probe d psi the row was solved for."""
     if lapack.openblas() is None:
         pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
     block = make()
     kept = block.copy()
-    values = np.linalg.eigh(block)[0]
-    system = diagonalize_hermitian(block)
-    assert np.array_equal(block, kept)
-    assert system.values.tobytes() == values.tobytes()
     n = block.shape[0]
-    assert len(system.sectors[0].reflectors.panels) == -(-(n - 1) // lapack.PANEL)
-    assert_same_spectrum(block, system, SimpleNamespace(values=values))
     tol = 64 * n * np.finfo(np.float64).eps
-    v = dense_vectors(system)
-    for j in sorted({0, n // 2, n - 1}):
-        assert np.max(np.abs(system.column(j) - v[:, j])) <= tol
-    x = np.random.default_rng(n).standard_normal(n)
-    x /= np.linalg.norm(x)
-    for y in (x, x + 1j * x[::-1]):
-        assert np.max(np.abs(system.amplitudes(y) - y.conj() @ v)) <= 2 * tol
+    d = np.random.default_rng(n).standard_normal((n, n))
+    d += d.T
+    operator = ProductOperator(
+        matter=block, labels=np.zeros(1, dtype=int), dipole=d, coupling=np.zeros((1, 1))
+    )
+    values, v = np.linalg.eigh(operator.toarray())
+    for reference in sorted({0, n // 2, n - 1}):
+        system = diagonalize_hermitian(operator, reference=reference)
+        assert np.array_equal(block, kept)
+        assert system.values.tobytes() == values.tobytes()
+        psi = system.column(reference)
+        assert abs(np.linalg.norm(psi) - 1.0) <= tol
+        others = v[:, values != values[reference]]
+        assert np.max(np.abs(others.T @ psi), initial=0.0) <= tol
+        x = d @ psi
+        row = system.amplitudes(x, reference=reference, dipole=d)
+        assert np.max(np.abs(row - x @ v)) <= tol * np.linalg.norm(x)
 
 
 def one_index_solve(reduced, k):
@@ -1064,14 +1098,12 @@ def test_dense_fallback_is_the_unsplit_solve(monkeypatch, matrix, reflection):
 
 def test_unsplit_operator_is_solved_in_place():
     """An operator that does not split writes its matrix once, in Fortran
-    order, and LAPACK reduces that array in place: the numpy allocations
-    of the solve peak below 1.75 n^2 doubles (the matrix and a C-ordered
-    copy, 2 n^2, before), with the eigenvalues of the solve of a copy bit
-    for bit. A caller's array is still copied, since the solve overwrites
-    what it reduces. tracemalloc counts numpy's allocations only, not the
-    n^2 + 4n + 1 doubles LAPACKE_dstedc allocates for its workspace; with
-    those counted (LAPACKE_dstedc_work fed numpy arrays) this solve peaks
-    at 2.73 n^2."""
+    order, and a reference solve reduces that array in place: the numpy
+    allocations of the solve peak below 1.75 n^2 doubles (the matrix and a
+    C-ordered copy, 2 n^2, before), with the eigenvalues of eigh on a copy
+    bit for bit. A caller's array is left as it was. tracemalloc counts
+    numpy's allocations only, not the workspace LAPACKE_dstedc allocates
+    (n^2 + 4n + 1 doubles)."""
     grid = GridBasis(x_min=-8.0, x_max=10.0, n_points=60)
     h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
     operator = sambe_operator(h, build_dipole(grid), REAL_DRIVE, 4, basis_reversal(60))
@@ -1085,7 +1117,7 @@ def test_unsplit_operator_is_solved_in_place():
     del full, kept
     tracemalloc.start()
     try:
-        system = diagonalize_hermitian(operator)
+        system = diagonalize_hermitian(operator, reference=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1259,16 +1291,16 @@ def test_first_zone_dipole_row_matches_the_full_solve():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 17, 64, 65, 129, 301])
 def test_row_solve_keeps_the_values_of_the_full_solve(m):
-    """solve_rows on a random symmetric block of size m has solve's
-    eigenvalues bit for bit, and its rows are (Q Z)^T x within
-    64 m eps ||x|| for one real probe and for three probes, one complex."""
+    """solve_rows on a random symmetric block of size m has eigh's
+    eigenvalues bit for bit, and its rows are V^T x, V eigh's eigenvectors,
+    within 64 m eps ||x|| for one real probe and for three probes, one
+    complex."""
     if lapack.openblas() is None:
         pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
     rng = np.random.default_rng(m)
     a = rng.standard_normal((m, m))
     a += a.T
-    values, z, reflectors = lapack.solve(lapack.reduce(np.array(a, order="F")))
-    v = reflectors.apply(z)
+    values, v = np.linalg.eigh(a)
     probes = rng.standard_normal((m, 3)).astype(complex)
     probes[:, 2] += 1j * rng.standard_normal(m)
     eps = np.finfo(np.float64).eps
@@ -1280,46 +1312,28 @@ def test_row_solve_keeps_the_values_of_the_full_solve(m):
         assert np.all(np.abs(rows - x.T @ v) <= bound)
 
 
-def test_reference_solve_forms_no_panels(monkeypatch):
-    """Neither sector of a reference solve copies its reflectors into
-    compact-WY panels: no dlarft call, for a first-zone pick or a joint
-    rank. The solve without a reference forms two panels per sector."""
-    library = lapack.openblas()
-    if library is None:
-        pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
-    calls = []
-
-    def dlarft(*args):
-        calls.append(args[4])  # the panel's reflector count
-        return library.dlarft(*args)
-
-    monkeypatch.setattr(lapack, "openblas", lambda: library._replace(dlarft=dlarft))
-    operator = grid_operator(REAL_DRIVE)
-    diagonalize_hermitian(operator, reference=first_zone(0))
-    diagonalize_hermitian(matvec_operators(5.0)["joint"], reference=0)
-    assert calls == []
-    diagonalize_hermitian(operator)
-    assert calls == [64, 8, 64, 9]
-
-
 @pytest.mark.parametrize(
     "operator, pick",
     [
         (grid_operator(COMPLEX_DRIVE), first_zone(0)),
-        (grid_operator(REAL_DRIVE, x_max=6.0), first_zone(0)),
         (grid_operator(REAL_DRIVE), first_zone(2)),
+        (grid_operator(REAL_DRIVE, x_max=6.0), first_zone(3)),
         (grid_operator(DriveSpec(omega=0.7), cutoff=0), first_zone(0)),
         (grid_operator(BAND_DRIVE, cutoff=3, n_points=81), first_zone(2)),
     ],
     ids=[
-        "phased_drive", "asymmetric_grid", "pick_beyond_the_zone", "empty_zone", "band_pick_beyond",
+        "phased_drive",
+        "pick_beyond_the_zone",
+        "unsplit_pick_beyond",
+        "empty_zone",
+        "band_pick_beyond",
     ],
 )
 def test_first_zone_solve_falls_back_to_the_full_solve(monkeypatch, operator, pick):
-    """A phased (complex) drive, an operator that does not split, a pick
-    outside the first-zone selection, also after the band route has read
-    the zone, and a zone with no eigenvalue keep every vector, bit-equal to
-    the solve without a picker. After the band route, a pick outside the
+    """A phased (complex) drive, a pick outside the first-zone selection,
+    also of an operator that does not split or after the band route has
+    read the zone, and a zone with no eigenvalue keep every vector,
+    bit-equal to the solve without a picker. After the band route, a pick outside the
     selection goes straight to the full solve: both blocks are written and
     solved in full, with no first-zone eigenpairs read off a dense T
     (lapack.eigenpairs) after the band phase."""
@@ -1339,6 +1353,51 @@ def test_first_zone_solve_falls_back_to_the_full_solve(monkeypatch, operator, pi
     assert all(sector.kept is None for sector in system.sectors)
     assert np.array_equal(system.values, plain.values)
     assert np.array_equal(dense_vectors(system), dense_vectors(plain))
+
+
+@pytest.mark.parametrize(
+    "operator, reference",
+    [
+        (grid_operator(REAL_DRIVE, x_max=6.0), first_zone(0)),
+        (grid_operator(REAL_DRIVE, x_max=6.0), first_zone(2)),
+        (matvec_operators(6.0)["joint"], 0),
+        (matvec_operators(6.0)["joint"], 5),
+    ],
+    ids=["asymmetric_grid", "asymmetric_grid_pick_2", "joint_rank_0", "joint_rank_5"],
+)
+def test_unsplit_reference_solve_matches_the_full_solve(monkeypatch, operator, reference):
+    """An operator that does not split (here, on an asymmetric grid) is the
+    one sector of a reference solve: its matrix is reduced once, and no
+    eigh runs. The sector keeps the reference's eigenvector (for a picker,
+    every first-zone one) and its dipole row. The eigenvalues are the full
+    solve's bit for bit, the selection names the same eigenpairs, the
+    reference vector is the full solve's within 1e-12 up to sign, and the
+    closure sum from it matches within 1e-12 relative, with a closure
+    residual at most 1e-12 relative."""
+    full = diagonalize_hermitian(operator)
+    assert not operator.splits
+    solved = record_lapack_solves(monkeypatch)
+    system = diagonalize_hermitian(operator, reference=reference)
+    assert solved == [operator.shape[0]]
+    (sector,) = system.sectors
+    assert system.values.tobytes() == full.values.tobytes()
+    if callable(reference):
+        selection = fold_and_select_ffbz(system, operator)
+        assert selection.source_indices == fold_and_select_ffbz(full, operator).source_indices
+        rank = selection.source_indices[reference(selection)]
+        assert set(selection.source_indices) <= set(sector.kept.tolist())
+        rule = sumrule_sambe
+    else:
+        rank = reference
+        assert sector.kept.tolist() == [rank]
+        rule = sumrule_qed
+    assert sector.row.reference == rank
+    psi, expected = system.column(rank), full.column(rank)
+    assert np.max(np.abs(psi * np.sign(psi @ expected) - expected)) <= 1e-12
+    report = rule(operator, system, rank, n_electrons=1)
+    exact = rule(operator, full, rank, n_electrons=1)
+    assert abs(report.value - exact.value) <= 1e-12 * abs(exact.value)
+    assert abs(report.oracle_residual) <= 1e-12 * abs(report.value)
 
 
 def narrowed_window(monkeypatch):
