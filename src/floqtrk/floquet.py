@@ -825,27 +825,29 @@ def diagonalize_hermitian(
     ``dstedc`` overwrites the reflectors with Z, which is freed once the
     row is read. Both sectors are reduced before either is solved, and the
     values-only one is solved and freed first. On the band routes below,
-    no sector block is written densely: the row sector's eigenvalues and
-    row come from its band (:func:`floqtrk.lapack.band_rows`: the probe
-    carried through ``dgbbrd`` and ``dbdsqr`` of the band shifted positive
-    definite, with no Q, Z or m x m array), beside the values-only
-    sector's ``dsterf`` on a second thread
-    (:func:`floqtrk.lapack.side_by_side`); should ``dgbbrd`` or ``dbdsqr``
-    report a failure, the row sector is written and solved densely
-    instead. The reference is
+    no sector block is written densely: both sector bands are reduced
+    without Q, each sector's eigenvalues come from its T (``dsterf``),
+    and the row from the row sector's band
+    (:func:`floqtrk.lapack.band_rows`: the probe carried through the
+    bidiagonal reduction of the band's banded Cholesky factor and its
+    divide and conquer SVD, with no Q, Z or m x m array) while both
+    ``dsterf`` run on a second thread (:func:`floqtrk.lapack.side_by_side`);
+    should the band row solve report a failure, the row sector is written
+    and solved densely instead. The reference is
 
     * a rank r of the merged spectrum: the sector keeps eigenvector r. Which
       sector holds r is decided on the r + 1 lowest eigenvalues of each
       tridiagonal block. For r = 0 of a real operator whose sector blocks
       are narrow bands in (matter coordinate, outer index) order
       (:meth:`ProductOperator.band_width`, at most m / :data:`BAND_RATIO`),
-      the +1 sector is tried first as a band, and never written or reduced
-      densely: ``dsbtrd`` without Q, its lowest eigenvalue confirmed as
-      the ground by a banded Cholesky factorization of the -1 band, every
-      eigenvalue from ``dsterf`` and the ground vector from banded inverse
-      iteration (:func:`_banded_ground`); the -1 band is solved for the
-      row. What the band cannot confirm (a ground in the -1 sector, a tie,
-      a vector whose residual is above rounding) takes the dense route;
+      the +1 sector is tried first as a band, and neither sector is
+      written or reduced densely: both bands are reduced without Q side by
+      side, the +1 sector's lowest eigenvalue is confirmed as the ground by
+      a banded Cholesky factorization of the -1 band and its vector comes
+      from banded inverse iteration (:func:`_banded_ground`); the -1 band
+      is solved for the row. What the band cannot confirm (a ground in the
+      -1 sector, a tie, a vector whose residual is above rounding) takes
+      the dense route;
     * or, for a :func:`sambe_operator`, a picker, which maps a first-zone
       selection (:func:`fold_and_select_ffbz`) to the index of the
       reference representative. It is first called on the eigenpairs of
@@ -1065,19 +1067,22 @@ def _solve_around(operator: ProductOperator, anchor: _RankAnchor | _ZoneAnchor) 
         del own_solve
         row_solution = row_solve.solve_row(probe_of(solution.vectors, solution.kept), kept, pairs)
     else:
-        # the row sector is solved from its band, and the values-only
-        # sector's dsterf runs beside it: each on one core
+        # the row sector's band is solved for the row, and both sectors'
+        # dsterf run beside it: each on one core
         probe = probe_of(own_pairs[1], np.arange(ks.start, ks.stop))
-        solution, row_solution = lapack.side_by_side(
-            lambda: own_solve.solve_values(ks, own_pairs),
-            lambda: row_solve.solve_row(probe, kept, pairs),
+        band = row_solve.band
+        (solution, values), rows = lapack.side_by_side(
+            lambda: (own_solve.solve_values(ks, own_pairs), lapack.eigenvalues(row_solve.reduced)),
+            lambda: lapack.band_rows(band.band, probe[band.order][:, None]),
         )
-        if row_solution is None:
-            # dgbbrd or dbdsqr failed: the row sector is written and reduced
+        if rows is None:
+            # the band row solve failed: the row sector is written and reduced
             row_solve = _reduce(operator.sector(-own)[0])
             if row_solve is None:
                 return diagonalize_hermitian(operator)
             row_solution = row_solve.solve_row(probe, kept, pairs)
+        else:
+            row_solution = _row_solution(values, rows, kept, pairs)
     # Z is freed once its row is read
     del row_solve
     solved = {own: (basis, solution), -own: (row_basis, row_solution)}
@@ -1143,36 +1148,32 @@ def _banded_ground(
     sector bands: the ground and its vector in the +1 sector; None when
     this cannot be confirmed, for the dense route to choose.
 
-    Both sector blocks are read as bands (:meth:`ProductOperator.sector_band`)
-    and only when each is narrow (:func:`_narrow`). The +1 band
-    is reduced without Q (``dsbtrd``) and its lowest eigenvalue lambda
-    found by bisection on T. Lambda is the ground when every -1 eigenvalue
+    Both sector blocks are read as bands and reduced without Q side by
+    side (:func:`_band_solves`), and only when each is narrow
+    (:func:`_narrow`). The lowest eigenvalue lambda of the +1 band is found
+    by bisection on its T. Lambda is the ground when every -1 eigenvalue
     lies above it beyond rounding: the banded Cholesky factorization of the
     -1 band shifted by lambda and the margin exists
     (:func:`floqtrk.lapack.band_above`), which fails on a tie. The ground
     vector comes from banded inverse iteration at lambda, refused unless
     its residual is at rounding level. The +1 sector is then solved
-    values-only from T, and the -1 sector for the row from its band alone,
-    which is never reduced.
+    values-only from its T, and the -1 sector for the row from its band,
+    its values from its T.
     """
     if not _narrow(operator):
         return None
-    plus, minus = (operator.sector_band(p) for p in (1, -1))
-    reduced = lapack.band_reduce(plus.band)
-    if reduced is None:
+    solves = _band_solves(operator)
+    if solves is None:
         return None
-    ground = lapack.lowest(reduced, 1)
-    if not lapack.band_above(minus.band, float(ground[0])):
+    plus, minus = (solves[p][1] for p in (1, -1))
+    ground = lapack.lowest(plus.reduced, 1)
+    if not lapack.band_above(minus.band.band, float(ground[0])):
         return None
-    vector = lapack.band_eigenvector(plus.band, float(ground[0]))
+    vector = lapack.band_eigenvector(plus.band.band, float(ground[0]))
     if vector is None:
         return None
-    column = np.empty((plus.order.size, 1))
-    column[plus.order, 0] = vector
-    solves = {
-        1: (operator._basis(1), _BlockSolve(reduced, band=plus)),
-        -1: (operator._basis(-1), _BlockSolve(None, band=minus)),
-    }
+    column = np.empty((plus.band.order.size, 1))
+    column[plus.band.order, 0] = vector
     return solves, _Choice(1, 0, {1: range(1), -1: range(0)}, {1: (ground, column)})
 
 
@@ -1224,10 +1225,9 @@ class _BlockSolve(NamedTuple):
     """One real block between the two steps of a reference solve: LAPACK's
     tridiagonal reduction of the block. A block read as a ``band`` is not
     solved for Z: reduced from its band without Q, it gives its values and
-    eigenpairs, and its row is solved from the band (the qed route's row
-    sector is not reduced at all, so ``reduced`` is None)."""
+    eigenpairs, and its row is solved from the band."""
 
-    reduced: lapack.Tridiagonal | None
+    reduced: lapack.Tridiagonal
     band: SectorBand | None = None
 
     def lowest(self, count: int) -> np.ndarray:
@@ -1260,21 +1260,27 @@ class _BlockSolve(NamedTuple):
 
     def solve_row(
         self, probe: np.ndarray, ks: range, pairs: tuple[np.ndarray, np.ndarray] | None
-    ) -> _Solution | None:
-        """Every eigenvalue, the row conj(probe) . v_j over every
-        eigenvector, and eigenvectors ``ks``, a run whose eigenpairs are
-        ``pairs`` (None for an empty run): from the band of a block read as
-        one (:func:`floqtrk.lapack.band_rows`; None when that fails), or
-        from the reduced block (:func:`floqtrk.lapack.solve_rows`)."""
-        if self.band is not None:
-            found = lapack.band_rows(self.band.band, probe[self.band.order][:, None])
-            if found is None:
-                return None
-            values, rows = found
-        else:
-            values, rows = lapack.solve_rows(self.reduced, probe[:, None])
-        vectors = pairs[1] if ks else np.zeros((probe.size, 0))
-        return _Solution(values, vectors, kept=np.arange(ks.start, ks.stop), row=rows[0].conj())
+    ) -> _Solution:
+        """Every eigenvalue and the row conj(probe) . v_j over every
+        eigenvector of a dense reduced block
+        (:func:`floqtrk.lapack.solve_rows`), with its eigenvectors ``ks``
+        (:func:`_row_solution`). A block read as a band is solved for its
+        row by :func:`_solve_around` instead."""
+        values, rows = lapack.solve_rows(self.reduced, probe[:, None])
+        return _row_solution(values, rows, ks, pairs)
+
+
+def _row_solution(
+    values: np.ndarray,
+    rows: np.ndarray,
+    ks: range,
+    pairs: tuple[np.ndarray, np.ndarray] | None,
+) -> _Solution:
+    """The solution of a row sector with eigenvalues ``values`` and the row
+    ``rows[0]`` (probe . v_j, stored conjugated), which keeps eigenvectors
+    ``ks``, a run whose eigenpairs are ``pairs`` (None for an empty run)."""
+    vectors = pairs[1] if ks else np.zeros((values.size, 0))
+    return _Solution(values, vectors, kept=np.arange(ks.start, ks.stop), row=rows[0].conj())
 
 
 def _reduce(block: np.ndarray) -> _BlockSolve | None:

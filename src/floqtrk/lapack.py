@@ -27,13 +27,17 @@ factorization (``dpbtrf``) whether every eigenvalue lies above a value,
 :func:`band_eigenvector` solves for one eigenvector by inverse iteration
 on the banded LU factors (``dgbtrf``, ``dgbtrs``), and
 :func:`band_eigenpairs` for those of one run of indices, orthogonalized
-within a cluster as ``dstein`` does. :func:`band_rows` gives every
-eigenvalue and the rows of a few probes, as :func:`solve_rows` does, from
-the band alone: the probes ride through the bidiagonal reduction of the
-band shifted positive definite (``dgbbrd``) and its singular value solve
-(``dbdsqr``), so no Q or Z is formed. Those band routines run on one core,
-and :func:`side_by_side` runs two of them at once, one on a second
-thread.
+within a cluster as ``dstein`` does. :func:`band_rows` gives the rows of
+a few probes over every eigenvector, as :func:`solve_rows` does, from the
+band alone, in the order of the eigenvalues :func:`eigenvalues` gives on
+its T: the probes ride through the bidiagonal reduction (``dgbbrd``) of
+the banded Cholesky factor (``dpbtrf``) of the band shifted positive
+definite, then through LAPACK's divide and conquer for that bidiagonal's
+singular value decomposition, taken one block at a time (``dlasdq`` on
+each small block, ``dlasd6`` to merge two, ``dlals0`` to apply the
+merge's left singular vectors), so no Q, U or Z is formed. The band
+routines run on one core, and :func:`side_by_side` runs two of them at
+once, one on a second thread.
 """
 
 from __future__ import annotations
@@ -86,7 +90,9 @@ class OpenBlas(NamedTuple):
     dgbtrf: Callable
     dgbtrs: Callable
     dgbbrd: Callable
-    dbdsqr: Callable
+    dlasdq: Callable
+    dlasd6: Callable
+    dlals0: Callable
 
 
 def _bind(library: ctypes.CDLL) -> OpenBlas:
@@ -100,6 +106,28 @@ def _bind(library: ctypes.CDLL) -> OpenBlas:
     matrix = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS,WRITEABLE")
     vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     indices = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+
+    def subroutine(name, kinds):
+        # a Fortran subroutine with no LAPACKE wrapper, every argument by
+        # reference: for each letter of ``kinds`` an integer ("i"), a double
+        # ("d"), a character ("c", its length passed after all of them) or
+        # an array's address ("p"); then INFO, which the call returns
+        strings = kinds.count("c")
+        argtypes = [ctypes.c_void_p] * (len(kinds) + 1) + [ctypes.c_size_t] * strings
+        function = routine(name, *argtypes, restype=None)
+        scalar = {"i": int64, "d": double, "c": char}
+
+        def call(*args):
+            info = int64()
+            function(
+                *(ctypes.byref(scalar[k](a)) if k in scalar else a for k, a in zip(kinds, args)),
+                ctypes.byref(info),
+                *[1] * strings,
+            )
+            return info.value
+
+        return call
+
     return OpenBlas(
         set_num_threads=routine("scipy_openblas_set_num_threads64_", ctypes.c_int, restype=None),
         get_num_threads=routine("scipy_openblas_get_num_threads64_", restype=ctypes.c_int),
@@ -143,11 +171,9 @@ def _bind(library: ctypes.CDLL) -> OpenBlas:
             ctypes.c_int, char, int64, int64, int64, int64, int64, matrix, int64, vector, vector,
             matrix, int64, matrix, int64, matrix, int64,
         ),
-        dbdsqr=routine(
-            "scipy_LAPACKE_dbdsqr64_",
-            ctypes.c_int, char, int64, int64, int64, int64, vector, vector, matrix, int64,
-            matrix, int64, matrix, int64,
-        ),
+        dlasdq=subroutine("scipy_dlasdq_64_", "ciiiiipppipipip"),
+        dlasd6=subroutine("scipy_dlasd6_64_", "iiiipppddppppipippppppppp"),
+        dlals0=subroutine("scipy_dlals0_64_", "iiiiipipipppipipppppppp"),
     )
 
 
@@ -190,7 +216,7 @@ def eigensolver_name() -> str:
     A solve with no reference is numpy's ``eigh``."""
     if openblas() is None:
         return "numpy.linalg.eigh"
-    return "LAPACK dsytrd+dstedc, dsbtrd+dsterf, dgbbrd+dbdsqr"
+    return "LAPACK dsytrd+dstedc, dsbtrd+dsterf, dpbtrf+dgbbrd+dlasdq+dlasd6+dlals0"
 
 
 def _check(info: int, failure: str = "Eigenvalues did not converge") -> None:
@@ -404,12 +430,12 @@ def band_reduce(band: np.ndarray) -> Tridiagonal | None:
 
 def side_by_side(first: Callable[[], First], second: Callable[[], Second]) -> tuple[First, Second]:
     """``first()`` and ``second()``, two calls that share nothing. The band
-    routines (``dsbtrd``, ``dgbbrd``, ``dbdsqr``, ``dsterf``) run on one
-    core, so when OpenBLAS may use two threads ``first`` runs on a second
-    thread while the calling thread runs ``second``; with one thread
-    (``--threads 1``) both run on the calling thread, in turn. Each result
-    is the same bit for bit either way. An exception of the second thread
-    is raised here once it has ended; no thread outlives the call."""
+    routines (``dsbtrd``, ``dsterf`` and those of :func:`band_rows`) run
+    on one core, so when OpenBLAS may use two threads ``first`` runs on a
+    second thread while the calling thread runs ``second``; with one
+    thread (``--threads 1``) both run on the calling thread, in turn. Each
+    result is the same bit for bit either way. An exception of the second
+    thread is raised here once it has ended; no thread outlives the call."""
     library = openblas()
     if library is None or library.get_num_threads() < 2:
         return first(), second()
@@ -566,29 +592,47 @@ def band_eigenpairs(
     return w, vectors
 
 
-def band_rows(band: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Eigenvalues w (ascending) of the symmetric A of the lower ``band`` and
-    the k x m matrix of rows ``probes``^T V, V its eigenvectors, for the
-    real m x k ``probes`` in band order: entry (i, j) is probes[:, i] . v_j,
-    as :func:`solve_rows` gives them.
+#: The size at and below which :func:`band_rows` solves a block of its
+#: bidiagonal whole (``dlasdq``) rather than dividing it, ``dgelsd``'s
+#: SMLSIZ.
+SMLSIZ = 25
+
+
+def _at(array: np.ndarray, row: int = 0) -> int:
+    """The address of row ``row`` of ``array`` (of element (row, 0) of a
+    Fortran-ordered matrix), for a Fortran routine."""
+    return array.ctypes.data + row * array.strides[0]
+
+
+def band_rows(band: np.ndarray, probes: np.ndarray) -> np.ndarray | None:
+    """The k x m matrix of rows ``probes``^T V, V the eigenvectors of the
+    symmetric A of the lower ``band`` in ascending order of their
+    eigenvalues (:func:`eigenvalues` of :func:`band_reduce`), for the m x k
+    ``probes`` in band order, real or complex: entry (i, j) is
+    probes[:, i] . v_j, unconjugated, as :func:`solve_rows` gives them.
     None when the kernel is absent, A is too large or too small for it
-    unscaled (as in :func:`band_reduce`), or ``dgbbrd`` or ``dbdsqr``
-    reports a failure.
+    unscaled (as in :func:`band_reduce`), or ``dpbtrf``, ``dgbbrd``,
+    ``dlasdq``, ``dlasd6`` or ``dlals0`` reports a failure.
 
     A + sigma 1 is positive definite for sigma = margin - (the lower end of
     A's Gershgorin interval), the margin :data:`CLUSTER_RTOL` times that
-    interval's width, or the smallest normal number for a zero width. Its
-    band is reduced to an upper bidiagonal B = Q^T (A + sigma 1) P
-    (``dgbbrd``, no Q or P formed), which applies Q^T to the probes, and
-    B's singular value decomposition B = U S V_B^T (``dbdsqr``, no U or
-    V_B formed) applies U^T to them. The left singular vectors Q U of a
-    positive definite matrix are its eigenvectors, so eigenvalue j is
-    s_j - sigma and its row is (U^T Q^T probes)_j. The values s come from
-    ``dbdsqr`` on a copy of B with no columns to carry (dqds), beside the
-    solve that carries the probes (:func:`side_by_side`): with columns its
-    QR sweeps stop at a relative tolerance near 90 eps, 1.5e-11 on a
-    value near 242 of a joint sector where dqds is within 2.3e-12. Every
-    array is O(m kd).
+    interval's width, or the rounding of the shifted diagonal (4 m eps
+    times the interval's larger end) when that is more, or the smallest
+    normal number. Its banded Cholesky factor L (``dpbtrf``, L L^T =
+    A + sigma 1) is reduced as a lower band to an upper bidiagonal
+    B = Q^T L P (``dgbbrd``, no Q or P formed), which applies Q^T to the
+    probes. The left singular vectors of L are the eigenvectors of L L^T:
+    with B = U S W^T, those are Q U, in the order of the singular values,
+    which ascend as the eigenvalues s^2 - sigma do. U^T goes onto the
+    probes by LAPACK's divide and conquer for the bidiagonal SVD, the
+    steps of ``dlasda`` and ``dlalsa`` (the solve of ``dgelsd``) taken one
+    block at a time: a block of at most :data:`SMLSIZ` rows is solved whole
+    (``dlasdq``) and its U applied in one product; a larger one is halved
+    about its middle row, both halves solved, and the two merged
+    (``dlasd6``), the merge's U applied at once in its compact form
+    (``dlals0``). A merge is applied as it is made, so the arrays of one
+    are held at a time, and every array is O(m kd); no Q, U or m x m array
+    is formed. A complex probe is two real columns.
     """
     library = openblas()
     kd, m = band.shape[0] - 1, band.shape[1]
@@ -596,29 +640,69 @@ def band_rows(band: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndar
         raise InputError(f"expected probes of shape ({m}, k), got shape {probes.shape}")
     if library is None or not _unscaled(band):
         return None
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
     radii = _band_product(np.abs(band), np.ones(m)) - np.abs(band[0])
     low, high = float(np.min(band[0] - radii)), float(np.max(band[0] + radii))
-    shift = max(CLUSTER_RTOL * (high - low), np.finfo(np.float64).tiny) - low
-    ab = _general_band(band, band[0] + shift, kd)
-    carried = np.array(probes, dtype=np.float64, order="F")
-    k = carried.shape[1]
+    margin = max(CLUSTER_RTOL * (high - low), 4 * m * eps * max(abs(low), abs(high)), tiny)
+    # L in LAPACK's lower band storage is a general band with kl = kd, ku = 0
+    factor = np.array(band, order="F")
+    factor[0] += margin - low
+    if library.dpbtrf(_COL_MAJOR, b"L", m, kd, factor, kd + 1):
+        return None
+    dtype = np.result_type(probes, np.float64)
+    # a complex column is two real columns: Q and U are real
+    rows = np.array(np.ascontiguousarray(probes, dtype=dtype).view(np.float64), order="F")
+    k = rows.shape[1]
     d, e, unused = np.empty(m), np.empty(m - 1), np.zeros((1, 1), order="F")
     if library.dgbbrd(
-        _COL_MAJOR, b"N", m, m, k, kd, kd, ab, 2 * kd + 1, d, e, unused, 1, unused, 1, carried, m
+        _COL_MAJOR, b"N", m, m, k, kd, 0, factor, kd + 1, d, e, unused, 1, unused, 1, rows, m
     ):
         return None
-    # with no columns to carry dbdsqr runs dqds (dlasq1), accurate to a few
-    # eps; carrying them, its QR sweeps stop at about 90 eps relative. So
-    # the values come from a copy of B, taken before either call starts
-    s, f, none = d.copy(), e.copy(), np.zeros((1, 1), order="F")
-    if any(
-        side_by_side(
-            lambda: library.dbdsqr(_COL_MAJOR, b"U", m, 0, 0, 0, s, f, none, 1, none, 1, none, 1),
-            lambda: library.dbdsqr(
-                _COL_MAJOR, b"U", m, 0, 0, k, d, e, unused, 1, unused, 1, carried, m
-            ),
+    del factor
+    # each solved block leaves the first and last rows of its W (vf, vl)
+    # and the order of its singular values (idxq, 1-based) for its merge
+    vf, vl, idxq = np.empty(m), np.empty(m), np.empty(m, dtype=np.int64)
+    # one merge's U in compact form (dlasd6 writes it, dlals0 applies it),
+    # each merge's over the last one's; size is its secular equation's
+    perm, givcol = np.empty(m, dtype=np.int64), np.empty((m, 2), dtype=np.int64, order="F")
+    givnum, poles, difr = (np.empty((m, 2), order="F") for _ in range(3))
+    difl, z, c, s = np.empty(m), np.empty(m), np.empty(1), np.empty(1)
+    givptr, size = np.empty(1, dtype=np.int64), np.empty(1, dtype=np.int64)
+    compact = (
+        _at(perm), _at(givptr), _at(givcol), m, _at(givnum), m,
+        *(_at(a) for a in (poles, difl, difr, z, size, c, s)),
+    )
+    scratch = np.empty((m, k), order="F")
+    work, iwork = np.empty(4 * m), np.empty(3 * m, dtype=np.int64)
+
+    def solve(lo: int, n: int, sqre: int) -> bool:
+        # rows lo .. lo + n - 1 of B, with sqre more columns than rows
+        if n <= SMLSIZ:
+            u, w = np.eye(n, order="F"), np.eye(n + sqre, order="F")
+            if library.dlasdq(
+                b"U", sqre, n, n + sqre, n, 0, _at(d, lo), _at(e, lo), _at(w), n + sqre,
+                _at(u), n, _at(u), n, _at(work),
+            ):
+                return False
+            rows[lo : lo + n] = u.T @ rows[lo : lo + n]
+            vf[lo : lo + n + sqre], vl[lo : lo + n + sqre] = w[:, 0], w[:, -1]
+            idxq[lo : lo + n] = np.arange(1, n + 1)
+            return True
+        left = n // 2
+        middle, right = lo + left, n - left - 1
+        if not (solve(lo, left, 1) and solve(middle + 1, right, sqre)):
+            return False
+        return not (
+            library.dlasd6(
+                1, left, right, sqre, _at(d, lo), _at(vf, lo), _at(vl, lo), d[middle],
+                e[middle], _at(idxq, lo), *compact, _at(work), _at(iwork),
+            )
+            or library.dlals0(
+                0, left, right, 0, k, _at(rows, lo), m, _at(scratch), m, *compact, _at(work)
+            )
         )
-    ):
+
+    if not solve(0, m, 0):
         return None
-    # dbdsqr sorts the singular values descending
-    return s[::-1] - shift, carried[::-1].T
+    # the merges leave the singular values unsorted
+    return np.ascontiguousarray(rows[np.argsort(d, kind="stable")]).view(dtype).T

@@ -830,13 +830,14 @@ def test_floquet_sambe_solve_peaks_at_two_and_a_half_sector_matrices(tmp_path, m
 
 def test_band_route_holds_no_sector_matrix(tmp_path, monkeypatch):
     """Each member of the 81-point photon-cutoff scan (n_max 8, 10, 12;
-    sectors of m ~ dim/2, kd = n_max + 1) reduces the ground's sector as a
-    band and solves the other from its band for the row: no sector block
-    is written densely, and the numpy allocations traced during its joint
+    sectors of m ~ dim/2, kd = n_max + 1) reduces both sector bands, takes
+    the ground off the +1 band and solves the -1 sector from its band for
+    the row: no sector block is written densely, and the numpy allocations
+    traced during its joint
     solve peak at most 0.5 m^2 doubles (the bands, the probe, the row and
     the matter-size projections), not the dense row block (over 1 m^2)
     the route held before it read that sector's band. tracemalloc now
-    misses only LAPACKE's O(m) workspace of dgbbrd and dbdsqr."""
+    misses only LAPACKE's O(m) workspace of dgbbrd."""
     text = (
         "job: converge\nconverge: {axis: fock_n_max, values: [8, 10, 12]}\n"
         "model: {grid: {n_points: 81}}\nfock: {omega_c: 0.9, g: 0.05}\n"
@@ -859,15 +860,18 @@ def test_band_route_holds_no_sector_matrix(tmp_path, monkeypatch):
         run_job(config)
     finally:
         tracemalloc.stop()
-    assert bands == [365, 364, 446, 445, 527, 526] and solved[-6:] == bands
+    assert len(bands) == 9 and solved[-9:] == bands
+    for member, (plus, minus) in enumerate([(365, 364), (446, 445), (527, 526)]):
+        reduced, row = bands[3 * member : 3 * member + 2], bands[3 * member + 2]
+        assert sorted(reduced) == [minus, plus] and row == minus
     for n_max in (8, 10, 12):
         m = 81 * (n_max + 1) / 2
         assert peaks[81 * (n_max + 1)] <= 0.5 * m * m * np.dtype(np.float64).itemsize
 
 
 def test_floquet_band_route_holds_no_sector_matrix(tmp_path, monkeypatch):
-    """After the matter ground's band solve (the +1 band of 51 reduced, the
-    -1 band of 50 solved for the row), each member of the 101-point
+    """After the matter ground's band solve (both bands, of 51 and 50,
+    reduced, the -1 band solved for the row), each member of the 101-point
     harmonic-cutoff scan (cutoffs 3, 4, 5; sectors of m ~ dim/2,
     kd = 2 N_h + 1) reduces both sector bands, picks
     its reference on their first-zone eigenpairs, then solves the row
@@ -876,7 +880,7 @@ def test_floquet_band_route_holds_no_sector_matrix(tmp_path, monkeypatch):
     doubles (the bands, the probe, the row and the matter-size
     projections), not the dense row block (over 1 m^2) the route held
     before it read that sector's band for the row. tracemalloc now misses
-    only LAPACKE's O(m) workspace of dgbbrd and dbdsqr."""
+    only LAPACKE's O(m) workspace of dgbbrd."""
     text = (
         "job: converge\nconverge: {axis: harmonic_cutoff, values: [3, 4, 5]}\n"
         "model: {grid: {n_points: 101}}\n"
@@ -900,8 +904,9 @@ def test_floquet_band_route_holds_no_sector_matrix(tmp_path, monkeypatch):
         run_job(config)
     finally:
         tracemalloc.stop()
-    matter, sambe = bands[:2], bands[2:]
-    assert matter == [51, 50] and len(sambe) == 9 and solved == bands
+    matter, sambe = bands[:3], bands[3:]
+    assert sorted(matter[:2]) == [50, 51] and matter[2] == 50
+    assert len(sambe) == 9 and solved == bands
     for member, sizes in enumerate([(353, 354), (454, 455), (555, 556)]):
         first = sambe[3 * member : 3 * member + 3]
         assert sorted(first[:2]) == list(sizes) and first[2] in sizes
@@ -986,7 +991,7 @@ def test_first_zone_route_matches_the_full_solve(tmp_path, monkeypatch, name):
 
 def test_wide_grid_job_takes_the_first_zone_band_route(tmp_path, monkeypatch):
     """The 81-point job at cutoff 3 solves its matter ground on the band
-    route (the +1 band of 41 reduced, the -1 band of 40 solved for the
+    route (both bands, of 41 and 40, reduced, the -1 band solved for the
     row), then reduces both Sambe sector bands side by side, and solves the
     row sector's band for the row, for every reference: no dense block and
     no fallback re-solve."""
@@ -997,8 +1002,8 @@ def test_wide_grid_job_takes_the_first_zone_band_route(tmp_path, monkeypatch):
         with monkeypatch.context() as patch:
             solved = record_lapack_solves(patch, bands)
             run_job(config)
-        matter, sambe = bands[:2], bands[2:]
-        assert matter == [41, 40]
+        matter, sambe = bands[:3], bands[3:]
+        assert sorted(matter[:2]) == [40, 41] and matter[2] == 40
         assert sorted(sambe[:2]) == [283, 284] and len(sambe) == 3 and sambe[2] in (283, 284)
         assert solved == bands
 
@@ -1194,7 +1199,9 @@ def test_timings_record_the_environment(tmp_path):
     }
     kernel = lapack.openblas() is not None
     assert environment["eigensolver"] == (
-        "LAPACK dsytrd+dstedc, dsbtrd+dsterf, dgbbrd+dbdsqr" if kernel else "numpy.linalg.eigh"
+        "LAPACK dsytrd+dstedc, dsbtrd+dsterf, dpbtrf+dgbbrd+dlasdq+dlasd6+dlals0"
+        if kernel
+        else "numpy.linalg.eigh"
     )
     assert environment["python"] == platform.python_version()
     assert environment["machine"] == platform.machine()

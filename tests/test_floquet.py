@@ -4,6 +4,7 @@ import ast
 import ctypes
 import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -488,8 +489,12 @@ def test_inverse_iteration_refuses_a_shift_off_the_spectrum():
     "m, kd, kind, k",
     [
         (1, 0, "random", 1),
+        (1, 0, "negative_definite", 2),
         (2, 1, "random", 3),
         (17, 3, "random", 3),
+        (25, 3, "random", 2),
+        (26, 3, "random", 2),
+        (27, 3, "random", 2),
         (64, 0, "random", 1),
         (64, 3, "zero", 3),
         (101, 5, "negative_definite", 1),
@@ -498,12 +503,16 @@ def test_inverse_iteration_refuses_a_shift_off_the_spectrum():
 )
 def test_band_rows_match_eigh(m, kd, kind, k):
     """On a symmetric band (random, zero, or random shifted below zero by
-    its Gershgorin norm plus one): the values of band_rows (dgbbrd +
-    dbdsqr on the band shifted positive definite) are eigh's within
-    m eps ||A||, and over each cluster of eigh's values (neighbours within
-    dstein's ORTOL, CLUSTER_RTOL ||A||) the sum of |row|^2 of every probe
-    is eigh's within 64 m eps ||x||^2: the weight of the probe in each
-    eigenspace, which does not depend on the basis chosen inside it."""
+    its Gershgorin norm plus one): the values of its band reduction
+    (dsbtrd + dsterf) are eigh's within m eps ||A||, and over each cluster
+    of eigh's values (neighbours within dstein's ORTOL, CLUSTER_RTOL ||A||)
+    the sum of |row|^2 of every probe from band_rows (the Cholesky factor
+    of the band shifted positive definite, its bidiagonal reduction and
+    divide and conquer SVD) is eigh's within 64 m eps ||x||^2: the weight
+    of the probe in each eigenspace, which does not depend on the basis
+    chosen inside it. m = 25 is solved whole (SMLSIZ), 26 and 27 are
+    halved and merged, and a 1 x 1 band is shifted to a positive value
+    (its margin clears the rounding of a - a)."""
     if lapack.openblas() is None:
         pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
     rng = np.random.default_rng(m + kd)
@@ -517,8 +526,9 @@ def test_band_rows_match_eigh(m, kd, kind, k):
     probes = rng.standard_normal((m, k))
     values, vectors = np.linalg.eigh(a)
     band = band_of(a, kd)
-    w, rows = lapack.band_rows(band, probes)
+    rows = lapack.band_rows(band, probes)
     assert np.array_equal(band, band_of(a, kd))  # the band is read, not overwritten
+    w = lapack.eigenvalues(lapack.band_reduce(band))
     eps, norm = np.finfo(np.float64).eps, np.linalg.norm(a, 2)
     assert rows.shape == (k, m) and np.all(np.diff(w) >= 0.0)
     assert np.max(np.abs(w - values)) <= m * eps * norm
@@ -1558,24 +1568,25 @@ def reversed_side_by_side(first, second):
 
 @pytest.mark.parametrize("schedule", ["two_threads", "second_first"])
 def test_band_rows_do_not_depend_on_the_schedule(monkeypatch, schedule):
-    """band_rows takes its values from a copy of the bidiagonal (dqds)
-    beside the solve that carries the probes, on a second thread when
-    OpenBLAS may use two: values and rows are those of the two solves run
-    in turn bit for bit, whether they run at once or the carrying solve
-    ends before the other starts, and no thread outlives the call."""
-    band = band_zone_operator().sector_band(-1).band
-    probes = np.random.default_rng(0).standard_normal((band.shape[1], 3))
+    """The row sector's band solve (band_rows and its T's dsterf) runs
+    beside the values-only sector's dsterf, on a second thread when
+    OpenBLAS may use two: the values and the dipole row are those of the
+    two solves run in turn bit for bit, whether they run at once or the
+    row solve ends before the other starts, and no thread outlives the
+    solve."""
+    operator = band_zone_operator()
     with monkeypatch.context() as patch:
         capped_threads(patch, 1)
-        expected_values, expected_rows = lapack.band_rows(band, probes)
+        expected = diagonalize_hermitian(operator, reference=first_zone(0))
     capped_threads(monkeypatch, 2)
     if schedule == "second_first":
         monkeypatch.setattr(lapack, "side_by_side", reversed_side_by_side)
     before = threading.active_count()
-    values, rows = lapack.band_rows(band, probes)
+    system = diagonalize_hermitian(operator, reference=first_zone(0))
     assert threading.active_count() == before
-    assert values.tobytes() == expected_values.tobytes()
-    assert rows.tobytes() == expected_rows.tobytes()
+    assert system.values.tobytes() == expected.values.tobytes()
+    row, expected_row = row_sector(system)[1].row, row_sector(expected)[1].row
+    assert row.amplitudes.tobytes() == expected_row.amplitudes.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -1584,16 +1595,17 @@ def test_band_rows_do_not_depend_on_the_schedule(monkeypatch, schedule):
     ids=["first_zone", "rank_zero"],
 )
 def test_failed_band_row_solve_takes_the_dense_row_solve(monkeypatch, make, reference):
-    """A dbdsqr that reports info > 0 (its bidiagonal SVD did not converge)
-    sends the row sector to the dense row solve once the band route has
-    chosen: that block alone is written and reduced densely, and the
-    values are the same, the row sector's those of the full solve (dsytrd +
-    dstedc) bit for bit and the values-only sector's those of the band
-    route, with its dipole row within 1e-12 of the band route's."""
+    """A divide and conquer merge that reports info > 0 (dlasd6: its
+    secular equation did not converge) sends the row sector to the dense
+    row solve once the band route has chosen: that block alone is written
+    and reduced densely, and the values are the same, the row sector's
+    those of the full solve (dsytrd + dstedc) bit for bit and the
+    values-only sector's those of the band route, with its dipole row
+    within 1e-12 of the band route's."""
     operator = make()
     full = diagonalize_hermitian(operator)
     banded = diagonalize_hermitian(operator, reference=reference)
-    capped_threads(monkeypatch, 2, dbdsqr=lambda *args: 1)
+    capped_threads(monkeypatch, 2, dlasd6=lambda *args: 1)
     bands = []
     solved = record_lapack_solves(monkeypatch, bands)
     system = diagonalize_hermitian(operator, reference=reference)
@@ -1607,6 +1619,63 @@ def test_failed_band_row_solve_takes_the_dense_row_solve(monkeypatch, make, refe
     assert np.max(np.abs(system.values - banded.values)) <= 1e-11
     row, band_row = opposite.row.amplitudes, row_sector(banded)[1].row.amplitudes
     assert np.max(np.abs(np.abs(row) - np.abs(band_row))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "make, reference",
+    [(band_zone_operator, first_zone(0)), (band_joint, 0)],
+    ids=["first_zone", "rank_zero"],
+)
+def test_band_sector_values_are_dsterf_of_its_band(monkeypatch, make, reference):
+    """Each sector band of a band route is reduced once (dsbtrd), and each
+    sector's values are dsterf's on that band's T bit for bit: all of the
+    row sector's, and the values-only sector's but for its kept run, which
+    the bisection that found its eigenvectors gives."""
+    operator = make()
+    original, reduced = lapack.band_reduce, {}
+
+    def recorder(band):
+        assert band.shape[1] not in reduced  # each band once
+        reduced[band.shape[1]] = original(band)
+        return reduced[band.shape[1]]
+
+    monkeypatch.setattr(lapack, "band_reduce", recorder)
+    system = diagonalize_hermitian(operator, reference=reference)
+    assert sorted(reduced) == sorted(operator._sector_dim(p) for p in (1, -1))
+    _, row = row_sector(system)
+    own = values_only_sector(system)
+    expected = lapack.eigenvalues(reduced[row.ranks.size])
+    assert system.values[row.ranks].tobytes() == expected.tobytes()
+    expected = lapack.eigenvalues(reduced[own.ranks.size])
+    others = np.setdiff1d(np.arange(own.ranks.size), own.kept)
+    assert system.values[own.ranks[others]].tobytes() == expected[others].tobytes()
+
+
+def test_band_row_of_a_complex_dipole_matches_eigh(monkeypatch):
+    """A one-label matter operator on a 101-point harmonic grid with the
+    complex dipole d = (1 + 0.5j) x and no coupling is real, splits and is
+    narrow (kd 1), so a rank-0 solve takes the band route with a complex
+    probe d psi_0, two real columns to band_rows: its row is eigh's within
+    64 m eps ||x|| (each eigenvector up to sign), with no warning."""
+    grid = GridBasis(-10.0, 10.0, 101)
+    h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0)).matrix
+    d = (1.0 + 0.5j) * build_dipole(grid).matrix
+    operator = ProductOperator(
+        matter=h, labels=np.zeros(1, dtype=int), dipole=d, coupling=np.zeros((1, 1)),
+        reflection=basis_reversal(101),
+    )
+    bands = []
+    solved = record_lapack_solves(monkeypatch, bands)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        system = diagonalize_hermitian(operator, reference=0)
+    assert sorted(bands[:2]) == [50, 51] and bands[2:] == [50] and solved == bands
+    values, v = np.linalg.eigh(h)
+    assert np.max(np.abs(system.values - values)) <= 1e-12
+    x = d @ system.column(0)
+    row, expected = system.amplitudes(x, reference=0, dipole=d), v.T @ x.conj()
+    error = np.minimum(np.abs(row - expected), np.abs(row + expected))
+    assert np.max(error) <= 64 * 101 * np.finfo(np.float64).eps * np.linalg.norm(x)
 
 
 def test_band_route_orthogonalizes_a_cluster(monkeypatch):
