@@ -110,12 +110,12 @@ class Sector(NamedTuple):
     ``kept`` is None. A values-only sector keeps the eigenvectors of local
     indices ``kept`` (ascending): column i of ``vectors`` is eigenvector
     ``kept[i]``. Every sector of a reference solve is values-only: the
-    reference's own sector (:func:`floqtrk.lapack.solve_values`), and the
+    reference's own sector (:meth:`_BlockSolve.solve_values`), and the
     one that holds the reference's dipole ``row``
-    (:func:`floqtrk.lapack.solve_rows` on a dense block, or
-    :func:`floqtrk.lapack.band_rows` on a narrow band), the only products
-    with its unkept eigenvectors that were solved. An operator that does
-    not split is one sector, which is both.
+    (:func:`floqtrk.lapack.band_rows`, on a narrow sector band or on a
+    dense block's tridiagonal T), the only products with its unkept
+    eigenvectors that were solved. An operator that does not split is one
+    sector, which is both.
     """
 
     basis: SectorBasis
@@ -806,34 +806,24 @@ def diagonalize_hermitian(
     (1 (x) d) v_r with every eigenvector. No eigenvector matrix is formed.
     A real block is reduced by LAPACK's ``dsytrd`` from numpy's bundled
     OpenBLAS (:mod:`floqtrk.lapack`), or as a band by ``dsbtrd``, and its
-    eigenvalues are ``dstedc``'s, ``eigh``'s bit for bit, or ``dsterf``'s.
+    eigenvalues come from its T (``dsterf``). The row comes from one
+    kernel, :func:`floqtrk.lapack.band_rows`, on the row sector's band
+    (below) or on its T, a band of half bandwidth 1, once ``dormtr`` has
+    put Q^T on the probe, with no Q, Z or m x m array, while ``dsterf``
+    runs beside it (:func:`floqtrk.lapack.side_by_side`); should it report
+    a failure, the operator is solved as without a reference.
 
     An operator that does not split is one sector: its
-    :meth:`~ProductOperator.toarray`, which the solve owns, is reduced once
-    in place, the kept eigenvectors come from its T by inverse iteration
-    (:func:`floqtrk.lapack.eigenpairs`), and ``dstedc`` then solves for
-    every eigenvalue and the row (:func:`floqtrk.lapack.solve_rows`).
-
-    An operator that splits and whose dipole is odd
-    (:attr:`ProductOperator.odd_dipole`) has the dipole couple the
-    reference only to the opposite sector, so its own sector is solved
-    values-only (:func:`floqtrk.lapack.solve_values`): its eigenvalues and
-    a few of its eigenvectors, the reference's among them. The opposite
-    sector keeps its eigenvalues, the same few eigenvectors when the
-    reference is picked (none for a rank), and the reference's row
-    (:func:`floqtrk.lapack.solve_rows`): Q^T goes onto the probe before
-    ``dstedc`` overwrites the reflectors with Z, which is freed once the
-    row is read. Both sectors are reduced before either is solved, and the
-    values-only one is solved and freed first. On the band routes below,
-    no sector block is written densely: both sector bands are reduced
-    without Q, each sector's eigenvalues come from its T (``dsterf``),
-    and the row from the row sector's band
-    (:func:`floqtrk.lapack.band_rows`: the probe carried through the
-    bidiagonal reduction of the band's banded Cholesky factor and its
-    divide and conquer SVD, with no Q, Z or m x m array) while both
-    ``dsterf`` run on a second thread (:func:`floqtrk.lapack.side_by_side`);
-    should the band row solve report a failure, the row sector is written
-    and solved densely instead. The reference is
+    :meth:`~ProductOperator.toarray`, which the solve owns, is reduced in
+    place, and the kept eigenvectors come from its T by inverse iteration
+    (:func:`floqtrk.lapack.eigenpairs`). An operator that splits and whose
+    dipole is odd (:attr:`ProductOperator.odd_dipole`) has the dipole
+    couple the reference only to the opposite sector, so its own sector is
+    solved values-only (:meth:`_BlockSolve.solve_values`): its
+    eigenvalues and a few of its eigenvectors, the reference's among them.
+    The opposite sector keeps its eigenvalues, the same few eigenvectors
+    when the reference is picked (none for a rank), and the row. The
+    reference is
 
     * a rank r of the merged spectrum: the sector keeps eigenvector r. Which
       sector holds r is decided on the r + 1 lowest eigenvalues of each
@@ -868,12 +858,13 @@ def diagonalize_hermitian(
 
     What a reference solve cannot serve is solved as without a reference:
     a picker whose index is outside the selection, or a zone with no
-    eigenvalue; a merged spectrum that names another reference (a tie
-    across the sectors, or a pick that moves at rounding level) or holds
-    an in-zone eigenpair a values-only sector did not keep, where the row
-    belongs to another reference; a complex block; and a block LAPACK
-    declines unscaled. So are an operator without a dipole and a splitting
-    one whose dipole is not odd.
+    eigenvalue; a rank whose eigenvalue lies within rounding of one of the
+    other sector, a tie the merge could rank either way; a merged spectrum
+    that names another reference (a tie across the sectors, or a pick that
+    moves at rounding level) or holds an in-zone eigenpair a values-only
+    sector did not keep, where the row belongs to another reference; a
+    complex block; and a block LAPACK declines unscaled. So are an
+    operator without a dipole and a splitting one whose dipole is not odd.
     """
     if isinstance(matrix, ProductOperator):
         if reflection is not None:
@@ -937,7 +928,11 @@ class _RankAnchor(NamedTuple):
 
     rank: int
 
-    def choose(self, solves: dict[int, tuple[SectorBasis, _BlockSolve]]) -> _Choice:
+    def choose(self, solves: dict[int, tuple[SectorBasis, _BlockSolve]]) -> _Choice | None:
+        """The sector that holds the rank, decided on the rank + 1 lowest
+        eigenvalues of each; None when another sector has an eigenvalue
+        within rounding of the reference's (:func:`floqtrk.lapack.window`),
+        a tie the merged spectrum may rank either way."""
         lowest = {p: block_solve.lowest(self.rank + 1) for p, (_, block_solve) in solves.items()}
         # rank among all, a tie going to the +1 sector as in from_sectors
         local = int(np.argsort(np.concatenate(list(lowest.values())), kind="stable")[self.rank])
@@ -945,6 +940,9 @@ class _RankAnchor(NamedTuple):
             if local < values.size:
                 break
             local -= values.size
+        value = float(lowest[own][local])
+        if any(lapack.window(s.reduced, value, value) for p, (_, s) in solves.items() if p != own):
+            return None
         kept = {p: range(local, local + 1) if p == own else range(0) for p in solves}
         return _Choice(own, local, kept, {})
 
@@ -1045,48 +1043,7 @@ def _solve_around(operator: ProductOperator, anchor: _RankAnchor | _ZoneAnchor) 
             del block
         declined = any(block_solve is None for _, block_solve in solves.values())
         choice = None if declined else anchor.choose(solves)
-    if choice is None:
-        # nothing picked, or a block LAPACK declines: every eigenpair
-        del solves
-        return diagonalize_hermitian(operator)
-    own, reference = choice.parity, choice.reference
-    ks, own_pairs = choice.kept[own], choice.pairs.get(own)
-    kept, pairs = choice.kept[-own], choice.pairs.get(-own)
-    basis, own_solve = solves.pop(own)
-    row_basis, row_solve = solves.pop(-own)
-    lifted = ProductOperator(matter=operator.dipole, labels=operator.labels)
-
-    def probe_of(vectors: np.ndarray, local: np.ndarray) -> np.ndarray:
-        # (1 (x) d) v_r in the row sector's coordinates, v_r a kept column
-        psi = basis.embed(vectors[:, int(np.searchsorted(local, reference))], operator.shape[0])
-        return row_basis.coordinates(lifted @ psi)
-
-    if row_solve.band is None:
-        # the values-only block's matrix is freed before the other's solve
-        solution = own_solve.solve_values(ks, own_pairs)
-        del own_solve
-        row_solution = row_solve.solve_row(probe_of(solution.vectors, solution.kept), kept, pairs)
-    else:
-        # the row sector's band is solved for the row, and both sectors'
-        # dsterf run beside it: each on one core
-        probe = probe_of(own_pairs[1], np.arange(ks.start, ks.stop))
-        band = row_solve.band
-        (solution, values), rows = lapack.side_by_side(
-            lambda: (own_solve.solve_values(ks, own_pairs), lapack.eigenvalues(row_solve.reduced)),
-            lambda: lapack.band_rows(band.band, probe[band.order][:, None]),
-        )
-        if rows is None:
-            # the band row solve failed: the row sector is written and reduced
-            row_solve = _reduce(operator.sector(-own)[0])
-            if row_solve is None:
-                return diagonalize_hermitian(operator)
-            row_solution = row_solve.solve_row(probe, kept, pairs)
-        else:
-            row_solution = _row_solution(values, rows, kept, pairs)
-    # Z is freed once its row is read
-    del row_solve
-    solved = {own: (basis, solution), -own: (row_basis, row_solution)}
-    return _merged(operator, anchor, [solved[1], solved[-1]], 0 if own == 1 else 1, reference)
+    return _merged(operator, anchor, choice, _solve_for_row(operator, solves, choice))
 
 
 def _solve_unsplit(operator: ProductOperator, anchor: _RankAnchor | _ZoneAnchor) -> EigenSystem:
@@ -1095,42 +1052,91 @@ def _solve_unsplit(operator: ProductOperator, anchor: _RankAnchor | _ZoneAnchor)
     numpy's ``eigh`` for a complex block or one LAPACK declines."""
     full = _checked_hermitian(operator.toarray(), owned=True)
     basis = SectorBasis.identity(full.shape[0])
-    block_solve = _reduce(full)
-    if block_solve is None:
+    solves = {1: (basis, _reduce(full))}
+    if solves[1][1] is None:
         return EigenSystem.from_sectors([(basis, _eigh(full))])
     del full
-    choice = anchor.choose({1: (basis, block_solve)})
+    choice = anchor.choose(solves)
+    return _merged(operator, anchor, choice, _solve_for_row(operator, solves, choice))
+
+
+def _solve_for_row(
+    operator: ProductOperator,
+    solves: dict[int, tuple[SectorBasis, _BlockSolve | None]],
+    choice: _Choice | None,
+) -> list[tuple[SectorBasis, _Solution]] | None:
+    """The ``solves`` of a reference solve, as the ``choice`` keeps them:
+    the reference's own sector values-only and the row sector (the other
+    one, or the one sector of an operator that does not split) for the
+    reference's dipole row, in the order parity +1, -1. None when there is
+    no choice (nothing picked, a tie, or a block LAPACK declines) or the
+    row solve (:func:`floqtrk.lapack.band_rows`) reports a failure.
+
+    The probe (1 (x) d) v_r goes into the row sector's band
+    (:meth:`_BlockSolve.probes`), whose row is solved while every sector's
+    values come from its T beside it (:func:`floqtrk.lapack.side_by_side`).
+    The blocks are taken out of ``solves`` and freed before the row solve."""
     if choice is None:
-        # nothing picked: every eigenpair
-        del block_solve
-        return diagonalize_hermitian(operator)
-    ks, reference = choice.kept[1], choice.reference
-    # the kept eigenpairs come off T before dstedc overwrites its reflectors
-    pairs = choice.pairs[1] if choice.pairs else block_solve.eigenpairs(ks)
+        solves.clear()
+        return None
+    own, reference = choice.parity, choice.reference
+    row = -own if len(solves) == 2 else own
+    pairs = {
+        p: choice.pairs[p] if p in choice.pairs else solves[p][1].eigenpairs(run)
+        for p, run in choice.kept.items()
+        if run
+    }
+    basis, own_solve = solves.pop(own)
+    row_basis, row_solve = solves.pop(row) if row != own else (basis, own_solve)
+    ks = choice.kept[own]
+    psi = basis.embed(pairs[own][1][:, reference - ks.start], operator.shape[0])
     lifted = ProductOperator(matter=operator.dipole, labels=operator.labels)
-    probe = lifted @ pairs[1][:, reference - ks.start]
-    solution = block_solve.solve_row(probe, ks, pairs)
-    del block_solve
-    return _merged(operator, anchor, [(basis, solution)], 0, reference)
+    probes = row_solve.probes(row_basis.coordinates(lifted @ psi))
+    # the reflectors are spent: a dense block is freed before the row solve
+    # allocates, so no array lands above it on the heap and its pages return
+    own_solve, row_solve = own_solve.spent(), row_solve.spent()
+
+    def values() -> tuple[_Solution | None, np.ndarray]:
+        # each on one core: dsterf, and the bisection's values of a kept run
+        solution = own_solve.solve_values(ks, pairs[own]) if row != own else None
+        return solution, lapack.eigenvalues(row_solve.reduced)
+
+    (solution, row_values), rows = lapack.side_by_side(
+        values, lambda: lapack.band_rows(row_solve.band, probes), probes.shape[0]
+    )
+    if rows is None:
+        return None
+    kept = choice.kept[row]
+    vectors = pairs[row][1] if kept else np.zeros((row_values.size, 0))
+    row_solution = _Solution(
+        row_values, vectors, kept=np.arange(kept.start, kept.stop), row=rows[0].conj()
+    )
+    solved = {row: (row_basis, row_solution)}
+    if solution is not None:
+        solved[own] = (basis, solution)
+    return [solved[p] for p in (1, -1) if p in solved]
 
 
 def _merged(
     operator: ProductOperator,
     anchor: _RankAnchor | _ZoneAnchor,
-    solved: list[tuple[SectorBasis, _Solution]],
-    own: int,
-    reference: int,
+    choice: _Choice | None,
+    solved: list[tuple[SectorBasis, _Solution]] | None,
 ) -> EigenSystem:
     """The merged spectrum of the ``solved`` sectors of a reference solve,
-    whose reference is local index ``reference`` of ``solved[own]``, with
-    the :class:`DipoleRow` of the solution that holds a row.
+    whose reference is the ``choice``'s, with the :class:`DipoleRow` of the
+    solution that holds a row.
 
-    Should the merged spectrum name another reference than the anchor's
-    (the merge ranked a tie across the sectors the other way round, or the
-    pick moved with the row sector's rounding), the row belongs to another
-    reference, and ``operator`` is solved again without one."""
+    Should nothing be ``solved`` (no choice, or a failed row solve), or
+    the merged spectrum name another reference than the anchor's (the
+    merge ranked a tie across the sectors the other way round, or the pick
+    moved with the row sector's rounding), so that the row belongs to
+    another reference, ``operator`` is solved without one."""
+    if solved is None:
+        return diagonalize_hermitian(operator)
     system = EigenSystem.from_sectors(solved)
-    rank = int(system.sectors[own].ranks[reference])
+    own = 0 if choice.parity == 1 else 1
+    rank = int(system.sectors[own].ranks[choice.reference])
     if rank != anchor.final_rank(system):
         return diagonalize_hermitian(operator)
     sectors = tuple(
@@ -1167,13 +1173,13 @@ def _banded_ground(
         return None
     plus, minus = (solves[p][1] for p in (1, -1))
     ground = lapack.lowest(plus.reduced, 1)
-    if not lapack.band_above(minus.band.band, float(ground[0])):
+    if not lapack.band_above(minus.band, float(ground[0])):
         return None
-    vector = lapack.band_eigenvector(plus.band.band, float(ground[0]))
+    vector = lapack.band_eigenvector(plus.band, float(ground[0]))
     if vector is None:
         return None
-    column = np.empty((plus.band.order.size, 1))
-    column[plus.band.order, 0] = vector
+    column = np.empty((plus.order.size, 1))
+    column[plus.order, 0] = vector
     return solves, _Choice(1, 0, {1: range(1), -1: range(0)}, {1: (ground, column)})
 
 
@@ -1185,12 +1191,14 @@ def _band_solves(operator: ProductOperator) -> dict[int, tuple[SectorBasis, _Blo
     a reduction declines, for the dense route to solve."""
     bands = {p: operator.sector_band(p) for p in (1, -1)}
     reduced = lapack.side_by_side(
-        lambda: lapack.band_reduce(bands[1].band), lambda: lapack.band_reduce(bands[-1].band)
+        lambda: lapack.band_reduce(bands[1].band),
+        lambda: lapack.band_reduce(bands[-1].band),
+        bands[-1].order.size,
     )
     if any(r is None for r in reduced):
         return None
     return {
-        p: (operator._basis(p), _BlockSolve(r, band=bands[p]))
+        p: (operator._basis(p), _BlockSolve(r, *bands[p]))
         for p, r in zip((1, -1), reduced)
     }
 
@@ -1222,13 +1230,17 @@ def _checked_hermitian(matrix: np.ndarray, owned: bool = False) -> np.ndarray:
 
 
 class _BlockSolve(NamedTuple):
-    """One real block between the two steps of a reference solve: LAPACK's
-    tridiagonal reduction of the block. A block read as a ``band`` is not
-    solved for Z: reduced from its band without Q, it gives its values and
-    eigenpairs, and its row is solved from the band."""
+    """One real block between the two steps of a reference solve: its
+    tridiagonal T (``reduced``), which gives its values and eigenpairs, and
+    a lower ``band`` with the same eigenvalues, whose rows
+    :func:`floqtrk.lapack.band_rows` solves. That band is the sector band,
+    whose position r is sector coordinate ``order[r]``, or a dense block's
+    T, of half bandwidth 1, in the coordinates Q^T gives (``order`` None;
+    Q's reflectors are in ``reduced.a``)."""
 
     reduced: lapack.Tridiagonal
-    band: SectorBand | None = None
+    band: np.ndarray
+    order: np.ndarray | None = None
 
     def lowest(self, count: int) -> np.ndarray:
         """The ``count`` lowest eigenvalues, ascending."""
@@ -1240,56 +1252,46 @@ class _BlockSolve(NamedTuple):
         T (:func:`floqtrk.lapack.eigenpairs`), or by bisection on a band's T
         and banded inverse iteration (:func:`floqtrk.lapack.band_eigenpairs`),
         None when that does not confirm a vector."""
-        if self.band is None:
+        if self.order is None:
             return lapack.eigenpairs(self.reduced, ks)
-        pairs = lapack.band_eigenpairs(self.band.band, self.reduced, ks)
+        pairs = lapack.band_eigenpairs(self.band, self.reduced, ks)
         if pairs is None:
             return None
         values, vectors = pairs
         columns = np.empty_like(vectors)
-        columns[self.band.order] = vectors  # band position r is coordinate order[r]
+        columns[self.order] = vectors  # band position r is coordinate order[r]
         return values, columns
 
-    def solve_values(
-        self, ks: range, pairs: tuple[np.ndarray, np.ndarray] | None = None
-    ) -> _Solution:
-        """Every eigenvalue and eigenvectors ``ks``, a run whose eigenpairs
-        are ``pairs`` when already solved."""
-        values, vectors = lapack.solve_values(self.reduced, ks, pairs)
-        return _Solution(values, vectors, kept=np.arange(ks.start, ks.stop))
+    def solve_values(self, ks: range, pairs: tuple[np.ndarray, np.ndarray]) -> _Solution:
+        """Every eigenvalue, ``dsterf``'s on T but for the run ``ks``, whose
+        eigenpairs ``pairs`` (bisection, inverse iteration) give its values
+        and the sector's kept eigenvectors. No Z is formed."""
+        values = lapack.eigenvalues(self.reduced)
+        values[ks.start : ks.stop] = pairs[0]
+        return _Solution(values, pairs[1], kept=np.arange(ks.start, ks.stop))
 
-    def solve_row(
-        self, probe: np.ndarray, ks: range, pairs: tuple[np.ndarray, np.ndarray] | None
-    ) -> _Solution:
-        """Every eigenvalue and the row conj(probe) . v_j over every
-        eigenvector of a dense reduced block
-        (:func:`floqtrk.lapack.solve_rows`), with its eigenvectors ``ks``
-        (:func:`_row_solution`). A block read as a band is solved for its
-        row by :func:`_solve_around` instead."""
-        values, rows = lapack.solve_rows(self.reduced, probe[:, None])
-        return _row_solution(values, rows, ks, pairs)
+    def spent(self) -> _BlockSolve:
+        """This block without Q's reflectors (a dense block's buffer), once
+        no vector needs them: its T and band."""
+        return self._replace(reduced=self.reduced._replace(a=None, tau=None))
 
-
-def _row_solution(
-    values: np.ndarray,
-    rows: np.ndarray,
-    ks: range,
-    pairs: tuple[np.ndarray, np.ndarray] | None,
-) -> _Solution:
-    """The solution of a row sector with eigenvalues ``values`` and the row
-    ``rows[0]`` (probe . v_j, stored conjugated), which keeps eigenvectors
-    ``ks``, a run whose eigenpairs are ``pairs`` (None for an empty run)."""
-    vectors = pairs[1] if ks else np.zeros((values.size, 0))
-    return _Solution(values, vectors, kept=np.arange(ks.start, ks.stop), row=rows[0].conj())
+    def probes(self, x: np.ndarray) -> np.ndarray:
+        """The sector vector ``x`` as the one probe column of
+        :func:`floqtrk.lapack.band_rows` on ``band``: Q^T x
+        (:func:`floqtrk.lapack.project`) for a dense block's T, else x in
+        band order."""
+        if self.order is None:
+            return lapack.project(self.reduced, x[:, None])
+        return x[self.order][:, None]
 
 
 def _reduce(block: np.ndarray) -> _BlockSolve | None:
     """The tridiagonal reduction of one Hermitian block of a reference
     solve, which overwrites it: the package's one dense reduction
-    (:func:`floqtrk.lapack.reduce`). None for a complex block, or one the
-    kernel declines."""
+    (:func:`floqtrk.lapack.reduce`), with its T as the band. None for a
+    complex block, or one the kernel declines."""
     reduced = lapack.reduce(block) if block.dtype == np.float64 else None
-    return None if reduced is None else _BlockSolve(reduced)
+    return None if reduced is None else _BlockSolve(reduced, reduced.band())
 
 
 def _eigh(block: np.ndarray) -> _Solution:

@@ -4,19 +4,19 @@ LAPACK's real symmetric eigensolver run step by step.
 numpy ships OpenBLAS (with LAPACK and LAPACKE, 64-bit integers, symbols
 prefixed ``scipy_`` and suffixed ``64_``) in ``numpy.libs``; its
 ``np.linalg.eigh`` calls that library's ``dsyevd``. For ``jobz = 'V'``,
-``dsyevd`` reduces A = Q T Q^T (``dsytrd``), solves T = Z diag(w) Z^T
-(``dstedc``, compz = 'I') and forms the eigenvector matrix Q Z
-(``dormtr``), an O(m^3) step with 2 m^2 of workspace. Here the reduction
-(:func:`reduce`) and the tridiagonal solve are two steps, and no
-eigenvector matrix is formed. :func:`solve_rows` runs ``dstedc``, so its
-eigenvalues are those of ``eigh`` bit for bit, and keeps only the rows
-x^T Q Z of a few probe vectors x: Q^T goes onto the probes while the
-reflectors are still in the reduced block, and Z then overwrites them.
-:func:`solve_values` keeps the eigenvalues (:func:`eigenvalues`:
-``dsterf``, which ``dstedc`` runs for compz = 'N') and the eigenvectors
-of one run of indices (:func:`eigenpairs`: bisection, inverse iteration
-and Q on those columns), with no Z and no m^2 workspace; :func:`window`
-finds the run of eigenvalues in an interval.
+``dsyevd`` reduces A = Q T Q^T (``dsytrd``), solves T = Z diag(w) Z^T by
+divide and conquer and forms the eigenvector matrix Q Z (``dormtr``), an
+O(m^3) step with 2 m^2 of workspace. Here no Z and no eigenvector matrix
+is formed. A dense block is reduced to T (:func:`reduce`), whose
+eigenvalues :func:`eigenvalues` gives (``dsterf``, the values-only solve
+of ``dsyevd`` for ``jobz = 'N'``); :func:`eigenpairs` gives the
+eigenpairs of one run of indices (bisection, inverse iteration and Q on
+those columns), and :func:`window` the run of eigenvalues in an
+interval. The rows x^T V of a
+few probe vectors x over every eigenvector V come from T as from any
+band: :func:`project` puts Q^T on the probes, and :func:`band_rows`
+solves T, a band of half bandwidth 1 (:meth:`Tridiagonal.band`), for
+them.
 
 A block that is a narrow band needs no dense reduction, and no m x m
 array at all. :func:`band_reduce` takes its lower band to the same
@@ -28,14 +28,14 @@ factorization (``dpbtrf``) whether every eigenvalue lies above a value,
 on the banded LU factors (``dgbtrf``, ``dgbtrs``), and
 :func:`band_eigenpairs` for those of one run of indices, orthogonalized
 within a cluster as ``dstein`` does. :func:`band_rows` gives the rows of
-a few probes over every eigenvector, as :func:`solve_rows` does, from the
-band alone, in the order of the eigenvalues :func:`eigenvalues` gives on
-its T: the probes ride through the bidiagonal reduction (``dgbbrd``) of
-the banded Cholesky factor (``dpbtrf``) of the band shifted positive
-definite, then through LAPACK's divide and conquer for that bidiagonal's
-singular value decomposition, taken one block at a time (``dlasdq`` on
-each small block, ``dlasd6`` to merge two, ``dlals0`` to apply the
-merge's left singular vectors), so no Q, U or Z is formed. The band
+a few probes over every eigenvector from the band alone, in the order of
+the eigenvalues :func:`eigenvalues` gives on its T: the probes ride
+through the bidiagonal reduction (``dgbbrd``) of the banded Cholesky
+factor (``dpbtrf``) of the band shifted positive definite, then through
+LAPACK's divide and conquer for that bidiagonal's singular value
+decomposition, taken one block at a time (``dlasdq`` on each small block,
+``dlasd6`` to merge two, ``dlals0`` to apply the merge's left singular
+vectors), so no Q, U or Z is formed. The band
 routines run on one core, and :func:`side_by_side` runs two of them at
 once, one on a second thread.
 """
@@ -80,7 +80,6 @@ class OpenBlas(NamedTuple):
     set_num_threads: Callable
     get_num_threads: Callable
     dsytrd: Callable
-    dstedc: Callable
     dstebz: Callable
     dstein: Callable
     dormtr: Callable
@@ -134,9 +133,6 @@ def _bind(library: ctypes.CDLL) -> OpenBlas:
         dsytrd=routine(
             "scipy_LAPACKE_dsytrd64_",
             ctypes.c_int, char, int64, matrix, int64, vector, vector, vector,
-        ),
-        dstedc=routine(
-            "scipy_LAPACKE_dstedc64_", ctypes.c_int, char, int64, vector, vector, matrix, int64
         ),
         dstebz=routine(
             "scipy_LAPACKE_dstebz64_",
@@ -216,7 +212,7 @@ def eigensolver_name() -> str:
     A solve with no reference is numpy's ``eigh``."""
     if openblas() is None:
         return "numpy.linalg.eigh"
-    return "LAPACK dsytrd+dstedc, dsbtrd+dsterf, dpbtrf+dgbbrd+dlasdq+dlasd6+dlals0"
+    return "LAPACK dsytrd+dsterf, dsbtrd+dsterf, dpbtrf+dgbbrd+dlasdq+dlasd6+dlals0"
 
 
 def _check(info: int, failure: str = "Eigenvalues did not converge") -> None:
@@ -238,6 +234,10 @@ class Tridiagonal(NamedTuple):
     e: np.ndarray
     tau: np.ndarray | None
 
+    def band(self) -> np.ndarray:
+        """T as a lower band (kd = 1), as :func:`band_rows` reads one."""
+        return np.array([self.d, np.append(self.e, 0.0)], order="F")
+
 
 def reduce(a: np.ndarray) -> Tridiagonal | None:
     """The tridiagonal reduction of the real symmetric ``a``, read from its
@@ -258,29 +258,22 @@ def reduce(a: np.ndarray) -> Tridiagonal | None:
     return Tridiagonal(a, d, e, tau)
 
 
-def solve_rows(reduced: Tridiagonal, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues w (ascending) of A = (Q Z) diag(w) (Q Z)^T and the k x m
-    matrix of rows ``probes``^T Q Z, for the m x k ``probes``, real or
-    complex: entry (i, j) is probes[:, i] . v_j, unconjugated.
-
-    ``dormtr`` applies Q^T to the probes while the reflectors are still in
-    ``reduced.a``; ``dstedc`` (compz 'I') then overwrites them with Z, so
-    the values are those of ``eigh`` bit for bit. Z is read once: the
-    buffer of ``reduced.a`` is spent.
-    """
+def project(reduced: Tridiagonal, probes: np.ndarray) -> np.ndarray:
+    """Q^T ``probes`` (``dormtr``) for the m x k ``probes``, real or
+    complex: the probes in the coordinates of T, for :func:`band_rows` on
+    :meth:`Tridiagonal.band`. The reflectors in ``reduced.a`` are read, not
+    kept."""
     library = openblas()
-    a, d, e, tau = reduced
+    a, d, _, tau = reduced
     m = d.size
     if probes.ndim != 2 or probes.shape[0] != m:
         raise InputError(f"expected probes of shape ({m}, k), got shape {probes.shape}")
     dtype = np.result_type(probes, np.float64)
-    # a complex column is two real columns: Q and Z are real
-    columns = np.ascontiguousarray(probes, dtype=dtype).view(np.float64)
-    projected = np.array(columns, order="F")
-    k = projected.shape[1]
-    _check(library.dormtr(_COL_MAJOR, b"L", b"L", b"T", m, k, a, m, tau, projected, m))
-    _check(library.dstedc(_COL_MAJOR, b"I", m, d, e, a, m))
-    return d, np.ascontiguousarray(a.T @ projected).view(dtype).T
+    # a complex column is two real columns: Q is real
+    columns = np.array(np.ascontiguousarray(probes, dtype=dtype).view(np.float64), order="F")
+    k = columns.shape[1]
+    _check(library.dormtr(_COL_MAJOR, b"L", b"L", b"T", m, k, a, m, tau, columns, m))
+    return np.ascontiguousarray(columns).view(dtype)
 
 
 def _bisect(library: OpenBlas, reduced: Tridiagonal, order: bytes, first: int, last: int):
@@ -383,27 +376,9 @@ def eigenpairs(reduced: Tridiagonal, ks: range) -> tuple[np.ndarray, np.ndarray]
     return w[order], vectors[:, order]
 
 
-def solve_values(
-    reduced: Tridiagonal,
-    ks: range,
-    pairs: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every eigenvalue of A, ascending, and its eigenvectors ``ks`` (a
-    contiguous run) as columns.
-
-    The run's eigenpairs are :func:`eigenpairs`' (``pairs``, when the caller
-    already has them), and values ``ks`` are that bisection's; the others
-    are :func:`eigenvalues`'. No Z and no m^2 workspace is formed.
-    """
-    w, vectors = eigenpairs(reduced, ks) if pairs is None else pairs
-    values = eigenvalues(reduced)
-    values[ks.start : ks.stop] = w
-    return values, vectors
-
-
 def eigenvalues(reduced: Tridiagonal) -> np.ndarray:
     """Every eigenvalue of T, ascending: ``dsterf`` on copies of its
-    diagonals, the routine ``dstedc`` runs for compz 'N'."""
+    diagonals."""
     values = reduced.d.copy()
     _check(openblas().dsterf(values.size, values, reduced.e.copy()))
     return values
@@ -428,16 +403,28 @@ def band_reduce(band: np.ndarray) -> Tridiagonal | None:
     return Tridiagonal(None, d, e, None)
 
 
-def side_by_side(first: Callable[[], First], second: Callable[[], Second]) -> tuple[First, Second]:
-    """``first()`` and ``second()``, two calls that share nothing. The band
-    routines (``dsbtrd``, ``dsterf`` and those of :func:`band_rows`) run
-    on one core, so when OpenBLAS may use two threads ``first`` runs on a
-    second thread while the calling thread runs ``second``; with one
-    thread (``--threads 1``) both run on the calling thread, in turn. Each
-    result is the same bit for bit either way. An exception of the second
-    thread is raised here once it has ended; no thread outlives the call."""
+#: The fewest rows of the blocks :func:`side_by_side` runs on two threads.
+#: Below it, starting a thread and passing the interpreter lock cost more
+#: than the overlap saves: on a 2-core x86_64 machine the row solve and
+#: the ``dsterf`` of a T of 51 rows took 0.83 ms side by side against
+#: 0.45 ms in turn, and the two broke even near 100 rows.
+SIDE_BY_SIDE_ROWS = 100
+
+
+def side_by_side(
+    first: Callable[[], First], second: Callable[[], Second], rows: int
+) -> tuple[First, Second]:
+    """``first()`` and ``second()``, two calls that share nothing, on
+    blocks of about ``rows`` rows. The band routines (``dsbtrd``,
+    ``dsterf`` and those of :func:`band_rows`) run on one core, so when
+    OpenBLAS may use two threads and ``rows`` is at least
+    :data:`SIDE_BY_SIDE_ROWS`, ``first`` runs on a second thread while the
+    calling thread runs ``second``; otherwise (``--threads 1``, or small
+    blocks) both run on the calling thread, in turn. Each result is the
+    same bit for bit either way. An exception of the second thread is
+    raised here once it has ended; no thread outlives the call."""
     library = openblas()
-    if library is None or library.get_num_threads() < 2:
+    if library is None or library.get_num_threads() < 2 or rows < SIDE_BY_SIDE_ROWS:
         return first(), second()
     result, failed = [], []
 
@@ -609,10 +596,12 @@ def band_rows(band: np.ndarray, probes: np.ndarray) -> np.ndarray | None:
     symmetric A of the lower ``band`` in ascending order of their
     eigenvalues (:func:`eigenvalues` of :func:`band_reduce`), for the m x k
     ``probes`` in band order, real or complex: entry (i, j) is
-    probes[:, i] . v_j, unconjugated, as :func:`solve_rows` gives them.
-    None when the kernel is absent, A is too large or too small for it
-    unscaled (as in :func:`band_reduce`), or ``dpbtrf``, ``dgbbrd``,
-    ``dlasdq``, ``dlasd6`` or ``dlals0`` reports a failure.
+    probes[:, i] . v_j, unconjugated. A dense block's rows are those of
+    its T's band (:meth:`Tridiagonal.band`) for the probes :func:`project`
+    gives, in the order of :func:`eigenvalues` of :func:`reduce`. None
+    when the kernel is absent, A is too large or too small for it unscaled
+    (as in :func:`band_reduce`), or ``dpbtrf``, ``dgbbrd``, ``dlasdq``,
+    ``dlasd6`` or ``dlals0`` reports a failure.
 
     A + sigma 1 is positive definite for sigma = margin - (the lower end of
     A's Gershgorin interval), the margin :data:`CLUSTER_RTOL` times that
@@ -678,14 +667,17 @@ def band_rows(band: np.ndarray, probes: np.ndarray) -> np.ndarray | None:
     def solve(lo: int, n: int, sqre: int) -> bool:
         # rows lo .. lo + n - 1 of B, with sqre more columns than rows
         if n <= SMLSIZ:
-            u, w = np.eye(n, order="F"), np.eye(n + sqre, order="F")
+            # W^T is carried on its first and last columns only: the
+            # rotations act on each column alone
+            u, ends = np.eye(n, order="F"), np.zeros((n + sqre, 2), order="F")
+            ends[0, 0] = ends[-1, 1] = 1.0
             if library.dlasdq(
-                b"U", sqre, n, n + sqre, n, 0, _at(d, lo), _at(e, lo), _at(w), n + sqre,
+                b"U", sqre, n, 2, n, 0, _at(d, lo), _at(e, lo), _at(ends), n + sqre,
                 _at(u), n, _at(u), n, _at(work),
             ):
                 return False
             rows[lo : lo + n] = u.T @ rows[lo : lo + n]
-            vf[lo : lo + n + sqre], vl[lo : lo + n + sqre] = w[:, 0], w[:, -1]
+            vf[lo : lo + n + sqre], vl[lo : lo + n + sqre] = ends[:, 0], ends[:, 1]
             idxq[lo : lo + n] = np.arange(1, n + 1)
             return True
         left = n // 2

@@ -117,13 +117,15 @@ def record_lapack_solves(monkeypatch, bands=None):
     """Patch ``floquet._reduce`` and ``floquet._eigh``, the package's two
     dense block-solve entries (a reference solve's reduction and numpy's
     ``eigh``), ``lapack.band_reduce``, which reduces a sector band, and
-    ``lapack.band_rows``, which solves a sector band for its row, with
+    ``lapack.band_rows``, which solves the row sector of every reference
+    solve for its row (a sector band, or a dense block's T), with
     recorders; returns the list the dimension of each block solve is
     appended to, in the order of the solves; two bands reduced side by
-    side (``lapack.side_by_side``) come in either order. The dimension of
-    each band solve, a reduction or a row solve, is also appended to
-    ``bands``, when given, so a solve that wrote no dense block records
-    the same list twice."""
+    side (``lapack.side_by_side``) come in either order. So a dense
+    reference solve records its reductions, then its row sector. The
+    dimension of each band solve, a reduction or a row solve, is also
+    appended to ``bands``, when given, so a solve that wrote no dense block
+    records the same list twice."""
     banded, rows = lapack.band_reduce, lapack.band_rows
     dims = []
 
@@ -148,6 +150,30 @@ def record_lapack_solves(monkeypatch, bands=None):
     monkeypatch.setattr(lapack, "band_reduce", band_recorder(banded))
     monkeypatch.setattr(lapack, "band_rows", band_recorder(rows))
     return dims
+
+
+def assert_rows_match_eigh(rows, probes, values, vectors):
+    """The k x m ``rows`` of the m x k ``probes`` (entry (i, j) is
+    probes[:, i] . v_j) are eigh's, ``probes``^T ``vectors`` for the
+    ascending ``values``, within 64 m eps ||x|| for each probe x: entry by
+    entry up to the sign of each eigenvector where a value stands alone,
+    and as the norm of the row over a cluster of values (neighbours within
+    dstein's ORTOL, CLUSTER_RTOL ||A||), inside which the basis is not
+    fixed."""
+    m = values.size
+    expected = probes.T @ vectors
+    bound = 64 * m * np.finfo(np.float64).eps * np.linalg.norm(probes, axis=0)
+    scale = np.max(np.abs(values), initial=0.0)
+    clusters = np.concatenate([[0], np.cumsum(np.diff(values) > lapack.CLUSTER_RTOL * scale)])
+    sizes = np.bincount(clusters)
+    alone = sizes[clusters] == 1
+    signs = np.where(np.sum(expected.conj() * rows, axis=0).real < 0.0, -1.0, 1.0)
+    assert rows.shape == expected.shape
+    assert np.all(np.abs(rows * signs - expected)[:, alone] <= bound[:, None])
+    for cluster in np.flatnonzero(sizes > 1):
+        inside = clusters == cluster
+        norms = [np.linalg.norm(r[:, inside], axis=1) for r in (rows, expected)]
+        assert np.all(np.abs(norms[0] - norms[1]) <= bound)
 
 
 def values_only_sector(system):

@@ -36,6 +36,50 @@ def energy_weighted_sum(h, d, reference):
     return float(2.0 * np.sum((values - values[reference]) * np.abs(amps) ** 2))
 
 
+def exact_energy_weighted_sums(h, d, perm, signs, digits=30):
+    """energy_weighted_sum from every eigenstate a of the real symmetric
+    ``h``, in ascending order of E_a, solved at ``digits`` significant
+    digits (mpmath) rather than in double precision.
+
+    ``h`` commutes with the reflection S e_i = signs[i] e_perm[i] and the
+    real ``d`` anticommutes with it, so the S = +1 and S = -1 blocks of h
+    are solved apart (mpmath's eigsy) and d couples a state of one only to
+    the states of the other.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        n = h.shape[0]
+        half = 1 / mpmath.sqrt(2)
+        bases = {}
+        for parity in (1, -1):
+            columns = []
+            for i in range(n):
+                j = int(perm[i])
+                if j < i or (j == i and signs[i] != parity):
+                    continue
+                column = [mpmath.mpf(0)] * n
+                if j == i:
+                    column[i] = mpmath.mpf(1)
+                else:
+                    column[i], column[j] = half, parity * float(signs[i]) * half
+                columns.append(column)
+            bases[parity] = mpmath.matrix(columns).T
+        h, d = mpmath.matrix(h.tolist()), mpmath.matrix(d.tolist())
+        solved = {p: mpmath.eigsy(basis.T * h * basis) for p, basis in bases.items()}
+        states = []
+        for p, (values, vectors) in solved.items():
+            other_values, other_vectors = solved[-p]
+            amps = other_vectors.T * (bases[-p].T * d * bases[p]) * vectors
+            for a in range(len(values)):
+                total = mpmath.fsum(
+                    (other_values[b] - values[a]) * amps[b, a] ** 2
+                    for b in range(len(other_values))
+                )
+                states.append((values[a], float(2 * total)))
+    return np.array([total for _, total in sorted(states, key=lambda state: state[0])])
+
+
 def random_hermitian(rng, dim, scale=1.0):
     """Dense Hermitian matrix with Gaussian entries."""
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

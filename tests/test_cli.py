@@ -19,7 +19,13 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import column_rows, read_report_tables, record_lapack_solves
+from helpers import (
+    band_joint,
+    column_rows,
+    read_report_tables,
+    record_lapack_solves,
+    row_sector,
+)
 from floqtrk import (
     ConfigError,
     InputError,
@@ -688,24 +694,26 @@ GRID_21 = "model: {grid: {n_points: 21}}\n"
     "text, dims",
     [
         # matter: 10 mirror pairs + the centre (even); Sambe m = -2..2: 50
-        # pairs + the centres, whose sign (-1)^m gives 3 even and 2 odd
+        # pairs + the centres, whose sign (-1)^m gives 3 even and 2 odd;
+        # each row sector is the one opposite its reference
         (
             "job: floquet\n" + GRID_21 + "sambe: {harmonic_cutoff: 2}\n"
             + "drive: {omega: 0.35, components: [{harmonic: 1, amplitude: 0.05}]}\n",
-            [11, 10, 53, 52],
+            [11, 10, 10, 53, 52, 53],
         ),
         # n_max 2, 3, 4: 10 pairs per photon level + the centre with (-1)^n
         (
             "job: converge\nconverge: {axis: fock_n_max, values: [2, 3, 4]}\n"
             + GRID_21 + "fock: {omega_c: 0.9, g: 0.05}\n",
-            [32, 31, 42, 42, 53, 52],
+            [32, 31, 31, 42, 42, 42, 53, 52, 52],
         ),
     ],
     ids=["floquet", "converge_fock"],
 )
 def test_symmetric_grid_jobs_solve_only_parity_sectors(tmp_path, monkeypatch, text, dims):
     """On a symmetric grid every eigensolve reaches LAPACK as two sector
-    solves, never as one full-size solve."""
+    reductions and the row solve of one sector, never as one full-size
+    solve."""
     config = load_config(config_file(tmp_path, text))
     solved = record_lapack_solves(monkeypatch)
     run_job(config)
@@ -737,7 +745,10 @@ def test_jobs_solve_every_operator_for_its_reference(tmp_path, monkeypatch, name
     """Every eigensolve of a job on a real operator names its reference, as
     the sums read one reference's eigenvector and dipole row: each block
     is reduced (densely or as a band), and numpy's eigh, the solve without
-    a reference, never runs."""
+    a reference, never runs. Every row comes from the one row kernel: the
+    row sector of each solve holds the row of one lapack.band_rows call
+    (on a sector band, or on a dense block's T) bit for bit, in the order
+    of the solves."""
     eigh, calls = np.linalg.eigh, []
 
     def recorded(a, *args, **kwargs):
@@ -746,8 +757,24 @@ def test_jobs_solve_every_operator_for_its_reference(tmp_path, monkeypatch, name
 
     monkeypatch.setattr(np.linalg, "eigh", recorded)
     solved = record_lapack_solves(monkeypatch)
+    band_rows, rows = lapack.band_rows, []
+
+    def kept_rows(band, probes):
+        rows.append(band_rows(band, probes))
+        return rows[-1]
+
+    monkeypatch.setattr(lapack, "band_rows", kept_rows)
+    original, systems = floquet.diagonalize_hermitian, []
+
+    def kept_system(matrix, **options):
+        systems.append(original(matrix, **options))
+        return systems[-1]
+
+    monkeypatch.setattr(cli, "diagonalize_hermitian", kept_system)
     run_job(load_config(config_file(tmp_path, REFERENCE_ROUTE_JOBS[name])))
     assert solved and calls == []
+    served = [row_sector(system)[1].row.amplitudes.tobytes() for system in systems]
+    assert served and served == [row[0].conj().tobytes() for row in rows]
 
 
 @pytest.mark.parametrize(
@@ -794,15 +821,13 @@ def test_symmetric_grid_jobs_allocate_less_than_one_full_matrix(tmp_path, text, 
 
 def test_floquet_sambe_solve_peaks_at_two_and_a_half_sector_matrices(tmp_path, monkeypatch):
     """The 61-point, cutoff-8 floquet job (dim 1037, sectors of m ~ dim/2)
-    reduces both sectors, then solves the reference's values-only and frees
-    it before the other's solve for the dipole row: the numpy allocations
-    traced during its Sambe solve peak at most 2.5 m^2 doubles (both
-    reduced blocks, 2.14 m^2), not two Z and two panel sets. tracemalloc
-    counts numpy's allocations only, not the m^2 + 4m + 1 doubles
-    LAPACKE_dstedc allocates for its workspace; with those counted
-    (LAPACKE_dstedc_work fed numpy arrays) this solve still peaks at
-    2.14 m^2, at the two reduced blocks, where one Z, its reflector
-    panels and that workspace read 2.78 m^2."""
+    reduces both sectors, takes the first-zone eigenvectors off their T,
+    then solves the other sector's T for the dipole row with O(m) arrays:
+    the numpy allocations traced during its Sambe solve peak at most
+    2.5 m^2 doubles (both reduced blocks, 2.15 m^2), not two Z and two
+    panel sets. tracemalloc counts numpy's allocations only, not the
+    O(m nb) workspace LAPACKE_dsytrd and LAPACKE_dormtr allocate (nb
+    their block size); no solve allocates an m^2 workspace."""
     text = (
         "job: floquet\nmodel: {grid: {n_points: 61}}\nsambe: {harmonic_cutoff: 8}\n"
         "drive: {omega: 0.35, components: [{harmonic: 1, amplitude: 0.05}]}\n"
@@ -837,11 +862,14 @@ def test_band_route_holds_no_sector_matrix(tmp_path, monkeypatch):
     solve peak at most 0.5 m^2 doubles (the bands, the probe, the row and
     the matter-size projections), not the dense row block (over 1 m^2)
     the route held before it read that sector's band. tracemalloc now
-    misses only LAPACKE's O(m) workspace of dgbbrd."""
+    misses only LAPACKE's O(m) workspace of dgbbrd. One band solve runs
+    before tracing starts, so the peaks do not count binding numpy's
+    OpenBLAS, whichever test runs first."""
     text = (
         "job: converge\nconverge: {axis: fock_n_max, values: [8, 10, 12]}\n"
         "model: {grid: {n_points: 81}}\nfock: {omega_c: 0.9, g: 0.05}\n"
     )
+    floquet.diagonalize_hermitian(band_joint(), reference=0)
     original = floquet.diagonalize_hermitian
     bands, peaks = [], {}
 
@@ -1199,7 +1227,7 @@ def test_timings_record_the_environment(tmp_path):
     }
     kernel = lapack.openblas() is not None
     assert environment["eigensolver"] == (
-        "LAPACK dsytrd+dstedc, dsbtrd+dsterf, dpbtrf+dgbbrd+dlasdq+dlasd6+dlals0"
+        "LAPACK dsytrd+dsterf, dsbtrd+dsterf, dpbtrf+dgbbrd+dlasdq+dlasd6+dlals0"
         if kernel
         else "numpy.linalg.eigh"
     )

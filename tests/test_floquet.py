@@ -14,6 +14,7 @@ import pytest
 import oracles
 from helpers import (
     assert_band_is_sector,
+    assert_rows_match_eigh,
     assert_same_spectrum,
     band_joint,
     dense_vectors,
@@ -51,7 +52,7 @@ from floqtrk import (
     sumrule_qed,
     sumrule_sambe,
 )
-from floqtrk import lapack
+from floqtrk import floquet, lapack
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -342,20 +343,25 @@ def test_diagonalize_rejects_non_finite(monkeypatch, entry, split):
 )
 def test_lapack_failure_is_a_numeric_error(monkeypatch, path, split, dims):
     """A failed eigensolve surfaces as NumericError, on the dense path and
-    on the sector path: a LinAlgError of numpy's eigh, and a dstedc info > 0
-    of the LAPACK kernel, give the same message. The kernel's dstedc runs
-    in a reference solve, here of rank 1, which takes the dense route."""
+    on the sector path: a LinAlgError of numpy's eigh, and a dsterf info > 0
+    of the LAPACK kernel, give the same message. The kernel's dsterf runs
+    in a reference solve, here of rank 1, which takes the dense route; the
+    first block's failure ends the solve. The matrix is split by its
+    reflection into sectors of values {1.5, 2.25} and {0.5, 1.75}, which
+    share none, so the choice meets no tie."""
     solved = []
 
     def failing(a, *args, **kwargs):
         solved.append(a.shape[0])
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    def failing_dstedc(layout, compz, n, *args):
+    def failing_dsterf(n, *args):
         solved.append(n)
         return 1  # an eigenvalue did not converge
 
     matrix = np.diag([1.0, 2.0, 2.0, 1.0])
+    matrix[0, 3] = matrix[3, 0] = 0.5
+    matrix[1, 2] = matrix[2, 1] = 0.25
     reflection = basis_reversal(4) if split else None
     if path == "fallback":
         monkeypatch.setattr(lapack, "openblas", lambda: None)
@@ -365,7 +371,7 @@ def test_lapack_failure_is_a_numeric_error(monkeypatch, path, split, dims):
         library = lapack.openblas()
         if library is None:
             pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
-        monkeypatch.setattr(lapack, "openblas", lambda: library._replace(dstedc=failing_dstedc))
+        monkeypatch.setattr(lapack, "openblas", lambda: library._replace(dsterf=failing_dsterf))
         target = ProductOperator(
             matter=matrix,
             labels=np.zeros(1, dtype=int),
@@ -499,44 +505,69 @@ def test_inverse_iteration_refuses_a_shift_off_the_spectrum():
         (64, 3, "zero", 3),
         (101, 5, "negative_definite", 1),
         (301, 3, "random", 3),
+        (1, 1, "reduced", 1),
+        (1, 1, "reduced_complex", 1),
+        (2, 1, "reduced", 3),
+        (2, 1, "reduced_complex", 1),
+        (25, 1, "reduced", 1),
+        (25, 1, "reduced", 3),
+        (26, 1, "reduced_complex", 1),
+        (26, 1, "reduced", 3),
+        (301, 1, "reduced", 1),
+        (301, 1, "reduced", 3),
+        (301, 1, "reduced_complex", 1),
     ],
 )
 def test_band_rows_match_eigh(m, kd, kind, k):
     """On a symmetric band (random, zero, or random shifted below zero by
-    its Gershgorin norm plus one): the values of its band reduction
-    (dsbtrd + dsterf) are eigh's within m eps ||A||, and over each cluster
-    of eigh's values (neighbours within dstein's ORTOL, CLUSTER_RTOL ||A||)
-    the sum of |row|^2 of every probe from band_rows (the Cholesky factor
-    of the band shifted positive definite, its bidiagonal reduction and
-    divide and conquer SVD) is eigh's within 64 m eps ||x||^2: the weight
-    of the probe in each eigenspace, which does not depend on the basis
-    chosen inside it. m = 25 is solved whole (SMLSIZ), 26 and 27 are
-    halved and merged, and a 1 x 1 band is shifted to a positive value
-    (its margin clears the rounding of a - a)."""
+    its Gershgorin norm plus one), or on the T (kd = 1) of a random dense
+    symmetric A from its reduction (dsytrd) with the probes taken to T's
+    coordinates by dormtr ('T'), real or complex: the values of the band's
+    reduction (dsbtrd + dsterf), or T's dsterf, are eigh's within
+    m eps ||A||; over each cluster of eigh's values (neighbours within
+    dstein's ORTOL, CLUSTER_RTOL ||A||) the sum of |row|^2 of every probe
+    from band_rows (the Cholesky factor of the band shifted positive
+    definite, its bidiagonal reduction and divide and conquer SVD) is
+    eigh's within 64 m eps ||x||^2: the weight of the probe in each
+    eigenspace, which does not depend on the basis chosen inside it; and
+    the rows are eigh's within 64 m eps ||x|| (assert_rows_match_eigh).
+    m = 25 is solved whole (SMLSIZ), 26 and 27 are halved and merged, and
+    a 1 x 1 band is shifted to a positive value (its margin clears the
+    rounding of a - a)."""
     if lapack.openblas() is None:
         pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
     rng = np.random.default_rng(m + kd)
     a = np.zeros((m, m))
     if kind != "zero":
         a = rng.standard_normal((m, m))
-        a = np.triu(np.tril(a + a.T, kd), -kd)
+        a = a + a.T if kind.startswith("reduced") else np.triu(np.tril(a + a.T, kd), -kd)
     if kind == "negative_definite":
         a -= (np.max(np.sum(np.abs(a), axis=1)) + 1.0) * np.eye(m)
         assert np.linalg.eigvalsh(a)[-1] < 0.0
     probes = rng.standard_normal((m, k))
+    if kind == "reduced_complex":
+        probes = probes + 1j * rng.standard_normal((m, k))
     values, vectors = np.linalg.eigh(a)
-    band = band_of(a, kd)
-    rows = lapack.band_rows(band, probes)
-    assert np.array_equal(band, band_of(a, kd))  # the band is read, not overwritten
-    w = lapack.eigenvalues(lapack.band_reduce(band))
+    if kind.startswith("reduced"):
+        reduced = lapack.reduce(np.array(a, order="F"))
+        band, x = reduced.band(), lapack.project(reduced, probes)
+        assert x.dtype == probes.dtype and x.shape == (m, k)
+    else:
+        band, x = band_of(a, kd), probes
+        reduced = lapack.band_reduce(band)
+    rows = lapack.band_rows(band, x)
+    if not kind.startswith("reduced"):
+        assert np.array_equal(band, band_of(a, kd))  # the band is read, not overwritten
+    w = lapack.eigenvalues(reduced)
     eps, norm = np.finfo(np.float64).eps, np.linalg.norm(a, 2)
-    assert rows.shape == (k, m) and np.all(np.diff(w) >= 0.0)
+    assert rows.shape == (k, m) and rows.dtype == probes.dtype and np.all(np.diff(w) >= 0.0)
     assert np.max(np.abs(w - values)) <= m * eps * norm
     clusters = np.concatenate([[0], np.cumsum(np.diff(values) > lapack.CLUSTER_RTOL * norm)])
-    for x, row, expected in zip(probes.T, rows, probes.T @ vectors):
+    for probe, row, expected in zip(probes.T, rows, probes.T @ vectors):
         weights = np.bincount(clusters, np.abs(row) ** 2)
         exact = np.bincount(clusters, np.abs(expected) ** 2)
-        assert np.max(np.abs(weights - exact)) <= 64 * m * eps * (x @ x)
+        assert np.max(np.abs(weights - exact)) <= 64 * m * eps * np.vdot(probe, probe).real
+    assert_rows_match_eigh(rows, probes, values, vectors)
 
 
 def test_bundled_openblas_binds_every_routine():
@@ -583,13 +614,15 @@ def test_every_bound_routine_is_called():
     ids=["n1", "n2", "signed_zeros", "degenerate_diag", "grid_sector"],
 )
 def test_lapack_kernel_keeps_the_eigenvalues_of_eigh(make):
-    """A real block solved for a reference by dsytrd + dstedc has the
-    eigenvalues of numpy's eigh on the operator's matrix (its toarray(),
-    whose zeros are +0.0) bit for bit, and the input is left untouched. Each
-    reference's column is a unit eigenvector of its value within 64 m eps
-    (orthogonal to eigh's columns of the other values), and its dipole row
-    agrees with eigh's eigenvectors V within 64 m eps ||x||, for x the
-    probe d psi the row was solved for."""
+    """A real block solved for a reference (dsytrd, then dsterf for the
+    values and band_rows on T for the row) has the eigenvalues of dsterf
+    on the T of the operator's matrix (its toarray(), whose zeros are
+    +0.0) bit for bit, eigh's within m eps ||A||, and the input is left
+    untouched. Each reference's column is a unit eigenvector of its value
+    within 64 m eps (orthogonal to eigh's columns of the other values), and
+    its dipole row agrees with eigh's eigenvectors V within 64 m eps ||x||
+    (assert_rows_match_eigh), for x the probe d psi the row was solved
+    for."""
     if lapack.openblas() is None:
         pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
     block = make()
@@ -602,23 +635,26 @@ def test_lapack_kernel_keeps_the_eigenvalues_of_eigh(make):
         matter=block, labels=np.zeros(1, dtype=int), dipole=d, coupling=np.zeros((1, 1))
     )
     values, v = np.linalg.eigh(operator.toarray())
+    dsterf = lapack.eigenvalues(lapack.reduce(np.array(operator.toarray(), order="F")))
+    scale = np.linalg.norm(block, 2)
     for reference in sorted({0, n // 2, n - 1}):
         system = diagonalize_hermitian(operator, reference=reference)
         assert np.array_equal(block, kept)
-        assert system.values.tobytes() == values.tobytes()
+        assert system.values.tobytes() == dsterf.tobytes()
+        assert np.max(np.abs(system.values - values)) <= n * np.finfo(np.float64).eps * scale
         psi = system.column(reference)
         assert abs(np.linalg.norm(psi) - 1.0) <= tol
         others = v[:, values != values[reference]]
         assert np.max(np.abs(others.T @ psi), initial=0.0) <= tol
         x = d @ psi
         row = system.amplitudes(x, reference=reference, dipole=d)
-        assert np.max(np.abs(row - x @ v)) <= tol * np.linalg.norm(x)
+        assert_rows_match_eigh(row[None, :], x[:, None], values, v)
 
 
 def one_index_solve(reduced, k):
     """Values and eigenvector k by the one-index sequence: dstebz over k,
-    dstein, dormtr on one column, then every value from dstedc compz 'N'
-    with value k replaced by the bisection's."""
+    dstein, dormtr on one column, then every value from dsterf with value
+    k replaced by the bisection's."""
     library, layout = lapack.openblas(), 102  # LAPACKE's column-major
     a, d, e, tau = reduced
     m = d.size
@@ -627,15 +663,17 @@ def one_index_solve(reduced, k):
     library.dstein(layout, m, d, e, 1, w, iblock, isplit, vector, m, np.zeros(1, dtype=np.int64))
     library.dormtr(layout, b"L", b"L", b"N", m, 1, a, m, tau, vector, m)
     values = d.copy()
-    library.dstedc(layout, b"N", m, values, e.copy(), np.zeros((1, 1), order="F"), 1)
+    library.dsterf(m, values, e.copy())
     values[k] = w[0]
     return values, vector
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 17, 64, 65, 129, 301])
 def test_values_only_solve_matches_eigh(m):
-    """solve_values on a random symmetric block of size m, over runs of
-    indices at both ends and in the middle: every eigenvalue within
+    """The values-only solve of a random symmetric block of size m (its
+    dense reduction's _BlockSolve.solve_values on the eigenpairs
+    lapack.eigenpairs gives), over runs of indices at both ends and in the
+    middle: every eigenvalue within
     ||T|| m eps of eigh's, each kept eigenvector within 64 m eps of eigh's
     column (up to sign). A one-index run is the one-index sequence bit for
     bit; the bisection lowest(k + 1) gives eigh's lowest values within the
@@ -647,12 +685,19 @@ def test_values_only_solve_matches_eigh(m):
     a += a.T
     values, vectors = np.linalg.eigh(a)
     eps = np.finfo(np.float64).eps
-    reduced = lapack.reduce(np.array(a, order="F"))
+    block_solve = floquet._reduce(np.array(a, order="F"))
+    reduced = block_solve.reduced
     t = np.diag(reduced.d) + np.diag(reduced.e, 1) + np.diag(reduced.e, -1)
     scale = np.linalg.norm(t, 2)
+
+    def solve_values(ks):
+        solution = block_solve.solve_values(ks, lapack.eigenpairs(reduced, ks))
+        assert solution.kept.tolist() == list(ks)
+        return solution.values, solution.vectors
+
     runs = {range(0, min(m, 3)), range(m // 2, min(m, m // 2 + 4)), range(max(0, m - 3), m)}
     for ks in sorted(runs, key=lambda run: run.start):
-        w, kept = lapack.solve_values(reduced, ks)
+        w, kept = solve_values(ks)
         assert kept.shape == (m, len(ks))
         assert np.max(np.abs(w - values)) <= scale * m * eps
         signs = np.sign(np.sum(kept * vectors[:, ks], axis=0))
@@ -660,12 +705,12 @@ def test_values_only_solve_matches_eigh(m):
     for k in sorted({0, m // 2, m - 1}):
         lowest = lapack.lowest(reduced, k + 1)
         assert np.max(np.abs(lowest - values[: k + 1])) <= scale * m * eps
-        w, kept = lapack.solve_values(reduced, range(k, k + 1))
+        w, kept = solve_values(range(k, k + 1))
         expected_w, expected_vector = one_index_solve(reduced, k)
         assert w.tobytes() == expected_w.tobytes()
         assert kept.tobytes() == expected_vector.tobytes()
     with pytest.raises(InputError, match="not a run inside a block"):
-        lapack.solve_values(reduced, range(0, m + 1))
+        solve_values(range(0, m + 1))
 
 
 # H diag(lambda) H with H the 4 x 4 Hadamard matrix / 2, written exactly:
@@ -1108,12 +1153,13 @@ def test_dense_fallback_is_the_unsplit_solve(monkeypatch, matrix, reflection):
 
 def test_unsplit_operator_is_solved_in_place():
     """An operator that does not split writes its matrix once, in Fortran
-    order, and a reference solve reduces that array in place: the numpy
-    allocations of the solve peak below 1.75 n^2 doubles (the matrix and a
-    C-ordered copy, 2 n^2, before), with the eigenvalues of eigh on a copy
-    bit for bit. A caller's array is left as it was. tracemalloc counts
-    numpy's allocations only, not the workspace LAPACKE_dstedc allocates
-    (n^2 + 4n + 1 doubles)."""
+    order, and a reference solve reduces that array in place and solves
+    its T for the row: the numpy allocations of the solve peak below
+    1.75 n^2 doubles (the matrix and a C-ordered copy, 2 n^2, before), with
+    the eigenvalues of dsterf on the T of a copy bit for bit, eigh's within
+    n eps ||A||. A caller's array is left as it was. tracemalloc counts
+    numpy's allocations only, not the O(n nb) workspace LAPACKE_dsytrd and
+    LAPACKE_dormtr allocate (nb their block size)."""
     grid = GridBasis(x_min=-8.0, x_max=10.0, n_points=60)
     h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
     operator = sambe_operator(h, build_dipole(grid), REAL_DRIVE, 4, basis_reversal(60))
@@ -1124,6 +1170,9 @@ def test_unsplit_operator_is_solved_in_place():
     kept = full.copy(order="F")
     copied = diagonalize_hermitian(full)
     assert full.tobytes() == kept.tobytes()
+    kernel = lapack.openblas() is not None
+    dsterf = lapack.eigenvalues(lapack.reduce(kept)) if kernel else copied.values
+    scale = np.linalg.norm(full, 2)
     del full, kept
     tracemalloc.start()
     try:
@@ -1132,7 +1181,8 @@ def test_unsplit_operator_is_solved_in_place():
     finally:
         tracemalloc.stop()
     assert peak <= 1.75 * n * n * np.dtype(np.float64).itemsize
-    assert system.values.tobytes() == copied.values.tobytes()
+    assert system.values.tobytes() == dsterf.tobytes()
+    assert np.max(np.abs(system.values - copied.values)) <= n * np.finfo(np.float64).eps * scale
 
 
 def test_coupling_just_below_tolerance_is_split(monkeypatch):
@@ -1301,10 +1351,12 @@ def test_first_zone_dipole_row_matches_the_full_solve():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 17, 64, 65, 129, 301])
 def test_row_solve_keeps_the_values_of_the_full_solve(m):
-    """solve_rows on a random symmetric block of size m has eigh's
-    eigenvalues bit for bit, and its rows are V^T x, V eigh's eigenvectors,
-    within 64 m eps ||x|| for one real probe and for three probes, one
-    complex."""
+    """The dense row solve of a random symmetric block of size m (dsytrd,
+    dormtr 'T' on the probes, band_rows on T) leaves T as it was: its
+    values (dsterf) are those of a fresh reduction of the block bit for
+    bit, and eigh's within m eps ||A||; its rows are V^T x, V eigh's
+    eigenvectors, within 64 m eps ||x|| (assert_rows_match_eigh) for one
+    real probe and for three probes, one complex."""
     if lapack.openblas() is None:
         pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
     rng = np.random.default_rng(m)
@@ -1314,12 +1366,15 @@ def test_row_solve_keeps_the_values_of_the_full_solve(m):
     probes = rng.standard_normal((m, 3)).astype(complex)
     probes[:, 2] += 1j * rng.standard_normal(m)
     eps = np.finfo(np.float64).eps
+    fresh = lapack.eigenvalues(lapack.reduce(np.array(a, order="F")))
     for x in (probes[:, :1].real, probes):
-        w, rows = lapack.solve_rows(lapack.reduce(np.array(a, order="F")), x)
-        assert w.tobytes() == values.tobytes()
+        reduced = lapack.reduce(np.array(a, order="F"))
+        rows = lapack.band_rows(reduced.band(), lapack.project(reduced, x))
+        w = lapack.eigenvalues(reduced)
+        assert w.tobytes() == fresh.tobytes()
+        assert np.max(np.abs(w - values)) <= m * eps * np.linalg.norm(a, 2)
         assert rows.shape == (x.shape[1], m) and rows.dtype == x.dtype
-        bound = 64 * m * eps * np.linalg.norm(x, axis=0)[:, None]
-        assert np.all(np.abs(rows - x.T @ v) <= bound)
+        assert_rows_match_eigh(rows, x, values, v)
 
 
 @pytest.mark.parametrize(
@@ -1377,20 +1432,25 @@ def test_first_zone_solve_falls_back_to_the_full_solve(monkeypatch, operator, pi
 )
 def test_unsplit_reference_solve_matches_the_full_solve(monkeypatch, operator, reference):
     """An operator that does not split (here, on an asymmetric grid) is the
-    one sector of a reference solve: its matrix is reduced once, and no
-    eigh runs. The sector keeps the reference's eigenvector (for a picker,
-    every first-zone one) and its dipole row. The eigenvalues are the full
-    solve's bit for bit, the selection names the same eigenpairs, the
-    reference vector is the full solve's within 1e-12 up to sign, and the
-    closure sum from it matches within 1e-12 relative, with a closure
-    residual at most 1e-12 relative."""
+    one sector of a reference solve: its matrix is reduced once, its T is
+    solved for the row, and no eigh runs. The sector keeps the reference's
+    eigenvector (for a picker, every first-zone one) and its dipole row.
+    The eigenvalues are dsterf's on the T of its matrix bit for bit and
+    the full solve's within n eps ||A||, the selection names the same
+    eigenpairs, the reference vector is the full solve's within 1e-12 up
+    to sign, and the closure sum from it matches within 1e-12 relative,
+    with a closure residual at most 1e-12 relative."""
     full = diagonalize_hermitian(operator)
     assert not operator.splits
+    matrix = operator.toarray()
+    dsterf = lapack.eigenvalues(lapack.reduce(np.array(matrix, order="F")))
+    bound = operator.shape[0] * np.finfo(np.float64).eps * np.linalg.norm(matrix, 2)
     solved = record_lapack_solves(monkeypatch)
     system = diagonalize_hermitian(operator, reference=reference)
-    assert solved == [operator.shape[0]]
+    assert solved == [operator.shape[0]] * 2
     (sector,) = system.sectors
-    assert system.values.tobytes() == full.values.tobytes()
+    assert system.values.tobytes() == dsterf.tobytes()
+    assert np.max(np.abs(system.values - full.values)) <= bound
     if callable(reference):
         selection = fold_and_select_ffbz(system, operator)
         assert selection.source_indices == fold_and_select_ffbz(full, operator).source_indices
@@ -1442,7 +1502,9 @@ def test_first_zone_mismatch_takes_the_fallback(monkeypatch, case):
         pick = first_zone(0)
     solved = record_lapack_solves(monkeypatch)
     system = diagonalize_hermitian(operator, reference=pick)
-    assert solved == [73, 74, 73, 74]
+    # both reductions and the row solve of the sector opposite the pick,
+    # then both sectors by eigh
+    assert solved == [73, 74, 73, 73, 74]
     assert all(sector.kept is None for sector in system.sectors)
     assert np.max(np.abs(system.values - full.values)) <= 1e-12 * np.max(np.abs(full.values))
 
@@ -1559,7 +1621,7 @@ def test_band_reduction_fault_is_raised_after_the_join(monkeypatch, failing):
     assert threading.active_count() == before
 
 
-def reversed_side_by_side(first, second):
+def reversed_side_by_side(first, second, rows):
     """lapack.side_by_side with ``second`` run to its end before ``first``
     starts: one order two concurrent calls may take."""
     other = second()
@@ -1594,14 +1656,14 @@ def test_band_rows_do_not_depend_on_the_schedule(monkeypatch, schedule):
     [(band_zone_operator, first_zone(0)), (band_joint, 0)],
     ids=["first_zone", "rank_zero"],
 )
-def test_failed_band_row_solve_takes_the_dense_row_solve(monkeypatch, make, reference):
+def test_failed_band_row_solve_takes_eigh(monkeypatch, make, reference):
     """A divide and conquer merge that reports info > 0 (dlasd6: its
-    secular equation did not converge) sends the row sector to the dense
-    row solve once the band route has chosen: that block alone is written
-    and reduced densely, and the values are the same, the row sector's
-    those of the full solve (dsytrd + dstedc) bit for bit and the
-    values-only sector's those of the band route, with its dipole row
-    within 1e-12 of the band route's."""
+    secular equation did not converge) sends the operator, once the band
+    route has chosen, straight to the solve without a reference: both
+    sectors by numpy's eigh and none reduced densely, with the values of
+    the full solve bit for bit and every eigenvector kept, whose products
+    with the reference's probe match the band route's dipole row within
+    1e-12 in magnitude."""
     operator = make()
     full = diagonalize_hermitian(operator)
     banded = diagonalize_hermitian(operator, reference=reference)
@@ -1609,16 +1671,16 @@ def test_failed_band_row_solve_takes_the_dense_row_solve(monkeypatch, make, refe
     bands = []
     solved = record_lapack_solves(monkeypatch, bands)
     system = diagonalize_hermitian(operator, reference=reference)
-    position, opposite = row_sector(system)
-    assert solved == [*bands, opposite.ranks.size] and bands[-1] == opposite.ranks.size
-    assert system.values[opposite.ranks].tobytes() == (
-        full.values[full.sectors[position].ranks].tobytes()
-    )
-    own, expected = values_only_sector(system), values_only_sector(banded)
-    assert system.values[own.ranks].tobytes() == banded.values[expected.ranks].tobytes()
-    assert np.max(np.abs(system.values - banded.values)) <= 1e-11
-    row, band_row = opposite.row.amplitudes, row_sector(banded)[1].row.amplitudes
-    assert np.max(np.abs(np.abs(row) - np.abs(band_row))) <= 1e-12
+    sizes = [operator._sector_dim(p) for p in (1, -1)]
+    assert sorted(bands[:2]) == sorted(sizes) and len(bands) == 3
+    assert solved == [*bands, *sizes]
+    assert all(sector.kept is None for sector in system.sectors)
+    assert system.values.tobytes() == full.values.tobytes()
+    _, sector = row_sector(banded)
+    rank = sector.row.reference
+    x = ProductOperator(matter=operator.dipole, labels=operator.labels) @ banded.column(rank)
+    band_row = banded.amplitudes(x, reference=rank, dipole=operator.dipole)
+    assert np.max(np.abs(np.abs(system.amplitudes(x)) - np.abs(band_row))) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -1715,7 +1777,8 @@ def test_band_route_orthogonalizes_a_cluster(monkeypatch):
 def test_inexact_first_zone_band_vector_takes_the_dense_route(monkeypatch):
     """A banded inverse iteration whose residual stays above rounding (at
     a shift 1e-6 off its value) gives no vector: both sectors are then
-    reduced densely, as without the band route."""
+    reduced densely, as without the band route, and the row sector's T is
+    solved for the row."""
     operator = band_zone_operator()
     full = diagonalize_hermitian(operator)
     original = lapack.band_eigenvector
@@ -1727,5 +1790,6 @@ def test_inexact_first_zone_band_vector_takes_the_dense_route(monkeypatch):
     bands = []
     solved = record_lapack_solves(monkeypatch, bands)
     system = diagonalize_hermitian(operator, reference=first_zone(0))
-    assert sorted(bands) == [283, 284] and solved[2:] == [283, 284]
+    assert sorted(bands[:2]) == [283, 284] and solved[2:] == [283, 284, bands[2]]
+    assert len(bands) == 3 and bands[2] == row_sector(system)[1].ranks.size
     assert np.max(np.abs(system.values - full.values)) <= 1e-11
