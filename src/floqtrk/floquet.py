@@ -928,11 +928,7 @@ class _RankAnchor(NamedTuple):
 
     rank: int
 
-    def choose(self, solves: dict[int, tuple[SectorBasis, _BlockSolve]]) -> _Choice | None:
-        """The sector that holds the rank, decided on the rank + 1 lowest
-        eigenvalues of each; None when another sector has an eigenvalue
-        within rounding of the reference's (:func:`floqtrk.lapack.window`),
-        a tie the merged spectrum may rank either way."""
+    def choose(self, solves: dict[int, tuple[SectorBasis, _BlockSolve]]) -> _Choice:
         lowest = {p: block_solve.lowest(self.rank + 1) for p, (_, block_solve) in solves.items()}
         # rank among all, a tie going to the +1 sector as in from_sectors
         local = int(np.argsort(np.concatenate(list(lowest.values())), kind="stable")[self.rank])
@@ -940,13 +936,19 @@ class _RankAnchor(NamedTuple):
             if local < values.size:
                 break
             local -= values.size
-        value = float(lowest[own][local])
-        if any(lapack.window(s.reduced, value, value) for p, (_, s) in solves.items() if p != own):
-            return None
         kept = {p: range(local, local + 1) if p == own else range(0) for p in solves}
         return _Choice(own, local, kept, {})
 
-    def final_rank(self, system: EigenSystem) -> int:
+    def final_rank(self, system: EigenSystem) -> int | None:
+        """The rank; None when another sector has an eigenvalue within
+        rounding (n eps max |value|) of the reference's, a tie the merged
+        spectrum may rank either way."""
+        values = system.values
+        margin = values.size * np.finfo(np.float64).eps * np.max(np.abs(values))
+        for sector in system.sectors:
+            near = np.abs(values[sector.ranks] - values[self.rank]) <= margin
+            if self.rank not in sector.ranks and np.any(near):
+                return None
         return self.rank
 
 
@@ -1069,8 +1071,8 @@ def _solve_for_row(
     the reference's own sector values-only and the row sector (the other
     one, or the one sector of an operator that does not split) for the
     reference's dipole row, in the order parity +1, -1. None when there is
-    no choice (nothing picked, a tie, or a block LAPACK declines) or the
-    row solve (:func:`floqtrk.lapack.band_rows`) reports a failure.
+    no choice (nothing picked, or a block LAPACK declines) or the row solve
+    (:func:`floqtrk.lapack.band_rows`) reports a failure.
 
     The probe (1 (x) d) v_r goes into the row sector's band
     (:meth:`_BlockSolve.probes`), whose row is solved while every sector's
@@ -1102,7 +1104,7 @@ def _solve_for_row(
         return solution, lapack.eigenvalues(row_solve.reduced)
 
     (solution, row_values), rows = lapack.side_by_side(
-        values, lambda: lapack.band_rows(row_solve.band, probes), probes.shape[0]
+        values, lambda: lapack.band_rows(row_solve.band, probes)
     )
     if rows is None:
         return None
@@ -1131,7 +1133,9 @@ def _merged(
     the merged spectrum name another reference than the anchor's (the
     merge ranked a tie across the sectors the other way round, or the pick
     moved with the row sector's rounding), so that the row belongs to
-    another reference, ``operator`` is solved without one."""
+    another reference, or a rank tie another sector's value within
+    rounding (:meth:`_RankAnchor.final_rank`), ``operator`` is solved
+    without one."""
     if solved is None:
         return diagonalize_hermitian(operator)
     system = EigenSystem.from_sectors(solved)
@@ -1191,9 +1195,7 @@ def _band_solves(operator: ProductOperator) -> dict[int, tuple[SectorBasis, _Blo
     a reduction declines, for the dense route to solve."""
     bands = {p: operator.sector_band(p) for p in (1, -1)}
     reduced = lapack.side_by_side(
-        lambda: lapack.band_reduce(bands[1].band),
-        lambda: lapack.band_reduce(bands[-1].band),
-        bands[-1].order.size,
+        lambda: lapack.band_reduce(bands[1].band), lambda: lapack.band_reduce(bands[-1].band)
     )
     if any(r is None for r in reduced):
         return None

@@ -403,28 +403,16 @@ def band_reduce(band: np.ndarray) -> Tridiagonal | None:
     return Tridiagonal(None, d, e, None)
 
 
-#: The fewest rows of the blocks :func:`side_by_side` runs on two threads.
-#: Below it, starting a thread and passing the interpreter lock cost more
-#: than the overlap saves: on a 2-core x86_64 machine the row solve and
-#: the ``dsterf`` of a T of 51 rows took 0.83 ms side by side against
-#: 0.45 ms in turn, and the two broke even near 100 rows.
-SIDE_BY_SIDE_ROWS = 100
-
-
-def side_by_side(
-    first: Callable[[], First], second: Callable[[], Second], rows: int
-) -> tuple[First, Second]:
-    """``first()`` and ``second()``, two calls that share nothing, on
-    blocks of about ``rows`` rows. The band routines (``dsbtrd``,
-    ``dsterf`` and those of :func:`band_rows`) run on one core, so when
-    OpenBLAS may use two threads and ``rows`` is at least
-    :data:`SIDE_BY_SIDE_ROWS`, ``first`` runs on a second thread while the
-    calling thread runs ``second``; otherwise (``--threads 1``, or small
-    blocks) both run on the calling thread, in turn. Each result is the
-    same bit for bit either way. An exception of the second thread is
-    raised here once it has ended; no thread outlives the call."""
+def side_by_side(first: Callable[[], First], second: Callable[[], Second]) -> tuple[First, Second]:
+    """``first()`` and ``second()``, two calls that share nothing. The band
+    routines (``dsbtrd``, ``dsterf`` and those of :func:`band_rows`) run
+    on one core, so when OpenBLAS may use two threads ``first`` runs on a
+    second thread while the calling thread runs ``second``; with one
+    thread (``--threads 1``) both run on the calling thread, in turn. Each
+    result is the same bit for bit either way. An exception of the second
+    thread is raised here once it has ended; no thread outlives the call."""
     library = openblas()
-    if library is None or library.get_num_threads() < 2 or rows < SIDE_BY_SIDE_ROWS:
+    if library is None or library.get_num_threads() < 2:
         return first(), second()
     result, failed = [], []
 
@@ -620,8 +608,9 @@ def band_rows(band: np.ndarray, probes: np.ndarray) -> np.ndarray | None:
     about its middle row, both halves solved, and the two merged
     (``dlasd6``), the merge's U applied at once in its compact form
     (``dlals0``). A merge is applied as it is made, so the arrays of one
-    are held at a time, and every array is O(m kd); no Q, U or m x m array
-    is formed. A complex probe is two real columns.
+    are held at a time (none for a band of at most :data:`SMLSIZ` rows),
+    and every array is O(m kd); no Q, U or m x m array is formed. A
+    complex probe is two real columns.
     """
     library = openblas()
     kd, m = band.shape[0] - 1, band.shape[1]
@@ -648,21 +637,23 @@ def band_rows(band: np.ndarray, probes: np.ndarray) -> np.ndarray | None:
     ):
         return None
     del factor
-    # each solved block leaves the first and last rows of its W (vf, vl)
-    # and the order of its singular values (idxq, 1-based) for its merge
-    vf, vl, idxq = np.empty(m), np.empty(m), np.empty(m, dtype=np.int64)
-    # one merge's U in compact form (dlasd6 writes it, dlals0 applies it),
-    # each merge's over the last one's; size is its secular equation's
-    perm, givcol = np.empty(m, dtype=np.int64), np.empty((m, 2), dtype=np.int64, order="F")
-    givnum, poles, difr = (np.empty((m, 2), order="F") for _ in range(3))
-    difl, z, c, s = np.empty(m), np.empty(m), np.empty(1), np.empty(1)
-    givptr, size = np.empty(1, dtype=np.int64), np.empty(1, dtype=np.int64)
-    compact = (
-        _at(perm), _at(givptr), _at(givcol), m, _at(givnum), m,
-        *(_at(a) for a in (poles, difl, difr, z, size, c, s)),
-    )
-    scratch = np.empty((m, k), order="F")
-    work, iwork = np.empty(4 * m), np.empty(3 * m, dtype=np.int64)
+    work = np.empty(4 * m)
+    if m > SMLSIZ:
+        # each solved block leaves the first and last rows of its W (vf, vl)
+        # and the order of its singular values (idxq, 1-based) for its merge
+        vf, vl, idxq = np.empty(m), np.empty(m), np.empty(m, dtype=np.int64)
+        # one merge's U in compact form (dlasd6 writes it, dlals0 applies
+        # it), each merge's over the last one's; size is its secular
+        # equation's
+        perm, givcol = np.empty(m, dtype=np.int64), np.empty((m, 2), dtype=np.int64, order="F")
+        givnum, poles, difr = (np.empty((m, 2), order="F") for _ in range(3))
+        difl, z, c, s = np.empty(m), np.empty(m), np.empty(1), np.empty(1)
+        givptr, size = np.empty(1, dtype=np.int64), np.empty(1, dtype=np.int64)
+        compact = (
+            _at(perm), _at(givptr), _at(givcol), m, _at(givnum), m,
+            *(_at(a) for a in (poles, difl, difr, z, size, c, s)),
+        )
+        scratch, iwork = np.empty((m, k), order="F"), np.empty(3 * m, dtype=np.int64)
 
     def solve(lo: int, n: int, sqre: int) -> bool:
         # rows lo .. lo + n - 1 of B, with sqre more columns than rows
@@ -677,8 +668,9 @@ def band_rows(band: np.ndarray, probes: np.ndarray) -> np.ndarray | None:
             ):
                 return False
             rows[lo : lo + n] = u.T @ rows[lo : lo + n]
-            vf[lo : lo + n + sqre], vl[lo : lo + n + sqre] = ends[:, 0], ends[:, 1]
-            idxq[lo : lo + n] = np.arange(1, n + 1)
+            if n < m:  # a block of a merge
+                vf[lo : lo + n + sqre], vl[lo : lo + n + sqre] = ends[:, 0], ends[:, 1]
+                idxq[lo : lo + n] = np.arange(1, n + 1)
             return True
         left = n // 2
         middle, right = lo + left, n - left - 1

@@ -156,22 +156,21 @@ def assert_rows_match_eigh(rows, probes, values, vectors):
     """The k x m ``rows`` of the m x k ``probes`` (entry (i, j) is
     probes[:, i] . v_j) are eigh's, ``probes``^T ``vectors`` for the
     ascending ``values``, within 64 m eps ||x|| for each probe x: entry by
-    entry up to the sign of each eigenvector where a value stands alone,
-    and as the norm of the row over a cluster of values (neighbours within
-    dstein's ORTOL, CLUSTER_RTOL ||A||), inside which the basis is not
-    fixed."""
+    entry up to the sign of each eigenvector, and as the norm of the row
+    over a run of values tied within m eps ||A||, whose eigenvectors
+    rounding does not fix."""
     m = values.size
+    eps = np.finfo(np.float64).eps
     expected = probes.T @ vectors
-    bound = 64 * m * np.finfo(np.float64).eps * np.linalg.norm(probes, axis=0)
-    scale = np.max(np.abs(values), initial=0.0)
-    clusters = np.concatenate([[0], np.cumsum(np.diff(values) > lapack.CLUSTER_RTOL * scale)])
-    sizes = np.bincount(clusters)
-    alone = sizes[clusters] == 1
+    bound = 64 * m * eps * np.linalg.norm(probes, axis=0)
+    ties = np.concatenate([[0], np.cumsum(np.diff(values) > m * eps * np.max(np.abs(values)))])
+    sizes = np.bincount(ties)
+    alone = sizes[ties] == 1
     signs = np.where(np.sum(expected.conj() * rows, axis=0).real < 0.0, -1.0, 1.0)
     assert rows.shape == expected.shape
     assert np.all(np.abs(rows * signs - expected)[:, alone] <= bound[:, None])
-    for cluster in np.flatnonzero(sizes > 1):
-        inside = clusters == cluster
+    for tie in np.flatnonzero(sizes > 1):
+        inside = ties == tie
         norms = [np.linalg.norm(r[:, inside], axis=1) for r in (rows, expected)]
         assert np.all(np.abs(norms[0] - norms[1]) <= bound)
 

@@ -8,6 +8,7 @@ the same number.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,15 +37,27 @@ def energy_weighted_sum(h, d, reference):
     return float(2.0 * np.sum((values - values[reference]) * np.abs(amps) ** 2))
 
 
-def exact_energy_weighted_sums(h, d, perm, signs, digits=30):
-    """energy_weighted_sum from every eigenstate a of the real symmetric
-    ``h``, in ascending order of E_a, solved at ``digits`` significant
-    digits (mpmath) rather than in double precision.
+class ExactState(NamedTuple):
+    """One eigenstate a of :func:`exact_dipole_rows`: E_a, the sum
+    2 sum_b (E_b - E_a) <b|d|a>^2, and over the eigenstates b of the other
+    sector, ascending, their values E_b and the row <b|d|a>, each rounded
+    to double precision."""
+
+    value: float
+    total: float
+    other_values: np.ndarray
+    row: np.ndarray
+
+
+def exact_dipole_rows(h, d, perm, signs, digits=30):
+    """Every eigenstate of the real symmetric ``h`` (:class:`ExactState`),
+    in ascending order of E_a, solved at ``digits`` significant digits
+    (mpmath) rather than in double precision.
 
     ``h`` commutes with the reflection S e_i = signs[i] e_perm[i] and the
     real ``d`` anticommutes with it, so the S = +1 and S = -1 blocks of h
     are solved apart (mpmath's eigsy) and d couples a state of one only to
-    the states of the other.
+    the states of the other. Each eigenvector's sign is mpmath's.
     """
     import mpmath
 
@@ -71,13 +84,16 @@ def exact_energy_weighted_sums(h, d, perm, signs, digits=30):
         for p, (values, vectors) in solved.items():
             other_values, other_vectors = solved[-p]
             amps = other_vectors.T * (bases[-p].T * d * bases[p]) * vectors
+            order = sorted(range(len(other_values)), key=lambda b: other_values[b])
+            others = np.array([float(other_values[b]) for b in order])
             for a in range(len(values)):
                 total = mpmath.fsum(
-                    (other_values[b] - values[a]) * amps[b, a] ** 2
-                    for b in range(len(other_values))
+                    (other_values[b] - values[a]) * amps[b, a] ** 2 for b in order
                 )
-                states.append((values[a], float(2 * total)))
-    return np.array([total for _, total in sorted(states, key=lambda state: state[0])])
+                row = np.array([float(amps[b, a]) for b in order])
+                states.append((values[a], ExactState(float(values[a]), float(2 * total), others, row)))
+    # sorted at full precision: two values may round to one double
+    return [state for _, state in sorted(states, key=lambda state: state[0])]
 
 
 def random_hermitian(rng, dim, scale=1.0):

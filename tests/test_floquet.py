@@ -346,9 +346,7 @@ def test_lapack_failure_is_a_numeric_error(monkeypatch, path, split, dims):
     on the sector path: a LinAlgError of numpy's eigh, and a dsterf info > 0
     of the LAPACK kernel, give the same message. The kernel's dsterf runs
     in a reference solve, here of rank 1, which takes the dense route; the
-    first block's failure ends the solve. The matrix is split by its
-    reflection into sectors of values {1.5, 2.25} and {0.5, 1.75}, which
-    share none, so the choice meets no tie."""
+    first block's failure ends the solve."""
     solved = []
 
     def failing(a, *args, **kwargs):
@@ -360,8 +358,6 @@ def test_lapack_failure_is_a_numeric_error(monkeypatch, path, split, dims):
         return 1  # an eigenvalue did not converge
 
     matrix = np.diag([1.0, 2.0, 2.0, 1.0])
-    matrix[0, 3] = matrix[3, 0] = 0.5
-    matrix[1, 2] = matrix[2, 1] = 0.25
     reflection = basis_reversal(4) if split else None
     if path == "fallback":
         monkeypatch.setattr(lapack, "openblas", lambda: None)
@@ -1621,7 +1617,7 @@ def test_band_reduction_fault_is_raised_after_the_join(monkeypatch, failing):
     assert threading.active_count() == before
 
 
-def reversed_side_by_side(first, second, rows):
+def reversed_side_by_side(first, second):
     """lapack.side_by_side with ``second`` run to its end before ``first``
     starts: one order two concurrent calls may take."""
     other = second()
