@@ -37,6 +37,7 @@ import operator
 import os
 import re
 import sys
+import threading
 import time
 from collections.abc import Hashable
 from dataclasses import dataclass
@@ -722,6 +723,7 @@ class RunReport:
     convergence: tuple[dict, ...] | None = None
     sweep_points: tuple[SweepPoint, ...] | None = None
     warnings: tuple[str, ...] = ()
+    members: tuple[dict, ...] = ()
 
     @property
     def job_kind(self) -> str:
@@ -741,24 +743,66 @@ def run_hash_of(resolved: dict) -> str:
 
 
 class _Stage:
-    """Wall-clock bookkeeping kept away from the deterministic payload."""
+    """Wall-clock bookkeeping kept away from the deterministic payload. Two
+    members of a job may time their stages at once (:func:`_run_members`),
+    so a stage's time is added under a lock, and a member's view
+    (:meth:`member`) names its member in each ``--verbose`` line."""
 
     def __init__(self, timings: dict, verbose: bool):
         self.timings = timings
         self.verbose = verbose
+        self.members: list[dict] = []
+        self.lock = threading.Lock()
+        self.label = ""
+
+    def member(self, label: str) -> _Stage:
+        """This bookkeeping, its lines prefixed with ``label``."""
+        view = copy.copy(self)
+        view.label = f"{label} "
+        return view
 
     @contextlib.contextmanager
     def __call__(self, name: str):
         if self.verbose:
-            print(f"[floqtrk] {name} ...", file=sys.stderr)
+            print(f"[floqtrk] {self.label}{name} ...", file=sys.stderr)
         start = time.perf_counter()
         try:
             yield
         finally:
             elapsed = time.perf_counter() - start
-            self.timings[name] = self.timings.get(name, 0.0) + elapsed
+            with self.lock:
+                self.timings[name] = self.timings.get(name, 0.0) + elapsed
             if self.verbose:
-                print(f"[floqtrk] {name} done in {elapsed:.3f} s", file=sys.stderr)
+                print(f"[floqtrk] {self.label}{name} done in {elapsed:.3f} s", file=sys.stderr)
+
+
+def _run_members(stage: _Stage, members: Sequence[tuple[str, Callable[[_Stage], Any]]]) -> list:
+    """The results of a job's independent ``members`` (label, call on its
+    stage view), in the order given, run on the job's two slots
+    (:meth:`floqtrk.lapack.Scheduler.each`) from the last one back: a scan
+    lists its cutoffs ascending, so the largest starts first. A failure is
+    that of the first member to fail in the order given, raised once both
+    slots have ended, as running them in turn would raise it. Each member's
+    wall time, and whether it ran on the calling thread or the helper, goes
+    to ``stage.members`` in the order given."""
+    caller = threading.get_ident()
+    entries: list[dict | None] = [None] * len(members)
+
+    def timed(i: int, label: str, call: Callable[[_Stage], Any]) -> Callable[[], Any]:
+        def run() -> Any:
+            start = time.perf_counter()
+            result = call(stage.member(label))
+            thread = "calling" if threading.get_ident() == caller else "helper"
+            entries[i] = {"member": label, "wall_s": time.perf_counter() - start, "thread": thread}
+            return result
+
+        return run
+
+    calls = [timed(i, label, call) for i, (label, call) in enumerate(members)]
+    with lapack.scheduler() as slots:
+        results = slots.each(calls, order=range(len(calls) - 1, -1, -1))
+    stage.members.extend(entries)
+    return results
 
 
 def run_job(config: JobConfig, verbose: bool = False) -> RunReport:
@@ -770,7 +814,9 @@ def run_job(config: JobConfig, verbose: bool = False) -> RunReport:
     timings: dict[str, float] = {}
     stage = _Stage(timings, verbose)
     start = time.perf_counter()
-    pieces = _RUNNERS[config.job_kind](config, stage)
+    # one scheduler for the whole job: its helper thread ends with the job
+    with lapack.scheduler():
+        pieces = _RUNNERS[config.job_kind](config, stage)
     reports = pieces.get("reports", ())
     for tag, report in reports:
         _check_identities(tag, report)
@@ -788,6 +834,7 @@ def run_job(config: JobConfig, verbose: bool = False) -> RunReport:
         run_hash=run_hash_of(config.resolved),
         version=__version__,
         timings=timings,
+        members=tuple(stage.members),
         **pieces,
     )
 
@@ -978,17 +1025,26 @@ def _qed_member(
 
 
 def _run_qed(config: JobConfig, stage: _Stage) -> dict:
+    """The qed member and, for ``h0_diagnostic``, the g = 0 member beside
+    it (:func:`_run_members`)."""
     matter = _matter(config, stage)
     fock = FockSpec(**config.resolved["fock"])
     reference = _static_reference(config)
-    qed_report, energies, _ = _qed_member(stage, matter, fock, reference)
+    members = [("qed", fock)]
+    if config.resolved["qed"]["h0_diagnostic"]:
+        members.append(("qed_h0", FockSpec(n_max=fock.n_max, omega_c=fock.omega_c, g=0.0)))
+    solved = _run_members(
+        stage,
+        [
+            (tag, functools.partial(_qed_member, matter=matter, fock=spec, reference=reference))
+            for tag, spec in members
+        ],
+    )
+    (qed_report, energies, _), *h0 = solved
     with stage("sumrule"):
         static_report = matter.static_report(0)
     reports = [("static_trk", static_report), ("qed", qed_report)]
-    if config.resolved["qed"]["h0_diagnostic"]:
-        fock0 = FockSpec(n_max=fock.n_max, omega_c=fock.omega_c, g=0.0)
-        h0_report = _qed_member(stage, matter, fock0, reference)[0]
-        reports.append(("qed_h0", h0_report))
+    reports += [("qed_h0", report) for report, _, _ in h0]
     return {
         "reports": tuple(reports),
         "primary": "qed",
@@ -998,7 +1054,9 @@ def _run_qed(config: JobConfig, stage: _Stage) -> dict:
 
 
 def _run_converge(config: JobConfig, stage: _Stage) -> dict:
-    """One member per cutoff, each through the stages of its base job.
+    """One member per cutoff, each through the stages of its base job, run
+    on the job's two slots (:func:`_run_members`); the rows are built in
+    cutoff order afterwards.
 
     A harmonic-cutoff row is converged when |delta| from the previous row
     is below 1e-6. A photon-cutoff row also needs the reference population
@@ -1014,17 +1072,25 @@ def _run_converge(config: JobConfig, stage: _Stage) -> dict:
     else:
         reference = _static_reference(config)
         key, tol = "n_max", 1e-8
-    rows: list[dict] = []
-    previous = None
-    for value in config.resolved["converge"]["values"]:
-        # keep no spectrum into the next cutoff's solve
+    values = config.resolved["converge"]["values"]
+
+    def member(value: int, view: _Stage) -> tuple[SumRuleReport, float | None]:
+        # keep no spectrum past the member's own solve
         if harmonic:
-            report = _floquet_member(config, stage, matter, drive, value)[0]
+            report = _floquet_member(config, view, matter, drive, value)[0]
             edge = None
         else:
             fock = FockSpec(**{**config.resolved["fock"], "n_max": value})
-            report, _, edge = _qed_member(stage, matter, fock, reference)
+            report, _, edge = _qed_member(view, matter, fock, reference)
         _check_identities(f"{key}={value}", report)
+        return report, edge
+
+    solved = _run_members(
+        stage, [(f"{key}={value}", functools.partial(member, value)) for value in values]
+    )
+    rows: list[dict] = []
+    previous = None
+    for value, (report, edge) in zip(values, solved):
         delta = None if previous is None else report.value - previous
         row = {
             key: value,
@@ -1195,7 +1261,8 @@ def write_report(
     """Serialize a run to disk; all content is built before the first write.
 
     ``report.json`` carries the complete deterministic payload as compact
-    JSON, ``timings.json`` the quarantined wall-clock data plus
+    JSON, ``timings.json`` the quarantined wall-clock data (each stage's
+    seconds, and each member's seconds and thread) plus
     ``threads_applied``, the BLAS thread cap the run was held to (None: the
     library default), and the ``environment`` that ran it; CSV tables cover
     the primary ledger, representative spectra, spectral-density sticks,
@@ -1213,6 +1280,7 @@ def write_report(
             json.dumps(
                 {
                     "timings": report.timings,
+                    "members": list(report.members),
                     "threads_applied": threads_applied,
                     "environment": _environment(),
                 },

@@ -36,19 +36,26 @@ LAPACK's divide and conquer for that bidiagonal's singular value
 decomposition, taken one block at a time (``dlasdq`` on each small block,
 ``dlasd6`` to merge two, ``dlals0`` to apply the merge's left singular
 vectors), so no Q, U or Z is formed. The band
-routines run on one core, and :func:`side_by_side` runs two of them at
-once, one on a second thread.
+routines run on one core. A :class:`Scheduler` runs calls that share
+nothing in two slots, the calling thread's and a spare one that one
+helper thread runs while OpenBLAS may use two threads: the members of a
+job (:meth:`Scheduler.each`) and, while the spare slot is free, the two
+halves of a band solve (:func:`side_by_side`), so no more than two
+kernels run at once. A job opens one scheduler (:func:`scheduler`); a
+solve outside a job opens its own for each :func:`side_by_side`.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
 import math
+import queue
 import threading
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -403,34 +410,171 @@ def band_reduce(band: np.ndarray) -> Tridiagonal | None:
     return Tridiagonal(None, d, e, None)
 
 
-def side_by_side(first: Callable[[], First], second: Callable[[], Second]) -> tuple[First, Second]:
-    """``first()`` and ``second()``, two calls that share nothing. The band
-    routines (``dsbtrd``, ``dsterf`` and those of :func:`band_rows`) run
-    on one core, so when OpenBLAS may use two threads ``first`` runs on a
-    second thread while the calling thread runs ``second``; with one
-    thread (``--threads 1``) both run on the calling thread, in turn. Each
-    result is the same bit for bit either way. An exception of the second
-    thread is raised here once it has ended; no thread outlives the call."""
-    library = openblas()
-    if library is None or library.get_num_threads() < 2:
-        return first(), second()
-    result, failed = [], []
+class _Task:
+    """One call handed to the spare slot, and its outcome once it has
+    ended."""
 
-    def run_first() -> None:
+    def __init__(self, call: Callable[[], First]):
+        self.call, self.done = call, threading.Event()
+        self.result = self.error = None
+
+    def wait(self) -> First:
+        """The call's result once it has ended; its exception is raised."""
+        self.done.wait()
+        if self.error is not None:
+            raise self.error
+        return self.result
+
+
+class Scheduler:
+    """Two slots for calls that share nothing: the calling thread's, and a
+    spare one, run by one helper thread that starts when first used and
+    ends at :meth:`close`. The band routines (``dsbtrd``, ``dsterf`` and
+    those of :func:`band_rows`) run on one core, so two of them at once use
+    two. With ``spare`` False (OpenBLAS held to one thread, ``--threads
+    1``) the spare slot is never free, and every call runs on the calling
+    thread, in turn.
+
+    A call takes the spare slot only when it is free, and otherwise runs in
+    turn, so no more than two calls run at once however they nest: a
+    member of :meth:`each` that runs a :meth:`pair` gets the spare slot
+    only once no other member holds it. Results do not depend on the slot
+    a call ran in."""
+
+    def __init__(self, spare: bool):
+        self._lock = threading.Lock()
+        self._free = spare
+        self._tasks: queue.SimpleQueue[_Task | None] = queue.SimpleQueue()
+        self._helper: threading.Thread | None = None
+
+    def _reserve(self) -> bool:
+        """Whether the spare slot was free; it is taken if so."""
+        with self._lock:
+            free, self._free = self._free, False
+        return free
+
+    def _submit(self, call: Callable[[], First]) -> _Task:
+        """``call`` handed to the spare slot, which :meth:`_reserve` took."""
+        if self._helper is None:
+            self._helper = threading.Thread(target=self._serve, name="floqtrk-spare-slot")
+            self._helper.start()
+        task = _Task(call)
+        self._tasks.put(task)
+        return task
+
+    def _serve(self) -> None:
+        _active.scheduler = self  # a call on the helper nests in this scheduler
+        while (task := self._tasks.get()) is not None:
+            try:
+                task.result = task.call()
+            except BaseException as exc:  # raised again on the thread that waits
+                task.error = exc
+            with self._lock:
+                self._free = True
+            task.done.set()
+
+    def close(self) -> None:
+        """End the helper thread, once its call has ended; the spare slot is
+        not free afterwards."""
+        with self._lock:
+            self._free = False
+        if self._helper is not None:
+            self._tasks.put(None)
+            self._helper.join()
+            self._helper = None
+
+    def pair(self, first: Callable[[], First], second: Callable[[], Second]) -> tuple[First, Second]:
+        """``first()`` and ``second()``: ``first`` in the spare slot while the
+        calling thread runs ``second`` when that slot is free, otherwise
+        both on the calling thread, ``first`` first. Once both have ended,
+        ``first``'s exception is raised, or else ``second``'s."""
+        if not self._reserve():
+            return first(), second()
+        task = self._submit(first)
         try:
-            result.append(first())
-        except BaseException as exc:  # raised again on the calling thread
-            failed.append(exc)
+            other = second()
+        finally:
+            result = task.wait()
+        return result, other
 
-    worker = threading.Thread(target=run_first)
-    worker.start()
+    def each(self, calls: Sequence[Callable[[], First]], order: Sequence[int]) -> list[First]:
+        """Every one of ``calls``. When the spare slot is free at the start,
+        the calling thread takes the first of ``order`` (indices into
+        ``calls``) and the helper the second, then each the next one left
+        in ``order`` as it ends its own, and the helper frees the slot once
+        none is left; otherwise they run in turn on the calling thread, in
+        the order of ``calls``. Results come in the order of ``calls``.
+        Once both slots have ended, the exception of the first of ``calls``
+        that raised is raised, as running them in turn would raise it; a
+        call after it in ``calls`` that has not started by then is not
+        run."""
+        if not calls:
+            return []
+        results: list = [None] * len(calls)
+        errors: dict[int, BaseException] = {}
+        spare = len(calls) > 1 and self._reserve()
+        pending = collections.deque(order if spare else range(len(calls)))
+        lock = threading.Lock()
+
+        def take(i: int) -> None:
+            # call i, then the next one left, until none is
+            while True:
+                try:
+                    results[i] = calls[i]()
+                except BaseException as exc:  # raised once both slots end
+                    with lock:
+                        errors[i] = exc
+                        if not isinstance(exc, Exception):  # an interrupt ends the rest
+                            pending.clear()
+                with lock:
+                    while pending and errors and pending[0] > min(errors):
+                        pending.popleft()
+                    if not pending:
+                        return
+                    i = pending.popleft()
+
+        mine = pending.popleft()
+        task = self._submit(functools.partial(take, pending.popleft())) if spare else None
+        try:
+            take(mine)
+        finally:
+            if task is not None:
+                task.wait()
+        if errors:
+            raise errors[min(errors)]
+        return results
+
+
+#: The scheduler of the thread that runs a job, and of its helper.
+_active = threading.local()
+
+
+@contextlib.contextmanager
+def scheduler() -> Iterator[Scheduler]:
+    """The scheduler this thread runs in, or a new one for the block: its
+    spare slot is free when OpenBLAS may use two threads or more, and its
+    helper thread has ended when the block exits."""
+    current = getattr(_active, "scheduler", None)
+    if current is not None:
+        yield current
+        return
+    library = openblas()
+    slots = Scheduler(spare=library is not None and library.get_num_threads() >= 2)
+    _active.scheduler = slots
     try:
-        other = second()
+        yield slots
     finally:
-        worker.join()
-    if failed:
-        raise failed[0]
-    return result[0], other
+        _active.scheduler = None
+        slots.close()
+
+
+def side_by_side(first: Callable[[], First], second: Callable[[], Second]) -> tuple[First, Second]:
+    """``first()`` and ``second()``, two calls that share nothing, as a
+    :meth:`Scheduler.pair` of the scheduler this thread runs in (a job's,
+    or one for this call). Each result is the same bit for bit either
+    way."""
+    with scheduler() as slots:
+        return slots.pair(first, second)
 
 
 def _band_product(band: np.ndarray, x: np.ndarray) -> np.ndarray:

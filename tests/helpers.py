@@ -8,6 +8,7 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 
 from floqtrk import (
     FfbzSelection,
@@ -262,3 +263,20 @@ def band_joint(n_points=81, n_max=8, kinetic="three_point", signs=1.0, link=None
         FockSpec(n_max=n_max, omega_c=0.9, g=0.05),
         Reflection(perm, np.full(n_points, signs)),
     )
+
+
+def capped_threads(monkeypatch, threads, **routines):
+    """Make OpenBLAS report ``threads`` threads, with ``routines`` replaced;
+    returns the bundled library. A scheduler opened afterwards
+    (``lapack.scheduler``) has its spare slot free when ``threads`` >= 2,
+    and one slot at 1, as at --threads 1, where every call runs in turn.
+    Without the library a scheduler has one slot, so ``threads`` 1 needs
+    no patch; anything else skips the test."""
+    library = lapack.openblas()
+    if library is None:
+        if threads == 1 and not routines:
+            return None
+        pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
+    patched = library._replace(get_num_threads=lambda: threads, **routines)
+    monkeypatch.setattr(lapack, "openblas", lambda: patched)
+    return library

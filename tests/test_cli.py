@@ -10,7 +10,9 @@ import math
 import platform
 import sys
 import textwrap
+import threading
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     band_joint,
+    capped_threads,
     column_rows,
     read_report_tables,
     record_lapack_solves,
@@ -30,6 +33,7 @@ from floqtrk import (
     ConfigError,
     InputError,
     EigenSystem,
+    NumericError,
     FockSpec,
     __version__,
     cli,
@@ -680,11 +684,19 @@ def record_eigensolves(monkeypatch, perturb=None):
     ids=["static", "floquet", "qed", "qed_h0", "converge_harmonic", "converge_fock"],
 )
 def test_each_spectrum_is_computed_once(tmp_path, monkeypatch, text, dims):
-    """Every distinct operator of a job is diagonalized exactly once."""
+    """Every distinct operator of a job is diagonalized exactly once: in
+    this order with one slot, where a job's members run in turn, and in
+    some order with two."""
     config = load_config(config_file(tmp_path, text))
     solved = record_eigensolves(monkeypatch)
-    run_job(config)
+    with monkeypatch.context() as patch:
+        capped_threads(patch, 1)
+        run_job(config)
     assert solved == dims
+    solved.clear()
+    capped_threads(monkeypatch, 2)
+    run_job(config)
+    assert sorted(solved) == sorted(dims)
 
 
 GRID_21 = "model: {grid: {n_points: 21}}\n"
@@ -713,11 +725,18 @@ GRID_21 = "model: {grid: {n_points: 21}}\n"
 def test_symmetric_grid_jobs_solve_only_parity_sectors(tmp_path, monkeypatch, text, dims):
     """On a symmetric grid every eigensolve reaches LAPACK as two sector
     reductions and the row solve of one sector, never as one full-size
-    solve."""
+    solve: in this order with one slot, where a job's members run in turn,
+    and in some order with two."""
     config = load_config(config_file(tmp_path, text))
     solved = record_lapack_solves(monkeypatch)
-    run_job(config)
+    with monkeypatch.context() as patch:
+        capped_threads(patch, 1)
+        run_job(config)
     assert solved == dims
+    solved.clear()
+    capped_threads(monkeypatch, 2)
+    run_job(config)
+    assert sorted(solved) == sorted(dims)
 
 
 GRID_DRIVE = "drive: {omega: 0.35, components: [{harmonic: 1, amplitude: 0.05}]}\n"
@@ -748,7 +767,7 @@ def test_jobs_solve_every_operator_for_its_reference(tmp_path, monkeypatch, name
     a reference, never runs. Every row comes from the one row kernel: the
     row sector of each solve holds the row of one lapack.band_rows call
     (on a sector band, or on a dense block's T) bit for bit, in the order
-    of the solves."""
+    of the solves with one slot, and in some order with two."""
     eigh, calls = np.linalg.eigh, []
 
     def recorded(a, *args, **kwargs):
@@ -771,10 +790,17 @@ def test_jobs_solve_every_operator_for_its_reference(tmp_path, monkeypatch, name
         return systems[-1]
 
     monkeypatch.setattr(cli, "diagonalize_hermitian", kept_system)
-    run_job(load_config(config_file(tmp_path, REFERENCE_ROUTE_JOBS[name])))
-    assert solved and calls == []
-    served = [row_sector(system)[1].row.amplitudes.tobytes() for system in systems]
-    assert served and served == [row[0].conj().tobytes() for row in rows]
+    config = load_config(config_file(tmp_path, REFERENCE_ROUTE_JOBS[name]))
+    for slots in (1, 2):
+        for kept in (solved, calls, rows, systems):
+            kept.clear()
+        with monkeypatch.context() as patch:
+            capped_threads(patch, slots)
+            run_job(config)
+        assert solved and calls == []
+        served = [row_sector(system)[1].row.amplitudes.tobytes() for system in systems]
+        kernel = [row[0].conj().tobytes() for row in rows]
+        assert served and (served == kernel if slots == 1 else sorted(served) == sorted(kernel))
 
 
 @pytest.mark.parametrize(
@@ -804,11 +830,15 @@ def test_jobs_solve_every_operator_for_its_reference(tmp_path, monkeypatch, name
     ],
     ids=["floquet", "converge_fock", "converge_harmonic", "qed_h0"],
 )
-def test_symmetric_grid_jobs_allocate_less_than_one_full_matrix(tmp_path, text, dim):
+def test_symmetric_grid_jobs_allocate_less_than_one_full_matrix(
+    tmp_path, monkeypatch, text, dim
+):
     """A parity-split job never forms an n x n array, and drops each
-    spectrum's vectors before the next solve: the peak of memory traced
-    while it runs stays below the bytes of one full-size float matrix of its
-    largest solve (8.6 MB or 8.9 MB here)."""
+    spectrum's vectors before the next solve: with one slot, where a job's
+    members run in turn, the peak of memory traced while it runs stays
+    below the bytes of one full-size float matrix of its largest solve
+    (8.6 MB or 8.9 MB here). Two slots hold two members' arrays at once."""
+    capped_threads(monkeypatch, 1)
     config = load_config(config_file(tmp_path, text))
     tracemalloc.start()
     try:
@@ -882,6 +912,7 @@ def test_band_route_holds_no_sector_matrix(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "diagonalize_hermitian", traced)
     solved = record_lapack_solves(monkeypatch, bands)
+    capped_threads(monkeypatch, 1)  # members in turn: one solve traced at a time
     config = load_config(config_file(tmp_path, text))
     tracemalloc.start()
     try:
@@ -926,6 +957,7 @@ def test_floquet_band_route_holds_no_sector_matrix(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "diagonalize_hermitian", traced)
     solved = record_lapack_solves(monkeypatch, bands)
+    capped_threads(monkeypatch, 1)  # members in turn: one solve traced at a time
     config = load_config(config_file(tmp_path, text))
     tracemalloc.start()
     try:
@@ -941,6 +973,183 @@ def test_floquet_band_route_holds_no_sector_matrix(tmp_path, monkeypatch):
     for cutoff in (3, 4, 5):
         m = 101 * (2 * cutoff + 1) / 2
         assert peaks[101 * (2 * cutoff + 1)] <= 0.5 * m * m * np.dtype(np.float64).itemsize
+
+
+#: Jobs with more than one member: photon-cutoff and harmonic-cutoff scans
+#: (a dense and a band route each) and a qed job with its g = 0 member.
+MEMBER_JOBS = {
+    "converge_fock": REFERENCE_ROUTE_JOBS["converge_fock"],
+    "converge_fock_band": "job: converge\nconverge: {axis: fock_n_max, values: [4, 6, 8]}\n"
+    "model: {grid: {n_points: 81}}\nfock: {omega_c: 0.9, g: 0.05}\n",
+    "converge_harmonic": REFERENCE_ROUTE_JOBS["converge_harmonic"],
+    "converge_harmonic_band": "job: converge\nconverge: {axis: harmonic_cutoff, values: [2, 3]}\n"
+    "model: {grid: {n_points: 81}}\n" + GRID_DRIVE,
+    "qed_h0": REFERENCE_ROUTE_JOBS["qed_h0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMBER_JOBS))
+def test_members_give_the_same_report_on_one_slot_and_two(tmp_path, monkeypatch, name):
+    """A job's members run in turn with one slot and side by side with two
+    (the calling thread takes the last member, the helper the one before
+    it): report.json and every convergence row are the same bit for bit,
+    timings.json lists each member once in the order of the members with
+    the thread it ran on, and no thread outlives either run."""
+    path = config_file(tmp_path, MEMBER_JOBS[name])
+    written, members = {}, {}
+    for slots in (1, 2):
+        out = tmp_path / f"slots{slots}"
+        with monkeypatch.context() as patch:
+            capped_threads(patch, slots)
+            before = threading.active_count()
+            assert main([name.split("_")[0], "--config", str(path), "--out", str(out)]) == 0
+            assert threading.active_count() == before
+        written[slots] = (out / "report.json").read_bytes()
+        members[slots] = json.loads((out / "timings.json").read_text())["members"]
+    assert written[1] == written[2]
+    rows = json.loads(written[2]).get("convergence")
+    key = rows and ("n_max" if "n_max" in rows[0] else "harmonic_cutoff")
+    labels = [f"{key}={row[key]}" for row in rows] if rows else ["qed", "qed_h0"]
+    for slots, listed in members.items():
+        assert [member["member"] for member in listed] == labels
+        assert all(member["wall_s"] >= 0.0 for member in listed)
+        threads = [member["thread"] for member in listed]
+        if slots == 1:
+            assert threads == ["calling"] * len(labels)
+        else:
+            assert threads[-2:] == ["helper", "calling"]
+
+
+def test_one_thread_starts_no_thread_on_a_photon_scan(tmp_path, monkeypatch):
+    """At --threads 1 a photon-cutoff scan runs every member and every band
+    solve on the calling thread: a threading.Thread that raises is never
+    made. With two slots the same scan makes exactly one, its helper."""
+    path = config_file(tmp_path, MEMBER_JOBS["converge_fock_band"])
+    made = []
+
+    class Refused(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs.get("name"))
+            if refuse:
+                raise AssertionError("a thread was started at --threads 1")
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", Refused)
+    refuse = True
+    args = ["converge", "--config", str(path), "--out", str(tmp_path / "t")]
+    assert main([*args, "--threads", "1"]) == 0
+    assert made == []
+    refuse = False
+    capped_threads(monkeypatch, 2)
+    assert main(args) == 0
+    assert len(made) == 1
+
+
+@pytest.mark.parametrize("slots", [1, 2])
+def test_converge_raises_the_first_failure_in_cutoff_order(tmp_path, monkeypatch, capsys, slots):
+    """When n_max=6 raises a NumericError and n_max=10 an InputError, the
+    scan exits 3, the NumericError's code, as members run in turn would:
+    with two slots n_max=10 fails first, on the calling thread, but the
+    failure raised is the first in cutoff order, once both slots have
+    ended. No thread outlives the job."""
+    faults = {6: NumericError("member n_max=6 failed"), 10: InputError("member n_max=10 failed")}
+    member = cli._qed_member
+
+    def faulty(stage, matter, fock, reference):
+        if fock.n_max in faults:
+            raise faults[fock.n_max]
+        return member(stage, matter, fock, reference)
+
+    monkeypatch.setattr(cli, "_qed_member", faulty)
+    capped_threads(monkeypatch, slots)
+    path = config_file(tmp_path, FOCK_CONVERGE_JOB)
+    before = threading.active_count()
+    assert main(["converge", "--config", str(path), "--out", str(tmp_path / "f")]) == 3
+    assert threading.active_count() == before
+    err = capsys.readouterr().err
+    assert "member n_max=6 failed" in err and "n_max=10" not in err
+
+
+@pytest.mark.parametrize("numeric, code", [("helper", 3), ("calling", 2)])
+def test_converge_fault_on_either_slot_is_raised_after_both_end(
+    tmp_path, monkeypatch, capsys, numeric, code
+):
+    """With two slots the calling thread takes n_max=10 and the helper
+    n_max=8. A NumericError in one thread's member and an InputError in
+    the other's: the code is that of n_max=8's failure, whichever thread
+    it ran on, raised once both members have ended, and the smaller
+    cutoffs still run; no thread outlives the job."""
+    caller, member, events = threading.get_ident(), cli._qed_member, []
+
+    def faulty(stage, matter, fock, reference):
+        thread = "calling" if threading.get_ident() == caller else "helper"
+        events.append(("start", fock.n_max, thread))
+        try:
+            if fock.n_max in (8, 10):
+                if thread == numeric:
+                    raise NumericError(f"member n_max={fock.n_max} failed")
+                raise InputError(f"member n_max={fock.n_max} failed")
+            return member(stage, matter, fock, reference)
+        finally:
+            events.append(("end", fock.n_max, thread))
+
+    monkeypatch.setattr(cli, "_qed_member", faulty)
+    capped_threads(monkeypatch, 2)
+    path = config_file(tmp_path, FOCK_CONVERGE_JOB)
+    before = threading.active_count()
+    assert main(["converge", "--config", str(path), "--out", str(tmp_path / "f")]) == code
+    assert threading.active_count() == before
+    assert "member n_max=8 failed" in capsys.readouterr().err
+    started = {(n, thread) for kind, n, thread in events if kind == "start"}
+    assert {(10, "calling"), (8, "helper")} <= started
+    assert {n for n, _ in started} == {4, 6, 8, 10}
+    assert started == {(n, thread) for kind, n, thread in events if kind == "end"}
+
+
+def test_stage_times_of_two_slots_add_up(monkeypatch, deadline):
+    """Two members time the same stage 20000 times each at once, with the
+    interpreter switching threads as often as it can: every stage time is
+    added and none is lost. Each stage reads exactly 1 s on a clock that
+    counts each thread's own readings."""
+    clock = threading.local()
+
+    def perf_counter():
+        clock.now = getattr(clock, "now", 0.0) + 1.0
+        return clock.now
+
+    def member(view):
+        for _ in range(20000):
+            with view("eigensolve"):
+                pass
+
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=perf_counter))
+    capped_threads(monkeypatch, 2)
+    stage = cli._Stage({}, verbose=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with deadline(60):
+            cli._run_members(stage, [("a", member), ("b", member)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert stage.timings == {"eigensolve": 40000.0}
+    assert [member["thread"] for member in stage.members] == ["helper", "calling"]
+
+
+def test_verbose_lines_name_their_member(tmp_path, capsys):
+    """--verbose names the member of each stage line of a scan, and
+    timings.json adds each stage's time over the members of both slots."""
+    path = config_file(tmp_path, FOCK_CONVERGE_JOB)
+    out = tmp_path / "v"
+    assert main(["converge", "--config", str(path), "--out", str(out), "--verbose"]) == 0
+    err = capsys.readouterr().err
+    for n_max in (4, 6, 8, 10):
+        for stage in ("joint_assemble", "eigensolve", "sumrule"):
+            assert f"[floqtrk] n_max={n_max} {stage} done in " in err
+    written = json.loads((out / "timings.json").read_text())
+    members = written["members"]
+    assert [member["member"] for member in members] == [f"n_max={n}" for n in (4, 6, 8, 10)]
+    assert written["timings"]["eigensolve"] <= sum(member["wall_s"] for member in members)
 
 
 GRID_FLOQUET_JOBS = {
@@ -1123,21 +1332,28 @@ def test_converge_final_report_is_the_last_row(tmp_path, axis):
     ids=["harmonic", "fock"],
 )
 def test_converge_frees_each_member_spectrum(tmp_path, monkeypatch, text, matter_dim):
-    """A scan holds one member's spectrum at a time: by the time a member's
-    solve returns, no earlier member's EigenSystem is alive, so none was
-    held through that solve."""
-    members = []
+    """A scan holds one member's spectrum per slot: with one slot, by the
+    time a member's solve returns, no earlier member's EigenSystem is
+    alive, so none was held through that solve; with two, at most the
+    other slot's member's is. None outlives the job."""
+    members, held = [], []
 
     def track(system):
         alive = [i for i, ref in enumerate(members) if ref() is not None]
-        assert alive == [], f"member spectra {alive} alive during member {len(members)}"
+        assert len(alive) <= held[0], f"member spectra {alive} alive during member {len(members)}"
         if system.dim > matter_dim:  # the matter spectrum lives for the whole job
             members.append(weakref.ref(system))
         return system
 
     record_eigensolves(monkeypatch, track)
-    run_job(load_config(config_file(tmp_path, text)))
-    assert len(members) == 4
+    config = load_config(config_file(tmp_path, text))
+    for slots in (1, 2):
+        members.clear()
+        held[:] = [slots - 1]
+        with monkeypatch.context() as patch:
+            capped_threads(patch, slots)
+            run_job(config)
+        assert len(members) == 4 and all(ref() is None for ref in members)
 
 
 READBACK_JOBS = {

@@ -3,6 +3,7 @@
 import ast
 import ctypes
 import threading
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -17,6 +18,7 @@ from helpers import (
     assert_rows_match_eigh,
     assert_same_spectrum,
     band_joint,
+    capped_threads,
     dense_vectors,
     record_lapack_solves,
     row_sector,
@@ -564,6 +566,43 @@ def test_band_rows_match_eigh(m, kd, kind, k):
         exact = np.bincount(clusters, np.abs(expected) ** 2)
         assert np.max(np.abs(weights - exact)) <= 64 * m * eps * np.vdot(probe, probe).real
     assert_rows_match_eigh(rows, probes, values, vectors)
+
+
+def test_band_kernels_hold_a_seed_free_bound():
+    """Over 200 seeds of random symmetric bands (m 1-6, kd 0-3): the band
+    reduction's eigenvalues (dsbtrd + dsterf) are eigh's within 4 m eps S,
+    and every row entry x . v_j from band_rows is eigh's within
+    16 m eps ||x|| S / min(gap_j, S), up to the sign of v_j, where gap_j is
+    the distance from eigenvalue j to its nearest neighbour and S the
+    width of A's Gershgorin interval, or its larger end when it holds no
+    zero. S bounds both ||A|| and the ||A + sigma 1|| that band_rows
+    solves, so the bound does not depend on the seed: over 2000 seeds the
+    largest ratios seen were 1.4 (values) and 7.1 (rows), where the fixed
+    m eps ||A||_2 of the tests above reached 1.8."""
+    if lapack.openblas() is None:
+        pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
+    eps = np.finfo(np.float64).eps
+    for m in range(1, 7):
+        for kd in range(min(3, m - 1) + 1):
+            for seed in range(200):
+                rng = np.random.default_rng((seed, m, kd))
+                a = rng.standard_normal((m, m))
+                a = np.triu(np.tril(a + a.T, kd), -kd)
+                probes = rng.standard_normal((m, 2))
+                values, vectors = np.linalg.eigh(a)
+                radii = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
+                low, high = np.min(np.diag(a) - radii), np.max(np.diag(a) + radii)
+                scale = max(high - low, abs(low), abs(high))
+                band = band_of(a, kd)
+                w = lapack.eigenvalues(lapack.band_reduce(band))
+                assert np.max(np.abs(w - values)) <= 4 * m * eps * scale, (m, kd, seed)
+                rows, expected = lapack.band_rows(band, probes), probes.T @ vectors
+                steps = np.diff(values)
+                gaps = np.minimum(np.append(steps, np.inf), np.append(np.inf, steps))
+                signs = np.where(np.sum(expected * rows, axis=0) < 0.0, -1.0, 1.0)
+                bound = 16 * m * eps * scale / np.minimum(gaps, scale)
+                error = np.abs(rows * signs - expected) / np.linalg.norm(probes, axis=0)[:, None]
+                assert np.all(error <= bound), (m, kd, seed)
 
 
 def test_bundled_openblas_binds_every_routine():
@@ -1558,24 +1597,14 @@ def test_first_zone_band_route_matches_the_full_solve(monkeypatch):
         assert np.max(np.abs(difference)) <= 1e-12
 
 
-def capped_threads(monkeypatch, threads, **routines):
-    """Make OpenBLAS report ``threads`` threads, with ``routines`` replaced;
-    returns the bundled library."""
-    library = lapack.openblas()
-    if library is None:
-        pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
-    patched = library._replace(get_num_threads=lambda: threads, **routines)
-    monkeypatch.setattr(lapack, "openblas", lambda: patched)
-    return library
-
-
 @pytest.mark.parametrize("threads", [1, 2])
 def test_band_reductions_overlap_within_the_thread_cap(monkeypatch, threads):
     """With two OpenBLAS threads the two sector bands are reduced side by
-    side, the S = +1 band on a second thread and the S = -1 band on the
-    calling one; with one thread (--threads 1), both on the calling
-    thread, +1 first. Either way each T is that band's reduction alone bit
-    for bit, and no thread outlives the solve."""
+    side, the S = +1 band in the scheduler's spare slot and the S = -1 band
+    on the calling thread; with one thread (--threads 1), both on the
+    calling thread, +1 first. Two solves in one scheduler (as in one job)
+    share its one helper thread, which has ended when the scheduler
+    closes. Either way each T is that band's reduction alone bit for bit."""
     operator = band_zone_operator()
     capped_threads(monkeypatch, threads)
     alone = [lapack.band_reduce(operator.sector_band(p).band) for p in (1, -1)]
@@ -1588,37 +1617,59 @@ def test_band_reductions_overlap_within_the_thread_cap(monkeypatch, threads):
 
     monkeypatch.setattr(lapack, "band_reduce", recorder)
     before = threading.active_count()
-    diagonalize_hermitian(operator, reference=first_zone(0))
+    with lapack.scheduler():
+        for _ in range(2):
+            diagonalize_hermitian(operator, reference=first_zone(0))
+        assert threading.active_count() == before + (threads == 2)
     assert threading.active_count() == before
-    if threads == 2:  # the order the two threads record in is not fixed
-        calls.sort(key=lambda call: call[0])
-    assert [dim for dim, _, _ in calls] == [283, 284]
-    caller = threading.get_ident()
-    assert calls[1][1] == caller and (calls[0][1] != caller) == (threads == 2)
-    for (_, _, reduced), expected in zip(calls, alone):
-        assert reduced.d.tobytes() == expected.d.tobytes()
-        assert reduced.e.tobytes() == expected.e.tobytes()
+    caller, helpers = threading.get_ident(), set()
+    for solve in range(2):
+        pair = calls[2 * solve : 2 * solve + 2]
+        if threads == 2:  # the order the two threads record in is not fixed
+            pair.sort(key=lambda call: call[0])
+        assert [dim for dim, _, _ in pair] == [283, 284]
+        assert pair[1][1] == caller and (pair[0][1] != caller) == (threads == 2)
+        helpers.add(pair[0][1])
+        for (_, _, reduced), expected in zip(pair, alone):
+            assert reduced.d.tobytes() == expected.d.tobytes()
+            assert reduced.e.tobytes() == expected.e.tobytes()
+    assert len(calls) == 4 and len(helpers) == 1
 
 
 @pytest.mark.parametrize("failing", [283, 284], ids=["second_thread", "calling_thread"])
 def test_band_reduction_fault_is_raised_after_the_join(monkeypatch, failing):
-    """A ``dsbtrd`` failure in either band reduction, on the second thread
-    or on the calling one, is the NumericError of the solve, raised once
-    both reductions have ended."""
+    """A ``dsbtrd`` failure in either band reduction, in the spare slot or
+    on the calling thread, is the NumericError of the solve, raised once
+    both reductions have ended; the spare slot is free again afterwards,
+    so the next solve in the same scheduler still reduces its +1 band on
+    the helper thread, and no thread outlives the scheduler."""
     library = lapack.openblas()
+    fault = [True]
 
     def dsbtrd(*args):
-        return -4 if args[3] == failing else library.dsbtrd(*args)
+        return -4 if fault[0] and args[3] == failing else library.dsbtrd(*args)
 
     capped_threads(monkeypatch, 2, dsbtrd=dsbtrd)
+    original, threads = lapack.band_reduce, []
+
+    def recorder(band):
+        threads.append((band.shape[1], threading.get_ident()))
+        return original(band)
+
+    monkeypatch.setattr(lapack, "band_reduce", recorder)
     before = threading.active_count()
-    with pytest.raises(NumericError, match="LAPACKE returned -4"):
+    with lapack.scheduler():
+        with pytest.raises(NumericError, match="LAPACKE returned -4"):
+            diagonalize_hermitian(band_zone_operator(), reference=first_zone(0))
+        fault[0] = False
+        threads.clear()
         diagonalize_hermitian(band_zone_operator(), reference=first_zone(0))
     assert threading.active_count() == before
+    assert dict(threads)[283] != threading.get_ident() == dict(threads)[284]
 
 
-def reversed_side_by_side(first, second):
-    """lapack.side_by_side with ``second`` run to its end before ``first``
+def reversed_pair(slots, first, second):
+    """lapack.Scheduler.pair with ``second`` run to its end before ``first``
     starts: one order two concurrent calls may take."""
     other = second()
     return first(), other
@@ -1627,24 +1678,106 @@ def reversed_side_by_side(first, second):
 @pytest.mark.parametrize("schedule", ["two_threads", "second_first"])
 def test_band_rows_do_not_depend_on_the_schedule(monkeypatch, schedule):
     """The row sector's band solve (band_rows and its T's dsterf) runs
-    beside the values-only sector's dsterf, on a second thread when
-    OpenBLAS may use two: the values and the dipole row are those of the
-    two solves run in turn bit for bit, whether they run at once or the
-    row solve ends before the other starts, and no thread outlives the
-    solve."""
+    beside the values-only sector's dsterf, in the scheduler's spare slot
+    when OpenBLAS may use two threads: the values and the dipole row are
+    those of the two solves run in turn bit for bit, whether they run at
+    once or the row solve ends before the other starts, and no thread
+    outlives the solve."""
     operator = band_zone_operator()
     with monkeypatch.context() as patch:
         capped_threads(patch, 1)
         expected = diagonalize_hermitian(operator, reference=first_zone(0))
     capped_threads(monkeypatch, 2)
     if schedule == "second_first":
-        monkeypatch.setattr(lapack, "side_by_side", reversed_side_by_side)
+        monkeypatch.setattr(lapack.Scheduler, "pair", reversed_pair)
     before = threading.active_count()
     system = diagonalize_hermitian(operator, reference=first_zone(0))
     assert threading.active_count() == before
     assert system.values.tobytes() == expected.values.tobytes()
     row, expected_row = row_sector(system)[1].row, row_sector(expected)[1].row
     assert row.amplitudes.tobytes() == expected_row.amplitudes.tobytes()
+
+
+def test_scheduler_runs_at_most_two_calls_at_once():
+    """Members of ``each`` that run a ``pair`` each: no more than two calls
+    run at once, on no more than two threads (the calling one and the
+    helper); the calling thread takes the first member of the order and
+    the helper the second; once the helper has no member left, the
+    calling thread's pairs take the spare slot again; results come in the
+    order of the calls; the helper has ended when the scheduler closes."""
+    lock, running, most = threading.Lock(), [0], [0]
+    caller, threads, helper_done = threading.get_ident(), [], threading.Event()
+
+    def kernel():
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+            threads.append(threading.get_ident())
+        time.sleep(0.002)
+        with lock:
+            running[0] -= 1
+        return threading.get_ident()
+
+    def member(i):
+        def run():
+            taker = threading.get_ident()
+            if i == 0:  # the helper's last member
+                slots.pair(kernel, kernel)
+                helper_done.set()
+                return i, taker
+            for _ in range(5):
+                slots.pair(kernel, kernel)
+            if i == 3:  # the calling thread's first member: wait for the spare slot
+                assert helper_done.wait(10.0)
+                for _ in range(1000):
+                    if slots.pair(kernel, kernel)[0] != caller:
+                        return i, taker
+                    time.sleep(0.001)
+                raise AssertionError("the spare slot never came back")
+            return i, taker
+
+        return run
+
+    before = threading.active_count()
+    slots = lapack.Scheduler(spare=True)
+    try:
+        results = slots.each([member(i) for i in range(4)], order=[3, 2, 1, 0])
+    finally:
+        slots.close()
+    assert threading.active_count() == before
+    assert [i for i, _ in results] == [0, 1, 2, 3]
+    takers = dict(results)
+    assert takers[3] == caller and takers[2] != caller
+    assert most[0] <= 2 and len(set(threads)) == 2 and caller in threads
+
+
+@pytest.mark.parametrize("spare", [False, True], ids=["one_slot", "two_slots"])
+def test_scheduler_raises_the_first_failure_in_call_order(spare):
+    """Calls 1 and 3 raise; with two slots, taken in the order 3, 2, 1, 0,
+    call 3 fails first, but call 1's error is raised, once both slots have
+    ended and call 0 has run; with one slot the calls run in turn and stop
+    at call 1. The scheduler stays usable, and its helper ends at close."""
+    ran, faults = [], {1: InputError("call 1"), 3: NumericError("call 3")}
+
+    def call(i):
+        def run():
+            ran.append(i)
+            if i in faults:
+                raise faults[i]
+            return i
+
+        return run
+
+    before = threading.active_count()
+    slots = lapack.Scheduler(spare=spare)
+    try:
+        with pytest.raises(InputError, match="call 1"):
+            slots.each([call(i) for i in range(4)], order=[3, 2, 1, 0])
+        assert slots.each([lambda: "a", lambda: "b"], order=[1, 0]) == ["a", "b"]
+    finally:
+        slots.close()
+    assert threading.active_count() == before
+    assert sorted(ran) == ([0, 1, 2, 3] if spare else [0, 1])
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from helpers import (
     assert_band_is_sector,
     assert_same_spectrum,
     band_joint,
+    capped_threads,
     dense_vectors,
     record_lapack_solves,
     row_sector,
@@ -584,7 +585,9 @@ def test_joint_operator_fallback_is_the_unsplit_solve(monkeypatch, x_max, potent
 
 def test_cutoff_family_lifts_the_matter_reflection(tmp_path, monkeypatch):
     """The photon-cutoff converge job solves every grid member in its two
-    sectors, with the values of the unsplit solve."""
+    sectors, with the values of the unsplit solve. With one slot the
+    members run in turn, in cutoff order; with two, the same solves are
+    made in some order."""
     config = load_config(
         write_scan(tmp_path, GRID_11, (2, 3, 4), omega_c=0.9, g=0.2)
     )
@@ -593,9 +596,16 @@ def test_cutoff_family_lifts_the_matter_reflection(tmp_path, monkeypatch):
         qed_report(h, d, FockSpec(n_max=n, omega_c=0.9, g=0.2))[0] for n in (2, 3, 4)
     ]
     solved = record_lapack_solves(monkeypatch)
-    rows = run_job(config).convergence
+    with monkeypatch.context() as patch:
+        capped_threads(patch, 1)
+        rows = run_job(config).convergence
     # both reductions, then the row sector's T, for each member
-    assert solved == [17, 16, 16, 22, 22, 22, 28, 27, 27]
+    expected = [17, 16, 16, 22, 22, 22, 28, 27, 27]
+    assert solved == expected
+    solved.clear()
+    capped_threads(monkeypatch, 2)
+    assert run_job(config).convergence == rows
+    assert sorted(solved) == sorted(expected)
     for row, reference in zip(rows, dense):
         assert abs(row["value"] - reference.value) <= 1e-12 * abs(reference.value)
         assert abs(row["oracle_residual"]) <= 1e-12
