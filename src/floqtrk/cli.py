@@ -779,8 +779,8 @@ class _Stage:
 def _run_members(stage: _Stage, members: Sequence[tuple[str, Callable[[_Stage], Any]]]) -> list:
     """The results of a job's independent ``members`` (label, call on its
     stage view), in the order given, run on the job's two slots
-    (:meth:`floqtrk.lapack.Scheduler.each`) from the last one back: a scan
-    lists its cutoffs ascending, so the largest starts first. A failure is
+    (:meth:`floqtrk.lapack.Scheduler.each`, which takes them from the last
+    one back, so a scan's largest cutoff starts first). A failure is
     that of the first member to fail in the order given, raised once both
     slots have ended, as running them in turn would raise it. Each member's
     wall time, and whether it ran on the calling thread or the helper, goes
@@ -800,7 +800,7 @@ def _run_members(stage: _Stage, members: Sequence[tuple[str, Callable[[_Stage], 
 
     calls = [timed(i, label, call) for i, (label, call) in enumerate(members)]
     with lapack.scheduler() as slots:
-        results = slots.each(calls, order=range(len(calls) - 1, -1, -1))
+        results = slots.each(calls)
     stage.members.extend(entries)
     return results
 

@@ -38,7 +38,8 @@ decomposition, taken one block at a time (``dlasdq`` on each small block,
 vectors), so no Q, U or Z is formed. The band
 routines run on one core. A :class:`Scheduler` runs calls that share
 nothing in two slots, the calling thread's and a spare one that one
-helper thread runs while OpenBLAS may use two threads: the members of a
+helper thread (a one-worker thread pool) runs while OpenBLAS may use two
+threads: the members of a
 job (:meth:`Scheduler.each`) and, while the spare slot is free, the two
 halves of a band solve (:func:`side_by_side`), so no more than two
 kernels run at once. A job opens one scheduler (:func:`scheduler`); a
@@ -47,19 +48,20 @@ solve outside a job opens its own for each :func:`side_by_side`.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import ctypes
 import functools
 import math
-import queue
 import threading
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import InputError, NumericError
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ThreadPoolExecutor
 
 First, Second = TypeVar("First"), TypeVar("Second")
 
@@ -410,30 +412,15 @@ def band_reduce(band: np.ndarray) -> Tridiagonal | None:
     return Tridiagonal(None, d, e, None)
 
 
-class _Task:
-    """One call handed to the spare slot, and its outcome once it has
-    ended."""
-
-    def __init__(self, call: Callable[[], First]):
-        self.call, self.done = call, threading.Event()
-        self.result = self.error = None
-
-    def wait(self) -> First:
-        """The call's result once it has ended; its exception is raised."""
-        self.done.wait()
-        if self.error is not None:
-            raise self.error
-        return self.result
-
-
 class Scheduler:
     """Two slots for calls that share nothing: the calling thread's, and a
-    spare one, run by one helper thread that starts when first used and
-    ends at :meth:`close`. The band routines (``dsbtrd``, ``dsterf`` and
-    those of :func:`band_rows`) run on one core, so two of them at once use
-    two. With ``spare`` False (OpenBLAS held to one thread, ``--threads
-    1``) the spare slot is never free, and every call runs on the calling
-    thread, in turn.
+    spare one, run by one helper thread (a one-worker
+    ``ThreadPoolExecutor``) that starts when first used and ends at
+    :meth:`close`. The band routines (``dsbtrd``, ``dsterf`` and those of
+    :func:`band_rows`) run on one core, so two of them at once use two.
+    With ``spare`` False (OpenBLAS held to one thread, ``--threads 1``) the
+    spare slot is never free, no helper exists, and every call runs on the
+    calling thread, in turn.
 
     A call takes the spare slot only when it is free, and otherwise runs in
     turn, so no more than two calls run at once however they nest: a
@@ -444,8 +431,15 @@ class Scheduler:
     def __init__(self, spare: bool):
         self._lock = threading.Lock()
         self._free = spare
-        self._tasks: queue.SimpleQueue[_Task | None] = queue.SimpleQueue()
-        self._helper: threading.Thread | None = None
+        self._helper: ThreadPoolExecutor | None = None
+        if spare:
+            # ~8 ms to import, so kept off the start-up path and --threads 1
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._helper = ThreadPoolExecutor(1, "floqtrk-spare-slot", initializer=self._nest)
+
+    def _nest(self) -> None:
+        _active.scheduler = self  # a call on the helper nests in this scheduler
 
     def _reserve(self) -> bool:
         """Whether the spare slot was free; it is taken if so."""
@@ -453,25 +447,18 @@ class Scheduler:
             free, self._free = self._free, False
         return free
 
-    def _submit(self, call: Callable[[], First]) -> _Task:
-        """``call`` handed to the spare slot, which :meth:`_reserve` took."""
-        if self._helper is None:
-            self._helper = threading.Thread(target=self._serve, name="floqtrk-spare-slot")
-            self._helper.start()
-        task = _Task(call)
-        self._tasks.put(task)
-        return task
+    def _submit(self, call: Callable[[], First]) -> Future[First]:
+        """``call`` handed to the spare slot, which :meth:`_reserve` took;
+        the slot is free again once the call has ended."""
 
-    def _serve(self) -> None:
-        _active.scheduler = self  # a call on the helper nests in this scheduler
-        while (task := self._tasks.get()) is not None:
+        def run() -> First:
             try:
-                task.result = task.call()
-            except BaseException as exc:  # raised again on the thread that waits
-                task.error = exc
-            with self._lock:
-                self._free = True
-            task.done.set()
+                return call()
+            finally:
+                with self._lock:
+                    self._free = True
+
+        return self._helper.submit(run)
 
     def close(self) -> None:
         """End the helper thread, once its call has ended; the spare slot is
@@ -479,9 +466,7 @@ class Scheduler:
         with self._lock:
             self._free = False
         if self._helper is not None:
-            self._tasks.put(None)
-            self._helper.join()
-            self._helper = None
+            self._helper.shutdown(wait=True)
 
     def pair(self, first: Callable[[], First], second: Callable[[], Second]) -> tuple[First, Second]:
         """``first()`` and ``second()``: ``first`` in the spare slot while the
@@ -494,31 +479,30 @@ class Scheduler:
         try:
             other = second()
         finally:
-            result = task.wait()
+            result = task.result()
         return result, other
 
-    def each(self, calls: Sequence[Callable[[], First]], order: Sequence[int]) -> list[First]:
-        """Every one of ``calls``. When the spare slot is free at the start,
-        the calling thread takes the first of ``order`` (indices into
-        ``calls``) and the helper the second, then each the next one left
-        in ``order`` as it ends its own, and the helper frees the slot once
-        none is left; otherwise they run in turn on the calling thread, in
-        the order of ``calls``. Results come in the order of ``calls``.
-        Once both slots have ended, the exception of the first of ``calls``
-        that raised is raised, as running them in turn would raise it; a
-        call after it in ``calls`` that has not started by then is not
-        run."""
-        if not calls:
-            return []
+    def each(self, calls: Sequence[Callable[[], First]]) -> list[First]:
+        """Every one of ``calls``, the results in their order. When the spare
+        slot is free at the start, the calls are taken from the last one
+        back (a scan lists its cutoffs ascending, so the largest starts
+        first): the calling thread takes the last and the helper the one
+        before it, then each the next one left as it ends its own, and the
+        helper frees the slot once none is left. Once both slots have ended,
+        the exception of the first of ``calls`` that raised is raised, as
+        running them in turn would raise it; an interrupt
+        (``KeyboardInterrupt``) on either thread starts no further call and
+        is raised before any error. Otherwise the calls run in turn on the
+        calling thread, in their order, up to the first that raises."""
+        if len(calls) < 2 or not self._reserve():
+            return [call() for call in calls]
         results: list = [None] * len(calls)
         errors: dict[int, BaseException] = {}
-        spare = len(calls) > 1 and self._reserve()
-        pending = collections.deque(order if spare else range(len(calls)))
-        lock = threading.Lock()
+        pending, lock = list(range(len(calls))), threading.Lock()
 
-        def take(i: int) -> None:
-            # call i, then the next one left, until none is
-            while True:
+        def take(i: int | None) -> None:
+            # call i, then the last one left, until none is
+            while i is not None:
                 try:
                     results[i] = calls[i]()
                 except BaseException as exc:  # raised once both slots end
@@ -527,21 +511,19 @@ class Scheduler:
                         if not isinstance(exc, Exception):  # an interrupt ends the rest
                             pending.clear()
                 with lock:
-                    while pending and errors and pending[0] > min(errors):
-                        pending.popleft()
-                    if not pending:
-                        return
-                    i = pending.popleft()
+                    i = pending.pop() if pending else None
 
-        mine = pending.popleft()
-        task = self._submit(functools.partial(take, pending.popleft())) if spare else None
+        mine = pending.pop()
+        helper = self._submit(functools.partial(take, pending.pop()))
         try:
             take(mine)
-        finally:
-            if task is not None:
-                task.wait()
+        finally:  # an interrupt that ends this thread's turn ends the helper's too
+            with lock:
+                pending.clear()
+            helper.result()
         if errors:
-            raise errors[min(errors)]
+            interrupts = [exc for exc in errors.values() if not isinstance(exc, Exception)]
+            raise interrupts[0] if interrupts else errors[min(errors)]
         return results
 
 

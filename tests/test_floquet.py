@@ -1,5 +1,6 @@
 """Sambe operators, eigensolves, folding, and replica shifts."""
 
+import _thread
 import ast
 import ctypes
 import threading
@@ -1701,8 +1702,8 @@ def test_band_rows_do_not_depend_on_the_schedule(monkeypatch, schedule):
 def test_scheduler_runs_at_most_two_calls_at_once():
     """Members of ``each`` that run a ``pair`` each: no more than two calls
     run at once, on no more than two threads (the calling one and the
-    helper); the calling thread takes the first member of the order and
-    the helper the second; once the helper has no member left, the
+    helper); the calling thread takes the last member and the helper the
+    one before it; once the helper has no member left, the
     calling thread's pairs take the spare slot again; results come in the
     order of the calls; the helper has ended when the scheduler closes."""
     lock, running, most = threading.Lock(), [0], [0]
@@ -1741,7 +1742,7 @@ def test_scheduler_runs_at_most_two_calls_at_once():
     before = threading.active_count()
     slots = lapack.Scheduler(spare=True)
     try:
-        results = slots.each([member(i) for i in range(4)], order=[3, 2, 1, 0])
+        results = slots.each([member(i) for i in range(4)])
     finally:
         slots.close()
     assert threading.active_count() == before
@@ -1753,7 +1754,7 @@ def test_scheduler_runs_at_most_two_calls_at_once():
 
 @pytest.mark.parametrize("spare", [False, True], ids=["one_slot", "two_slots"])
 def test_scheduler_raises_the_first_failure_in_call_order(spare):
-    """Calls 1 and 3 raise; with two slots, taken in the order 3, 2, 1, 0,
+    """Calls 1 and 3 raise; with two slots, taken from the last back,
     call 3 fails first, but call 1's error is raised, once both slots have
     ended and call 0 has run; with one slot the calls run in turn and stop
     at call 1. The scheduler stays usable, and its helper ends at close."""
@@ -1772,12 +1773,53 @@ def test_scheduler_raises_the_first_failure_in_call_order(spare):
     slots = lapack.Scheduler(spare=spare)
     try:
         with pytest.raises(InputError, match="call 1"):
-            slots.each([call(i) for i in range(4)], order=[3, 2, 1, 0])
-        assert slots.each([lambda: "a", lambda: "b"], order=[1, 0]) == ["a", "b"]
+            slots.each([call(i) for i in range(4)])
+        assert slots.each([lambda: "a", lambda: "b"]) == ["a", "b"]
     finally:
         slots.close()
     assert threading.active_count() == before
     assert sorted(ran) == ([0, 1, 2, 3] if spare else [0, 1])
+
+
+def test_scheduler_interrupt_starts_no_further_call():
+    """An interrupt (Ctrl-C) that reaches the calling thread while it waits
+    in its member, the last of five, while the helper runs the one before
+    it, ends the scan: the helper ends its member, no other member starts
+    on either thread, and the KeyboardInterrupt is raised once both slots
+    have ended, before the helper member's error. The helper has ended
+    when the scheduler closes."""
+    started, waiting, interrupted = [], threading.Event(), threading.Event()
+
+    def call(i):
+        def run():
+            started.append(i)
+            if i == 4:  # the calling thread's member
+                try:
+                    waiting.set()
+                    for _ in range(10_000):
+                        time.sleep(0.001)
+                except KeyboardInterrupt:
+                    interrupted.set()
+                    raise
+                raise AssertionError("no interrupt came")
+            if i == 3:  # the helper's member
+                assert waiting.wait(10.0)
+                _thread.interrupt_main()
+                assert interrupted.wait(10.0)
+                raise InputError("call 3")
+            return i
+
+        return run
+
+    before = threading.active_count()
+    slots = lapack.Scheduler(spare=True)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            slots.each([call(i) for i in range(5)])
+    finally:
+        slots.close()
+    assert threading.active_count() == before
+    assert sorted(started) == [3, 4]
 
 
 @pytest.mark.parametrize(
@@ -1810,6 +1852,47 @@ def test_failed_band_row_solve_takes_eigh(monkeypatch, make, reference):
     x = ProductOperator(matter=operator.dipole, labels=operator.labels) @ banded.column(rank)
     band_row = banded.amplitudes(x, reference=rank, dipole=operator.dipole)
     assert np.max(np.abs(np.abs(system.amplitudes(x)) - np.abs(band_row))) <= 1e-12
+
+
+def test_scheduler_interrupt_starts_no_further_call():
+    """An interrupt (Ctrl-C) that reaches the calling thread while it waits
+    in its member, the last of five, while the helper runs the one before
+    it, ends the scan: the helper ends its member, no other member starts
+    on either thread, and the KeyboardInterrupt is raised once both slots
+    have ended, before the helper member's error. The helper has ended
+    when the scheduler closes."""
+    started, waiting, interrupted = [], threading.Event(), threading.Event()
+
+    def call(i):
+        def run():
+            started.append(i)
+            if i == 4:  # the calling thread's member
+                try:
+                    waiting.set()
+                    for _ in range(10_000):
+                        time.sleep(0.001)
+                except KeyboardInterrupt:
+                    interrupted.set()
+                    raise
+                raise AssertionError("no interrupt came")
+            if i == 3:  # the helper's member
+                assert waiting.wait(10.0)
+                _thread.interrupt_main()
+                assert interrupted.wait(10.0)
+                raise InputError("call 3")
+            return i
+
+        return run
+
+    before = threading.active_count()
+    slots = lapack.Scheduler(spare=True)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            slots.each([call(i) for i in range(5)])
+    finally:
+        slots.close()
+    assert threading.active_count() == before
+    assert sorted(started) == [3, 4]
 
 
 @pytest.mark.parametrize(
