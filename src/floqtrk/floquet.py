@@ -799,62 +799,50 @@ def diagonalize_hermitian(
     Without a ``reference`` each sector block is solved by numpy's
     ``eigh``, and every eigenvector is kept.
 
-    With a ``reference``, an operator with a dipole d is solved for what a
-    closure sum from the reference reads: every eigenvalue, the
+    With a ``reference``, a real operator with a dipole d is solved for
+    what a closure sum from the reference reads: every eigenvalue, the
     reference's eigenvector (with, for a picker, the other in-zone ones)
     and the reference's :class:`DipoleRow`, the products of the probe
     (1 (x) d) v_r with every eigenvector. No eigenvector matrix is formed.
-    A real block is reduced by LAPACK's ``dsytrd`` from numpy's bundled
-    OpenBLAS (:mod:`floqtrk.lapack`), or as a band by ``dsbtrd``, and its
-    eigenvalues come from its T (``dsterf``). The row comes from one
-    kernel, :func:`floqtrk.lapack.band_rows`, on the row sector's band
-    (below) or on its T, a band of half bandwidth 1, once ``dormtr`` has
-    put Q^T on the probe, with no Q, Z or m x m array, while ``dsterf``
-    runs beside it (:func:`floqtrk.lapack.side_by_side`); should it report
-    a failure, the operator is solved as without a reference.
+    The reference is a rank r of the merged spectrum or, for a
+    :func:`sambe_operator`, a picker, which maps a first-zone selection
+    (:func:`fold_and_select_ffbz`) to the index of the reference
+    representative. An operator that does not split is one sector, which
+    holds both. An operator that splits and whose dipole is odd
+    (:attr:`ProductOperator.odd_dipole`) has the dipole couple the
+    reference only to the opposite sector, so its own sector is solved
+    values-only (:meth:`_BlockSolve.solve_values`): its eigenvalues and
+    the eigenvectors it keeps, the reference's among them. The opposite
+    sector keeps its eigenvalues, the row and, for a picker, its in-zone
+    eigenvectors.
 
-    An operator that does not split is one sector: its
-    :meth:`~ProductOperator.toarray`, which the solve owns, is reduced in
-    place, and the kept eigenvectors come from its T by inverse iteration
-    (:func:`floqtrk.lapack.eigenpairs`). An operator that splits and whose
-    dipole is odd (:attr:`ProductOperator.odd_dipole`) has the dipole
-    couple the reference only to the opposite sector, so its own sector is
-    solved values-only (:meth:`_BlockSolve.solve_values`): its
-    eigenvalues and a few of its eigenvectors, the reference's among them.
-    The opposite sector keeps its eigenvalues, the same few eigenvectors
-    when the reference is picked (none for a rank), and the row. The
-    reference is
-
-    * a rank r of the merged spectrum: the sector keeps eigenvector r. Which
-      sector holds r is decided on the r + 1 lowest eigenvalues of each
-      tridiagonal block. For r = 0 of a real operator whose sector blocks
-      are narrow bands in (matter coordinate, outer index) order
-      (:meth:`ProductOperator.band_width`, at most m / :data:`BAND_RATIO`),
-      the +1 sector is tried first as a band, and neither sector is
-      written or reduced densely: both bands are reduced without Q side by
-      side, the +1 sector's lowest eigenvalue is confirmed as the ground by
-      a banded Cholesky factorization of the -1 band and its vector comes
-      from banded inverse iteration (:func:`_banded_ground`); the -1 band
-      is solved for the row. What the band cannot confirm (a ground in the
-      -1 sector, a tie, a vector whose residual is above rounding) takes
-      the dense route;
-    * or, for a :func:`sambe_operator`, a picker, which maps a first-zone
-      selection (:func:`fold_and_select_ffbz`) to the index of the
-      reference representative. It is first called on the eigenpairs of
-      each sector in the zone [-Omega/2, Omega/2), widened by a rounding
-      margin (:func:`floqtrk.lapack.window`), and the picked
-      representative's sector keeps those eigenpairs. When the operator is
-      real and both sector bands are narrow (:func:`_narrow`, as for
-      r = 0), neither sector is first written densely: both bands are
-      reduced without Q side by side (``dsbtrd`` runs on one core, so one
-      band is reduced on a second thread; at one OpenBLAS thread, in
-      turn), the in-zone eigenpairs come from bisection on each band's T
-      and banded inverse iteration, orthogonalized within a cluster as
-      ``dstein`` does (:func:`floqtrk.lapack.band_eigenpairs`), the
-      picked sector's values from ``dsterf``, and the opposite band is
-      solved for the row. What the bands cannot confirm (a declined
-      reduction, an in-zone vector whose residual is above rounding) takes
-      the dense route.
+    Every reference, rank or pick, takes one route (:func:`_solve_around`):
+    the sector bands when they are narrow, then the dense blocks for what
+    the bands cannot confirm. When the operator splits and each sector
+    block is a narrow band in (matter coordinate, outer index) order
+    (:meth:`ProductOperator.band_width`, at most m / :data:`BAND_RATIO`),
+    no sector is first written densely: both bands are reduced without Q
+    by ``dsbtrd`` side by side (it runs on one core, so one band is
+    reduced on a second thread; at one OpenBLAS thread, in turn).
+    Otherwise each block (the operator's :meth:`~ProductOperator.toarray`
+    when it does not split), which the solve owns, is reduced in place by
+    LAPACK's ``dsytrd`` from numpy's bundled OpenBLAS
+    (:mod:`floqtrk.lapack`). The reference's sector is chosen on the T of
+    each: for a rank, on the r + 1 lowest eigenvalues of each; for a
+    picker, which is called on the eigenpairs of each sector in the zone
+    [-Omega/2, Omega/2), widened by a rounding margin
+    (:func:`floqtrk.lapack.window`). Kept eigenpairs come from bisection on
+    T and inverse iteration: on a dense block's T by ``dstein`` and Q
+    (:func:`floqtrk.lapack.eigenpairs`), on a band by banded inverse
+    iteration, orthogonalized within a cluster as ``dstein`` does
+    (:func:`floqtrk.lapack.band_eigenpairs`). Every other eigenvalue comes
+    from ``dsterf`` on T. The row comes from one kernel,
+    :func:`floqtrk.lapack.band_rows`, on the row sector's band or on its
+    T, a band of half bandwidth 1, once ``dormtr`` has put Q^T on the
+    probe, with no Q, Z or m x m array, while ``dsterf`` runs beside it
+    (:func:`floqtrk.lapack.side_by_side`). What the bands cannot confirm
+    (a declined band reduction, a band vector whose residual is above
+    rounding) takes the dense route.
 
     What a reference solve cannot serve is solved as without a reference:
     a picker whose index is outside the selection, or a zone with no
@@ -862,17 +850,18 @@ def diagonalize_hermitian(
     other sector, a tie the merge could rank either way; a merged spectrum
     that names another reference (a tie across the sectors, or a pick that
     moves at rounding level) or holds an in-zone eigenpair a values-only
-    sector did not keep, where the row belongs to another reference; a
-    complex block; and a block LAPACK declines unscaled. So are an
-    operator without a dipole and a splitting one whose dipole is not odd.
+    sector did not keep, where the row belongs to another reference; a row
+    solve that reports a failure; and a block LAPACK declines unscaled. So
+    are an operator without a dipole, a complex one and a splitting one
+    whose dipole is not odd.
     """
     if isinstance(matrix, ProductOperator):
         if reflection is not None:
             raise InputError("a ProductOperator carries its own reflection")
-        operator = matrix
+        operator, full = matrix, None
     else:
-        m = _checked_hermitian(matrix)
-        operator = ProductOperator(matter=m, labels=np.zeros(1, dtype=int), reflection=reflection)
+        full = _checked_hermitian(matrix)
+        operator = ProductOperator(matter=full, labels=np.zeros(1, dtype=int), reflection=reflection)
     anchor = None
     if callable(reference):
         if not operator.frequency > 0.0:
@@ -883,25 +872,35 @@ def diagonalize_hermitian(
         if not 0 <= _as_index(reference, "reference index") < dim:
             raise InputError(f"reference index {reference} outside spectrum of size {dim}")
         anchor = _RankAnchor(reference)
-    if anchor is not None and operator.dipole is not None:
-        if not operator.splits:
-            return _solve_unsplit(operator, anchor)
-        if operator.odd_dipole and operator._dtype == np.float64:
-            return _solve_around(operator, anchor)
-    if operator.splits:
-        blocks = (operator.sector(parity) for parity in (1, -1))
-    else:
-        full = (
-            _checked_hermitian(operator.toarray(), owned=True)
-            if operator is matrix
-            else operator.matter
-        )
-        blocks = [(full, SectorBasis.identity(full.shape[0]))]
+    if (
+        anchor is not None
+        and operator.dipole is not None
+        and operator._dtype == np.float64
+        and (operator.odd_dipole or not operator.splits)
+    ):
+        return _solve_around(operator, anchor)
     solved = []
-    for block, basis in blocks:
+    for block, basis, _ in _sectors(operator, full):
         solved.append((basis, _eigh(block)))
         del block
     return EigenSystem.from_sectors(solved)
+
+
+def _sectors(
+    operator: ProductOperator, full: np.ndarray | None = None
+) -> Iterable[tuple[np.ndarray, SectorBasis, int]]:
+    """Each sector block of ``operator``, which the solve owns, with its
+    basis and parity: the two :meth:`ProductOperator.sector` blocks of an
+    operator that splits, else one parity-1 sector, the checked
+    :meth:`ProductOperator.toarray`, or ``full``, the checked copy a dense
+    input already is."""
+    if operator.splits:
+        for parity in (1, -1):
+            yield (*operator.sector(parity), parity)
+        return
+    if full is None:
+        full = _checked_hermitian(operator.toarray(), owned=True)
+    yield full, SectorBasis.identity(full.shape[0]), 1
 
 
 class _Choice(NamedTuple):
@@ -917,8 +916,8 @@ class _Choice(NamedTuple):
     pairs: dict[int, tuple[np.ndarray, np.ndarray]]
 
 
-#: What :meth:`_ZoneAnchor.choose` returns when a sector band does not
-#: confirm an in-zone eigenvector; the dense route then chooses again.
+#: What an anchor's ``choose`` returns when a sector band does not confirm
+#: an eigenvector the choice keeps; the dense route then chooses again.
 _UNCONFIRMED = _Choice(0, 0, {}, {})
 
 
@@ -929,6 +928,10 @@ class _RankAnchor(NamedTuple):
     rank: int
 
     def choose(self, solves: dict[int, tuple[SectorBasis, _BlockSolve]]) -> _Choice:
+        """The sector that holds the rank, decided on the rank + 1 lowest
+        eigenvalues of each T, and the reference's eigenpair there
+        (:meth:`_BlockSolve.eigenpairs`, from a dense block's T or a band's);
+        :data:`_UNCONFIRMED` when a band does not confirm the vector."""
         lowest = {p: block_solve.lowest(self.rank + 1) for p, (_, block_solve) in solves.items()}
         # rank among all, a tie going to the +1 sector as in from_sectors
         local = int(np.argsort(np.concatenate(list(lowest.values())), kind="stable")[self.rank])
@@ -936,8 +939,12 @@ class _RankAnchor(NamedTuple):
             if local < values.size:
                 break
             local -= values.size
-        kept = {p: range(local, local + 1) if p == own else range(0) for p in solves}
-        return _Choice(own, local, kept, {})
+        run = range(local, local + 1)
+        pairs = solves[own][1].eigenpairs(run)
+        if pairs is None:
+            return _UNCONFIRMED
+        kept = {p: run if p == own else range(0) for p in solves}
+        return _Choice(own, local, kept, {own: pairs})
 
     def final_rank(self, system: EigenSystem) -> int | None:
         """The rank; None when another sector has an eigenvalue within
@@ -1001,7 +1008,7 @@ class _ZoneAnchor(NamedTuple):
         """The rank the pick names in the merged spectrum's selection; None
         when an in-zone eigenvector was not kept."""
         try:
-            selection = _fold_and_select(system, self.operator)
+            selection = fold_and_select_ffbz(system, self.operator)
         except InputError:
             return None
         return selection.source_indices[self.pick(selection)]
@@ -1016,49 +1023,30 @@ BAND_RATIO = 32
 
 
 def _narrow(operator: ProductOperator) -> bool:
-    """Whether a splitting ``operator`` is real and each of its sector
-    blocks a narrow band: :data:`BAND_RATIO` kd <= m."""
-    return operator._dtype == np.float64 and all(
+    """Whether ``operator`` splits and each of its sector blocks is a
+    narrow band: :data:`BAND_RATIO` kd <= m."""
+    return operator.splits and all(
         BAND_RATIO * operator.band_width(p) <= operator._sector_dim(p) for p in (1, -1)
     )
 
 
 def _solve_around(operator: ProductOperator, anchor: _RankAnchor | _ZoneAnchor) -> EigenSystem:
-    """The two sectors of a splitting real ``operator``, the one holding
-    the ``anchor``'s reference solved values-only and the other for the
-    reference's dipole row (:func:`diagonalize_hermitian`)."""
+    """The sectors of a real ``operator`` with a dipole, solved for the
+    ``anchor``'s reference and its dipole row (:func:`diagonalize_hermitian`):
+    both sector bands when they are narrow, then the dense blocks
+    (:func:`_sectors`) for whatever the bands cannot confirm."""
     choice = _UNCONFIRMED
-    if isinstance(anchor, _RankAnchor):
-        banded = _banded_ground(operator) if anchor.rank == 0 else None
-        if banded is not None:
-            solves, choice = banded
-    elif _narrow(operator):
+    if _narrow(operator):
         solves = _band_solves(operator)
         if solves is not None:
             choice = anchor.choose(solves)
     if choice is _UNCONFIRMED:
-        # the dense route, also for whatever the bands could not confirm
         solves = {}
-        for parity in (1, -1):
-            block, basis = operator.sector(parity)
+        for block, basis, parity in _sectors(operator):
             solves[parity] = (basis, _reduce(block))
             del block
         declined = any(block_solve is None for _, block_solve in solves.values())
         choice = None if declined else anchor.choose(solves)
-    return _merged(operator, anchor, choice, _solve_for_row(operator, solves, choice))
-
-
-def _solve_unsplit(operator: ProductOperator, anchor: _RankAnchor | _ZoneAnchor) -> EigenSystem:
-    """The one sector of an ``operator`` that does not split, solved for the
-    ``anchor``'s reference and its dipole row (:func:`diagonalize_hermitian`):
-    numpy's ``eigh`` for a complex block or one LAPACK declines."""
-    full = _checked_hermitian(operator.toarray(), owned=True)
-    basis = SectorBasis.identity(full.shape[0])
-    solves = {1: (basis, _reduce(full))}
-    if solves[1][1] is None:
-        return EigenSystem.from_sectors([(basis, _eigh(full))])
-    del full
-    choice = anchor.choose(solves)
     return _merged(operator, anchor, choice, _solve_for_row(operator, solves, choice))
 
 
@@ -1081,13 +1069,8 @@ def _solve_for_row(
     if choice is None:
         solves.clear()
         return None
-    own, reference = choice.parity, choice.reference
+    own, reference, pairs = choice.parity, choice.reference, choice.pairs
     row = -own if len(solves) == 2 else own
-    pairs = {
-        p: choice.pairs[p] if p in choice.pairs else solves[p][1].eigenpairs(run)
-        for p, run in choice.kept.items()
-        if run
-    }
     basis, own_solve = solves.pop(own)
     row_basis, row_solve = solves.pop(row) if row != own else (basis, own_solve)
     ks = choice.kept[own]
@@ -1149,42 +1132,6 @@ def _merged(
         for sector, (_, solution) in zip(system.sectors, solved)
     )
     return EigenSystem(system.values, sectors)
-
-
-def _banded_ground(
-    operator: ProductOperator,
-) -> tuple[dict[int, tuple[SectorBasis, _BlockSolve]], _Choice] | None:
-    """The choice of rank 0 of a splitting real ``operator`` read off its
-    sector bands: the ground and its vector in the +1 sector; None when
-    this cannot be confirmed, for the dense route to choose.
-
-    Both sector blocks are read as bands and reduced without Q side by
-    side (:func:`_band_solves`), and only when each is narrow
-    (:func:`_narrow`). The lowest eigenvalue lambda of the +1 band is found
-    by bisection on its T. Lambda is the ground when every -1 eigenvalue
-    lies above it beyond rounding: the banded Cholesky factorization of the
-    -1 band shifted by lambda and the margin exists
-    (:func:`floqtrk.lapack.band_above`), which fails on a tie. The ground
-    vector comes from banded inverse iteration at lambda, refused unless
-    its residual is at rounding level. The +1 sector is then solved
-    values-only from its T, and the -1 sector for the row from its band,
-    its values from its T.
-    """
-    if not _narrow(operator):
-        return None
-    solves = _band_solves(operator)
-    if solves is None:
-        return None
-    plus, minus = (solves[p][1] for p in (1, -1))
-    ground = lapack.lowest(plus.reduced, 1)
-    if not lapack.band_above(minus.band, float(ground[0])):
-        return None
-    vector = lapack.band_eigenvector(plus.band, float(ground[0]))
-    if vector is None:
-        return None
-    column = np.empty((plus.order.size, 1))
-    column[plus.order, 0] = vector
-    return solves, _Choice(1, 0, {1: range(1), -1: range(0)}, {1: (ground, column)})
 
 
 def _band_solves(operator: ProductOperator) -> dict[int, tuple[SectorBasis, _BlockSolve]] | None:
@@ -1288,11 +1235,11 @@ class _BlockSolve(NamedTuple):
 
 
 def _reduce(block: np.ndarray) -> _BlockSolve | None:
-    """The tridiagonal reduction of one Hermitian block of a reference
+    """The tridiagonal reduction of one real symmetric block of a reference
     solve, which overwrites it: the package's one dense reduction
     (:func:`floqtrk.lapack.reduce`), with its T as the band. None for a
-    complex block, or one the kernel declines."""
-    reduced = lapack.reduce(block) if block.dtype == np.float64 else None
+    block the kernel declines."""
+    reduced = lapack.reduce(block)
     return None if reduced is None else _BlockSolve(reduced, reduced.band())
 
 
@@ -1374,13 +1321,6 @@ def fold_and_select_ffbz(
             f"spectrum has {eigensystem.dim} eigenpairs, expected the complete "
             f"truncated dimension {operator.shape[0]}"
         )
-    return _fold_and_select(eigensystem, operator, edge_tol)
-
-
-def _fold_and_select(
-    eigensystem: EigenSystem, operator: ProductOperator, edge_tol: float = 1e-6
-) -> FfbzSelection:
-    """:func:`fold_and_select_ffbz` on a complete spectrum."""
     _, labels = fold_quasienergies(eigensystem.values, operator.frequency)
     in_zone = np.flatnonzero(labels == 0)  # ascending, as the eigenvalues are
     return _select_first_zone(

@@ -22,14 +22,13 @@ A block that is a narrow band needs no dense reduction, and no m x m
 array at all. :func:`band_reduce` takes its lower band to the same
 tridiagonal form without Q (``dsbtrd``, O(m^2 kd) where ``dsytrd`` is
 O(m^3)), whose eigenvalues :func:`eigenvalues` gives (``dsterf``) and
-:func:`lowest` bisects; :func:`band_above` tells by one banded Cholesky
-factorization (``dpbtrf``) whether every eigenvalue lies above a value,
-:func:`band_eigenvector` solves for one eigenvector by inverse iteration
-on the banded LU factors (``dgbtrf``, ``dgbtrs``), and
-:func:`band_eigenpairs` for those of one run of indices, orthogonalized
-within a cluster as ``dstein`` does. :func:`band_rows` gives the rows of
-a few probes over every eigenvector from the band alone, in the order of
-the eigenvalues :func:`eigenvalues` gives on its T: the probes ride
+:func:`lowest` bisects; :func:`band_eigenvector` solves for one
+eigenvector by inverse iteration on the banded LU factors (``dgbtrf``,
+``dgbtrs``), and :func:`band_eigenpairs` for those of one run of
+indices, orthogonalized within a cluster as ``dstein`` does.
+:func:`band_rows` gives the rows of a few probes over every eigenvector
+from the band alone, in the order of the eigenvalues :func:`eigenvalues`
+gives on its T: the probes ride
 through the bidiagonal reduction (``dgbbrd``) of the banded Cholesky
 factor (``dpbtrf``) of the band shifted positive definite, then through
 LAPACK's divide and conquer for that bidiagonal's singular value
@@ -588,17 +587,6 @@ def _band_margin(band: np.ndarray) -> float:
     widens an interval by on T."""
     rows = _band_product(np.abs(band), np.ones(band.shape[1]))
     return band.shape[1] * np.finfo(np.float64).eps * float(np.max(rows, initial=0.0))
-
-
-def band_above(band: np.ndarray, value: float) -> bool:
-    """Whether every eigenvalue of the symmetric A of the lower ``band``
-    lies above ``value`` by more than :func:`_band_margin`: whether the
-    banded Cholesky factorization (``dpbtrf``) of A - (value + margin) 1
-    exists. A tie with ``value`` at rounding level fails it."""
-    ab = np.array(band, order="F")
-    ab[0] -= value + _band_margin(band)
-    kd, m = ab.shape[0] - 1, ab.shape[1]
-    return openblas().dpbtrf(_COL_MAJOR, b"L", m, kd, ab, kd + 1) == 0
 
 
 #: Inverse iteration steps :func:`band_eigenvector` takes at most before

@@ -423,9 +423,7 @@ def test_band_kernels_match_eigh(m):
     """On a random symmetric matrix of half bandwidth 3 (all of it below
     m = 4): the band reduction's eigenvalues (dsterf) and its bisection
     lowest are eigh's within m eps ||A||; inverse iteration at the lowest
-    gives eigh's ground vector within 64 m eps up to sign; the Cholesky
-    test puts every eigenvalue above the lowest minus 1e-8 and not above
-    the lowest itself."""
+    gives eigh's ground vector within 64 m eps up to sign."""
     if lapack.openblas() is None:
         pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
     kd = min(3, m - 1)
@@ -446,8 +444,6 @@ def test_band_kernels_match_eigh(m):
     if m > 1:
         assert values[1] - values[0] > 1e-3  # a separated ground
     assert np.max(np.abs(vector * np.sign(vector @ vectors[:, 0]) - vectors[:, 0])) <= 64 * m * eps
-    assert lapack.band_above(band, values[0] - 1e-8)
-    assert not lapack.band_above(band, ground)
 
 
 @pytest.mark.parametrize(
@@ -1852,47 +1848,6 @@ def test_failed_band_row_solve_takes_eigh(monkeypatch, make, reference):
     x = ProductOperator(matter=operator.dipole, labels=operator.labels) @ banded.column(rank)
     band_row = banded.amplitudes(x, reference=rank, dipole=operator.dipole)
     assert np.max(np.abs(np.abs(system.amplitudes(x)) - np.abs(band_row))) <= 1e-12
-
-
-def test_scheduler_interrupt_starts_no_further_call():
-    """An interrupt (Ctrl-C) that reaches the calling thread while it waits
-    in its member, the last of five, while the helper runs the one before
-    it, ends the scan: the helper ends its member, no other member starts
-    on either thread, and the KeyboardInterrupt is raised once both slots
-    have ended, before the helper member's error. The helper has ended
-    when the scheduler closes."""
-    started, waiting, interrupted = [], threading.Event(), threading.Event()
-
-    def call(i):
-        def run():
-            started.append(i)
-            if i == 4:  # the calling thread's member
-                try:
-                    waiting.set()
-                    for _ in range(10_000):
-                        time.sleep(0.001)
-                except KeyboardInterrupt:
-                    interrupted.set()
-                    raise
-                raise AssertionError("no interrupt came")
-            if i == 3:  # the helper's member
-                assert waiting.wait(10.0)
-                _thread.interrupt_main()
-                assert interrupted.wait(10.0)
-                raise InputError("call 3")
-            return i
-
-        return run
-
-    before = threading.active_count()
-    slots = lapack.Scheduler(spare=True)
-    try:
-        with pytest.raises(KeyboardInterrupt):
-            slots.each([call(i) for i in range(5)])
-    finally:
-        slots.close()
-    assert threading.active_count() == before
-    assert sorted(started) == [3, 4]
 
 
 @pytest.mark.parametrize(

@@ -103,3 +103,19 @@ def test_readme_library_use_runs():
     assert ffbz.kind == "ffbz" and floqtrk.first_moment(sticks) == ffbz.value
     for report in (namespace["sambe"], namespace["qed"]):
         assert abs(report.oracle_residual) <= 1e-8 * max(1.0, abs(report.oracle_value))
+
+
+def test_no_module_defines_a_top_level_name_twice():
+    """No module of the package or its tests defines the same top-level
+    function or class twice: a later definition silently replaces the
+    earlier one, so a test defined twice is collected once."""
+    repeated = []
+    for path in sorted([*(SRC / "floqtrk").glob("*.py"), *Path(__file__).parent.glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        seen = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name in seen:
+                    repeated.append(f"{path.name}:{node.lineno} {node.name}")
+                seen.add(node.name)
+    assert repeated == []

@@ -501,11 +501,10 @@ def test_cross_sector_tie_takes_the_fallback(monkeypatch):
     other way from the bisection that picked the reference's sector, the
     operator is solved again with every vector: forced at n_max = 0, whose
     two 1 x 1 sectors hold the same value bit for bit, by raising the +1
-    sector's bisection values by 1e-9. There, rank 0 first tries the band
-    route (kd = 0): both bands are reduced, and the Cholesky test fails on
-    the exact tie, so the dense route runs after it. Each rank then reduces
-    both sectors and solves the row sector's T for the row before the
-    merge declines it."""
+    sector's bisection values by 1e-9. There each rank takes the band
+    route (kd = 0): both bands are reduced and the row sector's band is
+    solved for the row before the merge declines it, and both sectors are
+    then solved by eigh."""
     h, d = MatterOperator(np.eye(2)), MatterOperator(np.diag([-1.0, 1.0]))
     operator = joint_operator(h, d, FockSpec(n_max=3, omega_c=0.9, g=0.2), basis_reversal(2))
     full = diagonalize_hermitian(operator)
@@ -534,7 +533,7 @@ def test_cross_sector_tie_takes_the_fallback(monkeypatch):
         assert system.values[0] == system.values[1]
         report = sumrule_qed(operator, system, reference, n_electrons=1)
         assert abs(report.oracle_residual) <= 1e-15
-    assert solved == [1, 1] + [1, 1, 1, 1, 1] * 2 and bands == [1, 1, 1, 1]
+    assert solved == [1, 1, 1, 1, 1] * 2 and bands == [1, 1, 1] * 2
 
 
 def test_even_dipole_at_zero_coupling_takes_the_full_solve(monkeypatch):
@@ -663,54 +662,50 @@ def assert_matches_full_solve(operator, system, full, reference=0):
     assert abs(report.oracle_residual) <= 1e-12 * abs(report.value)
 
 
-def test_rank_zero_takes_the_band_route(monkeypatch):
-    """On the 81-point grid with n_max = 8 (sectors 365 and 364, kd 9), a
-    rank-0 solve reduces both sector bands side by side, takes the ground
-    off the +1 band and solves the -1 sector from its band for the row,
-    with no dense block, and matches the full solve. The +1 sector keeps
-    the ground vector only; the other holds the dipole row."""
-    operator = band_joint()
+@pytest.mark.parametrize(
+    "rank, signs",
+    [(0, 1.0), (0, -1.0), (2, 1.0), (2, -1.0)],
+    ids=["rank0_plus", "rank0_minus", "rank2_plus", "rank2_minus"],
+)
+def test_reference_rank_takes_the_band_route(monkeypatch, rank, signs):
+    """On the 81-point grid with n_max = 8 (sectors 365 and 364, kd 9),
+    under the reflection x -> -x with signs +1 or -1 (which puts the even
+    ground in the -1 sector), a solve for rank 0 or 2 reduces both sector
+    bands side by side, takes the reference's eigenpair off its own band
+    and solves the row sector from its band for the row, with no dense
+    block, and matches the full solve. The reference's sector keeps its
+    vector only; the other holds the dipole row."""
+    operator = band_joint(signs=signs)
     assert [operator.band_width(p) for p in (1, -1)] == [9, 9]
     full = diagonalize_hermitian(operator)
     bands = []
     solved = record_lapack_solves(monkeypatch, bands)
-    system = diagonalize_hermitian(operator, reference=0)
-    assert sorted(bands[:2]) == [364, 365] and bands[2:] == [364] and solved == bands
+    system = diagonalize_hermitian(operator, reference=rank)
     sector = values_only_sector(system)
-    assert sector.ranks.size == 365 and sector.ranks[sector.kept].tolist() == [0]
     _, opposite = row_sector(system)
-    assert opposite.row.reference == 0
-    assert_matches_full_solve(operator, system, full)
+    assert sorted(bands[:2]) == [364, 365] and bands[2:] == [opposite.ranks.size]
+    assert solved == bands
+    assert sector.ranks[sector.kept].tolist() == [rank] and opposite.row.reference == rank
+    assert_matches_full_solve(operator, system, full, reference=rank)
 
 
-@pytest.mark.parametrize(
-    "options, why",
-    [
-        ({"signs": -1.0}, "the ground lies in the -1 sector"),
-        ({"n_points": 80, "link": -1e-13}, "a tie at rounding level"),
-    ],
-    ids=["ground_in_minus", "rounding_tie"],
-)
-def test_unconfirmed_ground_takes_the_dense_route(monkeypatch, options, why):
-    """Under the reflection x -> -x with signs -1, the even ground of
-    the grid lies in the -1 sector; with the middle of the grid cut to a
-    1e-13 link, the even and odd grounds of the two halves tie within
-    rounding. Either way the banded Cholesky test fails after both bands
-    are reduced, and both sectors are reduced densely, as without the band
-    route, and the row sector's T is solved for the row; the tie is then
-    solved again, both sectors by eigh."""
-    operator = band_joint(**options)
+def test_rounding_tie_on_the_bands_takes_eigh(monkeypatch):
+    """With the middle of the grid cut to a 1e-13 link, the even and odd
+    grounds of the two halves tie within rounding. Both bands are reduced
+    and the row sector's band is solved for the row, with no dense
+    reduction, before the merge declines the tie and both sectors are
+    solved by eigh, which the solve then matches."""
+    operator = band_joint(n_points=80, link=-1e-13)
     full = diagonalize_hermitian(operator)
     dims = [operator.sector(p)[1].coords.size for p in (1, -1)]
-    if why == "a tie at rounding level":
-        lowest = [floquet._reduce(operator.sector(p)[0]).lowest(1)[0] for p in (1, -1)]
-        assert 0.0 < abs(lowest[0] - lowest[1]) <= 1e-13
+    lowest = [floquet._reduce(operator.sector(p)[0]).lowest(1)[0] for p in (1, -1)]
+    assert 0.0 < abs(lowest[0] - lowest[1]) <= 1e-13
     bands = []
     solved = record_lapack_solves(monkeypatch, bands)
     system = diagonalize_hermitian(operator, reference=0)
-    assert sorted(bands[:2]) == sorted(dims) and solved[2:4] == dims
-    tied = why == "a tie at rounding level"
-    assert len(bands) == 3 and solved[4:] == bands[2:] + (dims if tied else [])
+    assert sorted(bands[:2]) == sorted(dims) and len(bands) == 3
+    assert solved == bands + dims
+    assert all(sector.kept is None for sector in system.sectors)
     assert_matches_full_solve(operator, system, full)
 
 
@@ -723,8 +718,8 @@ def test_inexact_band_vector_takes_the_dense_route(monkeypatch):
     original = lapack.band_eigenvector
     vectors = []
 
-    def shifted(band, value):
-        vectors.append(original(band, value + 1e-6))
+    def shifted(band, value, against=None):
+        vectors.append(original(band, value + 1e-6, against))
         return vectors[-1]
 
     monkeypatch.setattr(lapack, "band_eigenvector", shifted)
