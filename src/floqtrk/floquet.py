@@ -930,7 +930,8 @@ class _RankAnchor(NamedTuple):
     def choose(self, solves: dict[int, tuple[SectorBasis, _BlockSolve]]) -> _Choice:
         """The sector that holds the rank, decided on the rank + 1 lowest
         eigenvalues of each T, and the reference's eigenpair there
-        (:meth:`_BlockSolve.eigenpairs`, from a dense block's T or a band's);
+        (:meth:`_BlockSolve.eigenpairs`, from a dense block's T or a band's,
+        whose vector is found at the value bisected for the choice);
         :data:`_UNCONFIRMED` when a band does not confirm the vector."""
         lowest = {p: block_solve.lowest(self.rank + 1) for p, (_, block_solve) in solves.items()}
         # rank among all, a tie going to the +1 sector as in from_sectors
@@ -940,7 +941,7 @@ class _RankAnchor(NamedTuple):
                 break
             local -= values.size
         run = range(local, local + 1)
-        pairs = solves[own][1].eigenpairs(run)
+        pairs = solves[own][1].eigenpairs(run, values[run.start : run.stop])
         if pairs is None:
             return _UNCONFIRMED
         kept = {p: run if p == own else range(0) for p in solves}
@@ -1195,15 +1196,19 @@ class _BlockSolve(NamedTuple):
         """The ``count`` lowest eigenvalues, ascending."""
         return lapack.lowest(self.reduced, count)
 
-    def eigenpairs(self, ks: range) -> tuple[np.ndarray, np.ndarray] | None:
+    def eigenpairs(
+        self, ks: range, values: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray] | None:
         """Eigenvalues ``ks`` of a reduced block, a contiguous run, and their
         eigenvectors in sector coordinates as columns: from a dense block's
         T (:func:`floqtrk.lapack.eigenpairs`), or by bisection on a band's T
         and banded inverse iteration (:func:`floqtrk.lapack.band_eigenpairs`),
-        None when that does not confirm a vector."""
+        None when that does not confirm a vector. A band takes the run's
+        ``values`` as given, when they were bisected already."""
         if self.order is None:
-            return lapack.eigenpairs(self.reduced, ks)
-        pairs = lapack.band_eigenpairs(self.band, self.reduced, ks)
+            with lapack.dense_solve():
+                return lapack.eigenpairs(self.reduced, ks)
+        pairs = lapack.band_eigenpairs(self.band, self.reduced, ks, values)
         if pairs is None:
             return None
         values, vectors = pairs
@@ -1230,7 +1235,8 @@ class _BlockSolve(NamedTuple):
         (:func:`floqtrk.lapack.project`) for a dense block's T, else x in
         band order."""
         if self.order is None:
-            return lapack.project(self.reduced, x[:, None])
+            with lapack.dense_solve():
+                return lapack.project(self.reduced, x[:, None])
         return x[self.order][:, None]
 
 
@@ -1239,14 +1245,16 @@ def _reduce(block: np.ndarray) -> _BlockSolve | None:
     solve, which overwrites it: the package's one dense reduction
     (:func:`floqtrk.lapack.reduce`), with its T as the band. None for a
     block the kernel declines."""
-    reduced = lapack.reduce(block)
+    with lapack.dense_solve():
+        reduced = lapack.reduce(block)
     return None if reduced is None else _BlockSolve(reduced, reduced.band())
 
 
 def _eigh(block: np.ndarray) -> _Solution:
     """Every eigenpair of one Hermitian block, by numpy's ``eigh``."""
     try:
-        values, vectors = np.linalg.eigh(block)
+        with lapack.dense_solve():
+            values, vectors = np.linalg.eigh(block)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed: {exc}") from exc
     return _Solution(values, vectors)

@@ -42,7 +42,10 @@ threads: the members of a
 job (:meth:`Scheduler.each`) and, while the spare slot is free, the two
 halves of a band solve (:func:`side_by_side`), so no more than two
 kernels run at once. A job opens one scheduler (:func:`scheduler`); a
-solve outside a job opens its own for each :func:`side_by_side`.
+solve outside a job opens its own for each :func:`side_by_side`. The two
+slots are the job's whole core budget: while a scheduler with a spare
+slot is open, OpenBLAS is held to one thread, and only a dense solve that
+holds both slots (:func:`dense_solve`) runs at the job's full count.
 """
 
 from __future__ import annotations
@@ -425,11 +428,16 @@ class Scheduler:
     turn, so no more than two calls run at once however they nest: a
     member of :meth:`each` that runs a :meth:`pair` gets the spare slot
     only once no other member holds it. Results do not depend on the slot
-    a call ran in."""
+    a call ran in.
 
-    def __init__(self, spare: bool):
+    ``threads`` is the job's OpenBLAS count, which :func:`scheduler` holds
+    at one while the scheduler is open: a call that holds both slots
+    (:meth:`both`) runs at that count; None sets no count."""
+
+    def __init__(self, spare: bool, threads: int | None = None):
         self._lock = threading.Lock()
         self._free = spare
+        self._threads = threads
         self._helper: ThreadPoolExecutor | None = None
         if spare:
             # ~8 ms to import, so kept off the start-up path and --threads 1
@@ -458,6 +466,25 @@ class Scheduler:
                     self._free = True
 
         return self._helper.submit(run)
+
+    @contextlib.contextmanager
+    def both(self) -> Iterator[None]:
+        """The block holding both slots, at the job's OpenBLAS count, when
+        the spare slot is free: the block takes it, as :meth:`pair` does,
+        and frees it at exit, the count back at one. Otherwise the block
+        runs at the count in force, one while another call holds the spare
+        slot, and sets no count."""
+        if self._threads is None or not self._reserve():
+            yield
+            return
+        library = openblas()
+        library.set_num_threads(self._threads)
+        try:
+            yield
+        finally:
+            library.set_num_threads(1)
+            with self._lock:
+                self._free = True
 
     def close(self) -> None:
         """End the helper thread, once its call has ended; the spare slot is
@@ -534,19 +561,51 @@ _active = threading.local()
 def scheduler() -> Iterator[Scheduler]:
     """The scheduler this thread runs in, or a new one for the block: its
     spare slot is free when OpenBLAS may use two threads or more, and its
-    helper thread has ended when the block exits."""
+    helper thread has ended when the block exits.
+
+    A new scheduler with a spare slot holds OpenBLAS to one thread inside
+    the block, so its two slots are the whole core budget: no BLAS product
+    wakes an OpenBLAS worker that would then spin on the core the other
+    slot runs on. A dense solve that holds both slots (:func:`dense_solve`)
+    runs at the count in force when the block began (``--threads``,
+    ``FLOQTRK_THREADS`` or ``OPENBLAS_NUM_THREADS``), which is restored
+    when the block exits, on an error or an interrupt too. At one thread no
+    count is set."""
     current = getattr(_active, "scheduler", None)
     if current is not None:
         yield current
         return
     library = openblas()
-    slots = Scheduler(spare=library is not None and library.get_num_threads() >= 2)
+    threads = 1 if library is None else library.get_num_threads()
+    spare = threads >= 2
+    slots = Scheduler(spare, threads)
     _active.scheduler = slots
     try:
+        if spare:
+            library.set_num_threads(1)
         yield slots
     finally:
         _active.scheduler = None
-        slots.close()
+        try:
+            slots.close()
+        finally:
+            if spare:
+                library.set_num_threads(threads)
+
+
+@contextlib.contextmanager
+def dense_solve() -> Iterator[None]:
+    """The block as a dense solve (``dsytrd``, ``dormtr``, numpy's
+    ``eigh``), which OpenBLAS spreads over its threads: in a job, at the
+    job's full count while the block holds both slots of the scheduler
+    this thread runs in (:meth:`Scheduler.both`), else at one thread;
+    outside a job, at the count in force."""
+    current = getattr(_active, "scheduler", None)
+    if current is None:
+        yield
+        return
+    with current.both():
+        yield
 
 
 def side_by_side(first: Callable[[], First], second: Callable[[], Second]) -> tuple[First, Second]:
@@ -653,21 +712,22 @@ CLUSTER_RTOL = 1e-3
 
 
 def band_eigenpairs(
-    band: np.ndarray, reduced: Tridiagonal, ks: range
+    band: np.ndarray, reduced: Tridiagonal, ks: range, values: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Eigenvalues ``ks`` of the symmetric A of the lower ``band``, a
     contiguous run (0-based, ascending), and their eigenvectors as the
     columns of an m x k matrix in band order; None when inverse iteration
     does not confirm a vector (:func:`band_eigenvector`).
 
-    The values come from bisection (``dstebz``) on ``reduced``, A's
-    tridiagonal T (:func:`band_reduce`), and each vector from banded
-    inverse iteration at its value. As in ``dstein``, a value within
-    :data:`CLUSTER_RTOL` ||T||_1 of the one before it joins its cluster,
-    and each iterate is orthogonalized against the cluster's earlier
-    vectors.
+    The values are ``values``, the run's when the caller has bisected them
+    already (:func:`lowest`), or else come from bisection (``dstebz``) on
+    ``reduced``, A's tridiagonal T (:func:`band_reduce`); each vector
+    comes from banded inverse iteration at its value. As in ``dstein``, a
+    value within :data:`CLUSTER_RTOL` ||T||_1 of the one before it joins
+    its cluster, and each iterate is orthogonalized against the cluster's
+    earlier vectors.
     """
-    w = _run(openblas(), reduced, b"E", ks)[0][: len(ks)]
+    w = _run(openblas(), reduced, b"E", ks)[0][: len(ks)] if values is None else values
     cluster = CLUSTER_RTOL * _norm(reduced)
     vectors = np.empty((reduced.d.size, len(ks)), order="F")
     head = 0

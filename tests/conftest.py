@@ -5,6 +5,8 @@ import signal
 
 import pytest
 
+from floqtrk import lapack
+
 
 class DeadlineExceeded(BaseException):
     """Raised into a guarded block that ran past its deadline.
@@ -33,3 +35,19 @@ def deadline():
             signal.signal(signal.SIGALRM, previous)
 
     return guard
+
+
+@pytest.fixture(autouse=True)
+def openblas_threads_kept():
+    """Fail a test that leaves the thread count of numpy's bundled OpenBLAS
+    changed, and put the count back for the tests after it."""
+    library = lapack.openblas()
+    if library is None:
+        yield
+        return
+    before = library.get_num_threads()
+    yield
+    after = library.get_num_threads()
+    if after != before:
+        library.set_num_threads(before)
+        pytest.fail(f"the test left OpenBLAS at {after} threads, not {before}")

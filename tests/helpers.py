@@ -267,16 +267,24 @@ def band_joint(n_points=81, n_max=8, kinetic="three_point", signs=1.0, link=None
 
 def capped_threads(monkeypatch, threads, **routines):
     """Make OpenBLAS report ``threads`` threads, with ``routines`` replaced;
-    returns the bundled library. A scheduler opened afterwards
-    (``lapack.scheduler``) has its spare slot free when ``threads`` >= 2,
-    and one slot at 1, as at --threads 1, where every call runs in turn.
-    Without the library a scheduler has one slot, so ``threads`` 1 needs
-    no patch; anything else skips the test."""
+    returns the bundled library. The count is a fake: a count set on the
+    patched library (a scheduler's hold at one thread, a dense solve's at
+    the job's count) is what it reports next, and never reaches the real
+    library. A scheduler opened afterwards (``lapack.scheduler``) has its
+    spare slot free when ``threads`` >= 2, and one slot at 1, as at
+    --threads 1, where every call runs in turn. Without the library a
+    scheduler has one slot, so ``threads`` 1 needs no patch; anything else
+    skips the test."""
     library = lapack.openblas()
     if library is None:
         if threads == 1 and not routines:
             return None
         pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
-    patched = library._replace(get_num_threads=lambda: threads, **routines)
+    count = [threads]
+    patched = library._replace(
+        get_num_threads=lambda: count[0],
+        set_num_threads=lambda n: count.__setitem__(0, n),
+        **routines,
+    )
     monkeypatch.setattr(lapack, "openblas", lambda: patched)
     return library

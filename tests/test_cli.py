@@ -1056,6 +1056,136 @@ def test_one_thread_starts_no_thread_on_a_photon_scan(tmp_path, monkeypatch):
     assert len(made) == 1
 
 
+def bundled_openblas():
+    """numpy's bundled OpenBLAS, whose real thread count a test reads; the
+    test is skipped without it."""
+    library = lapack.openblas()
+    if library is None:
+        pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
+    return library
+
+
+BAND_KERNELS = ("dsbtrd", "dsterf", "dpbtrf", "dgbbrd", "dlasd6")
+
+
+@pytest.mark.parametrize("name", ["converge_fock_band", "converge_harmonic_band"])
+def test_band_kernels_run_at_one_blas_thread_in_a_two_slot_job(tmp_path, monkeypatch, name):
+    """At two OpenBLAS threads a job's two slots are its whole core budget:
+    every band kernel, on either slot, runs while the real library is held
+    to one thread, so no OpenBLAS worker wakes beside the two slots. The
+    count is two again once the job returns."""
+    library = bundled_openblas()
+    seen = {kernel: [] for kernel in BAND_KERNELS}
+
+    def recorder(kernel):
+        routine = getattr(library, kernel)
+
+        def recorded(*args):
+            seen[kernel].append(library.get_num_threads())
+            return routine(*args)
+
+        return recorded
+
+    patched = library._replace(**{kernel: recorder(kernel) for kernel in BAND_KERNELS})
+    monkeypatch.setattr(lapack, "openblas", lambda: patched)
+    config = load_config(config_file(tmp_path, MEMBER_JOBS[name]))
+    with lapack.thread_cap(library, 2):
+        run_job(config)
+        assert library.get_num_threads() == 2
+    assert all(seen.values())
+    assert {count for counts in seen.values() for count in counts} == {1}
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.5], ids=["reduce", "eigh"])
+def test_dense_solves_take_the_job_count_only_with_both_slots(tmp_path, monkeypatch, phase):
+    """A dense solve of a job at two OpenBLAS threads (a real block's
+    dsytrd, a complex block's eigh) runs at two while it holds both slots,
+    as the matter ground's reduction does before the scan's members start,
+    and at one while a member holds the spare slot: each solve of the
+    helper's member (cutoff 2), and each of the calling thread's member
+    (cutoff 3), which the helper waits for in its first solve."""
+    library = bundled_openblas()
+    drive = GRID_DRIVE.replace("amplitude: 0.05", f"amplitude: 0.05, phase: {phase}")
+    text = "job: converge\nconverge: {axis: harmonic_cutoff, values: [2, 3]}\n" + GRID_21 + drive
+    caller, seen, mine = threading.get_ident(), [], threading.Event()
+
+    def recorder(solve):
+        def recorded(block, *args, **kwargs):
+            calling = threading.get_ident() == caller
+            if block.shape[0] > 21 and not calling:
+                assert mine.wait(10.0)
+            seen.append((block.shape[0], calling, library.get_num_threads()))
+            if sum(d > 21 and c for d, c, _ in seen) == 2:  # the calling member's two
+                mine.set()
+            return solve(block, *args, **kwargs)
+
+        return recorded
+
+    monkeypatch.setattr(lapack, "reduce", recorder(lapack.reduce))
+    monkeypatch.setattr(np.linalg, "eigh", recorder(np.linalg.eigh))
+    config = load_config(config_file(tmp_path, text))
+    with lapack.thread_cap(library, 2):
+        run_job(config)
+        assert library.get_num_threads() == 2
+    assert [(dim, count) for dim, _, count in seen[:2]] == [(11, 2), (10, 2)]
+    assert sorted(dim for dim, _, _ in seen[2:]) == [52, 53, 73, 74]
+    assert {(dim > 60, calling) for dim, calling, _ in seen[2:]} == {(True, True), (False, False)}
+    assert {count for _, _, count in seen[2:]} == {1}
+
+
+@pytest.mark.parametrize("ending", ["returns", "numeric_error", "interrupt"])
+def test_run_job_restores_the_blas_thread_count(tmp_path, monkeypatch, ending):
+    """A job at two OpenBLAS threads holds the real library at one while
+    its members run, and the count is two again once run_job returns,
+    once it raises the NumericError of a member's failed dsytrd, and once
+    a member's KeyboardInterrupt has ended both slots."""
+    library = bundled_openblas()
+    member, during = cli._qed_member, []
+
+    def recorded(stage, matter, fock, reference):
+        during.append(library.get_num_threads())
+        if ending == "interrupt" and fock.n_max == 3:
+            raise KeyboardInterrupt
+        return member(stage, matter, fock, reference)
+
+    monkeypatch.setattr(cli, "_qed_member", recorded)
+    if ending == "numeric_error":
+        def dsytrd(*args):
+            return -1 if args[2] == 42 else library.dsytrd(*args)
+
+        failing = library._replace(dsytrd=dsytrd)
+        monkeypatch.setattr(lapack, "openblas", lambda: failing)
+    config = load_config(config_file(tmp_path, REFERENCE_ROUTE_JOBS["converge_fock"]))
+    raised = {"returns": None, "numeric_error": NumericError, "interrupt": KeyboardInterrupt}
+    with lapack.thread_cap(library, 2):
+        with pytest.raises(raised[ending]) if raised[ending] else contextlib.nullcontext():
+            run_job(config)
+        assert library.get_num_threads() == 2
+    assert during and set(during) == {1}
+
+
+@pytest.mark.parametrize("name", ["converge_harmonic", "converge_fock_band"])
+def test_one_thread_sets_no_blas_count(tmp_path, monkeypatch, name):
+    """At --threads 1 the only thread counts set are the cap's own, one
+    and then the count before it: a job's scheduler, with one slot, holds
+    no count, and its dense solves take none."""
+    library = bundled_openblas()
+    sets = []
+
+    def set_num_threads(threads):
+        sets.append(threads)
+        library.set_num_threads(threads)
+
+    patched = library._replace(set_num_threads=set_num_threads)
+    monkeypatch.setattr(lapack, "openblas", lambda: patched)
+    monkeypatch.delenv("FLOQTRK_THREADS", raising=False)
+    path = config_file(tmp_path, MEMBER_JOBS[name])
+    before = library.get_num_threads()
+    args = [name.split("_")[0], "--config", str(path), "--out", str(tmp_path / "t")]
+    assert main([*args, "--threads", "1"]) == 0
+    assert sets == [1, before]
+
+
 @pytest.mark.parametrize("slots", [1, 2])
 def test_converge_raises_the_first_failure_in_cutoff_order(tmp_path, monkeypatch, capsys, slots):
     """When n_max=6 raises a NumericError and n_max=10 an InputError, the

@@ -1695,6 +1695,36 @@ def test_band_rows_do_not_depend_on_the_schedule(monkeypatch, schedule):
     assert row.amplitudes.tobytes() == expected_row.amplitudes.tobytes()
 
 
+@pytest.mark.parametrize("rank", [0, 3])
+def test_rank_reference_bisects_each_band_once(monkeypatch, rank):
+    """A rank reference on the band route bisects each sector's T once,
+    for its rank + 1 lowest values: one dstebz call per sector, and the
+    reference's value, at which its band eigenvector is found, is that
+    bisection's bit for bit. At rank 0 that call is the very one a
+    bisection of the reference's value alone makes."""
+    operator = band_joint()
+    library = lapack.openblas()
+    calls = []
+
+    def dstebz(*args):
+        calls.append(args[2])
+        return library.dstebz(*args)
+
+    capped_threads(monkeypatch, 1, dstebz=dstebz)
+    reduced = {p: lapack.band_reduce(operator.sector_band(p).band) for p in (1, -1)}
+    lowest = {p: lapack.lowest(reduced[p], rank + 1) for p in (1, -1)}
+    calls.clear()
+    system = diagonalize_hermitian(operator, reference=rank)
+    assert sorted(calls) == sorted(operator._sector_dim(p) for p in (1, -1))
+    assert row_sector(system)[1].row.reference == rank
+    assert system.values[rank] == np.sort(np.concatenate(list(lowest.values())))[rank]
+    if rank == 0:
+        for p in (1, -1):
+            band = operator.sector_band(p).band
+            alone, _ = lapack.band_eigenpairs(band, reduced[p], range(0, 1))
+            assert alone.tobytes() == lowest[p][:1].tobytes()
+
+
 def test_scheduler_runs_at_most_two_calls_at_once():
     """Members of ``each`` that run a ``pair`` each: no more than two calls
     run at once, on no more than two threads (the calling one and the

@@ -501,7 +501,8 @@ def test_cross_sector_tie_takes_the_fallback(monkeypatch):
     other way from the bisection that picked the reference's sector, the
     operator is solved again with every vector: forced at n_max = 0, whose
     two 1 x 1 sectors hold the same value bit for bit, by raising the +1
-    sector's bisection values by 1e-9. There each rank takes the band
+    sector's bisection values by 1e-9 for the choice, whose eigenpair is
+    then solved at the value bisected afresh. There each rank takes the band
     route (kd = 0): both bands are reduced and the row sector's band is
     solved for the row before the merge declines it, and both sectors are
     then solved by eigh."""
@@ -517,7 +518,7 @@ def test_cross_sector_tie_takes_the_fallback(monkeypatch):
         assert abs(report.value) <= 1e-12 and abs(report.oracle_residual) <= 1e-12
 
     operator = joint_operator(h, d, FockSpec(n_max=0, omega_c=0.9, g=0.2), basis_reversal(2))
-    lowest = floquet._BlockSolve.lowest
+    lowest, eigenpairs = floquet._BlockSolve.lowest, floquet._BlockSolve.eigenpairs
     parities = iter([1, -1] * 2)
 
     def raised(block_solve, count):
@@ -525,6 +526,10 @@ def test_cross_sector_tie_takes_the_fallback(monkeypatch):
         return values + 1e-9 if next(parities) == 1 else values
 
     monkeypatch.setattr(floquet._BlockSolve, "lowest", raised)
+    def bisected_afresh(block_solve, ks, values):
+        return eigenpairs(block_solve, ks)
+
+    monkeypatch.setattr(floquet._BlockSolve, "eigenpairs", bisected_afresh)
     bands = []
     solved = record_lapack_solves(monkeypatch, bands)
     for reference in (0, 1):
