@@ -814,8 +814,9 @@ def run_job(config: JobConfig, verbose: bool = False) -> RunReport:
     timings: dict[str, float] = {}
     stage = _Stage(timings, verbose)
     start = time.perf_counter()
-    # one scheduler for the whole job: its helper thread ends with the job
-    with lapack.scheduler():
+    # one scheduler for the whole job: its helper thread ends with the job,
+    # and OpenBLAS is held to one thread while it is open
+    with lapack.scheduler(hold=True):
         pieces = _RUNNERS[config.job_kind](config, stage)
     reports = pieces.get("reports", ())
     for tag, report in reports:

@@ -42,10 +42,10 @@ threads: the members of a
 job (:meth:`Scheduler.each`) and, while the spare slot is free, the two
 halves of a band solve (:func:`side_by_side`), so no more than two
 kernels run at once. A job opens one scheduler (:func:`scheduler`); a
-solve outside a job opens its own for each :func:`side_by_side`. The two
-slots are the job's whole core budget: while a scheduler with a spare
-slot is open, OpenBLAS is held to one thread, and only a dense solve that
-holds both slots (:func:`dense_solve`) runs at the job's full count.
+solve outside a job opens its own for each :func:`side_by_side`. A job's
+two slots are its whole core budget: while its scheduler is open,
+OpenBLAS is held to one thread, and a dense solve (:func:`dense_solve`)
+outside the job's members runs at the job's full count.
 """
 
 from __future__ import annotations
@@ -420,9 +420,10 @@ class Scheduler:
     ``ThreadPoolExecutor``) that starts when first used and ends at
     :meth:`close`. The band routines (``dsbtrd``, ``dsterf`` and those of
     :func:`band_rows`) run on one core, so two of them at once use two.
-    With ``spare`` False (OpenBLAS held to one thread, ``--threads 1``) the
-    spare slot is never free, no helper exists, and every call runs on the
-    calling thread, in turn.
+    ``threads`` is OpenBLAS's count when the scheduler opens: the spare
+    slot exists at two or more. At one (``--threads 1``) the spare slot is
+    never free, no helper exists, and every call runs on the calling
+    thread, in turn.
 
     A call takes the spare slot only when it is free, and otherwise runs in
     turn, so no more than two calls run at once however they nest: a
@@ -430,16 +431,19 @@ class Scheduler:
     only once no other member holds it. Results do not depend on the slot
     a call ran in.
 
-    ``threads`` is the job's OpenBLAS count, which :func:`scheduler` holds
-    at one while the scheduler is open: a call that holds both slots
-    (:meth:`both`) runs at that count; None sets no count."""
+    A job's scheduler holds OpenBLAS to one thread (:meth:`hold`), and
+    then the thread count of a dense solve (:meth:`dense`) is fixed by
+    where the solve runs, never by when: inside the members of an
+    :meth:`each` that runs on both slots, one; elsewhere, ``threads``."""
 
-    def __init__(self, spare: bool, threads: int | None = None):
+    def __init__(self, threads: int):
         self._lock = threading.Lock()
-        self._free = spare
         self._threads = threads
+        self._free = threads >= 2
+        self._held: OpenBlas | None = None
+        self._members = 0  # the calls of each running on both slots
         self._helper: ThreadPoolExecutor | None = None
-        if spare:
+        if self._free:
             # ~8 ms to import, so kept off the start-up path and --threads 1
             from concurrent.futures import ThreadPoolExecutor
 
@@ -467,32 +471,45 @@ class Scheduler:
 
         return self._helper.submit(run)
 
+    def hold(self) -> None:
+        """Hold OpenBLAS to one thread until :meth:`close`, which restores
+        ``threads``, when the spare slot exists: the two slots are then the
+        whole core budget, and no BLAS product wakes an OpenBLAS worker
+        that would spin on the core the other slot runs on."""
+        if self._helper is not None:
+            self._held = openblas()
+            self._held.set_num_threads(1)
+
     @contextlib.contextmanager
-    def both(self) -> Iterator[None]:
-        """The block holding both slots, at the job's OpenBLAS count, when
-        the spare slot is free: the block takes it, as :meth:`pair` does,
-        and frees it at exit, the count back at one. Otherwise the block
-        runs at the count in force, one while another call holds the spare
-        slot, and sets no count."""
-        if self._threads is None or not self._reserve():
+    def dense(self) -> Iterator[None]:
+        """The block as a dense solve. A held scheduler runs it at
+        ``threads`` outside the members of an :meth:`each` on both slots,
+        the block taking the spare slot, as :meth:`pair` does, and the
+        count back at one at exit; inside them, where the other slot runs
+        a member, at one. Otherwise the block runs at the count in force
+        and sets none."""
+        if self._held is None or self._members or not self._reserve():
             yield
             return
-        library = openblas()
-        library.set_num_threads(self._threads)
+        self._held.set_num_threads(self._threads)
         try:
             yield
         finally:
-            library.set_num_threads(1)
+            self._held.set_num_threads(1)
             with self._lock:
                 self._free = True
 
     def close(self) -> None:
-        """End the helper thread, once its call has ended; the spare slot is
-        not free afterwards."""
+        """End the helper thread, once its call has ended, and restore a
+        held count; the spare slot is not free afterwards."""
         with self._lock:
             self._free = False
-        if self._helper is not None:
-            self._helper.shutdown(wait=True)
+        try:
+            if self._helper is not None:
+                self._helper.shutdown(wait=True)
+        finally:
+            if self._held is not None:
+                self._held.set_num_threads(self._threads)
 
     def pair(self, first: Callable[[], First], second: Callable[[], Second]) -> tuple[First, Second]:
         """``first()`` and ``second()``: ``first`` in the spare slot while the
@@ -518,8 +535,10 @@ class Scheduler:
         the exception of the first of ``calls`` that raised is raised, as
         running them in turn would raise it; an interrupt
         (``KeyboardInterrupt``) on either thread starts no further call and
-        is raised before any error. Otherwise the calls run in turn on the
-        calling thread, in their order, up to the first that raises."""
+        is raised before any error. While the calls run on both slots, a
+        dense solve in them runs at one thread (:meth:`dense`). Otherwise
+        the calls run in turn on the calling thread, in their order, up to
+        the first that raises."""
         if len(calls) < 2 or not self._reserve():
             return [call() for call in calls]
         results: list = [None] * len(calls)
@@ -539,14 +558,20 @@ class Scheduler:
                 with lock:
                     i = pending.pop() if pending else None
 
-        mine = pending.pop()
-        helper = self._submit(functools.partial(take, pending.pop()))
+        with self._lock:
+            self._members += 1
         try:
-            take(mine)
-        finally:  # an interrupt that ends this thread's turn ends the helper's too
-            with lock:
-                pending.clear()
-            helper.result()
+            mine = pending.pop()
+            helper = self._submit(functools.partial(take, pending.pop()))
+            try:
+                take(mine)
+            finally:  # an interrupt that ends this thread's turn ends the helper's too
+                with lock:
+                    pending.clear()
+                helper.result()
+        finally:
+            with self._lock:
+                self._members -= 1
         if errors:
             interrupts = [exc for exc in errors.values() if not isinstance(exc, Exception)]
             raise interrupts[0] if interrupts else errors[min(errors)]
@@ -558,53 +583,42 @@ _active = threading.local()
 
 
 @contextlib.contextmanager
-def scheduler() -> Iterator[Scheduler]:
+def scheduler(hold: bool = False) -> Iterator[Scheduler]:
     """The scheduler this thread runs in, or a new one for the block: its
     spare slot is free when OpenBLAS may use two threads or more, and its
-    helper thread has ended when the block exits.
-
-    A new scheduler with a spare slot holds OpenBLAS to one thread inside
-    the block, so its two slots are the whole core budget: no BLAS product
-    wakes an OpenBLAS worker that would then spin on the core the other
-    slot runs on. A dense solve that holds both slots (:func:`dense_solve`)
-    runs at the count in force when the block began (``--threads``,
-    ``FLOQTRK_THREADS`` or ``OPENBLAS_NUM_THREADS``), which is restored
-    when the block exits, on an error or an interrupt too. At one thread no
-    count is set."""
+    helper thread has ended when the block exits. A new scheduler opened
+    with ``hold``, a job's, holds OpenBLAS to one thread inside the block
+    (:meth:`Scheduler.hold`) and restores the count when the block exits,
+    on an error or an interrupt too; without ``hold`` no count is set."""
     current = getattr(_active, "scheduler", None)
     if current is not None:
         yield current
         return
     library = openblas()
-    threads = 1 if library is None else library.get_num_threads()
-    spare = threads >= 2
-    slots = Scheduler(spare, threads)
+    slots = Scheduler(1 if library is None else library.get_num_threads())
     _active.scheduler = slots
     try:
-        if spare:
-            library.set_num_threads(1)
+        if hold:
+            slots.hold()
         yield slots
     finally:
         _active.scheduler = None
-        try:
-            slots.close()
-        finally:
-            if spare:
-                library.set_num_threads(threads)
+        slots.close()
 
 
 @contextlib.contextmanager
 def dense_solve() -> Iterator[None]:
     """The block as a dense solve (``dsytrd``, ``dormtr``, numpy's
     ``eigh``), which OpenBLAS spreads over its threads: in a job, at the
-    job's full count while the block holds both slots of the scheduler
-    this thread runs in (:meth:`Scheduler.both`), else at one thread;
-    outside a job, at the count in force."""
+    job's count (``--threads``, ``FLOQTRK_THREADS`` or
+    ``OPENBLAS_NUM_THREADS``) outside its members' side-by-side run and at
+    one thread inside it (:meth:`Scheduler.dense`); outside a job, at the
+    count in force."""
     current = getattr(_active, "scheduler", None)
     if current is None:
         yield
         return
-    with current.both():
+    with current.dense():
         yield
 
 

@@ -11,6 +11,7 @@ import platform
 import sys
 import textwrap
 import threading
+import time
 import tracemalloc
 import types
 import weakref
@@ -1096,41 +1097,102 @@ def test_band_kernels_run_at_one_blas_thread_in_a_two_slot_job(tmp_path, monkeyp
     assert {count for counts in seen.values() for count in counts} == {1}
 
 
+def one_slot_first(monkeypatch, name, first, members):
+    """Patch cli's member function ``name`` for a job of ``members``
+    members so that every member of the ``first`` slot ("helper" or
+    "calling") ends before the other slot's one member starts; when the
+    helper's end first, the calling thread's member starts once the helper
+    has freed the spare slot, so that slot is free for all of it."""
+    member, caller, ended, lock = getattr(cli, name), threading.get_ident(), [0], threading.Lock()
+
+    def ordered(*args, **kwargs):
+        slot = "calling" if threading.get_ident() == caller else "helper"
+        slots = lapack._active.scheduler
+        for _ in range(10_000):
+            if slot == first or (
+                ended[0] == members - 1 and (first == "calling" or slots._free)
+            ):
+                break
+            time.sleep(0.001)
+        else:
+            raise AssertionError("the other slot's members never ended")
+        try:
+            return member(*args, **kwargs)
+        finally:
+            with lock:
+                ended[0] += 1
+
+    monkeypatch.setattr(cli, name, ordered)
+
+
+@pytest.mark.parametrize("first", ["helper", "calling"])
 @pytest.mark.parametrize("phase", [0.0, 0.5], ids=["reduce", "eigh"])
-def test_dense_solves_take_the_job_count_only_with_both_slots(tmp_path, monkeypatch, phase):
+def test_dense_solves_in_members_run_at_one_blas_thread(tmp_path, monkeypatch, phase, first):
     """A dense solve of a job at two OpenBLAS threads (a real block's
-    dsytrd, a complex block's eigh) runs at two while it holds both slots,
-    as the matter ground's reduction does before the scan's members start,
-    and at one while a member holds the spare slot: each solve of the
-    helper's member (cutoff 2), and each of the calling thread's member
-    (cutoff 3), which the helper waits for in its first solve."""
+    dsytrd, a complex block's eigh) runs at two outside the job's members,
+    as the matter ground's reductions do before the scan's members start,
+    and at one in every member: the calling thread's member runs at one
+    even when the helper has ended its own and freed the spare slot, so
+    which member ends first never sets a solve's count."""
     library = bundled_openblas()
     drive = GRID_DRIVE.replace("amplitude: 0.05", f"amplitude: 0.05, phase: {phase}")
     text = "job: converge\nconverge: {axis: harmonic_cutoff, values: [2, 3]}\n" + GRID_21 + drive
-    caller, seen, mine = threading.get_ident(), [], threading.Event()
+    seen = []
 
     def recorder(solve):
         def recorded(block, *args, **kwargs):
-            calling = threading.get_ident() == caller
-            if block.shape[0] > 21 and not calling:
-                assert mine.wait(10.0)
-            seen.append((block.shape[0], calling, library.get_num_threads()))
-            if sum(d > 21 and c for d, c, _ in seen) == 2:  # the calling member's two
-                mine.set()
+            seen.append((block.shape[0], library.get_num_threads()))
             return solve(block, *args, **kwargs)
 
         return recorded
 
     monkeypatch.setattr(lapack, "reduce", recorder(lapack.reduce))
     monkeypatch.setattr(np.linalg, "eigh", recorder(np.linalg.eigh))
+    one_slot_first(monkeypatch, "_floquet_member", first, 2)
     config = load_config(config_file(tmp_path, text))
     with lapack.thread_cap(library, 2):
         run_job(config)
         assert library.get_num_threads() == 2
-    assert [(dim, count) for dim, _, count in seen[:2]] == [(11, 2), (10, 2)]
-    assert sorted(dim for dim, _, _ in seen[2:]) == [52, 53, 73, 74]
-    assert {(dim > 60, calling) for dim, calling, _ in seen[2:]} == {(True, True), (False, False)}
-    assert {count for _, _, count in seen[2:]} == {1}
+    assert seen[:2] == [(11, 2), (10, 2)]
+    assert sorted(dim for dim, _ in seen[2:]) == [52, 53, 73, 74]
+    assert {count for _, count in seen[2:]} == {1}
+
+
+#: A photon-cutoff scan on the dense route: the asymmetric grid does not
+#: split, so each member reduces one block of 303, 505 or 707 rows with
+#: dsytrd.
+DENSE_PHOTON_SCAN = (
+    "job: converge\nconverge: {axis: fock_n_max, values: [2, 4, 6]}\n"
+    "model: {grid: {n_points: 101, x_max: 12.0}}\nfock: {omega_c: 0.9, g: 0.05}\n"
+)
+
+
+def test_dense_photon_scan_report_does_not_depend_on_which_member_ends_first(
+    tmp_path, monkeypatch
+):
+    """A dense-route photon scan at two real OpenBLAS threads writes the
+    same report.json bit for bit when the helper's members end before the
+    calling thread's starts as when it starts after the calling thread's
+    have ended: each member's dsytrd runs at one thread either way, as
+    dsytrd at two rounds otherwise."""
+    library = bundled_openblas()
+    path = config_file(tmp_path, DENSE_PHOTON_SCAN)
+    reduce, seen, written = lapack.reduce, [], {}
+
+    def recorded(block):
+        seen.append((block.shape[0], library.get_num_threads()))
+        return reduce(block)
+
+    monkeypatch.setattr(lapack, "reduce", recorded)
+    for first in ("helper", "calling"):
+        with monkeypatch.context() as patch:
+            one_slot_first(patch, "_qed_member", first, 3)
+            out = tmp_path / first
+            args = ["converge", "--config", str(path), "--out", str(out), "--threads", "2"]
+            assert main(args) == 0
+        written[first] = (out / "report.json").read_bytes()
+    assert written["helper"] == written["calling"]
+    assert sorted(seen) == [(dim, 1) for dim in (303, 303, 505, 505, 707, 707)]
 
 
 @pytest.mark.parametrize("ending", ["returns", "numeric_error", "interrupt"])

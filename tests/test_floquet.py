@@ -1725,6 +1725,32 @@ def test_rank_reference_bisects_each_band_once(monkeypatch, rank):
             assert alone.tobytes() == lowest[p][:1].tobytes()
 
 
+def test_library_solves_set_no_blas_count(monkeypatch):
+    """Outside a job a solve at two OpenBLAS threads never sets a count:
+    the scheduler a band solve opens for its side by side reductions holds
+    none, and a dense block's reduction runs at the count in force."""
+    library = lapack.openblas()
+    if library is None:
+        pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
+    sets, reduced = [], []
+
+    def set_num_threads(threads):
+        sets.append(threads)
+        library.set_num_threads(threads)
+
+    def dsytrd(*args):
+        reduced.append(library.get_num_threads())
+        return library.dsytrd(*args)
+
+    patched = library._replace(set_num_threads=set_num_threads, dsytrd=dsytrd)
+    with lapack.thread_cap(library, 2):
+        monkeypatch.setattr(lapack, "openblas", lambda: patched)
+        band = band_zone_operator()
+        diagonalize_hermitian(band, reference=first_zone(0))
+        diagonalize_hermitian(band_joint(n_points=21, n_max=2), reference=0)
+    assert sets == [] and reduced and set(reduced) == {2}
+
+
 def test_scheduler_runs_at_most_two_calls_at_once():
     """Members of ``each`` that run a ``pair`` each: no more than two calls
     run at once, on no more than two threads (the calling one and the
@@ -1766,7 +1792,7 @@ def test_scheduler_runs_at_most_two_calls_at_once():
         return run
 
     before = threading.active_count()
-    slots = lapack.Scheduler(spare=True)
+    slots = lapack.Scheduler(2)
     try:
         results = slots.each([member(i) for i in range(4)])
     finally:
@@ -1778,8 +1804,8 @@ def test_scheduler_runs_at_most_two_calls_at_once():
     assert most[0] <= 2 and len(set(threads)) == 2 and caller in threads
 
 
-@pytest.mark.parametrize("spare", [False, True], ids=["one_slot", "two_slots"])
-def test_scheduler_raises_the_first_failure_in_call_order(spare):
+@pytest.mark.parametrize("threads", [1, 2], ids=["one_slot", "two_slots"])
+def test_scheduler_raises_the_first_failure_in_call_order(threads):
     """Calls 1 and 3 raise; with two slots, taken from the last back,
     call 3 fails first, but call 1's error is raised, once both slots have
     ended and call 0 has run; with one slot the calls run in turn and stop
@@ -1796,7 +1822,7 @@ def test_scheduler_raises_the_first_failure_in_call_order(spare):
         return run
 
     before = threading.active_count()
-    slots = lapack.Scheduler(spare=spare)
+    slots = lapack.Scheduler(threads)
     try:
         with pytest.raises(InputError, match="call 1"):
             slots.each([call(i) for i in range(4)])
@@ -1804,7 +1830,7 @@ def test_scheduler_raises_the_first_failure_in_call_order(spare):
     finally:
         slots.close()
     assert threading.active_count() == before
-    assert sorted(ran) == ([0, 1, 2, 3] if spare else [0, 1])
+    assert sorted(ran) == ([0, 1, 2, 3] if threads == 2 else [0, 1])
 
 
 def test_scheduler_interrupt_starts_no_further_call():
@@ -1838,7 +1864,7 @@ def test_scheduler_interrupt_starts_no_further_call():
         return run
 
     before = threading.active_count()
-    slots = lapack.Scheduler(spare=True)
+    slots = lapack.Scheduler(2)
     try:
         with pytest.raises(KeyboardInterrupt):
             slots.each([call(i) for i in range(5)])
