@@ -779,7 +779,7 @@ class _Stage:
 def _run_members(stage: _Stage, members: Sequence[tuple[str, Callable[[_Stage], Any]]]) -> list:
     """The results of a job's independent ``members`` (label, call on its
     stage view), in the order given, run on the job's two slots
-    (:meth:`floqtrk.lapack.Scheduler.each`, which takes them from the last
+    (:func:`floqtrk.lapack.each`, which takes them from the last
     one back, so a scan's largest cutoff starts first). A failure is
     that of the first member to fail in the order given, raised once both
     slots have ended, as running them in turn would raise it. Each member's
@@ -799,8 +799,7 @@ def _run_members(stage: _Stage, members: Sequence[tuple[str, Callable[[_Stage], 
         return run
 
     calls = [timed(i, label, call) for i, (label, call) in enumerate(members)]
-    with lapack.scheduler() as slots:
-        results = slots.each(calls)
+    results = lapack.each(calls)
     stage.members.extend(entries)
     return results
 

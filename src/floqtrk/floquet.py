@@ -840,9 +840,13 @@ def diagonalize_hermitian(
     :func:`floqtrk.lapack.band_rows`, on the row sector's band or on its
     T, a band of half bandwidth 1, once ``dormtr`` has put Q^T on the
     probe, with no Q, Z or m x m array, while ``dsterf`` runs beside it
-    (:func:`floqtrk.lapack.side_by_side`). What the bands cannot confirm
+    (:func:`floqtrk.lapack.each`). What the bands cannot confirm
     (a declined band reduction, a band vector whose residual is above
     rounding) takes the dense route.
+
+    Each dense solve (``eigh``, ``dsytrd``, ``dormtr``) is a
+    :mod:`floqtrk.lapack` call that sets its own OpenBLAS thread count in
+    a job (:meth:`floqtrk.lapack.Scheduler.dense`); none is set here.
 
     What a reference solve cannot serve is solved as without a reference:
     a picker whose index is outside the selection, or a zone with no
@@ -1065,7 +1069,7 @@ def _solve_for_row(
 
     The probe (1 (x) d) v_r goes into the row sector's band
     (:meth:`_BlockSolve.probes`), whose row is solved while every sector's
-    values come from its T beside it (:func:`floqtrk.lapack.side_by_side`).
+    values come from its T beside it (:func:`floqtrk.lapack.each`).
     The blocks are taken out of ``solves`` and freed before the row solve."""
     if choice is None:
         solves.clear()
@@ -1087,8 +1091,8 @@ def _solve_for_row(
         solution = own_solve.solve_values(ks, pairs[own]) if row != own else None
         return solution, lapack.eigenvalues(row_solve.reduced)
 
-    (solution, row_values), rows = lapack.side_by_side(
-        values, lambda: lapack.band_rows(row_solve.band, probes)
+    (solution, row_values), rows = lapack.each(
+        [values, lambda: lapack.band_rows(row_solve.band, probes)]
     )
     if rows is None:
         return None
@@ -1138,13 +1142,11 @@ def _merged(
 def _band_solves(operator: ProductOperator) -> dict[int, tuple[SectorBasis, _BlockSolve]] | None:
     """Both sectors of a splitting, narrow ``operator`` (:func:`_narrow`)
     written as bands (:meth:`ProductOperator.sector_band`) and reduced
-    without Q side by side (:func:`floqtrk.lapack.side_by_side`): each a
+    without Q side by side (:func:`floqtrk.lapack.each`): each a
     :class:`_BlockSolve` that reads its eigenpairs off its band; None when
     a reduction declines, for the dense route to solve."""
     bands = {p: operator.sector_band(p) for p in (1, -1)}
-    reduced = lapack.side_by_side(
-        lambda: lapack.band_reduce(bands[1].band), lambda: lapack.band_reduce(bands[-1].band)
-    )
+    reduced = lapack.each([functools.partial(lapack.band_reduce, bands[p].band) for p in (1, -1)])
     if any(r is None for r in reduced):
         return None
     return {
@@ -1206,8 +1208,7 @@ class _BlockSolve(NamedTuple):
         None when that does not confirm a vector. A band takes the run's
         ``values`` as given, when they were bisected already."""
         if self.order is None:
-            with lapack.dense_solve():
-                return lapack.eigenpairs(self.reduced, ks)
+            return lapack.eigenpairs(self.reduced, ks)
         pairs = lapack.band_eigenpairs(self.band, self.reduced, ks, values)
         if pairs is None:
             return None
@@ -1235,8 +1236,7 @@ class _BlockSolve(NamedTuple):
         (:func:`floqtrk.lapack.project`) for a dense block's T, else x in
         band order."""
         if self.order is None:
-            with lapack.dense_solve():
-                return lapack.project(self.reduced, x[:, None])
+            return lapack.project(self.reduced, x[:, None])
         return x[self.order][:, None]
 
 
@@ -1245,19 +1245,14 @@ def _reduce(block: np.ndarray) -> _BlockSolve | None:
     solve, which overwrites it: the package's one dense reduction
     (:func:`floqtrk.lapack.reduce`), with its T as the band. None for a
     block the kernel declines."""
-    with lapack.dense_solve():
-        reduced = lapack.reduce(block)
+    reduced = lapack.reduce(block)
     return None if reduced is None else _BlockSolve(reduced, reduced.band())
 
 
 def _eigh(block: np.ndarray) -> _Solution:
-    """Every eigenpair of one Hermitian block, by numpy's ``eigh``."""
-    try:
-        with lapack.dense_solve():
-            values, vectors = np.linalg.eigh(block)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolver failed: {exc}") from exc
-    return _Solution(values, vectors)
+    """Every eigenpair of one Hermitian block, by numpy's ``eigh``
+    (:func:`floqtrk.lapack.eigh`)."""
+    return _Solution(*lapack.eigh(block))
 
 
 def fold_quasienergies(values: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarray]:

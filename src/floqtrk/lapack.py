@@ -38,14 +38,15 @@ vectors), so no Q, U or Z is formed. The band
 routines run on one core. A :class:`Scheduler` runs calls that share
 nothing in two slots, the calling thread's and a spare one that one
 helper thread (a one-worker thread pool) runs while OpenBLAS may use two
-threads: the members of a
-job (:meth:`Scheduler.each`) and, while the spare slot is free, the two
-halves of a band solve (:func:`side_by_side`), so no more than two
+threads: :func:`each` runs the members of a job and the two halves of a
+band solve on the scheduler this thread runs in, so no more than two
 kernels run at once. A job opens one scheduler (:func:`scheduler`); a
-solve outside a job opens its own for each :func:`side_by_side`. A job's
-two slots are its whole core budget: while its scheduler is open,
-OpenBLAS is held to one thread, and a dense solve (:func:`dense_solve`)
-outside the job's members runs at the job's full count.
+solve outside a job opens its own for each :func:`each`. A job's two
+slots are its whole core budget: while its scheduler is open, OpenBLAS is
+held to one thread, and each dense solve (:func:`reduce`,
+:func:`project`, :func:`eigenpairs`, :func:`eigh`) sets its own count:
+the job's full count outside the members of an :func:`each`, one inside
+them.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ import numpy as np
 from .errors import InputError, NumericError
 
 if TYPE_CHECKING:
-    from concurrent.futures import Future, ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-First, Second = TypeVar("First"), TypeVar("Second")
+Result = TypeVar("Result")
 
 #: LAPACKE's matrix_layout value for column-major arrays.
 _COL_MAJOR = 102
@@ -250,6 +251,37 @@ class Tridiagonal(NamedTuple):
         return np.array([self.d, np.append(self.e, 0.0)], order="F")
 
 
+#: The scheduler of the thread that runs a job, and of its helper.
+_active = threading.local()
+
+
+def _dense(solve: Callable[..., Result]) -> Callable[..., Result]:
+    """``solve`` as a dense solve, which OpenBLAS spreads over its threads:
+    in a job, at the count :meth:`Scheduler.dense` of the job's scheduler
+    sets (the job's full count outside the members of an :func:`each`, one
+    inside them); outside a job, at the count in force."""
+
+    @functools.wraps(solve)
+    def dense(*args, **kwargs) -> Result:
+        current = getattr(_active, "scheduler", None)
+        with contextlib.nullcontext() if current is None else current.dense():
+            return solve(*args, **kwargs)
+
+    return dense
+
+
+@_dense
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenpair of the Hermitian ``a`` by numpy's ``eigh``, a dense
+    solve: the ascending eigenvalues and the eigenvectors as columns.
+    NumericError when it does not converge."""
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver failed: {exc}") from exc
+
+
+@_dense
 def reduce(a: np.ndarray) -> Tridiagonal | None:
     """The tridiagonal reduction of the real symmetric ``a``, read from its
     lower triangle as ``eigh`` reads it; None when the kernel is absent or
@@ -269,6 +301,7 @@ def reduce(a: np.ndarray) -> Tridiagonal | None:
     return Tridiagonal(a, d, e, tau)
 
 
+@_dense
 def project(reduced: Tridiagonal, probes: np.ndarray) -> np.ndarray:
     """Q^T ``probes`` (``dormtr``) for the m x k ``probes``, real or
     complex: the probes in the coordinates of T, for :func:`band_rows` on
@@ -361,6 +394,7 @@ def window(reduced: Tridiagonal, low: float, high: float) -> range:
     return range(count(low - margin), count(high + margin))
 
 
+@_dense
 def eigenpairs(reduced: Tridiagonal, ks: range) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues ``ks`` of A, a contiguous run (0-based, ascending), and
     their eigenvectors as the columns of an m x k matrix.
@@ -425,11 +459,11 @@ class Scheduler:
     never free, no helper exists, and every call runs on the calling
     thread, in turn.
 
-    A call takes the spare slot only when it is free, and otherwise runs in
-    turn, so no more than two calls run at once however they nest: a
-    member of :meth:`each` that runs a :meth:`pair` gets the spare slot
-    only once no other member holds it. Results do not depend on the slot
-    a call ran in.
+    :meth:`each` takes the spare slot only when it is free, and otherwise
+    runs its calls in turn, so no more than two calls run at once however
+    they nest: a member of an :meth:`each` that runs the two halves of a
+    band solve gets the spare slot only once no other member holds it.
+    Results do not depend on the slot a call ran in.
 
     A job's scheduler holds OpenBLAS to one thread (:meth:`hold`), and
     then the thread count of a dense solve (:meth:`dense`) is fixed by
@@ -458,18 +492,9 @@ class Scheduler:
             free, self._free = self._free, False
         return free
 
-    def _submit(self, call: Callable[[], First]) -> Future[First]:
-        """``call`` handed to the spare slot, which :meth:`_reserve` took;
-        the slot is free again once the call has ended."""
-
-        def run() -> First:
-            try:
-                return call()
-            finally:
-                with self._lock:
-                    self._free = True
-
-        return self._helper.submit(run)
+    def _release(self) -> None:
+        with self._lock:
+            self._free = True
 
     def hold(self) -> None:
         """Hold OpenBLAS to one thread until :meth:`close`, which restores
@@ -484,10 +509,9 @@ class Scheduler:
     def dense(self) -> Iterator[None]:
         """The block as a dense solve. A held scheduler runs it at
         ``threads`` outside the members of an :meth:`each` on both slots,
-        the block taking the spare slot, as :meth:`pair` does, and the
-        count back at one at exit; inside them, where the other slot runs
-        a member, at one. Otherwise the block runs at the count in force
-        and sets none."""
+        the block taking the spare slot, and the count back at one at exit;
+        inside them, where the other slot runs a member, at one. Otherwise
+        the block runs at the count in force and sets none."""
         if self._held is None or self._members or not self._reserve():
             yield
             return
@@ -496,8 +520,7 @@ class Scheduler:
             yield
         finally:
             self._held.set_num_threads(1)
-            with self._lock:
-                self._free = True
+            self._release()
 
     def close(self) -> None:
         """End the helper thread, once its call has ended, and restore a
@@ -511,34 +534,21 @@ class Scheduler:
             if self._held is not None:
                 self._held.set_num_threads(self._threads)
 
-    def pair(self, first: Callable[[], First], second: Callable[[], Second]) -> tuple[First, Second]:
-        """``first()`` and ``second()``: ``first`` in the spare slot while the
-        calling thread runs ``second`` when that slot is free, otherwise
-        both on the calling thread, ``first`` first. Once both have ended,
-        ``first``'s exception is raised, or else ``second``'s."""
-        if not self._reserve():
-            return first(), second()
-        task = self._submit(first)
-        try:
-            other = second()
-        finally:
-            result = task.result()
-        return result, other
-
-    def each(self, calls: Sequence[Callable[[], First]]) -> list[First]:
+    def each(self, calls: Sequence[Callable[[], Result]]) -> list[Result]:
         """Every one of ``calls``, the results in their order. When the spare
         slot is free at the start, the calls are taken from the last one
         back (a scan lists its cutoffs ascending, so the largest starts
         first): the calling thread takes the last and the helper the one
         before it, then each the next one left as it ends its own, and the
-        helper frees the slot once none is left. Once both slots have ended,
-        the exception of the first of ``calls`` that raised is raised, as
-        running them in turn would raise it; an interrupt
-        (``KeyboardInterrupt``) on either thread starts no further call and
-        is raised before any error. While the calls run on both slots, a
-        dense solve in them runs at one thread (:meth:`dense`). Otherwise
-        the calls run in turn on the calling thread, in their order, up to
-        the first that raises."""
+        helper frees the slot once none is left; of two calls, the helper
+        runs the first and the calling thread the second. Once both slots
+        have ended, an interrupt (``KeyboardInterrupt``) on either thread is
+        raised, or else the exception of the first of ``calls`` that
+        raised, as running them in turn would raise it; an interrupt starts
+        no further call. While the calls run on both slots, a dense solve in
+        them runs at one thread (:meth:`dense`). Otherwise the calls run in
+        turn on the calling thread, in their order, up to the first that
+        raises."""
         if len(calls) < 2 or not self._reserve():
             return [call() for call in calls]
         results: list = [None] * len(calls)
@@ -558,11 +568,17 @@ class Scheduler:
                 with lock:
                     i = pending.pop() if pending else None
 
+        def spare(i: int) -> None:
+            try:
+                take(i)
+            finally:  # the slot is free again once the helper's turn has ended
+                self._release()
+
         with self._lock:
             self._members += 1
         try:
             mine = pending.pop()
-            helper = self._submit(functools.partial(take, pending.pop()))
+            helper = self._helper.submit(spare, pending.pop())
             try:
                 take(mine)
             finally:  # an interrupt that ends this thread's turn ends the helper's too
@@ -576,10 +592,6 @@ class Scheduler:
             interrupts = [exc for exc in errors.values() if not isinstance(exc, Exception)]
             raise interrupts[0] if interrupts else errors[min(errors)]
         return results
-
-
-#: The scheduler of the thread that runs a job, and of its helper.
-_active = threading.local()
 
 
 @contextlib.contextmanager
@@ -606,29 +618,13 @@ def scheduler(hold: bool = False) -> Iterator[Scheduler]:
         slots.close()
 
 
-@contextlib.contextmanager
-def dense_solve() -> Iterator[None]:
-    """The block as a dense solve (``dsytrd``, ``dormtr``, numpy's
-    ``eigh``), which OpenBLAS spreads over its threads: in a job, at the
-    job's count (``--threads``, ``FLOQTRK_THREADS`` or
-    ``OPENBLAS_NUM_THREADS``) outside its members' side-by-side run and at
-    one thread inside it (:meth:`Scheduler.dense`); outside a job, at the
-    count in force."""
-    current = getattr(_active, "scheduler", None)
-    if current is None:
-        yield
-        return
-    with current.dense():
-        yield
-
-
-def side_by_side(first: Callable[[], First], second: Callable[[], Second]) -> tuple[First, Second]:
-    """``first()`` and ``second()``, two calls that share nothing, as a
-    :meth:`Scheduler.pair` of the scheduler this thread runs in (a job's,
-    or one for this call). Each result is the same bit for bit either
-    way."""
+def each(calls: Sequence[Callable[[], Result]]) -> list[Result]:
+    """Every one of ``calls``, calls that share nothing, as the
+    :meth:`Scheduler.each` of the scheduler this thread runs in (a job's,
+    or one for this call): a job's members, or the two halves of a band
+    solve. Each result is the same bit for bit on one slot or two."""
     with scheduler() as slots:
-        return slots.pair(first, second)
+        return slots.each(calls)
 
 
 def _band_product(band: np.ndarray, x: np.ndarray) -> np.ndarray:

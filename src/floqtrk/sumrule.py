@@ -35,6 +35,7 @@ import numpy as np
 from .errors import InputError, ZoneError
 from .floquet import (
     DEGENERACY_RTOL,
+    SECTOR_COUPLING_EPS,
     EigenSystem,
     FfbzSelection,
     ProductOperator,
@@ -306,11 +307,14 @@ def select_reference(blocks: np.ndarray, ground: np.ndarray) -> int:
 
     ``blocks`` are the representatives' coefficient blocks
     (:attr:`FfbzSelection.blocks`, k x (2 N_h + 1) x N_b), whose middle row
-    is c_0, and ``ground`` is the matter ground state (N_b,). A weight below
-    (N_b eps)^2, the rounding level of an overlap between unit vectors,
-    counts as zero: a selection rule (the ground state and an m=0 block of
-    opposite parity) makes it exactly zero, and its computed value is noise. When every weight is zero, the representative
-    with the largest m=0 block norm is taken.
+    is c_0, and ``ground`` is the matter ground state (N_b,). A weight at
+    or below (:data:`~floqtrk.floquet.SECTOR_COUPLING_EPS` D eps)^2 counts
+    as zero, D = (2 N_h + 1) N_b the Sambe dimension the blocks span: a
+    selection rule (the ground state and an m=0 block of opposite parity)
+    makes it exactly zero, and its computed value is the rounding of the
+    solve that gave the blocks, which a solve that does not split leaves in
+    every component. When every weight is zero, the representative with
+    the largest m=0 block norm is taken.
     """
     blocks, ground = np.asarray(blocks), np.asarray(ground)
     if blocks.ndim != 3:
@@ -322,7 +326,7 @@ def select_reference(blocks: np.ndarray, ground: np.ndarray) -> int:
         )
     if not len(blocks):
         raise ZoneError("no representatives to select a reference from")
-    floor = (ground.size * np.finfo(np.float64).eps) ** 2
+    floor = (SECTOR_COUPLING_EPS * blocks[0].size * np.finfo(np.float64).eps) ** 2
     overlaps, norms = [], []
     for block in blocks[:, blocks.shape[1] // 2]:
         overlap = float(np.abs(np.vdot(ground, block)) ** 2)

@@ -2,6 +2,7 @@
 
 import contextlib
 import signal
+import threading
 
 import pytest
 
@@ -51,3 +52,19 @@ def openblas_threads_kept():
     if after != before:
         library.set_num_threads(before)
         pytest.fail(f"the test left OpenBLAS at {after} threads, not {before}")
+
+
+@pytest.fixture(autouse=True)
+def spare_slots_ended():
+    """Fail a test that leaves a scheduler's helper thread
+    (``floqtrk-spare-slot``) alive: a scheduler ends its helper when it
+    closes."""
+    before = set(threading.enumerate())
+    yield
+    left = [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith("floqtrk-spare-slot") and thread not in before
+    ]
+    if left:
+        pytest.fail(f"the test left spare-slot threads alive: {', '.join(left)}")

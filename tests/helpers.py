@@ -122,7 +122,7 @@ def record_lapack_solves(monkeypatch, bands=None):
     solve for its row (a sector band, or a dense block's T), with
     recorders; returns the list the dimension of each block solve is
     appended to, in the order of the solves; two bands reduced side by
-    side (``lapack.side_by_side``) come in either order. So a dense
+    side (``lapack.each``) come in either order. So a dense
     reference solve records its reductions, then its row sector. The
     dimension of each band solve, a reduction or a row solve, is also
     appended to ``bands``, when given, so a solve that wrote no dense block

@@ -1139,6 +1139,10 @@ def test_dense_solves_in_members_run_at_one_blas_thread(tmp_path, monkeypatch, p
     text = "job: converge\nconverge: {axis: harmonic_cutoff, values: [2, 3]}\n" + GRID_21 + drive
     seen = []
 
+    def dsytrd(*args):
+        seen.append((args[2], library.get_num_threads()))
+        return library.dsytrd(*args)
+
     def recorder(solve):
         def recorded(block, *args, **kwargs):
             seen.append((block.shape[0], library.get_num_threads()))
@@ -1146,7 +1150,9 @@ def test_dense_solves_in_members_run_at_one_blas_thread(tmp_path, monkeypatch, p
 
         return recorded
 
-    monkeypatch.setattr(lapack, "reduce", recorder(lapack.reduce))
+    # the count each kernel runs at, read inside the dense solve that sets it
+    patched = library._replace(dsytrd=dsytrd)
+    monkeypatch.setattr(lapack, "openblas", lambda: patched)
     monkeypatch.setattr(np.linalg, "eigh", recorder(np.linalg.eigh))
     one_slot_first(monkeypatch, "_floquet_member", first, 2)
     config = load_config(config_file(tmp_path, text))

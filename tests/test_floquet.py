@@ -1665,11 +1665,11 @@ def test_band_reduction_fault_is_raised_after_the_join(monkeypatch, failing):
     assert dict(threads)[283] != threading.get_ident() == dict(threads)[284]
 
 
-def reversed_pair(slots, first, second):
-    """lapack.Scheduler.pair with ``second`` run to its end before ``first``
-    starts: one order two concurrent calls may take."""
-    other = second()
-    return first(), other
+def reversed_each(slots, calls):
+    """lapack.Scheduler.each with each call run to its end before the one
+    before it starts, from the last back: one order concurrent calls may
+    take."""
+    return [call() for call in reversed(calls)][::-1]
 
 
 @pytest.mark.parametrize("schedule", ["two_threads", "second_first"])
@@ -1686,7 +1686,7 @@ def test_band_rows_do_not_depend_on_the_schedule(monkeypatch, schedule):
         expected = diagonalize_hermitian(operator, reference=first_zone(0))
     capped_threads(monkeypatch, 2)
     if schedule == "second_first":
-        monkeypatch.setattr(lapack.Scheduler, "pair", reversed_pair)
+        monkeypatch.setattr(lapack.Scheduler, "each", reversed_each)
     before = threading.active_count()
     system = diagonalize_hermitian(operator, reference=first_zone(0))
     assert threading.active_count() == before
@@ -1752,12 +1752,13 @@ def test_library_solves_set_no_blas_count(monkeypatch):
 
 
 def test_scheduler_runs_at_most_two_calls_at_once():
-    """Members of ``each`` that run a ``pair`` each: no more than two calls
-    run at once, on no more than two threads (the calling one and the
-    helper); the calling thread takes the last member and the helper the
-    one before it; once the helper has no member left, the
-    calling thread's pairs take the spare slot again; results come in the
-    order of the calls; the helper has ended when the scheduler closes."""
+    """Members of ``each`` that run an ``each`` of two calls: no more than
+    two calls run at once, on no more than two threads (the calling one
+    and the helper); the calling thread takes the last member and the
+    helper the one before it; once the helper has no member left, the
+    calling thread's inner calls take the spare slot again; results come
+    in the order of the calls; the helper has ended when the scheduler
+    closes."""
     lock, running, most = threading.Lock(), [0], [0]
     caller, threads, helper_done = threading.get_ident(), [], threading.Event()
 
@@ -1775,15 +1776,15 @@ def test_scheduler_runs_at_most_two_calls_at_once():
         def run():
             taker = threading.get_ident()
             if i == 0:  # the helper's last member
-                slots.pair(kernel, kernel)
+                slots.each([kernel, kernel])
                 helper_done.set()
                 return i, taker
             for _ in range(5):
-                slots.pair(kernel, kernel)
+                slots.each([kernel, kernel])
             if i == 3:  # the calling thread's first member: wait for the spare slot
                 assert helper_done.wait(10.0)
                 for _ in range(1000):
-                    if slots.pair(kernel, kernel)[0] != caller:
+                    if slots.each([kernel, kernel])[0] != caller:
                         return i, taker
                     time.sleep(0.001)
                 raise AssertionError("the spare slot never came back")
@@ -1872,6 +1873,73 @@ def test_scheduler_interrupt_starts_no_further_call():
         slots.close()
     assert threading.active_count() == before
     assert sorted(started) == [3, 4]
+
+
+def test_band_solve_interrupt_is_raised_before_the_helper_error(monkeypatch):
+    """In a two-slot scheduler a band solve's two reductions run one on
+    each slot, the S = +1 band on the helper and the S = -1 band on the
+    calling thread. When the helper's raises a NumericError and the
+    calling thread's is then interrupted (Ctrl-C), the KeyboardInterrupt
+    is raised once both have ended, not the helper's error."""
+    capped_threads(monkeypatch, 2)
+    failed = threading.Event()
+
+    def band_reduce(band):
+        if band.shape[1] == 283:  # the +1 band, on the helper
+            failed.set()
+            raise NumericError("the helper's reduction failed")
+        assert failed.wait(10.0)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(lapack, "band_reduce", band_reduce)
+    with lapack.scheduler():
+        with pytest.raises(KeyboardInterrupt):
+            diagonalize_hermitian(band_zone_operator(), reference=first_zone(0))
+
+
+def test_dense_solves_set_their_own_blas_count_in_a_held_scheduler(monkeypatch):
+    """With a held scheduler open at two real OpenBLAS threads, each dense
+    solve called directly sets its own count: lapack.reduce (dsytrd),
+    project and eigenpairs (dormtr) and eigh run at two outside the
+    members of an each, the count back at one after each of them, and at
+    one inside an each that runs on both slots. The count is two again
+    once the scheduler closes."""
+    library = lapack.openblas()
+    if library is None:
+        pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
+    seen, eigh = [], np.linalg.eigh
+
+    def recorder(name, kernel):
+        def recorded(*args):
+            seen.append((name, library.get_num_threads()))
+            return kernel(*args)
+
+        return recorded
+
+    patched = library._replace(
+        dsytrd=recorder("dsytrd", library.dsytrd), dormtr=recorder("dormtr", library.dormtr)
+    )
+    monkeypatch.setattr(lapack, "openblas", lambda: patched)
+    monkeypatch.setattr(np.linalg, "eigh", recorder("eigh", eigh))
+    a = np.random.default_rng(3).standard_normal((40, 40))
+    a += a.T
+
+    def solves():
+        reduced = lapack.reduce(np.array(a, order="F"))
+        lapack.project(reduced, np.ones((40, 1)))
+        lapack.eigenpairs(reduced, range(0, 2))
+        lapack.eigh(a)
+        return library.get_num_threads()
+
+    kernels = ["dsytrd", "dormtr", "dormtr", "eigh"]
+    with lapack.thread_cap(library, 2):
+        with lapack.scheduler(hold=True):
+            assert solves() == 1
+            assert seen == [(kernel, 2) for kernel in kernels]
+            seen.clear()
+            assert lapack.each([solves, solves]) == [1, 1]
+        assert library.get_num_threads() == 2
+    assert sorted(seen) == sorted((kernel, 1) for kernel in kernels * 2)
 
 
 @pytest.mark.parametrize(

@@ -287,8 +287,9 @@ def m0_mode(m0_block):
 
 
 def test_reference_ignores_overlaps_at_rounding_level():
-    """Ground-state weights below (N_b eps)^2 are noise: with no other weight
-    the largest m=0 block wins; a resolved weight still wins over it."""
+    """Ground-state weights below (16 D eps)^2, D the blocks' Sambe
+    dimension, are noise: with no other weight the largest m=0 block wins;
+    a resolved weight still wins over it."""
     ground = np.array([1.0, 0.0])
     forbidden = m0_mode([0.0, 0.1])  # opposite parity: overlap exactly 0
     noise = m0_mode([1e-17, 1e-3])  # overlap 1e-34, below the floor
@@ -300,6 +301,24 @@ def test_reference_ignores_overlaps_at_rounding_level():
         select_reference(noise, ground)
     with pytest.raises(InputError, match="matter dimension 2"):
         select_reference(np.array([noise]), np.array([1.0, 0.0, 0.0]))
+
+
+def test_auto_reference_is_the_same_with_and_without_a_reflection():
+    """A complex two-harmonic drive on a 21-point harmonic grid: every
+    first-zone representative is parity-forbidden from the ground state.
+    The unsplit dense solve leaves their m=0 overlaps at rounding level
+    (up to 7e-29, above (N_b eps)^2 but far below the floor of the Sambe
+    dimension), so the pick follows the m=0 block norms, as the split
+    solve's does, and both take representative 0."""
+    drive = DriveSpec(omega=0.7, components=(DriveComponent(1, 0.3, 0.7), DriveComponent(3, 0.1)))
+    grid = GridBasis(-5.0, 5.0, 21)
+    h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
+    d = build_dipole(grid)
+    for reflection in (basis_reversal(21), None):
+        ground = diagonalize_hermitian(h.matrix, reflection=reflection).column(0)
+        sambe = sambe_operator(h, d, drive, 3, reflection)
+        selection = fold_and_select_ffbz(diagonalize_hermitian(sambe), sambe)
+        assert select_reference(selection.blocks, ground) == 0
 
 
 def test_parity_selection_rule():
