@@ -27,7 +27,6 @@ import argparse
 import contextlib
 import copy
 import csv
-import difflib
 import functools
 import hashlib
 import io
@@ -35,6 +34,7 @@ import json
 import math
 import operator
 import os
+import platform
 import re
 import sys
 import threading
@@ -116,6 +116,12 @@ class JobConfig:
     def reference(self) -> int | str:
         return self.resolved["reference"]
 
+    @functools.cached_property
+    def sweep_points(self) -> list[tuple[int | float, JobConfig]]:
+        """(value, base job) of every point of a sweep, resolved once: to be
+        checked by :func:`load_config`, and run."""
+        return _sweep_points(self.resolved)
+
     def matter(self) -> tuple[MatterOperator, MatterOperator, int]:
         """(Hamiltonian, dipole, electron count) of the model section."""
         model = self.resolved["model"]
@@ -189,10 +195,14 @@ def load_config(path: str | Path, default_job: str | None = None) -> JobConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"top level of {path} must be a mapping of sections")
-    return JobConfig(resolved=_resolve(raw, default_job=default_job))
+    config = JobConfig(resolved=_resolve(raw, default_job=default_job))
+    if config.job_kind == "sweep":
+        config.sweep_points  # every point is resolved, and so checked, here
+    return config
 
 
 def _suggest(key: str, allowed) -> str:
+    import difflib  # only an error reaches here, so kept off the start-up path
     close = difflib.get_close_matches(str(key), sorted(allowed), n=1)
     return f" (did you mean {close[0]!r}?)" if close else ""
 
@@ -612,8 +622,6 @@ def _resolve(raw: dict, default_job: str | None = None) -> dict:
     elif job == "converge" and resolved["converge"]["axis"] == "harmonic_cutoff":
         # the values ascend, so the first is the smallest cutoff
         _check_harmonic_window(resolved, resolved["converge"]["values"][0], "values", "converge")
-    elif job == "sweep":
-        _sweep_points(resolved)
     return resolved
 
 
@@ -640,8 +648,8 @@ def _check_harmonic_window(resolved: dict, cutoff: int, key: str, section: str) 
 # sweeps
 
 
-def _sweep_points(resolved: dict) -> list[tuple[int | float, dict]]:
-    """(value, resolved base job) of every point of a resolved sweep."""
+def _sweep_points(resolved: dict) -> list[tuple[int | float, JobConfig]]:
+    """(value, base job) of every point of a resolved sweep."""
     sweep = resolved["sweep"]
     path = sweep["path"]
     if path.split(".", 1)[0] in ("sweep", "job", "output", "converge"):
@@ -657,11 +665,8 @@ def _sweep_points(resolved: dict) -> list[tuple[int | float, dict]]:
         raw.pop("sweep")
         raw["job"] = sweep["job"]
         parent, leaf = _path_parent(raw, path)
-        if isinstance(parent, list):
-            parent[int(leaf)] = value
-        else:
-            parent[leaf] = value
-        points.append((value, _resolve(raw)))
+        parent[int(leaf) if isinstance(parent, list) else leaf] = value
+        points.append((value, JobConfig(resolved=_resolve(raw))))
     return points
 
 
@@ -1115,9 +1120,9 @@ def _run_converge(config: JobConfig, stage: _Stage) -> dict:
 
 def _run_sweep(config: JobConfig, stage: _Stage) -> dict:
     points: list[SweepPoint] = []
-    for i, (value, resolved) in enumerate(_sweep_points(config.resolved)):
+    for i, (value, point) in enumerate(config.sweep_points):
         with stage(f"point_{i}"):
-            report = run_job(JobConfig(resolved=resolved), verbose=stage.verbose)
+            report = run_job(point, verbose=stage.verbose)
         # the point's own stage timings, its total included, replace its wall time
         stage.timings[f"point_{i}"] = report.timings
         points.append(SweepPoint(parameter_value=float(value), report=report))
@@ -1209,8 +1214,6 @@ def _environment() -> dict:
     """What ran the job: interpreter, machine, numpy and its BLAS build, the
     routine that solves real symmetric blocks, the CPUs this process may
     use and the floqtrk version."""
-    import platform  # ~2 ms to import, so kept off the start-up path
-
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.25 has no dict mode

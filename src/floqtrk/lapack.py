@@ -9,44 +9,41 @@ divide and conquer and forms the eigenvector matrix Q Z (``dormtr``), an
 O(m^3) step with 2 m^2 of workspace. Here no Z and no eigenvector matrix
 is formed. A dense block is reduced to T (:func:`reduce`), whose
 eigenvalues :func:`eigenvalues` gives (``dsterf``, the values-only solve
-of ``dsyevd`` for ``jobz = 'N'``); :func:`eigenpairs` gives the
-eigenpairs of one run of indices (bisection, inverse iteration and Q on
-those columns), and :func:`window` the run of eigenvalues in an
-interval. The rows x^T V of a
-few probe vectors x over every eigenvector V come from T as from any
-band: :func:`project` puts Q^T on the probes, and :func:`band_rows`
-solves T, a band of half bandwidth 1 (:meth:`Tridiagonal.band`), for
-them.
+of ``dsyevd`` for ``jobz = 'N'``); :func:`eigenpairs` gives the eigenpairs
+of one run of indices (bisection, inverse iteration and Q on those
+columns), and :func:`window` the run of eigenvalues in an interval (two
+Sturm counts, ``dlaebz``). The rows x^T V of a few probe vectors x over
+every eigenvector V come from T as from any band: :func:`project` puts Q^T
+on the probes, and :func:`band_rows` solves T, a band of half bandwidth 1
+(:meth:`Tridiagonal.band`), for them.
 
-A block that is a narrow band needs no dense reduction, and no m x m
-array at all. :func:`band_reduce` takes its lower band to the same
-tridiagonal form without Q (``dsbtrd``, O(m^2 kd) where ``dsytrd`` is
-O(m^3)), whose eigenvalues :func:`eigenvalues` gives (``dsterf``) and
-:func:`lowest` bisects; :func:`band_eigenvector` solves for one
-eigenvector by inverse iteration on the banded LU factors (``dgbtrf``,
-``dgbtrs``), and :func:`band_eigenpairs` for those of one run of
-indices, orthogonalized within a cluster as ``dstein`` does.
-:func:`band_rows` gives the rows of a few probes over every eigenvector
-from the band alone, in the order of the eigenvalues :func:`eigenvalues`
-gives on its T: the probes ride
-through the bidiagonal reduction (``dgbbrd``) of the banded Cholesky
-factor (``dpbtrf``) of the band shifted positive definite, then through
-LAPACK's divide and conquer for that bidiagonal's singular value
-decomposition, taken one block at a time (``dlasdq`` on each small block,
-``dlasd6`` to merge two, ``dlals0`` to apply the merge's left singular
-vectors), so no Q, U or Z is formed. The band
+A block that is a narrow band needs no dense reduction, and no m x m array
+at all. :func:`band_reduce` takes its lower band to the same tridiagonal
+form without Q (``dsbtrd``, O(m^2 kd) where ``dsytrd`` is O(m^3)), whose
+eigenvalues :func:`eigenvalues` gives (``dsterf``) and :func:`lowest`
+bisects; :func:`band_eigenvector` solves for one eigenvector by inverse
+iteration on the banded LU factors (``dgbtrf``, ``dgbtrs``), and
+:func:`band_eigenpairs` for those of one run of indices, orthogonalized
+within a cluster as ``dstein`` does. :func:`band_rows` gives the rows of a
+few probes over every eigenvector from the band alone, in the order of the
+eigenvalues :func:`eigenvalues` gives on its T: the probes ride through
+the bidiagonal reduction (``dgbbrd``) of the banded Cholesky factor
+(``dpbtrf``) of the band shifted positive definite, then through LAPACK's
+divide and conquer for that bidiagonal's singular value decomposition,
+taken one block at a time (``dlasdq`` on each small block, its rotations
+applied to the probes, ``dlasd6`` to merge two, ``dlals0`` to apply the
+merge's left singular vectors), so no Q, U or Z is formed. The band
 routines run on one core. A :class:`Scheduler` runs calls that share
-nothing in two slots, the calling thread's and a spare one that one
-helper thread (a one-worker thread pool) runs while OpenBLAS may use two
-threads: :func:`each` runs the members of a job and the two halves of a
-band solve on the scheduler this thread runs in, so no more than two
-kernels run at once. A job opens one scheduler (:func:`scheduler`); a
-solve outside a job opens its own for each :func:`each`. A job's two
-slots are its whole core budget: while its scheduler is open, OpenBLAS is
-held to one thread, and each dense solve (:func:`reduce`,
-:func:`project`, :func:`eigenpairs`, :func:`eigh`) sets its own count:
-the job's full count outside the members of an :func:`each`, one inside
-them.
+nothing in two slots, the calling thread's and a spare one that one helper
+thread (a one-worker thread pool) runs while OpenBLAS may use two threads:
+:func:`each` runs the members of a job and the two halves of a band solve
+on the scheduler this thread runs in, so no more than two kernels run at
+once. A job opens one scheduler (:func:`scheduler`); a solve outside a job
+opens its own for each :func:`each`. A job's two slots are its whole core
+budget: while its scheduler is open, OpenBLAS is held to one thread, and
+each dense solve (:func:`reduce`, :func:`project`, :func:`eigenpairs`,
+:func:`eigh`) sets its own count: the job's full count outside the members
+of an :func:`each`, one inside them.
 """
 
 from __future__ import annotations
@@ -101,6 +98,7 @@ class OpenBlas(NamedTuple):
     dgbtrf: Callable
     dgbtrs: Callable
     dgbbrd: Callable
+    dlaebz: Callable
     dlasdq: Callable
     dlasd6: Callable
     dlals0: Callable
@@ -179,6 +177,7 @@ def _bind(library: ctypes.CDLL) -> OpenBlas:
             ctypes.c_int, char, int64, int64, int64, int64, int64, matrix, int64, vector, vector,
             matrix, int64, matrix, int64, matrix, int64,
         ),
+        dlaebz=subroutine("scipy_dlaebz_64_", "iiiiiidddpppppppppp"),
         dlasdq=subroutine("scipy_dlasdq_64_", "ciiiiipppipipip"),
         dlasd6=subroutine("scipy_dlasd6_64_", "iiiipppddppppipippppppppp"),
         dlals0=subroutine("scipy_dlals0_64_", "iiiiipipipppipipppppppp"),
@@ -232,6 +231,12 @@ def _check(info: int, failure: str = "Eigenvalues did not converge") -> None:
         raise NumericError(f"eigensolver failed: {failure}")
     if info < 0:
         raise NumericError(f"eigensolver failed: LAPACKE returned {info}")
+
+
+def _at(array: np.ndarray, row: int = 0) -> int:
+    """The address of row ``row`` of ``array`` (of element (row, 0) of a
+    Fortran-ordered matrix), for a Fortran routine."""
+    return array.ctypes.data + row * array.strides[0]
 
 
 class Tridiagonal(NamedTuple):
@@ -372,26 +377,21 @@ def window(reduced: Tridiagonal, low: float, high: float) -> range:
     the interval widened on both sides by a rounding margin m eps ||T||
     (Gershgorin), so an eigenvalue within rounding of an end is inside.
 
-    Read off two Sturm counts, LAPACK's bisection recurrence (``dlaebz``):
-    the count at x is the number of non-positive pivots of T - x.
+    Read off two Sturm counts in one call of LAPACK's bisection recurrence
+    (``dlaebz``, IJOB = 1): the count at x is the number of non-positive
+    pivots of T - x, one below pivmin in magnitude taken as -pivmin, where
+    ``dlarrc`` would miscount an exactly zero one.
     """
     d, e = reduced.d, reduced.e
     margin = d.size * np.finfo(np.float64).eps * _norm(reduced)
-    squares = [0.0, *(e * e).tolist()]
-    pivmin = np.finfo(np.float64).tiny * max(1.0, max(squares))
-    diagonal = d.tolist()
-
-    def count(x: float) -> int:
-        below, pivot = 0, 1.0
-        for d_i, e2_i in zip(diagonal, squares):
-            pivot = d_i - e2_i / pivot - x
-            if abs(pivot) < pivmin:
-                pivot = -pivmin
-            if pivot <= 0.0:
-                below += 1
-        return below
-
-    return range(count(low - margin), count(high + margin))
+    squares = e * e
+    pivmin = np.finfo(np.float64).tiny * max(1.0, squares.max(initial=0.0))
+    ends = np.array([low - margin, high + margin])
+    counts = np.zeros(3, dtype=np.int64)  # NAB, the count at each end, then MOUT
+    # IJOB = 1 reads no NVAL, C, WORK or IWORK
+    args = (_at(d), _at(e), _at(squares), None, _at(ends), None, _at(counts, 2), _at(counts))
+    _check(openblas().dlaebz(1, 0, d.size, 1, 1, 0, 0.0, 0.0, pivmin, *args, None, None))
+    return range(counts[0], counts[1])
 
 
 @_dense
@@ -757,12 +757,6 @@ def band_eigenpairs(
 SMLSIZ = 25
 
 
-def _at(array: np.ndarray, row: int = 0) -> int:
-    """The address of row ``row`` of ``array`` (of element (row, 0) of a
-    Fortran-ordered matrix), for a Fortran routine."""
-    return array.ctypes.data + row * array.strides[0]
-
-
 def band_rows(band: np.ndarray, probes: np.ndarray) -> np.ndarray | None:
     """The k x m matrix of rows ``probes``^T V, V the eigenvectors of the
     symmetric A of the lower ``band`` in ascending order of their
@@ -788,13 +782,13 @@ def band_rows(band: np.ndarray, probes: np.ndarray) -> np.ndarray | None:
     probes by LAPACK's divide and conquer for the bidiagonal SVD, the
     steps of ``dlasda`` and ``dlalsa`` (the solve of ``dgelsd``) taken one
     block at a time: a block of at most :data:`SMLSIZ` rows is solved whole
-    (``dlasdq``) and its U applied in one product; a larger one is halved
-    about its middle row, both halves solved, and the two merged
-    (``dlasd6``), the merge's U applied at once in its compact form
-    (``dlals0``). A merge is applied as it is made, so the arrays of one
-    are held at a time (none for a band of at most :data:`SMLSIZ` rows),
-    and every array is O(m kd); no Q, U or m x m array is formed. A
-    complex probe is two real columns.
+    (``dlasdq``), its rotations applied to the probes' rows as they are
+    made, so no U is formed; a larger one is halved about its middle row,
+    both halves solved, and the two merged (``dlasd6``), the merge's U
+    applied at once in its compact form (``dlals0``). A merge is applied
+    as it is made, so the arrays of one are held at a time (none for a
+    band of at most :data:`SMLSIZ` rows), and every array is O(m kd); no
+    Q, U or m x m array is formed. A complex probe is two real columns.
     """
     library = openblas()
     kd, m = band.shape[0] - 1, band.shape[1]
@@ -842,16 +836,16 @@ def band_rows(band: np.ndarray, probes: np.ndarray) -> np.ndarray | None:
     def solve(lo: int, n: int, sqre: int) -> bool:
         # rows lo .. lo + n - 1 of B, with sqre more columns than rows
         if n <= SMLSIZ:
-            # W^T is carried on its first and last columns only: the
-            # rotations act on each column alone
-            u, ends = np.eye(n, order="F"), np.zeros((n + sqre, 2), order="F")
+            # W^T is carried on its first and last columns only, and U^T
+            # goes straight onto the probes' rows: the rotations act on
+            # each column alone
+            ends = np.zeros((n + sqre, 2), order="F")
             ends[0, 0] = ends[-1, 1] = 1.0
             if library.dlasdq(
-                b"U", sqre, n, 2, n, 0, _at(d, lo), _at(e, lo), _at(ends), n + sqre,
-                _at(u), n, _at(u), n, _at(work),
+                b"U", sqre, n, 2, 0, k, _at(d, lo), _at(e, lo), _at(ends), n + sqre,
+                _at(unused), 1, _at(rows, lo), m, _at(work),
             ):
                 return False
-            rows[lo : lo + n] = u.T @ rows[lo : lo + n]
             if n < m:  # a block of a merge
                 vf[lo : lo + n + sqre], vl[lo : lo + n + sqre] = ends[:, 0], ends[:, 1]
                 idxq[lo : lo + n] = np.arange(1, n + 1)

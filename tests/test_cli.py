@@ -413,6 +413,22 @@ def test_sweep_path_validation(tmp_path):
         load_config(config_file(tmp_path, typo))
 
 
+def test_sweep_resolves_each_point_once(tmp_path, monkeypatch):
+    """Loading and running a sweep resolves the job once and each point
+    once: the points load_config checks are the ones the sweep runs."""
+    resolve, calls = cli._resolve, []
+
+    def counted(raw, default_job=None):
+        calls.append(raw["job"])
+        return resolve(raw, default_job)
+
+    monkeypatch.setattr(cli, "_resolve", counted)
+    text = "job: sweep\nsweep: {job: static_trk, path: model.energies.1, values: [1.0, 2.0]}\n"
+    report = run_job(load_config(config_file(tmp_path, text + TWO_LEVEL_MODEL)))
+    assert [p.parameter_value for p in report.sweep_points] == [1.0, 2.0]
+    assert calls == ["sweep", "static_trk", "static_trk"]
+
+
 def test_run_hash_tracks_config_content(tmp_path):
     """Equal configs hash equal; any parameter change moves the hash."""
     config = zero_drive_config(tmp_path)

@@ -494,8 +494,11 @@ def test_inverse_iteration_refuses_a_shift_off_the_spectrum():
         (2, 1, "random", 3),
         (17, 3, "random", 3),
         (25, 3, "random", 2),
+        (25, 3, "random", 3),
         (26, 3, "random", 2),
+        (26, 3, "random", 3),
         (27, 3, "random", 2),
+        (27, 3, "random", 3),
         (64, 0, "random", 1),
         (64, 3, "zero", 3),
         (101, 5, "negative_definite", 1),
@@ -506,8 +509,11 @@ def test_inverse_iteration_refuses_a_shift_off_the_spectrum():
         (2, 1, "reduced_complex", 1),
         (25, 1, "reduced", 1),
         (25, 1, "reduced", 3),
+        (25, 1, "reduced_complex", 1),
         (26, 1, "reduced_complex", 1),
         (26, 1, "reduced", 3),
+        (27, 1, "reduced", 3),
+        (27, 1, "reduced_complex", 1),
         (301, 1, "reduced", 1),
         (301, 1, "reduced", 3),
         (301, 1, "reduced_complex", 1),
@@ -758,13 +764,61 @@ EDGE_BLOCKS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(EDGE_BLOCKS))
+# T's diagonal and subdiagonal, integer: a pivot of T - x is exactly zero at
+# x = 0 (zero_pivot) and at x = 1 before a split (zero_pivot_split)
+STURM_T = {
+    "zero_pivot": ([0.0, 0.0, 1.0, 3.0], [1.0, 2.0, 1.0]),
+    "zero_pivot_split": ([1.0, 0.0, 2.0, -1.0], [0.0, 1.0, 0.0]),
+    "one": ([2.0], []),
+}
+
+
+def sturm_count(d, e, x):
+    """The number of non-positive pivots of T - x, a pivot below pivmin in
+    magnitude taken as -pivmin: the recurrence of dlaebz, in Python."""
+    squares = [0.0, *(e * e).tolist()]
+    pivmin = np.finfo(np.float64).tiny * max(1.0, max(squares))
+    below, pivot = 0, 1.0
+    for d_i, e2_i in zip(d.tolist(), squares):
+        pivot = d_i - e2_i / pivot - x
+        if abs(pivot) < pivmin:
+            pivot = -pivmin
+        below += pivot <= 0.0
+    return below
+
+
+def assert_window_counts(reduced):
+    """``window`` of T is the count of eigvalsh's values of T at both ends
+    of the interval widened by the margin m eps ||T||, and the Sturm count
+    of sturm_count there, for every interval whose ends sit on eigenvalues
+    or whose widened ends sit on diagonal entries (an exactly zero first
+    pivot), empty intervals included."""
+    d, e = reduced.d, reduced.e
+    values = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    margin = d.size * np.finfo(np.float64).eps * np.max(
+        np.abs(d) + np.append(np.abs(e), 0.0) + np.append(0.0, np.abs(e))
+    )
+    for low in [*values, *(d + margin), 10.0]:
+        for high in [*values, *(d - margin), -10.0]:
+            ends = low - margin, high + margin
+            below = [np.sum(values <= x) for x in ends]
+            assert lapack.window(reduced, low, high) == range(*below), (low, high)
+            assert below == [sturm_count(d, e, x) for x in ends], (low, high)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_BLOCKS) + sorted(STURM_T))
 def test_window_keeps_eigenvalues_on_the_zone_edge(name):
     """The window of [-1/2, 1/2] holds both eigenvalues on its ends, however
     the reduction rounds them, and no eigenvalue 1e-6 beyond: the margin is
-    above rounding and far below any gap. Its eigenpairs are eigh's."""
+    above rounding and far below any gap. Its eigenpairs are eigh's. On
+    that T, and on T with integer entries, one of size 1, the window is a
+    brute-force count (assert_window_counts), however a pivot vanishes."""
     if lapack.openblas() is None:
         pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
+    if name in STURM_T:
+        d, e = (np.array(entries, dtype=np.float64) for entries in STURM_T[name])
+        assert_window_counts(lapack.Tridiagonal(None, d, e, None))
+        return
     block = EDGE_BLOCKS[name]
     assert block.tobytes() == ((block + block.T) / 2).tobytes()
     values, vectors = np.linalg.eigh(block)
@@ -774,6 +828,7 @@ def test_window_keeps_eigenvalues_on_the_zone_edge(name):
     assert lapack.window(reduced, -0.5, 0.5) == inside
     assert lapack.window(reduced, -0.5 + 1e-6, 0.5 - 1e-6) == range(1, inside.stop - 1)
     assert lapack.window(reduced, 3.0, 4.0) == range(4, 4)
+    assert_window_counts(reduced)
     w, kept = lapack.eigenpairs(reduced, inside)
     eps = np.finfo(np.float64).eps
     assert np.max(np.abs(w - values[inside])) <= 4 * eps

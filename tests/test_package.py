@@ -22,13 +22,8 @@ def test_public_names_resolve():
     assert set(floqtrk.__all__) <= set(namespace)
 
 
-def test_package_loads_no_scipy():
-    """numpy is the one linear-algebra library: a fresh interpreter that
-    imports the package and its CLI has no scipy module loaded."""
-    probe = (
-        "import sys, floqtrk, floqtrk.cli\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-    )
+def _fresh(probe: str) -> str:
+    """What a fresh interpreter that runs ``probe`` on the package prints."""
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -37,7 +32,38 @@ def test_package_loads_no_scipy():
         timeout=60,
         check=True,
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_package_loads_no_scipy():
+    """numpy is the one linear-algebra library: a fresh interpreter that
+    imports the package and its CLI has no scipy module loaded."""
+    probe = (
+        "import sys, floqtrk, floqtrk.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    assert _fresh(probe) == "[]"
+
+
+def test_start_up_loads_no_error_or_thread_pool_module(tmp_path):
+    """A fresh interpreter that imports the CLI and loads a valid floquet
+    config, the start-up of every run, has not loaded ``difflib`` (only a
+    config error's suggestion reads it) or ``concurrent.futures`` (only a
+    job's spare slot runs on it)."""
+    config = tmp_path / "floquet.yaml"
+    config.write_text(
+        "job: floquet\n"
+        "model: {kind: grid, grid: {n_points: 21}}\n"
+        "drive: {omega: 0.5, components: [{harmonic: 1, amplitude: 0.1}]}\n",
+        encoding="utf-8",
+    )
+    probe = (
+        "import sys\n"
+        "from floqtrk import cli\n"
+        f"cli.load_config({str(config)!r})\n"
+        "print(sorted({'difflib', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    assert _fresh(probe) == "[]"
 
 
 def _identifiers(path):
