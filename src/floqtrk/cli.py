@@ -895,7 +895,7 @@ def _matter(config: JobConfig, stage: _Stage, solve: bool = True) -> _Matter:
     every other job): its eigenvector, its dipole row and every
     eigenvalue. The reflection is basis reversal (x -> -x) for grid models
     and none for few-level models; on an asymmetric grid or potential it
-    does not commute, and each eigensolve is one unsplit solve."""
+    does not commute, and each operator is one sector, a band if narrow."""
     with stage("matter_build"):
         h, d, n_e = config.matter()
     reflection = basis_reversal(h.dim) if config.resolved["model"]["kind"] == "grid" else None

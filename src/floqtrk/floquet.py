@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -491,8 +491,9 @@ class ProductOperator:
     ``operator @ vector`` runs block by block on matter-size products. With
     a matter reflection P, :attr:`splits` decides on the matter operators
     whether (-1)^label (x) P commutes with H, and :meth:`sector` writes each
-    sector block straight from H_M and d projected onto P's pair bases.
-    :meth:`toarray` writes the full-size matrix from the same factors.
+    sector block straight from H_M and d projected onto P's pair bases. An
+    operator that does not split is its one sector (:attr:`parities`), in
+    the identity basis; :meth:`toarray` is that sector without P.
     """
 
     matter: np.ndarray  # H_M
@@ -527,26 +528,15 @@ class ProductOperator:
         n = self.matter.shape[0] * self.labels.size
         return (n, n)
 
-    @property
+    @functools.cached_property
     def shifts(self) -> np.ndarray:
         return self.labels * self.frequency
 
     def toarray(self) -> np.ndarray:
         """The full-size dense matrix, Fortran-ordered for LAPACK to reduce
-        in place, written block by block from the factors: H_M + shift_j 1
-        added onto block (j, j) and C[j, k] d onto block (j, k) for each
-        nonzero C[j, k], all onto a zero matrix, so every exact zero is
-        +0.0."""
-        n_m, n_o = self.matter.shape[0], self.labels.size
-        full = np.zeros((n_o * n_m, n_o * n_m), dtype=self._dtype, order="F")
-        blocks = full.T.reshape(n_o, n_m, n_o, n_m)  # [k, :, j, :] is block (j, k)^T
-        eye = np.eye(n_m, dtype=self._dtype)
-        for j, shift in enumerate(self.shifts):
-            blocks[j, :, j, :] += (self.matter + shift * eye).T
-        if self._couples:
-            for j, k in zip(*np.nonzero(self.coupling)):
-                blocks[k, :, j, :] += self.coupling[j, k] * self.dipole.T
-        return full
+        in place: the one sector of the operator without its reflection
+        (:meth:`sector`), so every exact zero is +0.0."""
+        return replace(self, reflection=None).sector(1)[0]
 
     def __matmul__(self, vector: np.ndarray) -> np.ndarray:
         x = np.asarray(vector)
@@ -578,6 +568,11 @@ class ProductOperator:
     def _outer_signs(self) -> np.ndarray:
         return np.where(self.labels % 2 == 0, 1, -1)
 
+    @property
+    def parities(self) -> tuple[int, ...]:
+        """The sectors of a solve: (1, -1) when the operator splits, else (1,)."""
+        return (1, -1) if self.splits else (1,)
+
     @functools.cached_property
     def _bases(self) -> dict[int, SectorBasis]:
         return {p: _parity_basis(self.reflection, p) for p in (1, -1)}
@@ -602,24 +597,27 @@ class ProductOperator:
         """The ``parity`` sector as runs, one per outer index j: P's
         eigenspace p_j = parity * (-1)^label_j, its pair basis, and where
         each run starts among the sector coordinates (the last entry is the
-        sector's dimension)."""
-        matter_parity = parity * self._outer_signs
-        parts = [self._bases[p] for p in matter_parity]
-        return matter_parity, parts, np.cumsum([0, *(part.coords.size for part in parts)])
+        sector's dimension). An operator that does not split takes P = 1:
+        every p_j is 1, whose basis is the identity (:attr:`parities`)."""
+        signs = self._outer_signs if self.splits else np.ones_like(self._outer_signs)
+        bases = self._bases if self.splits else {1: SectorBasis.identity(self.matter.shape[0])}
+        parts = [bases[p] for p in parity * signs]
+        return parity * signs, parts, np.cumsum([0, *(part.coords.size for part in parts)])
 
     def _run_blocks(self, parity: int) -> Iterable[tuple[int, int, np.ndarray, bool]]:
         """The blocks of the ``parity`` sector block in the order
-        :meth:`sector` writes them: (j, k, values, added) for block (run j,
-        run k), H_(p_j p_j) written onto zeros for each j, then
-        C[j, k] d_(p_j p_k) added for each k that j couples to, ascending.
-        Each run's diagonal gets its shift between the two."""
+        :meth:`sector` adds them onto zeros: (j, k, values, diagonal) for
+        block (run j, run k), H_(p_j p_j) for each j (``diagonal``, after
+        which the run's diagonal gets its shift), then C[j, k] d_(p_j p_k)
+        for each k that j couples to, ascending."""
         matter_parity, _, _ = self._runs(parity)
-        blocks = self._projections
+        unprojected = {("h", 1, 1): self.matter, ("d", 1, 1): self.dipole}  # P = 1
+        blocks = self._projections if self.splits else unprojected
         for j, p in enumerate(matter_parity):
-            yield j, j, blocks["h", p, p], False
+            yield j, j, blocks["h", p, p], True
             if self._couples:
                 for k in np.flatnonzero(self.coupling[j]):
-                    yield j, k, self.coupling[j, k] * blocks["d", p, matter_parity[k]], True
+                    yield j, k, self.coupling[j, k] * blocks["d", p, matter_parity[k]], False
 
     def _basis(self, parity: int) -> SectorBasis:
         """The basis of the ``parity`` sector (:meth:`sector`)."""
@@ -641,7 +639,7 @@ class ProductOperator:
         kd, the largest |r - c| over the nonzero entries of the blocks
         :meth:`sector` writes. Read off the matter-size factors."""
         layouts = {}
-        for parity in (1, -1):
+        for parity in self.parities:
             _, parts, starts = self._runs(parity)
             coords = np.concatenate([part.coords for part in parts])
             outer = np.repeat(np.arange(self.labels.size), np.diff(starts))
@@ -651,9 +649,8 @@ class ProductOperator:
             runs = [position[starts[j] : starts[j + 1]] for j in range(self.labels.size)]
             kd = 0
             for j, k, values, _ in self._run_blocks(parity):
-                rows, cols = np.nonzero(values)
-                distance = np.abs(runs[j][rows] - runs[k][cols])
-                kd = max(kd, int(np.max(distance, initial=0)))
+                rows, cols = values.nonzero()
+                kd = max(kd, int(np.abs(runs[j][rows] - runs[k][cols]).max(initial=0)))
             layouts[parity] = (order, runs, kd)
         return layouts
 
@@ -670,10 +667,12 @@ class ProductOperator:
         lower band (:class:`SectorBand`), written straight from the
         projected factors with the operations of :meth:`sector`, entry by
         entry, so it is that block under the band order bit for bit. A real
-        operator only."""
+        operator only; a complex one is refused."""
+        if self._dtype != np.float64:
+            raise InputError(f"a sector band holds a real operator only, got {self._dtype}")
         order, runs, kd = self._band_layouts[parity]
         band = np.zeros((kd + 1, order.size), order="F")
-        for j, k, values, added in self._run_blocks(parity):
+        for j, k, values, diagonal in self._run_blocks(parity):
             rows, cols = runs[j], runs[k]
             # the entries (a, b) of the block in the lower band: 0 <= r - c <= kd
             low = np.searchsorted(cols, rows - kd, side="left")
@@ -681,10 +680,8 @@ class ProductOperator:
             a = np.repeat(np.arange(rows.size), counts)
             b = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - low, counts)
             r, c = rows[a], cols[b]
-            if added:
-                band[r - c, c] += values[a, b]
-            else:
-                band[r - c, c] = values[a, b]
+            band[r - c, c] += values[a, b]
+            if diagonal:
                 band[0, rows] += self.shifts[j]
         return SectorBand(band, order)
 
@@ -694,28 +691,13 @@ class ProductOperator:
 
         Decided on matter-size operators: P H_M P = H_M, P d P = -d and every
         coupling C[j, j'] between outer indices of opposite parity, each to
-        within :data:`SECTOR_COUPLING_EPS` eps max|M|, with max|M| read off
-        the blocks. False without a reflection, when a sector is empty, or
-        when an operator is not finite or not Hermitian (the unsplit solve
-        then reports it).
+        within :data:`SECTOR_COUPLING_EPS` eps max|M| (:attr:`_scale`).
+        False without a reflection, when a sector is empty, or when an
+        operator is not finite or not Hermitian (the dense solve of the one
+        sector then reports it).
         """
-        if self.reflection is None:
-            return False
-        diagonal = np.real(np.diagonal(self.matter))[:, None] + self.shifts
-        pieces = [np.max(np.abs(self.matter)), np.max(np.abs(diagonal))]
-        if self._couples:
-            pieces.append(np.max(np.abs(self.coupling)) * np.max(np.abs(self.dipole)))
-        scale = float(np.max(pieces))
-        if not math.isfinite(scale):
-            return False
-        defect = hermiticity_defect(self.matter)
-        if self._couples:
-            defect = max(
-                defect,
-                hermiticity_defect(self.dipole) * np.max(np.abs(self.coupling)),
-                hermiticity_defect(self.coupling) * np.max(np.abs(self.dipole)),
-            )
-        if defect > 1e-10 * max(1.0, scale) or not (self._sector_dim(1) and self._sector_dim(-1)):
+        sectors = self.reflection is not None and self._sector_dim(1) and self._sector_dim(-1)
+        if not sectors or self._scale is None:
             return False
         blocks = self._projections
         largest = float(np.max(np.abs(blocks["h", 1, -1]), initial=0.0))
@@ -732,7 +714,28 @@ class ProductOperator:
                 np.max(coupling[~odd], initial=0.0)
                 * np.max(np.abs(blocks["d", 1, -1]), initial=0.0),
             )
-        return largest <= SECTOR_COUPLING_EPS * np.finfo(np.float64).eps * scale
+        return largest <= SECTOR_COUPLING_EPS * np.finfo(np.float64).eps * self._scale
+
+    @functools.cached_property
+    def _scale(self) -> float | None:
+        """max|M| read off the blocks; None when the factors are not finite
+        or not Hermitian, which :attr:`splits` and the band route decline and
+        the dense solve refuses (:func:`_checked_hermitian`)."""
+        diagonal = np.real(np.diagonal(self.matter))[:, None] + self.shifts
+        pieces = [np.max(np.abs(self.matter)), np.max(np.abs(diagonal))]
+        if self._couples:
+            pieces.append(np.max(np.abs(self.coupling)) * np.max(np.abs(self.dipole)))
+        scale = float(np.max(pieces))
+        if not math.isfinite(scale):
+            return None
+        defect = hermiticity_defect(self.matter)
+        if self._couples:
+            defect = max(
+                defect,
+                hermiticity_defect(self.dipole) * np.max(np.abs(self.coupling)),
+                hermiticity_defect(self.coupling) * np.max(np.abs(self.dipole)),
+            )
+        return None if defect > 1e-10 * max(1.0, scale) else scale
 
     @functools.cached_property
     def odd_dipole(self) -> bool:
@@ -750,26 +753,24 @@ class ProductOperator:
         return same_parity <= SECTOR_COUPLING_EPS * np.finfo(np.float64).eps * scale
 
     def sector(self, parity: int) -> tuple[np.ndarray, SectorBasis]:
-        """The block of H in its (-1)^label (x) P = ``parity`` sector,
-        Fortran-ordered for LAPACK to reduce in place, and that sector's
-        basis.
+        """The block of H in its (-1)^label (x) P = ``parity`` sector (the
+        one sector of an operator that does not split), Fortran-ordered for
+        LAPACK to reduce in place, and that sector's basis.
 
-        Outer index j carries P's eigenspace p_j = parity * (-1)^label_j, and
-        its basis vectors form the j-th run of sector coordinates, so the
-        sector basis ascends in the outer-major index. The diagonal block of
-        run j is H_(p_j p_j) + shift_j, and its block towards each run j' it
-        couples to is C[j, j'] d_(p_j p_j').
+        Outer index j carries P's eigenspace p_j = parity * (-1)^label_j (the
+        matter space, unsplit), and its basis vectors form the j-th run of
+        sector coordinates, so the sector basis ascends in the outer-major
+        index. The diagonal block of run j is H_(p_j p_j) + shift_j, and its
+        block towards each run j' it couples to is C[j, j'] d_(p_j p_j'),
+        each added onto zeros, so every exact zero is +0.0.
         """
         _, _, starts = self._runs(parity)
         block = np.zeros((starts[-1], starts[-1]), dtype=self._dtype, order="F")
-        for j, k, values, added in self._run_blocks(parity):
-            rows, cols = slice(starts[j], starts[j + 1]), slice(starts[k], starts[k + 1])
-            if added:
-                block[rows, cols] += values
-            else:
-                block[rows, rows] = values
-                diagonal = np.arange(starts[j], starts[j + 1])
-                block[diagonal, diagonal] += self.shifts[j]
+        diag = block.reshape(-1, order="F")[:: starts[-1] + 1]  # a view of the diagonal
+        for j, k, values, diagonal in self._run_blocks(parity):
+            block[starts[j] : starts[j + 1], starts[k] : starts[k + 1]] += values
+            if diagonal:
+                diag[starts[j] : starts[j + 1]] += self.shifts[j]
         return block, self._basis(parity)
 
 
@@ -818,15 +819,16 @@ def diagonalize_hermitian(
 
     Every reference, rank or pick, takes one route (:func:`_solve_around`):
     the sector bands when they are narrow, then the dense blocks for what
-    the bands cannot confirm. When the operator splits and each sector
-    block is a narrow band in (matter coordinate, outer index) order
+    the bands cannot confirm. When each sector block (both parity
+    sectors, or the one sector of an operator that does not split) is a
+    narrow band in (matter coordinate, outer index) order
     (:meth:`ProductOperator.band_width`, at most m / :data:`BAND_RATIO`),
-    no sector is first written densely: both bands are reduced without Q
-    by ``dsbtrd`` side by side (it runs on one core, so one band is
+    no sector is first written densely: each band is reduced without Q by
+    ``dsbtrd``, two side by side (it runs on one core, so one band is
     reduced on a second thread; at one OpenBLAS thread, in turn).
-    Otherwise each block (the operator's :meth:`~ProductOperator.toarray`
-    when it does not split), which the solve owns, is reduced in place by
-    LAPACK's ``dsytrd`` from numpy's bundled OpenBLAS
+    Otherwise each block (:meth:`ProductOperator.sector`), which the solve
+    owns, is reduced in place by LAPACK's ``dsytrd`` from numpy's bundled
+    OpenBLAS
     (:mod:`floqtrk.lapack`). The reference's sector is chosen on the T of
     each: for a rank, on the r + 1 lowest eigenvalues of each; for a
     picker, which is called on the eigenpairs of each sector in the zone
@@ -894,17 +896,16 @@ def _sectors(
     operator: ProductOperator, full: np.ndarray | None = None
 ) -> Iterable[tuple[np.ndarray, SectorBasis, int]]:
     """Each sector block of ``operator``, which the solve owns, with its
-    basis and parity: the two :meth:`ProductOperator.sector` blocks of an
-    operator that splits, else one parity-1 sector, the checked
-    :meth:`ProductOperator.toarray`, or ``full``, the checked copy a dense
-    input already is."""
-    if operator.splits:
-        for parity in (1, -1):
-            yield (*operator.sector(parity), parity)
+    basis and parity (:attr:`ProductOperator.parities`): the
+    :meth:`ProductOperator.sector` blocks, the one sector of an operator
+    that does not split checked (:func:`_checked_hermitian`), or ``full``,
+    the checked copy a dense input already is."""
+    if full is not None and not operator.splits:
+        yield full, SectorBasis.identity(full.shape[0]), 1
         return
-    if full is None:
-        full = _checked_hermitian(operator.toarray(), owned=True)
-    yield full, SectorBasis.identity(full.shape[0]), 1
+    for parity in operator.parities:
+        block, basis = operator.sector(parity)
+        yield (block if operator.splits else _checked_hermitian(block, owned=True)), basis, parity
 
 
 class _Choice(NamedTuple):
@@ -1028,10 +1029,11 @@ BAND_RATIO = 32
 
 
 def _narrow(operator: ProductOperator) -> bool:
-    """Whether ``operator`` splits and each of its sector blocks is a
-    narrow band: :data:`BAND_RATIO` kd <= m."""
-    return operator.splits and all(
-        BAND_RATIO * operator.band_width(p) <= operator._sector_dim(p) for p in (1, -1)
+    """Whether each sector block of ``operator`` is a narrow band,
+    :data:`BAND_RATIO` kd <= m, and its factors are finite and Hermitian:
+    a band holds the lower triangle only, and the dense solve refuses them."""
+    return operator._scale is not None and all(
+        BAND_RATIO * kd <= order.size for order, _, kd in operator._band_layouts.values()
     )
 
 
@@ -1140,19 +1142,16 @@ def _merged(
 
 
 def _band_solves(operator: ProductOperator) -> dict[int, tuple[SectorBasis, _BlockSolve]] | None:
-    """Both sectors of a splitting, narrow ``operator`` (:func:`_narrow`)
-    written as bands (:meth:`ProductOperator.sector_band`) and reduced
-    without Q side by side (:func:`floqtrk.lapack.each`): each a
-    :class:`_BlockSolve` that reads its eigenpairs off its band; None when
-    a reduction declines, for the dense route to solve."""
-    bands = {p: operator.sector_band(p) for p in (1, -1)}
-    reduced = lapack.each([functools.partial(lapack.band_reduce, bands[p].band) for p in (1, -1)])
+    """Each sector of a narrow ``operator`` (:func:`_narrow`) written as a
+    band (:meth:`ProductOperator.sector_band`) and reduced without Q, two
+    side by side (:func:`floqtrk.lapack.each`): each a :class:`_BlockSolve`
+    that reads its eigenpairs off its band; None when a reduction
+    declines, for the dense route to solve."""
+    bands = {p: operator.sector_band(p) for p in operator.parities}
+    reduced = lapack.each([functools.partial(lapack.band_reduce, b.band) for b in bands.values()])
     if any(r is None for r in reduced):
         return None
-    return {
-        p: (operator._basis(p), _BlockSolve(r, *bands[p]))
-        for p, r in zip((1, -1), reduced)
-    }
+    return {p: (operator._basis(p), _BlockSolve(r, *bands[p])) for p, r in zip(bands, reduced)}
 
 
 def _checked_hermitian(matrix: np.ndarray, owned: bool = False) -> np.ndarray:

@@ -848,21 +848,48 @@ def test_jobs_solve_every_operator_for_its_reference(tmp_path, monkeypatch, name
             61 * 17,
             1.25,
         ),
+        (
+            "job: floquet\nmodel: {grid: {n_points: 61, x_max: 12.0}}\n"
+            "sambe: {harmonic_cutoff: 8}\n"
+            "drive: {omega: 0.35, components: [{harmonic: 1, amplitude: 0.05}]}\n",
+            61 * 17,
+            1.0,
+        ),
+        (
+            "job: converge\nconverge: {axis: fock_n_max, values: [4, 8, 12]}\n"
+            "model: {grid: {n_points: 81, x_max: 12.0}}\nfock: {omega_c: 0.9, g: 0.05}\n",
+            81 * 13,
+            1.0,
+        ),
+        (
+            "job: qed\nmodel: {grid: {n_points: 61, x_max: 12.0}}\nqed: {h0_diagnostic: true}\n"
+            "fock: {n_max: 16, omega_c: 0.9, g: 0.05}\n",
+            61 * 17,
+            1.25,
+        ),
     ],
-    ids=["floquet", "converge_fock", "converge_harmonic", "qed_h0"],
+    ids=[
+        "floquet",
+        "converge_fock",
+        "converge_harmonic",
+        "qed_h0",
+        "asymmetric_floquet",
+        "asymmetric_converge_fock",
+        "asymmetric_qed_h0",
+    ],
 )
-def test_symmetric_grid_jobs_allocate_less_than_one_full_matrix(
-    tmp_path, monkeypatch, text, dim, two_slots
-):
-    """A parity-split job never forms an n x n array, and drops each
-    spectrum's vectors before the next solve: with one slot, where a job's
-    members run in turn, the peak of memory traced while it runs stays
-    below the bytes of one full-size float matrix of its largest solve
-    (8.6 MB or 8.9 MB here). Two slots, the default at two OpenBLAS
-    threads, hold two members' arrays at once, so the peak stays below
-    ``two_slots`` full matrices: one for the scans, whose members shrink
-    with the cutoff (the harmonic scan reaches about 0.85), and 1.25 for
-    the qed job, whose two members are the same size (about 1.06)."""
+def test_grid_jobs_allocate_less_than_one_full_matrix(tmp_path, monkeypatch, text, dim, two_slots):
+    """A grid job never forms an n x n array, whether its operators split
+    (a symmetric grid) or each is one narrow sector (x_max 12, where none
+    splits), and drops each spectrum's vectors before the next solve:
+    with one slot, where a job's members run in turn, the peak of memory
+    traced while it runs stays below the bytes of one full-size float
+    matrix of its largest solve (8.6 MB or 8.9 MB here). Two slots, the
+    default at two OpenBLAS threads, hold two members' arrays at once, so
+    the peak stays below ``two_slots`` full matrices: one for the scans,
+    whose members shrink with the cutoff (the harmonic scan reaches about
+    0.85), and 1.25 for the qed job, whose two members are the same size
+    (about 1.06)."""
     config = load_config(config_file(tmp_path, text))
     full = dim * dim * np.dtype(np.float64).itemsize
     for slots, bound in ((1, 1.0), (2, two_slots)):
@@ -1181,11 +1208,12 @@ def test_dense_solves_in_members_run_at_one_blas_thread(tmp_path, monkeypatch, p
 
 
 #: A photon-cutoff scan on the dense route: the asymmetric grid does not
-#: split, so each member reduces one block of 303, 505 or 707 rows with
-#: dsytrd.
+#: split and the sinc DVR's H_M is dense, so each member reduces one block
+#: of 303, 505 or 707 rows with dsytrd.
 DENSE_PHOTON_SCAN = (
     "job: converge\nconverge: {axis: fock_n_max, values: [2, 4, 6]}\n"
-    "model: {grid: {n_points: 101, x_max: 12.0}}\nfock: {omega_c: 0.9, g: 0.05}\n"
+    "model: {kinetic: sinc_dvr, grid: {n_points: 101, x_max: 12.0}}\n"
+    "fock: {omega_c: 0.9, g: 0.05}\n"
 )
 
 

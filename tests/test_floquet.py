@@ -3,6 +3,7 @@
 import _thread
 import ast
 import ctypes
+import dataclasses
 import threading
 import time
 import tracemalloc
@@ -228,12 +229,23 @@ def test_diagonalize_matches_reference_solver():
     assert np.max(np.abs(rebuilt - m)) <= 1e-8 * scale
 
 
-def test_diagonalize_rejects_non_hermitian():
-    """A non-Hermitian matrix is refused."""
+def test_diagonalize_rejects_non_hermitian(monkeypatch):
+    """A non-Hermitian matrix is refused, and so is a narrow operator that
+    does not split whose H_M is off by 1e-3 from Hermitian: a band holds
+    only the lower triangle, so its reference solve reduces no band."""
     with pytest.raises(InputError):
         diagonalize_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(InputError):
         diagonalize_hermitian(np.zeros((2, 3)))
+    operator = asymmetric_band_operators()["sambe"]
+    matter = operator.matter.copy()
+    matter[0, 1] += 1e-3
+    skewed = dataclasses.replace(operator, matter=matter)
+    assert floquet._narrow(operator) and not skewed.splits
+    solved = record_lapack_solves(monkeypatch)
+    with pytest.raises(InputError, match="not Hermitian"):
+        diagonalize_hermitian(skewed, reference=0)
+    assert solved == []
 
 
 def signed_zero_matrix(dtype):
@@ -1078,13 +1090,20 @@ def test_selection_validation():
 
 
 def test_sambe_operator_rejects_empty_windows():
-    """Negative cutoffs and empty matter spaces are refused."""
+    """Negative cutoffs and empty matter spaces are refused, and so is the
+    sector band of a complex (phased) operator, which holds real entries
+    only."""
     h, d = two_level()
     with pytest.raises(InputError, match="harmonic cutoff must be >= 0"):
         sambe_operator(h, d, DriveSpec(omega=1.0), -1)
     empty = MatterOperator(np.zeros((0, 0)))
     with pytest.raises(InputError, match="matter dimension must be >= 1"):
         sambe_operator(empty, empty, DriveSpec(omega=1.0), 2)
+    phased_drive = DriveSpec(omega=0.7, components=(DriveComponent(1, 0.3, 0.3),))
+    phased = grid_operator(phased_drive, n_points=41)
+    assert phased.splits
+    with pytest.raises(InputError, match="real operator only"):
+        phased.sector_band(1)
 
 
 # Parity-sector eigensolves: a symmetric grid with an odd-harmonic drive
@@ -1239,19 +1258,20 @@ def test_dense_fallback_is_the_unsplit_solve(monkeypatch, matrix, reflection):
 
 
 def test_unsplit_operator_is_solved_in_place():
-    """An operator that does not split writes its matrix once, in Fortran
-    order, and a reference solve reduces that array in place and solves
-    its T for the row: the numpy allocations of the solve peak below
+    """An operator that does not split and is no narrow band (a sinc DVR
+    H_M is dense) writes its matrix once, in Fortran order, and a
+    reference solve reduces that array in place and solves its T for the
+    row: the numpy allocations of the solve peak below
     1.75 n^2 doubles (the matrix and a C-ordered copy, 2 n^2, before), with
     the eigenvalues of dsterf on the T of a copy bit for bit, eigh's within
     n eps ||A||. A caller's array is left as it was. tracemalloc counts
     numpy's allocations only, not the O(n nb) workspace LAPACKE_dsytrd and
     LAPACKE_dormtr allocate (nb their block size)."""
     grid = GridBasis(x_min=-8.0, x_max=10.0, n_points=60)
-    h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0))
+    h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0), "sinc_dvr")
     operator = sambe_operator(h, build_dipole(grid), REAL_DRIVE, 4, basis_reversal(60))
     n = operator.shape[0]
-    assert n == 540 and not operator.splits
+    assert n == 540 and not operator.splits and not floquet._narrow(operator)
     full = operator.toarray()
     assert full.flags.f_contiguous
     kept = full.copy(order="F")
@@ -1507,34 +1527,63 @@ def test_first_zone_solve_falls_back_to_the_full_solve(monkeypatch, operator, pi
     assert np.array_equal(dense_vectors(system), dense_vectors(plain))
 
 
+def asymmetric_band_operators():
+    """Narrow operators that do not split, on harmonic grids on [-10, 12]:
+    the Sambe operator of 81 points at cutoff 3 (m = 567, kd = 7) and the
+    joint operator of 101 points with 4 photons (m = 505, kd = 5)."""
+    grids = {n: GridBasis(x_min=-10.0, x_max=12.0, n_points=n) for n in (81, 101)}
+    h = {n: build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0)) for n, grid in grids.items()}
+    d = {n: build_dipole(grid) for n, grid in grids.items()}
+    fock = FockSpec(n_max=4, omega_c=0.9, g=0.2)
+    return {
+        "sambe": sambe_operator(h[81], d[81], REAL_DRIVE, 3, basis_reversal(81)),
+        "joint": joint_operator(h[101], d[101], fock, basis_reversal(101)),
+    }
+
+
 @pytest.mark.parametrize(
-    "operator, reference",
+    "operator, reference, narrow",
     [
-        (grid_operator(REAL_DRIVE, x_max=6.0), first_zone(0)),
-        (grid_operator(REAL_DRIVE, x_max=6.0), first_zone(2)),
-        (matvec_operators(6.0)["joint"], 0),
-        (matvec_operators(6.0)["joint"], 5),
+        (grid_operator(REAL_DRIVE, x_max=6.0), first_zone(0), False),
+        (grid_operator(REAL_DRIVE, x_max=6.0), first_zone(2), False),
+        (matvec_operators(6.0)["joint"], 0, False),
+        (matvec_operators(6.0)["joint"], 5, False),
+        (asymmetric_band_operators()["sambe"], first_zone(0), True),
+        (asymmetric_band_operators()["joint"], 0, True),
     ],
-    ids=["asymmetric_grid", "asymmetric_grid_pick_2", "joint_rank_0", "joint_rank_5"],
+    ids=[
+        "asymmetric_grid",
+        "asymmetric_grid_pick_2",
+        "joint_rank_0",
+        "joint_rank_5",
+        "band_asymmetric_grid",
+        "band_joint_rank_0",
+    ],
 )
-def test_unsplit_reference_solve_matches_the_full_solve(monkeypatch, operator, reference):
+def test_unsplit_reference_solve_matches_the_full_solve(monkeypatch, operator, reference, narrow):
     """An operator that does not split (here, on an asymmetric grid) is the
-    one sector of a reference solve: its matrix is reduced once, its T is
-    solved for the row, and no eigh runs. The sector keeps the reference's
-    eigenvector (for a picker, every first-zone one) and its dipole row.
-    The eigenvalues are dsterf's on the T of its matrix bit for bit and
-    the full solve's within n eps ||A||, the selection names the same
-    eigenpairs, the reference vector is the full solve's within 1e-12 up
-    to sign, and the closure sum from it matches within 1e-12 relative,
-    with a closure residual at most 1e-12 relative."""
+    one sector of a reference solve: its matrix is reduced once, or its
+    band when it is narrow, its T or band is solved for the row, and no
+    eigh runs. The sector keeps the reference's eigenvector (for a picker,
+    every first-zone one) and its dipole row. The eigenvalues are dsterf's
+    on the T of its matrix (of its band) bit for bit and the full solve's
+    within n eps ||A||, the selection names the same eigenpairs, the
+    reference vector is the full solve's within 1e-12 up to sign, and the
+    closure sum from it matches within 1e-12 relative, with a closure
+    residual at most 1e-12 relative."""
     full = diagonalize_hermitian(operator)
-    assert not operator.splits
+    assert not operator.splits and floquet._narrow(operator) == narrow
     matrix = operator.toarray()
-    dsterf = lapack.eigenvalues(lapack.reduce(np.array(matrix, order="F")))
+    if narrow:
+        dsterf = lapack.eigenvalues(lapack.band_reduce(operator.sector_band(1).band))
+    else:
+        dsterf = lapack.eigenvalues(lapack.reduce(np.array(matrix, order="F")))
     bound = operator.shape[0] * np.finfo(np.float64).eps * np.linalg.norm(matrix, 2)
-    solved = record_lapack_solves(monkeypatch)
+    bands = []
+    solved = record_lapack_solves(monkeypatch, bands)
     system = diagonalize_hermitian(operator, reference=reference)
     assert solved == [operator.shape[0]] * 2
+    assert bands == (solved if narrow else [operator.shape[0]])
     (sector,) = system.sectors
     assert system.values.tobytes() == dsterf.tobytes()
     assert np.max(np.abs(system.values - full.values)) <= bound
