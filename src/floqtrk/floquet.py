@@ -489,9 +489,9 @@ class ProductOperator:
     ``dipole`` and ``frequency`` it is the lifted matter operator 1 (x) H_M.
 
     ``operator @ vector`` runs block by block on matter-size products. With
-    a matter reflection P, :attr:`splits` decides on the matter operators
-    whether (-1)^label (x) P commutes with H, and :meth:`sector` writes each
-    sector block straight from H_M and d projected onto P's pair bases. An
+    a matter reflection P, :attr:`splits` decides whether (-1)^label (x) P
+    commutes with H, and :meth:`sector` and :meth:`sector_band` write each
+    sector block by kind, H_M or d projected onto P's pair bases. An
     operator that does not split is its one sector (:attr:`parities`), in
     the identity basis; :meth:`toarray` is that sector without P.
     """
@@ -593,96 +593,93 @@ class ProductOperator:
     def _sector_dim(self, parity: int) -> int:
         return sum(self._bases[parity * s].coords.size for s in self._outer_signs)
 
-    def _runs(self, parity: int) -> tuple[np.ndarray, list[SectorBasis], np.ndarray]:
-        """The ``parity`` sector as runs, one per outer index j: P's
-        eigenspace p_j = parity * (-1)^label_j, its pair basis, and where
-        each run starts among the sector coordinates (the last entry is the
-        sector's dimension). An operator that does not split takes P = 1:
-        every p_j is 1, whose basis is the identity (:attr:`parities`)."""
-        signs = self._outer_signs if self.splits else np.ones_like(self._outer_signs)
-        bases = self._bases if self.splits else {1: SectorBasis.identity(self.matter.shape[0])}
-        parts = [bases[p] for p in parity * signs]
-        return parity * signs, parts, np.cumsum([0, *(part.coords.size for part in parts)])
+    @functools.cached_property
+    def _described(self) -> dict[int, tuple[SectorBasis, np.ndarray, list[tuple]]]:
+        """Each parity's sector (:meth:`sector`): its basis, where each run
+        starts, and its block by kind, (values, j, k, scales) for ``values``
+        at run pairs (j[i], k[i]) times scales[i]: H_(p p) on the runs of each
+        p, as it is (``scales`` None) and then each run's shift, then
+        C[j, k] d_(p q) at the pairs C couples, in the order an entry sums them."""
+        n_m, runs = self.matter.shape[0], np.arange(self.labels.size)
+        split = self.splits  # else P = 1, whose basis is the identity
+        signs = self._outer_signs if split else np.ones_like(self._outer_signs)
+        bases = self._bases if split else {1: SectorBasis.identity(n_m)}
+        unprojected = {("h", 1, 1): self.matter, ("d", 1, 1): self.dipole}
+        blocks = self._projections if split else unprojected
+        coupled = np.nonzero(self.coupling if self._couples else np.zeros((0, 0)))
+        described = {}
+        for parity in self.parities:
+            parts = [bases[p] for p in parity * signs]
+            starts = np.cumsum([0, *(part.coords.size for part in parts)])
+            offsets = np.repeat(runs * n_m, np.diff(starts))
+            basis = SectorBasis(*map(np.concatenate, zip(*parts)))
+            basis = basis._replace(coords=offsets + basis.coords, partners=offsets + basis.partners)
+            kinds = []
+            for name, (j, k) in (("h", (runs, runs)), ("d", coupled)):
+                pj, pk = parity * signs[j], parity * signs[k]
+                for p, q in sorted(set(zip(pj.tolist(), pk.tolist()))):
+                    at = (pj == p) & (pk == q)
+                    scales = self.coupling[j[at], k[at]] if name == "d" else None
+                    kinds.append((blocks[name, p, q], j[at], k[at], scales))
+            described[parity] = (basis, starts, kinds)
+        return described
 
-    def _run_blocks(self, parity: int) -> Iterable[tuple[int, int, np.ndarray, bool]]:
-        """The blocks of the ``parity`` sector block in the order
-        :meth:`sector` adds them onto zeros: (j, k, values, diagonal) for
-        block (run j, run k), H_(p_j p_j) for each j (``diagonal``, after
-        which the run's diagonal gets its shift), then C[j, k] d_(p_j p_k)
-        for each k that j couples to, ascending."""
-        matter_parity, _, _ = self._runs(parity)
-        unprojected = {("h", 1, 1): self.matter, ("d", 1, 1): self.dipole}  # P = 1
-        blocks = self._projections if self.splits else unprojected
-        for j, p in enumerate(matter_parity):
-            yield j, j, blocks["h", p, p], True
-            if self._couples:
-                for k in np.flatnonzero(self.coupling[j]):
-                    yield j, k, self.coupling[j, k] * blocks["d", p, matter_parity[k]], False
-
-    def _basis(self, parity: int) -> SectorBasis:
-        """The basis of the ``parity`` sector (:meth:`sector`)."""
-        _, parts, starts = self._runs(parity)
-        n_m = self.matter.shape[0]
-        offsets = np.repeat(np.arange(self.labels.size) * n_m, np.diff(starts))
-        return SectorBasis(
-            coords=offsets + np.concatenate([part.coords for part in parts]),
-            partners=offsets + np.concatenate([part.partners for part in parts]),
-            weights=np.concatenate([part.weights for part in parts]),
-            flips=np.concatenate([part.flips for part in parts]),
-        )
+    def _checked_parity(self, parity: int) -> int:
+        """``parity``, refused unless the operator has a sector of it."""
+        if parity not in self.parities:
+            raise InputError(f"no sector of parity {parity}, the operator's are {self.parities}")
+        return parity
 
     @functools.cached_property
-    def _band_layouts(self) -> dict[int, tuple[np.ndarray, list[np.ndarray], int]]:
+    def _band_layouts(self) -> dict[int, tuple[np.ndarray, np.ndarray, int]]:
         """For each parity: the band order of the sector coordinates (by
-        matter coordinate, then outer index), each run's band positions
-        (ascending, as a run's coordinates ascend), and the half bandwidth
-        kd, the largest |r - c| over the nonzero entries of the blocks
-        :meth:`sector` writes. Read off the matter-size factors."""
+        matter coordinate, then outer index), each one's band position, and
+        the half bandwidth kd, the largest |r - c| of :meth:`_band_entries`."""
         layouts = {}
         for parity in self.parities:
-            _, parts, starts = self._runs(parity)
-            coords = np.concatenate([part.coords for part in parts])
-            outer = np.repeat(np.arange(self.labels.size), np.diff(starts))
-            order = np.lexsort((outer, coords))
-            position = np.empty_like(order)
-            position[order] = np.arange(order.size)
-            runs = [position[starts[j] : starts[j + 1]] for j in range(self.labels.size)]
-            kd = 0
-            for j, k, values, _ in self._run_blocks(parity):
-                rows, cols = values.nonzero()
-                kd = max(kd, int(np.abs(runs[j][rows] - runs[k][cols]).max(initial=0)))
-            layouts[parity] = (order, runs, kd)
+            order = np.lexsort(np.divmod(self._described[parity][0].coords, self.matter.shape[0]))
+            position = np.argsort(order)
+            spans = [np.abs(t).max(initial=0) for t, _, _ in self._band_entries(parity, position)]
+            layouts[parity] = (order, position, int(max(spans, default=0)))
         return layouts
 
+    def _band_entries(self, parity: int, position: np.ndarray) -> Iterable[tuple]:
+        """The nonzero entries of the ``parity`` sector's kinds, a group at a
+        time in the order :meth:`sector` adds them: r - c, c for band positions
+        r, c, and values. A scale times an entry that underflows to 0 is none."""
+        _, starts, kinds = self._described[parity]
+        for values, j, k, scales in kinds:
+            a, b = values.nonzero()
+            scaled = values[a, b] * (1.0 if scales is None else scales[:, None])
+            groups = [(starts[j, None] + a, starts[k, None] + b, scaled)]
+            if scales is None:
+                diagonal = starts[j, None] + np.arange(values.shape[0])
+                groups.append((diagonal, diagonal, self.shifts[j, None]))
+            for rows, cols, entries in groups:
+                r, c, entries = np.broadcast_arrays(position[rows], position[cols], entries)
+                keep = entries != 0
+                yield r[keep] - c[keep], c[keep], entries[keep]
+
     def band_width(self, parity: int) -> int:
-        """The half bandwidth kd of the ``parity`` sector block in
-        (matter coordinate, outer index) order (:meth:`sector_band`):
-        n_max + 1 for a joint operator and 2 N_h + 1 for a Sambe operator
-        on the three-point grid, whose H_M is tridiagonal and d diagonal;
-        the sector's dimension with a dense H_M."""
-        return self._band_layouts[parity][2]
+        """The half bandwidth kd of the ``parity`` sector block in (matter
+        coordinate, outer index) order (:meth:`sector_band`), read off its
+        kinds: n_max + 1 for a joint operator and 2 N_h + 1 for a Sambe
+        operator on the three-point grid, whose H_M is tridiagonal and d
+        diagonal; the sector's dimension with a dense H_M."""
+        return self._band_layouts[self._checked_parity(parity)][2]
 
     def sector_band(self, parity: int) -> SectorBand:
         """The block of H in its (-1)^label (x) P = ``parity`` sector as a
-        lower band (:class:`SectorBand`), written straight from the
-        projected factors with the operations of :meth:`sector`, entry by
-        entry, so it is that block under the band order bit for bit. A real
-        operator only; a complex one is refused."""
+        lower band (:class:`SectorBand`): its kinds' entries added in the
+        order of :meth:`sector`, so it is that block under the band order bit
+        for bit. A real operator only; a complex one is refused."""
         if self._dtype != np.float64:
             raise InputError(f"a sector band holds a real operator only, got {self._dtype}")
-        order, runs, kd = self._band_layouts[parity]
+        order, position, kd = self._band_layouts[self._checked_parity(parity)]
         band = np.zeros((kd + 1, order.size), order="F")
-        for j, k, values, diagonal in self._run_blocks(parity):
-            rows, cols = runs[j], runs[k]
-            # the entries (a, b) of the block in the lower band: 0 <= r - c <= kd
-            low = np.searchsorted(cols, rows - kd, side="left")
-            counts = np.searchsorted(cols, rows, side="right") - low
-            a = np.repeat(np.arange(rows.size), counts)
-            b = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - low, counts)
-            r, c = rows[a], cols[b]
-            band[r - c, c] += values[a, b]
-            if diagonal:
-                band[0, rows] += self.shifts[j]
+        for t, c, values in self._band_entries(parity, position):
+            lower = t >= 0
+            band[t[lower], c[lower]] += values[lower]
         return SectorBand(band, order)
 
     @functools.cached_property
@@ -760,18 +757,20 @@ class ProductOperator:
         Outer index j carries P's eigenspace p_j = parity * (-1)^label_j (the
         matter space, unsplit), and its basis vectors form the j-th run of
         sector coordinates, so the sector basis ascends in the outer-major
-        index. The diagonal block of run j is H_(p_j p_j) + shift_j, and its
-        block towards each run j' it couples to is C[j, j'] d_(p_j p_j'),
-        each added onto zeros, so every exact zero is +0.0.
+        index. Run j's diagonal block is H_(p_j p_j) + shift_j and its block
+        towards each run j' it couples to C[j, j'] d_(p_j p_j'), written kind
+        by kind onto zeros (:attr:`_described`), so every exact zero is +0.0.
         """
-        _, _, starts = self._runs(parity)
+        basis, starts, kinds = self._described[self._checked_parity(parity)]
         block = np.zeros((starts[-1], starts[-1]), dtype=self._dtype, order="F")
         diag = block.reshape(-1, order="F")[:: starts[-1] + 1]  # a view of the diagonal
-        for j, k, values, diagonal in self._run_blocks(parity):
-            block[starts[j] : starts[j + 1], starts[k] : starts[k + 1]] += values
-            if diagonal:
-                diag[starts[j] : starts[j + 1]] += self.shifts[j]
-        return block, self._basis(parity)
+        for values, rows, cols, scales in kinds:
+            for i, (j, k) in enumerate(zip(rows, cols)):
+                run, other = slice(starts[j], starts[j + 1]), slice(starts[k], starts[k + 1])
+                block[run, other] += values if scales is None else scales[i] * values
+                if scales is None:
+                    diag[run] += self.shifts[j]
+        return block, basis
 
 
 #: Picks the reference representative of a first-zone selection, by index.
@@ -1151,7 +1150,8 @@ def _band_solves(operator: ProductOperator) -> dict[int, tuple[SectorBasis, _Blo
     reduced = lapack.each([functools.partial(lapack.band_reduce, b.band) for b in bands.values()])
     if any(r is None for r in reduced):
         return None
-    return {p: (operator._basis(p), _BlockSolve(r, *bands[p])) for p, r in zip(bands, reduced)}
+    bases = {p: operator._described[p][0] for p in bands}
+    return {p: (bases[p], _BlockSolve(r, *bands[p])) for p, r in zip(bands, reduced)}
 
 
 def _checked_hermitian(matrix: np.ndarray, owned: bool = False) -> np.ndarray:

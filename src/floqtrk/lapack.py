@@ -233,10 +233,9 @@ def _check(info: int, failure: str = "Eigenvalues did not converge") -> None:
         raise NumericError(f"eigensolver failed: LAPACKE returned {info}")
 
 
-def _at(array: np.ndarray, row: int = 0) -> int:
-    """The address of row ``row`` of ``array`` (of element (row, 0) of a
-    Fortran-ordered matrix), for a Fortran routine."""
-    return array.ctypes.data + row * array.strides[0]
+def _at(array: np.ndarray) -> int:
+    """The address of ``array``'s first element, for a Fortran routine."""
+    return array.ctypes.data
 
 
 class Tridiagonal(NamedTuple):
@@ -389,7 +388,7 @@ def window(reduced: Tridiagonal, low: float, high: float) -> range:
     ends = np.array([low - margin, high + margin])
     counts = np.zeros(3, dtype=np.int64)  # NAB, the count at each end, then MOUT
     # IJOB = 1 reads no NVAL, C, WORK or IWORK
-    args = (_at(d), _at(e), _at(squares), None, _at(ends), None, _at(counts, 2), _at(counts))
+    args = (_at(d), _at(e), _at(squares), None, _at(ends), None, _at(counts) + 16, _at(counts))
     _check(openblas().dlaebz(1, 0, d.size, 1, 1, 0, 0.0, 0.0, pivmin, *args, None, None))
     return range(counts[0], counts[1])
 
@@ -815,11 +814,15 @@ def band_rows(band: np.ndarray, probes: np.ndarray) -> np.ndarray | None:
     ):
         return None
     del factor
-    work = np.empty(4 * m)
+    # each solved block leaves the first and last rows of its W (vf and vl,
+    # the columns of ends) and the order of its singular values (idxq,
+    # 1-based) for its merge
+    work, ends, idxq = np.empty(4 * m), np.empty((m, 2), order="F"), np.empty(m, dtype=np.int64)
+    # each address is read once (ndarray.ctypes takes microseconds a call):
+    # row lo of d, e, rows, ends and idxq is 8 lo bytes on
+    d_at, e_at, rows_at, work_at, ends_at, idxq_at = map(_at, (d, e, rows, work, ends, idxq))
+    unused_at = _at(unused)
     if m > SMLSIZ:
-        # each solved block leaves the first and last rows of its W (vf, vl)
-        # and the order of its singular values (idxq, 1-based) for its merge
-        vf, vl, idxq = np.empty(m), np.empty(m), np.empty(m, dtype=np.int64)
         # one merge's U in compact form (dlasd6 writes it, dlals0 applies
         # it), each merge's over the last one's; size is its secular
         # equation's
@@ -827,28 +830,25 @@ def band_rows(band: np.ndarray, probes: np.ndarray) -> np.ndarray | None:
         givnum, poles, difr = (np.empty((m, 2), order="F") for _ in range(3))
         difl, z, c, s = np.empty(m), np.empty(m), np.empty(1), np.empty(1)
         givptr, size = np.empty(1, dtype=np.int64), np.empty(1, dtype=np.int64)
-        compact = (
-            _at(perm), _at(givptr), _at(givcol), m, _at(givnum), m,
-            *(_at(a) for a in (poles, difl, difr, z, size, c, s)),
-        )
         scratch, iwork = np.empty((m, k), order="F"), np.empty(3 * m, dtype=np.int64)
+        scratch_at, iwork_at = _at(scratch), _at(iwork)
+        compact = (*map(_at, (perm, givptr, givcol)), m, _at(givnum), m)
+        compact += tuple(map(_at, (poles, difl, difr, z, size, c, s)))
 
     def solve(lo: int, n: int, sqre: int) -> bool:
         # rows lo .. lo + n - 1 of B, with sqre more columns than rows
+        at = 8 * lo
         if n <= SMLSIZ:
-            # W^T is carried on its first and last columns only, and U^T
-            # goes straight onto the probes' rows: the rotations act on
-            # each column alone
-            ends = np.zeros((n + sqre, 2), order="F")
-            ends[0, 0] = ends[-1, 1] = 1.0
+            # W^T on its first and last columns only (ends), U^T straight onto
+            # the probes' rows: the rotations act on each column alone
+            ends[lo : lo + n + sqre] = 0.0
+            ends[lo, 0] = ends[lo + n + sqre - 1, 1] = 1.0
             if library.dlasdq(
-                b"U", sqre, n, 2, 0, k, _at(d, lo), _at(e, lo), _at(ends), n + sqre,
-                _at(unused), 1, _at(rows, lo), m, _at(work),
+                b"U", sqre, n, 2, 0, k, d_at + at, e_at + at, ends_at + at, m,
+                unused_at, 1, rows_at + at, m, work_at,
             ):
                 return False
-            if n < m:  # a block of a merge
-                vf[lo : lo + n + sqre], vl[lo : lo + n + sqre] = ends[:, 0], ends[:, 1]
-                idxq[lo : lo + n] = np.arange(1, n + 1)
+            idxq[lo : lo + n] = np.arange(1, n + 1)
             return True
         left = n // 2
         middle, right = lo + left, n - left - 1
@@ -856,11 +856,11 @@ def band_rows(band: np.ndarray, probes: np.ndarray) -> np.ndarray | None:
             return False
         return not (
             library.dlasd6(
-                1, left, right, sqre, _at(d, lo), _at(vf, lo), _at(vl, lo), d[middle],
-                e[middle], _at(idxq, lo), *compact, _at(work), _at(iwork),
+                1, left, right, sqre, d_at + at, ends_at + at, ends_at + 8 * m + at, d[middle],
+                e[middle], idxq_at + at, *compact, work_at, iwork_at,
             )
             or library.dlals0(
-                0, left, right, 0, k, _at(rows, lo), m, _at(scratch), m, *compact, _at(work)
+                0, left, right, 0, k, rows_at + at, m, scratch_at, m, *compact, work_at
             )
         )
 

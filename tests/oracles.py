@@ -196,6 +196,20 @@ def kron_joint_hamiltonian(h, d, n_max, omega_c, g):
     return joint
 
 
+def kron_product_operator(h, shifts, coupling=None, d=None):
+    """1 (x) H + diag(shifts) (x) 1 + C (x) d by np.kron on the outer-major
+    index outer * dim(h) + matter, the terms added onto a zero matrix in
+    this order (every exact zero is +0.0): on an entry that all three
+    reach, H, then the shift, then C[j, j] d."""
+    terms = [np.kron(np.eye(len(shifts)), h), np.kron(np.diag(shifts), np.eye(h.shape[0]))]
+    if d is not None:
+        terms.append(np.kron(coupling, d))
+    full = np.zeros(terms[0].shape, dtype=np.result_type(*terms, np.float64))
+    for term in terms:
+        full += term
+    return full
+
+
 def kron_joint_dipole(d, n_max):
     """I (x) d on the photon-major index by np.kron, added onto a zero
     matrix (every exact zero is +0.0)."""

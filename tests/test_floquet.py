@@ -33,6 +33,7 @@ from floqtrk import (
     EigenSystem,
     DriveComponent,
     DriveSpec,
+    FewLevelModel,
     FfbzSelection,
     FockSpec,
     GridBasis,
@@ -418,6 +419,77 @@ def test_sambe_band_is_the_sector_block():
     operator = grid_floquet_operator()
     for parity in (1, -1):
         assert assert_band_is_sector(operator, parity) == 17
+
+
+def assert_writes_kron(operator):
+    """``operator.toarray()`` is the np.kron build of its factors bit for
+    bit (:func:`oracles.kron_product_operator`)."""
+    reference = oracles.kron_product_operator(
+        operator.matter, operator.labels * operator.frequency, operator.coupling, operator.dipole
+    )
+    full = operator.toarray()
+    assert full.dtype == reference.dtype and full.tobytes() == reference.tobytes()
+
+
+def diagonal_coupling_operator(reflection=None, far=0.05, scale=1.0):
+    """A library-built operator whose coupling has a nonzero diagonal, so
+    that H_M, the shift and C[j, j] d add onto the same entries: on 7
+    matter points, a tridiagonal H_M with a -0.0 and an even d of matter
+    distance 0 and 2, both symmetric under x -> -x, times ``scale``, and
+    labels -2..2 coupled at outer distance 0 and 2, and 4 by ``far``."""
+    x = np.linspace(-1.5, 1.5, 7)
+    h = np.diag(x**2) - 0.5 * (np.eye(7, k=1) + np.eye(7, k=-1))
+    h[3, 3] = -0.0
+    d = scale * (0.3 * np.diag(x**2 - 1.0) - 0.2 * (np.eye(7, k=2) + np.eye(7, k=-2)))
+    coupling = np.diag([0.3, -0.2, 0.25, -0.2, 0.3]) + 0.4 * (np.eye(5, k=2) + np.eye(5, k=-2))
+    coupling[0, 4] = coupling[4, 0] = far
+    return ProductOperator(h, np.arange(-2, 3), 0.37, d, coupling, reflection)
+
+
+def few_level_sweep_operator():
+    """The Sambe operator of a few-level sweep point: 3 levels, a dense
+    dipole, cutoff 8, one harmonic (m = 51)."""
+    few = FewLevelModel(
+        energies=(0.0, 0.3, 1.1),
+        dipole=np.array([[0.21, -0.43, 0.07], [-0.43, -0.18, 0.36], [0.07, 0.36, 0.45]]),
+    )
+    drive = DriveSpec(omega=0.35, components=(DriveComponent(1, 0.15),))
+    return sambe_operator(few.hamiltonian(), few.dipole_operator(), drive, 8)
+
+
+def test_sector_writers_add_each_entry_in_order():
+    """Where H_M, a shift and C[j, j] d add onto the same entries, and on
+    the unsplit narrow operators and a few-level sweep operator (kd 35 of
+    m = 51: its dense d reaches matter distance 2, 17 outer indices apart,
+    one harmonic on), each sector band is its sector block bit for bit,
+    kd is read off the factors, and the full matrix is the np.kron build
+    bit for bit."""
+    unsplit = diagonal_coupling_operator()
+    split = diagonal_coupling_operator(basis_reversal(7))
+    assert not unsplit.splits and split.splits
+    # matter distance 2 at outer distance 4, 5 outer indices per matter point
+    assert assert_band_is_sector(unsplit, 1) == 14
+    assert [assert_band_is_sector(split, p) for p in (1, -1)] == [14, 14]
+    operators = [unsplit, split, *asymmetric_band_operators().values()]
+    for operator, kd in zip(operators[2:], (7, 5)):
+        assert assert_band_is_sector(operator, 1) == kd
+    few = few_level_sweep_operator()
+    assert assert_band_is_sector(few, 1) == 2 * 17 + 1 and not floquet._narrow(few)
+    for operator in (*operators, few):
+        assert_writes_kron(operator)
+
+
+def test_band_width_skips_products_that_underflow():
+    """A coupling times a dipole entry that underflows to zero is no entry:
+    the far coupling (1e-200, outer distance 4) of a dipole of 1e-200
+    leaves kd at matter distance 2, outer distance 2 (14 with it), and the
+    band as without it, bit for bit."""
+    tiny = diagonal_coupling_operator(far=1e-200, scale=1e-200)
+    assert not np.any(tiny.coupling[0, 4] * tiny.dipole)
+    assert assert_band_is_sector(tiny, 1) == 12
+    without = diagonal_coupling_operator(far=0.0, scale=1e-200)
+    assert tiny.sector_band(1).band.tobytes() == without.sector_band(1).band.tobytes()
+    assert_writes_kron(tiny)
 
 
 def band_of(matrix, kd):
@@ -1092,7 +1164,8 @@ def test_selection_validation():
 def test_sambe_operator_rejects_empty_windows():
     """Negative cutoffs and empty matter spaces are refused, and so is the
     sector band of a complex (phased) operator, which holds real entries
-    only."""
+    only, and a sector, sector band or band width of a parity the operator
+    has no sector of (-1 of one that does not split, 2 or 0 of any)."""
     h, d = two_level()
     with pytest.raises(InputError, match="harmonic cutoff must be >= 0"):
         sambe_operator(h, d, DriveSpec(omega=1.0), -1)
@@ -1104,6 +1177,12 @@ def test_sambe_operator_rejects_empty_windows():
     assert phased.splits
     with pytest.raises(InputError, match="real operator only"):
         phased.sector_band(1)
+    unsplit, split = asymmetric_band_operators()["sambe"], grid_operator(REAL_DRIVE)
+    assert unsplit.parities == (1,) and split.parities == (1, -1)
+    for operator, parity in ((unsplit, -1), (unsplit, 2), (split, 2), (split, 0)):
+        for call in (operator.sector, operator.sector_band, operator.band_width):
+            with pytest.raises(InputError, match=f"no sector of parity {parity}"):
+                call(parity)
 
 
 # Parity-sector eigensolves: a symmetric grid with an odd-harmonic drive
