@@ -817,10 +817,10 @@ def diagonalize_hermitian(
     eigenvectors.
 
     Every reference, rank or pick, takes one route (:func:`_solve_around`):
-    the sector bands when they are narrow, then the dense blocks for what
-    the bands cannot confirm. When each sector block (both parity
-    sectors, or the one sector of an operator that does not split) is a
-    narrow band in (matter coordinate, outer index) order
+    the sector bands when they are narrow, the dense blocks otherwise, and
+    ``eigh`` for whatever the route cannot serve. When each sector block
+    (both parity sectors, or the one sector of an operator that does not
+    split) is a narrow band in (matter coordinate, outer index) order
     (:meth:`ProductOperator.band_width`, at most m / :data:`BAND_RATIO`),
     no sector is first written densely: each band is reduced without Q by
     ``dsbtrd``, two side by side (it runs on one core, so one band is
@@ -841,23 +841,24 @@ def diagonalize_hermitian(
     :func:`floqtrk.lapack.band_rows`, on the row sector's band or on its
     T, a band of half bandwidth 1, once ``dormtr`` has put Q^T on the
     probe, with no Q, Z or m x m array, while ``dsterf`` runs beside it
-    (:func:`floqtrk.lapack.each`). What the bands cannot confirm
-    (a declined band reduction, a band vector whose residual is above
-    rounding) takes the dense route.
+    (:func:`floqtrk.lapack.each`).
 
     Each dense solve (``eigh``, ``dsytrd``, ``dormtr``) is a
     :mod:`floqtrk.lapack` call that sets its own OpenBLAS thread count in
     a job (:meth:`floqtrk.lapack.Scheduler.dense`); none is set here.
 
-    What a reference solve cannot serve is solved as without a reference:
-    a picker whose index is outside the selection, or a zone with no
-    eigenvalue; a rank whose eigenvalue lies within rounding of one of the
-    other sector, a tie the merge could rank either way; a merged spectrum
-    that names another reference (a tie across the sectors, or a pick that
-    moves at rounding level) or holds an in-zone eigenpair a values-only
-    sector did not keep, where the row belongs to another reference; a row
-    solve that reports a failure; and a block LAPACK declines unscaled. So
-    are an operator without a dipole, a complex one and a splitting one
+    What a reference solve cannot serve is solved as without a reference,
+    by ``eigh``: a block or band LAPACK declines (unscaled, or without the
+    bundled OpenBLAS); a kept eigenvector that inverse iteration does not
+    confirm (a band vector whose residual is above rounding, or a ``dstein``
+    run that does not converge); a picker whose index is outside the
+    selection, or a zone with no eigenvalue; a rank whose eigenvalue lies
+    within rounding of one of the other sector, a tie the merge could rank
+    either way; a merged spectrum that names another reference (a tie
+    across the sectors, or a pick that moves at rounding level) or holds an
+    in-zone eigenpair a values-only sector did not keep, where the row
+    belongs to another reference; and a row solve that reports a failure.
+    So are an operator without a dipole, a complex one and a splitting one
     whose dipole is not odd.
     """
     if isinstance(matrix, ProductOperator):
@@ -920,23 +921,18 @@ class _Choice(NamedTuple):
     pairs: dict[int, tuple[np.ndarray, np.ndarray]]
 
 
-#: What an anchor's ``choose`` returns when a sector band does not confirm
-#: an eigenvector the choice keeps; the dense route then chooses again.
-_UNCONFIRMED = _Choice(0, 0, {}, {})
-
-
 class _RankAnchor(NamedTuple):
     """The reference of a solve given as rank ``rank`` of the merged
     spectrum."""
 
     rank: int
 
-    def choose(self, solves: dict[int, tuple[SectorBasis, _BlockSolve]]) -> _Choice:
+    def choose(self, solves: dict[int, tuple[SectorBasis, _BlockSolve]]) -> _Choice | None:
         """The sector that holds the rank, decided on the rank + 1 lowest
         eigenvalues of each T, and the reference's eigenpair there
         (:meth:`_BlockSolve.eigenpairs`, from a dense block's T or a band's,
-        whose vector is found at the value bisected for the choice);
-        :data:`_UNCONFIRMED` when a band does not confirm the vector."""
+        whose vector is found at the value bisected for the choice); None
+        when inverse iteration does not confirm the vector."""
         lowest = {p: block_solve.lowest(self.rank + 1) for p, (_, block_solve) in solves.items()}
         # rank among all, a tie going to the +1 sector as in from_sectors
         local = int(np.argsort(np.concatenate(list(lowest.values())), kind="stable")[self.rank])
@@ -947,7 +943,7 @@ class _RankAnchor(NamedTuple):
         run = range(local, local + 1)
         pairs = solves[own][1].eigenpairs(run, values[run.start : run.stop])
         if pairs is None:
-            return _UNCONFIRMED
+            return None
         kept = {p: run if p == own else range(0) for p in solves}
         return _Choice(own, local, kept, {own: pairs})
 
@@ -974,10 +970,8 @@ class _ZoneAnchor(NamedTuple):
     def choose(self, solves: dict[int, tuple[SectorBasis, _BlockSolve]]) -> _Choice | None:
         """The picked representative's sector and both sectors' first-zone
         eigenpairs (:meth:`_BlockSolve.eigenpairs`, from a dense block's T or
-        a band's); :data:`_UNCONFIRMED` when a band does not confirm a
-        vector, for the dense route to choose again; None when nothing is
-        picked (an empty zone or a pick outside the selection), which no
-        route can change."""
+        a band's); None when inverse iteration does not confirm a vector or
+        nothing is picked (an empty zone or a pick outside the selection)."""
         half, dim = self.operator.frequency / 2, self.operator.shape[0]
         runs = {p: lapack.window(solves[p][1].reduced, -half, half) for p in solves}
         pairs = {}
@@ -985,7 +979,7 @@ class _ZoneAnchor(NamedTuple):
             if run:
                 pairs[p] = solves[p][1].eigenpairs(run)
                 if pairs[p] is None:
-                    return _UNCONFIRMED
+                    return None
         # the window's eigenpairs merged, a tie going to the +1 sector
         values = np.concatenate([np.empty(0), *(w for w, _ in pairs.values())])
         order = np.argsort(values, kind="stable")
@@ -1039,41 +1033,33 @@ def _narrow(operator: ProductOperator) -> bool:
 def _solve_around(operator: ProductOperator, anchor: _RankAnchor | _ZoneAnchor) -> EigenSystem:
     """The sectors of a real ``operator`` with a dipole, solved for the
     ``anchor``'s reference and its dipole row (:func:`diagonalize_hermitian`):
-    both sector bands when they are narrow, then the dense blocks
-    (:func:`_sectors`) for whatever the bands cannot confirm."""
-    choice = _UNCONFIRMED
-    if _narrow(operator):
-        solves = _band_solves(operator)
-        if solves is not None:
-            choice = anchor.choose(solves)
-    if choice is _UNCONFIRMED:
-        solves = {}
-        for block, basis, parity in _sectors(operator):
-            solves[parity] = (basis, _reduce(block))
-            del block
-        declined = any(block_solve is None for _, block_solve in solves.values())
-        choice = None if declined else anchor.choose(solves)
+    the sector bands when they are narrow (:func:`_band_solves`), the dense
+    blocks otherwise (:func:`_dense_solves`). Whatever that route cannot
+    serve is solved by ``eigh`` (:func:`_merged`)."""
+    solves = _band_solves(operator) if _narrow(operator) else _dense_solves(operator)
+    choice = None if solves is None else anchor.choose(solves)
     return _merged(operator, anchor, choice, _solve_for_row(operator, solves, choice))
 
 
 def _solve_for_row(
     operator: ProductOperator,
-    solves: dict[int, tuple[SectorBasis, _BlockSolve | None]],
+    solves: dict[int, tuple[SectorBasis, _BlockSolve]] | None,
     choice: _Choice | None,
 ) -> list[tuple[SectorBasis, _Solution]] | None:
     """The ``solves`` of a reference solve, as the ``choice`` keeps them:
     the reference's own sector values-only and the row sector (the other
     one, or the one sector of an operator that does not split) for the
     reference's dipole row, in the order parity +1, -1. None when there is
-    no choice (nothing picked, or a block LAPACK declines) or the row solve
-    (:func:`floqtrk.lapack.band_rows`) reports a failure.
+    no choice (no ``solves``, or nothing the anchor can choose) or the row
+    solve (:func:`floqtrk.lapack.band_rows`) reports a failure.
 
     The probe (1 (x) d) v_r goes into the row sector's band
     (:meth:`_BlockSolve.probes`), whose row is solved while every sector's
     values come from its T beside it (:func:`floqtrk.lapack.each`).
     The blocks are taken out of ``solves`` and freed before the row solve."""
     if choice is None:
-        solves.clear()
+        if solves is not None:
+            solves.clear()
         return None
     own, reference, pairs = choice.parity, choice.reference, choice.pairs
     row = -own if len(solves) == 2 else own
@@ -1118,13 +1104,14 @@ def _merged(
     whose reference is the ``choice``'s, with the :class:`DipoleRow` of the
     solution that holds a row.
 
-    Should nothing be ``solved`` (no choice, or a failed row solve), or
+    Should nothing be ``solved`` (no choice: a declined reduction, an
+    unconfirmed eigenvector or nothing picked; or a failed row solve), or
     the merged spectrum name another reference than the anchor's (the
     merge ranked a tie across the sectors the other way round, or the pick
     moved with the row sector's rounding), so that the row belongs to
     another reference, or a rank tie another sector's value within
     rounding (:meth:`_RankAnchor.final_rank`), ``operator`` is solved
-    without one."""
+    without one, by ``eigh``."""
     if solved is None:
         return diagonalize_hermitian(operator)
     system = EigenSystem.from_sectors(solved)
@@ -1145,13 +1132,26 @@ def _band_solves(operator: ProductOperator) -> dict[int, tuple[SectorBasis, _Blo
     band (:meth:`ProductOperator.sector_band`) and reduced without Q, two
     side by side (:func:`floqtrk.lapack.each`): each a :class:`_BlockSolve`
     that reads its eigenpairs off its band; None when a reduction
-    declines, for the dense route to solve."""
+    declines."""
     bands = {p: operator.sector_band(p) for p in operator.parities}
     reduced = lapack.each([functools.partial(lapack.band_reduce, b.band) for b in bands.values()])
     if any(r is None for r in reduced):
         return None
     bases = {p: operator._described[p][0] for p in bands}
     return {p: (bases[p], _BlockSolve(r, *bands[p])) for p, r in zip(bands, reduced)}
+
+
+def _dense_solves(operator: ProductOperator) -> dict[int, tuple[SectorBasis, _BlockSolve]] | None:
+    """Each sector block of ``operator`` (:func:`_sectors`) reduced in place
+    (:func:`_reduce`), one after the other: each a :class:`_BlockSolve` that
+    reads its eigenpairs off its T and Q; None when a reduction declines."""
+    solves = {}
+    for block, basis, parity in _sectors(operator):
+        block_solve = _reduce(block)
+        if block_solve is None:
+            return None
+        solves[parity] = (basis, block_solve)
+    return solves
 
 
 def _checked_hermitian(matrix: np.ndarray, owned: bool = False) -> np.ndarray:
@@ -1203,9 +1203,9 @@ class _BlockSolve(NamedTuple):
         """Eigenvalues ``ks`` of a reduced block, a contiguous run, and their
         eigenvectors in sector coordinates as columns: from a dense block's
         T (:func:`floqtrk.lapack.eigenpairs`), or by bisection on a band's T
-        and banded inverse iteration (:func:`floqtrk.lapack.band_eigenpairs`),
-        None when that does not confirm a vector. A band takes the run's
-        ``values`` as given, when they were bisected already."""
+        and banded inverse iteration (:func:`floqtrk.lapack.band_eigenpairs`);
+        None when inverse iteration does not confirm a vector. A band takes
+        the run's ``values`` as given, when they were bisected already."""
         if self.order is None:
             return lapack.eigenpairs(self.reduced, ks)
         pairs = lapack.band_eigenpairs(self.band, self.reduced, ks, values)

@@ -226,9 +226,9 @@ def eigensolver_name() -> str:
     return "LAPACK dsytrd+dsterf, dsbtrd+dsterf, dpbtrf+dgbbrd+dlasdq+dlasd6+dlals0"
 
 
-def _check(info: int, failure: str = "Eigenvalues did not converge") -> None:
+def _check(info: int) -> None:
     if info > 0:
-        raise NumericError(f"eigensolver failed: {failure}")
+        raise NumericError("eigensolver failed: Eigenvalues did not converge")
     if info < 0:
         raise NumericError(f"eigensolver failed: LAPACKE returned {info}")
 
@@ -324,44 +324,33 @@ def project(reduced: Tridiagonal, probes: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(columns).view(dtype)
 
 
-def _bisect(library: OpenBlas, reduced: Tridiagonal, order: bytes, first: int, last: int):
-    """``dstebz`` on T for its eigenvalues ``first`` .. ``last`` (0-based,
-    ascending) at full accuracy: the number found and the whole output w,
-    iblock, isplit, zero-initialised, as ``dstein`` reads them."""
+def _run(library: OpenBlas, reduced: Tridiagonal, order: bytes, ks: range):
+    """``dstebz`` on T for its eigenvalues ``ks``, a contiguous run (0-based,
+    ascending), at full accuracy, refused unless it finds them all: the
+    whole output w, iblock, isplit, zero-initialised, as ``dstein`` reads
+    them."""
     m = reduced.d.size
+    if ks.step != 1 or not 0 <= ks.start < ks.stop <= m:
+        raise InputError(f"eigenvalue indices {ks} are not a run inside a block of size {m}")
     found, blocks = ctypes.c_int64(), ctypes.c_int64()
     w, iblock, isplit = np.zeros(m), np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
     abstol = 2 * np.finfo(np.float64).tiny
     _check(
         library.dstebz(
-            b"I", order, m, 0.0, 0.0, first + 1, last + 1, abstol, reduced.d, reduced.e,
+            b"I", order, m, 0.0, 0.0, ks.start + 1, ks.stop, abstol, reduced.d, reduced.e,
             ctypes.byref(found), ctypes.byref(blocks), w, iblock, isplit,
         )
     )
-    return found.value, w, iblock, isplit
-
-
-def _run(library: OpenBlas, reduced: Tridiagonal, order: bytes, ks: range):
-    """:func:`_bisect` for the eigenvalues ``ks``, a contiguous run (0-based,
-    ascending) of T's, refused unless it finds them all: w, iblock,
-    isplit."""
-    m = reduced.d.size
-    if ks.step != 1 or not 0 <= ks.start < ks.stop <= m:
-        raise InputError(f"eigenvalue indices {ks} are not a run inside a block of size {m}")
-    found, w, iblock, isplit = _bisect(library, reduced, order, ks.start, ks.stop - 1)
-    if found != len(ks):
-        raise NumericError(f"eigensolver failed: bisection found {found} of eigenvalues {ks}")
+    if found.value != len(ks):
+        raise NumericError(f"eigensolver failed: bisection found {found.value} of eigenvalues {ks}")
     return w, iblock, isplit
 
 
 def lowest(reduced: Tridiagonal, count: int) -> np.ndarray:
     """The ``count`` lowest eigenvalues of T (all of them when ``count``
-    exceeds its size), ascending, by bisection (``dstebz``)."""
-    count = min(count, reduced.d.size)
-    if count < 1:
-        return np.empty(0)
-    found, w, _, _ = _bisect(openblas(), reduced, b"E", 0, count - 1)
-    return w[:found]
+    exceeds its size), ascending, by bisection (:func:`_run`)."""
+    ks = range(min(count, reduced.d.size))
+    return _run(openblas(), reduced, b"E", ks)[0][: len(ks)]
 
 
 def _norm(reduced: Tridiagonal) -> float:
@@ -394,9 +383,10 @@ def window(reduced: Tridiagonal, low: float, high: float) -> range:
 
 
 @_dense
-def eigenpairs(reduced: Tridiagonal, ks: range) -> tuple[np.ndarray, np.ndarray]:
+def eigenpairs(reduced: Tridiagonal, ks: range) -> tuple[np.ndarray, np.ndarray] | None:
     """Eigenvalues ``ks`` of A, a contiguous run (0-based, ascending), and
-    their eigenvectors as the columns of an m x k matrix.
+    their eigenvectors as the columns of an m x k matrix; None when inverse
+    iteration does not converge for one of them.
 
     The values come from bisection on T (``dstebz``), the vectors Q z from
     inverse iteration (``dstein``, which orthogonalizes a cluster of close
@@ -410,10 +400,10 @@ def eigenpairs(reduced: Tridiagonal, ks: range) -> tuple[np.ndarray, np.ndarray]
     vectors = np.zeros((m, k), order="F")
     failed = np.zeros(k, dtype=np.int64)
     # LAPACKE NaN-checks all m entries of w, not only the ones wanted
-    _check(
-        library.dstein(_COL_MAJOR, m, d, e, k, w, iblock, isplit, vectors, m, failed),
-        failure=f"eigenvectors {ks} did not converge",
-    )
+    info = library.dstein(_COL_MAJOR, m, d, e, k, w, iblock, isplit, vectors, m, failed)
+    if info > 0:
+        return None
+    _check(info)
     _check(library.dormtr(_COL_MAJOR, b"L", b"L", b"N", m, k, a, m, tau, vectors, m))
     # dstebz lists the values block by block of a split T
     order = np.argsort(w[:k], kind="stable")

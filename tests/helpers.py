@@ -114,7 +114,7 @@ def select_reference_joint(system, matter_ground, fock_dim):
     return int(np.argmax(overlaps))
 
 
-def record_lapack_solves(monkeypatch, bands=None):
+def record_lapack_solves(monkeypatch, bands=None, eighs=None):
     """Patch ``floquet._reduce`` and ``floquet._eigh``, the package's two
     dense block-solve entries (a reference solve's reduction and numpy's
     ``eigh``), ``lapack.band_reduce``, which reduces a sector band, and
@@ -126,13 +126,16 @@ def record_lapack_solves(monkeypatch, bands=None):
     reference solve records its reductions, then its row sector. The
     dimension of each band solve, a reduction or a row solve, is also
     appended to ``bands``, when given, so a solve that wrote no dense block
-    records the same list twice."""
+    records the same list twice, and that of each ``eigh`` solve to
+    ``eighs``, when given."""
     banded, rows = lapack.band_reduce, lapack.band_rows
     dims = []
 
-    def recorder(solve):
+    def recorder(solve, also=None):
         def recorded(block):
             dims.append(block.shape[0])
+            if also is not None:
+                also.append(block.shape[0])
             return solve(block)
 
         return recorded
@@ -146,8 +149,8 @@ def record_lapack_solves(monkeypatch, bands=None):
 
         return recorded
 
-    for name in ("_reduce", "_eigh"):
-        monkeypatch.setattr(floquet, name, recorder(getattr(floquet, name)))
+    monkeypatch.setattr(floquet, "_reduce", recorder(floquet._reduce))
+    monkeypatch.setattr(floquet, "_eigh", recorder(floquet._eigh, eighs))
     monkeypatch.setattr(lapack, "band_reduce", band_recorder(banded))
     monkeypatch.setattr(lapack, "band_rows", band_recorder(rows))
     return dims

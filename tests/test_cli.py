@@ -938,6 +938,32 @@ def test_floquet_sambe_solve_peaks_at_two_and_a_half_sector_matrices(tmp_path, m
     assert peaks[61 * 17] <= 2.5 * m * m * np.dtype(np.float64).itemsize
 
 
+#: The gated grid jobs: a 201-point harmonic grid, driven at Omega = 0.35
+#: (cutoff 8), and scanned over photon cutoffs.
+GATED_GRID_JOBS = {
+    "floquet_grid": (
+        "job: floquet\nmodel: {grid: {n_points: 201}}\nsambe: {harmonic_cutoff: 8}\n"
+        "drive: {omega: 0.35, components: [{harmonic: 1, amplitude: 0.05}]}\n"
+    ),
+    "qed_converge": (
+        "job: converge\nconverge: {axis: fock_n_max, values: [4, 6, 8, 10]}\n"
+        "model: {grid: {n_points: 201}}\nfock: {omega_c: 0.9, g: 0.05}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("job", list(GATED_GRID_JOBS))
+def test_gated_grid_jobs_solve_every_block_as_a_band(tmp_path, monkeypatch, job):
+    """Every block solve of the gated grid jobs is a band solve (a sector
+    band reduced, or a row sector solved from its band): none is reduced
+    densely, and none falls back to eigh."""
+    bands, eighs = [], []
+    solved = record_lapack_solves(monkeypatch, bands, eighs)
+    run_job(load_config(config_file(tmp_path, GATED_GRID_JOBS[job])))
+    assert bands and eighs == []
+    assert sorted(solved) == sorted(bands)
+
+
 def test_band_route_holds_no_sector_matrix(tmp_path, monkeypatch):
     """Each member of the 81-point photon-cutoff scan (n_max 8, 10, 12;
     sectors of m ~ dim/2, kd = n_max + 1) reduces both sector bands, takes

@@ -361,8 +361,9 @@ def test_lapack_failure_is_a_numeric_error(monkeypatch, path, split, dims):
     """A failed eigensolve surfaces as NumericError, on the dense path and
     on the sector path: a LinAlgError of numpy's eigh, and a dsterf info > 0
     of the LAPACK kernel, give the same message. The kernel's dsterf runs
-    in a reference solve, here of rank 1, which takes the dense route; the
-    first block's failure ends the solve."""
+    in a reference solve, here of rank 1, which takes the band route (the
+    diagonal blocks are bands of kd 0); the first block's failure ends the
+    solve."""
     solved = []
 
     def failing(a, *args, **kwargs):
@@ -396,6 +397,26 @@ def test_lapack_failure_is_a_numeric_error(monkeypatch, path, split, dims):
     with pytest.raises(NumericError, match=message):
         diagonalize_hermitian(target, **options)
     assert solved == dims
+
+
+def test_unconverged_inverse_iteration_on_the_dense_route_takes_eigh(monkeypatch):
+    """A reference solve of a few-level Sambe operator (one sector of
+    m = 51, kd 35, not narrow) reduces its block densely; when dstein
+    reports a vector that did not converge, the operator is solved by eigh,
+    and the solve gives eigh's spectrum and vectors."""
+    library = lapack.openblas()
+    if library is None:
+        pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
+    operator = few_level_sweep_operator()
+    assert not floquet._narrow(operator)
+    full = diagonalize_hermitian(operator)
+    monkeypatch.setattr(lapack, "openblas", lambda: library._replace(dstein=lambda *args: 1))
+    bands, eighs = [], []
+    solved = record_lapack_solves(monkeypatch, bands, eighs)
+    system = diagonalize_hermitian(operator, reference=0)
+    assert bands == [] and eighs == [51] and solved == [51, 51]
+    assert system.values.tobytes() == full.values.tobytes()
+    assert system.column(0).tobytes() == full.column(0).tobytes()
 
 
 def grid_floquet_operator():
@@ -780,7 +801,7 @@ def one_index_solve(reduced, k):
     library, layout = lapack.openblas(), 102  # LAPACKE's column-major
     a, d, e, tau = reduced
     m = d.size
-    _, w, iblock, isplit = lapack._bisect(library, reduced, b"B", k, k)
+    w, iblock, isplit = lapack._run(library, reduced, b"B", range(k, k + 1))
     vector = np.zeros((m, 1), order="F")
     library.dstein(layout, m, d, e, 1, w, iblock, isplit, vector, m, np.zeros(1, dtype=np.int64))
     library.dormtr(layout, b"L", b"L", b"N", m, 1, a, m, tau, vector, m)
@@ -2248,11 +2269,11 @@ def test_band_route_orthogonalizes_a_cluster(monkeypatch):
     assert np.max(np.abs(columns @ columns.T - expected @ expected.T)) <= 1e-12
 
 
-def test_inexact_first_zone_band_vector_takes_the_dense_route(monkeypatch):
+def test_inexact_first_zone_band_vector_takes_eigh(monkeypatch):
     """A banded inverse iteration whose residual stays above rounding (at
-    a shift 1e-6 off its value) gives no vector: both sectors are then
-    reduced densely, as without the band route, and the row sector's T is
-    solved for the row."""
+    a shift 1e-6 off its value) gives no vector: after the two band
+    reductions, each sector is solved by eigh, as without a reference, and
+    no block is reduced densely."""
     operator = band_zone_operator()
     full = diagonalize_hermitian(operator)
     original = lapack.band_eigenvector
@@ -2261,9 +2282,9 @@ def test_inexact_first_zone_band_vector_takes_the_dense_route(monkeypatch):
         "band_eigenvector",
         lambda band, value, against=None: original(band, value + 1e-6, against),
     )
-    bands = []
-    solved = record_lapack_solves(monkeypatch, bands)
+    bands, eighs = [], []
+    solved = record_lapack_solves(monkeypatch, bands, eighs)
     system = diagonalize_hermitian(operator, reference=first_zone(0))
-    assert sorted(bands[:2]) == [283, 284] and solved[2:] == [283, 284, bands[2]]
-    assert len(bands) == 3 and bands[2] == row_sector(system)[1].ranks.size
+    assert sorted(bands) == [283, 284] and eighs == [283, 284]
+    assert solved == bands + eighs
     assert np.max(np.abs(system.values - full.values)) <= 1e-11

@@ -714,10 +714,26 @@ def test_rounding_tie_on_the_bands_takes_eigh(monkeypatch):
     assert_matches_full_solve(operator, system, full)
 
 
-def test_inexact_band_vector_takes_the_dense_route(monkeypatch):
+def test_reference_solve_without_the_bundled_openblas_takes_eigh(monkeypatch):
+    """Without numpy's bundled OpenBLAS both band reductions decline, and
+    each sector is solved by eigh, with no dense reduction tried first; the
+    solve matches the full one."""
+    operator = band_joint()
+    full = diagonalize_hermitian(operator)
+    monkeypatch.setattr(lapack, "openblas", lambda: None)
+    bands, eighs = [], []
+    solved = record_lapack_solves(monkeypatch, bands, eighs)
+    system = diagonalize_hermitian(operator, reference=0)
+    assert sorted(bands) == [364, 365] and eighs == [365, 364]
+    assert solved == bands + eighs
+    assert_matches_full_solve(operator, system, full)
+
+
+def test_inexact_band_vector_takes_eigh(monkeypatch):
     """An inverse iteration whose residual stays above rounding (here, at a
-    shift 1e-6 off the ground) gives no vector, and the solve takes the
-    dense route, whose -1 sector's T is solved for the row."""
+    shift 1e-6 off the ground) gives no vector: after the two band
+    reductions, each sector is solved by eigh, as without a reference, and
+    no block is reduced densely."""
     operator = band_joint()
     full = diagonalize_hermitian(operator)
     original = lapack.band_eigenvector
@@ -728,9 +744,9 @@ def test_inexact_band_vector_takes_the_dense_route(monkeypatch):
         return vectors[-1]
 
     monkeypatch.setattr(lapack, "band_eigenvector", shifted)
-    bands = []
-    solved = record_lapack_solves(monkeypatch, bands)
+    bands, eighs = [], []
+    solved = record_lapack_solves(monkeypatch, bands, eighs)
     system = diagonalize_hermitian(operator, reference=0)
-    assert vectors == [None] and sorted(bands[:2]) == [364, 365] and bands[2:] == [364]
-    assert solved[2:] == [365, 364, 364]
+    assert vectors == [None] and sorted(bands) == [364, 365] and eighs == [365, 364]
+    assert solved == bands + eighs
     assert_matches_full_solve(operator, system, full)
