@@ -110,7 +110,7 @@ class Sector(NamedTuple):
     ``kept`` is None. A values-only sector keeps the eigenvectors of local
     indices ``kept`` (ascending): column i of ``vectors`` is eigenvector
     ``kept[i]``. Every sector of a reference solve is values-only: the
-    reference's own sector (:meth:`_BlockSolve.solve_values`), and the
+    reference's own sector (:func:`_values_only`), and the
     one that holds the reference's dipole ``row``
     (:func:`floqtrk.lapack.band_rows`, on a narrow sector band or on a
     dense block's tridiagonal T), the only products with its unkept
@@ -811,7 +811,7 @@ def diagonalize_hermitian(
     holds both. An operator that splits and whose dipole is odd
     (:attr:`ProductOperator.odd_dipole`) has the dipole couple the
     reference only to the opposite sector, so its own sector is solved
-    values-only (:meth:`_BlockSolve.solve_values`): its eigenvalues and
+    values-only (:func:`_values_only`): its eigenvalues and
     the eigenvectors it keeps, the reference's among them. The opposite
     sector keeps its eigenvalues, the row and, for a picker, its in-zone
     eigenvectors.
@@ -840,8 +840,10 @@ def diagonalize_hermitian(
     from ``dsterf`` on T. The row comes from one kernel,
     :func:`floqtrk.lapack.band_rows`, on the row sector's band or on its
     T, a band of half bandwidth 1, once ``dormtr`` has put Q^T on the
-    probe, with no Q, Z or m x m array, while ``dsterf`` runs beside it
-    (:func:`floqtrk.lapack.each`).
+    probe, with no Q, Z or m x m array, run in its two steps
+    (:func:`_solve_for_row`): every ``dsterf`` runs beside the bidiagonal
+    reduction, and the two halves of the divide and conquer beside each
+    other (:func:`floqtrk.lapack.each`).
 
     Each dense solve (``eigh``, ``dsytrd``, ``dormtr``) is a
     :mod:`floqtrk.lapack` call that sets its own OpenBLAS thread count in
@@ -919,6 +921,13 @@ class _Choice(NamedTuple):
     reference: int
     kept: dict[int, range]
     pairs: dict[int, tuple[np.ndarray, np.ndarray]]
+
+    @property
+    def row(self) -> int:
+        """The parity of the row sector, which holds the reference's dipole
+        row: the other one, or the one sector of an operator that does not
+        split."""
+        return -self.parity if len(self.kept) == 2 else self.parity
 
 
 class _RankAnchor(NamedTuple):
@@ -1034,64 +1043,117 @@ def _solve_around(operator: ProductOperator, anchor: _RankAnchor | _ZoneAnchor) 
     """The sectors of a real ``operator`` with a dipole, solved for the
     ``anchor``'s reference and its dipole row (:func:`diagonalize_hermitian`):
     the sector bands when they are narrow (:func:`_band_solves`), the dense
-    blocks otherwise (:func:`_dense_solves`). Whatever that route cannot
-    serve is solved by ``eigh`` (:func:`_merged`)."""
-    solves = _band_solves(operator) if _narrow(operator) else _dense_solves(operator)
-    choice = None if solves is None else anchor.choose(solves)
-    return _merged(operator, anchor, choice, _solve_for_row(operator, solves, choice))
+    blocks otherwise (:func:`_dense_solves`), then the row
+    (:func:`_solve_for_row`). Whatever that route cannot serve is solved by
+    ``eigh`` (:func:`_merged`). Every step that runs side by side runs on
+    one scheduler (:func:`floqtrk.lapack.scheduler`): a job's, or one the
+    solve opens, whose one helper thread has ended when it returns."""
+    with lapack.scheduler():
+        solves = _band_solves(operator) if _narrow(operator) else _dense_solves(operator)
+        choice, solved = _solve_for_row(operator, anchor, solves)
+    return _merged(operator, anchor, choice, solved)
 
 
 def _solve_for_row(
     operator: ProductOperator,
+    anchor: _RankAnchor | _ZoneAnchor,
     solves: dict[int, tuple[SectorBasis, _BlockSolve]] | None,
-    choice: _Choice | None,
-) -> list[tuple[SectorBasis, _Solution]] | None:
-    """The ``solves`` of a reference solve, as the ``choice`` keeps them:
-    the reference's own sector values-only and the row sector (the other
-    one, or the one sector of an operator that does not split) for the
-    reference's dipole row, in the order parity +1, -1. None when there is
-    no choice (no ``solves``, or nothing the anchor can choose) or the row
-    solve (:func:`floqtrk.lapack.band_rows`) reports a failure.
+) -> tuple[_Choice | None, list[tuple[SectorBasis, _Solution]] | None]:
+    """The ``anchor``'s choice on ``solves``, and the sectors as it keeps
+    them: the reference's own sector values-only and the row sector
+    (:attr:`_Choice.row`) for the reference's dipole row, in the order
+    parity +1, -1. No sectors when there is no choice (no ``solves``, or
+    nothing the anchor can choose) or the row solve reports a failure.
 
-    The probe (1 (x) d) v_r goes into the row sector's band
-    (:meth:`_BlockSolve.probes`), whose row is solved while every sector's
-    values come from its T beside it (:func:`floqtrk.lapack.each`).
-    The blocks are taken out of ``solves`` and freed before the row solve."""
-    if choice is None:
-        if solves is not None:
+    The row solve (:func:`floqtrk.lapack.band_rows`) runs in its two steps.
+    First one fork (:func:`floqtrk.lapack.each`) runs every sector's
+    ``dsterf`` in the spare slot, while the calling thread reduces the row
+    sector's band, with the probe (1 (x) d) v_r on it (:func:`_probe`), to
+    bidiagonal form (:func:`floqtrk.lapack.band_bidiagonal`). On the band
+    route that thread makes the choice and forms the probe in the fork
+    too; on the dense route, whose choice and Q^T are dense solves at the
+    job's full count, they come before it. Then the bidiagonal's divide
+    and conquer runs its two halves one in each slot
+    (:func:`floqtrk.lapack.bidiagonal_rows`). Sectors of fewer than
+    :data:`floqtrk.lapack.SIDE_BY_SIDE` rows run both steps in turn. A
+    dense block's reflectors are freed before the fork, and every block is
+    taken out of ``solves`` and freed before the divide and conquer."""
+    if solves is None:
+        return None, None
+    banded = all(block_solve.order is not None for _, block_solve in solves.values())
+
+    def chosen() -> tuple[_Choice, np.ndarray] | None:
+        choice = anchor.choose(solves)
+        return None if choice is None else (choice, _probe(operator, solves, choice))
+
+    early = None
+    if not banded:
+        early = chosen()
+        # the reflectors are spent: a dense block is freed before the row
+        # solve allocates, so no array lands above it on the heap and its
+        # pages return
+        for parity, (basis, block_solve) in solves.items():
+            solves[parity] = (basis, block_solve.spent())
+        if early is None:
             solves.clear()
-        return None
-    own, reference, pairs = choice.parity, choice.reference, choice.pairs
-    row = -own if len(solves) == 2 else own
-    basis, own_solve = solves.pop(own)
-    row_basis, row_solve = solves.pop(row) if row != own else (basis, own_solve)
-    ks = choice.kept[own]
-    psi = basis.embed(pairs[own][1][:, reference - ks.start], operator.shape[0])
-    lifted = ProductOperator(matter=operator.dipole, labels=operator.labels)
-    probes = row_solve.probes(row_basis.coordinates(lifted @ psi))
-    # the reflectors are spent: a dense block is freed before the row solve
-    # allocates, so no array lands above it on the heap and its pages return
-    own_solve, row_solve = own_solve.spent(), row_solve.spent()
+            return None, None
 
-    def values() -> tuple[_Solution | None, np.ndarray]:
-        # each on one core: dsterf, and the bisection's values of a kept run
-        solution = own_solve.solve_values(ks, pairs[own]) if row != own else None
-        return solution, lapack.eigenvalues(row_solve.reduced)
+    def sector_values() -> dict[int, np.ndarray]:
+        # dsterf on each T, on one core
+        return {p: lapack.eigenvalues(solve.reduced) for p, (_, solve) in solves.items()}
 
-    (solution, row_values), rows = lapack.each(
-        [values, lambda: lapack.band_rows(row_solve.band, probes)]
-    )
+    def row_step() -> tuple[_Choice, lapack.Bidiagonal | None] | None:
+        picked = chosen() if banded else early
+        if picked is None:
+            return None
+        choice, probes = picked
+        return choice, lapack.band_bidiagonal(solves[choice.row][1].band, probes)
+
+    steps = [sector_values, row_step]
+    if max(block_solve.reduced.d.size for _, block_solve in solves.values()) < lapack.SIDE_BY_SIDE:
+        values, stepped = [step() for step in steps]
+    else:
+        values, stepped = lapack.each(steps)
+    bases = {p: basis for p, (basis, _) in solves.items()}
+    solves.clear()
+    if stepped is None:
+        return None, None
+    choice, bidiagonal = stepped
+    rows = None if bidiagonal is None else lapack.bidiagonal_rows(bidiagonal)
     if rows is None:
-        return None
+        return None, None
+    own, row, pairs = choice.parity, choice.row, choice.pairs
     kept = choice.kept[row]
-    vectors = pairs[row][1] if kept else np.zeros((row_values.size, 0))
+    vectors = pairs[row][1] if kept else np.zeros((values[row].size, 0))
     row_solution = _Solution(
-        row_values, vectors, kept=np.arange(kept.start, kept.stop), row=rows[0].conj()
+        values[row], vectors, kept=np.arange(kept.start, kept.stop), row=rows[0].conj()
     )
-    solved = {row: (row_basis, row_solution)}
-    if solution is not None:
-        solved[own] = (basis, solution)
-    return [solved[p] for p in (1, -1) if p in solved]
+    solved = {row: (bases[row], row_solution)}
+    if row != own:
+        solved[own] = (bases[own], _values_only(values[own], choice.kept[own], pairs[own]))
+    return choice, [solved[p] for p in (1, -1) if p in solved]
+
+
+def _probe(
+    operator: ProductOperator, solves: dict[int, tuple[SectorBasis, _BlockSolve]], choice: _Choice
+) -> np.ndarray:
+    """The probe (1 (x) d) v_r of the ``choice``'s reference as the one
+    probe column of its row sector's band (:meth:`_BlockSolve.probes`)."""
+    own, ks = choice.parity, choice.kept[choice.parity]
+    vector = choice.pairs[own][1][:, choice.reference - ks.start]
+    psi = solves[own][0].embed(vector, operator.shape[0])
+    lifted = ProductOperator(matter=operator.dipole, labels=operator.labels)
+    row_basis, row_solve = solves[choice.row]
+    return row_solve.probes(row_basis.coordinates(lifted @ psi))
+
+
+def _values_only(values: np.ndarray, ks: range, pairs: tuple[np.ndarray, np.ndarray]) -> _Solution:
+    """A values-only sector: every eigenvalue, ``values`` (``dsterf``'s on
+    its T) but for the run ``ks``, whose eigenpairs ``pairs`` (bisection,
+    inverse iteration) give its values and the sector's kept eigenvectors.
+    No Z is formed; ``values`` is overwritten."""
+    values[ks.start : ks.stop] = pairs[0]
+    return _Solution(values, pairs[1], kept=np.arange(ks.start, ks.stop))
 
 
 def _merged(
@@ -1215,14 +1277,6 @@ class _BlockSolve(NamedTuple):
         columns = np.empty_like(vectors)
         columns[self.order] = vectors  # band position r is coordinate order[r]
         return values, columns
-
-    def solve_values(self, ks: range, pairs: tuple[np.ndarray, np.ndarray]) -> _Solution:
-        """Every eigenvalue, ``dsterf``'s on T but for the run ``ks``, whose
-        eigenpairs ``pairs`` (bisection, inverse iteration) give its values
-        and the sector's kept eigenvectors. No Z is formed."""
-        values = lapack.eigenvalues(self.reduced)
-        values[ks.start : ks.stop] = pairs[0]
-        return _Solution(values, pairs[1], kept=np.arange(ks.start, ks.stop))
 
     def spent(self) -> _BlockSolve:
         """This block without Q's reflectors (a dense block's buffer), once

@@ -26,24 +26,27 @@ iteration on the banded LU factors (``dgbtrf``, ``dgbtrs``), and
 :func:`band_eigenpairs` for those of one run of indices, orthogonalized
 within a cluster as ``dstein`` does. :func:`band_rows` gives the rows of a
 few probes over every eigenvector from the band alone, in the order of the
-eigenvalues :func:`eigenvalues` gives on its T: the probes ride through
-the bidiagonal reduction (``dgbbrd``) of the banded Cholesky factor
-(``dpbtrf``) of the band shifted positive definite, then through LAPACK's
-divide and conquer for that bidiagonal's singular value decomposition,
+eigenvalues :func:`eigenvalues` gives on its T, in two steps: the probes
+ride through the bidiagonal reduction (``dgbbrd``) of the banded Cholesky
+factor (``dpbtrf``) of the band shifted positive definite
+(:func:`band_bidiagonal`), then through LAPACK's divide and conquer for
+that bidiagonal's singular value decomposition (:func:`bidiagonal_rows`),
 taken one block at a time (``dlasdq`` on each small block, its rotations
 applied to the probes, ``dlasd6`` to merge two, ``dlals0`` to apply the
 merge's left singular vectors), so no Q, U or Z is formed. The band
 routines run on one core. A :class:`Scheduler` runs calls that share
 nothing in two slots, the calling thread's and a spare one that one helper
 thread (a one-worker thread pool) runs while OpenBLAS may use two threads:
-:func:`each` runs the members of a job and the two halves of a band solve
-on the scheduler this thread runs in, so no more than two kernels run at
-once. A job opens one scheduler (:func:`scheduler`); a solve outside a job
-opens its own for each :func:`each`. A job's two slots are its whole core
-budget: while its scheduler is open, OpenBLAS is held to one thread, and
-each dense solve (:func:`reduce`, :func:`project`, :func:`eigenpairs`,
-:func:`eigh`) sets its own count: the job's full count outside the members
-of an :func:`each`, one inside them.
+:func:`each` runs them on the scheduler this thread runs in, so no more
+than two kernels run at once. Its calls are the members of a job, or the
+steps of a band solve that share nothing: two band reductions, the values
+beside the row sector's bidiagonal reduction, and the two halves of the
+divide and conquer. A job opens one scheduler (:func:`scheduler`), and a
+reference solve outside a job one for the whole solve. A job's two slots
+are its whole core budget: while its scheduler is open, OpenBLAS is held
+to one thread, and each dense solve (:func:`reduce`, :func:`project`,
+:func:`eigenpairs`, :func:`eigh`) sets its own count: the job's full count
+outside the members of an :func:`each`, one inside them.
 """
 
 from __future__ import annotations
@@ -450,9 +453,11 @@ class Scheduler:
 
     :meth:`each` takes the spare slot only when it is free, and otherwise
     runs its calls in turn, so no more than two calls run at once however
-    they nest: a member of an :meth:`each` that runs the two halves of a
-    band solve gets the spare slot only once no other member holds it.
-    Results do not depend on the slot a call ran in.
+    they nest: a member of an :meth:`each` that runs two steps of a band
+    solve side by side (its band reductions, its values beside its
+    bidiagonal reduction, or the two halves of its divide and conquer)
+    gets the spare slot only once no other member holds it. Results do not
+    depend on the slot a call ran in.
 
     A job's scheduler holds OpenBLAS to one thread (:meth:`hold`), and
     then the thread count of a dense solve (:meth:`dense`) is fixed by
@@ -610,8 +615,9 @@ def scheduler(hold: bool = False) -> Iterator[Scheduler]:
 def each(calls: Sequence[Callable[[], Result]]) -> list[Result]:
     """Every one of ``calls``, calls that share nothing, as the
     :meth:`Scheduler.each` of the scheduler this thread runs in (a job's,
-    or one for this call): a job's members, or the two halves of a band
-    solve. Each result is the same bit for bit on one slot or two."""
+    a reference solve's, or one for this call): a job's members, or two
+    steps of a band solve. Each result is the same bit for bit on one slot
+    or two."""
     with scheduler() as slots:
         return slots.each(calls)
 
@@ -745,6 +751,14 @@ def band_eigenpairs(
 #: SMLSIZ.
 SMLSIZ = 25
 
+#: The fewest rows of a band whose row solve uses both slots: its divide
+#: and conquer runs its two halves side by side (:func:`bidiagonal_rows`),
+#: and a reference solve runs its values beside its row step. Below it
+#: each half is one :data:`SMLSIZ` block and each step takes tens of
+#: microseconds, about what handing a call to the helper thread costs, so
+#: they run in turn.
+SIDE_BY_SIDE = 2 * SMLSIZ + 2
+
 
 def band_rows(band: np.ndarray, probes: np.ndarray) -> np.ndarray | None:
     """The k x m matrix of rows ``probes``^T V, V the eigenvectors of the
@@ -758,6 +772,34 @@ def band_rows(band: np.ndarray, probes: np.ndarray) -> np.ndarray | None:
     (as in :func:`band_reduce`), or ``dpbtrf``, ``dgbbrd``, ``dlasdq``,
     ``dlasd6`` or ``dlals0`` reports a failure.
 
+    Two steps, which a caller may also run apart: the probes ride through
+    the bidiagonal reduction of the band's shifted Cholesky factor
+    (:func:`band_bidiagonal`), then through the divide and conquer for that
+    bidiagonal's singular value decomposition (:func:`bidiagonal_rows`).
+    """
+    bidiagonal = band_bidiagonal(band, probes)
+    return None if bidiagonal is None else bidiagonal_rows(bidiagonal)
+
+
+class Bidiagonal(NamedTuple):
+    """The upper bidiagonal B = Q^T L P of :func:`band_bidiagonal`: its
+    diagonal ``d`` and superdiagonal ``e``, and Q^T on the probes as the
+    real m x k columns ``rows`` (a complex probe is two), which
+    :func:`bidiagonal_rows` gives back as ``dtype``."""
+
+    d: np.ndarray
+    e: np.ndarray
+    rows: np.ndarray
+    dtype: np.dtype
+
+
+def band_bidiagonal(band: np.ndarray, probes: np.ndarray) -> Bidiagonal | None:
+    """The first step of :func:`band_rows`, for the same ``band`` and
+    ``probes``: the bidiagonal of the band's shifted Cholesky factor, with
+    Q^T on the probes. None when the kernel is absent, A is too large or
+    too small for it unscaled, or ``dpbtrf`` or ``dgbbrd`` reports a
+    failure.
+
     A + sigma 1 is positive definite for sigma = margin - (the lower end of
     A's Gershgorin interval), the margin :data:`CLUSTER_RTOL` times that
     interval's width, or the rounding of the shifted diagonal (4 m eps
@@ -767,17 +809,8 @@ def band_rows(band: np.ndarray, probes: np.ndarray) -> np.ndarray | None:
     B = Q^T L P (``dgbbrd``, no Q or P formed), which applies Q^T to the
     probes. The left singular vectors of L are the eigenvectors of L L^T:
     with B = U S W^T, those are Q U, in the order of the singular values,
-    which ascend as the eigenvalues s^2 - sigma do. U^T goes onto the
-    probes by LAPACK's divide and conquer for the bidiagonal SVD, the
-    steps of ``dlasda`` and ``dlalsa`` (the solve of ``dgelsd``) taken one
-    block at a time: a block of at most :data:`SMLSIZ` rows is solved whole
-    (``dlasdq``), its rotations applied to the probes' rows as they are
-    made, so no U is formed; a larger one is halved about its middle row,
-    both halves solved, and the two merged (``dlasd6``), the merge's U
-    applied at once in its compact form (``dlals0``). A merge is applied
-    as it is made, so the arrays of one are held at a time (none for a
-    band of at most :data:`SMLSIZ` rows), and every array is O(m kd); no
-    Q, U or m x m array is formed. A complex probe is two real columns.
+    which ascend as the eigenvalues s^2 - sigma do. Every array is
+    O(m kd); the factor is freed on return.
     """
     library = openblas()
     kd, m = band.shape[0] - 1, band.shape[1]
@@ -803,16 +836,78 @@ def band_rows(band: np.ndarray, probes: np.ndarray) -> np.ndarray | None:
         _COL_MAJOR, b"N", m, m, k, kd, 0, factor, kd + 1, d, e, unused, 1, unused, 1, rows, m
     ):
         return None
-    del factor
+    return Bidiagonal(d, e, rows, dtype)
+
+
+def bidiagonal_rows(bidiagonal: Bidiagonal) -> np.ndarray | None:
+    """The second step of :func:`band_rows`: the k x m rows of the probes
+    over the left singular vectors U of the ``bidiagonal`` B, in ascending
+    order of its singular values, as :func:`band_rows` gives them. None
+    when ``dlasdq``, ``dlasd6`` or ``dlals0`` reports a failure.
+
+    U^T goes onto the probes by LAPACK's divide and conquer for the
+    bidiagonal SVD, the steps of ``dlasda`` and ``dlalsa`` (the solve of
+    ``dgelsd``) taken one block at a time: a block of at most
+    :data:`SMLSIZ` rows is solved whole (``dlasdq``), its rotations applied
+    to the probes' rows as they are made, so no U is formed; a larger one
+    is halved about its middle row, both halves solved, and the two merged
+    (``dlasd6``), the merge's U applied at once in its compact form
+    (``dlals0``). The two halves of B share nothing until their merge, so
+    they run side by side (:func:`each`), each with its own workspace, and
+    the calling thread makes the top merge; the arithmetic is that of
+    solving them in turn. Each slot holds the arrays of one merge at a
+    time (none for a block of at most :data:`SMLSIZ` rows), every array is
+    O(m k), and no U or m x m array is formed.
+    """
+    library = openblas()
+    d, _, rows, dtype = bidiagonal
+    m = d.size
     # each solved block leaves the first and last rows of its W (vf and vl,
     # the columns of ends) and the order of its singular values (idxq,
     # 1-based) for its merge
-    work, ends, idxq = np.empty(4 * m), np.empty((m, 2), order="F"), np.empty(m, dtype=np.int64)
+    ends, idxq = np.empty((m, 2), order="F"), np.empty(m, dtype=np.int64)
+
+    block = functools.partial(_block, library, bidiagonal, ends, idxq)
+    if m < SIDE_BY_SIDE:
+        solved = block(0, m, 0)
+    else:
+        left = m // 2
+        halves = [
+            functools.partial(block, 0, left, 1),
+            functools.partial(block, left + 1, m - left - 1, 0),
+        ]
+        solved = all(each(halves)) and block(0, m, 0, halves_solved=True)
+    if not solved:
+        return None
+    # the merges leave the singular values unsorted
+    return np.ascontiguousarray(rows[np.argsort(d, kind="stable")]).view(dtype).T
+
+
+def _block(
+    library: OpenBlas,
+    bidiagonal: Bidiagonal,
+    ends: np.ndarray,
+    idxq: np.ndarray,
+    lo: int,
+    n: int,
+    sqre: int,
+    halves_solved: bool = False,
+) -> bool:
+    """Rows lo .. lo + n - 1 of the ``bidiagonal`` B, with sqre more columns
+    than rows, solved for :func:`bidiagonal_rows` on a workspace of its own
+    (the arrays of one merge, when it makes any); when its two halves are
+    ``halves_solved`` already, only merged. It reads and writes only its
+    own rows of B's d and e, of the rows, and of ``ends`` and ``idxq``, so
+    blocks that share no row run side by side. False when a kernel reports
+    a failure."""
+    d, e, rows, _ = bidiagonal
+    m, k = rows.shape
+    work, unused = np.empty(4 * m), np.zeros((1, 1), order="F")
     # each address is read once (ndarray.ctypes takes microseconds a call):
     # row lo of d, e, rows, ends and idxq is 8 lo bytes on
     d_at, e_at, rows_at, work_at, ends_at, idxq_at = map(_at, (d, e, rows, work, ends, idxq))
     unused_at = _at(unused)
-    if m > SMLSIZ:
+    if n > SMLSIZ:
         # one merge's U in compact form (dlasd6 writes it, dlals0 applies
         # it), each merge's over the last one's; size is its secular
         # equation's
@@ -825,8 +920,19 @@ def band_rows(band: np.ndarray, probes: np.ndarray) -> np.ndarray | None:
         compact = (*map(_at, (perm, givptr, givcol)), m, _at(givnum), m)
         compact += tuple(map(_at, (poles, difl, difr, z, size, c, s)))
 
+    def merge(lo: int, left: int, right: int, sqre: int) -> bool:
+        at, middle = 8 * lo, lo + left
+        return not (
+            library.dlasd6(
+                1, left, right, sqre, d_at + at, ends_at + at, ends_at + 8 * m + at, d[middle],
+                e[middle], idxq_at + at, *compact, work_at, iwork_at,
+            )
+            or library.dlals0(
+                0, left, right, 0, k, rows_at + at, m, scratch_at, m, *compact, work_at
+            )
+        )
+
     def solve(lo: int, n: int, sqre: int) -> bool:
-        # rows lo .. lo + n - 1 of B, with sqre more columns than rows
         at = 8 * lo
         if n <= SMLSIZ:
             # W^T on its first and last columns only (ends), U^T straight onto
@@ -841,20 +947,13 @@ def band_rows(band: np.ndarray, probes: np.ndarray) -> np.ndarray | None:
             idxq[lo : lo + n] = np.arange(1, n + 1)
             return True
         left = n // 2
-        middle, right = lo + left, n - left - 1
-        if not (solve(lo, left, 1) and solve(middle + 1, right, sqre)):
-            return False
-        return not (
-            library.dlasd6(
-                1, left, right, sqre, d_at + at, ends_at + at, ends_at + 8 * m + at, d[middle],
-                e[middle], idxq_at + at, *compact, work_at, iwork_at,
-            )
-            or library.dlals0(
-                0, left, right, 0, k, rows_at + at, m, scratch_at, m, *compact, work_at
-            )
+        right = n - left - 1
+        return (
+            solve(lo, left, 1)
+            and solve(lo + left + 1, right, sqre)
+            and merge(lo, left, right, sqre)
         )
 
-    if not solve(0, m, 0):
-        return None
-    # the merges leave the singular values unsorted
-    return np.ascontiguousarray(rows[np.argsort(d, kind="stable")]).view(dtype).T
+    if halves_solved:
+        return merge(lo, n // 2, n - n // 2 - 1, sqre)
+    return solve(lo, n, sqre)

@@ -118,8 +118,8 @@ def record_lapack_solves(monkeypatch, bands=None, eighs=None):
     """Patch ``floquet._reduce`` and ``floquet._eigh``, the package's two
     dense block-solve entries (a reference solve's reduction and numpy's
     ``eigh``), ``lapack.band_reduce``, which reduces a sector band, and
-    ``lapack.band_rows``, which solves the row sector of every reference
-    solve for its row (a sector band, or a dense block's T), with
+    ``lapack.band_bidiagonal``, the first step of the row solve of every
+    reference solve (on a sector band, or on a dense block's T), with
     recorders; returns the list the dimension of each block solve is
     appended to, in the order of the solves; two bands reduced side by
     side (``lapack.each``) come in either order. So a dense
@@ -128,7 +128,7 @@ def record_lapack_solves(monkeypatch, bands=None, eighs=None):
     appended to ``bands``, when given, so a solve that wrote no dense block
     records the same list twice, and that of each ``eigh`` solve to
     ``eighs``, when given."""
-    banded, rows = lapack.band_reduce, lapack.band_rows
+    banded, rows = lapack.band_reduce, lapack.band_bidiagonal
     dims = []
 
     def recorder(solve, also=None):
@@ -152,7 +152,7 @@ def record_lapack_solves(monkeypatch, bands=None, eighs=None):
     monkeypatch.setattr(floquet, "_reduce", recorder(floquet._reduce))
     monkeypatch.setattr(floquet, "_eigh", recorder(floquet._eigh, eighs))
     monkeypatch.setattr(lapack, "band_reduce", band_recorder(banded))
-    monkeypatch.setattr(lapack, "band_rows", band_recorder(rows))
+    monkeypatch.setattr(lapack, "band_bidiagonal", band_recorder(rows))
     return dims
 
 

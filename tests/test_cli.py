@@ -782,8 +782,9 @@ def test_jobs_solve_every_operator_for_its_reference(tmp_path, monkeypatch, name
     the sums read one reference's eigenvector and dipole row: each block
     is reduced (densely or as a band), and numpy's eigh, the solve without
     a reference, never runs. Every row comes from the one row kernel: the
-    row sector of each solve holds the row of one lapack.band_rows call
-    (on a sector band, or on a dense block's T) bit for bit, in the order
+    row sector of each solve holds the row of one lapack.bidiagonal_rows
+    call, the divide and conquer of lapack.band_rows (on a sector band, or
+    on a dense block's T), bit for bit, in the order
     of the solves with one slot, and in some order with two."""
     eigh, calls = np.linalg.eigh, []
 
@@ -793,13 +794,13 @@ def test_jobs_solve_every_operator_for_its_reference(tmp_path, monkeypatch, name
 
     monkeypatch.setattr(np.linalg, "eigh", recorded)
     solved = record_lapack_solves(monkeypatch)
-    band_rows, rows = lapack.band_rows, []
+    bidiagonal_rows, rows = lapack.bidiagonal_rows, []
 
-    def kept_rows(band, probes):
-        rows.append(band_rows(band, probes))
+    def kept_rows(bidiagonal):
+        rows.append(bidiagonal_rows(bidiagonal))
         return rows[-1]
 
-    monkeypatch.setattr(lapack, "band_rows", kept_rows)
+    monkeypatch.setattr(lapack, "bidiagonal_rows", kept_rows)
     original, systems = floquet.diagonalize_hermitian, []
 
     def kept_system(matrix, **options):
@@ -962,6 +963,44 @@ def test_gated_grid_jobs_solve_every_block_as_a_band(tmp_path, monkeypatch, job)
     run_job(load_config(config_file(tmp_path, GATED_GRID_JOBS[job])))
     assert bands and eighs == []
     assert sorted(solved) == sorted(bands)
+
+
+def test_floquet_grid_row_step_fills_both_slots(tmp_path, monkeypatch):
+    """On two slots, the Sambe solve of the gated floquet_grid job (sector
+    bands of 1708 and 1709 rows) runs each sector's dsterf on the helper
+    thread while the calling thread reduces the row sector's band to
+    bidiagonal form; then the two halves of that bidiagonal's divide and
+    conquer run one on each thread, and the calling thread makes the top
+    merge."""
+    capped_threads(monkeypatch, 2)
+    caller, steps = threading.get_ident(), []
+
+    def recorder(name, step, size):
+        def recorded(*args, **kwargs):
+            if size(*args) > 1000:  # the Sambe sectors, not the matter solve's
+                steps.append((name, kwargs.get("halves_solved", False), threading.get_ident()))
+            return step(*args, **kwargs)
+
+        return recorded
+
+    monkeypatch.setattr(
+        lapack, "eigenvalues", recorder("dsterf", lapack.eigenvalues, lambda t: t.d.size)
+    )
+    bidiagonal = recorder("dgbbrd", lapack.band_bidiagonal, lambda band, _: band.shape[1])
+    monkeypatch.setattr(lapack, "band_bidiagonal", bidiagonal)
+    monkeypatch.setattr(
+        lapack, "_block", recorder("tree", lapack._block, lambda _, b, *rest: b.d.size)
+    )
+    run_job(load_config(config_file(tmp_path, GATED_GRID_JOBS["floquet_grid"])))
+    threads = {}
+    for name, top, thread in steps:
+        threads.setdefault((name, top), []).append(thread)
+    names = [("dgbbrd", False), ("dsterf", False), ("tree", False), ("tree", True)]
+    assert sorted(threads) == names
+    assert len(threads["dsterf", False]) == 2 and caller not in threads["dsterf", False]
+    assert threads["dgbbrd", False] == [caller] and threads["tree", True] == [caller]
+    halves = threads["tree", False]
+    assert len(halves) == 2 and caller in halves and len(set(halves)) == 2
 
 
 def test_band_route_holds_no_sector_matrix(tmp_path, monkeypatch):
@@ -1454,14 +1493,14 @@ def full_sambe_solves(monkeypatch):
 
 def values_only_solves(monkeypatch):
     """Count the values-only sector solves; returns the list they append to."""
-    original = floquet._BlockSolve.solve_values
+    original = floquet._values_only
     calls = []
 
-    def counted(block_solve, *args):
-        calls.append(args[0])
-        return original(block_solve, *args)
+    def counted(values, ks, pairs):
+        calls.append(ks)
+        return original(values, ks, pairs)
 
-    monkeypatch.setattr(floquet._BlockSolve, "solve_values", counted)
+    monkeypatch.setattr(floquet, "_values_only", counted)
     return calls
 
 

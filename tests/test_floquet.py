@@ -813,14 +813,13 @@ def one_index_solve(reduced, k):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 17, 64, 65, 129, 301])
 def test_values_only_solve_matches_eigh(m):
-    """The values-only solve of a random symmetric block of size m (its
-    dense reduction's _BlockSolve.solve_values on the eigenpairs
-    lapack.eigenpairs gives), over runs of indices at both ends and in the
-    middle: every eigenvalue within
-    ||T|| m eps of eigh's, each kept eigenvector within 64 m eps of eigh's
-    column (up to sign). A one-index run is the one-index sequence bit for
-    bit; the bisection lowest(k + 1) gives eigh's lowest values within the
-    same bound."""
+    """The values-only solve of a random symmetric block of size m
+    (floquet._values_only on dsterf's values of its dense reduction's T and
+    the eigenpairs lapack.eigenpairs gives), over runs of indices at both
+    ends and in the middle: every eigenvalue within ||T|| m eps of eigh's,
+    each kept eigenvector within 64 m eps of eigh's column (up to sign). A
+    one-index run is the one-index sequence bit for bit; the bisection
+    lowest(k + 1) gives eigh's lowest values within the same bound."""
     if lapack.openblas() is None:
         pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
     rng = np.random.default_rng(m)
@@ -834,7 +833,8 @@ def test_values_only_solve_matches_eigh(m):
     scale = np.linalg.norm(t, 2)
 
     def solve_values(ks):
-        solution = block_solve.solve_values(ks, lapack.eigenpairs(reduced, ks))
+        pairs = lapack.eigenpairs(reduced, ks)
+        solution = floquet._values_only(lapack.eigenvalues(reduced), ks, pairs)
         assert solution.kept.tolist() == list(ks)
         return solution.values, solution.vectors
 
@@ -1878,25 +1878,119 @@ def reversed_each(slots, calls):
 
 @pytest.mark.parametrize("schedule", ["two_threads", "second_first"])
 def test_band_rows_do_not_depend_on_the_schedule(monkeypatch, schedule):
-    """The row sector's band solve (band_rows and its T's dsterf) runs
-    beside the values-only sector's dsterf, in the scheduler's spare slot
-    when OpenBLAS may use two threads: the values and the dipole row are
-    those of the two solves run in turn bit for bit, whether they run at
-    once or the row solve ends before the other starts, and no thread
-    outlives the solve."""
+    """A band solve runs three pairs of steps on its scheduler's two slots
+    when OpenBLAS may use two threads: the two band reductions; then the
+    fork, every sector's dsterf beside the calling thread's choice, probe
+    and bidiagonal reduction of the row sector; then the two halves of
+    that bidiagonal's divide and conquer, before the top merge. The values,
+    the kept eigenvectors and the dipole row are those of the steps run in
+    turn bit for bit, whether each pair runs at once or its second step
+    ends before the first starts, and no thread outlives the solve."""
     operator = band_zone_operator()
     with monkeypatch.context() as patch:
         capped_threads(patch, 1)
         expected = diagonalize_hermitian(operator, reference=first_zone(0))
     capped_threads(monkeypatch, 2)
-    if schedule == "second_first":
-        monkeypatch.setattr(lapack.Scheduler, "each", reversed_each)
+    each, pairs = reversed_each if schedule == "second_first" else lapack.Scheduler.each, []
+
+    def recorded(slots, calls):
+        pairs.append([getattr(call, "__name__", None) or call.func.__name__ for call in calls])
+        return each(slots, calls)
+
+    monkeypatch.setattr(lapack.Scheduler, "each", recorded)
     before = threading.active_count()
     system = diagonalize_hermitian(operator, reference=first_zone(0))
     assert threading.active_count() == before
+    assert pairs == [["band_reduce"] * 2, ["sector_values", "row_step"], ["_block"] * 2]
     assert system.values.tobytes() == expected.values.tobytes()
+    for sector, expected_sector in zip(system.sectors, expected.sectors):
+        assert sector.vectors.tobytes() == expected_sector.vectors.tobytes()
     row, expected_row = row_sector(system)[1].row, row_sector(expected)[1].row
     assert row.amplitudes.tobytes() == expected_row.amplitudes.tobytes()
+
+
+def whole_tree(bidiagonal):
+    """The divide and conquer of lapack.bidiagonal_rows on a copy of
+    ``bidiagonal`` run as one recursion from the top block, every block in
+    turn on the calling thread: the rows, in the order of the singular
+    values, and the singular values as the merges leave them."""
+    d, e, rows, dtype = (*(array.copy(order="F") for array in bidiagonal[:3]), bidiagonal.dtype)
+    m = d.size
+    ends, idxq = np.empty((m, 2), order="F"), np.empty(m, dtype=np.int64)
+    whole = lapack.Bidiagonal(d, e, rows, dtype)
+    assert lapack._block(lapack.openblas(), whole, ends, idxq, 0, m, 0)
+    return np.ascontiguousarray(rows[np.argsort(d, kind="stable")]).view(dtype).T, d
+
+
+@pytest.mark.parametrize("m", [25, 26, 27, 51, 52, 53, 1709])
+def test_bidiagonal_rows_are_the_same_on_one_slot_and_two(monkeypatch, m):
+    """The rows of lapack.bidiagonal_rows, and the singular values it
+    leaves in the bidiagonal's d (whose order is the rows' order), are
+    the same bit for bit on one slot, on two, with the second half ending
+    before the first starts, and as one recursion from the top block in
+    turn, for real and complex probes, one column and two, on a band of
+    m rows (kd 3). From lapack.SIDE_BY_SIDE rows on, two slots run the two
+    halves one on each thread and the top merge on the calling thread; a
+    smaller tree runs whole on the calling thread."""
+    rng = np.random.default_rng(m)
+    band = np.asfortranarray(rng.standard_normal((4, m)))
+    caller, blocks = threading.get_ident(), []
+    original = lapack._block
+
+    def recorded(*args, **kwargs):
+        blocks.append((args[4:7], kwargs.get("halves_solved", False), threading.get_ident()))
+        return original(*args, **kwargs)
+
+    for kind in (float, complex):
+        for k in (1, 2):
+            probes = rng.standard_normal((m, k)).astype(kind)
+            if kind is complex:
+                probes += 1j * rng.standard_normal((m, k))
+            bidiagonal = lapack.band_bidiagonal(band, probes)
+            expected_rows, expected_values = whole_tree(bidiagonal)
+            for schedule in ("one_slot", "two_slots", "second_first"):
+                with monkeypatch.context() as patch:
+                    capped_threads(patch, 1 if schedule == "one_slot" else 2)
+                    if schedule == "second_first":
+                        patch.setattr(lapack.Scheduler, "each", reversed_each)
+                    patch.setattr(lapack, "_block", recorded)
+                    blocks.clear()
+                    copy = lapack.Bidiagonal(
+                        *(array.copy(order="F") for array in bidiagonal[:3]), bidiagonal.dtype
+                    )
+                    rows = lapack.bidiagonal_rows(copy)
+                assert rows.dtype == kind and rows.shape == (k, m)
+                assert rows.tobytes() == expected_rows.tobytes()
+                assert copy.d.tobytes() == expected_values.tobytes()
+                if m < lapack.SIDE_BY_SIDE:
+                    assert blocks == [((0, m, 0), False, caller)]
+                    continue
+                left = m // 2
+                halves = [((0, left, 1), False), ((left + 1, m - left - 1, 0), False)]
+                assert sorted(block[:2] for block in blocks[:2]) == halves
+                assert blocks[2] == ((0, m, 0), True, caller)
+                threads = {block[:2]: block[2] for block in blocks[:2]}
+                assert threads[halves[1]] == caller
+                assert (threads[halves[0]] != caller) == (schedule == "two_slots")
+
+
+def test_library_reference_solve_starts_one_helper_thread(monkeypatch):
+    """Outside a job, a reference solve at two OpenBLAS threads opens one
+    scheduler for the whole solve: its band reductions, its fork and the
+    halves of its divide and conquer share one helper thread, which is
+    the only thread started and has ended when the solve returns."""
+    capped_threads(monkeypatch, 2)
+    start, started = threading.Thread.start, []
+
+    def counted(thread):
+        started.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    before = threading.active_count()
+    system = diagonalize_hermitian(band_joint(), reference=0)
+    assert threading.active_count() == before
+    assert len(started) == 1 and row_sector(system)[1].row.reference == 0
 
 
 @pytest.mark.parametrize("rank", [0, 3])
