@@ -112,8 +112,8 @@ class Sector(NamedTuple):
     ``kept[i]``. Every sector of a reference solve is values-only: the
     reference's own sector (:func:`_values_only`), and the
     one that holds the reference's dipole ``row``
-    (:func:`floqtrk.lapack.band_rows`, on a narrow sector band or on a
-    dense block's tridiagonal T), the only products with its unkept
+    (:func:`_solve_for_row`, on a narrow sector band or on a dense
+    block's tridiagonal T), the only products with its unkept
     eigenvectors that were solved. An operator that does not split is one
     sector, which is both.
     """
@@ -837,13 +837,14 @@ def diagonalize_hermitian(
     (:func:`floqtrk.lapack.eigenpairs`), on a band by banded inverse
     iteration, orthogonalized within a cluster as ``dstein`` does
     (:func:`floqtrk.lapack.band_eigenpairs`). Every other eigenvalue comes
-    from ``dsterf`` on T. The row comes from one kernel,
-    :func:`floqtrk.lapack.band_rows`, on the row sector's band or on its
-    T, a band of half bandwidth 1, once ``dormtr`` has put Q^T on the
-    probe, with no Q, Z or m x m array, run in its two steps
-    (:func:`_solve_for_row`): every ``dsterf`` runs beside the bidiagonal
-    reduction, and the two halves of the divide and conquer beside each
-    other (:func:`floqtrk.lapack.each`).
+    from ``dsterf`` on T. The row comes from one kernel on the row
+    sector's band or on its T, a band of half bandwidth 1, once ``dormtr``
+    has put Q^T on the probe, with no Q, Z or m x m array, run in its two
+    steps (:func:`_solve_for_row`): every ``dsterf`` runs beside the
+    bidiagonal reduction (:func:`floqtrk.lapack.band_bidiagonal`), and the
+    two halves of the divide and conquer
+    (:func:`floqtrk.lapack.bidiagonal_rows`) beside each other
+    (:func:`floqtrk.lapack.each`).
 
     Each dense solve (``eigh``, ``dsytrd``, ``dormtr``) is a
     :mod:`floqtrk.lapack` call that sets its own OpenBLAS thread count in
@@ -1065,19 +1066,22 @@ def _solve_for_row(
     parity +1, -1. No sectors when there is no choice (no ``solves``, or
     nothing the anchor can choose) or the row solve reports a failure.
 
-    The row solve (:func:`floqtrk.lapack.band_rows`) runs in its two steps.
-    First one fork (:func:`floqtrk.lapack.each`) runs every sector's
-    ``dsterf`` in the spare slot, while the calling thread reduces the row
-    sector's band, with the probe (1 (x) d) v_r on it (:func:`_probe`), to
-    bidiagonal form (:func:`floqtrk.lapack.band_bidiagonal`). On the band
-    route that thread makes the choice and forms the probe in the fork
-    too; on the dense route, whose choice and Q^T are dense solves at the
-    job's full count, they come before it. Then the bidiagonal's divide
-    and conquer runs its two halves one in each slot
-    (:func:`floqtrk.lapack.bidiagonal_rows`). Sectors of fewer than
-    :data:`floqtrk.lapack.SIDE_BY_SIDE` rows run both steps in turn. A
+    The row solve runs in its two steps. First one fork
+    (:func:`floqtrk.lapack.each`) runs every sector's ``dsterf`` in the
+    spare slot, while the calling thread reduces the row sector's band,
+    with the probe (1 (x) d) v_r on it (:func:`_probe`), to bidiagonal form
+    (:func:`floqtrk.lapack.band_bidiagonal`). On the band route that thread
+    makes the choice and forms the probe in the fork too; on the dense
+    route, whose choice and Q^T are dense solves at the job's full count,
+    they come before it. Then the bidiagonal's divide and conquer runs its
+    two halves one in each slot (:func:`floqtrk.lapack.bidiagonal_rows`). A
     dense block's reflectors are freed before the fork, and every block is
-    taken out of ``solves`` and freed before the divide and conquer."""
+    taken out of ``solves`` and freed before the divide and conquer.
+
+    On the band route every ``dsterf`` runs before the anchor has chosen,
+    so when it declines, that work is spent for nothing before ``eigh``,
+    which needs none of its values: a ``dsterf`` that failed is then
+    dropped. It is raised only when a choice was made."""
     if solves is None:
         return None, None
     banded = all(block_solve.order is not None for _, block_solve in solves.values())
@@ -1098,9 +1102,12 @@ def _solve_for_row(
             solves.clear()
             return None, None
 
-    def sector_values() -> dict[int, np.ndarray]:
+    def sector_values() -> dict[int, np.ndarray] | NumericError:
         # dsterf on each T, on one core
-        return {p: lapack.eigenvalues(solve.reduced) for p, (_, solve) in solves.items()}
+        try:
+            return {p: lapack.eigenvalues(solve.reduced) for p, (_, solve) in solves.items()}
+        except NumericError as failure:
+            return failure
 
     def row_step() -> tuple[_Choice, lapack.Bidiagonal | None] | None:
         picked = chosen() if banded else early
@@ -1109,15 +1116,13 @@ def _solve_for_row(
         choice, probes = picked
         return choice, lapack.band_bidiagonal(solves[choice.row][1].band, probes)
 
-    steps = [sector_values, row_step]
-    if max(block_solve.reduced.d.size for _, block_solve in solves.values()) < lapack.SIDE_BY_SIDE:
-        values, stepped = [step() for step in steps]
-    else:
-        values, stepped = lapack.each(steps)
+    values, stepped = lapack.each([sector_values, row_step])
     bases = {p: basis for p, (basis, _) in solves.items()}
     solves.clear()
     if stepped is None:
         return None, None
+    if isinstance(values, NumericError):
+        raise values
     choice, bidiagonal = stepped
     rows = None if bidiagonal is None else lapack.bidiagonal_rows(bidiagonal)
     if rows is None:
@@ -1245,8 +1250,8 @@ def _checked_hermitian(matrix: np.ndarray, owned: bool = False) -> np.ndarray:
 class _BlockSolve(NamedTuple):
     """One real block between the two steps of a reference solve: its
     tridiagonal T (``reduced``), which gives its values and eigenpairs, and
-    a lower ``band`` with the same eigenvalues, whose rows
-    :func:`floqtrk.lapack.band_rows` solves. That band is the sector band,
+    a lower ``band`` with the same eigenvalues, whose rows the row solve
+    (:func:`floqtrk.lapack.band_bidiagonal`) takes. That band is the sector band,
     whose position r is sector coordinate ``order[r]``, or a dense block's
     T, of half bandwidth 1, in the coordinates Q^T gives (``order`` None;
     Q's reflectors are in ``reduced.a``)."""
@@ -1285,7 +1290,7 @@ class _BlockSolve(NamedTuple):
 
     def probes(self, x: np.ndarray) -> np.ndarray:
         """The sector vector ``x`` as the one probe column of
-        :func:`floqtrk.lapack.band_rows` on ``band``: Q^T x
+        :func:`floqtrk.lapack.band_bidiagonal` on ``band``: Q^T x
         (:func:`floqtrk.lapack.project`) for a dense block's T, else x in
         band order."""
         if self.order is None:

@@ -14,7 +14,8 @@ of one run of indices (bisection, inverse iteration and Q on those
 columns), and :func:`window` the run of eigenvalues in an interval (two
 Sturm counts, ``dlaebz``). The rows x^T V of a few probe vectors x over
 every eigenvector V come from T as from any band: :func:`project` puts Q^T
-on the probes, and :func:`band_rows` solves T, a band of half bandwidth 1
+on the probes, and the row solve (:func:`band_bidiagonal`, then
+:func:`bidiagonal_rows`) solves T, a band of half bandwidth 1
 (:meth:`Tridiagonal.band`), for them.
 
 A block that is a narrow band needs no dense reduction, and no m x m array
@@ -24,7 +25,7 @@ eigenvalues :func:`eigenvalues` gives (``dsterf``) and :func:`lowest`
 bisects; :func:`band_eigenvector` solves for one eigenvector by inverse
 iteration on the banded LU factors (``dgbtrf``, ``dgbtrs``), and
 :func:`band_eigenpairs` for those of one run of indices, orthogonalized
-within a cluster as ``dstein`` does. :func:`band_rows` gives the rows of a
+within a cluster as ``dstein`` does. The row solve gives the rows of a
 few probes over every eigenvector from the band alone, in the order of the
 eigenvalues :func:`eigenvalues` gives on its T, in two steps: the probes
 ride through the bidiagonal reduction (``dgbbrd``) of the banded Cholesky
@@ -254,7 +255,7 @@ class Tridiagonal(NamedTuple):
     tau: np.ndarray | None
 
     def band(self) -> np.ndarray:
-        """T as a lower band (kd = 1), as :func:`band_rows` reads one."""
+        """T as a lower band (kd = 1), as :func:`band_bidiagonal` reads one."""
         return np.array([self.d, np.append(self.e, 0.0)], order="F")
 
 
@@ -311,9 +312,9 @@ def reduce(a: np.ndarray) -> Tridiagonal | None:
 @_dense
 def project(reduced: Tridiagonal, probes: np.ndarray) -> np.ndarray:
     """Q^T ``probes`` (``dormtr``) for the m x k ``probes``, real or
-    complex: the probes in the coordinates of T, for :func:`band_rows` on
-    :meth:`Tridiagonal.band`. The reflectors in ``reduced.a`` are read, not
-    kept."""
+    complex: the probes in the coordinates of T, for
+    :func:`band_bidiagonal` on :meth:`Tridiagonal.band`. The reflectors in
+    ``reduced.a`` are read, not kept."""
     library = openblas()
     a, d, _, tau = reduced
     m = d.size
@@ -445,7 +446,7 @@ class Scheduler:
     spare one, run by one helper thread (a one-worker
     ``ThreadPoolExecutor``) that starts when first used and ends at
     :meth:`close`. The band routines (``dsbtrd``, ``dsterf`` and those of
-    :func:`band_rows`) run on one core, so two of them at once use two.
+    the row solve) run on one core, so two of them at once use two.
     ``threads`` is OpenBLAS's count when the scheduler opens: the spare
     slot exists at two or more. At one (``--threads 1``) the spare slot is
     never free, no helper exists, and every call runs on the calling
@@ -746,39 +747,10 @@ def band_eigenpairs(
     return w, vectors
 
 
-#: The size at and below which :func:`band_rows` solves a block of its
-#: bidiagonal whole (``dlasdq``) rather than dividing it, ``dgelsd``'s
+#: The size at and below which :func:`bidiagonal_rows` solves a block of
+#: its bidiagonal whole (``dlasdq``) rather than dividing it, ``dgelsd``'s
 #: SMLSIZ.
 SMLSIZ = 25
-
-#: The fewest rows of a band whose row solve uses both slots: its divide
-#: and conquer runs its two halves side by side (:func:`bidiagonal_rows`),
-#: and a reference solve runs its values beside its row step. Below it
-#: each half is one :data:`SMLSIZ` block and each step takes tens of
-#: microseconds, about what handing a call to the helper thread costs, so
-#: they run in turn.
-SIDE_BY_SIDE = 2 * SMLSIZ + 2
-
-
-def band_rows(band: np.ndarray, probes: np.ndarray) -> np.ndarray | None:
-    """The k x m matrix of rows ``probes``^T V, V the eigenvectors of the
-    symmetric A of the lower ``band`` in ascending order of their
-    eigenvalues (:func:`eigenvalues` of :func:`band_reduce`), for the m x k
-    ``probes`` in band order, real or complex: entry (i, j) is
-    probes[:, i] . v_j, unconjugated. A dense block's rows are those of
-    its T's band (:meth:`Tridiagonal.band`) for the probes :func:`project`
-    gives, in the order of :func:`eigenvalues` of :func:`reduce`. None
-    when the kernel is absent, A is too large or too small for it unscaled
-    (as in :func:`band_reduce`), or ``dpbtrf``, ``dgbbrd``, ``dlasdq``,
-    ``dlasd6`` or ``dlals0`` reports a failure.
-
-    Two steps, which a caller may also run apart: the probes ride through
-    the bidiagonal reduction of the band's shifted Cholesky factor
-    (:func:`band_bidiagonal`), then through the divide and conquer for that
-    bidiagonal's singular value decomposition (:func:`bidiagonal_rows`).
-    """
-    bidiagonal = band_bidiagonal(band, probes)
-    return None if bidiagonal is None else bidiagonal_rows(bidiagonal)
 
 
 class Bidiagonal(NamedTuple):
@@ -794,11 +766,15 @@ class Bidiagonal(NamedTuple):
 
 
 def band_bidiagonal(band: np.ndarray, probes: np.ndarray) -> Bidiagonal | None:
-    """The first step of :func:`band_rows`, for the same ``band`` and
-    ``probes``: the bidiagonal of the band's shifted Cholesky factor, with
-    Q^T on the probes. None when the kernel is absent, A is too large or
-    too small for it unscaled, or ``dpbtrf`` or ``dgbbrd`` reports a
-    failure.
+    """The first step of the row solve of the m x k ``probes`` in band
+    order, real or complex, over the eigenvectors of the symmetric A of
+    the lower ``band``: the bidiagonal of the band's shifted Cholesky
+    factor, with Q^T on the probes, whose divide and conquer
+    (:func:`bidiagonal_rows`) gives the rows. A dense block's rows are
+    those of its T's band (:meth:`Tridiagonal.band`) for the probes
+    :func:`project` gives. None when the kernel is absent, A is too large
+    or too small for it unscaled (as in :func:`band_reduce`), or
+    ``dpbtrf`` or ``dgbbrd`` reports a failure.
 
     A + sigma 1 is positive definite for sigma = margin - (the lower end of
     A's Gershgorin interval), the margin :data:`CLUSTER_RTOL` times that
@@ -840,120 +816,136 @@ def band_bidiagonal(band: np.ndarray, probes: np.ndarray) -> Bidiagonal | None:
 
 
 def bidiagonal_rows(bidiagonal: Bidiagonal) -> np.ndarray | None:
-    """The second step of :func:`band_rows`: the k x m rows of the probes
-    over the left singular vectors U of the ``bidiagonal`` B, in ascending
-    order of its singular values, as :func:`band_rows` gives them. None
-    when ``dlasdq``, ``dlasd6`` or ``dlals0`` reports a failure.
+    """The second step of the row solve: the k x m rows of the probes over
+    the left singular vectors U of the ``bidiagonal`` B, in ascending order
+    of its singular values, so the rows ``probes``^T V of
+    :func:`band_bidiagonal`'s band and probes, V its eigenvectors in the
+    order of :func:`eigenvalues` (entry (i, j) is probes[:, i] . v_j,
+    unconjugated), as ``dtype``. B is overwritten. None when ``dlasdq``,
+    ``dlasd6`` or ``dlals0`` reports a failure.
 
     U^T goes onto the probes by LAPACK's divide and conquer for the
     bidiagonal SVD, the steps of ``dlasda`` and ``dlalsa`` (the solve of
-    ``dgelsd``) taken one block at a time: a block of at most
-    :data:`SMLSIZ` rows is solved whole (``dlasdq``), its rotations applied
-    to the probes' rows as they are made, so no U is formed; a larger one
-    is halved about its middle row, both halves solved, and the two merged
-    (``dlasd6``), the merge's U applied at once in its compact form
-    (``dlals0``). The two halves of B share nothing until their merge, so
-    they run side by side (:func:`each`), each with its own workspace, and
-    the calling thread makes the top merge; the arithmetic is that of
-    solving them in turn. Each slot holds the arrays of one merge at a
-    time (none for a block of at most :data:`SMLSIZ` rows), every array is
-    O(m k), and no U or m x m array is formed.
+    ``dgelsd``) taken one block at a time (:func:`_solve_block`): a block
+    of at most :data:`SMLSIZ` rows is solved whole (``dlasdq``), its
+    rotations applied to the probes' rows as they are made, so no U is
+    formed; a larger one is halved about its middle row, both halves
+    solved, and the two merged (:func:`_merge_halves`, ``dlasd6``), the
+    merge's U applied at once in its compact form (``dlals0``). The two
+    halves of B share nothing until their merge, so they run side by side
+    (:func:`each`), each on a workspace of its own size, and the calling
+    thread makes the top merge on the second half's; the arithmetic is
+    that of solving them in turn. Each slot holds the arrays of one merge
+    at a time (none for a block of at most :data:`SMLSIZ` rows), every
+    array is O(m k), and no U or m x m array is formed.
     """
-    library = openblas()
-    d, _, rows, dtype = bidiagonal
-    m = d.size
-    # each solved block leaves the first and last rows of its W (vf and vl,
-    # the columns of ends) and the order of its singular values (idxq,
-    # 1-based) for its merge
-    ends, idxq = np.empty((m, 2), order="F"), np.empty(m, dtype=np.int64)
-
-    block = functools.partial(_block, library, bidiagonal, ends, idxq)
-    if m < SIDE_BY_SIDE:
-        solved = block(0, m, 0)
+    tree = _Tree(bidiagonal)
+    m, k = tree.m, tree.k
+    top = _Workspace(m, k)
+    if m <= SMLSIZ:
+        solved = _solve_block(tree, top, 0, m, 0)
     else:
         left = m // 2
         halves = [
-            functools.partial(block, 0, left, 1),
-            functools.partial(block, left + 1, m - left - 1, 0),
+            functools.partial(_solve_block, tree, _Workspace(left, k), 0, left, 1),
+            functools.partial(_solve_block, tree, top, left + 1, m - left - 1, 0),
         ]
-        solved = all(each(halves)) and block(0, m, 0, halves_solved=True)
+        solved = all(each(halves)) and _merge_halves(tree, top, 0, m, 0)
     if not solved:
         return None
     # the merges leave the singular values unsorted
+    d, _, rows, dtype = bidiagonal
     return np.ascontiguousarray(rows[np.argsort(d, kind="stable")]).view(dtype).T
 
 
-def _block(
-    library: OpenBlas,
-    bidiagonal: Bidiagonal,
-    ends: np.ndarray,
-    idxq: np.ndarray,
-    lo: int,
-    n: int,
-    sqre: int,
-    halves_solved: bool = False,
-) -> bool:
-    """Rows lo .. lo + n - 1 of the ``bidiagonal`` B, with sqre more columns
-    than rows, solved for :func:`bidiagonal_rows` on a workspace of its own
-    (the arrays of one merge, when it makes any); when its two halves are
-    ``halves_solved`` already, only merged. It reads and writes only its
-    own rows of B's d and e, of the rows, and of ``ends`` and ``idxq``, so
-    blocks that share no row run side by side. False when a kernel reports
-    a failure."""
-    d, e, rows, _ = bidiagonal
-    m, k = rows.shape
-    work, unused = np.empty(4 * m), np.zeros((1, 1), order="F")
-    # each address is read once (ndarray.ctypes takes microseconds a call):
-    # row lo of d, e, rows, ends and idxq is 8 lo bytes on
-    d_at, e_at, rows_at, work_at, ends_at, idxq_at = map(_at, (d, e, rows, work, ends, idxq))
-    unused_at = _at(unused)
-    if n > SMLSIZ:
-        # one merge's U in compact form (dlasd6 writes it, dlals0 applies
-        # it), each merge's over the last one's; size is its secular
-        # equation's
-        perm, givcol = np.empty(m, dtype=np.int64), np.empty((m, 2), dtype=np.int64, order="F")
-        givnum, poles, difr = (np.empty((m, 2), order="F") for _ in range(3))
-        difl, z, c, s = np.empty(m), np.empty(m), np.empty(1), np.empty(1)
-        givptr, size = np.empty(1, dtype=np.int64), np.empty(1, dtype=np.int64)
-        scratch, iwork = np.empty((m, k), order="F"), np.empty(3 * m, dtype=np.int64)
-        scratch_at, iwork_at = _at(scratch), _at(iwork)
-        compact = (*map(_at, (perm, givptr, givcol)), m, _at(givnum), m)
-        compact += tuple(map(_at, (poles, difl, difr, z, size, c, s)))
+class _Tree:
+    """What the blocks of :func:`bidiagonal_rows` share: the library, and
+    the addresses of B's ``d`` and ``e``, of the probes' m x k ``rows``,
+    and of the first and last rows of each solved block's W (vf and vl,
+    the columns of ``ends``) and the order of its singular values
+    (``idxq``, 1-based), which it leaves for its merge. Row lo of each is
+    8 lo bytes on; a block reads and writes only its own rows, so blocks
+    that share no row run side by side."""
 
-    def merge(lo: int, left: int, right: int, sqre: int) -> bool:
-        at, middle = 8 * lo, lo + left
-        return not (
-            library.dlasd6(
-                1, left, right, sqre, d_at + at, ends_at + at, ends_at + 8 * m + at, d[middle],
-                e[middle], idxq_at + at, *compact, work_at, iwork_at,
-            )
-            or library.dlals0(
-                0, left, right, 0, k, rows_at + at, m, scratch_at, m, *compact, work_at
-            )
-        )
+    def __init__(self, bidiagonal: Bidiagonal):
+        self.library = openblas()
+        self.d, self.e, rows, _ = bidiagonal
+        self.m, self.k = rows.shape
+        self.ends = np.empty((self.m, 2), order="F")
+        self.idxq = np.empty(self.m, dtype=np.int64)
+        # each address is read once (ndarray.ctypes takes microseconds a call)
+        self.d_at, self.e_at, self.rows_at = _at(self.d), _at(self.e), _at(rows)
+        self.ends_at, self.idxq_at = _at(self.ends), _at(self.idxq)
 
-    def solve(lo: int, n: int, sqre: int) -> bool:
-        at = 8 * lo
+
+class _Workspace:
+    """The arrays one slot solves the blocks of at most ``n`` rows of a
+    :class:`_Tree` with ``k`` probe columns on: ``dlasdq``'s work and, for
+    n over :data:`SMLSIZ`, one merge's U in compact form (``dlasd6``
+    writes it, ``dlals0`` applies it), each merge's over the last one's,
+    its leading dimension n; as the addresses the kernels take. A block
+    may have one more column than rows."""
+
+    def __init__(self, n: int, k: int):
+        work, unused = np.empty(4 * (n + 1)), np.zeros((1, 1), order="F")
+        self.arrays = [work, unused]
+        self.work_at, self.unused_at = _at(work), _at(unused)
         if n <= SMLSIZ:
-            # W^T on its first and last columns only (ends), U^T straight onto
-            # the probes' rows: the rotations act on each column alone
-            ends[lo : lo + n + sqre] = 0.0
-            ends[lo, 0] = ends[lo + n + sqre - 1, 1] = 1.0
-            if library.dlasdq(
-                b"U", sqre, n, 2, 0, k, d_at + at, e_at + at, ends_at + at, m,
-                unused_at, 1, rows_at + at, m, work_at,
-            ):
-                return False
-            idxq[lo : lo + n] = np.arange(1, n + 1)
-            return True
-        left = n // 2
-        right = n - left - 1
-        return (
-            solve(lo, left, 1)
-            and solve(lo + left + 1, right, sqre)
-            and merge(lo, left, right, sqre)
-        )
+            return
+        perm, givcol = np.empty(n, dtype=np.int64), np.empty((n, 2), dtype=np.int64, order="F")
+        givnum, poles, difr = (np.empty((n, 2), order="F") for _ in range(3))
+        difl, z, c, s = np.empty(n), np.empty(n + 1), np.empty(1), np.empty(1)
+        # size is the merge's secular equation's
+        givptr, size = np.empty(1, dtype=np.int64), np.empty(1, dtype=np.int64)
+        scratch, iwork = np.empty((n, k), order="F"), np.empty(3 * n, dtype=np.int64)
+        self.arrays += [perm, givcol, givnum, poles, difr, difl, z, c, s, givptr, size]
+        self.arrays += [scratch, iwork]
+        self.n, self.scratch_at, self.iwork_at = n, _at(scratch), _at(iwork)
+        self.compact = (*map(_at, (perm, givptr, givcol)), n, _at(givnum), n)
+        self.compact += tuple(map(_at, (poles, difl, difr, z, size, c, s)))
 
-    if halves_solved:
-        return merge(lo, n // 2, n - n // 2 - 1, sqre)
-    return solve(lo, n, sqre)
+
+def _solve_block(tree: _Tree, space: _Workspace, lo: int, n: int, sqre: int) -> bool:
+    """Rows lo .. lo + n - 1 of the ``tree``'s B, with ``sqre`` more
+    columns than rows, solved on ``space``: whole when n is at most
+    :data:`SMLSIZ`, else halved about its middle row, both halves solved
+    and merged. False when a kernel reports a failure."""
+    at = 8 * lo
+    if n <= SMLSIZ:
+        # W^T on its first and last columns only (ends), U^T straight onto
+        # the probes' rows: the rotations act on each column alone
+        tree.ends[lo : lo + n + sqre] = 0.0
+        tree.ends[lo, 0] = tree.ends[lo + n + sqre - 1, 1] = 1.0
+        if tree.library.dlasdq(
+            b"U", sqre, n, 2, 0, tree.k, tree.d_at + at, tree.e_at + at, tree.ends_at + at,
+            tree.m, space.unused_at, 1, tree.rows_at + at, tree.m, space.work_at,
+        ):
+            return False
+        tree.idxq[lo : lo + n] = np.arange(1, n + 1)
+        return True
+    left = n // 2
+    return (
+        _solve_block(tree, space, lo, left, 1)
+        and _solve_block(tree, space, lo + left + 1, n - left - 1, sqre)
+        and _merge_halves(tree, space, lo, n, sqre)
+    )
+
+
+def _merge_halves(tree: _Tree, space: _Workspace, lo: int, n: int, sqre: int) -> bool:
+    """The two solved halves of rows lo .. lo + n - 1 of the ``tree``'s B
+    (:func:`_solve_block`) merged on ``space`` (``dlasd6``), the merge's U
+    applied to the probes' rows (``dlals0``). False when a kernel reports
+    a failure."""
+    at, left = 8 * lo, n // 2
+    right, middle, library = n - left - 1, lo + left, tree.library
+    return not (
+        library.dlasd6(
+            1, left, right, sqre, tree.d_at + at, tree.ends_at + at,
+            tree.ends_at + 8 * tree.m + at, tree.d[middle], tree.e[middle],
+            tree.idxq_at + at, *space.compact, space.work_at, space.iwork_at,
+        )
+        or library.dlals0(
+            0, left, right, 0, tree.k, tree.rows_at + at, tree.m, space.scratch_at,
+            space.n, *space.compact, space.work_at,
+        )
+    )

@@ -156,6 +156,15 @@ def record_lapack_solves(monkeypatch, bands=None, eighs=None):
     return dims
 
 
+def band_rows(band, probes):
+    """The rows ``probes``^T V over the eigenvectors V of the lower
+    ``band``, from the row solve's two steps in turn
+    (``lapack.band_bidiagonal``, then ``lapack.bidiagonal_rows``); None
+    when either step fails."""
+    bidiagonal = lapack.band_bidiagonal(band, probes)
+    return None if bidiagonal is None else lapack.bidiagonal_rows(bidiagonal)
+
+
 def assert_rows_match_eigh(rows, probes, values, vectors):
     """The k x m ``rows`` of the m x k ``probes`` (entry (i, j) is
     probes[:, i] . v_j) are eigh's, ``probes``^T ``vectors`` for the

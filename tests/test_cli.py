@@ -783,7 +783,7 @@ def test_jobs_solve_every_operator_for_its_reference(tmp_path, monkeypatch, name
     is reduced (densely or as a band), and numpy's eigh, the solve without
     a reference, never runs. Every row comes from the one row kernel: the
     row sector of each solve holds the row of one lapack.bidiagonal_rows
-    call, the divide and conquer of lapack.band_rows (on a sector band, or
+    call, the divide and conquer of the row solve (on a sector band, or
     on a dense block's T), bit for bit, in the order
     of the solves with one slot, and in some order with two."""
     eigh, calls = np.linalg.eigh, []
@@ -975,31 +975,34 @@ def test_floquet_grid_row_step_fills_both_slots(tmp_path, monkeypatch):
     capped_threads(monkeypatch, 2)
     caller, steps = threading.get_ident(), []
 
-    def recorder(name, step, size):
-        def recorded(*args, **kwargs):
-            if size(*args) > 1000:  # the Sambe sectors, not the matter solve's
-                steps.append((name, kwargs.get("halves_solved", False), threading.get_ident()))
-            return step(*args, **kwargs)
+    def recorder(name, step, sambe):
+        def recorded(*args):
+            if sambe(*args):  # a step of the Sambe sectors, not of the matter solve
+                steps.append((name, threading.get_ident()))
+            return step(*args)
 
         return recorded
 
+    def half(tree, space, *block):
+        left = tree.m // 2
+        return tree.m > 1000 and block in [(0, left, 1), (left + 1, tree.m - left - 1, 0)]
+
     monkeypatch.setattr(
-        lapack, "eigenvalues", recorder("dsterf", lapack.eigenvalues, lambda t: t.d.size)
+        lapack, "eigenvalues", recorder("dsterf", lapack.eigenvalues, lambda t: t.d.size > 1000)
     )
-    bidiagonal = recorder("dgbbrd", lapack.band_bidiagonal, lambda band, _: band.shape[1])
+    bidiagonal = recorder("dgbbrd", lapack.band_bidiagonal, lambda band, _: band.shape[1] > 1000)
     monkeypatch.setattr(lapack, "band_bidiagonal", bidiagonal)
-    monkeypatch.setattr(
-        lapack, "_block", recorder("tree", lapack._block, lambda _, b, *rest: b.d.size)
-    )
+    monkeypatch.setattr(lapack, "_solve_block", recorder("half", lapack._solve_block, half))
+    top = recorder("top", lapack._merge_halves, lambda tree, _, lo, n, sqre: n == tree.m > 1000)
+    monkeypatch.setattr(lapack, "_merge_halves", top)
     run_job(load_config(config_file(tmp_path, GATED_GRID_JOBS["floquet_grid"])))
     threads = {}
-    for name, top, thread in steps:
-        threads.setdefault((name, top), []).append(thread)
-    names = [("dgbbrd", False), ("dsterf", False), ("tree", False), ("tree", True)]
-    assert sorted(threads) == names
-    assert len(threads["dsterf", False]) == 2 and caller not in threads["dsterf", False]
-    assert threads["dgbbrd", False] == [caller] and threads["tree", True] == [caller]
-    halves = threads["tree", False]
+    for name, thread in steps:
+        threads.setdefault(name, []).append(thread)
+    assert sorted(threads) == ["dgbbrd", "dsterf", "half", "top"]
+    assert len(threads["dsterf"]) == 2 and caller not in threads["dsterf"]
+    assert threads["dgbbrd"] == [caller] and threads["top"] == [caller]
+    halves = threads["half"]
     assert len(halves) == 2 and caller in halves and len(set(halves)) == 2
 
 

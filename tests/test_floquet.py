@@ -20,6 +20,7 @@ from helpers import (
     assert_rows_match_eigh,
     assert_same_spectrum,
     band_joint,
+    band_rows,
     capped_threads,
     dense_vectors,
     record_lapack_solves,
@@ -661,7 +662,7 @@ def test_band_rows_match_eigh(m, kd, kind, k):
     else:
         band, x = band_of(a, kd), probes
         reduced = lapack.band_reduce(band)
-    rows = lapack.band_rows(band, x)
+    rows = band_rows(band, x)
     if not kind.startswith("reduced"):
         assert np.array_equal(band, band_of(a, kd))  # the band is read, not overwritten
     w = lapack.eigenvalues(reduced)
@@ -704,7 +705,7 @@ def test_band_kernels_hold_a_seed_free_bound():
                 band = band_of(a, kd)
                 w = lapack.eigenvalues(lapack.band_reduce(band))
                 assert np.max(np.abs(w - values)) <= 4 * m * eps * scale, (m, kd, seed)
-                rows, expected = lapack.band_rows(band, probes), probes.T @ vectors
+                rows, expected = band_rows(band, probes), probes.T @ vectors
                 steps = np.diff(values)
                 gaps = np.minimum(np.append(steps, np.inf), np.append(np.inf, steps))
                 signs = np.where(np.sum(expected * rows, axis=0) < 0.0, -1.0, 1.0)
@@ -1576,7 +1577,7 @@ def test_row_solve_keeps_the_values_of_the_full_solve(m):
     fresh = lapack.eigenvalues(lapack.reduce(np.array(a, order="F")))
     for x in (probes[:, :1].real, probes):
         reduced = lapack.reduce(np.array(a, order="F"))
-        rows = lapack.band_rows(reduced.band(), lapack.project(reduced, x))
+        rows = band_rows(reduced.band(), lapack.project(reduced, x))
         w = lapack.eigenvalues(reduced)
         assert w.tobytes() == fresh.tobytes()
         assert np.max(np.abs(w - values)) <= m * eps * np.linalg.norm(a, 2)
@@ -1901,7 +1902,7 @@ def test_band_rows_do_not_depend_on_the_schedule(monkeypatch, schedule):
     before = threading.active_count()
     system = diagonalize_hermitian(operator, reference=first_zone(0))
     assert threading.active_count() == before
-    assert pairs == [["band_reduce"] * 2, ["sector_values", "row_step"], ["_block"] * 2]
+    assert pairs == [["band_reduce"] * 2, ["sector_values", "row_step"], ["_solve_block"] * 2]
     assert system.values.tobytes() == expected.values.tobytes()
     for sector, expected_sector in zip(system.sectors, expected.sectors):
         assert sector.vectors.tobytes() == expected_sector.vectors.tobytes()
@@ -1911,35 +1912,44 @@ def test_band_rows_do_not_depend_on_the_schedule(monkeypatch, schedule):
 
 def whole_tree(bidiagonal):
     """The divide and conquer of lapack.bidiagonal_rows on a copy of
-    ``bidiagonal`` run as one recursion from the top block, every block in
-    turn on the calling thread: the rows, in the order of the singular
-    values, and the singular values as the merges leave them."""
-    d, e, rows, dtype = (*(array.copy(order="F") for array in bidiagonal[:3]), bidiagonal.dtype)
-    m = d.size
-    ends, idxq = np.empty((m, 2), order="F"), np.empty(m, dtype=np.int64)
-    whole = lapack.Bidiagonal(d, e, rows, dtype)
-    assert lapack._block(lapack.openblas(), whole, ends, idxq, 0, m, 0)
+    ``bidiagonal`` run as one recursion from the top block on one
+    workspace, every block in turn on the calling thread: the rows, in
+    the order of the singular values, and the singular values as the
+    merges leave them."""
+    d, e, rows = (array.copy(order="F") for array in bidiagonal[:3])
+    copy = lapack.Bidiagonal(d, e, rows, dtype := bidiagonal.dtype)
+    tree = lapack._Tree(copy)
+    assert lapack._solve_block(tree, lapack._Workspace(d.size, tree.k), 0, d.size, 0)
     return np.ascontiguousarray(rows[np.argsort(d, kind="stable")]).view(dtype).T, d
 
 
-@pytest.mark.parametrize("m", [25, 26, 27, 51, 52, 53, 1709])
+@pytest.mark.parametrize("m", [1, 25, 26, 27, 51, 52, 53, 1709])
 def test_bidiagonal_rows_are_the_same_on_one_slot_and_two(monkeypatch, m):
     """The rows of lapack.bidiagonal_rows, and the singular values it
     leaves in the bidiagonal's d (whose order is the rows' order), are
     the same bit for bit on one slot, on two, with the second half ending
     before the first starts, and as one recursion from the top block in
-    turn, for real and complex probes, one column and two, on a band of
-    m rows (kd 3). From lapack.SIDE_BY_SIDE rows on, two slots run the two
-    halves one on each thread and the top merge on the calling thread; a
-    smaller tree runs whole on the calling thread."""
+    turn on one workspace, for real and complex probes, one column and
+    two, on a band of m rows (kd 3). A tree of more than lapack.SMLSIZ
+    rows runs its two halves through lapack.each, on two slots one on each
+    thread, and the calling thread makes the top merge; a smaller tree is
+    one block, solved whole on the calling thread."""
     rng = np.random.default_rng(m)
     band = np.asfortranarray(rng.standard_normal((4, m)))
-    caller, blocks = threading.get_ident(), []
-    original = lapack._block
+    caller, blocks, merges = threading.get_ident(), [], []
+    left = m // 2
+    halves = [(0, left, 1), (left + 1, m - left - 1, 0)] if m > lapack.SMLSIZ else [(0, m, 0)]
+    solve_block, merge_halves = lapack._solve_block, lapack._merge_halves
 
-    def recorded(*args, **kwargs):
-        blocks.append((args[4:7], kwargs.get("halves_solved", False), threading.get_ident()))
-        return original(*args, **kwargs)
+    def solved(tree, space, *block):
+        if block in halves:
+            blocks.append((block, threading.get_ident()))
+        return solve_block(tree, space, *block)
+
+    def merged(tree, space, *block):
+        if block == (0, m, 0):
+            merges.append(threading.get_ident())
+        return merge_halves(tree, space, *block)
 
     for kind in (float, complex):
         for k in (1, 2):
@@ -1953,8 +1963,10 @@ def test_bidiagonal_rows_are_the_same_on_one_slot_and_two(monkeypatch, m):
                     capped_threads(patch, 1 if schedule == "one_slot" else 2)
                     if schedule == "second_first":
                         patch.setattr(lapack.Scheduler, "each", reversed_each)
-                    patch.setattr(lapack, "_block", recorded)
+                    patch.setattr(lapack, "_solve_block", solved)
+                    patch.setattr(lapack, "_merge_halves", merged)
                     blocks.clear()
+                    merges.clear()
                     copy = lapack.Bidiagonal(
                         *(array.copy(order="F") for array in bidiagonal[:3]), bidiagonal.dtype
                     )
@@ -1962,15 +1974,12 @@ def test_bidiagonal_rows_are_the_same_on_one_slot_and_two(monkeypatch, m):
                 assert rows.dtype == kind and rows.shape == (k, m)
                 assert rows.tobytes() == expected_rows.tobytes()
                 assert copy.d.tobytes() == expected_values.tobytes()
-                if m < lapack.SIDE_BY_SIDE:
-                    assert blocks == [((0, m, 0), False, caller)]
+                assert sorted(block for block, _ in blocks) == sorted(halves)
+                threads = dict(blocks)
+                if m <= lapack.SMLSIZ:
+                    assert threads == {(0, m, 0): caller} and merges == []
                     continue
-                left = m // 2
-                halves = [((0, left, 1), False), ((left + 1, m - left - 1, 0), False)]
-                assert sorted(block[:2] for block in blocks[:2]) == halves
-                assert blocks[2] == ((0, m, 0), True, caller)
-                threads = {block[:2]: block[2] for block in blocks[:2]}
-                assert threads[halves[1]] == caller
+                assert merges == [caller] and threads[halves[1]] == caller
                 assert (threads[halves[0]] != caller) == (schedule == "two_slots")
 
 
@@ -2270,6 +2279,33 @@ def test_failed_band_row_solve_takes_eigh(monkeypatch, make, reference):
     x = ProductOperator(matter=operator.dipole, labels=operator.labels) @ banded.column(rank)
     band_row = banded.amplitudes(x, reference=rank, dipole=operator.dipole)
     assert np.max(np.abs(np.abs(system.amplitudes(x)) - np.abs(band_row))) <= 1e-12
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failed_dsterf_beside_a_declined_choice_takes_eigh(monkeypatch, threads):
+    """On the band route every sector's dsterf runs beside the anchor's
+    choice. When the anchor declines (here it is made to choose nothing)
+    and a dsterf reports info > 0, the failure is dropped and the operator
+    is solved by eigh, both sectors, with the values of the full solve bit
+    for bit, on one slot and on two. A dsterf that fails once a choice was
+    made still ends the solve (test_lapack_failure_is_a_numeric_error)."""
+    operator = band_joint()
+    full = diagonalize_hermitian(operator)
+    failed = []
+
+    def dsterf(n, *args):
+        failed.append(n)
+        return 1  # an eigenvalue did not converge
+
+    capped_threads(monkeypatch, threads, dsterf=dsterf)
+    monkeypatch.setattr(floquet._RankAnchor, "choose", lambda anchor, solves: None)
+    bands, eighs = [], []
+    record_lapack_solves(monkeypatch, bands, eighs)
+    system = diagonalize_hermitian(operator, reference=0)
+    sizes = sorted(operator._sector_dim(p) for p in (1, -1))
+    assert len(failed) == 1 and sorted(bands) == sizes and sorted(eighs) == sizes
+    assert all(sector.kept is None for sector in system.sectors)
+    assert system.values.tobytes() == full.values.tobytes()
 
 
 @pytest.mark.parametrize(
