@@ -841,10 +841,11 @@ def diagonalize_hermitian(
     sector's band or on its T, a band of half bandwidth 1, once ``dormtr``
     has put Q^T on the probe, with no Q, Z or m x m array, run in its two
     steps (:func:`_solve_for_row`): every ``dsterf`` runs beside the
-    bidiagonal reduction (:func:`floqtrk.lapack.band_bidiagonal`), and the
-    two halves of the divide and conquer
-    (:func:`floqtrk.lapack.bidiagonal_rows`) beside each other
-    (:func:`floqtrk.lapack.each`).
+    bidiagonal reduction (:func:`floqtrk.lapack.band_bidiagonal`), and on
+    a band the two halves of the divide and conquer
+    (:func:`floqtrk.lapack.bidiagonal_rows`) then run beside each other
+    (:func:`floqtrk.lapack.each`); on a dense block's T the divide and
+    conquer runs beside the ``dsterf`` too.
 
     Each dense solve (``eigh``, ``dsytrd``, ``dormtr``) is a
     :mod:`floqtrk.lapack` call that sets its own OpenBLAS thread count in
@@ -1066,17 +1067,19 @@ def _solve_for_row(
     parity +1, -1. No sectors when there is no choice (no ``solves``, or
     nothing the anchor can choose) or the row solve reports a failure.
 
-    The row solve runs in its two steps. First one fork
+    The row solve runs in its two steps. One fork
     (:func:`floqtrk.lapack.each`) runs every sector's ``dsterf`` in the
     spare slot, while the calling thread reduces the row sector's band,
     with the probe (1 (x) d) v_r on it (:func:`_probe`), to bidiagonal form
     (:func:`floqtrk.lapack.band_bidiagonal`). On the band route that thread
-    makes the choice and forms the probe in the fork too; on the dense
-    route, whose choice and Q^T are dense solves at the job's full count,
-    they come before it. Then the bidiagonal's divide and conquer runs its
-    two halves one in each slot (:func:`floqtrk.lapack.bidiagonal_rows`). A
-    dense block's reflectors are freed before the fork, and every block is
-    taken out of ``solves`` and freed before the divide and conquer.
+    makes the choice and forms the probe in the fork too, and after the
+    fork the bidiagonal's divide and conquer runs its two halves one in
+    each slot (:func:`floqtrk.lapack.bidiagonal_rows`); every block is
+    taken out of ``solves`` and freed before it. On the dense route the
+    choice and Q^T, dense solves at the job's full count, come before the
+    fork, and a dense block's reflectors are freed before it; T reduces to
+    bidiagonal form in a few ms, so the divide and conquer runs in the
+    fork too, beside the values.
 
     On the band route every ``dsterf`` runs before the anchor has chosen,
     so when it declines, that work is spent for nothing before ``eigh``,
@@ -1109,12 +1112,19 @@ def _solve_for_row(
         except NumericError as failure:
             return failure
 
-    def row_step() -> tuple[_Choice, lapack.Bidiagonal | None] | None:
+    def row_step() -> tuple[_Choice, lapack.Bidiagonal | np.ndarray | None] | None:
         picked = chosen() if banded else early
         if picked is None:
             return None
         choice, probes = picked
-        return choice, lapack.band_bidiagonal(solves[choice.row][1].band, probes)
+        bidiagonal = lapack.band_bidiagonal(solves[choice.row][1].band, probes)
+        if banded or bidiagonal is None:
+            return choice, bidiagonal
+        # a dense block's T (half bandwidth 1) reduces in a few ms against
+        # the tens of ms of the values beside it, so its divide and conquer
+        # runs in the fork too, its halves in turn while the values hold
+        # the spare slot
+        return choice, lapack.bidiagonal_rows(bidiagonal)
 
     values, stepped = lapack.each([sector_values, row_step])
     bases = {p: basis for p, (basis, _) in solves.items()}
@@ -1123,8 +1133,8 @@ def _solve_for_row(
         return None, None
     if isinstance(values, NumericError):
         raise values
-    choice, bidiagonal = stepped
-    rows = None if bidiagonal is None else lapack.bidiagonal_rows(bidiagonal)
+    choice, step = stepped
+    rows = lapack.bidiagonal_rows(step) if isinstance(step, lapack.Bidiagonal) else step
     if rows is None:
         return None, None
     own, row, pairs = choice.parity, choice.row, choice.pairs

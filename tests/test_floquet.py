@@ -1877,37 +1877,84 @@ def reversed_each(slots, calls):
     return [call() for call in reversed(calls)][::-1]
 
 
-@pytest.mark.parametrize("schedule", ["two_threads", "second_first"])
-def test_band_rows_do_not_depend_on_the_schedule(monkeypatch, schedule):
-    """A band solve runs three pairs of steps on its scheduler's two slots
-    when OpenBLAS may use two threads: the two band reductions; then the
-    fork, every sector's dsterf beside the calling thread's choice, probe
-    and bidiagonal reduction of the row sector; then the two halves of
-    that bidiagonal's divide and conquer, before the top merge. The values,
-    the kept eigenvectors and the dipole row are those of the steps run in
-    turn bit for bit, whether each pair runs at once or its second step
-    ends before the first starts, and no thread outlives the solve."""
-    operator = band_zone_operator()
-    with monkeypatch.context() as patch:
-        capped_threads(patch, 1)
-        expected = diagonalize_hermitian(operator, reference=first_zone(0))
-    capped_threads(monkeypatch, 2)
-    each, pairs = reversed_each if schedule == "second_first" else lapack.Scheduler.each, []
+def recorded_schedule(monkeypatch, schedule):
+    """Run lapack.Scheduler.each as is (``two_threads``) or with its second
+    call ending before its first starts (``second_first``), and record each
+    call of it: the names of its calls, and whether it was made inside a
+    call of another. Returns the list the records go to."""
+    each = reversed_each if schedule == "second_first" else lapack.Scheduler.each
+    records, running = [], []
 
     def recorded(slots, calls):
-        pairs.append([getattr(call, "__name__", None) or call.func.__name__ for call in calls])
-        return each(slots, calls)
+        names = [getattr(call, "__name__", None) or call.func.__name__ for call in calls]
+        records.append((names, bool(running)))
+        running.append(names)
+        try:
+            return each(slots, calls)
+        finally:
+            running.pop()
 
     monkeypatch.setattr(lapack.Scheduler, "each", recorded)
-    before = threading.active_count()
-    system = diagonalize_hermitian(operator, reference=first_zone(0))
-    assert threading.active_count() == before
-    assert pairs == [["band_reduce"] * 2, ["sector_values", "row_step"], ["_solve_block"] * 2]
+    return records
+
+
+def assert_same_reference_solve(system, expected):
+    """The values, the kept eigenvectors and the dipole row of two
+    reference solves are the same bit for bit."""
     assert system.values.tobytes() == expected.values.tobytes()
     for sector, expected_sector in zip(system.sectors, expected.sectors):
         assert sector.vectors.tobytes() == expected_sector.vectors.tobytes()
     row, expected_row = row_sector(system)[1].row, row_sector(expected)[1].row
     assert row.amplitudes.tobytes() == expected_row.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("schedule", ["two_threads", "second_first"])
+def test_band_rows_do_not_depend_on_the_schedule(monkeypatch, schedule):
+    """A band solve runs three pairs of steps on its scheduler's two slots
+    when OpenBLAS may use two threads: the two band reductions; then the
+    fork, every sector's dsterf beside the calling thread's choice, probe
+    and bidiagonal reduction of the row sector; then, after the fork, the
+    two halves of that bidiagonal's divide and conquer, before the top
+    merge. The values, the kept eigenvectors and the dipole row are those
+    of the steps run in turn bit for bit, whether each pair runs at once or
+    its second step ends before the first starts, and no thread outlives
+    the solve."""
+    operator = band_zone_operator()
+    with monkeypatch.context() as patch:
+        capped_threads(patch, 1)
+        expected = diagonalize_hermitian(operator, reference=first_zone(0))
+    capped_threads(monkeypatch, 2)
+    records = recorded_schedule(monkeypatch, schedule)
+    before = threading.active_count()
+    system = diagonalize_hermitian(operator, reference=first_zone(0))
+    assert threading.active_count() == before
+    pairs = [["band_reduce"] * 2, ["sector_values", "row_step"], ["_solve_block"] * 2]
+    assert records == [(pair, False) for pair in pairs]
+    assert_same_reference_solve(system, expected)
+
+
+@pytest.mark.parametrize("schedule", ["two_threads", "second_first"])
+def test_dense_row_step_does_not_depend_on_the_schedule(monkeypatch, schedule):
+    """A dense reference solve (the one 51-row block of a few-level Sambe
+    operator) makes its choice and puts Q^T on the probe before its fork,
+    which runs dsterf beside the bidiagonal reduction of T and, inside the
+    same step, that bidiagonal's divide and conquer: T reduces in a few ms
+    against the tens of ms of dsterf, so the tree runs beside the values,
+    its halves in turn while dsterf holds the spare slot. The values, the
+    kept eigenvectors and the dipole row are those of the steps run in turn
+    bit for bit on either schedule, and no thread outlives the solve."""
+    operator = few_level_sweep_operator()
+    assert not floquet._narrow(operator)
+    with monkeypatch.context() as patch:
+        capped_threads(patch, 1)
+        expected = diagonalize_hermitian(operator, reference=0)
+    capped_threads(monkeypatch, 2)
+    records = recorded_schedule(monkeypatch, schedule)
+    before = threading.active_count()
+    system = diagonalize_hermitian(operator, reference=0)
+    assert threading.active_count() == before
+    assert records == [(["sector_values", "row_step"], False), (["_solve_block"] * 2, True)]
+    assert_same_reference_solve(system, expected)
 
 
 def whole_tree(bidiagonal):
