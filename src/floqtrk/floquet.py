@@ -833,11 +833,11 @@ def diagonalize_hermitian(
     picker, which is called on the eigenpairs of each sector in the zone
     [-Omega/2, Omega/2), widened by a rounding margin
     (:func:`floqtrk.lapack.window`). Kept eigenpairs come from bisection on
-    T and inverse iteration: on a dense block's T by ``dstein`` and Q
-    (:func:`floqtrk.lapack.eigenpairs`), on a band by banded inverse
-    iteration, orthogonalized within a cluster as ``dstein`` does
-    (:func:`floqtrk.lapack.band_eigenpairs`). Every other eigenvalue comes
-    from ``dsterf`` on T. The row comes from one kernel on the row
+    T and banded inverse iteration, orthogonalized within a cluster as
+    ``dstein`` does (:func:`floqtrk.lapack.band_eigenpairs`), on the
+    sector band or on a dense block's T, a band of half bandwidth 1, whose
+    vectors Q maps back (``dormtr``). Every other eigenvalue comes from
+    ``dsterf`` on T. The row comes from one kernel on the row
     sector's band or on its T, a band of half bandwidth 1, once ``dormtr``
     has put Q^T on the probe, with no Q, Z or m x m array, run in its two
     steps (:func:`_solve_for_row`): every ``dsterf`` runs beside the
@@ -854,14 +854,14 @@ def diagonalize_hermitian(
     What a reference solve cannot serve is solved as without a reference,
     by ``eigh``: a block or band LAPACK declines (unscaled, or without the
     bundled OpenBLAS); a kept eigenvector that inverse iteration does not
-    confirm (a band vector whose residual is above rounding, or a ``dstein``
-    run that does not converge); a picker whose index is outside the
-    selection, or a zone with no eigenvalue; a rank whose eigenvalue lies
-    within rounding of one of the other sector, a tie the merge could rank
-    either way; a merged spectrum that names another reference (a tie
-    across the sectors, or a pick that moves at rounding level) or holds an
-    in-zone eigenpair a values-only sector did not keep, where the row
-    belongs to another reference; and a row solve that reports a failure.
+    confirm (its residual is above rounding); a picker whose index is
+    outside the selection, or a zone with no eigenvalue; a rank whose
+    eigenvalue lies within rounding of one of the other sector, a tie the
+    merge could rank either way; a merged spectrum that names another
+    reference (a tie across the sectors, or a pick that moves at rounding
+    level) or holds an in-zone eigenpair a values-only sector did not keep,
+    where the row belongs to another reference; and a row solve that
+    reports a failure.
     So are an operator without a dipole, a complex one and a splitting one
     whose dipole is not odd.
     """
@@ -1221,7 +1221,8 @@ def _band_solves(operator: ProductOperator) -> dict[int, tuple[SectorBasis, _Blo
 def _dense_solves(operator: ProductOperator) -> dict[int, tuple[SectorBasis, _BlockSolve]] | None:
     """Each sector block of ``operator`` (:func:`_sectors`) reduced in place
     (:func:`_reduce`), one after the other: each a :class:`_BlockSolve` that
-    reads its eigenpairs off its T and Q; None when a reduction declines."""
+    reads its eigenpairs off its T, mapped back by Q; None when a reduction
+    declines."""
     solves = {}
     for block, basis, parity in _sectors(operator):
         block_solve = _reduce(block)
@@ -1259,12 +1260,13 @@ def _checked_hermitian(matrix: np.ndarray, owned: bool = False) -> np.ndarray:
 
 class _BlockSolve(NamedTuple):
     """One real block between the two steps of a reference solve: its
-    tridiagonal T (``reduced``), which gives its values and eigenpairs, and
-    a lower ``band`` with the same eigenvalues, whose rows the row solve
-    (:func:`floqtrk.lapack.band_bidiagonal`) takes. That band is the sector band,
-    whose position r is sector coordinate ``order[r]``, or a dense block's
-    T, of half bandwidth 1, in the coordinates Q^T gives (``order`` None;
-    Q's reflectors are in ``reduced.a``)."""
+    tridiagonal T (``reduced``), which gives its values, and a lower
+    ``band`` with the same eigenvalues, whose eigenpairs
+    (:func:`floqtrk.lapack.band_eigenpairs`) and rows (the row solve,
+    :func:`floqtrk.lapack.band_bidiagonal`) are read off it. That band is
+    the sector band, whose position r is sector coordinate ``order[r]``, or
+    a dense block's T, of half bandwidth 1, in the coordinates Q^T gives
+    (``order`` None; Q's reflectors are in ``reduced.a``)."""
 
     reduced: lapack.Tridiagonal
     band: np.ndarray
@@ -1278,17 +1280,18 @@ class _BlockSolve(NamedTuple):
         self, ks: range, values: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """Eigenvalues ``ks`` of a reduced block, a contiguous run, and their
-        eigenvectors in sector coordinates as columns: from a dense block's
-        T (:func:`floqtrk.lapack.eigenpairs`), or by bisection on a band's T
-        and banded inverse iteration (:func:`floqtrk.lapack.band_eigenpairs`);
-        None when inverse iteration does not confirm a vector. A band takes
-        the run's ``values`` as given, when they were bisected already."""
-        if self.order is None:
-            return lapack.eigenpairs(self.reduced, ks)
+        eigenvectors in sector coordinates as columns, by banded inverse
+        iteration on ``band`` (:func:`floqtrk.lapack.band_eigenpairs`) at
+        the run's ``values``, when they were bisected already, or else at
+        those bisection on T gives; None when inverse iteration does not
+        confirm a vector. A band's vectors are mapped back by ``order``, a
+        dense block's T's by Q (:func:`floqtrk.lapack.project`)."""
         pairs = lapack.band_eigenpairs(self.band, self.reduced, ks, values)
         if pairs is None:
             return None
         values, vectors = pairs
+        if self.order is None:
+            return values, lapack.project(self.reduced, vectors, back=True)
         columns = np.empty_like(vectors)
         columns[self.order] = vectors  # band position r is coordinate order[r]
         return values, columns

@@ -9,14 +9,15 @@ divide and conquer and forms the eigenvector matrix Q Z (``dormtr``), an
 O(m^3) step with 2 m^2 of workspace. Here no Z and no eigenvector matrix
 is formed. A dense block is reduced to T (:func:`reduce`), whose
 eigenvalues :func:`eigenvalues` gives (``dsterf``, the values-only solve
-of ``dsyevd`` for ``jobz = 'N'``); :func:`eigenpairs` gives the eigenpairs
-of one run of indices (bisection, inverse iteration and Q on those
-columns), and :func:`window` the run of eigenvalues in an interval (two
-Sturm counts, ``dlaebz``). The rows x^T V of a few probe vectors x over
-every eigenvector V come from T as from any band: :func:`project` puts Q^T
-on the probes, and the row solve (:func:`band_bidiagonal`, then
-:func:`bidiagonal_rows`) solves T, a band of half bandwidth 1
-(:meth:`Tridiagonal.band`), for them.
+of ``dsyevd`` for ``jobz = 'N'``), :func:`lowest` bisects, and
+:func:`window` the run of eigenvalues in an interval (two Sturm counts,
+``dlaebz``). T is a band of half bandwidth 1 (:meth:`Tridiagonal.band`),
+and everything else comes from it as from any band: the eigenpairs of one
+run of indices (:func:`band_eigenpairs`), which :func:`project` maps to
+A's coordinates by Q, and the rows x^T V of a few probe vectors x over
+every eigenvector V, for which :func:`project` puts Q^T on the probes and
+the row solve (:func:`band_bidiagonal`, then :func:`bidiagonal_rows`)
+solves T.
 
 A block that is a narrow band needs no dense reduction, and no m x m array
 at all. :func:`band_reduce` takes its lower band to the same tridiagonal
@@ -46,8 +47,8 @@ divide and conquer. A job opens one scheduler (:func:`scheduler`), and a
 reference solve outside a job one for the whole solve. A job's two slots
 are its whole core budget: while its scheduler is open, OpenBLAS is held
 to one thread, and each dense solve (:func:`reduce`, :func:`project`,
-:func:`eigenpairs`, :func:`eigh`) sets its own count: the job's full count
-outside the members of an :func:`each`, one inside them.
+:func:`eigh`) sets its own count: the job's full count outside the
+members of an :func:`each`, one inside them.
 """
 
 from __future__ import annotations
@@ -94,7 +95,6 @@ class OpenBlas(NamedTuple):
     get_num_threads: Callable
     dsytrd: Callable
     dstebz: Callable
-    dstein: Callable
     dormtr: Callable
     dsterf: Callable
     dsbtrd: Callable
@@ -152,11 +152,6 @@ def _bind(library: ctypes.CDLL) -> OpenBlas:
             "scipy_LAPACKE_dstebz64_",
             char, char, int64, double, double, int64, int64, double, vector, vector,
             count, count, vector, indices, indices,
-        ),
-        dstein=routine(
-            "scipy_LAPACKE_dstein64_",
-            ctypes.c_int, int64, vector, vector, int64, vector, indices, indices, matrix, int64,
-            indices,
         ),
         dormtr=routine(
             "scipy_LAPACKE_dormtr64_",
@@ -310,10 +305,12 @@ def reduce(a: np.ndarray) -> Tridiagonal | None:
 
 
 @_dense
-def project(reduced: Tridiagonal, probes: np.ndarray) -> np.ndarray:
+def project(reduced: Tridiagonal, probes: np.ndarray, back: bool = False) -> np.ndarray:
     """Q^T ``probes`` (``dormtr``) for the m x k ``probes``, real or
     complex: the probes in the coordinates of T, for
-    :func:`band_bidiagonal` on :meth:`Tridiagonal.band`. The reflectors in
+    :func:`band_bidiagonal` on :meth:`Tridiagonal.band`. With ``back``,
+    Q ``probes``: vectors of T, such as those :func:`band_eigenpairs`
+    gives on its band, in the coordinates of A. The reflectors in
     ``reduced.a`` are read, not kept."""
     library = openblas()
     a, d, _, tau = reduced
@@ -324,15 +321,14 @@ def project(reduced: Tridiagonal, probes: np.ndarray) -> np.ndarray:
     # a complex column is two real columns: Q is real
     columns = np.array(np.ascontiguousarray(probes, dtype=dtype).view(np.float64), order="F")
     k = columns.shape[1]
-    _check(library.dormtr(_COL_MAJOR, b"L", b"L", b"T", m, k, a, m, tau, columns, m))
+    trans = b"N" if back else b"T"
+    _check(library.dormtr(_COL_MAJOR, b"L", b"L", trans, m, k, a, m, tau, columns, m))
     return np.ascontiguousarray(columns).view(dtype)
 
 
-def _run(library: OpenBlas, reduced: Tridiagonal, order: bytes, ks: range):
-    """``dstebz`` on T for its eigenvalues ``ks``, a contiguous run (0-based,
-    ascending), at full accuracy, refused unless it finds them all: the
-    whole output w, iblock, isplit, zero-initialised, as ``dstein`` reads
-    them."""
+def _run(library: OpenBlas, reduced: Tridiagonal, ks: range) -> np.ndarray:
+    """Eigenvalues ``ks`` of T, a contiguous run (0-based), ascending, by
+    ``dstebz`` at full accuracy, refused unless it finds them all."""
     m = reduced.d.size
     if ks.step != 1 or not 0 <= ks.start < ks.stop <= m:
         raise InputError(f"eigenvalue indices {ks} are not a run inside a block of size {m}")
@@ -341,20 +337,19 @@ def _run(library: OpenBlas, reduced: Tridiagonal, order: bytes, ks: range):
     abstol = 2 * np.finfo(np.float64).tiny
     _check(
         library.dstebz(
-            b"I", order, m, 0.0, 0.0, ks.start + 1, ks.stop, abstol, reduced.d, reduced.e,
+            b"I", b"E", m, 0.0, 0.0, ks.start + 1, ks.stop, abstol, reduced.d, reduced.e,
             ctypes.byref(found), ctypes.byref(blocks), w, iblock, isplit,
         )
     )
     if found.value != len(ks):
         raise NumericError(f"eigensolver failed: bisection found {found.value} of eigenvalues {ks}")
-    return w, iblock, isplit
+    return w[: len(ks)]
 
 
 def lowest(reduced: Tridiagonal, count: int) -> np.ndarray:
     """The ``count`` lowest eigenvalues of T (all of them when ``count``
     exceeds its size), ascending, by bisection (:func:`_run`)."""
-    ks = range(min(count, reduced.d.size))
-    return _run(openblas(), reduced, b"E", ks)[0][: len(ks)]
+    return _run(openblas(), reduced, range(min(count, reduced.d.size)))
 
 
 def _norm(reduced: Tridiagonal) -> float:
@@ -384,34 +379,6 @@ def window(reduced: Tridiagonal, low: float, high: float) -> range:
     args = (_at(d), _at(e), _at(squares), None, _at(ends), None, _at(counts) + 16, _at(counts))
     _check(openblas().dlaebz(1, 0, d.size, 1, 1, 0, 0.0, 0.0, pivmin, *args, None, None))
     return range(counts[0], counts[1])
-
-
-@_dense
-def eigenpairs(reduced: Tridiagonal, ks: range) -> tuple[np.ndarray, np.ndarray] | None:
-    """Eigenvalues ``ks`` of A, a contiguous run (0-based, ascending), and
-    their eigenvectors as the columns of an m x k matrix; None when inverse
-    iteration does not converge for one of them.
-
-    The values come from bisection on T (``dstebz``), the vectors Q z from
-    inverse iteration (``dstein``, which orthogonalizes a cluster of close
-    values) with Q applied by ``dormtr``. The buffer of ``reduced.a`` is
-    read, not kept.
-    """
-    library = openblas()
-    a, d, e, tau = reduced
-    m, k = d.size, len(ks)
-    w, iblock, isplit = _run(library, reduced, b"B", ks)
-    vectors = np.zeros((m, k), order="F")
-    failed = np.zeros(k, dtype=np.int64)
-    # LAPACKE NaN-checks all m entries of w, not only the ones wanted
-    info = library.dstein(_COL_MAJOR, m, d, e, k, w, iblock, isplit, vectors, m, failed)
-    if info > 0:
-        return None
-    _check(info)
-    _check(library.dormtr(_COL_MAJOR, b"L", b"L", b"N", m, k, a, m, tau, vectors, m))
-    # dstebz lists the values block by block of a split T
-    order = np.argsort(w[:k], kind="stable")
-    return w[order], vectors[:, order]
 
 
 def eigenvalues(reduced: Tridiagonal) -> np.ndarray:
@@ -627,7 +594,8 @@ def _band_product(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A x for the symmetric A of the lower ``band``."""
     m = band.shape[1]
     y = band[0] * x
-    for t in range(1, band.shape[0]):
+    # a band row t >= m holds no entry of A, as in LAPACK's band storage
+    for t in range(1, min(band.shape[0], m)):
         y[t:] += band[t, : m - t] * x[: m - t]
         y[: m - t] += band[t, : m - t] * x[t:]
     return y
@@ -640,7 +608,7 @@ def _general_band(band: np.ndarray, diagonal: np.ndarray, above: int) -> np.ndar
     kd, m = band.shape[0] - 1, band.shape[1]
     ab = np.zeros((above + kd + 1, m), order="F")
     ab[above] = diagonal
-    for t in range(1, kd + 1):
+    for t in range(1, min(kd + 1, m)):
         ab[above + t, : m - t] = band[t, : m - t]
         ab[above - t, t:] = band[t, : m - t]
     return ab
@@ -727,13 +695,14 @@ def band_eigenpairs(
 
     The values are ``values``, the run's when the caller has bisected them
     already (:func:`lowest`), or else come from bisection (``dstebz``) on
-    ``reduced``, A's tridiagonal T (:func:`band_reduce`); each vector
-    comes from banded inverse iteration at its value. As in ``dstein``, a
+    ``reduced``, A's tridiagonal T (:func:`band_reduce`, or the
+    :func:`reduce` whose T ``band`` is); each vector comes from banded
+    inverse iteration at its value. As in ``dstein``, a
     value within :data:`CLUSTER_RTOL` ||T||_1 of the one before it joins
     its cluster, and each iterate is orthogonalized against the cluster's
     earlier vectors.
     """
-    w = _run(openblas(), reduced, b"E", ks)[0][: len(ks)] if values is None else values
+    w = _run(openblas(), reduced, ks) if values is None else values
     cluster = CLUSTER_RTOL * _norm(reduced)
     vectors = np.empty((reduced.d.size, len(ks)), order="F")
     head = 0

@@ -965,6 +965,65 @@ def test_gated_grid_jobs_solve_every_block_as_a_band(tmp_path, monkeypatch, job)
     assert sorted(solved) == sorted(bands)
 
 
+#: Floquet jobs on the dense route, with the dimensions of the blocks each
+#: reduces densely: a 41-point sinc-DVR grid (dense H_M) at cutoff 3, its
+#: matter sectors of 21 and 20 rows and Sambe sectors of 144 and 143; and
+#: one point of a three-level sweep, whose matter Hamiltonian is a band of
+#: kd 0 and whose one 51-row Sambe block (kd 35) is not narrow.
+DENSE_ROUTE_JOBS = {
+    "sinc_dvr": (
+        "job: floquet\nmodel: {kinetic: sinc_dvr, grid: {n_points: 41}}\n"
+        "sambe: {harmonic_cutoff: 3}\n"
+        "drive: {omega: 0.35, components: [{harmonic: 1, amplitude: 0.05}]}\n",
+        [20, 21, 143, 144],
+    ),
+    "few_level": (
+        "job: floquet\nmodel: {kind: few_level, energies: [0.0, 0.3, 1.1],\n"
+        "  dipole: [[0.1, -0.3, 0.2], [-0.3, 0.0, 0.4], [0.2, 0.4, -0.2]]}\n"
+        "sambe: {harmonic_cutoff: 8}\n"
+        "drive: {omega: 0.35, components: [{harmonic: 1, amplitude: 0.1}]}\n",
+        [51],
+    ),
+}
+
+
+@pytest.mark.parametrize("job", list(DENSE_ROUTE_JOBS))
+def test_dense_route_jobs_keep_eigenpairs_off_each_blocks_t(tmp_path, monkeypatch, job):
+    """Every Sambe block of a dense-route floquet job is reduced densely
+    (floquet._reduce), every eigenpair a solve keeps comes from banded
+    inverse iteration (lapack.band_eigenpairs), on a band of kd = 1 (the
+    block's T) for every densely reduced block, and no block falls back to
+    eigh."""
+    text, dense = DENSE_ROUTE_JOBS[job]
+    eighs, reduced, kept, systems = [], [], [], []
+    record_lapack_solves(monkeypatch, eighs=eighs)
+    reduce, band_eigenpairs, solve = floquet._reduce, lapack.band_eigenpairs, cli.diagonalize_hermitian
+
+    def recorded_reduce(block):
+        reduced.append(block.shape[0])
+        return reduce(block)
+
+    def recorded_pairs(band, *args):
+        pairs = band_eigenpairs(band, *args)
+        kept.append((band.shape[0] - 1, band.shape[1], pairs[1].shape[1]))
+        return pairs
+
+    def recorded_solve(matrix, **options):
+        systems.append(solve(matrix, **options))
+        return systems[-1]
+
+    monkeypatch.setattr(floquet, "_reduce", recorded_reduce)
+    monkeypatch.setattr(lapack, "band_eigenpairs", recorded_pairs)
+    monkeypatch.setattr(cli, "diagonalize_hermitian", recorded_solve)
+    run_job(load_config(config_file(tmp_path, text)))
+    assert eighs == [] and sorted(reduced) == dense
+    on_t = [kd for kd, m, _ in kept if m in dense]
+    assert on_t and all(kd == 1 for kd in on_t)
+    assert sum(k for *_, k in kept) == sum(
+        sector.kept.size for system in systems for sector in system.sectors
+    )
+
+
 def test_floquet_grid_row_step_fills_both_slots(tmp_path, monkeypatch):
     """On two slots, the Sambe solve of the gated floquet_grid job (sector
     bands of 1708 and 1709 rows) runs each sector's dsterf on the helper

@@ -402,16 +402,16 @@ def test_lapack_failure_is_a_numeric_error(monkeypatch, path, split, dims):
 
 def test_unconverged_inverse_iteration_on_the_dense_route_takes_eigh(monkeypatch):
     """A reference solve of a few-level Sambe operator (one sector of
-    m = 51, kd 35, not narrow) reduces its block densely; when dstein
-    reports a vector that did not converge, the operator is solved by eigh,
-    and the solve gives eigh's spectrum and vectors."""
+    m = 51, kd 35, not narrow) reduces its block densely; when banded
+    inverse iteration on its T refuses a vector, the operator is solved by
+    eigh, and the solve gives eigh's spectrum and vectors."""
     library = lapack.openblas()
     if library is None:
         pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
     operator = few_level_sweep_operator()
     assert not floquet._narrow(operator)
     full = diagonalize_hermitian(operator)
-    monkeypatch.setattr(lapack, "openblas", lambda: library._replace(dstein=lambda *args: 1))
+    monkeypatch.setattr(lapack, "band_eigenvector", lambda *args: None)
     bands, eighs = [], []
     solved = record_lapack_solves(monkeypatch, bands, eighs)
     system = diagonalize_hermitian(operator, reference=0)
@@ -590,6 +590,36 @@ def test_inverse_iteration_refuses_a_shift_off_the_spectrum():
     band = band_of(np.diag([0.0, 1.0, 2.0]), 0)
     assert lapack.band_eigenvector(band, 1e-6) is None
     assert lapack.band_eigenvector(band, 0.5) is None
+
+
+@pytest.mark.parametrize("rows, m", [(4, 2), (5, 2), (19, 5)])
+def test_band_entry_points_read_no_row_past_the_matrix(rows, m):
+    """A lower band with kd >= m (rows past row m - 1 hold no entry of A,
+    as in LAPACK's band storage) gives, at every band entry point, what
+    its first m rows give, bit for bit: the reduction, one eigenvector,
+    the eigenpairs of every index and both steps of the row solve."""
+    if lapack.openblas() is None:
+        pytest.skip("numpy has no bundled OpenBLAS with LAPACKE")
+    rng = np.random.default_rng(rows * m)
+    wide = np.asfortranarray(rng.standard_normal((rows, m)))
+    band = np.asfortranarray(wide[:m])
+    probes = rng.standard_normal((m, 2))
+    reduced = lapack.band_reduce(band)
+    wide_reduced = lapack.band_reduce(wide)
+    assert np.array_equal(wide_reduced.d, reduced.d) and np.array_equal(wide_reduced.e, reduced.e)
+    ground = float(lapack.lowest(reduced, 1)[0])
+    vector = lapack.band_eigenvector(band, ground)
+    assert vector is not None
+    assert lapack.band_eigenvector(wide, ground).tobytes() == vector.tobytes()
+    pairs = lapack.band_eigenpairs(band, reduced, range(m))
+    wide_pairs = lapack.band_eigenpairs(wide, wide_reduced, range(m))
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(wide_pairs, pairs))
+    bidiagonal = lapack.band_bidiagonal(band, probes)
+    wide_bidiagonal = lapack.band_bidiagonal(wide, probes)
+    for x, y in zip(wide_bidiagonal[:3], bidiagonal[:3]):
+        assert x.tobytes() == y.tobytes()
+    rows_solved = lapack.bidiagonal_rows(bidiagonal)
+    assert lapack.bidiagonal_rows(wide_bidiagonal).tobytes() == rows_solved.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -797,14 +827,13 @@ def test_lapack_kernel_keeps_the_eigenvalues_of_eigh(make):
 
 def one_index_solve(reduced, k):
     """Values and eigenvector k by the one-index sequence: dstebz over k,
-    dstein, dormtr on one column, then every value from dsterf with value
-    k replaced by the bisection's."""
+    banded inverse iteration on T at that value, dormtr on one column, then
+    every value from dsterf with value k replaced by the bisection's."""
     library, layout = lapack.openblas(), 102  # LAPACKE's column-major
     a, d, e, tau = reduced
     m = d.size
-    w, iblock, isplit = lapack._run(library, reduced, b"B", range(k, k + 1))
-    vector = np.zeros((m, 1), order="F")
-    library.dstein(layout, m, d, e, 1, w, iblock, isplit, vector, m, np.zeros(1, dtype=np.int64))
+    w = lapack._run(library, reduced, range(k, k + 1))
+    vector = np.asfortranarray(lapack.band_eigenvector(reduced.band(), float(w[0]))[:, None])
     library.dormtr(layout, b"L", b"L", b"N", m, 1, a, m, tau, vector, m)
     values = d.copy()
     library.dsterf(m, values, e.copy())
@@ -816,7 +845,7 @@ def one_index_solve(reduced, k):
 def test_values_only_solve_matches_eigh(m):
     """The values-only solve of a random symmetric block of size m
     (floquet._values_only on dsterf's values of its dense reduction's T and
-    the eigenpairs lapack.eigenpairs gives), over runs of indices at both
+    the eigenpairs its _BlockSolve reads off T and Q), over runs of indices at both
     ends and in the middle: every eigenvalue within ||T|| m eps of eigh's,
     each kept eigenvector within 64 m eps of eigh's column (up to sign). A
     one-index run is the one-index sequence bit for bit; the bisection
@@ -834,7 +863,7 @@ def test_values_only_solve_matches_eigh(m):
     scale = np.linalg.norm(t, 2)
 
     def solve_values(ks):
-        pairs = lapack.eigenpairs(reduced, ks)
+        pairs = block_solve.eigenpairs(ks)
         solution = floquet._values_only(lapack.eigenvalues(reduced), ks, pairs)
         assert solution.kept.tolist() == list(ks)
         return solution.values, solution.vectors
@@ -929,13 +958,14 @@ def test_window_keeps_eigenvalues_on_the_zone_edge(name):
     assert block.tobytes() == ((block + block.T) / 2).tobytes()
     values, vectors = np.linalg.eigh(block)
     assert np.array_equal(values[[0, -2] if name == "split" else [0, -1]], [-0.5, 0.5])
-    reduced = lapack.reduce(np.array(block, order="F"))
+    block_solve = floquet._reduce(np.array(block, order="F"))
+    reduced = block_solve.reduced
     inside = range(0, 3) if name == "split" else range(0, 4)
     assert lapack.window(reduced, -0.5, 0.5) == inside
     assert lapack.window(reduced, -0.5 + 1e-6, 0.5 - 1e-6) == range(1, inside.stop - 1)
     assert lapack.window(reduced, 3.0, 4.0) == range(4, 4)
     assert_window_counts(reduced)
-    w, kept = lapack.eigenpairs(reduced, inside)
+    w, kept = block_solve.eigenpairs(inside)
     eps = np.finfo(np.float64).eps
     assert np.max(np.abs(w - values[inside])) <= 4 * eps
     signs = np.sign(np.sum(kept * vectors[:, inside], axis=0))
@@ -1609,17 +1639,18 @@ def test_first_zone_solve_falls_back_to_the_full_solve(monkeypatch, operator, pi
     bit-equal to the solve without a picker. After the band route, a pick outside the
     selection goes straight to the full solve: both blocks are written and
     solved in full, with no first-zone eigenpairs read off a dense T
-    (lapack.eigenpairs) after the band phase."""
+    (_BlockSolve.eigenpairs with no band order) after the band phase."""
     plain = diagonalize_hermitian(operator)
     bands = []
     solved = record_lapack_solves(monkeypatch, bands)
-    eigenpairs = lapack.eigenpairs
+    eigenpairs = floquet._BlockSolve.eigenpairs
 
-    def recorded(reduced, ks):
-        solved.append("eigenpairs")
-        return eigenpairs(reduced, ks)
+    def recorded(block_solve, ks, values=None):
+        if block_solve.order is None:
+            solved.append("eigenpairs")
+        return eigenpairs(block_solve, ks, values)
 
-    monkeypatch.setattr(lapack, "eigenpairs", recorded)
+    monkeypatch.setattr(floquet._BlockSolve, "eigenpairs", recorded)
     system = diagonalize_hermitian(operator, reference=pick)
     if bands:  # band_pick_beyond, the one narrow operator here
         assert sorted(bands) == [283, 284] and solved == [*bands, 283, 284]
@@ -2254,9 +2285,10 @@ def test_band_solve_interrupt_is_raised_before_the_helper_error(monkeypatch):
 def test_dense_solves_set_their_own_blas_count_in_a_held_scheduler(monkeypatch):
     """With a held scheduler open at two real OpenBLAS threads, each dense
     solve called directly sets its own count: lapack.reduce (dsytrd),
-    project and eigenpairs (dormtr) and eigh run at two outside the
-    members of an each, the count back at one after each of them, and at
-    one inside an each that runs on both slots. The count is two again
+    project (dormtr), for Q^T on a probe and for Q on the eigenpairs a
+    dense block's _BlockSolve reads off its T, and eigh run at two outside
+    the members of an each, the count back at one after each of them, and
+    at one inside an each that runs on both slots. The count is two again
     once the scheduler closes."""
     library = lapack.openblas()
     if library is None:
@@ -2279,9 +2311,9 @@ def test_dense_solves_set_their_own_blas_count_in_a_held_scheduler(monkeypatch):
     a += a.T
 
     def solves():
-        reduced = lapack.reduce(np.array(a, order="F"))
-        lapack.project(reduced, np.ones((40, 1)))
-        lapack.eigenpairs(reduced, range(0, 2))
+        block_solve = floquet._reduce(np.array(a, order="F"))
+        lapack.project(block_solve.reduced, np.ones((40, 1)))
+        block_solve.eigenpairs(range(0, 2))
         lapack.eigh(a)
         return library.get_num_threads()
 
@@ -2416,34 +2448,43 @@ def test_band_route_orthogonalizes_a_cluster(monkeypatch):
     """With no drive, H_M shifted to E_0 = 0 and Omega = (E_2 - E_0) / 2,
     the replicas (n, -n) of levels 0-3 all lie in the S = +1 zone: (0, 0)
     and (2, -2) tie at rounding level, and all four lie far closer than
-    dstein's ORTOL (1e-3 ||T||). The band route keeps four orthonormal
-    vectors, each with its residual within m eps ||A||, spanning the full
-    solve's eigenspaces, and solves the S = -1 band for the row."""
+    dstein's ORTOL (1e-3 ||T||). The solve keeps four orthonormal vectors,
+    each with its residual within m eps ||A||, spanning the full solve's
+    eigenspaces, and solves the S = -1 sector for the row. With the
+    three-point H_M the sectors are narrow bands, and inverse iteration
+    runs on the S = +1 band; the sinc DVR's dense H_M makes them blocks
+    that are not narrow, reduced by dsytrd, and inverse iteration runs on
+    the S = +1 block's T."""
     grid = GridBasis(x_min=-5.0, x_max=5.0, n_points=81)
-    h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0)).matrix
-    energies = np.linalg.eigvalsh(h)
-    drive = DriveSpec(omega=float(energies[2] - energies[0]) / 2)
-    operator = band_zone_operator(drive, h=h - energies[0] * np.eye(81))
-    full = diagonalize_hermitian(operator)
-    bands = []
-    solved = record_lapack_solves(monkeypatch, bands)
-    system = diagonalize_hermitian(operator, reference=first_zone(0))
-    assert sorted(bands[:2]) == [283, 284] and bands[2:] == [284] and solved == bands
-    sector = values_only_sector(system)
-    kept = sector.ranks[sector.kept]
-    values = system.values[kept]
-    cluster = lapack.CLUSTER_RTOL * np.max(np.abs(system.values[sector.ranks]))
-    assert kept.size == 4 and np.min(np.diff(values)) <= 1e-13
-    assert np.max(np.diff(values)) < cluster
-    columns = system.columns(kept)
     eps = np.finfo(np.float64).eps
-    assert np.max(np.abs(columns.T @ columns - np.eye(4))) <= 16 * eps
-    matrix = operator.toarray()
-    scale = float(np.max(np.sum(np.abs(matrix), axis=1)))
-    residuals = np.linalg.norm(matrix @ columns - columns * values, axis=0)
-    assert np.all(residuals <= sector.ranks.size * eps * scale)
-    expected = full.columns(kept)
-    assert np.max(np.abs(columns @ columns.T - expected @ expected.T)) <= 1e-12
+    for kinetic in ("three_point", "sinc_dvr"):
+        h = build_grid_hamiltonian(grid, PotentialSpec.harmonic(1.0), kinetic).matrix
+        energies = np.linalg.eigvalsh(h)
+        drive = DriveSpec(omega=float(energies[2] - energies[0]) / 2)
+        operator = band_zone_operator(drive, h=h - energies[0] * np.eye(81))
+        full = diagonalize_hermitian(operator)
+        bands = []
+        with monkeypatch.context() as patch:
+            solved = record_lapack_solves(patch, bands)
+            system = diagonalize_hermitian(operator, reference=first_zone(0))
+        if kinetic == "three_point":
+            assert sorted(bands[:2]) == [283, 284] and bands[2:] == [284] and solved == bands
+        else:
+            assert bands == [284] and solved == [283, 284, 284]
+        sector = values_only_sector(system)
+        kept = sector.ranks[sector.kept]
+        values = system.values[kept]
+        cluster = lapack.CLUSTER_RTOL * np.max(np.abs(system.values[sector.ranks]))
+        assert kept.size == 4 and np.min(np.diff(values)) <= 1e-13
+        assert np.max(np.diff(values)) < cluster
+        columns = system.columns(kept)
+        assert np.max(np.abs(columns.T @ columns - np.eye(4))) <= 16 * eps
+        matrix = operator.toarray()
+        scale = float(np.max(np.sum(np.abs(matrix), axis=1)))
+        residuals = np.linalg.norm(matrix @ columns - columns * values, axis=0)
+        assert np.all(residuals <= sector.ranks.size * eps * scale)
+        expected = full.columns(kept)
+        assert np.max(np.abs(columns @ columns.T - expected @ expected.T)) <= 1e-12
 
 
 def test_inexact_first_zone_band_vector_takes_eigh(monkeypatch):
